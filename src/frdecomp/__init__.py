@@ -6,7 +6,6 @@ variants) into integrals of positive semi-definite kernels with exact finite
 range, and samples the associated Gaussian free fields scale by scale.
 """
 
-from ._accel import BACKEND_NAME, available_backends
 from .mollifier import (BumpProfile, Mollifier, Normalization,
                         build_default_profile, build_mollifier,
                         default_mollifier, normalization_constant)
@@ -27,7 +26,6 @@ from .sampler import (FieldSamples, SamplerConfig, ScalePlan, covariance_report,
                       sample_graph, sample_torus)
 
 __all__ = [
-    "BACKEND_NAME", "available_backends",
     "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
     "build_mollifier", "default_mollifier", "normalization_constant",
     "ChebyshevWeight", "ContinuousWeightFamily", "DiscreteWeightFamily",

@@ -183,25 +183,17 @@ def _scale_plan(config, op, family):
 @click.option("--out", "out_dir", type=click.Path(), default="frdecomp-out",
               help="Output directory for reports and artifacts.")
 @click.option("--seed", type=int, default=None, help="64-bit RNG seed override.")
-@click.option("--threads", type=int, default=None, help="Global thread cap.")
 @click.option("--tolerance-scale", type=float, default=1.0,
               help="Multiply every bound-type tolerance (0 forces failure).")
 @click.pass_context
-def main(ctx, config_path, out_dir, seed, threads, tolerance_scale):
+def main(ctx, config_path, out_dir, seed, tolerance_scale):
     """Finite-range decomposition toolkit: weights, kernels, blocks, fields."""
     config = RunConfig.from_file(config_path) if config_path else RunConfig()
     if seed is not None:
         config.data["seed"] = int(seed)
     os.makedirs(out_dir, exist_ok=True)
-    if threads is not None:
-        try:
-            import threadpoolctl
-            ctx.with_resource(threadpoolctl.threadpool_limits(limits=threads))
-        except ImportError:
-            click.echo(f"note: threadpoolctl unavailable, --threads {threads} ignored")
     ctx.obj = {"config": config, "out": out_dir,
                "checks": CheckList(tolerance_scale)}
-    ctx.call_on_close(lambda: None)
 
 
 def _finish(ctx, command=None):
@@ -399,12 +391,7 @@ def sample(ctx):
                             deflate_zero_mode=bool(sc["deflate_zero_mode"])
                             or op.is_singular)
         samples = sample_graph(cfg, family)
-        if op.is_singular:
-            from .graphs import reconstruct_green
-            oracle = reconstruct_green(op, family, plan.j_min, plan.j_max,
-                                       plan.L_ratio, plan.nodes_per_block).oracle
-        else:
-            oracle = np.linalg.solve(op.dense(), np.eye(op.n))
+        oracle = op.green_oracle()
     else:
         from .lattice import build_symbol_table, dense_operator, plan_t_max
         from .sampler import ScalePlan

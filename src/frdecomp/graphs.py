@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .quadrature import log_gauss_legendre
+from .weights import ChebyshevWeight, RescaledWeight
 
 DENSE_ORACLE_LIMIT = 256
 DEFAULT_NODES_PER_BLOCK = 16
@@ -191,6 +191,29 @@ class GraphOperator:
         M = (vecs * w) @ vecs.T
         return (M * s[None, :]) / s[:, None]
 
+    def mean_zero_projection(self):
+        """I - 1 p^T with p = mu / sum(mu): projects onto mu-mean-zero functions."""
+        p = self.graph.mu / self.graph.mu.sum()
+        return np.eye(self.n) - np.outer(np.ones(self.n), p)
+
+    def green_oracle(self):
+        """Dense Green's function of the operator, the oracle for blocks and samples.
+
+        A dense solve; for a singular operator, the mu-weighted pseudo-inverse
+        projected onto mean-zero functions (where the massless field lives).
+        """
+        if not self.is_singular:
+            return np.linalg.solve(self.dense(), np.eye(self.n))
+
+        def pseudo_inverse(vals):
+            out = np.zeros_like(vals)
+            keep = vals > 1e-12 * vals.max()
+            out[keep] = 1.0 / vals[keep]
+            return out
+
+        proj = self.mean_zero_projection()
+        return proj @ self.apply_weight_dense(pseudo_inverse) @ proj.T
+
 
 def laplacian_apply(op, u):
     """Apply the operator of `op` to a vector (kind-dependent variant of L)."""
@@ -278,19 +301,19 @@ def _mu_symmetrize(matrix, mu):
 def block_over_interval(op, family, t_lo, t_hi, nodes_per_octave=DEFAULT_NODES_PER_BLOCK):
     """Quadrature of t^2 (3/B) C W*_t((3/B) Lambda) dt/t over [t_lo, t_hi].
 
-    Returns the plain matrix (columns are the integrated filters applied to
-    basis vectors) before symmetrization or certification.
+    The integrated filter is one polynomial of degree floor(t_hi) in Lambda
+    (DiscreteWeightFamily.interval_coefficients), applied to the basis by a
+    single Chebyshev recurrence.  Returns the plain matrix (columns are the
+    integrated filter applied to basis vectors) before symmetrization or
+    certification, and the number of quadrature nodes.
     """
     if abs(family.B - op.B) > 1e-12 * op.B:
         raise GraphError(f"family B={family.B} does not match operator B={op.B}")
-    tq, wq = log_gauss_legendre(t_lo, t_hi, nodes_per_octave)
-    eye = np.eye(op.n)
-    total = np.zeros((op.n, op.n))
-    scale = family.normalization.constant * family.multiplier
-    for t, w in zip(tq, wq):
-        filt = chebyshev_apply(op, family.rescaled(t), eye)
-        total += (w * scale * t**2) * filt
-    return total, len(tq)
+    coeffs, node_count = family.interval_coefficients(t_lo, t_hi, nodes_per_octave)
+    # the coefficients already carry C (3/B), hence multiplier 1
+    weight = RescaledWeight(base=ChebyshevWeight(t=float(t_hi), coeffs=coeffs),
+                            arg_scale=family.arg_scale, multiplier=1.0)
+    return chebyshev_apply(op, weight, np.eye(op.n)), node_count
 
 
 def scale_block(op, family, j, L_ratio=2.0, nodes_per_block=DEFAULT_NODES_PER_BLOCK):
@@ -383,21 +406,11 @@ def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
     max_rel = None
     deflated = bool(op.is_singular)
     if compare_dense and op.n <= DENSE_ORACLE_LIMIT:
+        oracle = op.green_oracle()
         compare = total
         if deflated:
-            # mu-orthogonal pseudo-inverse oracle; compare on mean-zero subspace
-            vals, vecs = op.eigensystem()
-            s = np.sqrt(op.graph.mu)
-            inv = np.zeros_like(vals)
-            keep = vals > 1e-12 * vals.max()
-            inv[keep] = 1.0 / vals[keep]
-            oracle = ((vecs * inv) @ vecs.T) * s[None, :] / s[:, None]
-            p = op.graph.mu / op.graph.mu.sum()
-            proj = np.eye(op.n) - np.outer(np.ones(op.n), p)
+            proj = op.mean_zero_projection()
             compare = proj @ total @ proj.T
-            oracle = proj @ oracle @ proj.T
-        else:
-            oracle = np.linalg.solve(op.dense(), np.eye(op.n))
         max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
     return ReconstructionReport(
         matrix=total, oracle=oracle, max_rel_error=max_rel, j_min=j_min,

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import simpson, trapezoid
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .quadrature import gauss_legendre
@@ -155,7 +155,7 @@ class Mollifier:
         i0 = int(np.searchsorted(self.x_grid, x_lo))
         xs = self.x_grid[i0:]
         ys = xs**p * self.phi_values[i0:]
-        table = float(np.trapezoid(ys, xs))
+        table = float(trapezoid(ys, xs))
         if i0 > 0:
             # Partial cell between x_lo and the first grid node.
             xa, xb = x_lo, self.x_grid[i0]
@@ -190,7 +190,7 @@ def _tabulate_kappa(profile, x_grid):
 
 def _tabulate_autoconvolution(profile, k_grid):
     hw = profile.half_width
-    g, w = np.polynomial.legendre.leggauss(_CONV_QUAD_NODES)
+    g, w = gauss_legendre(-1.0, 1.0, _CONV_QUAD_NODES)
     lo = k_grid - hw
     hi = np.full_like(k_grid, hw)
     half = 0.5 * (hi - lo)

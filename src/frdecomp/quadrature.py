@@ -3,11 +3,13 @@
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_legendre
 
 
 @lru_cache(maxsize=64)
 def _leggauss(n):
-    return np.polynomial.legendre.leggauss(int(n))
+    """Gauss-Legendre nodes and weights on [-1, 1], ascending."""
+    return roots_legendre(int(n))
 
 
 def gauss_legendre(a, b, n):

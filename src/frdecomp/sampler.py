@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import GraphError
-from .quadrature import log_gauss_legendre
+from .weights import clenshaw_folded
 
 WHITE_CLIP_TOL = 1e-8
 
@@ -100,9 +100,6 @@ class FieldSamples:
     def totals(self):
         return self.components.sum(axis=1)
 
-    def replicate(self, r):
-        return self.components[r]
-
 
 REPLICATE_BATCH = 4096
 
@@ -144,7 +141,7 @@ def torus_mode_variances(spec, family, plan, table=None, deflate_zero_mode=False
 
     The white piece (scales below the plan) has the exact constant variance
     C (3/B) phi_hat(0) * t_low; each block integrates the spectral
-    multiplier over its scale interval.
+    multiplier over its scale interval: one Chebyshev series per block.
     """
     from .lattice import build_symbol_table
     if table is None:
@@ -159,11 +156,9 @@ def torus_mode_variances(spec, family, plan, table=None, deflate_zero_mode=False
                                  family.low_scale_integral(0.0, plan.t_low)))
     theta = 1.0 - 0.5 * family.arg_scale * lam
     for j in range(plan.j_min, plan.j_max + 1):
-        t_lo, t_hi = plan.L_ratio ** (j - 1), plan.L_ratio**j
-        tq, wq = log_gauss_legendre(t_lo, t_hi, plan.nodes_per_block)
-        flat, offsets, factors = family.quadrature_factors(tq, wq)
-        from ._accel import weighted_clenshaw_sum
-        variances.append(weighted_clenshaw_sum(flat, offsets, factors, theta))
+        coeffs, _ = family.interval_coefficients(
+            plan.L_ratio ** (j - 1), plan.L_ratio**j, plan.nodes_per_block)
+        variances.append(clenshaw_folded(coeffs, theta))
     # Clip roundoff negatives against the field scale, not the block scale:
     # high-j blocks are uniformly tiny and carry 1e-15-level Clenshaw noise.
     field_scale = max(float(np.max(v)) for v in variances)

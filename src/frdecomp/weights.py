@@ -20,6 +20,12 @@ For t < 1 only the k = 0 coefficient survives, so W*_t is the constant
 phi_hat(0)/t and the scale integral over [0, 1] equals C phi_hat(0) exactly;
 every truncated integral in the package uses that closed form for its low
 end and tabulated tail integrals of phi for the high end.
+
+The integrand t^2 C (3/B) W*_t is linear in the coefficients phi_hat(k/t)/t,
+so a scale integral over [t_lo, t_hi] is itself one Chebyshev series of
+degree floor(t_hi) whose coefficients are the quadrature sum of the per-scale
+ones.  Every scale integral, torus mode variance and graph block in the
+package evaluates that single series (DiscreteWeightFamily.interval_coefficients).
 """
 
 import csv
@@ -28,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._accel import clenshaw_folded, weighted_clenshaw_sum
 from .quadrature import log_gauss_legendre
 
 DEFAULT_NODES_PER_OCTAVE = 16
@@ -38,6 +43,23 @@ ZERO_FLOOR = 1e-12
 
 # ---------------------------------------------------------------------------
 # single-scale weights
+
+def clenshaw_folded(coeffs, theta):
+    """Evaluate c[0] + 2 sum_{k>=1} c[k] T_k(theta) for an array of theta.
+
+    Backward (Clenshaw) recurrence on the folded series, i.e. sum' a_k T_k
+    with a_0 = c_0 and a_k = 2 c_k; stable for |theta| <= 1 at the degrees
+    used here (up to a few thousand).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    b1 = np.zeros_like(theta)
+    b2 = np.zeros_like(theta)
+    two_theta = 2.0 * theta
+    for k in range(coeffs.shape[0] - 1, 0, -1):
+        b1, b2 = 2.0 * coeffs[k] + two_theta * b1 - b2, b1
+    return theta * b1 - b2 + coeffs[0]
+
 
 @dataclass(frozen=True)
 class ChebyshevWeight:
@@ -207,13 +229,6 @@ class DiscreteWeightFamily:
         out = self.normalization.constant * self.multiplier * out
         return out if np.ndim(lam) else float(out[0])
 
-    def value_direct(self, lam, t):
-        """Same quantity through the periodization oracle."""
-        arr = self._check_lambda(lam)
-        out = eval_discrete_weight_direct(self.mollifier, self.arg_scale * arr, t)
-        out = self.normalization.constant * self.multiplier * out
-        return out if np.ndim(lam) else float(out[0])
-
     def max_value(self, t_lo=0.1):
         # W*_t <= phi_hat(0)/t for t < 1 dominates every practical grid.
         return (self.normalization.constant * self.multiplier
@@ -231,15 +246,22 @@ class DiscreteWeightFamily:
         return (self.normalization.constant * self.multiplier
                 * self.mollifier.phi_hat0 * (t_hi - t_lo))
 
-    def quadrature_factors(self, tq, wq):
-        """Flattened coefficients/offsets/factors for weighted_clenshaw_sum."""
-        weights = [self.coefficients(t).coeffs for t in tq]
-        offsets = np.zeros(len(weights) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(c) for c in weights])
-        flat = np.concatenate(weights) if weights else np.zeros(0)
-        factors = (self.normalization.constant * self.multiplier
-                   * np.asarray(wq) * np.asarray(tq) ** 2)
-        return flat, offsets, factors
+    def interval_coefficients(self, t_lo, t_hi,
+                              nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
+        """Folded coefficients of int_{t_lo}^{t_hi} t^2 value(., t) dt/t.
+
+        On the log-Gauss-Legendre nodes t_q with weights w_q,
+        a_k = sum_q w_q C (3/B) t_q^2 phi_hat(k/t_q)/t_q for k <= floor(t_hi):
+        the whole scale integral is one Chebyshev series in
+        1 - (3/(2B)) lambda.  Returns (a, number of quadrature nodes).
+        """
+        tq, wq = log_gauss_legendre(t_lo, t_hi, nodes_per_octave)
+        factors = self.normalization.constant * self.multiplier * wq * tq**2
+        a = np.zeros(int(np.floor(tq.max())) + 1)
+        for t, f in zip(tq, factors):
+            c = self.coefficients(t).coeffs
+            a[:len(c)] += f * c
+        return a, len(tq)
 
     def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
         """Scale integral with the degree-0 region handled in closed form.
@@ -265,9 +287,8 @@ class DiscreteWeightFamily:
                                             + self.mollifier.x_max * t_min / np.pi))
             q_lo = t_min
         if t_max > q_lo * (1.0 + 1e-12):
-            tq, wq = log_gauss_legendre(q_lo, t_max, nodes_per_octave)
-            flat, offsets, factors = self.quadrature_factors(tq, wq)
-            integral += weighted_clenshaw_sum(flat, offsets, factors, theta)
+            coeffs, _ = self.interval_coefficients(q_lo, t_max, nodes_per_octave)
+            integral += clenshaw_folded(coeffs, theta)
         # High tail: n = 0 term of the periodization plus the wrap terms.
         mu = self.arg_scale * lam
         x = np.arccos(1.0 - 0.5 * mu)

@@ -158,6 +158,24 @@ class TestSampleCommand:
         assert res.exit_code == 0, res.output
         assert (out / "samples.bin").exists()
 
+    def test_massless_cycle_builds_each_block_once(self, tmp_path, monkeypatch):
+        import frdecomp.graphs as graphs
+        built = []
+        original = graphs.scale_block
+
+        def counting_scale_block(op, family, j, *args, **kwargs):
+            built.append(j)
+            return original(op, family, j, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "scale_block", counting_scale_block)
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"operator": "laplacian"},
+                   "scales": {"j_min": -2, "j_max": 6},
+                   "sampler": {"sample_count": 4000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "ml"), "sample"])
+        assert res.exit_code == 0, res.output
+        assert built == list(range(-2, 7))
+
     def test_graph_from_edgelist_file(self, tmp_path):
         edges = tmp_path / "edges.txt"
         edges.write_text("".join(f"{i} {(i + 1) % 10} 1.0\n" for i in range(10)))

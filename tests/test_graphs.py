@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from frdecomp.graphs import (GraphError, GraphOperator, SingularOperatorError,
-                             WeightedGraph, block_over_interval, chebyshev_apply,
+from frdecomp.graphs import (DENSE_ORACLE_LIMIT, GraphError, GraphOperator,
+                             SingularOperatorError, WeightedGraph,
+                             block_over_interval, chebyshev_apply,
                              cycle_graph, default_scale_plan,
                              killed_green_consistency, laplacian_apply,
                              reconstruct_green, scale_block, two_vertex_graph)
+from frdecomp.quadrature import log_gauss_legendre
 from frdecomp.weights import DiscreteWeightFamily, eval_discrete_weight_direct
 
 
@@ -185,6 +187,21 @@ class TestScaleBlock:
         scale = np.max(np.abs(ac))
         assert np.max(np.abs(ab + bc - ac)) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.5, 2.0), (2.0, 4.0), (4.0, 8.0)])
+    def test_single_polynomial_matches_per_node_sum(self, mollifier, norm1, t_lo, t_hi):
+        op = GraphOperator(cycle_graph(16), "resolvent", m2=0.5)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        got, nodes = block_over_interval(op, fam, t_lo, t_hi)
+        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
+        eye = np.eye(op.n)
+        scale = norm1.constant * fam.multiplier
+        expect = sum(w * scale * t**2 * chebyshev_apply(op, fam.rescaled(t), eye)
+                     for t, w in zip(tq, wq))
+        assert nodes == len(tq)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+        outside = op.graph.distances() >= np.ceil(t_hi)
+        assert outside.any() and np.all(got[outside] == 0.0)
+
     def test_magnitude_trend_massless_cycle(self, mollifier, norm1):
         # 64-cycle, m^2 = 0: heat exponent alpha = 1, so sup |C_j| should
         # grow like L^{(2-alpha) j} = L^j (fitted trend, generous band)
@@ -247,6 +264,15 @@ class TestReconstruction:
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam, j_min=0, j_max=4)
         assert rec.oracle is None and rec.max_rel_error is None
+
+    def test_singular_green_oracle_beyond_dense_limit(self):
+        op = GraphOperator(cycle_graph(300))
+        assert op.n > DENSE_ORACLE_LIMIT
+        green = op.green_oracle()
+        # L G is the projection onto mean-zero functions; G kills constants
+        np.testing.assert_allclose(op.dense() @ green, op.mean_zero_projection(),
+                                   atol=1e-9)
+        assert np.max(np.abs(green @ np.ones(op.n))) <= 1e-9 * np.max(np.abs(green))
 
     def test_default_plan_tail(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)

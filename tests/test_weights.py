@@ -1,13 +1,48 @@
 import numpy as np
 import pytest
 
+from frdecomp.quadrature import log_gauss_legendre
 from frdecomp.weights import (DiscreteWeightFamily,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
-                              check_decomposition_identity, decay_constants,
-                              default_lambda_grid, derivative_decay_constants,
+                              check_decomposition_identity, clenshaw_folded,
+                              decay_constants, default_lambda_grid,
+                              derivative_decay_constants,
                               eval_discrete_weight, eval_discrete_weight_direct,
                               rescale_for_operator, wave_identity_max_residual)
+
+
+def test_clenshaw_against_cosine_form():
+    # c_0 + 2 sum c_k T_k(cos x) == sum over k of c_k cos(k x) folded
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal(9)
+    x = np.linspace(0.0, np.pi, 41)
+    direct = coeffs[0] + 2.0 * sum(
+        c * np.cos(k * x) for k, c in enumerate(coeffs) if k >= 1)
+    got = clenshaw_folded(coeffs, np.cos(x))
+    np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-14)
+
+
+class TestIntervalCoefficients:
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.5, 2.0), (1.0, 16.0), (8.0, 64.0)])
+    def test_matches_periodization_quadrature(self, mollifier, norm1, t_lo, t_hi):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=2.1)
+        coeffs, nodes = fam.interval_coefficients(t_lo, t_hi, 16)
+        assert len(coeffs) <= int(np.floor(t_hi)) + 1
+        lam = np.linspace(0.01, fam.lambda_max, 101)
+        got = clenshaw_folded(coeffs, 1.0 - 0.5 * fam.arg_scale * lam)
+        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
+        assert nodes == len(tq)
+        scale = norm1.constant * fam.multiplier
+        # independent route: the periodized sum, quadrature over the same nodes
+        oracle = sum(w * scale * t**2
+                     * eval_discrete_weight_direct(mollifier, fam.arg_scale * lam, t)
+                     for t, w in zip(tq, wq))
+        # floor: the phi and phi_hat tables agree to ~1e-11 (see
+        # TestPeriodizationOracle); folding itself is exact to roundoff
+        assert np.max(np.abs(got - oracle)) <= 2e-11 * np.max(np.abs(oracle))
+        per_node = sum(w * t**2 * fam.value(lam, t) for t, w in zip(tq, wq))
+        assert np.max(np.abs(got - per_node)) <= 1e-13 * np.max(np.abs(per_node))
 
 
 class TestChebyshevCoefficients:
