@@ -17,8 +17,9 @@ from .weights import (ChebyshevWeight, ContinuousWeightFamily,
                       rescale_for_operator, wave_identity_max_residual)
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
-                      dense_operator, discrete_continuum_gap, lattice_kernel,
-                      mass_family_sweep, reconstruct_torus_green)
+                      discrete_continuum_gap, lattice_kernel,
+                      mass_family_sweep, reconstruct_torus_green,
+                      stencil_operator)
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, laplacian_apply,
                      reconstruct_green, scale_block, two_vertex_graph)
@@ -34,9 +35,9 @@ __all__ = [
     "eval_discrete_weight", "eval_discrete_weight_direct",
     "rescale_for_operator", "wave_identity_max_residual",
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
-    "build_symbol_table", "continuum_kernel", "decay_fit", "dense_operator",
+    "build_symbol_table", "continuum_kernel", "decay_fit",
     "discrete_continuum_gap", "lattice_kernel", "mass_family_sweep",
-    "reconstruct_torus_green",
+    "reconstruct_torus_green", "stencil_operator",
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "laplacian_apply",
     "reconstruct_green", "scale_block", "two_vertex_graph",

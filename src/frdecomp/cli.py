@@ -16,7 +16,10 @@ import click
 import numpy as np
 
 from . import fileio
+from .graphs import GraphError
+from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
+from .sampler import BlockQualityError, ZeroModeError
 from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
                       approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
@@ -177,7 +180,23 @@ def _scale_plan(config, op, family):
                      L_ratio=s["L_ratio"], nodes_per_block=int(s["nodes_per_block"]))
 
 
-@click.group()
+class VerdictGroup(click.Group):
+    """Command group that reports a rejected input as one FAIL verdict line.
+
+    The library raises these errors for inputs it cannot handle (a non-power
+    of two torus, a graph the sampler does not support, ...); the CLI turns
+    them into a FAIL line and exit code 1 instead of a traceback.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (GraphError, LatticeError, ZeroModeError, BlockQualityError) as exc:
+            click.echo(f"FAIL {ctx.invoked_subcommand} {type(exc).__name__}: {exc}")
+            ctx.exit(1)
+
+
+@click.group(cls=VerdictGroup)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON config file; flags override file values.")
 @click.option("--out", "out_dir", type=click.Path(), default="frdecomp-out",
@@ -193,14 +212,22 @@ def main(ctx, config_path, out_dir, seed, tolerance_scale):
         config.data["seed"] = int(seed)
     os.makedirs(out_dir, exist_ok=True)
     ctx.obj = {"config": config, "out": out_dir,
-               "checks": CheckList(tolerance_scale)}
+               "checks": CheckList(tolerance_scale), "artifacts": []}
+
+
+def _artifact(ctx, name, *suffixes):
+    """Path of an artifact in --out, recorded for the manifest.
+
+    With suffixes, name is a base path and name + suffix is recorded for
+    each suffix (writers that emit several files from one base).
+    """
+    ctx.obj["artifacts"] += [name + s for s in suffixes] or [name]
+    return os.path.join(ctx.obj["out"], name)
 
 
 def _finish(ctx, command=None):
     if command is not None:
-        out = ctx.obj["out"]
-        artifacts = [n for n in os.listdir(out) if n != "report_manifest.json"]
-        fileio.write_manifest(out, command, artifacts)
+        fileio.write_manifest(ctx.obj["out"], command, ctx.obj["artifacts"])
     ok = ctx.obj["checks"].render()
     if not ok:
         failed = [name for name, _, _, okk in ctx.obj["checks"].rows if not okk]
@@ -214,7 +241,7 @@ def _finish(ctx, command=None):
 @click.pass_context
 def weights(ctx, lambda_grid):
     """Run the weight-family identity/decay/approximation checks."""
-    config, out, checks = ctx.obj["config"], ctx.obj["out"], ctx.obj["checks"]
+    config, checks = ctx.obj["config"], ctx.obj["checks"]
     wc = config["weights"]
     tol = config["tolerances"]
     m, norm = _components(config)
@@ -249,17 +276,17 @@ def weights(ctx, lambda_grid):
     checks.bound("spectral_weights.wave_identity",
                  wave_identity_max_residual(32), tol["wave_identity"])
 
-    rep.to_csv(os.path.join(out, "weights_identity.csv"))
-    fileio.write_rows_csv(os.path.join(out, "decay_constants.csv"),
+    rep.to_csv(_artifact(ctx, "weights_identity.csv"))
+    fileio.write_rows_csv(_artifact(ctx, "decay_constants.csv"),
                           ["order_l", "sup"],
                           [(l, float(v)) for l, v in sorted(rep.decay_constants.items())])
     fit = rep.approx_rate_fit
-    fileio.write_rows_csv(os.path.join(out, "approximation.csv"),
+    fileio.write_rows_csv(_artifact(ctx, "approximation.csv"),
                           ["t", "abs_diff", "slope"],
                           [(float(t), float(d), fit.slope)
                            for t, d in zip(fit.t_list, fit.diffs)])
     coefficient_csv(chebyshev_coefficients(m, wc["coefficient_dump_t"]),
-                    os.path.join(out, "coefficients.csv"))
+                    _artifact(ctx, "coefficients.csv"))
     _finish(ctx, "weights")
 
 
@@ -267,7 +294,7 @@ def weights(ctx, lambda_grid):
 @click.pass_context
 def decompose(ctx):
     """Build kernels/blocks with certificates and a summary table."""
-    config, out, checks = ctx.obj["config"], ctx.obj["out"], ctx.obj["checks"]
+    config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
     m, norm = _components(config)
     kind = config["backend"]["kind"]
@@ -287,9 +314,9 @@ def decompose(ctx):
             checks.bound(f"graph_decomposition.scale_block[j={j}].psd",
                          max(0.0, -c.min_eig) / max(c.max_eig, 1e-300),
                          tol["psd_rel"])
-            fileio.write_block(os.path.join(out, f"block_j{j:+03d}"), blk,
+            fileio.write_block(_artifact(ctx, f"block_j{j:+03d}", ".bin", ".json"), blk,
                                extra={"B": op.B, "kind": op.kind})
-        fileio.write_rows_csv(os.path.join(out, "decompose_summary.csv"),
+        fileio.write_rows_csv(_artifact(ctx, "decompose_summary.csv"),
                               ["j", "range_bound", "min_eig", "sup_norm"],
                               [(j, r, float(e), float(s)) for j, r, e, s in rows])
     elif kind == "torus":
@@ -306,12 +333,12 @@ def decompose(ctx):
             checks.bound(f"lattice_kernels.lattice_kernel[t={t}].psd_multiplier",
                          max(0.0, -ker.multiplier_min) / max(ker.multiplier_max, 1e-300),
                          tol["range_rel"])
-            base = os.path.join(out, f"kernel_t{t}")
+            base = _artifact(ctx, f"kernel_t{t}", ".bin", ".csv")
             fileio.write_kernel_binary(f"{base}.bin",
                                        [spec.d, spec.N, t, spec.m2, table.B],
                                        ker.values)
             fileio.write_kernel_csv(f"{base}.csv", ker.values)
-        fileio.write_rows_csv(os.path.join(out, "decompose_summary.csv"),
+        fileio.write_rows_csv(_artifact(ctx, "decompose_summary.csv"),
                               ["t", "range_bound", "multiplier_min", "sup_norm"],
                               rows)
         t_list = [float(t) for t in config["backend"]["t_list"]]
@@ -323,7 +350,7 @@ def decompose(ctx):
                                 table=table)
                 decay_rows += [(float(t), int(l_x), int(l_y), float(v), fit.slope)
                                for t, v in zip(fit.t_list, fit.max_abs)]
-            fileio.write_rows_csv(os.path.join(out, "decay_fit.csv"),
+            fileio.write_rows_csv(_artifact(ctx, "decay_fit.csv"),
                                   ["t", "l_x", "l_y", "max_abs", "fitted_exponent"],
                                   decay_rows)
     else:
@@ -334,8 +361,8 @@ def decompose(ctx):
 @main.command()
 @click.pass_context
 def reconstruct(ctx):
-    """Reconstruct the Green's function from scale blocks vs the dense oracle."""
-    config, out, checks = ctx.obj["config"], ctx.obj["out"], ctx.obj["checks"]
+    """Reconstruct the Green's function from scale blocks vs its oracle."""
+    config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
     m, norm = _components(config)
     kind = config["backend"]["kind"]
@@ -368,7 +395,7 @@ def reconstruct(ctx):
         report = {"t_max": rec.t_max, "max_rel_error": rec.max_rel_error,
                   "tail_bound": rec.tail_bound, "deflated": rec.deflated}
     report["format_version"] = fileio.FORMAT_VERSION
-    fileio.write_json(os.path.join(out, "reconstruction.json"), report)
+    fileio.write_json(_artifact(ctx, "reconstruction.json"), report)
     _finish(ctx, "reconstruct")
 
 
@@ -376,7 +403,7 @@ def reconstruct(ctx):
 @click.pass_context
 def sample(ctx):
     """Draw multiscale field replicates and verify covariance statistically."""
-    config, out, checks = ctx.obj["config"], ctx.obj["out"], ctx.obj["checks"]
+    config, checks = ctx.obj["config"], ctx.obj["checks"]
     m, norm = _components(config)
     sc = config["sampler"]
     kind = config["backend"]["kind"]
@@ -393,7 +420,8 @@ def sample(ctx):
         samples = sample_graph(cfg, family)
         oracle = op.green_oracle()
     else:
-        from .lattice import build_symbol_table, dense_operator, plan_t_max
+        from .lattice import (build_symbol_table, circulant_matrix, green_column,
+                              plan_t_max)
         from .sampler import ScalePlan
         spec = _lattice_spec(config)
         table = build_symbol_table(spec)
@@ -412,9 +440,7 @@ def sample(ctx):
                             deflate_zero_mode=bool(sc["deflate_zero_mode"])
                             or spec.m2 <= 0.0)
         samples = sample_torus(cfg, family, table=table)
-        oracle = np.linalg.solve(dense_operator(spec), np.eye(spec.size))
-        if spec.m2 <= 0.0:
-            raise click.ClickException("massless torus sampling needs m2 > 0 oracle")
+        oracle = circulant_matrix(green_column(spec))
     rep = covariance_report(samples, oracle, min_samples=min(1000, sc["sample_count"]))
     z_bound = sc["z_bound"]
     if z_bound is None:
@@ -424,14 +450,14 @@ def sample(ctx):
         z_bound = float(np.sqrt(2.0 * np.log(2.0 * entries)) + 1.0)
     checks.bound("gff_sampler.covariance_report.max_abs_z", rep.max_abs_z,
                  float(z_bound))
-    fileio.write_samples(os.path.join(out, "samples.bin"), samples, kind,
+    fileio.write_samples(_artifact(ctx, "samples.bin"), samples, kind,
                          plan.j_min, plan.j_max,
                          max_replicates=int(sc["dump_replicates"]))
     n = rep.oracle.shape[0]
     rows = [(x, y, float(rep.empirical[x, y]), float(rep.oracle[x, y]),
              float(rep.z_scores[x, y]))
             for x in range(n) for y in range(x, n)]
-    fileio.write_rows_csv(os.path.join(out, "covariance_report.csv"),
+    fileio.write_rows_csv(_artifact(ctx, "covariance_report.csv"),
                           ["x", "y", "empirical", "oracle", "z"], rows)
     _finish(ctx, "sample")
 

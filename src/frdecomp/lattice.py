@@ -16,9 +16,10 @@ match the lattice convention N^{-d} sum_xi.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from scipy.special import j0, j1
 
 from .quadrature import gauss_legendre
@@ -178,49 +179,77 @@ def lattice_kernel(spec, table, family, t, allow_wraparound=False):
 
 
 # ---------------------------------------------------------------------------
-# dense oracle and reconstruction
+# real-space oracle and reconstruction
 
-def dense_operator(spec):
-    """The operator matrix assembled from its real-space stencil.
+def stencil_operator(spec):
+    """The operator as a sparse matrix assembled from its real-space stencil.
 
     Independent of the Fourier route: L = sum_ij a_ij grad_i^T grad_j + m^2
     with forward differences and periodic wrap, so
     (L u)(x) = sum_ij a_ij [u(x) - u(x - e_i) - u(x + e_j) + u(x - e_i + e_j)].
+    The legs are summed into one coefficient per offset before assembly, so
+    every row holds bit-identical values and L commutes exactly with lattice
+    shifts.
     """
-    n = spec.size
-    if n > 4096:
-        raise LatticeError("dense oracle limited to 4096 sites")
-    shape = spec.shape
-    L = np.zeros((n, n))
-    idx = np.arange(n).reshape(shape)
-
-    def shifted(src, axis, step):
-        return np.roll(src, -step, axis=axis)
-
+    unit = np.eye(spec.d, dtype=int)
+    stencil = {(0,) * spec.d: float(spec.m2)}
     for i in range(spec.d):
         for j in range(spec.d):
             aij = spec.a[i, j]
             if aij == 0.0:
                 continue
-            # column index arrays for the four stencil legs at every row x
-            x = idx.ravel()
-            x_mi = shifted(idx, i, -1).ravel()           # x - e_i
-            x_pj = shifted(idx, j, +1).ravel()           # x + e_j
-            x_mi_pj = shifted(shifted(idx, i, -1), j, +1).ravel()
-            L[x, x] += aij
-            L[x, x_mi] -= aij
-            L[x, x_pj] -= aij
-            L[x, x_mi_pj] += aij
-    L[np.arange(n), np.arange(n)] += spec.m2
-    return L
+            for offset, v in ((0 * unit[i], aij), (-unit[i], -aij),
+                              (unit[j], -aij), (unit[j] - unit[i], aij)):
+                key = tuple(offset)
+                stencil[key] = stencil.get(key, 0.0) + v
+    n = spec.size
+    idx = np.arange(n).reshape(spec.shape)
+    axes = tuple(range(spec.d))
+    # row x couples to column x + offset
+    cols = [np.roll(idx, tuple(-o for o in offset), axis=axes).ravel()
+            for offset in stencil]
+    vals = [np.full(n, v) for v in stencil.values()]
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.tile(idx.ravel(), len(stencil)), np.concatenate(cols))),
+                         shape=(n, n))
+
+
+def green_column(spec):
+    """Column x -> G(x, 0) of the torus Green function, as a torus array.
+
+    L commutes with lattice shifts, so G(x, y) = column[x - y mod N] and this
+    one column settles every entry.  It comes from one sparse direct solve
+    of L g = e_0 with the real-space stencil.  At m^2 = 0 the constants span
+    the kernel of L and the column of the pseudo-inverse is returned: pin
+    site 0, solve the grounded system against the mean-zero part of e_0,
+    then subtract the mean.
+    """
+    n = spec.size
+    L = stencil_operator(spec)
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    if spec.m2 > 0.0:
+        g = spsolve(L, rhs)
+    else:
+        g = np.zeros(n)
+        g[1:] = spsolve(L[1:, 1:], rhs[1:] - 1.0 / n)
+        g -= g.mean()
+    return g.reshape(spec.shape)
+
+
+def circulant_matrix(column):
+    """Unfold a torus column into the n x n matrix M[x, y] = column[x - y]."""
+    shape = column.shape
+    coords = np.unravel_index(np.arange(column.size), shape)
+    return column[tuple((c[:, None] - c[None, :]) % size
+                        for c, size in zip(coords, shape))]
 
 
 @dataclass
 class TorusReconstruction:
     kernel: np.ndarray          # reconstructed Green kernel column (torus array)
-    green_matrix: np.ndarray    # unfolded circulant matrix
-    oracle: Optional[np.ndarray]
-    max_rel_error: Optional[float]
+    oracle_column: np.ndarray   # green_column(spec), the real-space oracle
+    max_rel_error: float
     t_max: float
     tail_bound: float
     deflated: bool
@@ -243,53 +272,30 @@ def plan_t_max(family, lambda_min, target_tail_rel=1e-7, t_cap=1e6):
 
 
 def reconstruct_torus_green(spec, family, table=None, t_max=None,
-                            nodes_per_octave=16, target_tail_rel=1e-7,
-                            compare_dense=True):
-    """Integrate scale kernels over all t and compare to the dense inverse.
+                            nodes_per_octave=16, target_tail_rel=1e-7):
+    """Integrate scale kernels over all t and compare to the real-space oracle.
 
     The mode-wise integral equals the sum of t^2-weighted kernels over a
     log-t quadrature plus the exact [0, 1] piece; at m^2 = 0 the zero mode
-    is deflated (projection onto mean-zero functions).
+    is deflated (projection onto mean-zero functions).  The reconstructed
+    Green matrix is circulant by construction and the oracle commutes with
+    shifts, so the largest entrywise error is the largest error over the one
+    column green_column(spec).
     """
     if table is None:
         table = build_symbol_table(spec)
     lam = table.values.ravel()
-    deflated = False
-    if spec.m2 <= 0.0:
-        deflated = True
-        lam = lam.copy()
-    lam_pos = lam[lam > 1e-12] if deflated else lam
+    deflated = spec.m2 <= 0.0
+    keep = lam > 1e-12 if deflated else np.ones(lam.shape, dtype=bool)
     if t_max is None:
-        t_max = plan_t_max(family, float(lam_pos.min()), target_tail_rel)
-    integral, _, tail = family.scale_integral(lam_pos, 0.0, t_max, nodes_per_octave)
+        t_max = plan_t_max(family, float(lam[keep].min()), target_tail_rel)
+    integral, _, tail = family.scale_integral(lam[keep], 0.0, t_max, nodes_per_octave)
     v = np.zeros_like(lam)
-    if deflated:
-        v[lam > 1e-12] = integral
-    else:
-        v = integral
+    v[keep] = integral
     kernel = np.fft.ifftn(v.reshape(spec.shape)).real
-    n = spec.size
-    green = np.empty((n, n))
-    # circulant unfold: G[x, y] = kernel[x - y mod N]
-    coords = np.unravel_index(np.arange(n), spec.shape)
-    for y in range(n):
-        yc = np.unravel_index(y, spec.shape)
-        shifted = tuple((coords[i] - yc[i]) % spec.N for i in range(spec.d))
-        green[:, y] = kernel[shifted]
-    oracle = None
-    max_rel = None
-    if compare_dense and n <= 4096:
-        L = dense_operator(spec)
-        if deflated:
-            eigval, eigvec = np.linalg.eigh(L)
-            inv = np.zeros_like(eigval)
-            keep = eigval > 1e-9 * eigval.max()
-            inv[keep] = 1.0 / eigval[keep]
-            oracle = (eigvec * inv) @ eigvec.T
-        else:
-            oracle = np.linalg.solve(L, np.eye(n))
-        max_rel = float(np.max(np.abs(green - oracle)) / np.max(np.abs(oracle)))
-    return TorusReconstruction(kernel=kernel, green_matrix=green, oracle=oracle,
+    oracle = green_column(spec)
+    max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))
+    return TorusReconstruction(kernel=kernel, oracle_column=oracle,
                                max_rel_error=max_rel, t_max=float(t_max),
                                tail_bound=float(np.max(tail)), deflated=deflated)
 

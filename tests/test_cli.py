@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from frdecomp.cli import DEFAULT_CONFIG, RunConfig, main
@@ -196,3 +197,49 @@ class TestSampleCommand:
         assert manifest["format_version"] == 1
         assert manifest["command"] == "reconstruct"
         assert "reconstruction.json" in manifest["artifacts"]
+
+    def test_manifest_lists_only_this_command(self, tmp_path):
+        out = tmp_path / "m"
+        assert run(["--out", str(out), "weights"]).exit_code == 0
+        res = run(["--out", str(out), "reconstruct"])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((out / "report_manifest.json").read_text())
+        assert manifest["artifacts"] == ["reconstruction.json"]
+        assert (out / "weights_identity.csv").exists()
+
+    def test_massless_torus_sampling(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8,
+                               "lattice_m2": 0.0},
+                   "sampler": {"sample_count": 4000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "ml"), "sample"])
+        assert res.exit_code == 0, res.output
+        verdicts = [line for line in res.output.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert verdicts and all(line.startswith("PASS") for line in verdicts)
+
+
+class TestRejectedInput:
+    def assert_one_fail_line(self, res, command, error):
+        assert res.exit_code == 1
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"FAIL {command} {error}: ")
+        assert "Traceback" not in res.output
+
+    def test_uneven_degree_graph_sample(self, tmp_path):
+        # a 6-cycle plus one chord: vertex measure is not constant
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{i} {(i + 1) % 6} 1.0\n" for i in range(6))
+                         + "0 3 1.0\n")
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"graph": "file", "edges_file": str(edges)},
+                   "sampler": {"sample_count": 2000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "c"), "sample"])
+        self.assert_one_fail_line(res, "sample", "GraphError")
+
+    @pytest.mark.parametrize("command", ["sample", "reconstruct"])
+    def test_torus_size_not_power_of_two(self, tmp_path, command):
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"kind": "torus", "N": 12}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "n"), command])
+        self.assert_one_fail_line(res, command, "LatticeError")

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from frdecomp.lattice import (LatticeError, LatticeSpec, WrapAroundError,
-                              build_symbol_table, continuum_kernel,
-                              continuum_tail_bound,
-                              decay_fit, dense_operator, discrete_continuum_gap,
+                              build_symbol_table, circulant_matrix,
+                              continuum_kernel, continuum_tail_bound,
+                              decay_fit, discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
-                              reconstruct_torus_green, torus_linf_distance)
+                              reconstruct_torus_green, stencil_operator,
+                              torus_linf_distance)
 from frdecomp.weights import DiscreteWeightFamily
 
 
@@ -77,7 +78,7 @@ class TestSymbolTable:
         # independent route: the stencil matrix must reproduce the symbol
         spec = LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.0]]), m2=0.25, N=8)
         table = build_symbol_table(spec)
-        L = dense_operator(spec)
+        L = stencil_operator(spec)
         k = (3, 5)
         xi = 2.0 * np.pi * np.array(k) / spec.N
         grid = np.indices(spec.shape).reshape(2, -1)
@@ -85,6 +86,20 @@ class TestSymbolTable:
         applied = L @ wave
         ratio = applied / wave
         assert np.allclose(ratio, table.values[k], atol=1e-10)
+
+    @pytest.mark.parametrize("d,a", [
+        (1, [[1.0]]),
+        (2, [[1.0, 0.3], [0.3, 1.0]]),
+        (3, [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 1.0]])])
+    def test_stencil_commutes_with_shifts(self, d, a):
+        # translation invariance is what lets one Green column stand for all
+        spec = LatticeSpec(d=d, a=np.array(a), m2=0.25, N=8)
+        L = stencil_operator(spec).toarray()
+        idx = np.arange(spec.size).reshape(spec.shape)
+        for axis in range(d):
+            for step in (1, 3):
+                perm = np.roll(idx, step, axis=axis).ravel()
+                assert np.array_equal(L[np.ix_(perm, perm)], L)
 
 
 class TestLatticeKernel:
@@ -131,6 +146,18 @@ class TestLatticeKernel:
             lattice_kernel(spec, table, fam, 3.0)
 
 
+def _circulant_loop(column):
+    """Reference unfold, one column at a time: G[x, y] = column[x - y]."""
+    shape, n = column.shape, column.size
+    coords = np.unravel_index(np.arange(n), shape)
+    out = np.empty((n, n))
+    for y in range(n):
+        yc = np.unravel_index(y, shape)
+        out[:, y] = column[tuple((coords[i] - yc[i]) % shape[i]
+                                 for i in range(len(shape)))]
+    return out
+
+
 class TestTorusReconstruction:
     def test_8x8_massive(self, mollifier, norm1):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
@@ -164,6 +191,45 @@ class TestTorusReconstruction:
         rec = reconstruct_torus_green(spec, fam, table=table)
         assert rec.deflated
         assert rec.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("d,m2", [(2, 0.5), (2, 0.0), (3, 0.5)])
+    def test_one_column_equals_full_comparison(self, mollifier, norm1, d, m2):
+        spec = LatticeSpec(d=d, a=np.eye(d), m2=m2, N=8)
+        table = build_symbol_table(spec)
+        fam = make_family(mollifier, norm1, table.B)
+        rec = reconstruct_torus_green(spec, fam, table=table)
+        L = stencil_operator(spec).toarray()
+        full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
+        green = _circulant_loop(rec.kernel)
+        full_rel = np.max(np.abs(green - full)) / np.max(np.abs(full))
+        # both errors are relative to max |G|; the two oracles differ by
+        # roundoff (~1e-15 of max |G|), far below the ~1e-10 error itself
+        assert abs(rec.max_rel_error - full_rel) <= 1e-12
+
+    @pytest.mark.parametrize("d,N,m2", [(1, 16, 0.0), (2, 8, 0.25), (3, 8, 0.0)])
+    def test_green_column_is_inverse_column(self, d, N, m2):
+        spec = LatticeSpec(d=d, a=np.eye(d), m2=m2, N=N)
+        column = green_column(spec)
+        L = stencil_operator(spec).toarray()
+        full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
+        np.testing.assert_allclose(column.ravel(), full[:, 0], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(full)))
+        if m2 == 0.0:
+            assert abs(column.sum()) <= 1e-12 * np.max(np.abs(column))
+
+    def test_circulant_matrix_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for shape in ((16,), (8, 8), (4, 8, 2)):
+            column = rng.standard_normal(shape)
+            assert np.array_equal(circulant_matrix(column), _circulant_loop(column))
+
+    def test_above_old_dense_cap(self, mollifier, norm1):
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=128)   # 16,384 sites
+        table = build_symbol_table(spec)
+        fam = make_family(mollifier, norm1, table.B)
+        rec = reconstruct_torus_green(spec, fam, table=table)
+        assert rec.oracle_column.shape == spec.shape
+        assert rec.max_rel_error <= 1e-5
 
 
 class TestContinuumKernel:
