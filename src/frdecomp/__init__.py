@@ -9,38 +9,37 @@ range, and samples the associated Gaussian free fields scale by scale.
 from .mollifier import (BumpProfile, Mollifier, Normalization,
                         build_default_profile, build_mollifier,
                         default_mollifier, normalization_constant)
-from .weights import (ChebyshevWeight, ContinuousWeightFamily,
-                      DiscreteWeightFamily, RescaledWeight, WeightCheckReport,
-                      approximation_rate, chebyshev_coefficients,
-                      check_decomposition_identity, decay_constants,
-                      eval_discrete_weight, eval_discrete_weight_direct,
-                      rescale_for_operator, wave_identity_max_residual)
+from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
+                      WeightCheckReport, approximation_rate,
+                      chebyshev_coefficients, check_decomposition_identity,
+                      decay_constants, eval_discrete_weight,
+                      eval_discrete_weight_direct, wave_identity_max_residual)
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
                       discrete_continuum_gap, lattice_kernel,
                       mass_family_sweep, reconstruct_torus_green,
                       stencil_operator)
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
-                     cycle_graph, killed_green_consistency, laplacian_apply,
-                     reconstruct_green, scale_block, two_vertex_graph)
+                     cycle_graph, killed_green_consistency, reconstruct_green,
+                     scale_block, two_vertex_graph)
 from .sampler import (FieldSamples, SamplerConfig, ScalePlan, covariance_report,
                       sample_graph, sample_torus)
 
 __all__ = [
     "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
     "build_mollifier", "default_mollifier", "normalization_constant",
-    "ChebyshevWeight", "ContinuousWeightFamily", "DiscreteWeightFamily",
-    "RescaledWeight", "WeightCheckReport", "approximation_rate",
-    "chebyshev_coefficients", "check_decomposition_identity", "decay_constants",
+    "ContinuousWeightFamily", "DiscreteWeightFamily", "WeightCheckReport",
+    "approximation_rate", "chebyshev_coefficients",
+    "check_decomposition_identity", "decay_constants",
     "eval_discrete_weight", "eval_discrete_weight_direct",
-    "rescale_for_operator", "wave_identity_max_residual",
+    "wave_identity_max_residual",
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
     "build_symbol_table", "continuum_kernel", "decay_fit",
     "discrete_continuum_gap", "lattice_kernel", "mass_family_sweep",
     "reconstruct_torus_green", "stencil_operator",
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
-    "cycle_graph", "killed_green_consistency", "laplacian_apply",
-    "reconstruct_green", "scale_block", "two_vertex_graph",
+    "cycle_graph", "killed_green_consistency", "reconstruct_green",
+    "scale_block", "two_vertex_graph",
     "FieldSamples", "SamplerConfig", "ScalePlan", "covariance_report",
     "sample_graph", "sample_torus",
 ]

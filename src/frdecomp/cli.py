@@ -19,7 +19,7 @@ from . import fileio
 from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
-from .sampler import BlockQualityError, ZeroModeError
+from .sampler import BlockQualityError
 from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
                       approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
@@ -31,7 +31,6 @@ DEFAULT_CONFIG = {
     "seed": 20240801,
     "mollifier": {"grid_step": 1e-3, "x_max": 100.0},
     "weights": {
-        "gamma": 1.0,
         "lambda_grid": None,          # null -> 0.05 .. 4 - eps step 0.05
         "eps": 1.0,
         "t_min": 1e-3,
@@ -65,7 +64,6 @@ DEFAULT_CONFIG = {
         "sample_count": 10000,
         "z_bound": None,              # null -> extreme-value-aware bound
         "dump_replicates": 4,
-        "deflate_zero_mode": False,
     },
     "tolerances": {
         "identity_discrete": 1e-5,
@@ -138,7 +136,7 @@ class CheckList:
 def _components(config):
     mc = config["mollifier"]
     m = build_mollifier(grid_step=mc["grid_step"], x_max=mc["x_max"])
-    norm = normalization_constant(m, gamma=config["weights"]["gamma"])
+    norm = normalization_constant(m, gamma=1.0)
     return m, norm
 
 
@@ -191,7 +189,7 @@ class VerdictGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (GraphError, LatticeError, ZeroModeError, BlockQualityError) as exc:
+        except (GraphError, LatticeError, BlockQualityError) as exc:
             click.echo(f"FAIL {ctx.invoked_subcommand} {type(exc).__name__}: {exc}")
             ctx.exit(1)
 
@@ -257,13 +255,12 @@ def weights(ctx, lambda_grid):
                                        wc["nodes_per_octave"])
     checks.bound("spectral_weights.check_decomposition_identity[discrete]",
                  rep.max_certified_residual(), tol["identity_discrete"])
-    if abs(norm.gamma - 1.0) < 1e-12:
-        cont = ContinuousWeightFamily(m, norm)
-        rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"],
-                                             wc["nodes_per_octave"])
-        rep.w_cont = rep_c.w_cont
-        checks.bound("spectral_weights.check_decomposition_identity[continuous]",
-                     rep_c.max_certified_residual(), tol["identity_continuous"])
+    cont = ContinuousWeightFamily(m, norm)
+    rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"],
+                                         wc["nodes_per_octave"])
+    rep.w_cont = rep_c.w_cont
+    checks.bound("spectral_weights.check_decomposition_identity[continuous]",
+                 rep_c.max_certified_residual(), tol["identity_continuous"])
     rep.decay_constants = decay_constants(disc)
     rep.approx_rate_fit = approximation_rate(m, 1.0, normalization=norm)
     checks.at_most("spectral_weights.approximation_rate.slope",
@@ -414,9 +411,7 @@ def sample(ctx):
         family = DiscreteWeightFamily(m, norm, B=op.B)
         plan = _scale_plan(config, op, family)
         cfg = SamplerConfig(backend="graph", plan=plan, seed=seed,
-                            sample_count=int(sc["sample_count"]), operator=op,
-                            deflate_zero_mode=bool(sc["deflate_zero_mode"])
-                            or op.is_singular)
+                            sample_count=int(sc["sample_count"]), operator=op)
         samples = sample_graph(cfg, family)
         oracle = op.green_oracle()
     else:
@@ -436,9 +431,7 @@ def sample(ctx):
                          j_max=int(j_max), L_ratio=s["L_ratio"],
                          nodes_per_block=int(s["nodes_per_block"]))
         cfg = SamplerConfig(backend="torus", plan=plan, seed=seed,
-                            sample_count=int(sc["sample_count"]), lattice=spec,
-                            deflate_zero_mode=bool(sc["deflate_zero_mode"])
-                            or spec.m2 <= 0.0)
+                            sample_count=int(sc["sample_count"]), lattice=spec)
         samples = sample_torus(cfg, family, table=table)
         oracle = circulant_matrix(green_column(spec))
     rep = covariance_report(samples, oracle, min_samples=min(1000, sc["sample_count"]))

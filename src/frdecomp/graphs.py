@@ -24,9 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
-from .weights import ChebyshevWeight, RescaledWeight
-
-DENSE_ORACLE_LIMIT = 256
 DEFAULT_NODES_PER_BLOCK = 16
 
 
@@ -215,26 +212,17 @@ class GraphOperator:
         return proj @ self.apply_weight_dense(pseudo_inverse) @ proj.T
 
 
-def laplacian_apply(op, u):
-    """Apply the operator of `op` to a vector (kind-dependent variant of L)."""
-    return op.apply(u)
+def chebyshev_apply(op, coeffs, u):
+    """c_0 u + 2 sum_k c_k T_k(X) u with X = I - (3/(2B)) Lambda, B = op.B.
 
-
-def chebyshev_apply(op, weight, u):
-    """W*_t((3/B) Lambda) u by the three-term Chebyshev recurrence.
-
-    weight is a RescaledWeight whose arg_scale must equal 3/op.B.  The
-    recurrence runs in X = I - (3/(2B)) Lambda with T_{k+1} = 2 X T_k -
-    T_{k-1}, accumulating c_0 u + 2 sum_k c_k T_k(X) u.  Since the result is
-    a degree-floor(t) polynomial in Lambda applied to u, its support lies
-    within graph distance floor(t) of supp(u).
+    The three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}; with the
+    coefficients of W*_t this is W*_t((3/B) Lambda) u.  The result is a
+    polynomial of degree len(coeffs) - 1 in Lambda applied to u, so its
+    support lies within that graph distance of supp(u).
     """
-    if abs(weight.arg_scale - 3.0 / op.B) > 1e-12:
-        raise GraphError(
-            f"weight rescaled for B={3.0 / weight.arg_scale}, operator has B={op.B}")
     u = np.asarray(u, dtype=float)
-    c = weight.base.coeffs
-    half = 0.5 * weight.arg_scale
+    c = np.asarray(coeffs, dtype=float)
+    half = 0.5 * (3.0 / op.B)
 
     def apply_x(v):
         return v - half * op.apply(v)
@@ -310,10 +298,7 @@ def block_over_interval(op, family, t_lo, t_hi, nodes_per_octave=DEFAULT_NODES_P
     if abs(family.B - op.B) > 1e-12 * op.B:
         raise GraphError(f"family B={family.B} does not match operator B={op.B}")
     coeffs, node_count = family.interval_coefficients(t_lo, t_hi, nodes_per_octave)
-    # the coefficients already carry C (3/B), hence multiplier 1
-    weight = RescaledWeight(base=ChebyshevWeight(t=float(t_hi), coeffs=coeffs),
-                            arg_scale=family.arg_scale, multiplier=1.0)
-    return chebyshev_apply(op, weight, np.eye(op.n)), node_count
+    return chebyshev_apply(op, coeffs, np.eye(op.n)), node_count
 
 
 def scale_block(op, family, j, L_ratio=2.0, nodes_per_block=DEFAULT_NODES_PER_BLOCK):
@@ -360,8 +345,8 @@ def default_scale_plan(op, family, L_ratio=2.0, t_min=0.25, target_tail_rel=1e-7
 @dataclass
 class ReconstructionReport:
     matrix: np.ndarray
-    oracle: Optional[np.ndarray]
-    max_rel_error: Optional[float]
+    oracle: np.ndarray
+    max_rel_error: float
     j_min: int
     j_max: int
     L_ratio: float
@@ -373,9 +358,8 @@ class ReconstructionReport:
 
 def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
                       nodes_per_block=DEFAULT_NODES_PER_BLOCK,
-                      target_tail_rel=1e-7, keep_blocks=False,
-                      compare_dense=True):
-    """Sum scale blocks and compare to the dense inverse of the operator.
+                      target_tail_rel=1e-7, keep_blocks=False):
+    """Sum scale blocks and compare to the operator's Green oracle.
 
     Singular operators (massless Laplacian) are handled by deflation of the
     constant vector: the comparison runs on the mean-zero subspace against
@@ -400,18 +384,14 @@ def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
         if keep_blocks:
             blocks.append(blk)
     gap = op.spectral_gap()
-    _, _, tail_high = family.scale_integral(
-        np.array([gap]), 1.0, L_ratio**j_max, nodes_per_octave=4)
-    oracle = None
-    max_rel = None
+    tail_high = family.tail_high(np.array([gap]), L_ratio**j_max)
     deflated = bool(op.is_singular)
-    if compare_dense and op.n <= DENSE_ORACLE_LIMIT:
-        oracle = op.green_oracle()
-        compare = total
-        if deflated:
-            proj = op.mean_zero_projection()
-            compare = proj @ total @ proj.T
-        max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
+    oracle = op.green_oracle()
+    compare = total
+    if deflated:
+        proj = op.mean_zero_projection()
+        compare = proj @ total @ proj.T
+    max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
     return ReconstructionReport(
         matrix=total, oracle=oracle, max_rel_error=max_rel, j_min=j_min,
         j_max=j_max, L_ratio=float(L_ratio),

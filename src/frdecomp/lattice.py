@@ -89,12 +89,8 @@ class SymbolTable:
     B: float
 
 
-def build_symbol_table(spec, extra_mass_bound=None):
-    """Tabulate the symbol on the dual grid xi_k = 2 pi k / N.
-
-    extra_mass_bound inflates B (used by mass sweeps that share one rescaling
-    across a family of m^2 values).
-    """
+def build_symbol_table(spec):
+    """Tabulate the symbol on the dual grid xi_k = 2 pi k / N."""
     xi = 2.0 * np.pi * np.arange(spec.N) / spec.N
     p = 1.0 - np.cos(xi)     # Re(1 - e^{i xi})
     q = -np.sin(xi)          # Im(1 - e^{i xi})
@@ -113,10 +109,7 @@ def build_symbol_table(spec, extra_mass_bound=None):
     vals += spec.m2
     if vals.flat[0] > spec.m2 + 1e-12 * (1.0 + abs(spec.m2)):
         raise LatticeError("zero mode of the symbol must equal m^2")
-    B = float(vals.max())
-    if extra_mass_bound is not None:
-        B = float(np.max(vals - spec.m2) + extra_mass_bound)
-    return SymbolTable(spec=spec, values=vals, B=B)
+    return SymbolTable(spec=spec, values=vals, B=float(vals.max()))
 
 
 def torus_linf_distance(N, d):
@@ -259,13 +252,13 @@ def plan_t_max(family, lambda_min, target_tail_rel=1e-7, t_cap=1e6):
     """Scale cutoff such that the per-mode identity tail is below target.
 
     Uses the sharp form of the discrete-family tail (periodization tail of
-    phi), evaluated at the smallest rescaled eigenvalue.
+    phi, DiscreteWeightFamily.tail_high), evaluated at the smallest
+    eigenvalue.
     """
     lam = np.array([max(lambda_min, 1e-12)])
     t = 4.0
     while t < t_cap:
-        _, _, tail = family.scale_integral(lam, 1.0, t, nodes_per_octave=4)
-        if float(tail[0]) <= target_tail_rel:
+        if float(family.tail_high(lam, t)[0]) <= target_tail_rel:
             return t
         t *= 2.0
     return t_cap

@@ -34,10 +34,6 @@ class BlockQualityError(RuntimeError):
     """A scale block failed PSD clipping tolerance during sampling."""
 
 
-class ZeroModeError(ValueError):
-    """Massless backend sampled without zero-mode deflation."""
-
-
 @dataclass(frozen=True)
 class ScalePlan:
     j_min: int
@@ -73,7 +69,6 @@ class SamplerConfig:
     sample_count: int
     lattice: Optional[object] = None  # LatticeSpec
     operator: Optional[object] = None  # GraphOperator
-    deflate_zero_mode: bool = False
 
     def __post_init__(self):
         if self.backend not in ("torus", "graph"):
@@ -136,20 +131,20 @@ def _batched_draws(seed, scale_index, count, draw_shape, consume):
 # ---------------------------------------------------------------------------
 # torus backend
 
-def torus_mode_variances(spec, family, plan, table=None, deflate_zero_mode=False):
+def torus_mode_variances(spec, family, plan, table=None):
     """Per-scale Fourier-mode variances v_j(xi) on the dual grid.
 
     The white piece (scales below the plan) has the exact constant variance
     C (3/B) phi_hat(0) * t_low; each block integrates the spectral
     multiplier over its scale interval: one Chebyshev series per block.
+    At m^2 = 0 the zero mode gets variance 0 in every scale, so the field
+    lives on mean-zero functions.
     """
     from .lattice import build_symbol_table
     if table is None:
         table = build_symbol_table(spec)
     lam = table.values.ravel()
     zero_mode = lam <= 1e-12
-    if spec.m2 <= 0.0 and not deflate_zero_mode:
-        raise ZeroModeError("m2 = 0 requires zero-mode deflation")
     variances = []
     if plan.include_white:
         variances.append(np.full(lam.shape,
@@ -171,7 +166,7 @@ def torus_mode_variances(spec, family, plan, table=None, deflate_zero_mode=False
             if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
                 raise BlockQualityError(f"negative mode variance {worst}")
             v[neg] = 0.0
-        if deflate_zero_mode:
+        if spec.m2 <= 0.0:
             v[zero_mode] = 0.0
         out.append(v.reshape(spec.shape))
     return out
@@ -185,8 +180,7 @@ def sample_torus(config, family, table=None):
     exactly N^{-d} sum_xi v(xi) e^{i xi (x - y)}, the block kernel.
     """
     spec = config.lattice
-    variances = torus_mode_variances(spec, family, config.plan, table=table,
-                                     deflate_zero_mode=config.deflate_zero_mode)
+    variances = torus_mode_variances(spec, family, config.plan, table=table)
     n = spec.size
     scales = config.plan.scale_labels()
     comps = np.empty((config.sample_count, len(scales), n))
@@ -245,14 +239,12 @@ def graph_scale_factors(op, family, plan):
 def sample_graph(config, family, factors=None):
     """Draw replicates X_j = A_j xi_j on a graph (n <= 4096).
 
-    With deflate_zero_mode the mu-weighted mean is removed from every
+    For a singular operator the mu-weighted mean is removed from every
     component (massless fields exist on the mean-zero subspace only).
     """
     op = config.operator
     if op.n > 4096:
         raise GraphError("graph sampler limited to n <= 4096")
-    if op.is_singular and not config.deflate_zero_mode:
-        raise ZeroModeError("singular operator requires zero-mode deflation")
     if factors is None:
         factors = graph_scale_factors(op, family, config.plan)
     scales = config.plan.scale_labels()
@@ -262,7 +254,7 @@ def sample_graph(config, family, factors=None):
 
         def consume(lo, vals, s=s, A=A):
             x = vals @ A.T
-            if config.deflate_zero_mode:
+            if op.is_singular:
                 x = x - (x @ weights)[:, None]
             comps[lo:lo + len(vals), s] = x
 

@@ -61,32 +61,20 @@ def clenshaw_folded(coeffs, theta):
     return theta * b1 - b2 + coeffs[0]
 
 
-@dataclass(frozen=True)
-class ChebyshevWeight:
-    """Polynomial filter of degree <= t: coefficients c_k = phi_hat(k/t)/t."""
-
-    t: float
-    coeffs: np.ndarray
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
 def chebyshev_coefficients(m, t):
-    """Coefficients c_k = phi_hat(k/t)/t for 0 <= k <= floor(t)."""
+    """Coefficients c_k = phi_hat(k/t)/t for 0 <= k <= floor(t): the filter W*_t."""
     if t <= 0:
         raise ValueError("scale t must be positive")
     k = np.arange(int(np.floor(t)) + 1, dtype=float)
-    return ChebyshevWeight(t=float(t), coeffs=np.asarray(m.phi_hat(k / t)) / t)
+    return np.asarray(m.phi_hat(k / t)) / t
 
 
-def eval_discrete_weight(w, lam):
+def eval_discrete_weight(coeffs, lam):
     """Clenshaw evaluation of W*_t(lambda) = c_0 + 2 sum_k c_k T_k(1 - lambda/2)."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lam_arr < 0.0) or np.any(lam_arr > 4.0):
         raise ValueError("lambda outside [0, 4]")
-    out = clenshaw_folded(w.coeffs, 1.0 - 0.5 * lam_arr)
+    out = clenshaw_folded(coeffs, 1.0 - 0.5 * lam_arr)
     return out if np.ndim(lam) else float(out[0])
 
 
@@ -108,33 +96,6 @@ def eval_discrete_weight_direct(m, lam, t):
     ns = 2.0 * np.pi * np.arange(n_lo, n_hi + 1)
     out = m.phi((x[:, None] - ns[None, :]) * t).sum(axis=1)
     return out if np.ndim(lam) else float(out[0])
-
-
-@dataclass(frozen=True)
-class RescaledWeight:
-    """A Chebyshev weight with argument map lambda -> arg_scale * lambda.
-
-    For an operator with spectrum in [0, B], arg_scale = multiplier = 3/B:
-    the argument lands in [0, 3] and the multiplier restores the 1/lambda
-    normalization of the scale integral.
-    """
-
-    base: ChebyshevWeight
-    arg_scale: float
-    multiplier: float
-
-    @property
-    def t(self):
-        return self.base.t
-
-    def __call__(self, lam):
-        return eval_discrete_weight(self.base, self.arg_scale * np.asarray(lam, dtype=float))
-
-
-def rescale_for_operator(w, B):
-    if B <= 0:
-        raise ValueError("operator norm bound B must be positive")
-    return RescaledWeight(base=w, arg_scale=3.0 / B, multiplier=3.0 / B)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +165,12 @@ class DiscreteWeightFamily:
 
     # -- coefficients ------------------------------------------------------
     def coefficients(self, t):
-        w = self._coeff_cache.get(t)
-        if w is None:
-            w = chebyshev_coefficients(self.mollifier, t)
-            self._coeff_cache[t] = w
-        return w
-
-    def rescaled(self, t):
-        return RescaledWeight(base=self.coefficients(t),
-                              arg_scale=self.arg_scale, multiplier=self.multiplier)
+        c = self._coeff_cache.get(t)
+        if c is None:
+            c = chebyshev_coefficients(self.mollifier, t)
+            c.setflags(write=False)  # shared by every caller through the cache
+            self._coeff_cache[t] = c
+        return c
 
     # -- evaluation --------------------------------------------------------
     def _check_lambda(self, lam):
@@ -225,7 +183,7 @@ class DiscreteWeightFamily:
         """C (3/B) W*_t((3/B) lambda), vectorized over lambda."""
         arr = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * arr
-        out = clenshaw_folded(self.coefficients(t).coeffs, theta)
+        out = clenshaw_folded(self.coefficients(t), theta)
         out = self.normalization.constant * self.multiplier * out
         return out if np.ndim(lam) else float(out[0])
 
@@ -259,7 +217,7 @@ class DiscreteWeightFamily:
         factors = self.normalization.constant * self.multiplier * wq * tq**2
         a = np.zeros(int(np.floor(tq.max())) + 1)
         for t, f in zip(tq, factors):
-            c = self.coefficients(t).coeffs
+            c = self.coefficients(t)
             a[:len(c)] += f * c
         return a, len(tq)
 
@@ -289,15 +247,22 @@ class DiscreteWeightFamily:
         if t_max > q_lo * (1.0 + 1e-12):
             coeffs, _ = self.interval_coefficients(q_lo, t_max, nodes_per_octave)
             integral += clenshaw_folded(coeffs, theta)
-        # High tail: n = 0 term of the periodization plus the wrap terms.
-        mu = self.arg_scale * lam
-        x = np.arccos(1.0 - 0.5 * mu)
+        return integral, tail_low, self.tail_high(lam, t_max)
+
+    def tail_high(self, lam, t_max):
+        """Bound, in identity units, on lambda times the scale integral above t_max.
+
+        The n = 0 term of the periodization tail of phi plus the wrap terms;
+        scale_integral returns the same bound as its third value.
+        """
+        lam = self._check_lambda(lam)
+        scale = self.normalization.constant * self.multiplier
+        x = np.arccos(1.0 - 0.5 * (self.arg_scale * lam))
         wrap = self.mollifier.weight_tail_integral(np.pi * t_max, 1.0)
-        tail_high = np.array([
+        return np.array([
             scale * (self.mollifier.weight_tail_integral(xi * t_max, 1.0) / xi**2
                      + 0.25 * wrap)
             for xi in x]) * lam
-        return integral, tail_low, tail_high
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +451,10 @@ def wave_identity_max_residual(n_max=32):
     return worst
 
 
-def coefficient_csv(w, path):
-    """Dump a ChebyshevWeight as CSV rows (k, c_k)."""
+def coefficient_csv(coeffs, path):
+    """Dump Chebyshev coefficients as CSV rows (k, c_k)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "c_k"])
-        for k, c in enumerate(w.coeffs):
+        for k, c in enumerate(coeffs):
             writer.writerow([k, repr(float(c))])

@@ -63,7 +63,7 @@ def graph_suite(mollifier, norm1):
     fam64 = DiscreteWeightFamily(mollifier, norm1, B=op64.B)
     suite["massless64"] = (op64, fam64,
                            reconstruct_green(op64, fam64, j_min=-1, j_max=5,
-                                             keep_blocks=True, compare_dense=False))
+                                             keep_blocks=True))
     op2 = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
     fam2 = DiscreteWeightFamily(mollifier, norm1, B=op2.B)
     suite["two_vertex"] = (op2, fam2, reconstruct_green(op2, fam2, keep_blocks=True))

@@ -115,6 +115,15 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruction.json").read_text())
         assert report["max_rel_error"] <= 1e-5
 
+    def test_graph_above_256_vertices(self, tmp_path):
+        out = tmp_path / "r"
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"n": 300, "m2": 1.0}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(out), "reconstruct"])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "reconstruction.json").read_text())
+        assert report["max_rel_error"] <= 1e-5
+
     def test_torus_reconstruction(self, tmp_path):
         out = tmp_path / "r"
         cfgfile = tmp_path / "cfg.json"

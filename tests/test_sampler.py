@@ -4,7 +4,7 @@ import pytest
 from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (BlockQualityError, SamplerConfig,
-                              ScalePlan, ZeroModeError, covariance_report,
+                              ScalePlan, covariance_report,
                               graph_scale_factors, sample_graph, sample_torus,
                               torus_mode_variances, _block_factor)
 from frdecomp.weights import DiscreteWeightFamily
@@ -150,11 +150,7 @@ class TestGraphSampler:
         plan = ScalePlan(j_min=0, j_max=2)
         cfg = SamplerConfig(backend="graph", plan=plan, seed=1,
                             sample_count=4, operator=op)
-        with pytest.raises(ZeroModeError):
-            sample_graph(cfg, fam)
-        cfg2 = SamplerConfig(backend="graph", plan=plan, seed=1,
-                             sample_count=4, operator=op, deflate_zero_mode=True)
-        s = sample_graph(cfg2, fam)
+        s = sample_graph(cfg, fam)
         assert np.max(np.abs(s.components.sum(axis=2))) <= 1e-12
 
 
@@ -214,12 +210,7 @@ class TestTorusSampler:
         plan = ScalePlan(j_min=0, j_max=3)
         cfg = SamplerConfig(backend="torus", plan=plan, seed=1,
                             sample_count=8, lattice=spec)
-        with pytest.raises(ZeroModeError):
-            sample_torus(cfg, fam, table=table)
-        cfg2 = SamplerConfig(backend="torus", plan=plan, seed=1,
-                             sample_count=8, lattice=spec,
-                             deflate_zero_mode=True)
-        s = sample_torus(cfg2, fam, table=table)
+        s = sample_torus(cfg, fam, table=table)
         assert np.max(np.abs(s.totals.sum(axis=1))) <= 1e-10
 
     def test_per_scale_locality(self, mollifier, norm1, cycle_setup):

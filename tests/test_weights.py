@@ -9,7 +9,7 @@ from frdecomp.weights import (DiscreteWeightFamily,
                               decay_constants, default_lambda_grid,
                               derivative_decay_constants,
                               eval_discrete_weight, eval_discrete_weight_direct,
-                              rescale_for_operator, wave_identity_max_residual)
+                              wave_identity_max_residual)
 
 
 def test_clenshaw_against_cosine_form():
@@ -49,19 +49,19 @@ class TestChebyshevCoefficients:
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.7, 8.0, 17.2, 100.0])
     def test_count_is_floor_plus_one(self, mollifier, t):
         w = chebyshev_coefficients(mollifier, t)
-        assert len(w.coeffs) == int(np.floor(t)) + 1
+        assert len(w) == int(np.floor(t)) + 1
 
     def test_half_scale_single_constant(self, mollifier):
         w = chebyshev_coefficients(mollifier, 0.5)
-        assert len(w.coeffs) == 1
-        assert w.coeffs[0] == pytest.approx(2.0 * mollifier.phi_hat0, rel=1e-14)
+        assert len(w) == 1
+        assert w[0] == pytest.approx(2.0 * mollifier.phi_hat0, rel=1e-14)
         vals = eval_discrete_weight(w, np.linspace(0, 4, 17))
         assert np.all(vals == vals[0])
 
     def test_integer_scale_boundary_coefficient_vanishes(self, mollifier):
         w = chebyshev_coefficients(mollifier, 8.0)
-        assert len(w.coeffs) == 9
-        assert w.coeffs[8] == 0.0  # phi_hat(1) = 0 at the support edge
+        assert len(w) == 9
+        assert w[8] == 0.0  # phi_hat(1) = 0 at the support edge
 
     def test_rejects_nonpositive_scale(self, mollifier):
         with pytest.raises(ValueError):
@@ -71,13 +71,13 @@ class TestChebyshevCoefficients:
 class TestEvalDiscreteWeight:
     def test_lambda_zero_sums_coefficients(self, mollifier):
         w = chebyshev_coefficients(mollifier, 6.3)
-        expect = w.coeffs[0] + 2.0 * np.sum(w.coeffs[1:])
+        expect = w[0] + 2.0 * np.sum(w[1:])
         assert eval_discrete_weight(w, 0.0) == pytest.approx(expect, rel=1e-13)
 
     def test_lambda_four_alternating_sum(self, mollifier):
         w = chebyshev_coefficients(mollifier, 6.3)
-        signs = (-1.0) ** np.arange(len(w.coeffs))
-        expect = w.coeffs[0] + 2.0 * np.sum(signs[1:] * w.coeffs[1:])
+        signs = (-1.0) ** np.arange(len(w))
+        expect = w[0] + 2.0 * np.sum(signs[1:] * w[1:])
         assert eval_discrete_weight(w, 4.0) == pytest.approx(expect, rel=1e-12)
 
     def test_out_of_range_rejected(self, mollifier):
@@ -88,9 +88,8 @@ class TestEvalDiscreteWeight:
             eval_discrete_weight(w, -0.1)
 
     def test_trailing_zeros_bit_idempotent(self, mollifier):
-        from frdecomp.weights import ChebyshevWeight
         w = chebyshev_coefficients(mollifier, 9.4)
-        padded = ChebyshevWeight(t=w.t, coeffs=np.concatenate([w.coeffs, np.zeros(5)]))
+        padded = np.concatenate([w, np.zeros(5)])
         lam = np.linspace(0.0, 4.0, 101)
         assert np.array_equal(eval_discrete_weight(w, lam),
                               eval_discrete_weight(padded, lam))
@@ -100,7 +99,7 @@ class TestEvalDiscreteWeight:
         w = chebyshev_coefficients(mollifier, t)
         lam = np.linspace(0.0, 4.0, 1000)
         vals = eval_discrete_weight(w, lam)
-        assert vals.min() >= -1e-12 * np.sum(np.abs(w.coeffs))
+        assert vals.min() >= -1e-12 * np.sum(np.abs(w))
 
 
 class TestPeriodizationOracle:
@@ -181,6 +180,14 @@ class TestDecompositionIdentity:
         assert rep.max_residual() <= 1e-5
         assert np.all(np.isfinite(rep.identity_residuals))
 
+    @pytest.mark.parametrize("B, t_min, t_max", [(3.0, 1.0, 64.0), (2.0, 0.0, 1e3),
+                                                 (2.5, 4.0, 4.0)])
+    def test_tail_high_is_scale_integral_tail(self, mollifier, norm1, B, t_min, t_max):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=B)
+        lam = np.array([1e-12, 1e-3, 0.4, 1.7, fam.lambda_max])
+        _, _, tail = fam.scale_integral(lam, t_min, t_max, nodes_per_octave=4)
+        assert np.array_equal(fam.tail_high(lam, t_max), tail)
+
     def test_report_csv_columns(self, disc_family, tmp_path):
         rep = check_decomposition_identity(disc_family, np.array([0.5, 1.0]))
         path = tmp_path / "report.csv"
@@ -190,24 +197,6 @@ class TestDecompositionIdentity:
 
 
 class TestRescaling:
-    def test_identity_rescale(self, mollifier):
-        w = chebyshev_coefficients(mollifier, 5.0)
-        r = rescale_for_operator(w, B=3.0)
-        assert r.arg_scale == 1.0
-        assert r.multiplier == 1.0
-        assert r(1.3) == eval_discrete_weight(w, 1.3)
-
-    def test_graph_laplacian_rescale(self, mollifier):
-        w = chebyshev_coefficients(mollifier, 5.0)
-        r = rescale_for_operator(w, B=2.0)
-        assert r.multiplier == pytest.approx(1.5)
-        assert r(1.0) == pytest.approx(eval_discrete_weight(w, 1.5), rel=1e-14)
-
-    def test_rejects_bad_bound(self, mollifier):
-        w = chebyshev_coefficients(mollifier, 5.0)
-        with pytest.raises(ValueError):
-            rescale_for_operator(w, B=0.0)
-
     def test_rescaled_identity(self, mollifier, norm1):
         fam = DiscreteWeightFamily(mollifier, norm1, B=2.0)
         rep = check_decomposition_identity(fam, np.array([0.8]))
