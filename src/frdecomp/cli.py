@@ -79,6 +79,46 @@ DEFAULT_CONFIG = {
 }
 
 
+# Keys earlier versions read and this one no longer does: accepted with a
+# note, so that saved configs keep working.
+RETIRED_KEYS = {
+    ("weights", "gamma"): "the weight families are built with gamma = 1",
+    ("sampler", "deflate_zero_mode"):
+        "the zero mode is deflated iff the operator is singular",
+}
+
+
+class ConfigError(ValueError):
+    """A config the program cannot honour: an unknown key, a section that is
+    not an object, or a retired key set to a value other than the one used."""
+
+
+def _drop_retired(data):
+    """Remove retired keys from data (in place) and return one note for each."""
+    notes = []
+    for (section, key), reason in RETIRED_KEYS.items():
+        values = data.get(section)
+        if not isinstance(values, dict) or key not in values:
+            continue
+        value = values.pop(key)
+        name = f"{section}.{key}"
+        if name == "weights.gamma" and value != 1:
+            raise ConfigError(f"retired key {name} must be 1, got {value!r}")
+        notes.append(f"NOTE config key {name} is retired and ignored: {reason}")
+    return notes
+
+
+def _check_known(defaults, data, prefix=""):
+    for key, value in data.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {name}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name} must be an object")
+            _check_known(defaults[key], value, name + ".")
+
+
 def deep_merge(base, override):
     out = copy.deepcopy(base)
     for key, val in override.items():
@@ -90,15 +130,28 @@ def deep_merge(base, override):
 
 
 class RunConfig:
-    """Nested key-value configuration with lossless JSON round-trip."""
+    """Nested key-value configuration with lossless JSON round-trip.
+
+    Every key must be one of DEFAULT_CONFIG's (ConfigError otherwise);
+    retired keys are dropped, with a line in notes.
+    """
 
     def __init__(self, data=None):
-        self.data = deep_merge(DEFAULT_CONFIG, data or {})
+        data = {} if data is None else copy.deepcopy(data)
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        self.notes = _drop_retired(data)
+        _check_known(DEFAULT_CONFIG, data)
+        self.data = deep_merge(DEFAULT_CONFIG, data)
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            return cls(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        return cls(data)
 
     def to_file(self, path):
         fileio.write_json(path, self.data)
@@ -164,14 +217,15 @@ def _lattice_spec(config):
     return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=int(b["N"]))
 
 
-def _scale_plan(config, op, family):
-    from .graphs import default_scale_plan
+def _scale_plan(config, default_plan, *args, **kwargs):
+    """The config's scale plan; null ends come from default_plan(*args, **kwargs)
+    (graphs.default_scale_plan or lattice.default_scale_plan)."""
     from .sampler import ScalePlan
     s = config["scales"]
     j_min, j_max = s["j_min"], s["j_max"]
     if j_min is None or j_max is None:
-        auto_min, auto_max = default_scale_plan(
-            op, family, s["L_ratio"], target_tail_rel=s["target_tail_rel"])
+        auto_min, auto_max = default_plan(
+            *args, L_ratio=s["L_ratio"], target_tail_rel=s["target_tail_rel"], **kwargs)
         j_min = auto_min if j_min is None else int(j_min)
         j_max = auto_max if j_max is None else int(j_max)
     return ScalePlan(j_min=int(j_min), j_max=int(j_max),
@@ -182,14 +236,15 @@ class VerdictGroup(click.Group):
     """Command group that reports a rejected input as one FAIL verdict line.
 
     The library raises these errors for inputs it cannot handle (a non-power
-    of two torus, a graph the sampler does not support, ...); the CLI turns
-    them into a FAIL line and exit code 1 instead of a traceback.
+    of two torus, a graph the sampler does not support, an unknown config
+    key, ...); the CLI turns them into a FAIL line and exit code 1 instead of
+    a traceback.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (GraphError, LatticeError, BlockQualityError) as exc:
+        except (ConfigError, GraphError, LatticeError, BlockQualityError) as exc:
             click.echo(f"FAIL {ctx.invoked_subcommand} {type(exc).__name__}: {exc}")
             ctx.exit(1)
 
@@ -206,6 +261,8 @@ class VerdictGroup(click.Group):
 def main(ctx, config_path, out_dir, seed, tolerance_scale):
     """Finite-range decomposition toolkit: weights, kernels, blocks, fields."""
     config = RunConfig.from_file(config_path) if config_path else RunConfig()
+    for note in config.notes:
+        click.echo(note)
     if seed is not None:
         config.data["seed"] = int(seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -221,6 +278,12 @@ def _artifact(ctx, name, *suffixes):
     """
     ctx.obj["artifacts"] += [name + s for s in suffixes] or [name]
     return os.path.join(ctx.obj["out"], name)
+
+
+def _write_table(ctx, name, header, rows):
+    """Write a short table of int/float row tuples as the CSV artifact name."""
+    columns = [np.array(c) for c in zip(*rows)] or [np.empty(0)] * len(header)
+    fileio.write_columns_csv(_artifact(ctx, name), header, columns)
 
 
 def _finish(ctx, command=None):
@@ -274,14 +337,11 @@ def weights(ctx, lambda_grid):
                  wave_identity_max_residual(32), tol["wave_identity"])
 
     rep.to_csv(_artifact(ctx, "weights_identity.csv"))
-    fileio.write_rows_csv(_artifact(ctx, "decay_constants.csv"),
-                          ["order_l", "sup"],
-                          [(l, float(v)) for l, v in sorted(rep.decay_constants.items())])
+    _write_table(ctx, "decay_constants.csv", ["order_l", "sup"],
+                 [(l, float(v)) for l, v in sorted(rep.decay_constants.items())])
     fit = rep.approx_rate_fit
-    fileio.write_rows_csv(_artifact(ctx, "approximation.csv"),
-                          ["t", "abs_diff", "slope"],
-                          [(float(t), float(d), fit.slope)
-                           for t, d in zip(fit.t_list, fit.diffs)])
+    _write_table(ctx, "approximation.csv", ["t", "abs_diff", "slope"],
+                 [(float(t), float(d), fit.slope) for t, d in zip(fit.t_list, fit.diffs)])
     coefficient_csv(chebyshev_coefficients(m, wc["coefficient_dump_t"]),
                     _artifact(ctx, "coefficients.csv"))
     _finish(ctx, "weights")
@@ -297,10 +357,10 @@ def decompose(ctx):
     kind = config["backend"]["kind"]
     rows = []
     if kind == "graph":
-        from .graphs import scale_block
+        from .graphs import default_scale_plan, scale_block
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, op, family)
+        plan = _scale_plan(config, default_scale_plan, op, family)
         for j in range(plan.j_min, plan.j_max + 1):
             blk = scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
             c = blk.certificates
@@ -313,9 +373,9 @@ def decompose(ctx):
                          tol["psd_rel"])
             fileio.write_block(_artifact(ctx, f"block_j{j:+03d}", ".bin", ".json"), blk,
                                extra={"B": op.B, "kind": op.kind})
-        fileio.write_rows_csv(_artifact(ctx, "decompose_summary.csv"),
-                              ["j", "range_bound", "min_eig", "sup_norm"],
-                              [(j, r, float(e), float(s)) for j, r, e, s in rows])
+        _write_table(ctx, "decompose_summary.csv",
+                     ["j", "range_bound", "min_eig", "sup_norm"],
+                     [(j, r, float(e), float(s)) for j, r, e, s in rows])
     elif kind == "torus":
         from .lattice import build_symbol_table, lattice_kernel
         spec = _lattice_spec(config)
@@ -335,9 +395,8 @@ def decompose(ctx):
                                        [spec.d, spec.N, t, spec.m2, table.B],
                                        ker.values)
             fileio.write_kernel_csv(f"{base}.csv", ker.values)
-        fileio.write_rows_csv(_artifact(ctx, "decompose_summary.csv"),
-                              ["t", "range_bound", "multiplier_min", "sup_norm"],
-                              rows)
+        _write_table(ctx, "decompose_summary.csv",
+                     ["t", "range_bound", "multiplier_min", "sup_norm"], rows)
         t_list = [float(t) for t in config["backend"]["t_list"]]
         if len(t_list) >= 2 and config["backend"]["decay_orders"]:
             from .lattice import decay_fit
@@ -347,9 +406,8 @@ def decompose(ctx):
                                 table=table)
                 decay_rows += [(float(t), int(l_x), int(l_y), float(v), fit.slope)
                                for t, v in zip(fit.t_list, fit.max_abs)]
-            fileio.write_rows_csv(_artifact(ctx, "decay_fit.csv"),
-                                  ["t", "l_x", "l_y", "max_abs", "fitted_exponent"],
-                                  decay_rows)
+            _write_table(ctx, "decay_fit.csv",
+                         ["t", "l_x", "l_y", "max_abs", "fitted_exponent"], decay_rows)
     else:
         raise click.ClickException(f"unknown backend kind {kind!r}")
     _finish(ctx, "decompose")
@@ -364,10 +422,10 @@ def reconstruct(ctx):
     m, norm = _components(config)
     kind = config["backend"]["kind"]
     if kind == "graph":
-        from .graphs import reconstruct_green
+        from .graphs import default_scale_plan, reconstruct_green
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, op, family)
+        plan = _scale_plan(config, default_scale_plan, op, family)
         rec = reconstruct_green(op, family, plan.j_min, plan.j_max,
                                 plan.L_ratio, plan.nodes_per_block)
         bound = tol["reconstruction_rel_massless"] if rec.deflated \
@@ -407,29 +465,21 @@ def sample(ctx):
     seed = int(config["seed"])
     from .sampler import SamplerConfig, covariance_report, sample_graph, sample_torus
     if kind == "graph":
+        from .graphs import default_scale_plan
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, op, family)
+        plan = _scale_plan(config, default_scale_plan, op, family)
         cfg = SamplerConfig(backend="graph", plan=plan, seed=seed,
                             sample_count=int(sc["sample_count"]), operator=op)
         samples = sample_graph(cfg, family)
         oracle = op.green_oracle()
     else:
-        from .lattice import (build_symbol_table, circulant_matrix, green_column,
-                              plan_t_max)
-        from .sampler import ScalePlan
+        from .lattice import (build_symbol_table, circulant_matrix,
+                              default_scale_plan, green_column)
         spec = _lattice_spec(config)
         table = build_symbol_table(spec)
         family = DiscreteWeightFamily(m, norm, B=table.B)
-        s = config["scales"]
-        j_max = s["j_max"]
-        if j_max is None:
-            lam_min = float(np.min(table.values[table.values > 1e-12]))
-            t_max = plan_t_max(family, lam_min, s["target_tail_rel"])
-            j_max = int(np.ceil(np.log(t_max) / np.log(s["L_ratio"])))
-        plan = ScalePlan(j_min=int(s["j_min"]) if s["j_min"] is not None else 0,
-                         j_max=int(j_max), L_ratio=s["L_ratio"],
-                         nodes_per_block=int(s["nodes_per_block"]))
+        plan = _scale_plan(config, default_scale_plan, spec, family, table=table)
         cfg = SamplerConfig(backend="torus", plan=plan, seed=seed,
                             sample_count=int(sc["sample_count"]), lattice=spec)
         samples = sample_torus(cfg, family, table=table)
@@ -446,12 +496,11 @@ def sample(ctx):
     fileio.write_samples(_artifact(ctx, "samples.bin"), samples, kind,
                          plan.j_min, plan.j_max,
                          max_replicates=int(sc["dump_replicates"]))
-    n = rep.oracle.shape[0]
-    rows = [(x, y, float(rep.empirical[x, y]), float(rep.oracle[x, y]),
-             float(rep.z_scores[x, y]))
-            for x in range(n) for y in range(x, n)]
-    fileio.write_rows_csv(_artifact(ctx, "covariance_report.csv"),
-                          ["x", "y", "empirical", "oracle", "z"], rows)
+    x, y = np.triu_indices(rep.oracle.shape[0])
+    fileio.write_columns_csv(_artifact(ctx, "covariance_report.csv"),
+                             ["x", "y", "empirical", "oracle", "z"],
+                             [x, y, rep.empirical[x, y], rep.oracle[x, y],
+                              rep.z_scores[x, y]])
     _finish(ctx, "sample")
 
 

@@ -9,21 +9,18 @@ float64 payload:
 Sample dumps carry the header (backend_id, size, j_min, j_max, seed) with
 backend_id 1 = torus, 2 = graph, followed by the (scales + 1, size)
 component matrix of one replicate (white piece first, totals not stored).
-All writers are deterministic: identical inputs produce identical bytes.
+CSV tables are written column-wise by write_columns_csv: floats as their
+shortest round-trip decimal (repr), integers in full.  All writers are
+deterministic: identical inputs produce identical bytes.
 """
 
-import csv
 import json
 
 import numpy as np
 
 BACKEND_IDS = {"torus": 1.0, "graph": 2.0}
 FORMAT_VERSION = 1
-
-
-def fmt(value):
-    """Shortest exact decimal representation of a float (deterministic)."""
-    return repr(float(value))
+CSV_CHUNK_ROWS = 65536
 
 
 def write_kernel_binary(path, header, array):
@@ -46,11 +43,7 @@ def read_kernel_binary(path, shape=None):
 def write_kernel_csv(path, array):
     """Flat CSV alternative: rows (flat_index, value)."""
     flat = np.asarray(array, dtype=np.float64).ravel()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(flat):
-            w.writerow([i, fmt(v)])
+    write_columns_csv(path, ["index", "value"], [np.arange(flat.size), flat])
 
 
 def write_block(path_base, block, extra=None):
@@ -84,12 +77,35 @@ def write_samples(path, samples, backend, j_min, j_max, max_replicates=None):
             fh.write(np.ascontiguousarray(samples.components[r]).tobytes())
 
 
-def write_rows_csv(path, columns, rows):
+def _csv_cells(column):
+    if column.dtype.kind == "f":
+        return map(repr, column.tolist())
+    if column.dtype.kind in "biu":
+        return map(str, column.tolist())
+    raise TypeError(f"CSV column of dtype {column.dtype} is neither float nor integer")
+
+
+def write_columns_csv(path, header, columns):
+    """CSV table with one column per 1-d array.
+
+    The bytes are those csv.writer writes for the same rows with floats given
+    as repr(float(v)): fields joined by ',', each row ended by '\\r\\n'.
+    Floats are written by repr, integers by str; rows are formatted
+    CSV_CHUNK_ROWS at a time, so the text of the whole table is never held.
+    """
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError("one column per header field")
+    if any(not name or set(name) & set(',"\r\n') for name in header):
+        raise ValueError("header fields must not need CSV quoting")
+    rows = len(columns[0]) if columns else 0
+    if any(c.shape != (rows,) for c in columns):
+        raise ValueError("columns must be 1-d arrays of one length")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            cells = [_csv_cells(c[lo:lo + CSV_CHUNK_ROWS]) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_json(path, obj):

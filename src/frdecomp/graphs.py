@@ -361,13 +361,11 @@ def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
                       target_tail_rel=1e-7, keep_blocks=False):
     """Sum scale blocks and compare to the operator's Green oracle.
 
-    Singular operators (massless Laplacian) are handled by deflation of the
-    constant vector: the comparison runs on the mean-zero subspace against
-    the pseudo-inverse; blocks themselves are not modified (their finite
-    range is preserved).
+    Singular operators (a Laplacian, or a resolvent with m2 = 0) are handled
+    by deflation of the constant vector: the comparison runs on the mean-zero
+    subspace against the pseudo-inverse; blocks themselves are not modified
+    (their finite range is preserved).
     """
-    if op.is_singular and op.kind != "laplacian":
-        raise SingularOperatorError("resolvent with m2=0; use kind='laplacian'")
     if j_min is None or j_max is None:
         auto_min, auto_max = default_scale_plan(op, family, L_ratio,
                                                 target_tail_rel=target_tail_rel)

@@ -19,7 +19,6 @@ The normalization constant C makes the scale integral reproduce 1/lambda:
     1/C      = int_0^inf t^{2/gamma - 1} phi(t) dt.
 """
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -28,6 +27,7 @@ import numpy as np
 from scipy.integrate import simpson, trapezoid
 from scipy.interpolate import CubicSpline, make_interp_spline
 
+from .fileio import write_columns_csv
 from .quadrature import gauss_legendre
 
 DEFAULT_GRID_STEP = 1e-3
@@ -165,16 +165,11 @@ class Mollifier:
 
     def export_csv(self, phi_path, phi_hat_path):
         """Dump the tables as two-column CSVs (regression baselines)."""
-        with open(phi_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "phi"])
-            for x, v in zip(self.x_grid, self.phi_values):
-                w.writerow([repr(float(x)), repr(float(v))])
-        with open(phi_hat_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "phi_hat"])
-            for k, v in zip(self.k_grid, self.phi_hat_values):
-                w.writerow([repr(float(k)), repr(float(v))])
+        for path, header, grid, values in (
+                (phi_path, ["x", "phi"], self.x_grid, self.phi_values),
+                (phi_hat_path, ["k", "phi_hat"], self.k_grid, self.phi_hat_values)):
+            write_columns_csv(path, header, [np.asarray(grid, dtype=float),
+                                             np.asarray(values, dtype=float)])
 
 
 def _tabulate_kappa(profile, x_grid):

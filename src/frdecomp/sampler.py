@@ -14,11 +14,15 @@ the Green's function of the operator.  Two backends:
 
 Randomness is counter-based: each (scale, replicate batch) pair owns a
 Philox stream keyed by (seed, scale index, batch), with replicates laid out
-in fixed order inside a batch.  Per-scale independence is structural, output
-is byte-identical for a given (config, seed) no matter how generation is
-scheduled, and batches are safe parallel units.
+in fixed order inside a batch.  Per-scale independence is structural, and
+output is byte-identical for a given (config, seed) no matter how the draws
+are sliced.  The normals are drawn ahead: one helper thread fills the next
+slice into one of two preallocated buffers while the calling thread turns
+the current slice into field components, so the RNG runs alongside the FFTs
+and GEMMs, which never leave the calling thread.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,6 +101,8 @@ class FieldSamples:
 
 
 REPLICATE_BATCH = 4096
+# Normals per drawn slice; the two draw-ahead buffers hold twice this.
+SLICE_VALUES = 2**22
 
 
 def _stream(seed, scale_index, batch):
@@ -105,27 +111,48 @@ def _stream(seed, scale_index, batch):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _batched_draws(seed, scale_index, count, draw_shape, consume):
-    """Feed batches of standard normals (replicates, *draw_shape) to consume.
+def _slice_reps(draw_shape):
+    """Replicates per drawn slice for draws of shape draw_shape each."""
+    per_rep = max(int(np.prod(draw_shape)), 1)
+    return max(1, min(REPLICATE_BATCH, SLICE_VALUES // per_rep))
 
-    Replicate r lives in batch r // REPLICATE_BATCH at a fixed offset, so
-    its values never depend on the total count; within a batch the draws are
-    sliced to bound memory (numpy Generator streams are draw-size agnostic).
-    consume(lo, values) receives replicates [lo, lo + len(values)).
+
+def _batched_draws(seed, scales, count, draw_shape, consume):
+    """Feed standard normals (replicates, *draw_shape) of every scale to consume.
+
+    Replicate r of scale s lives in batch r // REPLICATE_BATCH of the stream
+    (seed, s, batch) at a fixed offset, so its values never depend on the
+    total count; within a batch the draws are sliced to bound memory (numpy
+    Generator streams are draw-size agnostic).  Slices are consumed in
+    (scale, batch, slice) order; consume(s, lo, values) receives replicates
+    [lo, lo + len(values)) of scale s and must be done with values when it
+    returns.  A helper thread draws the next slice into the other of two
+    buffers meanwhile; it touches only the generators.
     """
-    per_rep = int(np.prod(draw_shape))
-    slice_reps = max(1, min(REPLICATE_BATCH, int(2**23 / max(per_rep, 1))))
+    draw_shape = tuple(draw_shape)
+    slice_reps = _slice_reps(draw_shape)
     n_batches = (count + REPLICATE_BATCH - 1) // REPLICATE_BATCH
-    for batch in range(n_batches):
-        lo = batch * REPLICATE_BATCH
-        hi = min(lo + REPLICATE_BATCH, count)
-        rng = _stream(seed, scale_index, batch)
-        pos = lo
-        while pos < hi:
-            k = min(slice_reps, hi - pos)
-            vals = rng.standard_normal((k,) + tuple(draw_shape))
-            consume(pos, vals)
-            pos += k
+    jobs = []
+    for s in range(scales):
+        for batch in range(n_batches):
+            lo = batch * REPLICATE_BATCH
+            hi = min(lo + REPLICATE_BATCH, count)
+            rng = _stream(seed, s, batch)
+            jobs += [(s, pos, min(slice_reps, hi - pos), rng)
+                     for pos in range(lo, hi, slice_reps)]
+    buffers = [np.empty((min(slice_reps, count),) + draw_shape) for _ in range(2)]
+
+    def draw(i):
+        _, _, k, rng = jobs[i]
+        return rng.standard_normal(out=buffers[i % 2][:k])
+
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(draw, 0)
+        for i, (s, lo, _, _) in enumerate(jobs):
+            values = pending.result()
+            if i + 1 < len(jobs):
+                pending = helper.submit(draw, i + 1)
+            consume(s, lo, values)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +212,20 @@ def sample_torus(config, family, table=None):
     scales = config.plan.scale_labels()
     comps = np.empty((config.sample_count, len(scales), n))
     fft_axes = tuple(range(-spec.d, 0))
-    for s, v in enumerate(variances):
-        amp = np.sqrt(v * n)
+    amps = [np.sqrt(v * n) for v in variances]
+    draw_shape = (2,) + spec.shape
+    z = np.empty((min(_slice_reps(draw_shape), config.sample_count),) + spec.shape,
+                 dtype=complex)
 
-        def consume(lo, vals, s=s, amp=amp):
-            z = amp * (vals[:, 0] + 1j * vals[:, 1])
-            x = np.fft.ifftn(z, axes=fft_axes).real
-            comps[lo:lo + len(vals), s] = x.reshape(len(vals), n)
+    def consume(s, lo, vals):
+        k = len(vals)
+        zk = z[:k]
+        np.multiply(amps[s], vals[:, 0], out=zk.real)
+        np.multiply(amps[s], vals[:, 1], out=zk.imag)
+        np.fft.ifftn(zk, axes=fft_axes, out=zk)
+        comps[lo:lo + k, s] = zk.real.reshape(k, n)
 
-        _batched_draws(config.seed, s, config.sample_count,
-                       (2,) + spec.shape, consume)
+    _batched_draws(config.seed, len(scales), config.sample_count, draw_shape, consume)
     return FieldSamples(scale_labels=scales, components=comps, seed=config.seed)
 
 
@@ -250,15 +281,14 @@ def sample_graph(config, family, factors=None):
     scales = config.plan.scale_labels()
     comps = np.empty((config.sample_count, len(scales), op.n))
     weights = op.graph.mu / op.graph.mu.sum()
-    for s, A in enumerate(factors):
 
-        def consume(lo, vals, s=s, A=A):
-            x = vals @ A.T
-            if op.is_singular:
-                x = x - (x @ weights)[:, None]
-            comps[lo:lo + len(vals), s] = x
+    def consume(s, lo, vals):
+        x = vals @ factors[s].T
+        if op.is_singular:
+            x = x - (x @ weights)[:, None]
+        comps[lo:lo + len(vals), s] = x
 
-        _batched_draws(config.seed, s, config.sample_count, (op.n,), consume)
+    _batched_draws(config.seed, len(factors), config.sample_count, (op.n,), consume)
     return FieldSamples(scale_labels=scales, components=comps, seed=config.seed)
 
 

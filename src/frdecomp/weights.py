@@ -28,12 +28,12 @@ ones.  Every scale integral, torus mode variance and graph block in the
 package evaluates that single series (DiscreteWeightFamily.interval_coefficients).
 """
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .fileio import write_columns_csv
 from .quadrature import log_gauss_legendre
 
 DEFAULT_NODES_PER_OCTAVE = 16
@@ -291,16 +291,18 @@ class WeightCheckReport:
 
     def to_csv(self, path):
         """Rows (lambda, t, W_cont, W_disc, identity_residual)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "t", "W_cont", "W_disc", "identity_residual"])
-            for i, lam in enumerate(self.lambda_grid):
-                for j, t in enumerate(self.t_grid):
-                    wc = self.w_cont[i, j] if self.w_cont is not None else np.nan
-                    wd = self.w_disc[i, j] if self.w_disc is not None else np.nan
-                    w.writerow([repr(float(lam)), repr(float(t)),
-                                repr(float(wc)), repr(float(wd)),
-                                repr(float(self.identity_residuals[i]))])
+        lam = np.asarray(self.lambda_grid, dtype=float)
+        t = np.asarray(self.t_grid, dtype=float)
+
+        def table(w):
+            return (np.full(lam.size * t.size, np.nan) if w is None
+                    else np.asarray(w, dtype=float).ravel())
+
+        write_columns_csv(
+            path, ["lambda", "t", "W_cont", "W_disc", "identity_residual"],
+            [np.repeat(lam, t.size), np.tile(t, lam.size), table(self.w_cont),
+             table(self.w_disc),
+             np.repeat(np.asarray(self.identity_residuals, dtype=float), t.size)])
 
 
 def default_lambda_grid(eps=DEFAULT_EPS):
@@ -453,8 +455,5 @@ def wave_identity_max_residual(n_max=32):
 
 def coefficient_csv(coeffs, path):
     """Dump Chebyshev coefficients as CSV rows (k, c_k)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "c_k"])
-        for k, c in enumerate(coeffs):
-            writer.writerow([k, repr(float(c))])
+    coeffs = np.asarray(coeffs, dtype=float)
+    write_columns_csv(path, ["k", "c_k"], [np.arange(coeffs.size), coeffs])

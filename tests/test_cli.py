@@ -2,10 +2,11 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from frdecomp.cli import DEFAULT_CONFIG, RunConfig, main
+from frdecomp.cli import DEFAULT_CONFIG, ConfigError, RunConfig, main
 
 
 def run(args):
@@ -16,7 +17,8 @@ def dir_digest(path):
     h = hashlib.sha256()
     for name in sorted(os.listdir(path)):
         h.update(name.encode())
-        h.update(open(os.path.join(path, name), "rb").read())
+        with open(os.path.join(path, name), "rb") as fh:
+            h.update(fh.read())
     return h.hexdigest()
 
 
@@ -34,6 +36,28 @@ class TestConfig:
         cfg = RunConfig({"tolerances": {"range_rel": 1e-10}})
         assert cfg["tolerances"]["range_rel"] == 1e-10
         assert cfg["tolerances"]["psd_rel"] == DEFAULT_CONFIG["tolerances"]["psd_rel"]
+
+    @pytest.mark.parametrize("data, key", [
+        ({"sampler": {"sample_cout": 5}}, "sampler.sample_cout"),
+        ({"sed": 5}, "sed"),
+        ({"backend": {"kind": "torus", "lattice": {"N": 8}}}, "backend.lattice"),
+    ])
+    def test_unknown_key_rejected(self, data, key):
+        with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
+            RunConfig(data)
+
+    def test_section_must_be_object(self):
+        with pytest.raises(ConfigError, match="sampler must be an object"):
+            RunConfig({"sampler": 5})
+
+    def test_retired_keys_dropped_with_notes(self):
+        cfg = RunConfig({"weights": {"gamma": 1.0},
+                         "sampler": {"deflate_zero_mode": True, "sample_count": 5}})
+        assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
+        assert [note.split()[3] for note in cfg.notes] == [
+            "weights.gamma", "sampler.deflate_zero_mode"]
+        with pytest.raises(ConfigError, match="weights.gamma must be 1"):
+            RunConfig({"weights": {"gamma": 2.0}})
 
 
 class TestWeightsCommand:
@@ -216,6 +240,20 @@ class TestSampleCommand:
         assert manifest["artifacts"] == ["reconstruction.json"]
         assert (out / "weights_identity.csv").exists()
 
+    def test_torus_plan_from_library(self, tmp_path, mollifier, norm1):
+        from frdecomp.lattice import LatticeSpec, build_symbol_table, default_scale_plan
+        from frdecomp.weights import DiscreteWeightFamily
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
+                   "sampler": {"sample_count": 1000}}).to_file(cfgfile)
+        out = tmp_path / "tp"
+        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
+        assert res.exit_code == 0, res.output
+        header = np.fromfile(out / "samples.bin", dtype=np.float64)[:5]
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=build_symbol_table(spec).B)
+        assert tuple(header[2:4]) == default_scale_plan(spec, fam)
+
     def test_massless_torus_sampling(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8,
@@ -245,6 +283,33 @@ class TestRejectedInput:
                    "sampler": {"sample_count": 2000}}).to_file(cfgfile)
         res = run(["--config", str(cfgfile), "--out", str(tmp_path / "c"), "sample"])
         self.assert_one_fail_line(res, "sample", "GraphError")
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"sampler": {"sample_cout": 5}}),
+        json.dumps({"weights": {"gamma": 2.0}}),
+        json.dumps([]),
+        '{"seed": 7,',
+    ])
+    def test_bad_config_fails_before_work(self, tmp_path, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        out = tmp_path / "never"
+        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
+        self.assert_one_fail_line(res, "sample", "ConfigError")
+        assert not out.exists()
+
+    def test_retired_keys_run_with_notes(self, tmp_path):
+        plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
+        plain.write_text(json.dumps({"backend": {"n": 8}}))
+        retired.write_text(json.dumps({"backend": {"n": 8}, "weights": {"gamma": 1},
+                                       "sampler": {"deflate_zero_mode": True}}))
+        a = run(["--config", str(plain), "--out", str(tmp_path / "a"), "reconstruct"])
+        b = run(["--config", str(retired), "--out", str(tmp_path / "b"), "reconstruct"])
+        assert a.exit_code == 0 and b.exit_code == 0, b.output
+        notes = [line for line in b.output.splitlines() if line.startswith("NOTE ")]
+        assert len(notes) == 2
+        assert b.output.splitlines()[2:] == a.output.splitlines()
+        assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
     @pytest.mark.parametrize("command", ["sample", "reconstruct"])
     def test_torus_size_not_power_of_two(self, tmp_path, command):

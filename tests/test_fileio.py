@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -41,7 +42,8 @@ def test_block_dump_with_sidecar(tmp_path, mollifier, norm1):
     header, payload = fileio.read_kernel_binary(f"{base}.bin", shape=(8, 8))
     assert header[0] == 0.0 and header[1] == 8.0
     np.testing.assert_array_equal(payload, blk.matrix)
-    sidecar = json.loads(open(f"{base}.json").read())
+    with open(f"{base}.json") as fh:
+        sidecar = json.load(fh)
     for key in ("min_eig", "max_out_of_range", "j", "L_ratio"):
         assert key in sidecar
     assert sidecar["j"] == 2
@@ -70,8 +72,58 @@ def test_samples_dump_cap(tmp_path):
 
 
 def test_csv_writer_deterministic(tmp_path):
-    rows = [(1, 0.1), (2, 0.2)]
+    columns = [np.array([1, 2]), np.array([0.1, 0.2])]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    fileio.write_rows_csv(p1, ["i", "v"], rows)
-    fileio.write_rows_csv(p2, ["i", "v"], rows)
+    fileio.write_columns_csv(p1, ["i", "v"], columns)
+    fileio.write_columns_csv(p2, ["i", "v"], columns)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def csv_writer_bytes(path, header, columns):
+    """Reference: csv.writer rows with every float given as repr(float(v))."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*(c.tolist() for c in columns)):
+            w.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return path.read_bytes()
+
+
+class TestColumnsCsv:
+    SPECIAL = [-0.0, 0.0, 1e16, 9999999999999998.0, 1e-05, 5e-324, np.nan,
+               np.inf, -np.inf, 0.1, 1.0 / 3.0, 1.7976931348623157e308, -2.5e-300]
+
+    def test_matches_csv_writer_across_chunks(self, tmp_path):
+        rows = fileio.CSV_CHUNK_ROWS + 123
+        rng = np.random.default_rng(5)
+        floats = rng.standard_normal(rows) * 10.0 ** rng.uniform(-30, 30, rows)
+        floats[:len(self.SPECIAL)] = self.SPECIAL
+        floats[-len(self.SPECIAL):] = self.SPECIAL
+        ints = rng.integers(-2**62, 2**62, rows)
+        ints[:3] = [0, -1, 2**63 - 1]
+        header = ["i", "x", "y", "u"]
+        columns = [np.arange(rows), floats, ints, np.arange(rows, dtype=np.uint8)]
+        path = tmp_path / "c.csv"
+        fileio.write_columns_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header,
+                                                     columns)
+
+    def test_specials_and_empty(self, tmp_path):
+        path = tmp_path / "s.csv"
+        fileio.write_columns_csv(path, ["v"], [np.array(self.SPECIAL)])
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", ["v"],
+                                                     [np.array(self.SPECIAL)])
+        assert path.read_text().splitlines()[1:4] == ["-0.0", "0.0", "1e+16"]
+        fileio.write_columns_csv(path, ["a", "b"], [np.empty(0), np.empty(0)])
+        assert path.read_bytes() == b"a,b\r\n"
+
+    def test_rejects_bad_tables(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            fileio.write_columns_csv(path, ["a", "b"], [np.ones(2), np.ones(3)])
+        with pytest.raises(ValueError):
+            fileio.write_columns_csv(path, ["a"], [np.ones(2), np.ones(2)])
+        with pytest.raises(ValueError):
+            fileio.write_columns_csv(path, ["a,b"], [np.ones(2)])
+        with pytest.raises(TypeError):
+            fileio.write_columns_csv(path, ["a"], [np.array(["x", "y"])])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from frdecomp.graphs import (GraphError, GraphOperator, SingularOperatorError,
+from frdecomp.graphs import (GraphError, GraphOperator,
                              WeightedGraph, block_over_interval, chebyshev_apply,
                              cycle_graph, default_scale_plan,
                              killed_green_consistency, reconstruct_green,
@@ -252,11 +252,20 @@ class TestReconstruction:
         rec = reconstruct_green(op, fam)
         assert rec.max_rel_error <= 1e-4
 
-    def test_singular_resolvent_rejected(self, mollifier, norm1):
-        op = GraphOperator(cycle_graph(8), "resolvent", m2=0.0)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        with pytest.raises(SingularOperatorError):
-            reconstruct_green(op, fam)
+    def test_massless_resolvent_is_laplacian(self, mollifier, norm1):
+        graph = cycle_graph(8)
+        recs = []
+        for op in (GraphOperator(graph, "resolvent", m2=0.0),
+                   GraphOperator(graph, "laplacian")):
+            fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+            recs.append(reconstruct_green(op, fam))
+        resolvent, laplacian = recs
+        assert resolvent.deflated and laplacian.deflated
+        assert (resolvent.j_min, resolvent.j_max) == (laplacian.j_min, laplacian.j_max)
+        scale = np.max(np.abs(laplacian.matrix))
+        assert np.max(np.abs(resolvent.matrix - laplacian.matrix)) <= 1e-12 * scale
+        assert abs(resolvent.max_rel_error - laplacian.max_rel_error) <= 1e-12
+        assert resolvent.max_rel_error <= 1e-4
 
     def test_large_graph_against_oracle(self, mollifier, norm1):
         # above 256 vertices, where the comparison used to be skipped

@@ -4,9 +4,10 @@ import pytest
 from frdecomp.lattice import (LatticeError, LatticeSpec, WrapAroundError,
                               build_symbol_table, circulant_matrix,
                               continuum_kernel, continuum_tail_bound,
-                              decay_fit, discrete_continuum_gap, green_column,
+                              decay_fit, default_scale_plan,
+                              discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
-                              matched_continuum_kernel_at_points,
+                              matched_continuum_kernel_at_points, plan_t_max,
                               reconstruct_torus_green, stencil_operator,
                               torus_linf_distance)
 from frdecomp.weights import DiscreteWeightFamily
@@ -156,6 +157,20 @@ def _circulant_loop(column):
         out[:, y] = column[tuple((coords[i] - yc[i]) % shape[i]
                                  for i in range(len(shape)))]
     return out
+
+
+class TestDefaultScalePlan:
+    @pytest.mark.parametrize("m2", [0.5, 0.0])
+    def test_covers_the_tail(self, mollifier, norm1, m2):
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
+        table = build_symbol_table(spec)
+        fam = make_family(mollifier, norm1, table.B)
+        j_min, j_max = default_scale_plan(spec, fam, table=table)
+        lam_min = table.values[table.values > 1e-12].min()
+        assert j_min == 0
+        assert 2.0 ** j_max == plan_t_max(fam, lam_min)
+        assert fam.tail_high(np.array([lam_min]), 2.0 ** j_max)[0] <= 1e-7
+        assert default_scale_plan(spec, fam, t_min=0.25)[0] == -2
 
 
 class TestTorusReconstruction:

@@ -1,12 +1,18 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from frdecomp import sampler
 from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
-from frdecomp.sampler import (BlockQualityError, SamplerConfig,
+from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, SamplerConfig,
                               ScalePlan, covariance_report,
                               graph_scale_factors, sample_graph, sample_torus,
-                              torus_mode_variances, _block_factor)
+                              torus_mode_variances, _batched_draws, _block_factor,
+                              _stream)
 from frdecomp.weights import DiscreteWeightFamily
 
 
@@ -254,3 +260,93 @@ class TestCovarianceReport:
         _, _, _, _, oracle = cycle_setup
         with pytest.raises(ValueError):
             covariance_report(np.zeros((10, 16)), oracle)
+
+
+def stream_normals(seed, scale, count, draw_shape):
+    """Replicates [0, count) of one scale, one whole draw per replicate batch."""
+    return np.concatenate([
+        _stream(seed, scale, batch).standard_normal(
+            (min(REPLICATE_BATCH, count - lo),) + tuple(draw_shape))
+        for batch, lo in enumerate(range(0, count, REPLICATE_BATCH))])
+
+
+class TestDrawLayout:
+    """Sampled components equal a scale-by-scale rebuild from the streams."""
+
+    R = 4100    # crosses a REPLICATE_BATCH boundary
+
+    def test_draw_ahead_order_and_thread(self, monkeypatch):
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 3000)    # 1000 replicates
+        calls, intact = [], []
+
+        def consume(s, lo, values):
+            calls.append((s, lo, values.copy(), threading.get_ident()))
+            time.sleep(0.005)       # the helper draws the next slice meanwhile
+            intact.append(np.array_equal(values, calls[-1][2]))
+
+        _batched_draws(7, 2, self.R, (3,), consume)
+        starts = [0, 1000, 2000, 3000, 4000, 4096]
+        assert [(s, lo) for s, lo, _, _ in calls] == [(s, lo) for s in range(2)
+                                                      for lo in starts]
+        assert {ident for *_, ident in calls} == {threading.get_ident()}
+        assert all(intact)
+        for s in range(2):
+            drawn = np.concatenate([v for t, _, v, _ in calls if t == s])
+            assert np.array_equal(drawn, stream_normals(7, s, self.R, (3,)))
+
+    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
+        # four callers, each with its own helper thread, on two cores
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 300)     # 100 replicates
+        results, old = {}, sys.getswitchinterval()
+
+        def caller(seed):
+            drawn = []
+            _batched_draws(seed, 2, self.R, (3,),
+                           lambda s, lo, values: drawn.append(values.copy()))
+            results[seed] = np.concatenate(drawn)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,))
+                       for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for seed in range(4):
+            expected = np.concatenate([stream_normals(seed, s, self.R, (3,))
+                                       for s in range(2)])
+            assert np.array_equal(results[seed], expected)
+
+    @pytest.mark.parametrize("slice_values", [None, 1000])
+    def test_massless_torus(self, mollifier, norm1, monkeypatch, slice_values):
+        if slice_values is not None:
+            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=16)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = ScalePlan(j_min=0, j_max=3)
+        cfg = SamplerConfig(backend="torus", plan=plan, seed=13,
+                            sample_count=self.R, lattice=spec)
+        comps = sample_torus(cfg, fam, table=table).components
+        n = spec.size
+        for s, v in enumerate(torus_mode_variances(spec, fam, plan, table=table)):
+            amp = np.sqrt(v * n)
+            vals = stream_normals(13, s, self.R, (2,) + spec.shape)
+            x = np.fft.ifftn(amp * (vals[:, 0] + 1j * vals[:, 1]), axes=(-1,)).real
+            assert np.array_equal(comps[:, s], x.reshape(self.R, n))
+
+    def test_singular_graph(self, mollifier, norm1):
+        op = GraphOperator(cycle_graph(8))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = ScalePlan(j_min=-2, j_max=4)
+        cfg = SamplerConfig(backend="graph", plan=plan, seed=17,
+                            sample_count=self.R, operator=op)
+        comps = sample_graph(cfg, fam).components
+        weights = op.graph.mu / op.graph.mu.sum()
+        for s, A in enumerate(graph_scale_factors(op, fam, plan)):
+            x = stream_normals(17, s, self.R, (op.n,)) @ A.T
+            assert np.array_equal(comps[:, s], x - (x @ weights)[:, None])
