@@ -264,22 +264,20 @@ def plan_t_max(family, lambda_min, target_tail_rel=1e-7, t_cap=1e6):
     return t_cap
 
 
-def default_scale_plan(spec, family, L_ratio=2.0, t_min=1.0, target_tail_rel=1e-7,
-                       table=None):
+def default_scale_plan(spec, family, L_ratio=2.0, target_tail_rel=1e-7, table=None):
     """(j_min, j_max) for sampling on the torus, as graphs.default_scale_plan.
 
-    The lower end starts the blocks at t_min (the exact white piece covers
-    [0, L^{j_min - 1}]); the upper end comes from the periodization tail of
-    phi at the smallest positive symbol value (the zero mode of a massless
-    torus is deflated, so it sets no scale).
+    The blocks start at t = 1 (j_min = 0), because the exact white piece
+    covers t < 1; the upper end comes from the periodization tail of phi at
+    the smallest positive symbol value (the zero mode of a massless torus is
+    deflated, so it sets no scale).
     """
     if table is None:
         table = build_symbol_table(spec)
-    j_min = int(np.ceil(np.log(t_min) / np.log(L_ratio)))
     lam_min = float(np.min(table.values[table.values > 1e-12]))
     t_max = plan_t_max(family, lam_min, target_tail_rel)
     j_max = int(np.ceil(np.log(t_max) / np.log(L_ratio)))
-    return j_min, j_max
+    return 0, j_max
 
 
 def reconstruct_torus_green(spec, family, table=None, t_max=None,

@@ -170,7 +170,6 @@ class TestDefaultScalePlan:
         assert j_min == 0
         assert 2.0 ** j_max == plan_t_max(fam, lam_min)
         assert fam.tail_high(np.array([lam_min]), 2.0 ** j_max)[0] <= 1e-7
-        assert default_scale_plan(spec, fam, t_min=0.25)[0] == -2
 
 
 class TestTorusReconstruction:
