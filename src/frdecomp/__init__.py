@@ -9,10 +9,10 @@ range, and samples the associated Gaussian free fields scale by scale.
 from .mollifier import (BumpProfile, Mollifier, Normalization,
                         build_default_profile, build_mollifier,
                         default_mollifier, normalization_constant)
-from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
+from .weights import (ContinuousWeightFamily, DiscreteWeightFamily, ScalePlan,
                       WeightCheckReport, approximation_rate,
                       chebyshev_coefficients, check_decomposition_identity,
-                      decay_constants, eval_discrete_weight,
+                      decay_constants, default_scale_plan, eval_discrete_weight,
                       eval_discrete_weight_direct, wave_identity_max_residual)
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
@@ -22,15 +22,15 @@ from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, reconstruct_green,
                      scale_block, two_vertex_graph)
-from .sampler import (FieldSamples, SamplerConfig, ScalePlan, covariance_report,
+from .sampler import (FieldSamples, SamplerConfig, covariance_report,
                       sample_graph, sample_torus)
 
 __all__ = [
     "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
     "build_mollifier", "default_mollifier", "normalization_constant",
-    "ContinuousWeightFamily", "DiscreteWeightFamily", "WeightCheckReport",
-    "approximation_rate", "chebyshev_coefficients",
-    "check_decomposition_identity", "decay_constants",
+    "ContinuousWeightFamily", "DiscreteWeightFamily", "ScalePlan",
+    "WeightCheckReport", "approximation_rate", "chebyshev_coefficients",
+    "check_decomposition_identity", "decay_constants", "default_scale_plan",
     "eval_discrete_weight", "eval_discrete_weight_direct",
     "wave_identity_max_residual",
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
@@ -40,7 +40,7 @@ __all__ = [
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "reconstruct_green",
     "scale_block", "two_vertex_graph",
-    "FieldSamples", "SamplerConfig", "ScalePlan", "covariance_report",
+    "FieldSamples", "SamplerConfig", "covariance_report",
     "sample_graph", "sample_torus",
 ]
 

@@ -8,6 +8,7 @@ carry no timestamps, so a rerun with the same config is byte-identical.
 """
 
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -24,8 +25,8 @@ from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
                       approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
-                      eval_discrete_weight, eval_discrete_weight_direct,
-                      wave_identity_max_residual)
+                      default_scale_plan, eval_discrete_weight,
+                      eval_discrete_weight_direct, wave_identity_max_residual)
 
 DEFAULT_CONFIG = {
     "seed": 20240801,
@@ -88,9 +89,18 @@ RETIRED_KEYS = {
 }
 
 
+# Config values that select a code path, with the values each accepts.
+CHOICES = {
+    ("backend", "kind"): ("graph", "torus"),
+    ("backend", "graph"): ("cycle", "two_vertex", "file"),
+}
+
+
 class ConfigError(ValueError):
     """A config the program cannot honour: an unknown key, a section that is
-    not an object, or a retired key set to a value other than the one used."""
+    not an object, a value outside CHOICES, a scale plan or sampler setting
+    the library refuses, or a retired key set to a value other than the one
+    used."""
 
 
 def _drop_retired(data):
@@ -143,6 +153,10 @@ class RunConfig:
         self.notes = _drop_retired(data)
         _check_known(DEFAULT_CONFIG, data)
         self.data = deep_merge(DEFAULT_CONFIG, data)
+        for (section, key), allowed in CHOICES.items():
+            if self.data[section][key] not in allowed:
+                raise ConfigError(f"config key {section}.{key} must be one of "
+                                  f"{', '.join(allowed)}, got {self.data[section][key]!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -200,10 +214,8 @@ def _graph_operator(config):
         graph = cycle_graph(int(b["n"]))
     elif b["graph"] == "two_vertex":
         graph = two_vertex_graph()
-    elif b["graph"] == "file":
-        graph = WeightedGraph.from_edgelist_file(b["edges_file"])
     else:
-        raise click.ClickException(f"unknown graph kind {b['graph']!r}")
+        graph = WeightedGraph.from_edgelist_file(b["edges_file"])
     kind = b["operator"]
     return GraphOperator(graph, kind=kind, kappa=b.get("kappa"),
                          m2=b.get("m2") if kind == "resolvent" else None)
@@ -217,19 +229,29 @@ def _lattice_spec(config):
     return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=int(b["N"]))
 
 
-def _scale_plan(config, default_plan, *args, **kwargs):
-    """The config's scale plan; null ends come from default_plan(*args, **kwargs)
-    (graphs.default_scale_plan or lattice.default_scale_plan)."""
-    from .sampler import ScalePlan
+def _scale_plan(config, family, lambda_min, t_min):
+    """default_scale_plan for the operator with the config's scales, then the
+    config's j_min / j_max where they are set."""
     s = config["scales"]
-    j_min, j_max = s["j_min"], s["j_max"]
-    if j_min is None or j_max is None:
-        auto_min, auto_max = default_plan(
-            *args, L_ratio=s["L_ratio"], target_tail_rel=s["target_tail_rel"], **kwargs)
-        j_min = auto_min if j_min is None else int(j_min)
-        j_max = auto_max if j_max is None else int(j_max)
-    return ScalePlan(j_min=int(j_min), j_max=int(j_max),
-                     L_ratio=s["L_ratio"], nodes_per_block=int(s["nodes_per_block"]))
+    try:
+        plan = default_scale_plan(family, lambda_min, t_min, L_ratio=s["L_ratio"],
+                                  nodes_per_block=int(s["nodes_per_block"]),
+                                  target_tail_rel=s["target_tail_rel"])
+        return dataclasses.replace(
+            plan, **{k: int(s[k]) for k in ("j_min", "j_max") if s[k] is not None})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"scales: {exc}") from None
+
+
+def _sampler_config(config, backend, plan, **target):
+    """SamplerConfig for the config's seed and sample_count."""
+    from .sampler import SamplerConfig
+    try:
+        return SamplerConfig(backend=backend, plan=plan, seed=int(config["seed"]),
+                             sample_count=int(config["sampler"]["sample_count"]),
+                             **target)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sampler: {exc}") from None
 
 
 class VerdictGroup(click.Group):
@@ -265,7 +287,6 @@ def main(ctx, config_path, out_dir, seed, tolerance_scale):
         click.echo(note)
     if seed is not None:
         config.data["seed"] = int(seed)
-    os.makedirs(out_dir, exist_ok=True)
     ctx.obj = {"config": config, "out": out_dir,
                "checks": CheckList(tolerance_scale), "artifacts": []}
 
@@ -274,8 +295,10 @@ def _artifact(ctx, name, *suffixes):
     """Path of an artifact in --out, recorded for the manifest.
 
     With suffixes, name is a base path and name + suffix is recorded for
-    each suffix (writers that emit several files from one base).
+    each suffix (writers that emit several files from one base).  --out is
+    created here, so a command refused before its first artifact leaves none.
     """
+    os.makedirs(ctx.obj["out"], exist_ok=True)
     ctx.obj["artifacts"] += [name + s for s in suffixes] or [name]
     return os.path.join(ctx.obj["out"], name)
 
@@ -357,10 +380,10 @@ def decompose(ctx):
     kind = config["backend"]["kind"]
     rows = []
     if kind == "graph":
-        from .graphs import default_scale_plan, scale_block
+        from .graphs import PLAN_T_MIN, scale_block
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, default_scale_plan, op, family)
+        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
         for j in range(plan.j_min, plan.j_max + 1):
             blk = scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
             c = blk.certificates
@@ -376,7 +399,7 @@ def decompose(ctx):
         _write_table(ctx, "decompose_summary.csv",
                      ["j", "range_bound", "min_eig", "sup_norm"],
                      [(j, r, float(e), float(s)) for j, r, e, s in rows])
-    elif kind == "torus":
+    else:
         from .lattice import build_symbol_table, lattice_kernel
         spec = _lattice_spec(config)
         table = build_symbol_table(spec)
@@ -408,8 +431,6 @@ def decompose(ctx):
                                for t, v in zip(fit.t_list, fit.max_abs)]
             _write_table(ctx, "decay_fit.csv",
                          ["t", "l_x", "l_y", "max_abs", "fitted_exponent"], decay_rows)
-    else:
-        raise click.ClickException(f"unknown backend kind {kind!r}")
     _finish(ctx, "decompose")
 
 
@@ -422,27 +443,26 @@ def reconstruct(ctx):
     m, norm = _components(config)
     kind = config["backend"]["kind"]
     if kind == "graph":
-        from .graphs import default_scale_plan, reconstruct_green
+        from .graphs import PLAN_T_MIN, reconstruct_green
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, default_scale_plan, op, family)
-        rec = reconstruct_green(op, family, plan.j_min, plan.j_max,
-                                plan.L_ratio, plan.nodes_per_block)
+        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+        rec = reconstruct_green(op, family, plan)
         bound = tol["reconstruction_rel_massless"] if rec.deflated \
             else tol["reconstruction_rel"]
         checks.bound("graph_decomposition.reconstruct_green.max_rel_error",
                      rec.max_rel_error, bound)
-        report = {"j_min": rec.j_min, "j_max": rec.j_max,
+        report = {"j_min": rec.plan.j_min, "j_max": rec.plan.j_max,
                   "max_rel_error": rec.max_rel_error,
                   "tail_high_bound": rec.tail_high_bound,
                   "deflated": rec.deflated}
     else:
-        from .lattice import build_symbol_table, reconstruct_torus_green
+        from .lattice import PLAN_T_MIN, build_symbol_table, reconstruct_torus_green
         spec = _lattice_spec(config)
         table = build_symbol_table(spec)
         family = DiscreteWeightFamily(m, norm, B=table.B)
-        rec = reconstruct_torus_green(spec, family, table=table,
-                                      target_tail_rel=config["scales"]["target_tail_rel"])
+        plan = _scale_plan(config, family, table.spectral_gap(), PLAN_T_MIN)
+        rec = reconstruct_torus_green(spec, family, plan, table=table)
         bound = tol["reconstruction_rel_massless"] if rec.deflated \
             else tol["reconstruction_rel"]
         checks.bound("lattice_kernels.reconstruct_torus_green.max_rel_error",
@@ -462,26 +482,22 @@ def sample(ctx):
     m, norm = _components(config)
     sc = config["sampler"]
     kind = config["backend"]["kind"]
-    seed = int(config["seed"])
-    from .sampler import SamplerConfig, covariance_report, sample_graph, sample_torus
+    from .sampler import covariance_report, sample_graph, sample_torus
     if kind == "graph":
-        from .graphs import default_scale_plan
+        from .graphs import PLAN_T_MIN
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, default_scale_plan, op, family)
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=seed,
-                            sample_count=int(sc["sample_count"]), operator=op)
+        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+        cfg = _sampler_config(config, "graph", plan, operator=op)
         samples = sample_graph(cfg, family)
         oracle = op.green_oracle()
     else:
-        from .lattice import (build_symbol_table, circulant_matrix,
-                              default_scale_plan, green_column)
+        from .lattice import PLAN_T_MIN, build_symbol_table, circulant_matrix, green_column
         spec = _lattice_spec(config)
         table = build_symbol_table(spec)
         family = DiscreteWeightFamily(m, norm, B=table.B)
-        plan = _scale_plan(config, default_scale_plan, spec, family, table=table)
-        cfg = SamplerConfig(backend="torus", plan=plan, seed=seed,
-                            sample_count=int(sc["sample_count"]), lattice=spec)
+        plan = _scale_plan(config, family, table.spectral_gap(), PLAN_T_MIN)
+        cfg = _sampler_config(config, "torus", plan, lattice=spec)
         samples = sample_torus(cfg, family, table=table)
         oracle = circulant_matrix(green_column(spec))
     rep = covariance_report(samples, oracle, min_samples=min(1000, sc["sample_count"]))

@@ -24,7 +24,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import shortest_path
 
+from .weights import ScalePlan, default_scale_plan
+
 DEFAULT_NODES_PER_BLOCK = 16
+# Lower end of the default graph plan.  Blocks below t = 1 have degree 0,
+# but each owns a sampler stream keyed by its scale index, so moving this
+# end would renumber every later scale and change every graph sample.
+PLAN_T_MIN = 0.25
 
 
 class GraphError(ValueError):
@@ -77,12 +83,6 @@ class WeightedGraph:
                 edges.append((int(x), int(y), float(w)))
                 n = max(n, int(x) + 1, int(y) + 1)
         return cls.from_edges(n, edges)
-
-    def write_edgelist(self, path):
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        with open(path, "w") as fh:
-            for x, y, w in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{x} {y} {w:.17g}\n")
 
     def distances(self):
         """Unweighted BFS distance matrix (inf on disconnected pairs)."""
@@ -269,10 +269,6 @@ class ScaleBlock:
     node_count: int
     certificates: BlockCertificates
 
-    @property
-    def t_interval(self):
-        return (self.L_ratio ** (self.j - 1), self.L_ratio**self.j)
-
 
 def _mu_symmetrize(matrix, mu):
     """Average with the mu-weighted transpose (detailed balance).
@@ -327,62 +323,38 @@ def scale_block(op, family, j, L_ratio=2.0, nodes_per_block=DEFAULT_NODES_PER_BL
 # ---------------------------------------------------------------------------
 # reconstruction
 
-def default_scale_plan(op, family, L_ratio=2.0, t_min=0.25, target_tail_rel=1e-7):
-    """(j_min, j_max) covering [t_min, t_max] with the tail below target.
-
-    The lower end is fixed (everything below it is the exactly-known
-    degree-0 region); the upper end comes from the periodization tail of phi
-    at the smallest rescaled eigenvalue.
-    """
-    from .lattice import plan_t_max
-    j_min = int(np.ceil(np.log(t_min) / np.log(L_ratio)))
-    gap = op.spectral_gap()
-    t_max = plan_t_max(family, gap, target_tail_rel)
-    j_max = int(np.ceil(np.log(t_max) / np.log(L_ratio)))
-    return j_min, j_max
-
-
 @dataclass
 class ReconstructionReport:
     matrix: np.ndarray
     oracle: np.ndarray
     max_rel_error: float
-    j_min: int
-    j_max: int
-    L_ratio: float
-    tail_low_exact: float
+    plan: ScalePlan
     tail_high_bound: float
     deflated: bool
     blocks: Optional[list] = None
 
 
-def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
-                      nodes_per_block=DEFAULT_NODES_PER_BLOCK,
-                      target_tail_rel=1e-7, keep_blocks=False):
-    """Sum scale blocks and compare to the operator's Green oracle.
+def reconstruct_green(op, family, plan=None, keep_blocks=False):
+    """Sum the white piece and the blocks of plan and compare to the operator's
+    Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap(),
+    PLAN_T_MIN).
 
     Singular operators (a Laplacian, or a resolvent with m2 = 0) are handled
     by deflation of the constant vector: the comparison runs on the mean-zero
     subspace against the pseudo-inverse; blocks themselves are not modified
     (their finite range is preserved).
     """
-    if j_min is None or j_max is None:
-        auto_min, auto_max = default_scale_plan(op, family, L_ratio,
-                                                target_tail_rel=target_tail_rel)
-        j_min = auto_min if j_min is None else j_min
-        j_max = auto_max if j_max is None else j_max
-    t0 = L_ratio ** (j_min - 1)
-    if t0 > 1.0:
-        raise GraphError("scale plan must start at t <= 1 (exact low piece)")
-    total = family.low_scale_integral(0.0, t0) * np.eye(op.n)
+    gap = op.spectral_gap()
+    if plan is None:
+        plan = default_scale_plan(family, gap, PLAN_T_MIN)
+    total = family.low_scale_integral(0.0, plan.t_low) * np.eye(op.n)
     blocks = [] if keep_blocks else None
-    for j in range(j_min, j_max + 1):
-        blk = scale_block(op, family, j, L_ratio, nodes_per_block)
+    for j in range(plan.j_min, plan.j_max + 1):
+        blk = scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
         total += blk.matrix
         if keep_blocks:
             blocks.append(blk)
-    gap = op.spectral_gap()
-    tail_high = family.tail_high(np.array([gap]), L_ratio**j_max)
+    tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()
     compare = total
@@ -391,10 +363,9 @@ def reconstruct_green(op, family, j_min=None, j_max=None, L_ratio=2.0,
         compare = proj @ total @ proj.T
     max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
     return ReconstructionReport(
-        matrix=total, oracle=oracle, max_rel_error=max_rel, j_min=j_min,
-        j_max=j_max, L_ratio=float(L_ratio),
-        tail_low_exact=0.0, tail_high_bound=float(tail_high[0]) / gap,
-        deflated=deflated, blocks=blocks)
+        matrix=total, oracle=oracle, max_rel_error=max_rel, plan=plan,
+        tail_high_bound=float(tail_high[0]) / gap, deflated=deflated,
+        blocks=blocks)
 
 
 def killed_green_consistency(graph, kappa):

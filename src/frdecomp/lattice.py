@@ -23,8 +23,11 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import j0, j1
 
 from .quadrature import gauss_legendre
+from .weights import default_scale_plan
 
 DEFAULT_XI_CUTOFF = 40.0
+# Lower end of the default torus plan: the exact white piece covers t < 1.
+PLAN_T_MIN = 1.0
 
 
 class LatticeError(ValueError):
@@ -87,6 +90,11 @@ class SymbolTable:
     spec: LatticeSpec
     values: np.ndarray
     B: float
+
+    def spectral_gap(self):
+        """Smallest symbol value above 1e-12: the zero mode of a massless
+        torus is deflated, so it sets no scale."""
+        return float(np.min(self.values[self.values > 1e-12]))
 
 
 def build_symbol_table(spec):
@@ -248,57 +256,29 @@ class TorusReconstruction:
     deflated: bool
 
 
-def plan_t_max(family, lambda_min, target_tail_rel=1e-7, t_cap=1e6):
-    """Scale cutoff such that the per-mode identity tail is below target.
-
-    Uses the sharp form of the discrete-family tail (periodization tail of
-    phi, DiscreteWeightFamily.tail_high), evaluated at the smallest
-    eigenvalue.
-    """
-    lam = np.array([max(lambda_min, 1e-12)])
-    t = 4.0
-    while t < t_cap:
-        if float(family.tail_high(lam, t)[0]) <= target_tail_rel:
-            return t
-        t *= 2.0
-    return t_cap
-
-
-def default_scale_plan(spec, family, L_ratio=2.0, target_tail_rel=1e-7, table=None):
-    """(j_min, j_max) for sampling on the torus, as graphs.default_scale_plan.
-
-    The blocks start at t = 1 (j_min = 0), because the exact white piece
-    covers t < 1; the upper end comes from the periodization tail of phi at
-    the smallest positive symbol value (the zero mode of a massless torus is
-    deflated, so it sets no scale).
-    """
-    if table is None:
-        table = build_symbol_table(spec)
-    lam_min = float(np.min(table.values[table.values > 1e-12]))
-    t_max = plan_t_max(family, lam_min, target_tail_rel)
-    j_max = int(np.ceil(np.log(t_max) / np.log(L_ratio)))
-    return 0, j_max
-
-
-def reconstruct_torus_green(spec, family, table=None, t_max=None,
-                            nodes_per_octave=16, target_tail_rel=1e-7):
-    """Integrate scale kernels over all t and compare to the real-space oracle.
+def reconstruct_torus_green(spec, family, plan=None, table=None):
+    """Integrate scale kernels over [0, plan.t_high] and compare to the
+    real-space oracle; plan defaults to
+    default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN).
 
     The mode-wise integral equals the sum of t^2-weighted kernels over a
-    log-t quadrature plus the exact [0, 1] piece; at m^2 = 0 the zero mode
-    is deflated (projection onto mean-zero functions).  The reconstructed
-    Green matrix is circulant by construction and the oracle commutes with
-    shifts, so the largest entrywise error is the largest error over the one
-    column green_column(spec).
+    log-t quadrature with plan.nodes_per_block nodes per octave plus the
+    exact [0, 1] piece; at m^2 = 0 the zero mode is deflated (projection
+    onto mean-zero functions).  The reconstructed Green matrix is circulant
+    by construction and the oracle commutes with shifts, so the largest
+    entrywise error is the largest error over the one column
+    green_column(spec).
     """
     if table is None:
         table = build_symbol_table(spec)
     lam = table.values.ravel()
     deflated = spec.m2 <= 0.0
     keep = lam > 1e-12 if deflated else np.ones(lam.shape, dtype=bool)
-    if t_max is None:
-        t_max = plan_t_max(family, float(lam[keep].min()), target_tail_rel)
-    integral, _, tail = family.scale_integral(lam[keep], 0.0, t_max, nodes_per_octave)
+    if plan is None:
+        plan = default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN)
+    t_max = plan.t_high
+    integral, _, tail = family.scale_integral(lam[keep], 0.0, t_max,
+                                              plan.nodes_per_block)
     v = np.zeros_like(lam)
     v[keep] = integral
     kernel = np.fft.ifftn(v.reshape(spec.shape)).real

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.integrate import simpson, trapezoid
 from scipy.interpolate import CubicSpline, make_interp_spline
 
-from .fileio import write_columns_csv
 from .quadrature import gauss_legendre
 
 DEFAULT_GRID_STEP = 1e-3
@@ -106,10 +105,6 @@ class Mollifier:
     _phi_hat_spline: object = field(repr=False)
 
     @property
-    def phi0(self):
-        return float(self.phi_values[0])
-
-    @property
     def phi_max(self):
         # kappa is maximal at 0 because khat >= 0, hence so is phi.
         return float(self.phi_values[0])
@@ -162,14 +157,6 @@ class Mollifier:
             ya = xa**p * self.phi(xa)
             table += 0.5 * (ya + ys[0] if len(ys) else ya) * (xb - xa)
         return table + analytic
-
-    def export_csv(self, phi_path, phi_hat_path):
-        """Dump the tables as two-column CSVs (regression baselines)."""
-        for path, header, grid, values in (
-                (phi_path, ["x", "phi"], self.x_grid, self.phi_values),
-                (phi_hat_path, ["k", "phi_hat"], self.k_grid, self.phi_hat_values)):
-            write_columns_csv(path, header, [np.asarray(grid, dtype=float),
-                                             np.asarray(values, dtype=float)])
 
 
 def _tabulate_kappa(profile, x_grid):
@@ -249,7 +236,7 @@ def normalization_constant(m, gamma=1.0, positivity_floor=1e-300):
     x = m.x_grid
     h = m.grid_step
     # [0, h]: phi is even and smooth, phi(t) = phi(0) + O(t^2).
-    head = m.phi0 * h ** (a + 1.0) / (a + 1.0)
+    head = m.phi_max * h ** (a + 1.0) / (a + 1.0)
     body = float(simpson(x[1:] ** a * m.phi_values[1:], x=x[1:]))
     tail = m.weight_tail_integral(m.x_max, power=a)
     integral = head + body

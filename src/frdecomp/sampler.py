@@ -29,40 +29,13 @@ from typing import Optional
 import numpy as np
 
 from .graphs import GraphError
-from .weights import clenshaw_folded
+from .weights import ScalePlan, clenshaw_folded
 
 WHITE_CLIP_TOL = 1e-8
 
 
 class BlockQualityError(RuntimeError):
     """A scale block failed PSD clipping tolerance during sampling."""
-
-
-@dataclass(frozen=True)
-class ScalePlan:
-    j_min: int
-    j_max: int
-    L_ratio: float = 2.0
-    nodes_per_block: int = 16
-    include_white: bool = True   # the exact [0, L^{j_min - 1}] component
-
-    def __post_init__(self):
-        if self.j_max < self.j_min:
-            raise ValueError("j_max must be >= j_min")
-        if self.L_ratio <= 1.0:
-            raise ValueError("L_ratio must exceed 1")
-        if self.include_white and self.L_ratio ** (self.j_min - 1) > 1.0:
-            raise ValueError("plan must start at t <= 1 (exact white piece); "
-                             "use include_white=False for bare block sampling")
-
-    @property
-    def t_low(self):
-        return self.L_ratio ** (self.j_min - 1)
-
-    def scale_labels(self):
-        """White sub-plan piece first (labelled j_min - 1), then the blocks."""
-        blocks = list(range(self.j_min, self.j_max + 1))
-        return ([self.j_min - 1] + blocks) if self.include_white else blocks
 
 
 @dataclass
@@ -172,10 +145,7 @@ def torus_mode_variances(spec, family, plan, table=None):
         table = build_symbol_table(spec)
     lam = table.values.ravel()
     zero_mode = lam <= 1e-12
-    variances = []
-    if plan.include_white:
-        variances.append(np.full(lam.shape,
-                                 family.low_scale_integral(0.0, plan.t_low)))
+    variances = [np.full(lam.shape, family.low_scale_integral(0.0, plan.t_low))]
     theta = 1.0 - 0.5 * family.arg_scale * lam
     for j in range(plan.j_min, plan.j_max + 1):
         coeffs, _ = family.interval_coefficients(
@@ -254,13 +224,9 @@ def graph_scale_factors(op, family, plan):
     from .graphs import scale_block
     blocks = [scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
               for j in range(plan.j_min, plan.j_max + 1)]
-    factors = []
-    scales = [b.certificates.max_eig for b in blocks]
-    if plan.include_white:
-        white_var = family.low_scale_integral(0.0, plan.t_low)
-        scales.append(white_var)
-        factors.append(np.sqrt(white_var) * np.eye(op.n))
-    field_scale = max(scales)
+    white_var = family.low_scale_integral(0.0, plan.t_low)
+    factors = [np.sqrt(white_var) * np.eye(op.n)]
+    field_scale = max([b.certificates.max_eig for b in blocks] + [white_var])
     for blk in blocks:
         A, _ = _block_factor(blk.matrix, field_scale)
         factors.append(A)

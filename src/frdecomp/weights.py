@@ -39,6 +39,9 @@ from .quadrature import log_gauss_legendre
 DEFAULT_NODES_PER_OCTAVE = 16
 DEFAULT_EPS = 1.0
 ZERO_FLOOR = 1e-12
+# Largest upper scale a default plan may reach; a tail target not met there
+# is refused rather than planned (blocks up to degree 2^20 at L = 2).
+PLAN_T_CAP = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,70 @@ class DiscreteWeightFamily:
 
 
 # ---------------------------------------------------------------------------
+# scale plans
+
+@dataclass(frozen=True)
+class ScalePlan:
+    """The exact white piece [0, L^{j_min - 1}] plus blocks C_j over
+    [L^{j-1}, L^j] for j_min <= j <= j_max, nodes_per_block nodes each."""
+
+    j_min: int
+    j_max: int
+    L_ratio: float = 2.0
+    nodes_per_block: int = DEFAULT_NODES_PER_OCTAVE
+
+    def __post_init__(self):
+        if self.j_max < self.j_min:
+            raise ValueError(f"j_max={self.j_max} must be >= j_min={self.j_min}")
+        if not self.L_ratio > 1.0:
+            raise ValueError(f"L_ratio={self.L_ratio} must exceed 1")
+        if self.t_low > 1.0:
+            raise ValueError(f"plan must start at t <= 1 (exact white piece), "
+                             f"got L_ratio^(j_min - 1) = {self.t_low}")
+        if self.nodes_per_block < 4:
+            raise ValueError(f"nodes_per_block={self.nodes_per_block} must be at least 4")
+
+    @property
+    def t_low(self):
+        return self.L_ratio ** (self.j_min - 1)
+
+    @property
+    def t_high(self):
+        return self.L_ratio ** self.j_max
+
+    def scale_labels(self):
+        """White piece first (labelled j_min - 1), then the blocks."""
+        return list(range(self.j_min - 1, self.j_max + 1))
+
+
+def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0,
+                       nodes_per_block=DEFAULT_NODES_PER_OCTAVE,
+                       target_tail_rel=1e-7):
+    """The plan whose blocks cover [t_min, t_max] with the tail below target.
+
+    Everything below t_min is the exactly-known degree-0 region.  t_max is
+    the first of 4, 8, 16, ... (capped at PLAN_T_CAP) at which the
+    periodization tail of phi (family.tail_high) at lambda_min, the smallest
+    eigenvalue of the operator on its working subspace, is at or below
+    target_tail_rel; a target the cap does not meet raises ValueError.
+    """
+    if not L_ratio > 1.0:
+        raise ValueError(f"L_ratio={L_ratio} must exceed 1")
+    lam = np.array([max(lambda_min, 1e-12)])
+    t_max = 4.0
+    while (tail := float(family.tail_high(lam, t_max)[0])) > target_tail_rel:
+        if t_max >= PLAN_T_CAP:
+            raise ValueError(
+                f"target_tail_rel={target_tail_rel} is not reached by t = {PLAN_T_CAP:g} "
+                f"(tail {tail:.3g} at the smallest eigenvalue {lambda_min:.6g})")
+        t_max = min(2.0 * t_max, PLAN_T_CAP)
+    log_l = np.log(L_ratio)
+    return ScalePlan(j_min=int(np.ceil(np.log(t_min) / log_l)),
+                     j_max=int(np.ceil(np.log(t_max) / log_l)),
+                     L_ratio=L_ratio, nodes_per_block=nodes_per_block)
+
+
+# ---------------------------------------------------------------------------
 # formula-level checks
 
 @dataclass
@@ -281,10 +348,6 @@ class WeightCheckReport:
     w_disc: Optional[np.ndarray] = None        # shape (lambda, t)
     decay_constants: Optional[dict] = None     # order l -> sup
     approx_rate_fit: Optional["ApproxRateFit"] = None
-    family_kind: str = "discrete"
-
-    def max_residual(self):
-        return float(np.max(self.identity_residuals))
 
     def max_certified_residual(self):
         return float(np.max(self.identity_residuals + self.tail_low + self.tail_high))
@@ -329,7 +392,6 @@ def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3
         identity_residuals=residuals,
         tail_low=np.broadcast_to(np.asarray(tail_low, dtype=float), lambda_grid.shape).copy(),
         tail_high=np.asarray(tail_high, dtype=float),
-        family_kind=family.kind,
     )
     if family.kind == "continuous":
         report.w_cont = values
@@ -356,24 +418,6 @@ def decay_constants(family, orders=(0, 1, 2, 3), eps=DEFAULT_EPS,
         base = 1.0 + t ** (2.0 / g) * lam
         for l in orders:
             sups[l] = max(sups[l], float(np.max(base**l * vals)))
-    return sups
-
-
-def derivative_decay_constants(family, orders=(0, 1, 2, 3), eps=DEFAULT_EPS,
-                               t_lo=0.1, t_hi=1e3, n_lambda=80, n_t=40,
-                               rel_step=1e-6):
-    """Suprema of lambda |dW/dlambda| (1 + t^{2/gamma} lambda)^l by centered differences."""
-    lam_hi = (4.0 - eps) / getattr(family, "arg_scale", 1.0)
-    lam = np.geomspace(1e-2, lam_hi * 0.999, n_lambda)
-    ts = np.geomspace(t_lo, t_hi, n_t)
-    h = rel_step * lam
-    sups = {l: 0.0 for l in orders}
-    g = family.gamma
-    for t in ts:
-        d = (family.value(lam + h, t) - family.value(lam - h, t)) / (2.0 * h)
-        base = 1.0 + t ** (2.0 / g) * lam
-        for l in orders:
-            sups[l] = max(sups[l], float(np.max(base**l * lam * np.abs(d))))
     return sups
 
 

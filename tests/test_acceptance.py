@@ -16,8 +16,8 @@ import pytest
 from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
 from frdecomp.lattice import (LatticeSpec, build_symbol_table, continuum_kernel,
                               decay_fit, lattice_kernel, reconstruct_torus_green)
-from frdecomp.sampler import SamplerConfig, ScalePlan, covariance_report, sample_graph
-from frdecomp.weights import (DiscreteWeightFamily, approximation_rate,
+from frdecomp.sampler import SamplerConfig, covariance_report, sample_graph
+from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, approximation_rate,
                               chebyshev_coefficients, check_decomposition_identity,
                               eval_discrete_weight, eval_discrete_weight_direct,
                               wave_identity_max_residual)
@@ -62,7 +62,7 @@ def graph_suite(mollifier, norm1):
     op64 = GraphOperator(cycle_graph(64))
     fam64 = DiscreteWeightFamily(mollifier, norm1, B=op64.B)
     suite["massless64"] = (op64, fam64,
-                           reconstruct_green(op64, fam64, j_min=-1, j_max=5,
+                           reconstruct_green(op64, fam64, ScalePlan(j_min=-1, j_max=5),
                                              keep_blocks=True))
     op2 = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
     fam2 = DiscreteWeightFamily(mollifier, norm1, B=op2.B)
@@ -204,8 +204,7 @@ def test_criterion_08_scale_invariance(mollifier, norm1):
 def test_criterion_09_sampler_covariance(graph_suite):
     c = Criterion(9, "sampler-covariance", 120.0)
     op, fam, rec = graph_suite["cycle16"]
-    plan = ScalePlan(j_min=rec.j_min, j_max=rec.j_max)
-    cfg = SamplerConfig(backend="graph", plan=plan, seed=20240801,
+    cfg = SamplerConfig(backend="graph", plan=rec.plan, seed=20240801,
                         sample_count=10_000, operator=op)
     samples = sample_graph(cfg, fam)
     oracle = np.linalg.solve(op.dense(), np.eye(op.n))

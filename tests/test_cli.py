@@ -158,6 +158,19 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruction.json").read_text())
         assert report["max_rel_error"] <= 1e-5
 
+    @pytest.mark.parametrize("scales, t_max, exit_code", [
+        ({}, 512.0, 0),
+        ({"j_max": 6}, 64.0, 1),     # the tail above t = 64 exceeds the tolerance
+    ])
+    def test_torus_plan_from_config(self, tmp_path, scales, t_max, exit_code):
+        out = tmp_path / "r"
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
+                   "scales": scales}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(out), "reconstruct"])
+        assert res.exit_code == exit_code, res.output
+        assert json.loads((out / "reconstruction.json").read_text())["t_max"] == t_max
+
 
 class TestSampleCommand:
     def test_graph_sampling(self, tmp_path):
@@ -241,8 +254,8 @@ class TestSampleCommand:
         assert (out / "weights_identity.csv").exists()
 
     def test_torus_plan_from_library(self, tmp_path, mollifier, norm1):
-        from frdecomp.lattice import LatticeSpec, build_symbol_table, default_scale_plan
-        from frdecomp.weights import DiscreteWeightFamily
+        from frdecomp.lattice import PLAN_T_MIN, LatticeSpec, build_symbol_table
+        from frdecomp.weights import DiscreteWeightFamily, default_scale_plan
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
                    "sampler": {"sample_count": 1000}}).to_file(cfgfile)
@@ -250,9 +263,21 @@ class TestSampleCommand:
         res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
         assert res.exit_code == 0, res.output
         header = np.fromfile(out / "samples.bin", dtype=np.float64)[:5]
-        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=build_symbol_table(spec).B)
-        assert tuple(header[2:4]) == default_scale_plan(spec, fam)
+        table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap(), PLAN_T_MIN)
+        assert tuple(header[2:4]) == (plan.j_min, plan.j_max)
+
+    def test_sample_and_reconstruct_share_plan(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"scales": {"L_ratio": 3.0},
+                   "sampler": {"sample_count": 1000}}).to_file(cfgfile)
+        for command in ("sample", "reconstruct"):
+            res = run(["--config", str(cfgfile), "--out", str(tmp_path / command), command])
+            assert res.exit_code == 0, res.output
+        header = np.fromfile(tmp_path / "sample" / "samples.bin", dtype=np.float64)[:5]
+        report = json.loads((tmp_path / "reconstruct" / "reconstruction.json").read_text())
+        assert tuple(header[2:4]) == (report["j_min"], report["j_max"])
 
     def test_massless_torus_sampling(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -284,18 +309,34 @@ class TestRejectedInput:
         res = run(["--config", str(cfgfile), "--out", str(tmp_path / "c"), "sample"])
         self.assert_one_fail_line(res, "sample", "GraphError")
 
-    @pytest.mark.parametrize("text", [
-        json.dumps({"sampler": {"sample_cout": 5}}),
-        json.dumps({"weights": {"gamma": 2.0}}),
-        json.dumps([]),
-        '{"seed": 7,',
+    @pytest.mark.parametrize("text, command", [
+        pytest.param(text, "sample", id=text) for text in (
+            json.dumps({"sampler": {"sample_cout": 5}}),
+            json.dumps({"weights": {"gamma": 2.0}}),
+            json.dumps([]),
+            '{"seed": 7,')
+    ] + [
+        pytest.param(json.dumps(data), command, id=f"{json.dumps(data)} {command}")
+        for data, command in (
+            ({"backend": {"kind": "Graph"}}, "reconstruct"),
+            ({"backend": {"kind": "tours"}}, "sample"),
+            ({"backend": {"graph": "ring"}}, "sample"),
+            ({"scales": {"j_min": 3}}, "sample"),
+            ({"scales": {"j_max": -5}}, "sample"),
+            ({"scales": {"L_ratio": 1.0}}, "reconstruct"),
+            ({"sampler": {"sample_count": 0}}, "sample"),
+            ({"scales": {"target_tail_rel": 1e-40}}, "reconstruct"),
+            ({"backend": {"kind": "torus"}, "scales": {"target_tail_rel": 1e-40}},
+             "reconstruct"),
+            ({"backend": {"kind": "torus"}, "scales": {"nodes_per_block": 2}},
+             "reconstruct"))
     ])
-    def test_bad_config_fails_before_work(self, tmp_path, text):
+    def test_bad_config_fails_before_work(self, tmp_path, text, command):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(text)
         out = tmp_path / "never"
-        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
-        self.assert_one_fail_line(res, "sample", "ConfigError")
+        res = run(["--config", str(cfgfile), "--out", str(out), command])
+        self.assert_one_fail_line(res, command, "ConfigError")
         assert not out.exists()
 
     def test_retired_keys_run_with_notes(self, tmp_path):

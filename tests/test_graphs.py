@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from frdecomp.graphs import (GraphError, GraphOperator,
+from frdecomp.graphs import (PLAN_T_MIN, GraphError, GraphOperator,
                              WeightedGraph, block_over_interval, chebyshev_apply,
-                             cycle_graph, default_scale_plan,
-                             killed_green_consistency, reconstruct_green,
-                             scale_block, two_vertex_graph)
+                             cycle_graph, killed_green_consistency,
+                             reconstruct_green, scale_block, two_vertex_graph)
 from frdecomp.quadrature import log_gauss_legendre
-from frdecomp.weights import DiscreteWeightFamily, eval_discrete_weight_direct
+from frdecomp.weights import (DiscreteWeightFamily, default_scale_plan,
+                              eval_discrete_weight_direct)
 
 
 def random_graph(n, p, rng, wmin=0.5, wmax=2.0, ring=True):
@@ -49,7 +49,9 @@ class TestWeightedGraph:
         rng = np.random.default_rng(0)
         g = random_graph(8, 0.3, rng)
         path = tmp_path / "graph.txt"
-        g.write_edgelist(path)
+        coo = sp.triu(g.adjacency, k=1).tocoo()
+        path.write_text("".join(f"{x} {y} {w:.17g}\n"
+                                for x, y, w in zip(coo.row, coo.col, coo.data)))
         g2 = WeightedGraph.from_edgelist_file(path)
         assert g2.n == g.n
         assert np.allclose((g.adjacency - g2.adjacency).toarray(), 0.0)
@@ -167,7 +169,6 @@ class TestScaleBlock:
         assert c.max_out_of_range <= 1e-12 * sup
         assert c.min_eig >= -1e-10 * c.max_eig
         assert c.asymmetry <= 1e-11 * sup
-        assert blk.t_interval == (4.0, 8.0)
 
     def test_parameter_validation(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
@@ -261,7 +262,7 @@ class TestReconstruction:
             recs.append(reconstruct_green(op, fam))
         resolvent, laplacian = recs
         assert resolvent.deflated and laplacian.deflated
-        assert (resolvent.j_min, resolvent.j_max) == (laplacian.j_min, laplacian.j_max)
+        assert resolvent.plan == laplacian.plan
         scale = np.max(np.abs(laplacian.matrix))
         assert np.max(np.abs(resolvent.matrix - laplacian.matrix)) <= 1e-12 * scale
         assert abs(resolvent.max_rel_error - laplacian.max_rel_error) <= 1e-12
@@ -286,9 +287,9 @@ class TestReconstruction:
     def test_default_plan_tail(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        j_min, j_max = default_scale_plan(op, fam)
-        assert 2.0 ** (j_min - 1) <= 0.25 + 1e-12
-        rec = reconstruct_green(op, fam, j_min, j_max)
+        plan = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN)
+        assert plan.t_low <= 0.25 + 1e-12
+        rec = reconstruct_green(op, fam, plan)
         assert rec.tail_high_bound <= 1e-6
 
 

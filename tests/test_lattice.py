@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from frdecomp.lattice import (LatticeError, LatticeSpec, WrapAroundError,
-                              build_symbol_table, circulant_matrix,
-                              continuum_kernel, continuum_tail_bound,
-                              decay_fit, default_scale_plan,
+from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
+                              WrapAroundError, build_symbol_table,
+                              circulant_matrix, continuum_kernel,
+                              continuum_tail_bound, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
-                              matched_continuum_kernel_at_points, plan_t_max,
+                              matched_continuum_kernel_at_points,
                               reconstruct_torus_green, stencil_operator,
                               torus_linf_distance)
-from frdecomp.weights import DiscreteWeightFamily
+from frdecomp.weights import DiscreteWeightFamily, ScalePlan, default_scale_plan
 
 
 def make_family(m, norm, B):
@@ -165,11 +165,15 @@ class TestDefaultScalePlan:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        j_min, j_max = default_scale_plan(spec, fam, table=table)
-        lam_min = table.values[table.values > 1e-12].min()
-        assert j_min == 0
-        assert 2.0 ** j_max == plan_t_max(fam, lam_min)
-        assert fam.tail_high(np.array([lam_min]), 2.0 ** j_max)[0] <= 1e-7
+        lam_min = table.spectral_gap()
+        assert lam_min == table.values[table.values > 1e-12].min()
+        plan = default_scale_plan(fam, lam_min, PLAN_T_MIN)
+        assert plan.j_min == 0
+        def tail(t):
+            return fam.tail_high(np.array([lam_min]), t)[0]
+
+        assert tail(plan.t_high) <= 1e-7
+        assert plan.t_high <= 4.0 or tail(plan.t_high / 2) > 1e-7
 
 
 class TestTorusReconstruction:
@@ -187,7 +191,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, table=table, t_max=64.0)
+        rec = reconstruct_torus_green(spec, fam, ScalePlan(j_min=0, j_max=6), table=table)
         from frdecomp.quadrature import log_gauss_legendre
         tq, wq = log_gauss_legendre(1.0, 64.0, 16)
         kernel_sum = np.zeros(16)

@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -84,18 +83,6 @@ class TestMollifierTables:
 
     def test_phi_vanishes_beyond_table(self, mollifier):
         assert mollifier.phi(mollifier.x_max + 1.0) == 0.0
-
-    def test_export_csv(self, mollifier, tmp_path):
-        p1, p2 = tmp_path / "phi.csv", tmp_path / "phihat.csv"
-        mollifier.export_csv(p1, p2)
-        with open(p1) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["x", "phi"]
-        assert float(rows[1][1]) == mollifier.phi0
-        with open(p2) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["k", "phi_hat"]
-        assert len(rows) == len(mollifier.k_grid) + 1
 
 
 class TestNormalization:

@@ -9,11 +9,11 @@ from frdecomp import sampler
 from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, SamplerConfig,
-                              ScalePlan, covariance_report,
+                              covariance_report,
                               graph_scale_factors, sample_graph, sample_torus,
                               torus_mode_variances, _batched_draws, _block_factor,
                               _stream)
-from frdecomp.weights import DiscreteWeightFamily
+from frdecomp.weights import DiscreteWeightFamily, ScalePlan
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,7 @@ def cycle_setup(mollifier, norm1):
     op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
     rec = reconstruct_green(op, fam, keep_blocks=True)
-    plan = ScalePlan(j_min=rec.j_min, j_max=rec.j_max)
+    plan = rec.plan
     oracle = np.linalg.solve(op.dense(), np.eye(op.n))
     return op, fam, plan, rec, oracle
 
@@ -92,8 +92,7 @@ class TestGraphSampler:
         op = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam)
-        plan = ScalePlan(j_min=rec.j_min, j_max=rec.j_max)
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=2024,
+        cfg = SamplerConfig(backend="graph", plan=rec.plan, seed=2024,
                             sample_count=100_000, operator=op)
         s = sample_graph(cfg, fam)
         tot = s.totals
@@ -109,12 +108,11 @@ class TestGraphSampler:
     def test_single_block_covariance(self, cycle_setup):
         op, fam, plan, rec, _ = cycle_setup
         blk = next(b for b in rec.blocks if b.j == 2)
-        one = ScalePlan(j_min=2, j_max=2, include_white=False)
-        cfg = SamplerConfig(backend="graph", plan=one, seed=77,
+        cfg = SamplerConfig(backend="graph", plan=ScalePlan(j_min=0, j_max=2), seed=77,
                             sample_count=20_000, operator=op)
         s = sample_graph(cfg, fam)
-        assert s.scale_labels == [2]
-        comp = s.components[:, 0, :]          # the j=2 block component
+        assert s.scale_labels == [-1, 0, 1, 2]
+        comp = s.components[:, s.scale_labels.index(2), :]
         emp = comp.T @ comp / comp.shape[0]
         se = np.sqrt((np.outer(np.diag(blk.matrix), np.diag(blk.matrix))
                       + blk.matrix**2) / comp.shape[0])
@@ -227,12 +225,10 @@ class TestTorusSampler:
         dist = op.graph.distances()
         outside = dist >= blk.certificates.range_bound
         assert np.max(np.abs(blk.matrix[outside])) <= 1e-12 * np.max(np.abs(blk.matrix))
-        cfg = SamplerConfig(backend="graph",
-                            plan=ScalePlan(j_min=2, j_max=2,
-                                           include_white=False),
+        cfg = SamplerConfig(backend="graph", plan=ScalePlan(j_min=0, j_max=2),
                             seed=8, sample_count=20_000, operator=op)
         s = sample_graph(cfg, fam)
-        comp = s.components[:, 0, :]
+        comp = s.components[:, s.scale_labels.index(2), :]
         emp = comp.T @ comp / comp.shape[0]
         diag = np.diag(blk.matrix)
         se = np.sqrt(np.outer(diag, diag) / comp.shape[0])

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from frdecomp.quadrature import log_gauss_legendre
-from frdecomp.weights import (DiscreteWeightFamily,
+from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants, default_lambda_grid,
-                              derivative_decay_constants,
-                              eval_discrete_weight, eval_discrete_weight_direct,
+                              default_scale_plan, eval_discrete_weight,
+                              eval_discrete_weight_direct,
                               wave_identity_max_residual)
 
 
@@ -146,7 +146,7 @@ class TestPeriodizationOracle:
 class TestContinuousFamily:
     def test_lambda_zero_collapses(self, cont_family, mollifier, norm1):
         assert cont_family.value(0.0, 3.7) == pytest.approx(
-            norm1.constant * mollifier.phi0, rel=1e-14)
+            norm1.constant * mollifier.phi_max, rel=1e-14)
 
     def test_ballistic_scaling_exact(self, cont_family):
         # gamma=1: W_t(lam) = W_1(lam t^2), identical arguments bit for bit
@@ -177,7 +177,7 @@ class TestDecompositionIdentity:
     def test_uniform_grid_residual(self, disc_family):
         lam = np.arange(0.05, 3.0001, 0.05)
         rep = check_decomposition_identity(disc_family, lam)
-        assert rep.max_residual() <= 1e-5
+        assert rep.identity_residuals.max() <= 1e-5
         assert np.all(np.isfinite(rep.identity_residuals))
 
     @pytest.mark.parametrize("B, t_min, t_max", [(3.0, 1.0, 64.0), (2.0, 0.0, 1e3),
@@ -192,7 +192,8 @@ class TestDecompositionIdentity:
         rep = check_decomposition_identity(disc_family, np.array([0.5, 1.0]))
         path = tmp_path / "report.csv"
         rep.to_csv(path)
-        header = open(path).readline().strip().split(",")
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
         assert header == ["lambda", "t", "W_cont", "W_disc", "identity_residual"]
 
 
@@ -219,9 +220,23 @@ class TestDecayConstants:
         sups = decay_constants(disc_family)
         assert sups[0] <= sups[1] <= sups[2] <= sups[3]
 
-    def test_derivative_variant_finite(self, disc_family):
-        sups = derivative_decay_constants(disc_family, orders=(0, 1, 2, 3))
-        assert all(np.isfinite(v) and v > 0 for v in sups.values())
+
+class TestDefaultScalePlan:
+    def test_refuses_target_beyond_cap(self, disc_family):
+        def tail(t):
+            return disc_family.tail_high(np.array([0.2]), t)[0]
+
+        target = 1e-40
+        assert tail(PLAN_T_CAP) > target
+        with pytest.raises(ValueError, match="target_tail_rel=1e-40 is not reached"):
+            default_scale_plan(disc_family, 0.2, 0.25, target_tail_rel=target)
+        # the cap itself is planned when it meets the target
+        plan = default_scale_plan(disc_family, 0.2, 0.25, target_tail_rel=tail(PLAN_T_CAP))
+        assert plan.j_max == 20
+
+    def test_rejects_ratio_at_most_one(self, disc_family):
+        with pytest.raises(ValueError, match="L_ratio=1.0 must exceed 1"):
+            default_scale_plan(disc_family, 0.2, 0.25, L_ratio=1.0)
 
 
 class TestApproximationRate:
