@@ -22,8 +22,7 @@ from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, reconstruct_green,
                      scale_block, two_vertex_graph)
-from .sampler import (FieldSamples, SamplerConfig, covariance_report,
-                      sample_graph, sample_torus)
+from .sampler import covariance_report, sample_graph, sample_torus
 
 __all__ = [
     "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
@@ -40,8 +39,7 @@ __all__ = [
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "reconstruct_green",
     "scale_block", "two_vertex_graph",
-    "FieldSamples", "SamplerConfig", "covariance_report",
-    "sample_graph", "sample_torus",
+    "covariance_report", "sample_graph", "sample_torus",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from . import fileio
 from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
-from .sampler import BlockQualityError
+from .sampler import BlockQualityError, check_settings
 from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
                       approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
@@ -99,8 +99,8 @@ CHOICES = {
 class ConfigError(ValueError):
     """A config the program cannot honour: an unknown key, a section that is
     not an object, a value outside CHOICES, a scale plan or sampler setting
-    the library refuses, or a retired key set to a value other than the one
-    used."""
+    the library refuses, a z_bound that is not a finite number, or a retired
+    key set to a value other than the one used."""
 
 
 def _drop_retired(data):
@@ -243,15 +243,22 @@ def _scale_plan(config, family, lambda_min, t_min):
         raise ConfigError(f"scales: {exc}") from None
 
 
-def _sampler_config(config, backend, plan, **target):
-    """SamplerConfig for the config's seed and sample_count."""
-    from .sampler import SamplerConfig
+def _sampler_settings(config):
+    """(seed, sample_count, dump_replicates, z_bound) of the config, refused
+    as by sampler.check_settings; z_bound must be null or a finite number."""
+    sc = config["sampler"]
     try:
-        return SamplerConfig(backend=backend, plan=plan, seed=int(config["seed"]),
-                             sample_count=int(config["sampler"]["sample_count"]),
-                             **target)
+        settings = (int(config["seed"]), int(sc["sample_count"]),
+                    int(sc["dump_replicates"]))
+        check_settings(*settings, names=("seed", "sampler.sample_count",
+                                         "sampler.dump_replicates"))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sampler: {exc}") from None
+        raise ConfigError(f"sampler settings: {exc}") from None
+    z_bound = sc["z_bound"]
+    if z_bound is None or type(z_bound) in (int, float) and np.isfinite(z_bound):
+        return settings + (z_bound,)
+    raise ConfigError("config key sampler.z_bound must be null or a finite number, "
+                      f"got {z_bound!r}")
 
 
 class VerdictGroup(click.Group):
@@ -479,8 +486,8 @@ def reconstruct(ctx):
 def sample(ctx):
     """Draw multiscale field replicates and verify covariance statistically."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
+    seed, sample_count, keep, z_bound = _sampler_settings(config)
     m, norm = _components(config)
-    sc = config["sampler"]
     kind = config["backend"]["kind"]
     from .sampler import covariance_report, sample_graph, sample_torus
     if kind == "graph":
@@ -488,8 +495,7 @@ def sample(ctx):
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
         plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
-        cfg = _sampler_config(config, "graph", plan, operator=op)
-        samples = sample_graph(cfg, family)
+        totals, kept = sample_graph(op, family, plan, seed, sample_count, keep)
         oracle = op.green_oracle()
     else:
         from .lattice import PLAN_T_MIN, build_symbol_table, circulant_matrix, green_column
@@ -497,11 +503,10 @@ def sample(ctx):
         table = build_symbol_table(spec)
         family = DiscreteWeightFamily(m, norm, B=table.B)
         plan = _scale_plan(config, family, table.spectral_gap(), PLAN_T_MIN)
-        cfg = _sampler_config(config, "torus", plan, lattice=spec)
-        samples = sample_torus(cfg, family, table=table)
+        totals, kept = sample_torus(spec, family, plan, seed, sample_count, keep,
+                                    table=table)
         oracle = circulant_matrix(green_column(spec))
-    rep = covariance_report(samples, oracle, min_samples=min(1000, sc["sample_count"]))
-    z_bound = sc["z_bound"]
+    rep = covariance_report(totals, oracle, min_samples=min(1000, sample_count))
     if z_bound is None:
         # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m); a
         # fixed threshold would false-alarm on large covariance matrices
@@ -509,9 +514,8 @@ def sample(ctx):
         z_bound = float(np.sqrt(2.0 * np.log(2.0 * entries)) + 1.0)
     checks.bound("gff_sampler.covariance_report.max_abs_z", rep.max_abs_z,
                  float(z_bound))
-    fileio.write_samples(_artifact(ctx, "samples.bin"), samples, kind,
-                         plan.j_min, plan.j_max,
-                         max_replicates=int(sc["dump_replicates"]))
+    fileio.write_samples(_artifact(ctx, "samples.bin"), kept, kind,
+                         plan.j_min, plan.j_max, seed)
     x, y = np.triu_indices(rep.oracle.shape[0])
     fileio.write_columns_csv(_artifact(ctx, "covariance_report.csv"),
                              ["x", "y", "empirical", "oracle", "z"],

@@ -6,9 +6,10 @@ float64 payload:
     (d, N, t, m2, B)   torus kernels: d >= 1, N the side length
     (0, n, t, m2, B)   graph blocks: payload is the n x n matrix, t = L^j
 
-Sample dumps carry the header (backend_id, size, j_min, j_max, seed) with
-backend_id 1 = torus, 2 = graph, followed by the (scales + 1, size)
-component matrix of one replicate (white piece first, totals not stored).
+Sample dumps hold one record per row of the samplers' kept array: the header
+(backend_id, size, j_min, j_max, seed) with backend_id 1 = torus, 2 = graph,
+then the (scales + 1, size) components of that replicate (white piece first,
+totals not stored).
 CSV tables are written column-wise by write_columns_csv: floats as their
 shortest round-trip decimal (repr), integers in full.  All writers are
 deterministic: identical inputs produce identical bytes.
@@ -64,17 +65,14 @@ def write_block(path_base, block, extra=None):
         fh.write("\n")
 
 
-def write_samples(path, samples, backend, j_min, j_max, max_replicates=None):
-    """One binary record per replicate, concatenated into a single file."""
-    header = np.array([BACKEND_IDS[backend], samples.components.shape[2],
-                       float(j_min), float(j_max), float(samples.seed)])
-    count = samples.components.shape[0]
-    if max_replicates is not None:
-        count = min(count, max_replicates)
+def write_samples(path, kept, backend, j_min, j_max, seed):
+    """One binary record per row of kept (replicates, scales, size)."""
+    header = np.array([BACKEND_IDS[backend], kept.shape[2],
+                       float(j_min), float(j_max), float(seed)])
     with open(path, "wb") as fh:
-        for r in range(count):
+        for components in kept:
             fh.write(header.tobytes())
-            fh.write(np.ascontiguousarray(samples.components[r]).tobytes())
+            fh.write(components.tobytes())
 
 
 def _csv_cells(column):

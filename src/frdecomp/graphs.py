@@ -18,7 +18,6 @@ graphs with constant vertex measure this is plain matrix symmetry).
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -331,10 +330,9 @@ class ReconstructionReport:
     plan: ScalePlan
     tail_high_bound: float
     deflated: bool
-    blocks: Optional[list] = None
 
 
-def reconstruct_green(op, family, plan=None, keep_blocks=False):
+def reconstruct_green(op, family, plan=None):
     """Sum the white piece and the blocks of plan and compare to the operator's
     Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap(),
     PLAN_T_MIN).
@@ -348,12 +346,8 @@ def reconstruct_green(op, family, plan=None, keep_blocks=False):
     if plan is None:
         plan = default_scale_plan(family, gap, PLAN_T_MIN)
     total = family.low_scale_integral(0.0, plan.t_low) * np.eye(op.n)
-    blocks = [] if keep_blocks else None
     for j in range(plan.j_min, plan.j_max + 1):
-        blk = scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
-        total += blk.matrix
-        if keep_blocks:
-            blocks.append(blk)
+        total += scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block).matrix
     tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()
@@ -364,8 +358,7 @@ def reconstruct_green(op, family, plan=None, keep_blocks=False):
     max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
     return ReconstructionReport(
         matrix=total, oracle=oracle, max_rel_error=max_rel, plan=plan,
-        tail_high_bound=float(tail_high[0]) / gap, deflated=deflated,
-        blocks=blocks)
+        tail_high_bound=float(tail_high[0]) / gap, deflated=deflated)
 
 
 def killed_green_consistency(graph, kappa):

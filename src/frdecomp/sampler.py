@@ -20,16 +20,19 @@ are sliced.  The normals are drawn ahead: one helper thread fills the next
 slice into one of two preallocated buffers while the calling thread turns
 the current slice into field components, so the RNG runs alongside the FFTs
 and GEMMs, which never leave the calling thread.
+
+Both samplers return (totals, kept): the field summed over scales, added
+scale by scale as the slices are drawn, and the per-scale components of the
+first keep replicates.  Memory is O(sample_count x sites) for any plan.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .graphs import GraphError
-from .weights import ScalePlan, clenshaw_folded
+from .weights import clenshaw_folded
 
 WHITE_CLIP_TOL = 1e-8
 
@@ -38,39 +41,16 @@ class BlockQualityError(RuntimeError):
     """A scale block failed PSD clipping tolerance during sampling."""
 
 
-@dataclass
-class SamplerConfig:
-    backend: str                      # "torus" | "graph"
-    plan: ScalePlan
-    seed: int
-    sample_count: int
-    lattice: Optional[object] = None  # LatticeSpec
-    operator: Optional[object] = None  # GraphOperator
-
-    def __post_init__(self):
-        if self.backend not in ("torus", "graph"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.backend == "torus" and self.lattice is None:
-            raise ValueError("torus backend requires a lattice spec")
-        if self.backend == "graph" and self.operator is None:
-            raise ValueError("graph backend requires a graph operator")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be positive")
-
-
-@dataclass
-class FieldSamples:
-    """A batch of replicates; components has shape (replicates, scales, sites)."""
-
-    scale_labels: list
-    components: np.ndarray
-    seed: int
-
-    @property
-    def totals(self):
-        return self.components.sum(axis=1)
+def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "keep")):
+    """Refuse a seed outside [0, 2**64), sample_count < 1 and keep < 0 with a
+    ValueError; names are the three settings as the message calls them."""
+    seed_name, count_name, keep_name = names
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"{seed_name} must fit in 64 bits, got {seed}")
+    if sample_count < 1:
+        raise ValueError(f"{count_name} must be positive, got {sample_count}")
+    if keep < 0:
+        raise ValueError(f"{keep_name} must not be negative, got {keep}")
 
 
 REPLICATE_BATCH = 4096
@@ -128,6 +108,25 @@ def _batched_draws(seed, scales, count, draw_shape, consume):
             consume(s, lo, values)
 
 
+def _running_totals(count, scales, sites, keep):
+    """totals (count, sites), kept (min(keep, count), scales, sites) and
+    add(s, lo, x), which puts scale s of replicates [lo, lo + len(x)) into
+    both; fed in _batched_draws order, it sums each replicate in scale order
+    (white piece first), bit-equal to kept.sum(axis=1) at keep = count."""
+    totals = np.empty((count, sites))
+    kept = np.empty((min(keep, count), scales, sites))
+
+    def add(s, lo, x):
+        rows = slice(lo, lo + len(x))
+        if s == 0:
+            totals[rows] = x
+        else:
+            totals[rows] += x
+        kept[rows, s] = x[:len(kept[rows])]
+
+    return totals, kept, add
+
+
 # ---------------------------------------------------------------------------
 # torus backend
 
@@ -169,22 +168,22 @@ def torus_mode_variances(spec, family, plan, table=None):
     return out
 
 
-def sample_torus(config, family, table=None):
-    """Draw replicates of the multiscale field on the torus.
+def sample_torus(spec, family, plan, seed, sample_count, keep=0, table=None):
+    """Draw replicates of the multiscale field on the torus; returns
+    (totals, kept) as described in _running_totals.
 
     Per scale and replicate, X = Re(ifftn(sqrt(v N^d) (a + i b))) with a, b
     i.i.d. standard normal; because v is even in xi this has covariance
     exactly N^{-d} sum_xi v(xi) e^{i xi (x - y)}, the block kernel.
     """
-    spec = config.lattice
-    variances = torus_mode_variances(spec, family, config.plan, table=table)
+    check_settings(seed, sample_count, keep)
+    variances = torus_mode_variances(spec, family, plan, table=table)
     n = spec.size
-    scales = config.plan.scale_labels()
-    comps = np.empty((config.sample_count, len(scales), n))
+    totals, kept, add = _running_totals(sample_count, len(variances), n, keep)
     fft_axes = tuple(range(-spec.d, 0))
     amps = [np.sqrt(v * n) for v in variances]
     draw_shape = (2,) + spec.shape
-    z = np.empty((min(_slice_reps(draw_shape), config.sample_count),) + spec.shape,
+    z = np.empty((min(_slice_reps(draw_shape), sample_count),) + spec.shape,
                  dtype=complex)
 
     def consume(s, lo, vals):
@@ -193,10 +192,10 @@ def sample_torus(config, family, table=None):
         np.multiply(amps[s], vals[:, 0], out=zk.real)
         np.multiply(amps[s], vals[:, 1], out=zk.imag)
         np.fft.ifftn(zk, axes=fft_axes, out=zk)
-        comps[lo:lo + k, s] = zk.real.reshape(k, n)
+        add(s, lo, zk.real.reshape(k, n))
 
-    _batched_draws(config.seed, len(scales), config.sample_count, draw_shape, consume)
-    return FieldSamples(scale_labels=scales, components=comps, seed=config.seed)
+    _batched_draws(seed, len(variances), sample_count, draw_shape, consume)
+    return totals, kept
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +232,28 @@ def graph_scale_factors(op, family, plan):
     return factors
 
 
-def sample_graph(config, family, factors=None):
-    """Draw replicates X_j = A_j xi_j on a graph (n <= 4096).
+def sample_graph(op, family, plan, seed, sample_count, keep=0):
+    """Draw replicates X_j = A_j xi_j on a graph (n <= 4096); returns
+    (totals, kept) as described in _running_totals.
 
     For a singular operator the mu-weighted mean is removed from every
     component (massless fields exist on the mean-zero subspace only).
     """
-    op = config.operator
+    check_settings(seed, sample_count, keep)
     if op.n > 4096:
         raise GraphError("graph sampler limited to n <= 4096")
-    if factors is None:
-        factors = graph_scale_factors(op, family, config.plan)
-    scales = config.plan.scale_labels()
-    comps = np.empty((config.sample_count, len(scales), op.n))
+    factors = graph_scale_factors(op, family, plan)
+    totals, kept, add = _running_totals(sample_count, len(factors), op.n, keep)
     weights = op.graph.mu / op.graph.mu.sum()
 
     def consume(s, lo, vals):
         x = vals @ factors[s].T
         if op.is_singular:
             x = x - (x @ weights)[:, None]
-        comps[lo:lo + len(vals), s] = x
+        add(s, lo, x)
 
-    _batched_draws(config.seed, len(factors), config.sample_count, (op.n,), consume)
-    return FieldSamples(scale_labels=scales, components=comps, seed=config.seed)
+    _batched_draws(seed, len(factors), sample_count, (op.n,), consume)
+    return totals, kept
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +272,14 @@ class CovarianceReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
-def covariance_report(samples, oracle_green, min_samples=1000):
-    """Standardized deviation of the empirical covariance from the oracle.
+def covariance_report(totals, oracle_green, min_samples=1000):
+    """Standardized deviation of the empirical covariance of the replicates
+    totals (replicates, sites) from the oracle.
 
     The fields have known mean zero, so the estimator is X^T X / R and the
     exact Gaussian sampling variance of each entry is
     (C_xx C_yy + C_xy^2) / R, evaluated with the oracle covariance.
     """
-    totals = samples if isinstance(samples, np.ndarray) else samples.totals
     R = totals.shape[0]
     if R < min_samples:
         raise ValueError(f"need at least {min_samples} samples, got {R}")

@@ -13,10 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
+from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_block,
+                             two_vertex_graph)
 from frdecomp.lattice import (LatticeSpec, build_symbol_table, continuum_kernel,
                               decay_fit, lattice_kernel, reconstruct_torus_green)
-from frdecomp.sampler import SamplerConfig, covariance_report, sample_graph
+from frdecomp.sampler import covariance_report, sample_graph
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, approximation_rate,
                               chebyshev_coefficients, check_decomposition_identity,
                               eval_discrete_weight, eval_discrete_weight_direct,
@@ -48,25 +49,27 @@ class Criterion:
         assert elapsed < self.budget, f"criterion {self.number} took {elapsed:.1f}s"
 
 
+def plan_blocks(op, fam, plan):
+    return [scale_block(op, fam, j, plan.L_ratio, plan.nodes_per_block)
+            for j in range(plan.j_min, plan.j_max + 1)]
+
+
 @pytest.fixture(scope="module")
 def graph_suite(mollifier, norm1):
     """The default graph block suite: blocks and reconstructions reused by
-    the range/PSD/reconstruction/sampler criteria."""
+    the range/PSD/reconstruction/sampler criteria, as (op, family,
+    reconstruction, blocks of its plan)."""
     suite = {}
-    op16 = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
-    fam16 = DiscreteWeightFamily(mollifier, norm1, B=op16.B)
-    suite["cycle16"] = (op16, fam16, reconstruct_green(op16, fam16, keep_blocks=True))
-    opk = GraphOperator(cycle_graph(16), "killed", kappa=0.9)
-    famk = DiscreteWeightFamily(mollifier, norm1, B=opk.B)
-    suite["killed16"] = (opk, famk, reconstruct_green(opk, famk, keep_blocks=True))
-    op64 = GraphOperator(cycle_graph(64))
-    fam64 = DiscreteWeightFamily(mollifier, norm1, B=op64.B)
-    suite["massless64"] = (op64, fam64,
-                           reconstruct_green(op64, fam64, ScalePlan(j_min=-1, j_max=5),
-                                             keep_blocks=True))
-    op2 = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
-    fam2 = DiscreteWeightFamily(mollifier, norm1, B=op2.B)
-    suite["two_vertex"] = (op2, fam2, reconstruct_green(op2, fam2, keep_blocks=True))
+    cases = {
+        "cycle16": (GraphOperator(cycle_graph(16), "resolvent", m2=1.0), None),
+        "killed16": (GraphOperator(cycle_graph(16), "killed", kappa=0.9), None),
+        "massless64": (GraphOperator(cycle_graph(64)), ScalePlan(j_min=-1, j_max=5)),
+        "two_vertex": (GraphOperator(two_vertex_graph(), "resolvent", m2=1.0), None),
+    }
+    for name, (op, plan) in cases.items():
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        rec = reconstruct_green(op, fam, plan)
+        suite[name] = (op, fam, rec, plan_blocks(op, fam, rec.plan))
     return suite
 
 
@@ -110,8 +113,8 @@ def test_criterion_03_exact_finite_range(mollifier, norm1, graph_suite):
             worst_torus = max(worst_torus, ker.max_out_of_range / ker.sup)
     c.check("torus kernels out-of-range mass / sup", worst_torus, 1e-12)
     worst_graph = 0.0
-    for _, _, rec in graph_suite.values():
-        for blk in rec.blocks:
+    for *_, blocks in graph_suite.values():
+        for blk in blocks:
             sup = float(np.max(np.abs(blk.matrix)))
             if sup > 0:
                 worst_graph = max(worst_graph,
@@ -130,9 +133,9 @@ def test_criterion_04_psd_certificates(graph_suite):
     worst_field = 0.0
     worst_block = 0.0
     n_blocks = 0
-    for _, _, rec in graph_suite.values():
-        field = max(b.certificates.max_eig for b in rec.blocks)
-        for blk in rec.blocks:
+    for *_, blocks in graph_suite.values():
+        field = max(b.certificates.max_eig for b in blocks)
+        for blk in blocks:
             certs = blk.certificates
             worst_field = max(worst_field, -certs.min_eig / field)
             if certs.max_eig >= 1e-3 * field:
@@ -149,14 +152,14 @@ def test_criterion_04_psd_certificates(graph_suite):
 
 def test_criterion_05_reconstruction(mollifier, norm1, graph_suite):
     c = Criterion(5, "green-reconstruction", 30.0)
-    _, _, rec16 = graph_suite["cycle16"]
+    _, _, rec16, _ = graph_suite["cycle16"]
     c.check("16-cycle resolvent m2=1 max rel error", rec16.max_rel_error, 1e-5)
     spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
     rec8 = reconstruct_torus_green(spec, fam, table=table)
     c.check("8x8 torus m2=0.5 max rel error", rec8.max_rel_error, 1e-5)
-    _, _, rec2 = graph_suite["two_vertex"]
+    _, _, rec2, _ = graph_suite["two_vertex"]
     closed_form = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
     c.check("2-vertex closed form (2/3, 1/3) max abs error",
             float(np.max(np.abs(rec2.matrix - closed_form))), 1e-6)
@@ -203,16 +206,14 @@ def test_criterion_08_scale_invariance(mollifier, norm1):
 
 def test_criterion_09_sampler_covariance(graph_suite):
     c = Criterion(9, "sampler-covariance", 120.0)
-    op, fam, rec = graph_suite["cycle16"]
-    cfg = SamplerConfig(backend="graph", plan=rec.plan, seed=20240801,
-                        sample_count=10_000, operator=op)
-    samples = sample_graph(cfg, fam)
+    op, fam, rec, _ = graph_suite["cycle16"]
+    totals, _ = sample_graph(op, fam, rec.plan, 20240801, 10_000)
     oracle = np.linalg.solve(op.dense(), np.eye(op.n))
-    rep = covariance_report(samples, oracle)
+    rep = covariance_report(totals, oracle)
     c.check("max standardized covariance deviation at 1e4 replicates",
             rep.max_abs_z, 4.0)
-    again = sample_graph(cfg, fam)
-    identical = samples.components.tobytes() == again.components.tobytes()
+    again, _ = sample_graph(op, fam, rec.plan, 20240801, 10_000)
+    identical = totals.tobytes() == again.tobytes()
     c.check("byte-identical rerun with fixed seed", float(identical), 1.0,
             larger_ok=True)
     c.finish()

@@ -325,6 +325,9 @@ class TestRejectedInput:
             ({"scales": {"j_max": -5}}, "sample"),
             ({"scales": {"L_ratio": 1.0}}, "reconstruct"),
             ({"sampler": {"sample_count": 0}}, "sample"),
+            ({"sampler": {"z_bound": "x"}}, "sample"),
+            ({"sampler": {"z_bound": float("inf")}}, "sample"),
+            ({"sampler": {"sample_count": 1000, "dump_replicates": -1}}, "sample"),
             ({"scales": {"target_tail_rel": 1e-40}}, "reconstruct"),
             ({"backend": {"kind": "torus"}, "scales": {"target_tail_rel": 1e-40}},
              "reconstruct"),

@@ -6,7 +6,6 @@ import pytest
 
 from frdecomp import fileio
 from frdecomp.graphs import GraphOperator, cycle_graph, scale_block
-from frdecomp.sampler import FieldSamples
 from frdecomp.weights import DiscreteWeightFamily
 
 
@@ -51,24 +50,21 @@ def test_block_dump_with_sidecar(tmp_path, mollifier, norm1):
 
 
 def test_samples_dump(tmp_path):
-    comps = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
-    samples = FieldSamples(scale_labels=[-1, 0, 1], components=comps, seed=9)
+    kept = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
     path = tmp_path / "samples.bin"
-    fileio.write_samples(path, samples, "graph", j_min=0, j_max=1)
+    fileio.write_samples(path, kept, "graph", j_min=0, j_max=1, seed=9)
     raw = np.fromfile(path, dtype=np.float64)
     record = 5 + 3 * 4
     assert len(raw) == 2 * record
     np.testing.assert_array_equal(raw[:5], [2.0, 4.0, 0.0, 1.0, 9.0])
-    np.testing.assert_array_equal(raw[5:record], comps[0].ravel())
+    np.testing.assert_array_equal(raw[5:record], kept[0].ravel())
+    np.testing.assert_array_equal(raw[record + 5:], kept[1].ravel())
 
 
-def test_samples_dump_cap(tmp_path):
-    comps = np.zeros((10, 2, 3))
-    samples = FieldSamples(scale_labels=[0, 1], components=comps, seed=1)
+def test_samples_dump_empty(tmp_path):
     path = tmp_path / "s.bin"
-    fileio.write_samples(path, samples, "torus", 0, 1, max_replicates=4)
-    raw = np.fromfile(path, dtype=np.float64)
-    assert len(raw) == 4 * (5 + 6)
+    fileio.write_samples(path, np.zeros((0, 2, 3)), "torus", 0, 1, seed=1)
+    assert path.read_bytes() == b""
 
 
 def test_csv_writer_deterministic(tmp_path):

@@ -1,14 +1,16 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from frdecomp import sampler
-from frdecomp.graphs import GraphOperator, cycle_graph, reconstruct_green, two_vertex_graph
+from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_block,
+                             two_vertex_graph)
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
-from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, SamplerConfig,
+from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, check_settings,
                               covariance_report,
                               graph_scale_factors, sample_graph, sample_torus,
                               torus_mode_variances, _batched_draws, _block_factor,
@@ -20,7 +22,7 @@ from frdecomp.weights import DiscreteWeightFamily, ScalePlan
 def cycle_setup(mollifier, norm1):
     op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-    rec = reconstruct_green(op, fam, keep_blocks=True)
+    rec = reconstruct_green(op, fam)
     plan = rec.plan
     oracle = np.linalg.solve(op.dense(), np.eye(op.n))
     return op, fam, plan, rec, oracle
@@ -37,16 +39,32 @@ class TestScalePlan:
         assert plan.t_low == 0.25
 
 
-class TestSamplerConfig:
-    def test_validation(self):
+class TestCheckSettings:
+    @pytest.mark.parametrize("seed, sample_count, keep, name", [
+        pytest.param(2**64, 10, 0, "seed", id="seed-2**64"),
+        pytest.param(-1, 10, 0, "seed", id="seed-negative"),
+        pytest.param(1, 0, 0, "sample_count", id="sample_count-0"),
+        pytest.param(1, 10, -1, "keep", id="keep-negative")])
+    def test_validation(self, mollifier, norm1, seed, sample_count, keep, name):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            check_settings(seed, sample_count, keep)
+        # both samplers refuse before any work
         plan = ScalePlan(j_min=0, j_max=2)
-        with pytest.raises(ValueError):
-            SamplerConfig(backend="nope", plan=plan, seed=1, sample_count=10)
-        with pytest.raises(ValueError):
-            SamplerConfig(backend="torus", plan=plan, seed=1, sample_count=10)
-        with pytest.raises(ValueError):
-            SamplerConfig(backend="graph", plan=plan, seed=1, sample_count=0,
-                          operator=GraphOperator(cycle_graph(4)))
+        op = GraphOperator(cycle_graph(4))
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sample_graph(op, DiscreteWeightFamily(mollifier, norm1, B=op.B), plan,
+                         seed, sample_count, keep)
+        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=build_symbol_table(spec).B)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sample_torus(spec, fam, plan, seed, sample_count, keep)
+
+    def test_limits_accepted_and_names(self):
+        check_settings(0, 1, 0)
+        check_settings(2**64 - 1, 1, 5)
+        with pytest.raises(ValueError, match="^sampler.dump_replicates "):
+            check_settings(1, 10, -1, names=("seed", "sampler.sample_count",
+                                             "sampler.dump_replicates"))
 
 
 class TestGraphSampler:
@@ -59,43 +77,25 @@ class TestGraphSampler:
 
     def test_determinism_and_seed_sensitivity(self, cycle_setup):
         op, fam, plan, _, _ = cycle_setup
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=99,
-                            sample_count=64, operator=op)
-        a = sample_graph(cfg, fam)
-        b = sample_graph(cfg, fam)
-        assert a.components.tobytes() == b.components.tobytes()
-        cfg2 = SamplerConfig(backend="graph", plan=plan, seed=100,
-                             sample_count=64, operator=op)
-        c = sample_graph(cfg2, fam)
-        assert not np.array_equal(a.components, c.components)
+        a = sample_graph(op, fam, plan, 99, 64, keep=64)
+        b = sample_graph(op, fam, plan, 99, 64, keep=64)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+        c = sample_graph(op, fam, plan, 100, 64, keep=64)
+        assert not np.array_equal(a[1], c[1])
 
     def test_prefix_stability(self, cycle_setup):
         # replicate r does not depend on the total sample count
         op, fam, plan, _, _ = cycle_setup
-        small = SamplerConfig(backend="graph", plan=plan, seed=5,
-                              sample_count=50, operator=op)
-        large = SamplerConfig(backend="graph", plan=plan, seed=5,
-                              sample_count=120, operator=op)
-        a = sample_graph(small, fam)
-        b = sample_graph(large, fam)
-        assert np.array_equal(a.components, b.components[:50])
-
-    def test_totals_are_component_sums(self, cycle_setup):
-        op, fam, plan, _, _ = cycle_setup
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=3,
-                            sample_count=8, operator=op)
-        s = sample_graph(cfg, fam)
-        np.testing.assert_array_equal(s.totals, s.components.sum(axis=1))
-        assert s.scale_labels[0] == plan.j_min - 1
+        a_totals, a = sample_graph(op, fam, plan, 5, 50, keep=50)
+        b_totals, b = sample_graph(op, fam, plan, 5, 120, keep=120)
+        assert np.array_equal(a, b[:50])
+        assert np.array_equal(a_totals, b_totals[:50])
 
     def test_two_vertex_statistics(self, mollifier, norm1):
         op = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam)
-        cfg = SamplerConfig(backend="graph", plan=rec.plan, seed=2024,
-                            sample_count=100_000, operator=op)
-        s = sample_graph(cfg, fam)
-        tot = s.totals
+        tot, _ = sample_graph(op, fam, rec.plan, 2024, 100_000)
         R = tot.shape[0]
         var_x = float(np.mean(tot[:, 0] ** 2))
         cov_xy = float(np.mean(tot[:, 0] * tot[:, 1]))
@@ -107,12 +107,11 @@ class TestGraphSampler:
 
     def test_single_block_covariance(self, cycle_setup):
         op, fam, plan, rec, _ = cycle_setup
-        blk = next(b for b in rec.blocks if b.j == 2)
-        cfg = SamplerConfig(backend="graph", plan=ScalePlan(j_min=0, j_max=2), seed=77,
-                            sample_count=20_000, operator=op)
-        s = sample_graph(cfg, fam)
-        assert s.scale_labels == [-1, 0, 1, 2]
-        comp = s.components[:, s.scale_labels.index(2), :]
+        blk = scale_block(op, fam, 2, rec.plan.L_ratio, rec.plan.nodes_per_block)
+        small = ScalePlan(j_min=0, j_max=2)
+        _, kept = sample_graph(op, fam, small, 77, 20_000, keep=20_000)
+        assert small.scale_labels() == [-1, 0, 1, 2] and kept.shape[1] == 4
+        comp = kept[:, small.scale_labels().index(2), :]
         emp = comp.T @ comp / comp.shape[0]
         se = np.sqrt((np.outer(np.diag(blk.matrix), np.diag(blk.matrix))
                       + blk.matrix**2) / comp.shape[0])
@@ -120,15 +119,13 @@ class TestGraphSampler:
 
     def test_cross_scale_independence(self, cycle_setup):
         op, fam, plan, _, _ = cycle_setup
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=13,
-                            sample_count=20_000, operator=op)
-        s = sample_graph(cfg, fam)
-        n_scales = s.components.shape[1]
+        _, kept = sample_graph(op, fam, plan, 13, 20_000, keep=20_000)
+        n_scales = kept.shape[1]
         worst = 0.0
         for a in range(n_scales):
             for b in range(a + 1, n_scales):
-                xa = s.components[:, a, :]
-                xb = s.components[:, b, :]
+                xa = kept[:, a, :]
+                xb = kept[:, b, :]
                 va = np.mean(xa**2, axis=0)
                 vb = np.mean(xb**2, axis=0)
                 keep = (va > 1e-18) & (vb > 1e-18)
@@ -152,10 +149,8 @@ class TestGraphSampler:
         op = GraphOperator(cycle_graph(8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         plan = ScalePlan(j_min=0, j_max=2)
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=1,
-                            sample_count=4, operator=op)
-        s = sample_graph(cfg, fam)
-        assert np.max(np.abs(s.components.sum(axis=2))) <= 1e-12
+        _, kept = sample_graph(op, fam, plan, 1, 4, keep=4)
+        assert np.max(np.abs(kept.sum(axis=2))) <= 1e-12
 
 
 class TestTorusSampler:
@@ -188,11 +183,9 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=8)
-        cfg = SamplerConfig(backend="torus", plan=plan, seed=31,
-                            sample_count=10_000, lattice=spec)
-        s = sample_torus(cfg, fam, table=table)
+        totals, _ = sample_torus(spec, fam, plan, 31, 10_000, table=table)
         green0 = green_column(spec).flat[0]     # every site has variance G(0, 0)
-        var = np.mean(s.totals**2, axis=0)
+        var = np.mean(totals**2, axis=0)
         z = (var - green0) / (np.sqrt(2.0 / 10_000) * green0)
         assert np.max(np.abs(z)) <= 4.0
 
@@ -201,34 +194,29 @@ class TestTorusSampler:
         fam = DiscreteWeightFamily(mollifier, norm1,
                                    B=build_symbol_table(spec).B)
         plan = ScalePlan(j_min=0, j_max=3)
-        cfg = SamplerConfig(backend="torus", plan=plan, seed=41,
-                            sample_count=32, lattice=spec)
-        a = sample_torus(cfg, fam)
-        b = sample_torus(cfg, fam)
-        assert a.components.tobytes() == b.components.tobytes()
+        a = sample_torus(spec, fam, plan, 41, 32, keep=32)
+        b = sample_torus(spec, fam, plan, 41, 32, keep=32)
+        assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_zero_mode_guard_and_deflation(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=16)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        cfg = SamplerConfig(backend="torus", plan=plan, seed=1,
-                            sample_count=8, lattice=spec)
-        s = sample_torus(cfg, fam, table=table)
-        assert np.max(np.abs(s.totals.sum(axis=1))) <= 1e-10
+        totals, _ = sample_torus(spec, fam, plan, 1, 8, table=table)
+        assert np.max(np.abs(totals.sum(axis=1))) <= 1e-10
 
     def test_per_scale_locality(self, mollifier, norm1, cycle_setup):
         # oracle covariance of a block component vanishes beyond L^j; the
         # empirical covariance there is pure noise with z within bounds
         op, fam, plan, rec, _ = cycle_setup
-        blk = next(b for b in rec.blocks if b.j == 2)
+        blk = scale_block(op, fam, 2, rec.plan.L_ratio, rec.plan.nodes_per_block)
         dist = op.graph.distances()
         outside = dist >= blk.certificates.range_bound
         assert np.max(np.abs(blk.matrix[outside])) <= 1e-12 * np.max(np.abs(blk.matrix))
-        cfg = SamplerConfig(backend="graph", plan=ScalePlan(j_min=0, j_max=2),
-                            seed=8, sample_count=20_000, operator=op)
-        s = sample_graph(cfg, fam)
-        comp = s.components[:, s.scale_labels.index(2), :]
+        small = ScalePlan(j_min=0, j_max=2)
+        _, kept = sample_graph(op, fam, small, 8, 20_000, keep=20_000)
+        comp = kept[:, small.scale_labels().index(2), :]
         emp = comp.T @ comp / comp.shape[0]
         diag = np.diag(blk.matrix)
         se = np.sqrt(np.outer(diag, diag) / comp.shape[0])
@@ -238,10 +226,8 @@ class TestTorusSampler:
 class TestCovarianceReport:
     def test_sixteen_cycle_report(self, cycle_setup):
         op, fam, plan, _, oracle = cycle_setup
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=20240801,
-                            sample_count=10_000, operator=op)
-        s = sample_graph(cfg, fam)
-        rep = covariance_report(s, oracle)
+        totals, _ = sample_graph(op, fam, plan, 20240801, 10_000)
+        rep = covariance_report(totals, oracle)
         assert rep.max_abs_z <= 4.0
         assert rep.sample_count == 10_000
 
@@ -325,9 +311,7 @@ class TestDrawLayout:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        cfg = SamplerConfig(backend="torus", plan=plan, seed=13,
-                            sample_count=self.R, lattice=spec)
-        comps = sample_torus(cfg, fam, table=table).components
+        _, comps = sample_torus(spec, fam, plan, 13, self.R, keep=self.R, table=table)
         n = spec.size
         for s, v in enumerate(torus_mode_variances(spec, fam, plan, table=table)):
             amp = np.sqrt(v * n)
@@ -339,10 +323,65 @@ class TestDrawLayout:
         op = GraphOperator(cycle_graph(8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         plan = ScalePlan(j_min=-2, j_max=4)
-        cfg = SamplerConfig(backend="graph", plan=plan, seed=17,
-                            sample_count=self.R, operator=op)
-        comps = sample_graph(cfg, fam).components
+        _, comps = sample_graph(op, fam, plan, 17, self.R, keep=self.R)
         weights = op.graph.mu / op.graph.mu.sum()
         for s, A in enumerate(graph_scale_factors(op, fam, plan)):
             x = stream_normals(17, s, self.R, (op.n,)) @ A.T
             assert np.array_equal(comps[:, s], x - (x @ weights)[:, None])
+
+
+def small_sampler(backend, mollifier, norm1):
+    """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus."""
+    if backend == "graph":
+        op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        return lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw)
+    spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
+    table = build_symbol_table(spec)
+    fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+    return lambda plan, *args, **kw: sample_torus(spec, fam, plan, *args, **kw,
+                                                  table=table)
+
+
+class TestRunningTotals:
+    """Totals are summed scale by scale as the slices are drawn."""
+
+    R = 4100    # crosses a REPLICATE_BATCH boundary
+
+    @pytest.mark.parametrize("slice_values", [None, 1000])
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_totals_are_component_sums(self, mollifier, norm1, monkeypatch,
+                                       backend, slice_values):
+        if slice_values is not None:
+            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+        sample = small_sampler(backend, mollifier, norm1)
+        plan = ScalePlan(j_min=0, j_max=4)
+        totals, kept = sample(plan, 3, self.R, keep=self.R)
+        assert kept.shape == (self.R, len(plan.scale_labels()), 16)
+        assert np.array_equal(totals, kept.sum(axis=1))
+        totals4, kept4 = sample(plan, 3, self.R, keep=4)
+        assert np.array_equal(kept4, kept[:4])
+        assert totals4.tobytes() == totals.tobytes()
+
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_memory_does_not_grow_with_scales(self, mollifier, norm1, backend):
+        # the per-scale components of every replicate are never held
+        if backend == "graph":
+            op = GraphOperator(cycle_graph(32), "resolvent", m2=1.0)
+            fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+            run = lambda plan: sample_graph(op, fam, plan, 1, 4000)        # noqa: E731
+        else:
+            spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+            table = build_symbol_table(spec)
+            fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+            run = lambda plan: sample_torus(spec, fam, plan, 1, 4000,      # noqa: E731
+                                            table=table)
+        peaks = []
+        for j_max in (2, 8):
+            tracemalloc.start()
+            try:
+                run(ScalePlan(j_min=0, j_max=j_max))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
