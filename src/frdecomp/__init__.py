@@ -21,7 +21,7 @@ from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       stencil_operator)
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, reconstruct_green,
-                     scale_block, two_vertex_graph)
+                     scale_blocks, two_vertex_graph)
 from .sampler import covariance_report, sample_graph, sample_torus
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "reconstruct_torus_green", "stencil_operator",
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "reconstruct_green",
-    "scale_block", "two_vertex_graph",
+    "scale_blocks", "two_vertex_graph",
     "covariance_report", "sample_graph", "sample_torus",
 ]
 

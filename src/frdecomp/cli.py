@@ -96,11 +96,23 @@ CHOICES = {
 }
 
 
+# A scalar key takes the JSON type of its default, where true and false are
+# not numbers; a key whose default is null takes null or the type named here.
+# List-valued keys are unchecked.
+NULLABLE = {"scales.j_min": "an integer", "scales.j_max": "an integer",
+            "backend.edges_file": "a string", "sampler.z_bound": "a finite number"}
+TYPE_OF_DEFAULT = {int: "an integer", float: "a number", str: "a string"}
+ACCEPTS = {"an integer": lambda v: type(v) is int,
+           "a number": lambda v: type(v) in (int, float),
+           "a finite number": lambda v: type(v) in (int, float) and np.isfinite(v),
+           "a string": lambda v: type(v) is str}
+
+
 class ConfigError(ValueError):
     """A config the program cannot honour: an unknown key, a section that is
-    not an object, a value outside CHOICES, a scale plan or sampler setting
-    the library refuses, a z_bound that is not a finite number, or a retired
-    key set to a value other than the one used."""
+    not an object, a value of the wrong JSON type, a value outside CHOICES, a
+    scale plan or sampler setting the library refuses, or a retired key set
+    to a value other than the one used."""
 
 
 def _drop_retired(data):
@@ -123,10 +135,16 @@ def _check_known(defaults, data, prefix=""):
         name = prefix + key
         if key not in defaults:
             raise ConfigError(f"unknown config key {name}")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {name} must be an object")
-            _check_known(defaults[key], value, name + ".")
+            _check_known(default, value, name + ".")
+            continue
+        null = " or null" if default is None else ""
+        expected = NULLABLE.get(name) if null else TYPE_OF_DEFAULT.get(type(default))
+        if expected and not (null and value is None or ACCEPTS[expected](value)):
+            raise ConfigError(f"config key {name} must be {expected}{null}, got {value!r}")
 
 
 def deep_merge(base, override):
@@ -142,8 +160,8 @@ def deep_merge(base, override):
 class RunConfig:
     """Nested key-value configuration with lossless JSON round-trip.
 
-    Every key must be one of DEFAULT_CONFIG's (ConfigError otherwise);
-    retired keys are dropped, with a line in notes.
+    Every key must be one of DEFAULT_CONFIG's, with a value of its JSON type
+    (ConfigError otherwise); retired keys are dropped, with a line in notes.
     """
 
     def __init__(self, data=None):
@@ -211,7 +229,7 @@ def _graph_operator(config):
     from .graphs import GraphOperator, WeightedGraph, cycle_graph, two_vertex_graph
     b = config["backend"]
     if b["graph"] == "cycle":
-        graph = cycle_graph(int(b["n"]))
+        graph = cycle_graph(b["n"])
     elif b["graph"] == "two_vertex":
         graph = two_vertex_graph()
     else:
@@ -224,9 +242,9 @@ def _graph_operator(config):
 def _lattice_spec(config):
     from .lattice import LatticeSpec
     b = config["backend"]
-    d = int(b["d"])
+    d = b["d"]
     a = np.array(b["a"], dtype=float) if b["a"] is not None else np.eye(d)
-    return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=int(b["N"]))
+    return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=b["N"])
 
 
 def _scale_plan(config, family, lambda_min, t_min):
@@ -235,30 +253,24 @@ def _scale_plan(config, family, lambda_min, t_min):
     s = config["scales"]
     try:
         plan = default_scale_plan(family, lambda_min, t_min, L_ratio=s["L_ratio"],
-                                  nodes_per_block=int(s["nodes_per_block"]),
+                                  nodes_per_block=s["nodes_per_block"],
                                   target_tail_rel=s["target_tail_rel"])
         return dataclasses.replace(
-            plan, **{k: int(s[k]) for k in ("j_min", "j_max") if s[k] is not None})
+            plan, **{k: s[k] for k in ("j_min", "j_max") if s[k] is not None})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"scales: {exc}") from None
 
 
 def _sampler_settings(config):
-    """(seed, sample_count, dump_replicates, z_bound) of the config, refused
-    as by sampler.check_settings; z_bound must be null or a finite number."""
+    """(seed, sample_count, dump_replicates, z_bound), refused as by check_settings."""
     sc = config["sampler"]
+    settings = (config["seed"], sc["sample_count"], sc["dump_replicates"])
     try:
-        settings = (int(config["seed"]), int(sc["sample_count"]),
-                    int(sc["dump_replicates"]))
         check_settings(*settings, names=("seed", "sampler.sample_count",
                                          "sampler.dump_replicates"))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"sampler settings: {exc}") from None
-    z_bound = sc["z_bound"]
-    if z_bound is None or type(z_bound) in (int, float) and np.isfinite(z_bound):
-        return settings + (z_bound,)
-    raise ConfigError("config key sampler.z_bound must be null or a finite number, "
-                      f"got {z_bound!r}")
+    return settings + (sc["z_bound"],)
 
 
 class VerdictGroup(click.Group):
@@ -293,7 +305,7 @@ def main(ctx, config_path, out_dir, seed, tolerance_scale):
     for note in config.notes:
         click.echo(note)
     if seed is not None:
-        config.data["seed"] = int(seed)
+        config.data["seed"] = seed
     ctx.obj = {"config": config, "out": out_dir,
                "checks": CheckList(tolerance_scale), "artifacts": []}
 
@@ -387,13 +399,12 @@ def decompose(ctx):
     kind = config["backend"]["kind"]
     rows = []
     if kind == "graph":
-        from .graphs import PLAN_T_MIN, scale_block
+        from .graphs import PLAN_T_MIN, scale_blocks
         op = _graph_operator(config)
         family = DiscreteWeightFamily(m, norm, B=op.B)
         plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
-        for j in range(plan.j_min, plan.j_max + 1):
-            blk = scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
-            c = blk.certificates
+        for blk in scale_blocks(op, family, plan)[1]:
+            j, c = blk.j, blk.certificates
             sup = float(np.max(np.abs(blk.matrix)))
             rows.append((j, c.range_bound, c.min_eig, sup))
             checks.bound(f"graph_decomposition.scale_block[j={j}].range",

@@ -11,6 +11,10 @@ graph distance, so the scale blocks
 are positive semi-definite with exact range L^j, and their sum over all
 scales reproduces the inverse of Lambda.
 
+All blocks of a plan are series in one Chebyshev basis T_k(I - (3/(2B)) Lambda),
+so scale_blocks builds them from one recurrence on the identity: each T_k is
+formed once and added into every block whose degree reaches k.
+
 L is self-adjoint on l^2(mu), not as a plain matrix; all symmetrizations and
 eigenvalue certificates therefore happen in the mu-weighted geometry (for
 graphs with constant vertex measure this is plain matrix symmetry).
@@ -25,7 +29,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from .weights import ScalePlan, default_scale_plan
 
-DEFAULT_NODES_PER_BLOCK = 16
 # Lower end of the default graph plan.  Blocks below t = 1 have degree 0,
 # but each owns a sampler stream keyed by its scale index, so moving this
 # end would renumber every later scale and change every graph sample.
@@ -37,7 +40,7 @@ class GraphError(ValueError):
 
 
 class SingularOperatorError(GraphError):
-    """Reconstruction of a singular operator without zero-mode deflation."""
+    """An operator with no positive spectrum: no Green's function, deflated or not."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,31 +214,31 @@ class GraphOperator:
         return proj @ self.apply_weight_dense(pseudo_inverse) @ proj.T
 
 
-def chebyshev_apply(op, coeffs, u):
-    """c_0 u + 2 sum_k c_k T_k(X) u with X = I - (3/(2B)) Lambda, B = op.B.
+def chebyshev_apply(op, series, u):
+    """[c_0 u + 2 sum_k c_k T_k(X) u for each c in series], X = I - (3/(2B)) Lambda.
 
-    The three-term recurrence T_{k+1} = 2 X T_k - T_{k-1}; with the
-    coefficients of W*_t this is W*_t((3/B) Lambda) u.  The result is a
-    polynomial of degree len(coeffs) - 1 in Lambda applied to u, so its
-    support lies within that graph distance of supp(u).
+    One recurrence T_{k+1} = 2 X T_k - T_{k-1} up to the largest degree feeds
+    every result; with the coefficients of W*_t a result is W*_t((3/B) Lambda) u.
+    Result i has degree len(series[i]) - 1 in Lambda, so its support lies
+    within that graph distance of supp(u).
     """
     u = np.asarray(u, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
+    series = [np.asarray(c, dtype=float) for c in series]
     half = 0.5 * (3.0 / op.B)
 
     def apply_x(v):
         return v - half * op.apply(v)
 
-    acc = c[0] * u
-    if len(c) == 1:
-        return acc
-    v_prev = u
-    v_cur = apply_x(u)
-    acc = acc + 2.0 * c[1] * v_cur
-    for k in range(2, len(c)):
-        v_prev, v_cur = v_cur, 2.0 * apply_x(v_cur) - v_prev
-        acc = acc + 2.0 * c[k] * v_cur
-    return acc
+    accs = [c[0] * u for c in series]
+    degree = max(len(c) for c in series) - 1
+    v_prev, v_cur = u, u
+    for k in range(1, degree + 1):
+        x_cur = apply_x(v_cur)
+        v_prev, v_cur = v_cur, (x_cur if k == 1 else 2.0 * x_cur - v_prev)
+        for acc, c in zip(accs, series):
+            if k < len(c):
+                acc += 2.0 * c[k] * v_cur
+    return accs
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,6 @@ class ScaleBlock:
     j: int
     L_ratio: float
     matrix: np.ndarray
-    node_count: int
     certificates: BlockCertificates
 
 
@@ -281,42 +283,31 @@ def _mu_symmetrize(matrix, mu):
     return 0.5 * (matrix + partner), asym
 
 
-def block_over_interval(op, family, t_lo, t_hi, nodes_per_octave=DEFAULT_NODES_PER_BLOCK):
-    """Quadrature of t^2 (3/B) C W*_t((3/B) Lambda) dt/t over [t_lo, t_hi].
-
-    The integrated filter is one polynomial of degree floor(t_hi) in Lambda
-    (DiscreteWeightFamily.interval_coefficients), applied to the basis by a
-    single Chebyshev recurrence.  Returns the plain matrix (columns are the
-    integrated filter applied to basis vectors) before symmetrization or
-    certification, and the number of quadrature nodes.
-    """
+def scale_blocks(op, family, plan):
+    """(white, blocks): the white piece's multiple of the identity and the
+    blocks C_j of plan.series(family), each from one shared chebyshev_apply on
+    the basis, mu-symmetrized and with its range / PSD certificates."""
     if abs(family.B - op.B) > 1e-12 * op.B:
         raise GraphError(f"family B={family.B} does not match operator B={op.B}")
-    coeffs, node_count = family.interval_coefficients(t_lo, t_hi, nodes_per_octave)
-    return chebyshev_apply(op, coeffs, np.eye(op.n)), node_count
-
-
-def scale_block(op, family, j, L_ratio=2.0, nodes_per_block=DEFAULT_NODES_PER_BLOCK):
-    """Build C_j with its range / PSD certificates."""
-    if L_ratio <= 1.0:
-        raise GraphError("L_ratio must exceed 1")
-    if nodes_per_block < 4:
-        raise GraphError("nodes_per_block must be at least 4")
-    t_lo, t_hi = L_ratio ** (j - 1), L_ratio**j
-    raw, node_count = block_over_interval(op, family, t_lo, t_hi, nodes_per_block)
-    matrix, asym = _mu_symmetrize(raw, op.graph.mu)
+    series = plan.series(family)
+    raws = chebyshev_apply(op, series[1:], np.eye(op.n))
     dist = op.graph.distances()
-    range_bound = int(np.ceil(L_ratio**j))
-    outside = dist >= range_bound
-    oor = float(np.max(np.abs(matrix[outside]))) if outside.any() else 0.0
     s = np.sqrt(op.graph.mu)
-    sym = matrix * s[:, None] / s[None, :]
-    eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    certs = BlockCertificates(
-        min_eig=float(eigs.min()), max_eig=float(eigs.max()),
-        max_out_of_range=oor, range_bound=range_bound, asymmetry=asym)
-    return ScaleBlock(j=j, L_ratio=float(L_ratio), matrix=matrix,
-                      node_count=node_count, certificates=certs)
+    blocks = []
+    for i, j in enumerate(range(plan.j_min, plan.j_max + 1)):
+        matrix, asym = _mu_symmetrize(raws[i], op.graph.mu)
+        raws[i] = None  # hold one matrix per block, not two
+        range_bound = int(np.ceil(plan.L_ratio**j))
+        outside = dist >= range_bound
+        oor = float(np.max(np.abs(matrix[outside]))) if outside.any() else 0.0
+        sym = matrix * s[:, None] / s[None, :]
+        eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        certs = BlockCertificates(
+            min_eig=float(eigs.min()), max_eig=float(eigs.max()),
+            max_out_of_range=oor, range_bound=range_bound, asymmetry=asym)
+        blocks.append(ScaleBlock(j=j, L_ratio=float(plan.L_ratio), matrix=matrix,
+                                 certificates=certs))
+    return float(series[0][0]), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +336,8 @@ def reconstruct_green(op, family, plan=None):
     gap = op.spectral_gap()
     if plan is None:
         plan = default_scale_plan(family, gap, PLAN_T_MIN)
-    total = family.low_scale_integral(0.0, plan.t_low) * np.eye(op.n)
-    for j in range(plan.j_min, plan.j_max + 1):
-        total += scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block).matrix
+    white, blocks = scale_blocks(op, family, plan)
+    total = sum((blk.matrix for blk in blocks), white * np.eye(op.n))
     tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()

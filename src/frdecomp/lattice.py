@@ -377,7 +377,7 @@ def matched_continuum_kernel_at_points(spec, family, t, coords, order=0,
         spec.d, s * spec.a, s * spec.m2, t, coords,
         family.mollifier, family.normalization,
         xi_cutoff=xi_cutoff, n_nodes=n_nodes, order=order)
-    return family.multiplier * vals
+    return s * vals
 
 
 def continuum_tail_bound(d, t, mollifier, normalization, xi_cutoff=DEFAULT_XI_CUTOFF):

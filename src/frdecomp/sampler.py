@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError
+from .graphs import GraphError, scale_blocks
 from .weights import clenshaw_folded
 
 WHITE_CLIP_TOL = 1e-8
@@ -133,9 +133,9 @@ def _running_totals(count, scales, sites, keep):
 def torus_mode_variances(spec, family, plan, table=None):
     """Per-scale Fourier-mode variances v_j(xi) on the dual grid.
 
-    The white piece (scales below the plan) has the exact constant variance
-    C (3/B) phi_hat(0) * t_low; each block integrates the spectral
-    multiplier over its scale interval: one Chebyshev series per block.
+    Each entry of plan.series(family) evaluated on the symbol: the white
+    piece (scales below the plan) is the constant C (3/B) phi_hat(0) * t_low,
+    and each block integrates the spectral multiplier over its scale interval.
     At m^2 = 0 the zero mode gets variance 0 in every scale, so the field
     lives on mean-zero functions.
     """
@@ -144,18 +144,13 @@ def torus_mode_variances(spec, family, plan, table=None):
         table = build_symbol_table(spec)
     lam = table.values.ravel()
     zero_mode = lam <= 1e-12
-    variances = [np.full(lam.shape, family.low_scale_integral(0.0, plan.t_low))]
     theta = 1.0 - 0.5 * family.arg_scale * lam
-    for j in range(plan.j_min, plan.j_max + 1):
-        coeffs, _ = family.interval_coefficients(
-            plan.L_ratio ** (j - 1), plan.L_ratio**j, plan.nodes_per_block)
-        variances.append(clenshaw_folded(coeffs, theta))
+    variances = [clenshaw_folded(a, theta) for a in plan.series(family)]
     # Clip roundoff negatives against the field scale, not the block scale:
     # high-j blocks are uniformly tiny and carry 1e-15-level Clenshaw noise.
     field_scale = max(float(np.max(v)) for v in variances)
     out = []
     for v in variances:
-        v = np.asarray(v).copy()
         neg = v < 0
         if np.any(neg):
             worst = float(-v[neg].min())
@@ -220,16 +215,10 @@ def _block_factor(matrix, field_scale, clip_tol=WHITE_CLIP_TOL):
 
 def graph_scale_factors(op, family, plan):
     """Square-root factors A_j for the white piece and every block."""
-    from .graphs import scale_block
-    blocks = [scale_block(op, family, j, plan.L_ratio, plan.nodes_per_block)
-              for j in range(plan.j_min, plan.j_max + 1)]
-    white_var = family.low_scale_integral(0.0, plan.t_low)
-    factors = [np.sqrt(white_var) * np.eye(op.n)]
+    white_var, blocks = scale_blocks(op, family, plan)
     field_scale = max([b.certificates.max_eig for b in blocks] + [white_var])
-    for blk in blocks:
-        A, _ = _block_factor(blk.matrix, field_scale)
-        factors.append(A)
-    return factors
+    return [np.sqrt(white_var) * np.eye(op.n)] + [
+        _block_factor(blk.matrix, field_scale)[0] for blk in blocks]
 
 
 def sample_graph(op, family, plan, seed, sample_count, keep=0):

@@ -24,8 +24,9 @@ end and tabulated tail integrals of phi for the high end.
 The integrand t^2 C (3/B) W*_t is linear in the coefficients phi_hat(k/t)/t,
 so a scale integral over [t_lo, t_hi] is itself one Chebyshev series of
 degree floor(t_hi) whose coefficients are the quadrature sum of the per-scale
-ones.  Every scale integral, torus mode variance and graph block in the
-package evaluates that single series (DiscreteWeightFamily.interval_coefficients).
+ones (DiscreteWeightFamily.interval_coefficients).  A plan is the list of
+those series, white piece first (ScalePlan.series), and every torus mode
+variance and graph block in the package evaluates that list.
 """
 
 from dataclasses import dataclass
@@ -162,7 +163,6 @@ class DiscreteWeightFamily:
         self.gamma = 1.0
         self.B = float(B)
         self.arg_scale = 3.0 / self.B
-        self.multiplier = 3.0 / self.B
         self.lambda_max = 4.0 / self.arg_scale
         self._coeff_cache = {}
 
@@ -187,12 +187,12 @@ class DiscreteWeightFamily:
         arr = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * arr
         out = clenshaw_folded(self.coefficients(t), theta)
-        out = self.normalization.constant * self.multiplier * out
+        out = self.normalization.constant * self.arg_scale * out
         return out if np.ndim(lam) else float(out[0])
 
     def max_value(self, t_lo=0.1):
         # W*_t <= phi_hat(0)/t for t < 1 dominates every practical grid.
-        return (self.normalization.constant * self.multiplier
+        return (self.normalization.constant * self.arg_scale
                 * self.mollifier.phi_hat0 / t_lo)
 
     # -- scale integrals ----------------------------------------------------
@@ -204,7 +204,7 @@ class DiscreteWeightFamily:
         """
         if not 0.0 <= t_lo <= t_hi <= 1.0 + 1e-15:
             raise ValueError("exact low piece requires 0 <= t_lo <= t_hi <= 1")
-        return (self.normalization.constant * self.multiplier
+        return (self.normalization.constant * self.arg_scale
                 * self.mollifier.phi_hat0 * (t_hi - t_lo))
 
     def interval_coefficients(self, t_lo, t_hi,
@@ -214,15 +214,15 @@ class DiscreteWeightFamily:
         On the log-Gauss-Legendre nodes t_q with weights w_q,
         a_k = sum_q w_q C (3/B) t_q^2 phi_hat(k/t_q)/t_q for k <= floor(t_hi):
         the whole scale integral is one Chebyshev series in
-        1 - (3/(2B)) lambda.  Returns (a, number of quadrature nodes).
+        1 - (3/(2B)) lambda.
         """
         tq, wq = log_gauss_legendre(t_lo, t_hi, nodes_per_octave)
-        factors = self.normalization.constant * self.multiplier * wq * tq**2
+        factors = self.normalization.constant * self.arg_scale * wq * tq**2
         a = np.zeros(int(np.floor(tq.max())) + 1)
         for t, f in zip(tq, factors):
             c = self.coefficients(t)
             a[:len(c)] += f * c
-        return a, len(tq)
+        return a
 
     def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
         """Scale integral with the degree-0 region handled in closed form.
@@ -234,7 +234,7 @@ class DiscreteWeightFamily:
         lam = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * lam
         integral = np.zeros_like(lam)
-        scale = self.normalization.constant * self.multiplier
+        scale = self.normalization.constant * self.arg_scale
         split = min(1.0, t_max)
         if t_min <= 1.0:
             integral += self.low_scale_integral(0.0, split)
@@ -248,8 +248,8 @@ class DiscreteWeightFamily:
                                             + self.mollifier.x_max * t_min / np.pi))
             q_lo = t_min
         if t_max > q_lo * (1.0 + 1e-12):
-            coeffs, _ = self.interval_coefficients(q_lo, t_max, nodes_per_octave)
-            integral += clenshaw_folded(coeffs, theta)
+            integral += clenshaw_folded(
+                self.interval_coefficients(q_lo, t_max, nodes_per_octave), theta)
         return integral, tail_low, self.tail_high(lam, t_max)
 
     def tail_high(self, lam, t_max):
@@ -259,7 +259,7 @@ class DiscreteWeightFamily:
         scale_integral returns the same bound as its third value.
         """
         lam = self._check_lambda(lam)
-        scale = self.normalization.constant * self.multiplier
+        scale = self.normalization.constant * self.arg_scale
         x = np.arccos(1.0 - 0.5 * (self.arg_scale * lam))
         wrap = self.mollifier.weight_tail_integral(np.pi * t_max, 1.0)
         return np.array([
@@ -303,6 +303,14 @@ class ScalePlan:
     def scale_labels(self):
         """White piece first (labelled j_min - 1), then the blocks."""
         return list(range(self.j_min - 1, self.j_max + 1))
+
+    def series(self, family):
+        """One folded Chebyshev series per entry of scale_labels(): the white
+        piece [0, t_low] as a degree-0 array, then each block's interval_coefficients."""
+        t = [self.L_ratio**j for j in self.scale_labels()]
+        return [np.array([family.low_scale_integral(0.0, t[0])])] + [
+            family.interval_coefficients(lo, hi, self.nodes_per_block)
+            for lo, hi in zip(t, t[1:])]
 
 
 def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0,

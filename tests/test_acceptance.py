@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_block,
+from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_blocks,
                              two_vertex_graph)
 from frdecomp.lattice import (LatticeSpec, build_symbol_table, continuum_kernel,
                               decay_fit, lattice_kernel, reconstruct_torus_green)
@@ -49,11 +49,6 @@ class Criterion:
         assert elapsed < self.budget, f"criterion {self.number} took {elapsed:.1f}s"
 
 
-def plan_blocks(op, fam, plan):
-    return [scale_block(op, fam, j, plan.L_ratio, plan.nodes_per_block)
-            for j in range(plan.j_min, plan.j_max + 1)]
-
-
 @pytest.fixture(scope="module")
 def graph_suite(mollifier, norm1):
     """The default graph block suite: blocks and reconstructions reused by
@@ -69,7 +64,7 @@ def graph_suite(mollifier, norm1):
     for name, (op, plan) in cases.items():
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam, plan)
-        suite[name] = (op, fam, rec, plan_blocks(op, fam, rec.plan))
+        suite[name] = (op, fam, rec, scale_blocks(op, fam, rec.plan)[1])
     return suite
 
 

@@ -46,6 +46,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"unknown config key {key}$"):
             RunConfig(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"backend": {"n": True}}, "backend.n must be an integer, got True"),
+        ({"scales": {"L_ratio": False}}, "scales.L_ratio must be a number, got False"),
+        ({"backend": {"operator": 1}}, "backend.operator must be a string, got 1"),
+        ({"scales": {"j_min": 0.5}}, "scales.j_min must be an integer or null"),
+        ({"backend": {"edges_file": 3}}, "backend.edges_file must be a string or null"),
+        ({"sampler": {"z_bound": float("nan")}},
+         "sampler.z_bound must be a finite number or null"),
+    ])
+    def test_value_of_wrong_json_type_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=f"config key {message}"):
+            RunConfig(data)
+
+    def test_values_of_the_default_json_type_accepted(self):
+        data = {"scales": {"L_ratio": 3, "j_min": -1, "j_max": None},
+                "backend": {"edges_file": "edges.txt"}, "sampler": {"z_bound": 5}}
+        assert RunConfig(data)["scales"]["L_ratio"] == 3
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="sampler must be an object"):
             RunConfig({"sampler": 5})
@@ -206,22 +224,23 @@ class TestSampleCommand:
         assert (out / "samples.bin").exists()
 
     def test_massless_cycle_builds_each_block_once(self, tmp_path, monkeypatch):
-        import frdecomp.graphs as graphs
+        import frdecomp.sampler as sampler
         built = []
-        original = graphs.scale_block
+        original = sampler.scale_blocks
 
-        def counting_scale_block(op, family, j, *args, **kwargs):
-            built.append(j)
-            return original(op, family, j, *args, **kwargs)
+        def counting_scale_blocks(op, family, plan):
+            white, blocks = original(op, family, plan)
+            built.append([b.j for b in blocks])
+            return white, blocks
 
-        monkeypatch.setattr(graphs, "scale_block", counting_scale_block)
+        monkeypatch.setattr(sampler, "scale_blocks", counting_scale_blocks)
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"operator": "laplacian"},
                    "scales": {"j_min": -2, "j_max": 6},
                    "sampler": {"sample_count": 4000}}).to_file(cfgfile)
         res = run(["--config", str(cfgfile), "--out", str(tmp_path / "ml"), "sample"])
         assert res.exit_code == 0, res.output
-        assert built == list(range(-2, 7))
+        assert built == [list(range(-2, 7))]
 
     def test_graph_from_edgelist_file(self, tmp_path):
         edges = tmp_path / "edges.txt"
@@ -332,7 +351,16 @@ class TestRejectedInput:
             ({"backend": {"kind": "torus"}, "scales": {"target_tail_rel": 1e-40}},
              "reconstruct"),
             ({"backend": {"kind": "torus"}, "scales": {"nodes_per_block": 2}},
-             "reconstruct"))
+             "reconstruct"),
+            ({"backend": {"n": 16.9}}, "reconstruct"),
+            ({"backend": {"n": "16"}}, "sample"),
+            ({"scales": {"j_max": 6.7}}, "reconstruct"),
+            ({"sampler": {"sample_count": 1000.9}}, "sample"),
+            ({"seed": 12345.6}, "sample"),
+            ({"backend": {"kind": "torus", "N": 8.5}}, "sample"),
+            ({"backend": {"m2": "x"}}, "reconstruct"),
+            ({"backend": {"kind": "torus", "lattice_m2": "x"}}, "reconstruct"),
+            ({"tolerances": {"reconstruction_rel": "x"}}, "reconstruct"))
     ])
     def test_bad_config_fails_before_work(self, tmp_path, text, command):
         cfgfile = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from frdecomp import fileio
-from frdecomp.graphs import GraphOperator, cycle_graph, scale_block
-from frdecomp.weights import DiscreteWeightFamily
+from frdecomp.graphs import GraphOperator, cycle_graph, scale_blocks
+from frdecomp.weights import DiscreteWeightFamily, ScalePlan
 
 
 def test_kernel_binary_roundtrip(tmp_path):
@@ -34,7 +34,7 @@ def test_kernel_csv(tmp_path):
 def test_block_dump_with_sidecar(tmp_path, mollifier, norm1):
     op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-    blk = scale_block(op, fam, j=2)
+    blk = scale_blocks(op, fam, ScalePlan(j_min=1, j_max=2))[1][-1]
     base = tmp_path / "block"
     fileio.write_block(str(base), blk, extra={"B": op.B, "kind": "resolvent",
                                               "m2": 1.0})

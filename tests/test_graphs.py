@@ -3,11 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from frdecomp.graphs import (PLAN_T_MIN, GraphError, GraphOperator,
-                             WeightedGraph, block_over_interval, chebyshev_apply,
-                             cycle_graph, killed_green_consistency,
-                             reconstruct_green, scale_block, two_vertex_graph)
+                             WeightedGraph, chebyshev_apply, cycle_graph,
+                             killed_green_consistency, reconstruct_green,
+                             scale_blocks, two_vertex_graph)
 from frdecomp.quadrature import log_gauss_legendre
-from frdecomp.weights import (DiscreteWeightFamily, default_scale_plan,
+from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, default_scale_plan,
                               eval_discrete_weight_direct)
 
 
@@ -123,7 +123,7 @@ class TestChebyshevApply:
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         delta = np.zeros(16)
         delta[3] = 1.0
-        out = chebyshev_apply(op, fam.coefficients(3.0), delta)
+        out, = chebyshev_apply(op, [fam.coefficients(3.0)], delta)
         dist = g.distances()[3]
         assert np.max(np.abs(out[dist > 3])) <= 1e-12 * np.max(np.abs(out))
         assert np.max(np.abs(out[dist <= 3])) > 0
@@ -132,7 +132,7 @@ class TestChebyshevApply:
         op = GraphOperator(cycle_graph(8), "resolvent", m2=0.5)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         u = np.arange(8.0)
-        out = chebyshev_apply(op, fam.coefficients(0.5), u)
+        out, = chebyshev_apply(op, [fam.coefficients(0.5)], u)
         c0 = fam.coefficients(0.5)[0]
         np.testing.assert_allclose(out, c0 * u, rtol=1e-15)
 
@@ -143,7 +143,7 @@ class TestChebyshevApply:
         op = GraphOperator(g, "resolvent", m2=0.5)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         u = rng.standard_normal(12)
-        got = chebyshev_apply(op, fam.coefficients(t), u)
+        got, = chebyshev_apply(op, [fam.coefficients(t)], u)
         # oracle: eigendecomposition + periodized-sum weight (no Chebyshev)
         dense = op.apply_weight_dense(
             lambda lam: eval_discrete_weight_direct(
@@ -155,35 +155,51 @@ class TestChebyshevApply:
         op = GraphOperator(cycle_graph(8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=3.0)
         with pytest.raises(GraphError):
-            block_over_interval(op, fam, 1.0, 2.0)
+            scale_blocks(op, fam, ScalePlan(j_min=0, j_max=1))
+
+    @pytest.mark.parametrize("L_ratio", [2.0, 3.0])
+    def test_shared_recurrence_matches_one_series_at_a_time(self, mollifier, norm1,
+                                                            L_ratio):
+        # non-constant mu; each block adds the same T_k(X) in the same k order
+        op = GraphOperator(random_graph(20, 0.2, np.random.default_rng(5)),
+                           "killed", kappa=0.8)
+        assert np.ptp(op.graph.mu) > 0
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        series = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN,
+                                    L_ratio=L_ratio).series(fam)
+        eye = np.eye(op.n)
+        shared = chebyshev_apply(op, series, eye)
+        assert len(shared) == len(series)
+        for c, got in zip(series, shared):
+            assert np.array_equal(got, chebyshev_apply(op, [c], eye)[0])
 
 
 class TestScaleBlock:
     def test_certificates(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        blk = scale_block(op, fam, j=3)
+        blk = scale_blocks(op, fam, ScalePlan(j_min=1, j_max=3))[1][-1]
         c = blk.certificates
+        assert blk.j == 3
         assert c.range_bound == 8
         sup = float(np.max(np.abs(blk.matrix)))
         assert c.max_out_of_range <= 1e-12 * sup
         assert c.min_eig >= -1e-10 * c.max_eig
         assert c.asymmetry <= 1e-11 * sup
 
-    def test_parameter_validation(self, mollifier, norm1):
-        op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        with pytest.raises(GraphError):
-            scale_block(op, fam, j=1, L_ratio=1.0)
-        with pytest.raises(GraphError):
-            scale_block(op, fam, j=1, nodes_per_block=2)
+    def test_parameter_validation(self):
+        # blocks take L_ratio and nodes_per_block from a plan, which refuses both
+        with pytest.raises(ValueError, match="L_ratio"):
+            ScalePlan(j_min=0, j_max=1, L_ratio=1.0)
+        with pytest.raises(ValueError, match="nodes_per_block"):
+            ScalePlan(j_min=0, j_max=1, nodes_per_block=2)
 
     def test_additivity(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(12), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        ab, _ = block_over_interval(op, fam, 1.0, 3.0, nodes_per_octave=24)
-        bc, _ = block_over_interval(op, fam, 3.0, 9.0, nodes_per_octave=24)
-        ac, _ = block_over_interval(op, fam, 1.0, 9.0, nodes_per_octave=24)
+        ab, bc, ac = chebyshev_apply(
+            op, [fam.interval_coefficients(t_lo, t_hi, 24)
+                 for t_lo, t_hi in ((1.0, 3.0), (3.0, 9.0), (1.0, 9.0))], np.eye(op.n))
         scale = np.max(np.abs(ac))
         assert np.max(np.abs(ab + bc - ac)) <= 1e-9 * scale
 
@@ -191,13 +207,12 @@ class TestScaleBlock:
     def test_single_polynomial_matches_per_node_sum(self, mollifier, norm1, t_lo, t_hi):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=0.5)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        got, nodes = block_over_interval(op, fam, t_lo, t_hi)
-        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
         eye = np.eye(op.n)
-        scale = norm1.constant * fam.multiplier
-        expect = sum(w * scale * t**2 * chebyshev_apply(op, fam.coefficients(t), eye)
-                     for t, w in zip(tq, wq))
-        assert nodes == len(tq)
+        got, = chebyshev_apply(op, [fam.interval_coefficients(t_lo, t_hi, 16)], eye)
+        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
+        scale = norm1.constant * fam.arg_scale
+        per_node = chebyshev_apply(op, [fam.coefficients(t) for t in tq], eye)
+        expect = sum(w * scale * t**2 * m for t, w, m in zip(tq, wq, per_node))
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
         outside = op.graph.distances() >= np.ceil(t_hi)
         assert outside.any() and np.all(got[outside] == 0.0)
@@ -208,8 +223,8 @@ class TestScaleBlock:
         op = GraphOperator(cycle_graph(64))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         js = [2, 3, 4, 5]
-        sups = [float(np.max(np.abs(scale_block(op, fam, j).matrix)))
-                for j in js]
+        blocks = scale_blocks(op, fam, ScalePlan(j_min=1, j_max=5))[1]
+        sups = [float(np.max(np.abs(b.matrix))) for b in blocks if b.j in js]
         slope = np.polyfit(np.array(js) * np.log(2.0), np.log(sups), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.35)
 
@@ -227,6 +242,25 @@ class TestReconstruction:
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam)
         assert rec.max_rel_error <= 1e-5
+
+    def test_one_recurrence_per_plan(self, mollifier, norm1, monkeypatch):
+        # 64-cycle Laplacian, plan j = -2..11: every block comes from one
+        # recurrence up to the top block's degree (2044), one apply a step
+        op = GraphOperator(cycle_graph(64))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN)
+        assert (plan.j_min, plan.j_max) == (-2, 11)
+        assert max(len(c) for c in plan.series(fam)) - 1 == 2044
+        calls = []
+        apply = GraphOperator.apply
+
+        def counting_apply(self, u):
+            calls.append(np.shape(u))
+            return apply(self, u)
+
+        monkeypatch.setattr(GraphOperator, "apply", counting_apply)
+        reconstruct_green(op, fam, plan)
+        assert len(calls) == 2044
 
     def test_massless_cycle_pseudo_inverse(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frdecomp import sampler
-from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_block,
+from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_blocks,
                              two_vertex_graph)
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, check_settings,
@@ -37,6 +37,14 @@ class TestScalePlan:
         plan = ScalePlan(j_min=-1, j_max=3)
         assert plan.scale_labels() == [-2, -1, 0, 1, 2, 3]
         assert plan.t_low == 0.25
+
+    def test_series_one_per_label(self, mollifier, norm1):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=2.5)
+        plan = ScalePlan(j_min=-1, j_max=3, L_ratio=3.0)
+        series = plan.series(fam)
+        assert len(series) == len(plan.scale_labels())
+        assert series[0].tolist() == [fam.low_scale_integral(0.0, plan.t_low)]
+        assert [len(a) - 1 for a in series[1:]] == [0, 0, 2, 8, 26]
 
 
 class TestCheckSettings:
@@ -107,8 +115,8 @@ class TestGraphSampler:
 
     def test_single_block_covariance(self, cycle_setup):
         op, fam, plan, rec, _ = cycle_setup
-        blk = scale_block(op, fam, 2, rec.plan.L_ratio, rec.plan.nodes_per_block)
         small = ScalePlan(j_min=0, j_max=2)
+        blk = scale_blocks(op, fam, small)[1][-1]
         _, kept = sample_graph(op, fam, small, 77, 20_000, keep=20_000)
         assert small.scale_labels() == [-1, 0, 1, 2] and kept.shape[1] == 4
         comp = kept[:, small.scale_labels().index(2), :]
@@ -210,7 +218,7 @@ class TestTorusSampler:
         # oracle covariance of a block component vanishes beyond L^j; the
         # empirical covariance there is pure noise with z within bounds
         op, fam, plan, rec, _ = cycle_setup
-        blk = scale_block(op, fam, 2, rec.plan.L_ratio, rec.plan.nodes_per_block)
+        blk = scale_blocks(op, fam, ScalePlan(j_min=0, j_max=2))[1][-1]
         dist = op.graph.distances()
         outside = dist >= blk.certificates.range_bound
         assert np.max(np.abs(blk.matrix[outside])) <= 1e-12 * np.max(np.abs(blk.matrix))
