@@ -20,9 +20,9 @@ from . import fileio
 from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
-from .sampler import BlockQualityError, check_settings
-from .weights import (ContinuousWeightFamily, DiscreteWeightFamily,
-                      approximation_rate, chebyshev_coefficients,
+from .sampler import check_settings
+from .weights import (BlockQualityError, ContinuousWeightFamily,
+                      DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
                       default_scale_plan, eval_discrete_weight,
@@ -247,6 +247,26 @@ def _lattice_spec(config):
     return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=b["N"])
 
 
+def _backend(config, with_plan=True):
+    """(op, family, plan) of the config's backend.
+
+    op is the GraphOperator or, on a torus, the SymbolTable; family is the
+    discrete weight family for op.B; plan is _scale_plan's for op, or None
+    without with_plan.  The mollifier (_components) is built before op.
+    """
+    m, norm = _components(config)
+    if config["backend"]["kind"] == "graph":
+        from .graphs import PLAN_T_MIN
+        op = _graph_operator(config)
+    else:
+        from .lattice import PLAN_T_MIN, build_symbol_table
+        op = build_symbol_table(_lattice_spec(config))
+    family = DiscreteWeightFamily(m, norm, B=op.B)
+    if not with_plan:
+        return op, family, None
+    return op, family, _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+
+
 def _scale_plan(config, family, lambda_min, t_min):
     """default_scale_plan for the operator with the config's scales, then the
     config's j_min / j_max where they are set."""
@@ -395,14 +415,11 @@ def decompose(ctx):
     """Build kernels/blocks with certificates and a summary table."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
-    m, norm = _components(config)
     kind = config["backend"]["kind"]
+    op, family, plan = _backend(config, with_plan=kind == "graph")
     rows = []
     if kind == "graph":
-        from .graphs import PLAN_T_MIN, scale_blocks
-        op = _graph_operator(config)
-        family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+        from .graphs import scale_blocks
         for blk in scale_blocks(op, family, plan)[1]:
             j, c = blk.j, blk.certificates
             sup = float(np.max(np.abs(blk.matrix)))
@@ -418,12 +435,10 @@ def decompose(ctx):
                      ["j", "range_bound", "min_eig", "sup_norm"],
                      [(j, r, float(e), float(s)) for j, r, e, s in rows])
     else:
-        from .lattice import build_symbol_table, lattice_kernel
-        spec = _lattice_spec(config)
-        table = build_symbol_table(spec)
-        family = DiscreteWeightFamily(m, norm, B=table.B)
+        from .lattice import lattice_kernel
+        spec = op.spec
         for t in config["backend"]["t_list"]:
-            ker = lattice_kernel(spec, table, family, float(t))
+            ker = lattice_kernel(op, family, float(t))
             rows.append((float(t), ker.range_bound, ker.multiplier_min, ker.sup))
             checks.bound(f"lattice_kernels.lattice_kernel[t={t}].range",
                          ker.max_out_of_range / max(ker.sup, 1e-300),
@@ -433,7 +448,7 @@ def decompose(ctx):
                          tol["range_rel"])
             base = _artifact(ctx, f"kernel_t{t}", ".bin", ".csv")
             fileio.write_kernel_binary(f"{base}.bin",
-                                       [spec.d, spec.N, t, spec.m2, table.B],
+                                       [spec.d, spec.N, t, spec.m2, op.B],
                                        ker.values)
             fileio.write_kernel_csv(f"{base}.csv", ker.values)
         _write_table(ctx, "decompose_summary.csv",
@@ -443,8 +458,7 @@ def decompose(ctx):
             from .lattice import decay_fit
             decay_rows = []
             for l_x, l_y in config["backend"]["decay_orders"]:
-                fit = decay_fit(spec, family, t_list, l_x=int(l_x), l_y=int(l_y),
-                                table=table)
+                fit = decay_fit(op, family, t_list, l_x=int(l_x), l_y=int(l_y))
                 decay_rows += [(float(t), int(l_x), int(l_y), float(v), fit.slope)
                                for t, v in zip(fit.t_list, fit.max_abs)]
             _write_table(ctx, "decay_fit.csv",
@@ -458,35 +472,23 @@ def reconstruct(ctx):
     """Reconstruct the Green's function from scale blocks vs its oracle."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
-    m, norm = _components(config)
-    kind = config["backend"]["kind"]
-    if kind == "graph":
-        from .graphs import PLAN_T_MIN, reconstruct_green
-        op = _graph_operator(config)
-        family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+    op, family, plan = _backend(config)
+    if config["backend"]["kind"] == "graph":
+        from .graphs import reconstruct_green
         rec = reconstruct_green(op, family, plan)
-        bound = tol["reconstruction_rel_massless"] if rec.deflated \
-            else tol["reconstruction_rel"]
-        checks.bound("graph_decomposition.reconstruct_green.max_rel_error",
-                     rec.max_rel_error, bound)
+        name = "graph_decomposition.reconstruct_green.max_rel_error"
         report = {"j_min": rec.plan.j_min, "j_max": rec.plan.j_max,
                   "max_rel_error": rec.max_rel_error,
                   "tail_high_bound": rec.tail_high_bound,
                   "deflated": rec.deflated}
     else:
-        from .lattice import PLAN_T_MIN, build_symbol_table, reconstruct_torus_green
-        spec = _lattice_spec(config)
-        table = build_symbol_table(spec)
-        family = DiscreteWeightFamily(m, norm, B=table.B)
-        plan = _scale_plan(config, family, table.spectral_gap(), PLAN_T_MIN)
-        rec = reconstruct_torus_green(spec, family, plan, table=table)
-        bound = tol["reconstruction_rel_massless"] if rec.deflated \
-            else tol["reconstruction_rel"]
-        checks.bound("lattice_kernels.reconstruct_torus_green.max_rel_error",
-                     rec.max_rel_error, bound)
+        from .lattice import reconstruct_torus_green
+        rec = reconstruct_torus_green(op, family, plan)
+        name = "lattice_kernels.reconstruct_torus_green.max_rel_error"
         report = {"t_max": rec.t_max, "max_rel_error": rec.max_rel_error,
                   "tail_bound": rec.tail_bound, "deflated": rec.deflated}
+    checks.bound(name, rec.max_rel_error, tol["reconstruction_rel_massless"]
+                 if rec.deflated else tol["reconstruction_rel"])
     report["format_version"] = fileio.FORMAT_VERSION
     fileio.write_json(_artifact(ctx, "reconstruction.json"), report)
     _finish(ctx, "reconstruct")
@@ -498,25 +500,16 @@ def sample(ctx):
     """Draw multiscale field replicates and verify covariance statistically."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     seed, sample_count, keep, z_bound = _sampler_settings(config)
-    m, norm = _components(config)
+    op, family, plan = _backend(config)
     kind = config["backend"]["kind"]
     from .sampler import covariance_report, sample_graph, sample_torus
     if kind == "graph":
-        from .graphs import PLAN_T_MIN
-        op = _graph_operator(config)
-        family = DiscreteWeightFamily(m, norm, B=op.B)
-        plan = _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
         totals, kept = sample_graph(op, family, plan, seed, sample_count, keep)
         oracle = op.green_oracle()
     else:
-        from .lattice import PLAN_T_MIN, build_symbol_table, circulant_matrix, green_column
-        spec = _lattice_spec(config)
-        table = build_symbol_table(spec)
-        family = DiscreteWeightFamily(m, norm, B=table.B)
-        plan = _scale_plan(config, family, table.spectral_gap(), PLAN_T_MIN)
-        totals, kept = sample_torus(spec, family, plan, seed, sample_count, keep,
-                                    table=table)
-        oracle = circulant_matrix(green_column(spec))
+        from .lattice import circulant_matrix, green_column
+        totals, kept = sample_torus(op, family, plan, seed, sample_count, keep)
+        oracle = circulant_matrix(green_column(op.spec))
     rep = covariance_report(totals, oracle, min_samples=min(1000, sample_count))
     if z_bound is None:
         # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m); a

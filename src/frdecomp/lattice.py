@@ -23,7 +23,8 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import j0, j1
 
 from .quadrature import gauss_legendre
-from .weights import default_scale_plan
+from .weights import (WHITE_CLIP_TOL, BlockQualityError, clenshaw_folded,
+                      default_scale_plan)
 
 DEFAULT_XI_CUTOFF = 40.0
 # Lower end of the default torus plan: the exact white piece covers t < 1.
@@ -85,7 +86,8 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """a*(xi) + m^2 tabulated on the dual grid, with the norm bound B."""
+    """a*(xi) + m^2 tabulated on the dual grid, with the norm bound B: the
+    torus operator that every kernel, variance and reconstruction takes."""
 
     spec: LatticeSpec
     values: np.ndarray
@@ -151,7 +153,12 @@ class LatticeKernel:
         return float(np.max(np.abs(self.values)))
 
 
-def lattice_kernel(spec, table, family, t, allow_wraparound=False):
+def _check_family(table, family):
+    if abs(family.B - table.B) > 1e-9 * table.B:
+        raise LatticeError(f"family B={family.B} does not match table B={table.B}")
+
+
+def lattice_kernel(table, family, t, allow_wraparound=False):
     """Inverse-transform the multiplier C (3/B) t^2 W*_t((3/B) symbol).
 
     family must be a DiscreteWeightFamily built with B = table.B.  The exact
@@ -159,8 +166,8 @@ def lattice_kernel(spec, table, family, t, allow_wraparound=False):
     unless allow_wraparound is set (scale integrals targeting the torus
     inverse are exact with wrap-around and may set it).
     """
-    if abs(family.B - table.B) > 1e-9 * table.B:
-        raise LatticeError(f"family B={family.B} does not match table B={table.B}")
+    _check_family(table, family)
+    spec = table.spec
     if not allow_wraparound and 2.0 * t >= spec.N:
         raise WrapAroundError(
             f"t={t} needs N > {2 * t} for an uncontaminated range check (N={spec.N})")
@@ -256,37 +263,66 @@ class TorusReconstruction:
     deflated: bool
 
 
-def reconstruct_torus_green(spec, family, plan=None, table=None):
-    """Integrate scale kernels over [0, plan.t_high] and compare to the
-    real-space oracle; plan defaults to
-    default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN).
+def torus_mode_variances(table, family, series):
+    """Fourier-mode variances on the dual grid, one per folded series.
 
-    The mode-wise integral equals the sum of t^2-weighted kernels over a
-    log-t quadrature with plan.nodes_per_block nodes per octave plus the
-    exact [0, 1] piece; at m^2 = 0 the zero mode is deflated (projection
-    onto mean-zero functions).  The reconstructed Green matrix is circulant
-    by construction and the oracle commutes with shifts, so the largest
-    entrywise error is the largest error over the one column
-    green_column(spec).
+    Each series (ScalePlan.series, or a sum of its entries) is evaluated on
+    the symbol.  Roundoff negatives are clipped against the field scale, the
+    largest variance of any series, not the series' own: high-j blocks are
+    uniformly tiny and carry 1e-15-level Clenshaw noise; more negative mass
+    is a BlockQualityError.  At m^2 = 0 the zero mode gets variance 0 in
+    every series, so the field lives on mean-zero functions.
     """
-    if table is None:
-        table = build_symbol_table(spec)
+    _check_family(table, family)
     lam = table.values.ravel()
-    deflated = spec.m2 <= 0.0
-    keep = lam > 1e-12 if deflated else np.ones(lam.shape, dtype=bool)
+    zero_mode = lam <= 1e-12
+    theta = 1.0 - 0.5 * family.arg_scale * lam
+    variances = [clenshaw_folded(a, theta) for a in series]
+    field_scale = max(float(np.max(v)) for v in variances)
+    out = []
+    for v in variances:
+        neg = v < 0
+        if np.any(neg):
+            worst = float(-v[neg].min())
+            if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
+                raise BlockQualityError(f"negative mode variance {worst}")
+            v[neg] = 0.0
+        if table.spec.m2 <= 0.0:
+            v[zero_mode] = 0.0
+        out.append(v.reshape(table.spec.shape))
+    return out
+
+
+def reconstruct_torus_green(table, family, plan=None):
+    """Sum the plan's scale series and compare to the real-space oracle;
+    plan defaults to default_scale_plan(family, table.spectral_gap(),
+    PLAN_T_MIN).
+
+    The white piece and every block of plan.series(family) add into one
+    Chebyshev series, evaluated on the symbol by torus_mode_variances (with
+    its zero-mode deflation at m^2 = 0) and transformed back.  The
+    reconstructed Green matrix is circulant by construction and the oracle
+    commutes with shifts, so the largest entrywise error is the largest
+    error over the one column green_column(table.spec).
+    """
+    spec = table.spec
     if plan is None:
         plan = default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN)
-    t_max = plan.t_high
-    integral, _, tail = family.scale_integral(lam[keep], 0.0, t_max,
-                                              plan.nodes_per_block)
-    v = np.zeros_like(lam)
-    v[keep] = integral
-    kernel = np.fft.ifftn(v.reshape(spec.shape)).real
+    series = plan.series(family)
+    total = np.zeros(max(len(a) for a in series))
+    for a in series:
+        total[:len(a)] += a
+    v, = torus_mode_variances(table, family, [total])
+    kernel = np.fft.ifftn(v).real
     oracle = green_column(spec)
     max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))
+    # modes the spectral gap ignores (the deflated zero mode) carry no tail
+    lam = table.values.ravel()
+    tail = family.tail_high(lam[lam > 1e-12], plan.t_high)
     return TorusReconstruction(kernel=kernel, oracle_column=oracle,
-                               max_rel_error=max_rel, t_max=float(t_max),
-                               tail_bound=float(np.max(tail)), deflated=deflated)
+                               max_rel_error=max_rel, t_max=float(plan.t_high),
+                               tail_bound=float(np.max(tail)),
+                               deflated=spec.m2 <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +439,7 @@ class DecayFit:
     compensated: bool
 
 
-def decay_fit(spec, family, t_list, l_x=0, l_y=0, table=None, mass_power=0):
+def decay_fit(table, family, t_list, l_x=0, l_y=0, mass_power=0):
     """Fit log max_x |grad^{l_x} grad^{l_y} phi*_t| against log t.
 
     Forward differences act along the first coordinate axis (multiplier
@@ -411,8 +447,7 @@ def decay_fit(spec, family, t_list, l_x=0, l_y=0, table=None, mass_power=0):
     mass_power = k the values are compensated by (1 + m^2 t^2)^k before the
     fit.
     """
-    if table is None:
-        table = build_symbol_table(spec)
+    spec = table.spec
     xi1 = 2.0 * np.pi * np.arange(spec.N) / spec.N
     shape1 = [1] * spec.d
     shape1[0] = spec.N
@@ -442,7 +477,7 @@ class GapReport:
     l: int
 
 
-def discrete_continuum_gap(spec, family, t_list, l=0, table=None, mass_power=0):
+def discrete_continuum_gap(table, family, t_list, l=0, mass_power=0):
     """Compare lattice kernels to continuum kernels at lattice points (c = 1).
 
     l = 0 compares values on all sites within the kernel range; l = 1
@@ -452,11 +487,10 @@ def discrete_continuum_gap(spec, family, t_list, l=0, table=None, mass_power=0):
     """
     if l not in (0, 1):
         raise LatticeError("gap check supports l in {0, 1}")
-    if table is None:
-        table = build_symbol_table(spec)
+    spec = table.spec
     gaps = []
     for t in t_list:
-        ker = lattice_kernel(spec, table, family, t)
+        ker = lattice_kernel(table, family, t)
         arr = ker.values
         if l == 0:
             dist = torus_linf_distance(spec.N, spec.d)
@@ -516,7 +550,7 @@ def mass_family_sweep(spec, family_builder, m2_list, t, probe=None, l=2):
                              b_minus2=spec.b_minus2, b_plus2=spec.b_plus2,
                              m_plus2=spec.m_plus2)
         table = SymbolTable(spec=spec_m, values=table0.values + m2, B=B)
-        ker = lattice_kernel(spec_m, table, family, t)
+        ker = lattice_kernel(table, family, t)
         kernels.append(ker)
         sups.append(ker.sup)
         probes.append(float(ker.values[probe]))

@@ -25,7 +25,8 @@ def log_gauss_legendre(t_lo, t_hi, nodes_per_octave=16, min_panels=1):
     """Panel rule in u = log t for integrals of the form int f(t) dt/t.
 
     Returns nodes t_q and weights w_q with int_{t_lo}^{t_hi} f(t) dt/t
-    ~= sum_q w_q f(t_q).  One Gauss-Legendre panel per octave; the scale
+    ~= sum_q w_q f(t_q).  One Gauss-Legendre panel per octave, its
+    nodes_per_octave nodes consecutive in the result; the scale
     integrands oscillate in log t, so the per-octave node count controls
     the accuracy of every scale integral in the package.
     """

@@ -32,13 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import GraphError, scale_blocks
-from .weights import clenshaw_folded
-
-WHITE_CLIP_TOL = 1e-8
-
-
-class BlockQualityError(RuntimeError):
-    """A scale block failed PSD clipping tolerance during sampling."""
+from .lattice import torus_mode_variances
+from .weights import WHITE_CLIP_TOL, BlockQualityError
 
 
 def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "keep")):
@@ -130,49 +125,19 @@ def _running_totals(count, scales, sites, keep):
 # ---------------------------------------------------------------------------
 # torus backend
 
-def torus_mode_variances(spec, family, plan, table=None):
-    """Per-scale Fourier-mode variances v_j(xi) on the dual grid.
-
-    Each entry of plan.series(family) evaluated on the symbol: the white
-    piece (scales below the plan) is the constant C (3/B) phi_hat(0) * t_low,
-    and each block integrates the spectral multiplier over its scale interval.
-    At m^2 = 0 the zero mode gets variance 0 in every scale, so the field
-    lives on mean-zero functions.
-    """
-    from .lattice import build_symbol_table
-    if table is None:
-        table = build_symbol_table(spec)
-    lam = table.values.ravel()
-    zero_mode = lam <= 1e-12
-    theta = 1.0 - 0.5 * family.arg_scale * lam
-    variances = [clenshaw_folded(a, theta) for a in plan.series(family)]
-    # Clip roundoff negatives against the field scale, not the block scale:
-    # high-j blocks are uniformly tiny and carry 1e-15-level Clenshaw noise.
-    field_scale = max(float(np.max(v)) for v in variances)
-    out = []
-    for v in variances:
-        neg = v < 0
-        if np.any(neg):
-            worst = float(-v[neg].min())
-            if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
-                raise BlockQualityError(f"negative mode variance {worst}")
-            v[neg] = 0.0
-        if spec.m2 <= 0.0:
-            v[zero_mode] = 0.0
-        out.append(v.reshape(spec.shape))
-    return out
-
-
-def sample_torus(spec, family, plan, seed, sample_count, keep=0, table=None):
-    """Draw replicates of the multiscale field on the torus; returns
-    (totals, kept) as described in _running_totals.
+def sample_torus(table, family, plan, seed, sample_count, keep=0):
+    """Draw replicates of the multiscale field on the torus of the symbol
+    table; returns (totals, kept) as described in _running_totals.
 
     Per scale and replicate, X = Re(ifftn(sqrt(v N^d) (a + i b))) with a, b
-    i.i.d. standard normal; because v is even in xi this has covariance
-    exactly N^{-d} sum_xi v(xi) e^{i xi (x - y)}, the block kernel.
+    i.i.d. standard normal and v the scale's entry of
+    torus_mode_variances(table, family, plan.series(family)); because v is
+    even in xi this has covariance exactly N^{-d} sum_xi v(xi) e^{i xi (x - y)},
+    the block kernel.
     """
     check_settings(seed, sample_count, keep)
-    variances = torus_mode_variances(spec, family, plan, table=table)
+    spec = table.spec
+    variances = torus_mode_variances(table, family, plan.series(family))
     n = spec.size
     totals, kept, add = _running_totals(sample_count, len(variances), n, keep)
     fft_axes = tuple(range(-spec.d, 0))
@@ -198,11 +163,6 @@ def sample_torus(spec, family, plan, seed, sample_count, keep=0, table=None):
 
 def _block_factor(matrix, field_scale, clip_tol=WHITE_CLIP_TOL):
     """Symmetric square root with PSD clipping; reports clipped mass."""
-    asym = float(np.max(np.abs(matrix - matrix.T)))
-    scale = float(np.max(np.abs(matrix)))
-    if asym > 1e-9 * max(scale, 1e-300):
-        raise GraphError(
-            "graph sampler requires a symmetric block (constant vertex measure)")
     sym = 0.5 * (matrix + matrix.T)
     vals, vecs = np.linalg.eigh(sym)
     clipped = float(max(0.0, -vals.min()))
@@ -226,11 +186,18 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     (totals, kept) as described in _running_totals.
 
     For a singular operator the mu-weighted mean is removed from every
-    component (massless fields exist on the mean-zero subspace only).
+    component (massless fields exist on the mean-zero subspace only).  A
+    vertex measure mu with a relative spread above 1e-9 is refused before
+    any block is built: the symmetric factors A_j need the covariance
+    C_j D^{-1} to be a symmetric matrix, which holds for constant mu only.
     """
     check_settings(seed, sample_count, keep)
     if op.n > 4096:
         raise GraphError("graph sampler limited to n <= 4096")
+    mu = op.graph.mu
+    if mu.max() - mu.min() > 1e-9 * mu.max():
+        raise GraphError("graph sampler requires a constant vertex measure "
+                         f"(mu spans [{mu.min():g}, {mu.max():g}])")
     factors = graph_scale_factors(op, family, plan)
     totals, kept, add = _running_totals(sample_count, len(factors), op.n, keep)
     weights = op.graph.mu / op.graph.mu.sum()

@@ -26,7 +26,8 @@ so a scale integral over [t_lo, t_hi] is itself one Chebyshev series of
 degree floor(t_hi) whose coefficients are the quadrature sum of the per-scale
 ones (DiscreteWeightFamily.interval_coefficients).  A plan is the list of
 those series, white piece first (ScalePlan.series), and every torus mode
-variance and graph block in the package evaluates that list.
+variance and graph block in the package evaluates that list; torus
+reconstruct sums the list into one series and evaluates it once.
 """
 
 from dataclasses import dataclass
@@ -43,6 +44,14 @@ ZERO_FLOOR = 1e-12
 # Largest upper scale a default plan may reach; a tail target not met there
 # is refused rather than planned (blocks up to degree 2^20 at L = 2).
 PLAN_T_CAP = 1e6
+# Negative roundoff in an evaluated scale series is clipped up to this share
+# of the field scale; more is a BlockQualityError.
+WHITE_CLIP_TOL = 1e-8
+
+
+class BlockQualityError(RuntimeError):
+    """A scale block or evaluated series is more negative than the PSD
+    clipping tolerance allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +130,6 @@ class ContinuousWeightFamily:
         arg = lam ** (0.5 * self.gamma) * t
         return self.normalization.constant * self.mollifier.phi(arg)
 
-    def max_value(self):
-        return self.normalization.constant * self.mollifier.phi_max
-
     def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
         """int_{t_min}^{t_max} t^{2/gamma} W_t(lambda) dt/t plus tail residual bounds.
 
@@ -164,16 +170,6 @@ class DiscreteWeightFamily:
         self.B = float(B)
         self.arg_scale = 3.0 / self.B
         self.lambda_max = 4.0 / self.arg_scale
-        self._coeff_cache = {}
-
-    # -- coefficients ------------------------------------------------------
-    def coefficients(self, t):
-        c = self._coeff_cache.get(t)
-        if c is None:
-            c = chebyshev_coefficients(self.mollifier, t)
-            c.setflags(write=False)  # shared by every caller through the cache
-            self._coeff_cache[t] = c
-        return c
 
     # -- evaluation --------------------------------------------------------
     def _check_lambda(self, lam):
@@ -186,14 +182,9 @@ class DiscreteWeightFamily:
         """C (3/B) W*_t((3/B) lambda), vectorized over lambda."""
         arr = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * arr
-        out = clenshaw_folded(self.coefficients(t), theta)
+        out = clenshaw_folded(chebyshev_coefficients(self.mollifier, t), theta)
         out = self.normalization.constant * self.arg_scale * out
         return out if np.ndim(lam) else float(out[0])
-
-    def max_value(self, t_lo=0.1):
-        # W*_t <= phi_hat(0)/t for t < 1 dominates every practical grid.
-        return (self.normalization.constant * self.arg_scale
-                * self.mollifier.phi_hat0 / t_lo)
 
     # -- scale integrals ----------------------------------------------------
     def low_scale_integral(self, t_lo, t_hi):
@@ -214,14 +205,17 @@ class DiscreteWeightFamily:
         On the log-Gauss-Legendre nodes t_q with weights w_q,
         a_k = sum_q w_q C (3/B) t_q^2 phi_hat(k/t_q)/t_q for k <= floor(t_hi):
         the whole scale integral is one Chebyshev series in
-        1 - (3/(2B)) lambda.
+        1 - (3/(2B)) lambda.  Each quadrature panel is folded with one
+        phi_hat call on its (nodes x degree) grid, where phi_hat(k/t_q) is 0
+        for k > floor(t_q), and one product with the panel's factors.
         """
         tq, wq = log_gauss_legendre(t_lo, t_hi, nodes_per_octave)
-        factors = self.normalization.constant * self.arg_scale * wq * tq**2
+        factors = self.normalization.constant * self.arg_scale * wq * tq
         a = np.zeros(int(np.floor(tq.max())) + 1)
-        for t, f in zip(tq, factors):
-            c = self.coefficients(t)
-            a[:len(c)] += f * c
+        for t, f in zip(tq.reshape(-1, nodes_per_octave),
+                        factors.reshape(-1, nodes_per_octave)):
+            k = np.arange(int(np.floor(t.max())) + 1, dtype=float)
+            a[:len(k)] += f @ self.mollifier.phi_hat(k / t[:, None])
         return a
 
     def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):

@@ -104,7 +104,7 @@ def test_criterion_03_exact_finite_range(mollifier, norm1, graph_suite):
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         for t in ts:
-            ker = lattice_kernel(spec, table, fam, t)
+            ker = lattice_kernel(table, fam, t)
             worst_torus = max(worst_torus, ker.max_out_of_range / ker.sup)
     c.check("torus kernels out-of-range mass / sup", worst_torus, 1e-12)
     worst_graph = 0.0
@@ -152,7 +152,7 @@ def test_criterion_05_reconstruction(mollifier, norm1, graph_suite):
     spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    rec8 = reconstruct_torus_green(spec, fam, table=table)
+    rec8 = reconstruct_torus_green(table, fam)
     c.check("8x8 torus m2=0.5 max rel error", rec8.max_rel_error, 1e-5)
     _, _, rec2, _ = graph_suite["two_vertex"]
     closed_form = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
@@ -166,10 +166,10 @@ def test_criterion_06_decay_exponents(narrow_mollifier, narrow_norm):
     spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=128)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(narrow_mollifier, narrow_norm, B=table.B)
-    fit0 = decay_fit(spec, fam, [4, 8, 16, 32], table=table)
+    fit0 = decay_fit(table, fam, [4, 8, 16, 32])
     c.check("d=3 l=0 slope within -1.0 +- 0.1",
             abs(fit0.slope - (-1.0)), 0.1)
-    fit1 = decay_fit(spec, fam, [4, 8, 16, 32], l_x=1, table=table)
+    fit1 = decay_fit(table, fam, [4, 8, 16, 32], l_x=1)
     c.check("d=3 l_x=1 slope within -2.0 +- 0.15",
             abs(fit1.slope - (-2.0)), 0.15)
     c.finish()

@@ -9,7 +9,8 @@ from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
                               reconstruct_torus_green, stencil_operator,
-                              torus_linf_distance)
+                              torus_linf_distance, torus_mode_variances)
+from frdecomp.quadrature import log_gauss_legendre
 from frdecomp.weights import DiscreteWeightFamily, ScalePlan, default_scale_plan
 
 
@@ -111,7 +112,7 @@ class TestLatticeKernel:
         spec = LatticeSpec(d=d, a=a, m2=0.25, N=N)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        ker = lattice_kernel(spec, table, fam, t)
+        ker = lattice_kernel(table, fam, t)
         assert ker.max_out_of_range <= 1e-12 * ker.sup
         assert ker.imag_residue <= 1e-12 * ker.sup
 
@@ -119,7 +120,7 @@ class TestLatticeKernel:
         spec = LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.0]]), m2=0.1, N=32)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        ker = lattice_kernel(spec, table, fam, 6.0)
+        ker = lattice_kernel(table, fam, 6.0)
         flipped = ker.values[tuple(
             np.meshgrid(*[(-np.arange(32)) % 32] * 2, indexing="ij"))]
         assert np.max(np.abs(ker.values - flipped)) <= 1e-13 * ker.sup
@@ -128,7 +129,7 @@ class TestLatticeKernel:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=32)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        ker = lattice_kernel(spec, table, fam, 9.5)
+        ker = lattice_kernel(table, fam, 9.5)
         assert ker.multiplier_min >= -1e-12 * ker.multiplier_max
 
     def test_wraparound_guard(self, mollifier, norm1):
@@ -136,15 +137,15 @@ class TestLatticeKernel:
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         with pytest.raises(WrapAroundError):
-            lattice_kernel(spec, table, fam, 4.0)
-        lattice_kernel(spec, table, fam, 4.0, allow_wraparound=True)
+            lattice_kernel(table, fam, 4.0)
+        lattice_kernel(table, fam, 4.0, allow_wraparound=True)
 
     def test_family_bound_mismatch_rejected(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.5, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B * 2.0)
         with pytest.raises(LatticeError):
-            lattice_kernel(spec, table, fam, 3.0)
+            lattice_kernel(table, fam, 3.0)
 
 
 def _circulant_loop(column):
@@ -181,32 +182,50 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, table=table)
+        rec = reconstruct_torus_green(table, fam)
         assert rec.max_rel_error <= 1e-5
         assert rec.tail_bound <= 1e-6
 
     def test_scale_sum_matches_kernel_route(self, mollifier, norm1):
-        # summing quadrature-weighted scale kernels must equal the
-        # mode-integral route (same math, different assembly order)
+        # summing quadrature-weighted scale kernels on the plan's own nodes
+        # must equal the summed-series route (same math, different assembly
+        # order)
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, ScalePlan(j_min=0, j_max=6), table=table)
-        from frdecomp.quadrature import log_gauss_legendre
-        tq, wq = log_gauss_legendre(1.0, 64.0, 16)
+        plan = ScalePlan(j_min=0, j_max=6)
+        rec = reconstruct_torus_green(table, fam, plan)
         kernel_sum = np.zeros(16)
-        kernel_sum[0] = fam.low_scale_integral(0.0, 1.0)  # exact delta piece
-        for t, w in zip(tq, wq):
-            ker = lattice_kernel(spec, table, fam, t, allow_wraparound=True)
-            kernel_sum += w * ker.values
+        kernel_sum[0] = fam.low_scale_integral(0.0, plan.t_low)  # exact delta piece
+        for j in range(plan.j_min, plan.j_max + 1):
+            tq, wq = log_gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j,
+                                        plan.nodes_per_block)
+            for t, w in zip(tq, wq):
+                ker = lattice_kernel(table, fam, t, allow_wraparound=True)
+                kernel_sum += w * ker.values
         np.testing.assert_allclose(kernel_sum, rec.kernel.ravel(),
                                    rtol=0, atol=1e-12 * np.abs(rec.kernel).max())
+
+    @pytest.mark.parametrize("m2", [0.5, 0.0])
+    def test_kernel_is_sum_of_mode_variances(self, mollifier, norm1, m2):
+        # the kernel evaluates the plan the sampler draws: its transform is
+        # the sum of the per-scale mode variances
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
+        table = build_symbol_table(spec)
+        fam = make_family(mollifier, norm1, table.B)
+        plan = default_scale_plan(fam, table.spectral_gap(), PLAN_T_MIN)
+        rec = reconstruct_torus_green(table, fam, plan)
+        per_scale = torus_mode_variances(table, fam, plan.series(fam))
+        expect = np.fft.ifftn(sum(per_scale)).real
+        assert np.max(np.abs(rec.kernel - expect)) <= 1e-12 * np.max(np.abs(rec.kernel))
+        if m2 == 0.0:   # deflated: the zero mode carries no variance
+            assert abs(rec.kernel.sum()) <= 1e-12 * np.max(np.abs(rec.kernel))
 
     def test_massless_deflated(self, mollifier, norm1):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, table=table)
+        rec = reconstruct_torus_green(table, fam)
         assert rec.deflated
         assert rec.max_rel_error <= 1e-4
 
@@ -215,7 +234,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=d, a=np.eye(d), m2=m2, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, table=table)
+        rec = reconstruct_torus_green(table, fam)
         L = stencil_operator(spec).toarray()
         full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
         green = _circulant_loop(rec.kernel)
@@ -245,7 +264,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=128)   # 16,384 sites
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(spec, fam, table=table)
+        rec = reconstruct_torus_green(table, fam)
         assert rec.oracle_column.shape == spec.shape
         assert rec.max_rel_error <= 1e-5
 
@@ -338,9 +357,9 @@ class TestDecayFit:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=128)
         table = build_symbol_table(spec)
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
-        fit0 = decay_fit(spec, fam, [4, 8, 16, 32], table=table)
+        fit0 = decay_fit(table, fam, [4, 8, 16, 32])
         assert fit0.slope == pytest.approx(-1.0, abs=0.1)
-        fit1 = decay_fit(spec, fam, [4, 8, 16, 32], l_x=1, table=table)
+        fit1 = decay_fit(table, fam, [4, 8, 16, 32], l_x=1)
         assert fit1.slope == pytest.approx(-2.0, abs=0.15)
 
     def test_default_profile_upper_bound(self, mollifier, norm1):
@@ -349,7 +368,7 @@ class TestDecayFit:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=64)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        fit = decay_fit(spec, fam, [4, 8, 16], table=table)
+        fit = decay_fit(table, fam, [4, 8, 16])
         comp = fit.max_abs * fit.t_list
         assert comp.max() <= 2.5 * comp.min()
 
@@ -357,8 +376,8 @@ class TestDecayFit:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.5, N=64)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        raw = decay_fit(spec, fam, [4, 8, 16], table=table)
-        comp = decay_fit(spec, fam, [4, 8, 16], table=table, mass_power=2)
+        raw = decay_fit(table, fam, [4, 8, 16])
+        comp = decay_fit(table, fam, [4, 8, 16], mass_power=2)
         assert comp.slope > raw.slope + 0.5
 
 
@@ -367,8 +386,7 @@ class TestDiscreteContinuumGap:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=64)
         table = build_symbol_table(spec)
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
-        rep = discrete_continuum_gap(spec, fam, [6, 8, 12, 16, 24], l=0,
-                                     table=table)
+        rep = discrete_continuum_gap(table, fam, [6, 8, 12, 16, 24], l=0)
         assert rep.compensated.max() <= 2.0 * rep.compensated.min()
 
     def test_normalized_kernels_converge_at_origin(self, narrow_mollifier,
@@ -378,7 +396,7 @@ class TestDiscreteContinuumGap:
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
         rels = []
         for t in (8.0, 16.0, 24.0, 30.0):
-            ker = lattice_kernel(spec, table, fam, t)
+            ker = lattice_kernel(table, fam, t)
             cont = matched_continuum_kernel_at_points(
                 spec, fam, t, np.zeros((1, 3)))[0]
             rels.append(abs(ker.values[0, 0, 0] - cont) / abs(cont))
@@ -394,7 +412,7 @@ class TestDiscreteContinuumGap:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=64)
         table = build_symbol_table(spec)
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
-        rep = discrete_continuum_gap(spec, fam, [4, 8, 16], l=1, table=table)
+        rep = discrete_continuum_gap(table, fam, [4, 8, 16], l=1)
         slope = np.polyfit(np.log(rep.t_list), np.log(rep.gaps), 1)[0]
         assert slope <= -1.9
 
@@ -402,7 +420,7 @@ class TestDiscreteContinuumGap:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=1.0, N=32)
         table = build_symbol_table(spec)
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
-        rep0 = discrete_continuum_gap(spec, fam, [4, 8], l=0, table=table)
+        rep0 = discrete_continuum_gap(table, fam, [4, 8], l=0)
         assert rep0.gaps[1] < rep0.gaps[0]  # mass kills the gap quickly
 
     def test_rejects_high_order(self, mollifier, norm1):
@@ -410,7 +428,7 @@ class TestDiscreteContinuumGap:
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         with pytest.raises(LatticeError):
-            discrete_continuum_gap(spec, fam, [2], l=2, table=table)
+            discrete_continuum_gap(table, fam, [2], l=2)
 
 
 class TestMassFamilySweep:
@@ -432,7 +450,7 @@ class TestMassFamilySweep:
         B = table0.B + max(m2_list)
         fam = DiscreteWeightFamily(mollifier, norm1, B=B)
         from frdecomp.lattice import SymbolTable
-        ker = lattice_kernel(spec, SymbolTable(spec=spec, values=table0.values,
+        ker = lattice_kernel(SymbolTable(spec=spec, values=table0.values,
                                                B=B), fam, 4.0)
         np.testing.assert_array_equal(rep.kernels[0].values, ker.values)
 

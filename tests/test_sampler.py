@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from frdecomp import sampler
-from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_blocks,
-                             two_vertex_graph)
-from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
-from frdecomp.sampler import (REPLICATE_BATCH, BlockQualityError, check_settings,
-                              covariance_report,
+from frdecomp.graphs import (GraphError, GraphOperator, WeightedGraph, cycle_graph,
+                             reconstruct_green, scale_blocks, two_vertex_graph)
+from frdecomp.lattice import (LatticeSpec, build_symbol_table, green_column,
+                              torus_mode_variances)
+from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
                               graph_scale_factors, sample_graph, sample_torus,
-                              torus_mode_variances, _batched_draws, _block_factor,
-                              _stream)
-from frdecomp.weights import DiscreteWeightFamily, ScalePlan
+                              _batched_draws, _block_factor, _stream)
+from frdecomp.weights import BlockQualityError, DiscreteWeightFamily, ScalePlan
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +61,10 @@ class TestCheckSettings:
         with pytest.raises(ValueError, match=f"^{name} "):
             sample_graph(op, DiscreteWeightFamily(mollifier, norm1, B=op.B), plan,
                          seed, sample_count, keep)
-        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=build_symbol_table(spec).B)
+        table = build_symbol_table(LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         with pytest.raises(ValueError, match=f"^{name} "):
-            sample_torus(spec, fam, plan, seed, sample_count, keep)
+            sample_torus(table, fam, plan, seed, sample_count, keep)
 
     def test_limits_accepted_and_names(self):
         check_settings(0, 1, 0)
@@ -149,9 +148,19 @@ class TestGraphSampler:
         with pytest.raises(BlockQualityError):
             _block_factor(bad, field_scale=1.0)
 
-    def test_asymmetric_block_rejected(self):
-        with pytest.raises(Exception):
-            _block_factor(np.array([[1.0, 0.5], [0.1, 1.0]]), field_scale=1.0)
+    def test_non_constant_measure_refused_before_blocks(self, mollifier, norm1,
+                                                       monkeypatch):
+        # a 6-cycle plus one chord: vertex measure is not constant
+        edges = [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(0, 3, 1.0)]
+        op = GraphOperator(WeightedGraph.from_edges(6, edges), "resolvent", m2=1.0)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+
+        def no_blocks(*args):
+            raise AssertionError("scale_blocks called")
+
+        monkeypatch.setattr(sampler, "scale_blocks", no_blocks)
+        with pytest.raises(GraphError, match="constant vertex measure"):
+            sample_graph(op, fam, ScalePlan(j_min=0, j_max=2), 1, 10)
 
     def test_zero_mode_guard(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(8))
@@ -169,7 +178,7 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        variances = torus_mode_variances(spec, fam, plan, table=table)
+        variances = torus_mode_variances(table, fam, plan.series(fam))
         n = spec.size
         xi = 2.0 * np.pi * np.arange(n) / n
         for v in variances:
@@ -191,19 +200,18 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=8)
-        totals, _ = sample_torus(spec, fam, plan, 31, 10_000, table=table)
+        totals, _ = sample_torus(table, fam, plan, 31, 10_000)
         green0 = green_column(spec).flat[0]     # every site has variance G(0, 0)
         var = np.mean(totals**2, axis=0)
         z = (var - green0) / (np.sqrt(2.0 / 10_000) * green0)
         assert np.max(np.abs(z)) <= 4.0
 
     def test_determinism(self, mollifier, norm1):
-        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
-        fam = DiscreteWeightFamily(mollifier, norm1,
-                                   B=build_symbol_table(spec).B)
+        table = build_symbol_table(LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        a = sample_torus(spec, fam, plan, 41, 32, keep=32)
-        b = sample_torus(spec, fam, plan, 41, 32, keep=32)
+        a = sample_torus(table, fam, plan, 41, 32, keep=32)
+        b = sample_torus(table, fam, plan, 41, 32, keep=32)
         assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_zero_mode_guard_and_deflation(self, mollifier, norm1):
@@ -211,7 +219,7 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        totals, _ = sample_torus(spec, fam, plan, 1, 8, table=table)
+        totals, _ = sample_torus(table, fam, plan, 1, 8)
         assert np.max(np.abs(totals.sum(axis=1))) <= 1e-10
 
     def test_per_scale_locality(self, mollifier, norm1, cycle_setup):
@@ -319,9 +327,9 @@ class TestDrawLayout:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        _, comps = sample_torus(spec, fam, plan, 13, self.R, keep=self.R, table=table)
+        _, comps = sample_torus(table, fam, plan, 13, self.R, keep=self.R)
         n = spec.size
-        for s, v in enumerate(torus_mode_variances(spec, fam, plan, table=table)):
+        for s, v in enumerate(torus_mode_variances(table, fam, plan.series(fam))):
             amp = np.sqrt(v * n)
             vals = stream_normals(13, s, self.R, (2,) + spec.shape)
             x = np.fft.ifftn(amp * (vals[:, 0] + 1j * vals[:, 1]), axes=(-1,)).real
@@ -347,8 +355,7 @@ def small_sampler(backend, mollifier, norm1):
     spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    return lambda plan, *args, **kw: sample_torus(spec, fam, plan, *args, **kw,
-                                                  table=table)
+    return lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw)
 
 
 class TestRunningTotals:
@@ -382,8 +389,7 @@ class TestRunningTotals:
             spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
             table = build_symbol_table(spec)
             fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-            run = lambda plan: sample_torus(spec, fam, plan, 1, 4000,      # noqa: E731
-                                            table=table)
+            run = lambda plan: sample_torus(table, fam, plan, 1, 4000)     # noqa: E731
         peaks = []
         for j_max in (2, 8):
             tracemalloc.start()

@@ -43,6 +43,18 @@ class TestIntervalCoefficients:
         per_node = sum(w * t**2 * fam.value(lam, t) for t, w in zip(tq, wq))
         assert np.max(np.abs(got - per_node)) <= 1e-13 * np.max(np.abs(per_node))
 
+    @pytest.mark.parametrize("t_lo, t_hi", [(0.5, 1.0), (1.0, 64.0), (1.0, 1000.0),
+                                            (1024.0, 2048.0)])
+    def test_panel_fold_matches_per_node_sum(self, mollifier, norm1, t_lo, t_hi):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=7.9)
+        got = fam.interval_coefficients(t_lo, t_hi, 16)
+        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
+        expect = np.zeros_like(got)
+        for t, w in zip(tq, wq):
+            c = chebyshev_coefficients(mollifier, t)
+            expect[:len(c)] += norm1.constant * fam.arg_scale * w * t**2 * c
+        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
 
 class TestChebyshevCoefficients:
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.7, 8.0, 17.2, 100.0])
@@ -204,11 +216,15 @@ class TestRescaling:
 
 
 class TestDecayConstants:
-    def test_order_zero_bounded_by_max(self, cont_family, disc_family):
+    def test_order_zero_bounded_by_max(self, mollifier, norm1, cont_family,
+                                       disc_family):
+        # C phi_max bounds W_t; C phi_hat(0)/t at the grid's lowest t = 0.1
+        # bounds W*_t (its t < 1 value dominates)
         sups_c = decay_constants(cont_family, orders=(0,))
-        assert sups_c[0] <= cont_family.max_value() * (1 + 1e-12)
-        sups_d = decay_constants(disc_family, orders=(0,))
-        assert sups_d[0] <= disc_family.max_value() * (1 + 1e-12)
+        assert sups_c[0] <= norm1.constant * mollifier.phi_max * (1 + 1e-12)
+        sups_d = decay_constants(disc_family, orders=(0,), t_lo=0.1)
+        assert sups_d[0] <= (norm1.constant * disc_family.arg_scale * mollifier.phi_hat0
+                            / 0.1 * (1 + 1e-12))
 
     def test_stable_under_t_extension(self, disc_family):
         a = decay_constants(disc_family, orders=(3,), t_hi=1e3)

@@ -8,7 +8,10 @@ the parent commit.  Each config below runs once with the package from this
 checkout's ``src`` and once with the package from OTHER_SRC, at --seed 12345,
 each in a fresh directory.  The script compares the exit code, standard
 output and the bytes of every file written to --out, prints one line per
-config and exits 1 if any config differs.
+config and exits 1 if any config differs.  For each file that differs it
+also prints the largest relative difference of its numbers: the float64
+values of a ``.bin`` file, each CSV column and each JSON number, where an
+array or column differs by max |a - b| / max |b|.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 12345
@@ -57,7 +62,7 @@ def perfbench_configs():
 
 
 def run(src, workdir, command, config):
-    """(exit code, stdout, {file: sha256}) of one command run on src."""
+    """(exit code, stdout, {file: sha256}, out dir) of one command run on src."""
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(config, fh)
@@ -70,18 +75,103 @@ def run(src, workdir, command, config):
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
         with open(os.path.join(out, name), "rb") as fh:
             files[name] = hashlib.sha256(fh.read()).hexdigest()
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, files, out
+
+
+def _rel(a, b):
+    """max |a - b| / max |b| over paired arrays; NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    same_nan = np.isnan(a) & np.isnan(b)
+    diff = np.where(same_nan, 0.0, np.abs(a - b))
+    if np.isnan(diff).any():
+        return np.inf
+    top = float(np.max(np.abs(np.where(same_nan, 0.0, b)), initial=0.0))
+    worst = float(np.max(diff, initial=0.0))
+    return worst / top if top > 0 else (np.inf if worst > 0 else 0.0)
+
+
+def _json_leaves(obj, path=""):
+    """(path, value) of every leaf of a JSON value."""
+    if isinstance(obj, dict):
+        return [leaf for k in sorted(obj) for leaf in _json_leaves(obj[k], f"{path}.{k}")]
+    if isinstance(obj, list):
+        return [leaf for i, x in enumerate(obj) for leaf in _json_leaves(x, f"{path}.{i}")]
+    return [(path, obj)]
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _header_mask(values, name):
+    """Where a .bin artifact holds header fields, not payload (frdecomp.fileio):
+    five at the start, or five per record of samples.bin, whose records hold
+    (j_max - j_min + 2) x size values after the header."""
+    mask = np.zeros(values.shape, dtype=bool)
+    if name != "samples.bin":
+        mask[:5] = True
+    elif values.size:
+        record = 5 + (int(values[3]) - int(values[2]) + 2) * int(values[1])
+        mask[np.arange(values.size) % record < 5] = True
+    return mask
+
+
+def numeric_difference(path_a, path_b):
+    """(largest relative difference, where) of the numbers in two files of
+    one name, or a few words saying why they do not pair up number by number:
+    the .bin payload, each CSV column, each JSON number."""
+    if path_b.endswith(".bin"):
+        a, b = np.fromfile(path_a), np.fromfile(path_b)
+        if a.shape != b.shape:
+            return "sizes differ"
+        head = _header_mask(b, os.path.basename(path_b))
+        if _rel(a[head], b[head]) > 0:
+            return "headers differ"
+        return _rel(a[~head], b[~head]), "payload"
+    if path_b.endswith(".csv"):
+        # write_columns_csv writes numeric columns only
+        with open(path_a) as fa, open(path_b) as fb:
+            header = fb.readline().strip().split(",")
+            if fa.readline().strip().split(",") != header:
+                return "headers differ"
+        a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2)
+                for p in (path_a, path_b))
+        if a.shape != b.shape:
+            return "shapes differ"
+        return max(((_rel(x, y), name) for x, y, name in zip(a.T, b.T, header)),
+                   default=(0.0, "no rows"))
+    if path_b.endswith(".json"):
+        with open(path_a) as fa, open(path_b) as fb:
+            a, b = _json_leaves(json.load(fa)), _json_leaves(json.load(fb))
+        if [p for p, _ in a] != [p for p, _ in b]:
+            return "structure differs"
+        worst = (0.0, "no numbers")
+        for (path, x), (_, y) in zip(a, b):
+            if _is_number(x) and _is_number(y):
+                worst = max(worst, (_rel([x], [y]), path.lstrip(".")))
+            elif x != y:
+                return f"text differs at {path.lstrip('.')}"
+        return worst
+    return "not compared"
 
 
 def differences(ours, theirs):
-    (code_a, stdout_a, files_a), (code_b, stdout_b, files_b) = ours, theirs
+    (code_a, stdout_a, files_a, out_a), (code_b, stdout_b, files_b, out_b) = ours, theirs
     found = []
     if code_a != code_b:
         found.append(f"exit code {code_a} != {code_b}")
     if stdout_a != stdout_b:
         found.append("stdout")
-    found += [f"--out/{name}" for name in sorted(set(files_a) | set(files_b))
-              if files_a.get(name) != files_b.get(name)]
+    for name in sorted(set(files_a) | set(files_b)):
+        if files_a.get(name) == files_b.get(name):
+            continue
+        if name not in files_a or name not in files_b:
+            found.append(f"--out/{name} (only in one)")
+            continue
+        diff = numeric_difference(os.path.join(out_a, name), os.path.join(out_b, name))
+        if isinstance(diff, tuple):
+            diff = f"max rel {diff[0]:.2g} in {diff[1]}"
+        found.append(f"--out/{name} ({diff})")
     return found
 
 
