@@ -220,7 +220,10 @@ class CheckList:
 
 def _components(config):
     mc = config["mollifier"]
-    m = build_mollifier(grid_step=mc["grid_step"], x_max=mc["x_max"])
+    try:
+        m = build_mollifier(grid_step=mc["grid_step"], x_max=mc["x_max"])
+    except ValueError as exc:
+        raise ConfigError(f"mollifier: {exc}") from None
     norm = normalization_constant(m, gamma=1.0)
     return m, norm
 

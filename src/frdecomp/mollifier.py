@@ -8,10 +8,14 @@ is built from a bump profile khat supported in [-1/2, 1/2]:
     phi_hat  = khat * khat  (autoconvolution, supported in [-1, 1]),
 
 with the Fourier convention phi_hat(k) = (2 pi)^{-1} int phi(x) e^{-ikx} dx.
-phi is tabulated on a uniform grid with cubic interpolation (it is needed at
-arbitrary arguments inside periodized sums); phi_hat on a finer grid with
-quintic interpolation (its values become Chebyshev filter coefficients and
-enter oracle comparisons at the 1e-9 level).
+kappa and kappa' are tabulated on a uniform grid x = X + y, split into a
+coarse grid X and a fine offset y, by one Gauss-Legendre rule in s; with
+cos s(X+y) = cos sX cos sy - sin sX sin sy each table is two matrix
+products.  phi is interpolated between the grid nodes by the cubic Hermite
+through phi and phi' = 2 kappa kappa' (it is needed at arbitrary arguments
+inside periodized sums); phi_hat on a finer uniform grid by the local quintic
+through the six nearest nodes (its values become Chebyshev filter
+coefficients and enter oracle comparisons at the 1e-9 level).
 
 The normalization constant C makes the scale integral reproduce 1/lambda:
 
@@ -19,13 +23,12 @@ The normalization constant C makes the scale integral reproduce 1/lambda:
     1/C      = int_0^inf t^{2/gamma - 1} phi(t) dt.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
-from scipy.interpolate import CubicSpline, make_interp_spline
 
 from .quadrature import gauss_legendre
 
@@ -36,6 +39,18 @@ PHI_HAT_GRID_STEP = 1e-4
 _KAPPA_QUAD_NODES = 256
 _CONV_QUAD_NODES = 96
 _DECAY_ORDERS = (1, 2, 3, 4)
+
+# Row j holds the coefficients of u^0..u^5 in the Lagrange basis polynomial of
+# the node at offset j - 2 among the offsets -2..3 (the six nodes around the
+# cell [0, 1]); numerators are integers, so the row of offset 0 is exactly e_0.
+_QUINTIC_BASIS = np.array([
+    [0.0, -6.0, 5.0, 5.0, -5.0, 1.0],
+    [0.0, -12.0, 16.0, -1.0, -4.0, 1.0],
+    [-12.0, 4.0, 15.0, -5.0, -3.0, 1.0],
+    [0.0, 12.0, 8.0, -7.0, -2.0, 1.0],
+    [0.0, 6.0, 1.0, -7.0, -1.0, 1.0],
+    [0.0, 4.0, 0.0, -5.0, 0.0, 1.0],
+]) / np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])[:, None]
 
 
 class ProfileError(ValueError):
@@ -101,8 +116,8 @@ class Mollifier:
     k_grid: np.ndarray
     phi_hat_values: np.ndarray
     decay_sups: dict = field(repr=False)
-    _phi_spline: object = field(repr=False)
-    _phi_hat_spline: object = field(repr=False)
+    _phi_cells: np.ndarray = field(repr=False)
+    _phi_hat_cells: np.ndarray = field(repr=False)
 
     @property
     def phi_max(self):
@@ -119,8 +134,9 @@ class Mollifier:
         out = np.zeros_like(x)
         inside = x <= self.x_max
         if np.any(inside):
-            # phi = kappa^2 >= 0; clip spline undershoot near the double zeros.
-            out[inside] = np.clip(self._phi_spline(x[inside]), 0.0, None)
+            # phi = kappa^2 >= 0; clip interpolant undershoot near the double zeros.
+            out[inside] = np.clip(
+                _eval_cells(self._phi_cells, self.grid_step, x[inside]), 0.0, None)
         return out if out.ndim else float(out)
 
     def phi_hat(self, k):
@@ -129,7 +145,8 @@ class Mollifier:
         out = np.zeros_like(k)
         inside = k <= 1.0
         if np.any(inside):
-            out[inside] = np.clip(self._phi_hat_spline(k[inside]), 0.0, None)
+            out[inside] = np.clip(
+                _eval_cells(self._phi_hat_cells, PHI_HAT_GRID_STEP, k[inside]), 0.0, None)
         return out if out.ndim else float(out)
 
     def weight_tail_integral(self, x_lo, power=1.0):
@@ -150,24 +167,34 @@ class Mollifier:
         i0 = int(np.searchsorted(self.x_grid, x_lo))
         xs = self.x_grid[i0:]
         ys = xs**p * self.phi_values[i0:]
-        table = float(trapezoid(ys, xs))
+        table = float(np.trapezoid(ys, xs))
         if i0 > 0:
-            # Partial cell between x_lo and the first grid node.
+            # Partial cell between x_lo and the first grid node (the grid ends
+            # at x_max > x_lo, so there is one).
             xa, xb = x_lo, self.x_grid[i0]
             ya = xa**p * self.phi(xa)
-            table += 0.5 * (ya + ys[0] if len(ys) else ya) * (xb - xa)
+            table += 0.5 * (ya + ys[0]) * (xb - xa)
         return table + analytic
 
 
 def _tabulate_kappa(profile, x_grid):
+    """kappa and kappa' on the uniform grid x_grid (first node 0).
+
+    kappa(x) = 2 sum_q w_q khat(s_q) cos(s_q x) by Gauss-Legendre on
+    [0, half_width].  Node i = a f + b is X_a + y_b with the coarse grid
+    X = x_grid[::f] and the fine offsets y = x_grid[:f], f ~ sqrt(len), and
+    cos s(X+y) = cos sX cos sy - sin sX sin sy, sin s(X+y) = sin sX cos sy +
+    cos sX sin sy turn both tables into two GEMMs each.
+    """
     s, w = gauss_legendre(0.0, profile.half_width, _KAPPA_QUAD_NODES)
-    wk = w * np.asarray(profile.eval(s), dtype=float)
-    out = np.empty_like(x_grid)
-    chunk = 8192
-    for i in range(0, len(x_grid), chunk):
-        xs = x_grid[i:i + chunk]
-        out[i:i + chunk] = 2.0 * (np.cos(np.outer(xs, s)) @ wk)
-    return out
+    wk = 2.0 * w * np.asarray(profile.eval(s), dtype=float)
+    n = len(x_grid)
+    f = math.isqrt(n - 1) + 1  # f * f >= n
+    sx, sy = np.outer(x_grid[::f], s), np.outer(s, x_grid[:f])
+    cos_x, sin_x, cos_y, sin_y = np.cos(sx), np.sin(sx), np.cos(sy), np.sin(sy)
+    kappa = (cos_x * wk) @ cos_y - (sin_x * wk) @ sin_y
+    dkappa = -((sin_x * (wk * s)) @ cos_y + (cos_x * (wk * s)) @ sin_y)
+    return kappa.ravel()[:n], dkappa.ravel()[:n]
 
 
 def _tabulate_autoconvolution(profile, k_grid):
@@ -183,6 +210,47 @@ def _tabulate_autoconvolution(profile, k_grid):
     return half * (vals @ w)
 
 
+def _hermite_cells(values, slopes, step):
+    """Cells of the cubic Hermite through values with derivatives slopes on a
+    uniform grid of step step (layout of _eval_cells)."""
+    y0, dy = values[:-1], np.diff(values)
+    d0, d1 = step * slopes[:-1], step * slopes[1:]
+    return np.array([y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+
+
+def _quintic_cells(values):
+    """Cells of the local quintic through the six nodes i-2..i+3 around cell i
+    (layout of _eval_cells).  values tabulate on [0, 1] an even function that
+    is smooth and vanishes beyond 1, so the table is mirrored across 0 and
+    continued by zeros past its last node."""
+    padded = np.concatenate([values[2:0:-1], values, np.zeros(2)])
+    stencils = np.lib.stride_tricks.sliding_window_view(padded, 6)[:len(values) - 1]
+    return _QUINTIC_BASIS.T @ stencils.T
+
+
+def _eval_cells(cells, step, x):
+    """Piecewise polynomial at x >= 0: cell i covers [i step, (i+1) step] and
+    holds sum_j cells[j, i] u^j in u = x/step - i (Horner's rule)."""
+    u = x / step
+    i = np.minimum(u.astype(np.intp), cells.shape[1] - 1)
+    u -= i
+    out = cells[-1, i]
+    for c in cells[-2::-1]:
+        out = out * u + c[i]
+    return out
+
+
+def _simpson(y, h):
+    """Composite Simpson of samples y on a uniform grid of step h, as scipy's
+    simpson does it: an even number of samples integrates the last interval
+    with Cartwright's correction."""
+    m = len(y) - 1 + len(y) % 2  # odd length covered by whole Simpson panels
+    total = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2])
+    if m < len(y):
+        total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
+    return float(total)
+
+
 def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_MAX):
     """Tabulate phi = kappa^2 and phi_hat = khat * khat from a bump profile."""
     if profile is None:
@@ -191,10 +259,15 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
         raise ValueError("grid_step must be positive")
     if x_max < 50.0:
         raise ValueError("x_max must be at least 50 (tail certificates)")
+    n_steps = round(x_max / grid_step)
+    if abs(n_steps * grid_step - x_max) > 1e-9 * x_max:
+        raise ValueError(f"x_max {x_max!r} is not a whole number of grid steps "
+                         f"{grid_step!r}")
     profile.validate()
 
-    x_grid = np.arange(0.0, x_max + 0.5 * grid_step, grid_step)
-    kappa = _tabulate_kappa(profile, x_grid)
+    x_grid = np.arange(n_steps + 1) * grid_step
+    x_grid[-1] = x_max  # the last cell ends at x_max
+    kappa, dkappa = _tabulate_kappa(profile, x_grid)
     phi = kappa * kappa
 
     k_grid = np.arange(0.0, 1.0 + 0.5 * PHI_HAT_GRID_STEP, PHI_HAT_GRID_STEP)
@@ -213,8 +286,8 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
         k_grid=k_grid,
         phi_hat_values=phi_hat,
         decay_sups=decay,
-        _phi_spline=CubicSpline(x_grid, phi),
-        _phi_hat_spline=make_interp_spline(k_grid, phi_hat, k=5),
+        _phi_cells=_hermite_cells(phi, 2.0 * kappa * dkappa, grid_step),
+        _phi_hat_cells=_quintic_cells(phi_hat),
     )
 
 
@@ -237,7 +310,7 @@ def normalization_constant(m, gamma=1.0, positivity_floor=1e-300):
     h = m.grid_step
     # [0, h]: phi is even and smooth, phi(t) = phi(0) + O(t^2).
     head = m.phi_max * h ** (a + 1.0) / (a + 1.0)
-    body = float(simpson(x[1:] ** a * m.phi_values[1:], x=x[1:]))
+    body = _simpson(x[1:] ** a * m.phi_values[1:], h)
     tail = m.weight_tail_integral(m.x_max, power=a)
     integral = head + body
     if not np.isfinite(integral) or integral <= positivity_floor:

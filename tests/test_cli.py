@@ -370,6 +370,20 @@ class TestRejectedInput:
         self.assert_one_fail_line(res, command, "ConfigError")
         assert not out.exists()
 
+    @pytest.mark.parametrize("mollifier, command", [
+        ({"grid_step": -1}, "reconstruct"),
+        ({"x_max": 10}, "sample"),
+        ({"grid_step": 0.003}, "decompose"),
+    ])
+    def test_bad_mollifier_fails_before_work(self, tmp_path, mollifier, command):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"mollifier": mollifier}))
+        out = tmp_path / "never"
+        res = run(["--config", str(cfgfile), "--out", str(out), command])
+        self.assert_one_fail_line(res, command, "ConfigError")
+        assert res.output.startswith(f"FAIL {command} ConfigError: mollifier: ")
+        assert not out.exists()
+
     def test_retired_keys_run_with_notes(self, tmp_path):
         plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
         plain.write_text(json.dumps({"backend": {"n": 8}}))

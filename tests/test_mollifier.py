@@ -1,12 +1,23 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from frdecomp.mollifier import (BumpProfile, DegenerateMollifierError,
-                                ProfileError, build_default_profile,
+                                ProfileError, _tabulate_autoconvolution,
+                                _tabulate_kappa, build_default_profile,
                                 build_mollifier, normalization_constant)
 from frdecomp.quadrature import gauss_legendre
 
+
+def direct_kappa(profile, x):
+    """kappa(x) = 2 int_0^hw khat(s) cos(sx) ds by the table's 256-node rule,
+    one cosine per (x, node)."""
+    s, w = gauss_legendre(0.0, profile.half_width, 256)
+    wk = 2.0 * w * profile.eval(s)
+    return np.concatenate([np.cos(np.outer(x[i:i + 8192], s)) @ wk
+                           for i in range(0, len(x), 8192)])
 
 
 class TestDefaultProfile:
@@ -53,6 +64,15 @@ class TestProfileValidation:
             build_mollifier(grid_step=0.0)
         with pytest.raises(ValueError):
             build_mollifier(x_max=10.0)
+        with pytest.raises(ValueError, match="whole number of grid steps"):
+            build_mollifier(grid_step=0.003)
+
+    def test_tail_integral_between_last_nodes(self):
+        m = build_mollifier(grid_step=0.003, x_max=99.999)
+        assert m.x_grid[-1] == m.x_max
+        beyond = m.weight_tail_integral(m.x_max)
+        for x_lo in (99.997, 99.9985, np.nextafter(m.x_max, 0.0)):
+            assert beyond <= m.weight_tail_integral(x_lo) < beyond + 1e-12
 
 
 class TestMollifierTables:
@@ -83,6 +103,46 @@ class TestMollifierTables:
 
     def test_phi_vanishes_beyond_table(self, mollifier):
         assert mollifier.phi(mollifier.x_max + 1.0) == 0.0
+
+
+@pytest.fixture(params=["mollifier", "narrow_mollifier"])
+def any_mollifier(request):
+    return request.getfixturevalue(request.param)
+
+
+class TestTableAccuracy:
+    """The GEMM kappa and the Hermite / quintic interpolants against direct
+    evaluation, on the default and the narrow profile."""
+
+    def test_kappa_against_direct_sum(self, any_mollifier):
+        m = any_mollifier
+        kappa, _ = _tabulate_kappa(m.profile, m.x_grid)
+        direct = direct_kappa(m.profile, m.x_grid)
+        assert np.max(np.abs(kappa - direct)) <= 1e-14 * direct[0]
+
+    def test_phi_off_grid(self, any_mollifier):
+        m = any_mollifier
+        x = np.random.default_rng(3).uniform(0.0, m.x_max, 40_000)
+        exact = direct_kappa(m.profile, x) ** 2
+        assert np.max(np.abs(m.phi(x) - exact)) <= 1e-14 * m.phi_max
+
+    def test_phi_hat_off_grid(self, any_mollifier):
+        m = any_mollifier
+        k = np.random.default_rng(4).uniform(0.0, 1.0, 40_000)
+        exact = _tabulate_autoconvolution(m.profile, k)
+        assert np.max(np.abs(m.phi_hat(k) - exact)) <= 1e-14 * m.phi_hat0
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    def test_normalization_against_scipy_simpson(self, any_mollifier, gamma):
+        from scipy.integrate import simpson
+        m = any_mollifier
+        norm = normalization_constant(m, gamma=gamma)
+        a = 2.0 / gamma - 1.0
+        head = m.phi_max * m.grid_step ** (a + 1.0) / (a + 1.0)
+        x = m.x_grid[1:]
+        body = simpson(x**a * m.phi_values[1:], x=x)
+        assert norm.integral == pytest.approx(head + body, rel=1e-15, abs=0.0)
+        assert all(type(v) is float for v in dataclasses.astuple(norm))
 
 
 class TestNormalization:

@@ -9,9 +9,11 @@ checkout's ``src`` and once with the package from OTHER_SRC, at --seed 12345,
 each in a fresh directory.  The script compares the exit code, standard
 output and the bytes of every file written to --out, prints one line per
 config and exits 1 if any config differs.  For each file that differs it
-also prints the largest relative difference of its numbers: the float64
-values of a ``.bin`` file, each CSV column and each JSON number, where an
-array or column differs by max |a - b| / max |b|.
+also prints the largest difference of its numbers: the float64 values of a
+``.bin`` file, each CSV column and each JSON number, where an array or column
+differs by max |a - b| / max |b| (relative) and by max |a - b| (absolute).
+The relative figure is taken against the array's own maximum, so an array of
+near-zero values can read large there while its absolute move is tiny.
 """
 
 import argparse
@@ -78,16 +80,16 @@ def run(src, workdir, command, config):
     return proc.returncode, proc.stdout, files, out
 
 
-def _rel(a, b):
-    """max |a - b| / max |b| over paired arrays; NaN equals NaN."""
+def _diff(a, b):
+    """(max |a - b| / max |b|, max |a - b|) over paired arrays; NaN equals NaN."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     same_nan = np.isnan(a) & np.isnan(b)
     diff = np.where(same_nan, 0.0, np.abs(a - b))
     if np.isnan(diff).any():
-        return np.inf
+        return np.inf, np.inf
     top = float(np.max(np.abs(np.where(same_nan, 0.0, b)), initial=0.0))
     worst = float(np.max(diff, initial=0.0))
-    return worst / top if top > 0 else (np.inf if worst > 0 else 0.0)
+    return worst / top if top > 0 else (np.inf if worst > 0 else 0.0), worst
 
 
 def _json_leaves(obj, path=""):
@@ -117,17 +119,17 @@ def _header_mask(values, name):
 
 
 def numeric_difference(path_a, path_b):
-    """(largest relative difference, where) of the numbers in two files of
-    one name, or a few words saying why they do not pair up number by number:
-    the .bin payload, each CSV column, each JSON number."""
+    """(largest relative difference, its absolute one, where) of the numbers
+    in two files of one name, or a few words saying why they do not pair up
+    number by number: the .bin payload, each CSV column, each JSON number."""
     if path_b.endswith(".bin"):
         a, b = np.fromfile(path_a), np.fromfile(path_b)
         if a.shape != b.shape:
             return "sizes differ"
         head = _header_mask(b, os.path.basename(path_b))
-        if _rel(a[head], b[head]) > 0:
+        if _diff(a[head], b[head])[1] > 0:
             return "headers differ"
-        return _rel(a[~head], b[~head]), "payload"
+        return *_diff(a[~head], b[~head]), "payload"
     if path_b.endswith(".csv"):
         # write_columns_csv writes numeric columns only
         with open(path_a) as fa, open(path_b) as fb:
@@ -138,17 +140,17 @@ def numeric_difference(path_a, path_b):
                 for p in (path_a, path_b))
         if a.shape != b.shape:
             return "shapes differ"
-        return max(((_rel(x, y), name) for x, y, name in zip(a.T, b.T, header)),
-                   default=(0.0, "no rows"))
+        return max(((*_diff(x, y), name) for x, y, name in zip(a.T, b.T, header)),
+                   default=(0.0, 0.0, "no rows"))
     if path_b.endswith(".json"):
         with open(path_a) as fa, open(path_b) as fb:
             a, b = _json_leaves(json.load(fa)), _json_leaves(json.load(fb))
         if [p for p, _ in a] != [p for p, _ in b]:
             return "structure differs"
-        worst = (0.0, "no numbers")
+        worst = (0.0, 0.0, "no numbers")
         for (path, x), (_, y) in zip(a, b):
             if _is_number(x) and _is_number(y):
-                worst = max(worst, (_rel([x], [y]), path.lstrip(".")))
+                worst = max(worst, (*_diff([x], [y]), path.lstrip(".")))
             elif x != y:
                 return f"text differs at {path.lstrip('.')}"
         return worst
@@ -170,7 +172,7 @@ def differences(ours, theirs):
             continue
         diff = numeric_difference(os.path.join(out_a, name), os.path.join(out_b, name))
         if isinstance(diff, tuple):
-            diff = f"max rel {diff[0]:.2g} in {diff[1]}"
+            diff = f"max rel {diff[0]:.2g} (abs {diff[1]:.2g}) in {diff[2]}"
         found.append(f"--out/{name} ({diff})")
     return found
 
