@@ -300,9 +300,8 @@ class VerdictGroup(click.Group):
     """Command group that reports a rejected input as one FAIL verdict line.
 
     The library raises these errors for inputs it cannot handle (a non-power
-    of two torus, a graph the sampler does not support, an unknown config
-    key, ...); the CLI turns them into a FAIL line and exit code 1 instead of
-    a traceback.
+    of two torus, an unknown config key, ...); the CLI turns them into a
+    FAIL line and exit code 1 instead of a traceback.
     """
 
     def invoke(self, ctx):
@@ -508,12 +507,13 @@ def sample(ctx):
     from .sampler import covariance_report, sample_graph, sample_torus
     if kind == "graph":
         totals, kept = sample_graph(op, family, plan, seed, sample_count, keep)
-        oracle = op.green_oracle()
+        oracle = op.field_oracle()
     else:
         from .lattice import circulant_matrix, green_column
         totals, kept = sample_torus(op, family, plan, seed, sample_count, keep)
         oracle = circulant_matrix(green_column(op.spec))
     rep = covariance_report(totals, oracle, min_samples=min(1000, sample_count))
+    del totals  # the report is all that is left of it; the CSV below is the peak
     if z_bound is None:
         # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m); a
         # fixed threshold would false-alarm on large covariance matrices

@@ -195,14 +195,15 @@ class GraphOperator:
         p = self.graph.mu / self.graph.mu.sum()
         return np.eye(self.n) - np.outer(np.ones(self.n), p)
 
-    def green_oracle(self):
+    def green_oracle(self, column_scale=1.0):
         """Dense Green's function of the operator, the oracle for blocks and samples.
 
         A dense solve; for a singular operator, the mu-weighted pseudo-inverse
         projected onto mean-zero functions (where the massless field lives).
+        Column y is multiplied by column_scale[y] before the projection.
         """
         if not self.is_singular:
-            return np.linalg.solve(self.dense(), np.eye(self.n))
+            return np.linalg.solve(self.dense(), np.eye(self.n)) * column_scale
 
         def pseudo_inverse(vals):
             out = np.zeros_like(vals)
@@ -211,7 +212,19 @@ class GraphOperator:
             return out
 
         proj = self.mean_zero_projection()
-        return proj @ self.apply_weight_dense(pseudo_inverse) @ proj.T
+        return proj @ (self.apply_weight_dense(pseudo_inverse) * column_scale) @ proj.T
+
+    def field_oracle(self):
+        """Covariance of the field sample_graph draws, mean(mu) Lambda^{-1} D^{-1}:
+        green_oracle() when mu is constant, the symmetric Dirichlet-form field
+        (mean-zero projected when singular) otherwise."""
+        return self.green_oracle(column_scale=self.graph.mu.mean() / self.graph.mu)
+
+
+def check_family(op, family):
+    """Refuse a weight family built for another norm bound than the operator's."""
+    if abs(family.B - op.B) > 1e-12 * op.B:
+        raise GraphError(f"family B={family.B} does not match operator B={op.B}")
 
 
 def chebyshev_apply(op, series, u):
@@ -287,8 +300,7 @@ def scale_blocks(op, family, plan):
     """(white, blocks): the white piece's multiple of the identity and the
     blocks C_j of plan.series(family), each from one shared chebyshev_apply on
     the basis, mu-symmetrized and with its range / PSD certificates."""
-    if abs(family.B - op.B) > 1e-12 * op.B:
-        raise GraphError(f"family B={family.B} does not match operator B={op.B}")
+    check_family(op, family)
     series = plan.series(family)
     raws = chebyshev_apply(op, series[1:], np.eye(op.n))
     dist = op.graph.distances()
@@ -324,20 +336,21 @@ class ReconstructionReport:
 
 
 def reconstruct_green(op, family, plan=None):
-    """Sum the white piece and the blocks of plan and compare to the operator's
+    """Evaluate the plan's summed series on the operator and compare to its
     Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap(),
     PLAN_T_MIN).
 
-    Singular operators (a Laplacian, or a resolvent with m2 = 0) are handled
-    by deflation of the constant vector: the comparison runs on the mean-zero
-    subspace against the pseudo-inverse; blocks themselves are not modified
-    (their finite range is preserved).
+    plan.total_series(family) runs through one chebyshev_apply on the identity
+    and is mu-symmetrized once: one n x n accumulator for any number of
+    scales.  Singular operators (a Laplacian, or a resolvent with m2 = 0) are
+    compared on the mean-zero subspace against the pseudo-inverse.
     """
     gap = op.spectral_gap()
     if plan is None:
         plan = default_scale_plan(family, gap, PLAN_T_MIN)
-    white, blocks = scale_blocks(op, family, plan)
-    total = sum((blk.matrix for blk in blocks), white * np.eye(op.n))
+    check_family(op, family)
+    total, = chebyshev_apply(op, [plan.total_series(family)], np.eye(op.n))
+    total = _mu_symmetrize(total, op.graph.mu)[0]
     tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()

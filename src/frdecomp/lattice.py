@@ -23,8 +23,7 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import j0, j1
 
 from .quadrature import gauss_legendre
-from .weights import (WHITE_CLIP_TOL, BlockQualityError, clenshaw_folded,
-                      default_scale_plan)
+from .weights import default_scale_plan, mode_variances
 
 DEFAULT_XI_CUTOFF = 40.0
 # Lower end of the default torus plan: the exact white piece covers t < 1.
@@ -153,7 +152,8 @@ class LatticeKernel:
         return float(np.max(np.abs(self.values)))
 
 
-def _check_family(table, family):
+def check_family(table, family):
+    """Refuse a weight family built for another norm bound than the table's."""
     if abs(family.B - table.B) > 1e-9 * table.B:
         raise LatticeError(f"family B={family.B} does not match table B={table.B}")
 
@@ -166,7 +166,7 @@ def lattice_kernel(table, family, t, allow_wraparound=False):
     unless allow_wraparound is set (scale integrals targeting the torus
     inverse are exact with wrap-around and may set it).
     """
-    _check_family(table, family)
+    check_family(table, family)
     spec = table.spec
     if not allow_wraparound and 2.0 * t >= spec.N:
         raise WrapAroundError(
@@ -263,44 +263,13 @@ class TorusReconstruction:
     deflated: bool
 
 
-def torus_mode_variances(table, family, series):
-    """Fourier-mode variances on the dual grid, one per folded series.
-
-    Each series (ScalePlan.series, or a sum of its entries) is evaluated on
-    the symbol.  Roundoff negatives are clipped against the field scale, the
-    largest variance of any series, not the series' own: high-j blocks are
-    uniformly tiny and carry 1e-15-level Clenshaw noise; more negative mass
-    is a BlockQualityError.  At m^2 = 0 the zero mode gets variance 0 in
-    every series, so the field lives on mean-zero functions.
-    """
-    _check_family(table, family)
-    lam = table.values.ravel()
-    zero_mode = lam <= 1e-12
-    theta = 1.0 - 0.5 * family.arg_scale * lam
-    variances = [clenshaw_folded(a, theta) for a in series]
-    field_scale = max(float(np.max(v)) for v in variances)
-    out = []
-    for v in variances:
-        neg = v < 0
-        if np.any(neg):
-            worst = float(-v[neg].min())
-            if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
-                raise BlockQualityError(f"negative mode variance {worst}")
-            v[neg] = 0.0
-        if table.spec.m2 <= 0.0:
-            v[zero_mode] = 0.0
-        out.append(v.reshape(table.spec.shape))
-    return out
-
-
 def reconstruct_torus_green(table, family, plan=None):
     """Sum the plan's scale series and compare to the real-space oracle;
     plan defaults to default_scale_plan(family, table.spectral_gap(),
     PLAN_T_MIN).
 
-    The white piece and every block of plan.series(family) add into one
-    Chebyshev series, evaluated on the symbol by torus_mode_variances (with
-    its zero-mode deflation at m^2 = 0) and transformed back.  The
+    The plan's total_series is evaluated on the symbol by mode_variances
+    (with its zero-mode deflation at m^2 = 0) and transformed back.  The
     reconstructed Green matrix is circulant by construction and the oracle
     commutes with shifts, so the largest entrywise error is the largest
     error over the one column green_column(table.spec).
@@ -308,11 +277,9 @@ def reconstruct_torus_green(table, family, plan=None):
     spec = table.spec
     if plan is None:
         plan = default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN)
-    series = plan.series(family)
-    total = np.zeros(max(len(a) for a in series))
-    for a in series:
-        total[:len(a)] += a
-    v, = torus_mode_variances(table, family, [total])
+    check_family(table, family)
+    v, = mode_variances(table.values, family, [plan.total_series(family)],
+                        spec.m2 <= 0.0)
     kernel = np.fft.ifftn(v).real
     oracle = green_column(spec)
     max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))

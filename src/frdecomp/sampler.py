@@ -1,16 +1,21 @@
 """Multiscale Gaussian free field samplers.
 
 The field is a sum of independent per-scale Gaussian components whose
-covariances are the scale blocks C_j; summed over all scales they reproduce
-the Green's function of the operator.  Two backends:
+covariances are the scale blocks C_j = f_j(Lambda); summed over all scales
+they reproduce the Green's function of the operator.  Both backends draw
+every scale in the operator's eigenbasis, weighted by the square roots of
+the mode variances f_j(lambda) (weights.mode_variances; zero on the zero
+modes of a singular operator):
 
-* torus: per scale, independent complex Gaussian Fourier modes with variance
-  given by the block's spectral multiplier; the real part of the inverse
-  transform has exactly the block covariance because the multiplier is even.
+* torus: the Fourier basis.  n real normals per scale and replicate are
+  filtered as irfftn(sqrt(f_j) rfftn(xi)), which has exactly the block
+  covariance because f_j is even in the frequency.
 
-* graph: X_j = A_j xi with A_j the symmetric eigendecomposition square root
-  of C_j (negative eigenvalues clipped at zero; clipping beyond tolerance is
-  a block-quality failure).
+* graph: the eigenvectors U of D^{1/2} Lambda D^{-1/2}.  The weighted
+  normals of every scale are summed in eigen-coordinates and mapped to the
+  vertices once, X = sqrt(mean mu) D^{-1/2} U y, with covariance
+  mean(mu) Lambda^{-1} D^{-1}: the Green's function when the vertex measure
+  mu is constant, the symmetric Dirichlet-form field otherwise.
 
 Randomness is counter-based: each (scale, replicate batch) pair owns a
 Philox stream keyed by (seed, scale index, batch), with replicates laid out
@@ -31,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, scale_blocks
-from .lattice import torus_mode_variances
-from .weights import WHITE_CLIP_TOL, BlockQualityError
+from . import graphs, lattice
+from .weights import mode_variances
 
 
 def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "keep")):
@@ -50,7 +54,7 @@ def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "kee
 
 REPLICATE_BATCH = 4096
 # Normals per drawn slice; the two draw-ahead buffers hold twice this.
-SLICE_VALUES = 2**22
+SLICE_VALUES = 2**21
 
 
 def _stream(seed, scale_index, batch):
@@ -103,11 +107,13 @@ def _batched_draws(seed, scales, count, draw_shape, consume):
             consume(s, lo, values)
 
 
-def _running_totals(count, scales, sites, keep):
+def _running_totals(count, scales, sites, keep, to_sites=np.asarray):
     """totals (count, sites), kept (min(keep, count), scales, sites) and
     add(s, lo, x), which puts scale s of replicates [lo, lo + len(x)) into
     both; fed in _batched_draws order, it sums each replicate in scale order
-    (white piece first), bit-equal to kept.sum(axis=1) at keep = count."""
+    (white piece first).  kept gets to_sites of the rows it keeps, totals
+    the sum of x as given (for the caller to map, if to_sites is not the
+    identity)."""
     totals = np.empty((count, sites))
     kept = np.empty((min(keep, count), scales, sites))
 
@@ -117,7 +123,7 @@ def _running_totals(count, scales, sites, keep):
             totals[rows] = x
         else:
             totals[rows] += x
-        kept[rows, s] = x[:len(kept[rows])]
+        kept[rows, s] = to_sites(x[:len(kept[rows])])
 
     return totals, kept, add
 
@@ -129,86 +135,66 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     """Draw replicates of the multiscale field on the torus of the symbol
     table; returns (totals, kept) as described in _running_totals.
 
-    Per scale and replicate, X = Re(ifftn(sqrt(v N^d) (a + i b))) with a, b
-    i.i.d. standard normal and v the scale's entry of
-    torus_mode_variances(table, family, plan.series(family)); because v is
-    even in xi this has covariance exactly N^{-d} sum_xi v(xi) e^{i xi (x - y)},
-    the block kernel.
+    Per scale and replicate, X = irfftn(sqrt(v) rfftn(xi)) with xi of n i.i.d.
+    standard normals and v the scale's entry of mode_variances on the
+    symbol; because v is real and even in the frequency this has covariance
+    exactly N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.
     """
     check_settings(seed, sample_count, keep)
+    lattice.check_family(table, family)
     spec = table.spec
-    variances = torus_mode_variances(table, family, plan.series(family))
+    variances = mode_variances(table.values, family, plan.series(family),
+                               spec.m2 <= 0.0)
     n = spec.size
     totals, kept, add = _running_totals(sample_count, len(variances), n, keep)
     fft_axes = tuple(range(-spec.d, 0))
-    amps = [np.sqrt(v * n) for v in variances]
-    draw_shape = (2,) + spec.shape
-    z = np.empty((min(_slice_reps(draw_shape), sample_count),) + spec.shape,
-                 dtype=complex)
+    half = spec.N // 2 + 1
+    amps = [np.sqrt(v[..., :half]) for v in variances]
+    z = np.empty((min(_slice_reps(spec.shape), sample_count),)
+                 + spec.shape[:-1] + (half,), dtype=complex)
 
     def consume(s, lo, vals):
         k = len(vals)
-        zk = z[:k]
-        np.multiply(amps[s], vals[:, 0], out=zk.real)
-        np.multiply(amps[s], vals[:, 1], out=zk.imag)
-        np.fft.ifftn(zk, axes=fft_axes, out=zk)
-        add(s, lo, zk.real.reshape(k, n))
+        zk = np.fft.rfftn(vals, axes=fft_axes, out=z[:k])
+        zk *= amps[s]
+        np.fft.irfftn(zk, s=spec.shape, axes=fft_axes, out=vals)
+        add(s, lo, vals.reshape(k, n))
 
-    _batched_draws(seed, len(variances), sample_count, draw_shape, consume)
+    _batched_draws(seed, len(variances), sample_count, spec.shape, consume)
     return totals, kept
 
 
 # ---------------------------------------------------------------------------
 # graph backend
 
-def _block_factor(matrix, field_scale, clip_tol=WHITE_CLIP_TOL):
-    """Symmetric square root with PSD clipping; reports clipped mass."""
-    sym = 0.5 * (matrix + matrix.T)
-    vals, vecs = np.linalg.eigh(sym)
-    clipped = float(max(0.0, -vals.min()))
-    if clipped > clip_tol * max(field_scale, 1e-300):
-        raise BlockQualityError(
-            f"eigenvalue clipping {clipped} beyond tolerance of the field scale")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T, clipped
-
-
-def graph_scale_factors(op, family, plan):
-    """Square-root factors A_j for the white piece and every block."""
-    white_var, blocks = scale_blocks(op, family, plan)
-    field_scale = max([b.certificates.max_eig for b in blocks] + [white_var])
-    return [np.sqrt(white_var) * np.eye(op.n)] + [
-        _block_factor(blk.matrix, field_scale)[0] for blk in blocks]
-
-
 def sample_graph(op, family, plan, seed, sample_count, keep=0):
-    """Draw replicates X_j = A_j xi_j on a graph (n <= 4096); returns
-    (totals, kept) as described in _running_totals.
+    """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n <= 4096),
+    y = sum_j sqrt(f_j) eta_j; returns (totals, kept) as in _running_totals.
 
-    For a singular operator the mu-weighted mean is removed from every
-    component (massless fields exist on the mean-zero subspace only).  A
-    vertex measure mu with a relative spread above 1e-9 is refused before
-    any block is built: the symmetric factors A_j need the covariance
-    C_j D^{-1} to be a symmetric matrix, which holds for constant mu only.
+    (lambda, U) is op.eigensystem(), already computed for the plan's spectral
+    gap, so the sample path builds no block and applies no operator.  totals
+    hold y until one final map to the vertices, in row chunks; kept rows are
+    mapped per scale.  The covariance is op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
     if op.n > 4096:
-        raise GraphError("graph sampler limited to n <= 4096")
-    mu = op.graph.mu
-    if mu.max() - mu.min() > 1e-9 * mu.max():
-        raise GraphError("graph sampler requires a constant vertex measure "
-                         f"(mu spans [{mu.min():g}, {mu.max():g}])")
-    factors = graph_scale_factors(op, family, plan)
-    totals, kept, add = _running_totals(sample_count, len(factors), op.n, keep)
-    weights = op.graph.mu / op.graph.mu.sum()
+        raise graphs.GraphError("graph sampler limited to n <= 4096")
+    graphs.check_family(op, family)
+    lam, vecs = op.eigensystem()
+    amps = [np.sqrt(v) for v in mode_variances(lam, family, plan.series(family),
+                                               op.is_singular)]
+    back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
 
-    def consume(s, lo, vals):
-        x = vals @ factors[s].T
-        if op.is_singular:
-            x = x - (x @ weights)[:, None]
-        add(s, lo, x)
+    def to_sites(y):
+        return (y @ vecs.T) * back
 
-    _batched_draws(seed, len(factors), sample_count, (op.n,), consume)
+    totals, kept, add = _running_totals(sample_count, len(amps), op.n, keep,
+                                        to_sites)
+    _batched_draws(seed, len(amps), sample_count, (op.n,),
+                   lambda s, lo, vals: add(s, lo, np.multiply(vals, amps[s], out=vals)))
+    chunk = _slice_reps((op.n,))
+    for lo in range(0, sample_count, chunk):
+        totals[lo:lo + chunk] = to_sites(totals[lo:lo + chunk])
     return totals, kept
 
 

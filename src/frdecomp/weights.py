@@ -25,9 +25,10 @@ The integrand t^2 C (3/B) W*_t is linear in the coefficients phi_hat(k/t)/t,
 so a scale integral over [t_lo, t_hi] is itself one Chebyshev series of
 degree floor(t_hi) whose coefficients are the quadrature sum of the per-scale
 ones (DiscreteWeightFamily.interval_coefficients).  A plan is the list of
-those series, white piece first (ScalePlan.series), and every torus mode
-variance and graph block in the package evaluates that list; torus
-reconstruct sums the list into one series and evaluates it once.
+those series, white piece first (ScalePlan.series), and every mode variance
+(mode_variances) and graph block in the package evaluates that list; both
+reconstructs sum the list into one series (ScalePlan.total_series) and
+evaluate it once.
 """
 
 from dataclasses import dataclass
@@ -262,6 +263,31 @@ class DiscreteWeightFamily:
             for xi in x]) * lam
 
 
+def mode_variances(spectrum, family, series, singular):
+    """Each folded series evaluated at theta = 1 - (3/(2B)) lambda for every
+    eigenvalue in the array spectrum (family built with the operator's B).
+
+    Roundoff negatives are clipped against the field scale, the largest
+    variance of any series, since high-j blocks are uniformly tiny and carry
+    1e-15-level Clenshaw noise; more negative mass is a BlockQualityError.
+    For a singular operator the zero modes (lambda <= 1e-12) get variance 0.
+    """
+    lam = np.asarray(spectrum, dtype=float)
+    theta = 1.0 - 0.5 * family.arg_scale * lam
+    variances = [clenshaw_folded(a, theta) for a in series]
+    field_scale = max(float(np.max(v)) for v in variances)
+    for v in variances:
+        neg = v < 0
+        if np.any(neg):
+            worst = float(-v[neg].min())
+            if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
+                raise BlockQualityError(f"negative mode variance {worst}")
+            v[neg] = 0.0
+        if singular:
+            v[lam <= 1e-12] = 0.0
+    return variances
+
+
 # ---------------------------------------------------------------------------
 # scale plans
 
@@ -305,6 +331,14 @@ class ScalePlan:
         return [np.array([family.low_scale_integral(0.0, t[0])])] + [
             family.interval_coefficients(lo, hi, self.nodes_per_block)
             for lo, hi in zip(t, t[1:])]
+
+    def total_series(self, family):
+        """The sum of series(family): the whole plan as one folded series."""
+        series = self.series(family)
+        total = np.zeros(max(len(a) for a in series))
+        for a in series:
+            total[:len(a)] += a
+        return total
 
 
 def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0,

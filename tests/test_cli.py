@@ -223,24 +223,36 @@ class TestSampleCommand:
         assert res.exit_code == 0, res.output
         assert (out / "samples.bin").exists()
 
-    def test_massless_cycle_builds_each_block_once(self, tmp_path, monkeypatch):
-        import frdecomp.sampler as sampler
-        built = []
-        original = sampler.scale_blocks
+    def test_massless_cycle_sample_builds_no_block(self, tmp_path, monkeypatch):
+        # the sampler draws in the operator's eigenbasis: no block, no recurrence
+        import frdecomp.graphs as graphs
 
-        def counting_scale_blocks(op, family, plan):
-            white, blocks = original(op, family, plan)
-            built.append([b.j for b in blocks])
-            return white, blocks
+        def refuse(*args):
+            raise AssertionError("block path called")
 
-        monkeypatch.setattr(sampler, "scale_blocks", counting_scale_blocks)
+        monkeypatch.setattr(graphs, "scale_blocks", refuse)
+        monkeypatch.setattr(graphs, "chebyshev_apply", refuse)
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"operator": "laplacian"},
                    "scales": {"j_min": -2, "j_max": 6},
                    "sampler": {"sample_count": 4000}}).to_file(cfgfile)
         res = run(["--config", str(cfgfile), "--out", str(tmp_path / "ml"), "sample"])
         assert res.exit_code == 0, res.output
-        assert built == [list(range(-2, 7))]
+
+    @pytest.mark.parametrize("operator", ["resolvent", "laplacian"])
+    def test_uneven_degree_graph_sample(self, tmp_path, operator):
+        # a 6-cycle plus one chord: vertex measure is not constant, and the
+        # field is checked against mean(mu) Lambda^{-1} D^{-1}
+        edges = tmp_path / "edges.txt"
+        edges.write_text("".join(f"{i} {(i + 1) % 6} 1.0\n" for i in range(6))
+                         + "0 3 1.0\n")
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"graph": "file", "edges_file": str(edges),
+                               "operator": operator},
+                   "sampler": {"sample_count": 2000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "c"), "sample"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("PASS gff_sampler.covariance_report.max_abs_z")
 
     def test_graph_from_edgelist_file(self, tmp_path):
         edges = tmp_path / "edges.txt"
@@ -316,17 +328,6 @@ class TestRejectedInput:
         lines = res.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"FAIL {command} {error}: ")
         assert "Traceback" not in res.output
-
-    def test_uneven_degree_graph_sample(self, tmp_path):
-        # a 6-cycle plus one chord: vertex measure is not constant
-        edges = tmp_path / "edges.txt"
-        edges.write_text("".join(f"{i} {(i + 1) % 6} 1.0\n" for i in range(6))
-                         + "0 3 1.0\n")
-        cfgfile = tmp_path / "cfg.json"
-        RunConfig({"backend": {"graph": "file", "edges_file": str(edges)},
-                   "sampler": {"sample_count": 2000}}).to_file(cfgfile)
-        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "c"), "sample"])
-        self.assert_one_fail_line(res, "sample", "GraphError")
 
     @pytest.mark.parametrize("text, command", [
         pytest.param(text, "sample", id=text) for text in (

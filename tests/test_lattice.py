@@ -9,9 +9,10 @@ from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
                               reconstruct_torus_green, stencil_operator,
-                              torus_linf_distance, torus_mode_variances)
+                              torus_linf_distance)
 from frdecomp.quadrature import log_gauss_legendre
-from frdecomp.weights import DiscreteWeightFamily, ScalePlan, default_scale_plan
+from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, default_scale_plan,
+                              mode_variances)
 
 
 def make_family(m, norm, B):
@@ -215,7 +216,7 @@ class TestTorusReconstruction:
         fam = make_family(mollifier, norm1, table.B)
         plan = default_scale_plan(fam, table.spectral_gap(), PLAN_T_MIN)
         rec = reconstruct_torus_green(table, fam, plan)
-        per_scale = torus_mode_variances(table, fam, plan.series(fam))
+        per_scale = mode_variances(table.values, fam, plan.series(fam), m2 == 0.0)
         expect = np.fft.ifftn(sum(per_scale)).real
         assert np.max(np.abs(rec.kernel - expect)) <= 1e-12 * np.max(np.abs(rec.kernel))
         if m2 == 0.0:   # deflated: the zero mode carries no variance

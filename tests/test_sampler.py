@@ -6,15 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from frdecomp import sampler
-from frdecomp.graphs import (GraphError, GraphOperator, WeightedGraph, cycle_graph,
+from frdecomp import graphs, sampler
+from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph,
                              reconstruct_green, scale_blocks, two_vertex_graph)
-from frdecomp.lattice import (LatticeSpec, build_symbol_table, green_column,
-                              torus_mode_variances)
+from frdecomp.lattice import (LatticeSpec, build_symbol_table, circulant_matrix,
+                              green_column)
 from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
-                              graph_scale_factors, sample_graph, sample_torus,
-                              _batched_draws, _block_factor, _stream)
-from frdecomp.weights import BlockQualityError, DiscreteWeightFamily, ScalePlan
+                              sample_graph, sample_torus, _batched_draws, _stream)
+from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
+                              default_scale_plan, mode_variances)
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +76,14 @@ class TestCheckSettings:
 
 class TestGraphSampler:
     def test_exact_total_covariance(self, cycle_setup):
-        # oracle level: sum_s A_s A_s^T must equal the reconstruction matrix
-        op, fam, plan, rec, _ = cycle_setup
-        factors = graph_scale_factors(op, fam, plan)
-        total = sum(A @ A.T for A in factors)
+        # oracle level: sum_s U f_s U^T equals the reconstruction matrix and
+        # matches the Green oracle within the reconstruct tolerance
+        op, fam, plan, rec, oracle = cycle_setup
+        lam, vecs = op.eigensystem()
+        total = sum((vecs * v) @ vecs.T
+                    for v in mode_variances(lam, fam, plan.series(fam), False))
         assert np.max(np.abs(total - rec.matrix)) <= 1e-10 * np.max(np.abs(rec.matrix))
+        assert np.max(np.abs(total - op.green_oracle())) <= 1e-5 * np.max(np.abs(oracle))
 
     def test_determinism_and_seed_sensitivity(self, cycle_setup):
         op, fam, plan, _, _ = cycle_setup
@@ -143,24 +146,69 @@ class TestGraphSampler:
                 worst = max(worst, float(np.max(np.abs(cross / se))))
         assert worst <= 4.5
 
-    def test_block_quality_error(self):
-        bad = np.diag([1.0, -1e-3])
-        with pytest.raises(BlockQualityError):
-            _block_factor(bad, field_scale=1.0)
+    def test_block_quality_error(self, mollifier, norm1):
+        # a series negative everywhere, on a graph and a torus spectrum: 1e-10
+        # of the field scale is roundoff and clipped to 0, 1e-3 is a
+        # block-quality failure
+        op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
+        table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=1.0, N=8))
+        for B, spectrum in ((op.B, op.eigensystem()[0]), (table.B, table.values)):
+            fam = DiscreteWeightFamily(mollifier, norm1, B=B)
+            white, clipped = mode_variances(spectrum, fam, [np.array([1.0]),
+                                                            np.array([-1e-10])], False)
+            assert np.all(white == 1.0) and np.all(clipped == 0.0)
+            assert white.shape == spectrum.shape
+            with pytest.raises(BlockQualityError, match="negative mode variance"):
+                mode_variances(spectrum, fam, [np.array([1.0]), np.array([-1e-3])],
+                               False)
 
-    def test_non_constant_measure_refused_before_blocks(self, mollifier, norm1,
-                                                       monkeypatch):
-        # a 6-cycle plus one chord: vertex measure is not constant
+    def test_sample_path_applies_no_operator(self, cycle_setup, monkeypatch):
+        # the eigensystem comes from the plan's spectral gap; sampling then
+        # builds no block, runs no recurrence and factors nothing
+        op, fam, plan, _, _ = cycle_setup
+        op.spectral_gap()
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kw):
+                calls.append(name)
+                return fn(*args, **kw)
+            return wrapped
+
+        monkeypatch.setattr(GraphOperator, "apply", counting("apply", GraphOperator.apply))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(graphs, "scale_blocks", counting("blocks", scale_blocks))
+        totals, _ = sample_graph(op, fam, plan, 3, 100)
+        assert calls == [] and totals.shape == (100, op.n)
+
+    @pytest.mark.parametrize("kind, kw", [
+        pytest.param("resolvent", {"m2": 1.0}, id="resolvent"),
+        pytest.param("laplacian", {}, id="laplacian")])
+    def test_non_constant_measure_exact_covariance(self, mollifier, norm1, kind, kw):
+        # a 6-cycle plus one chord: the vertex measure is not constant.  The
+        # sampled map is sqrt(mean mu) D^{-1/2} U sqrt(f_s) per scale, and its
+        # summed covariance is the field oracle mean(mu) Lambda^{-1} D^{-1}
         edges = [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(0, 3, 1.0)]
-        op = GraphOperator(WeightedGraph.from_edges(6, edges), "resolvent", m2=1.0)
+        op = GraphOperator(WeightedGraph.from_edges(6, edges), kind, **kw)
+        assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-
-        def no_blocks(*args):
-            raise AssertionError("scale_blocks called")
-
-        monkeypatch.setattr(sampler, "scale_blocks", no_blocks)
-        with pytest.raises(GraphError, match="constant vertex measure"):
-            sample_graph(op, fam, ScalePlan(j_min=0, j_max=2), 1, 10)
+        plan = default_scale_plan(fam, op.spectral_gap(), graphs.PLAN_T_MIN)
+        lam, vecs = op.eigensystem()
+        back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
+        variances = mode_variances(lam, fam, plan.series(fam), op.is_singular)
+        _, kept = sample_graph(op, fam, plan, 5, 64, keep=64)
+        total = np.zeros((op.n, op.n))
+        for s, v in enumerate(variances):
+            amp = np.sqrt(v)
+            assert np.array_equal(
+                kept[:, s], ((stream_normals(5, s, 64, (op.n,)) * amp) @ vecs.T) * back)
+            A = back[:, None] * vecs * amp
+            total += A @ A.T
+        oracle = op.field_oracle()
+        assert np.max(np.abs(oracle - oracle.T)) <= 1e-14 * np.max(np.abs(oracle))
+        assert np.max(np.abs(total - oracle)) <= 1e-5 * np.max(np.abs(oracle))
+        if op.is_singular:    # every component has mu-weighted mean zero
+            assert np.max(np.abs(kept @ op.graph.mu)) <= 1e-12
 
     def test_zero_mode_guard(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(8))
@@ -172,25 +220,19 @@ class TestGraphSampler:
 
 class TestTorusSampler:
     def test_exact_covariance_map(self, mollifier, norm1):
-        # the linear map (a, b) -> X has covariance exactly the circulant
-        # built from the per-scale mode variances
+        # the linear map xi -> irfft(sqrt(v) rfft(xi)) has covariance exactly
+        # the circulant built from the per-scale mode variances
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        variances = torus_mode_variances(table, fam, plan.series(fam))
+        variances = mode_variances(table.values, fam, plan.series(fam), False)
         n = spec.size
         xi = 2.0 * np.pi * np.arange(n) / n
         for v in variances:
             vr = v.ravel()
-            amp = np.sqrt(vr * n)
-            cols = []
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = 1.0
-                cols.append(np.fft.ifft(amp * e).real)
-                cols.append(np.fft.ifft(amp * 1j * e).real)
-            A = np.array(cols).T
+            # column k is the image of the k-th unit vector
+            A = np.fft.irfft(np.sqrt(vr[:n // 2 + 1]) * np.fft.rfft(np.eye(n)), n).T
             target = np.array([[np.sum(vr * np.cos(xi * (x - y))) / n
                                 for y in range(n)] for x in range(n)])
             assert np.max(np.abs(A @ A.T - target)) <= 1e-14 * max(vr.max(), 1e-30)
@@ -213,6 +255,26 @@ class TestTorusSampler:
         a = sample_torus(table, fam, plan, 41, 32, keep=32)
         b = sample_torus(table, fam, plan, 41, 32, keep=32)
         assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
+
+    def test_many_seeds_statistics(self, mollifier, norm1):
+        # 8 x 8 torus, R = 2000, seeds 0..19: max |z| under the command
+        # line's default bound, and mean z^2 within 3 standard errors of 1
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+        oracle = circulant_matrix(green_column(spec))
+        upper = np.triu_indices(spec.size)
+        bound = np.sqrt(2.0 * np.log(2.0 * len(upper[0]))) + 1.0
+        max_z, mean_z2 = [], []
+        for seed in range(20):
+            totals, _ = sample_torus(table, fam, plan, seed, 2000)
+            z = covariance_report(totals, oracle).z_scores[upper]
+            max_z.append(np.max(np.abs(z)))
+            mean_z2.append(np.mean(z**2))
+        assert max(max_z) <= bound, max_z
+        se = np.std(mean_z2, ddof=1) / np.sqrt(len(mean_z2))
+        assert abs(np.mean(mean_z2) - 1.0) <= 3.0 * se, mean_z2
 
     def test_zero_mode_guard_and_deflation(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=16)
@@ -328,11 +390,11 @@ class TestDrawLayout:
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
         _, comps = sample_torus(table, fam, plan, 13, self.R, keep=self.R)
-        n = spec.size
-        for s, v in enumerate(torus_mode_variances(table, fam, plan.series(fam))):
-            amp = np.sqrt(v * n)
-            vals = stream_normals(13, s, self.R, (2,) + spec.shape)
-            x = np.fft.ifftn(amp * (vals[:, 0] + 1j * vals[:, 1]), axes=(-1,)).real
+        n, half = spec.size, spec.N // 2 + 1
+        for s, v in enumerate(mode_variances(table.values, fam, plan.series(fam), True)):
+            vals = stream_normals(13, s, self.R, spec.shape)
+            x = np.fft.irfftn(np.sqrt(v[:half]) * np.fft.rfftn(vals, axes=(-1,)),
+                              s=spec.shape, axes=(-1,))
             assert np.array_equal(comps[:, s], x.reshape(self.R, n))
 
     def test_singular_graph(self, mollifier, norm1):
@@ -340,26 +402,60 @@ class TestDrawLayout:
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         plan = ScalePlan(j_min=-2, j_max=4)
         _, comps = sample_graph(op, fam, plan, 17, self.R, keep=self.R)
-        weights = op.graph.mu / op.graph.mu.sum()
-        for s, A in enumerate(graph_scale_factors(op, fam, plan)):
-            x = stream_normals(17, s, self.R, (op.n,)) @ A.T
-            assert np.array_equal(comps[:, s], x - (x @ weights)[:, None])
+        lam, vecs = op.eigensystem()
+        back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
+        for s, v in enumerate(mode_variances(lam, fam, plan.series(fam), True)):
+            eta = stream_normals(17, s, self.R, (op.n,))
+            assert np.array_equal(comps[:, s], ((eta * np.sqrt(v)) @ vecs.T) * back)
+
+    def test_torus_draws_one_real_normal_per_site(self, mollifier, norm1, monkeypatch):
+        # scales x R x n normals: one per site, half of a complex draw per mode
+        drawn, stream = [], sampler._stream
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                drawn.append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(sampler, "_stream", lambda *key: Counting(stream(*key)))
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = ScalePlan(j_min=0, j_max=3)
+        sample_torus(table, fam, plan, 1, self.R)
+        assert sum(drawn) == len(plan.scale_labels()) * self.R * spec.size
 
 
 def small_sampler(backend, mollifier, norm1):
-    """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus."""
-    if backend == "graph":
-        op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        return lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw)
-    spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
-    table = build_symbol_table(spec)
-    fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    return lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw)
+    """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus,
+    and expect(plan, seed, count, kept), the totals rebuilt from the streams:
+    on the graph the scale sum in eigen-coordinates mapped once to the
+    vertices, on the torus the sum of the kept components in scale order."""
+    if backend == "torus":
+        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        return (lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw),
+                lambda plan, seed, count, kept: kept.sum(axis=1))
+    op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
+    fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+    lam, vecs = op.eigensystem()
+
+    def expect(plan, seed, count, kept):
+        variances = mode_variances(lam, fam, plan.series(fam), False)
+        y = sum(stream_normals(seed, s, count, (op.n,)) * np.sqrt(v)
+                for s, v in enumerate(variances))
+        return (y @ vecs.T) * np.sqrt(op.graph.mu.mean() / op.graph.mu)
+
+    return lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw), expect
 
 
 class TestRunningTotals:
-    """Totals are summed scale by scale as the slices are drawn."""
+    """Totals are summed scale by scale as the slices are drawn (on graphs in
+    eigen-coordinates, mapped to the vertices once)."""
 
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
@@ -369,11 +465,13 @@ class TestRunningTotals:
                                        backend, slice_values):
         if slice_values is not None:
             monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-        sample = small_sampler(backend, mollifier, norm1)
+        sample, expect = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
         totals, kept = sample(plan, 3, self.R, keep=self.R)
         assert kept.shape == (self.R, len(plan.scale_labels()), 16)
-        assert np.array_equal(totals, kept.sum(axis=1))
+        assert np.array_equal(totals, expect(plan, 3, self.R, kept))
+        scale = np.max(np.abs(totals))
+        assert np.max(np.abs(totals - kept.sum(axis=1))) <= 1e-14 * scale
         totals4, kept4 = sample(plan, 3, self.R, keep=4)
         assert np.array_equal(kept4, kept[:4])
         assert totals4.tobytes() == totals.tobytes()

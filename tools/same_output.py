@@ -52,6 +52,7 @@ CONFIGS = [
     ("default graph j=0..4", "decompose", {"scales": {"j_min": 0, "j_max": 4}}),
     ("defaults", "weights", {}),
     ("300-cycle", "reconstruct", {"backend": {"n": 300}}),
+    ("1024-cycle", "reconstruct", {"backend": {"n": 1024}}),
 ]
 
 
