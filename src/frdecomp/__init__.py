@@ -22,7 +22,8 @@ from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, reconstruct_green,
                      scale_blocks, two_vertex_graph)
-from .sampler import covariance_report, sample_graph, sample_torus
+from .sampler import (covariance_report, lag_covariance_report, sample_graph,
+                      sample_torus)
 
 __all__ = [
     "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
@@ -39,7 +40,7 @@ __all__ = [
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "reconstruct_green",
     "scale_blocks", "two_vertex_graph",
-    "covariance_report", "sample_graph", "sample_torus",
+    "covariance_report", "lag_covariance_report", "sample_graph", "sample_torus",
 ]
 
 __version__ = "0.1.0"

@@ -250,32 +250,34 @@ def _lattice_spec(config):
     return LatticeSpec(d=d, a=a, m2=float(b["lattice_m2"]), N=b["N"])
 
 
-def _backend(config, with_plan=True):
-    """(op, family, plan) of the config's backend.
+def _backend(config):
+    """(op, family) of the config's backend.
 
     op is the GraphOperator or, on a torus, the SymbolTable; family is the
-    discrete weight family for op.B; plan is _scale_plan's for op, or None
-    without with_plan.  The mollifier (_components) is built before op.
+    discrete weight family for op.B.  The mollifier (_components) is built
+    before op.
     """
     m, norm = _components(config)
     if config["backend"]["kind"] == "graph":
-        from .graphs import PLAN_T_MIN
         op = _graph_operator(config)
     else:
-        from .lattice import PLAN_T_MIN, build_symbol_table
+        from .lattice import build_symbol_table
         op = build_symbol_table(_lattice_spec(config))
-    family = DiscreteWeightFamily(m, norm, B=op.B)
-    if not with_plan:
-        return op, family, None
-    return op, family, _scale_plan(config, family, op.spectral_gap(), PLAN_T_MIN)
+    return op, DiscreteWeightFamily(m, norm, B=op.B)
 
 
-def _scale_plan(config, family, lambda_min, t_min):
-    """default_scale_plan for the operator with the config's scales, then the
-    config's j_min / j_max where they are set."""
+def _scale_plan(config, op, family):
+    """default_scale_plan for op (from its spectral gap, which is an O(n^3)
+    eigensolve on a graph) with the config's scales, then the config's
+    j_min / j_max where they are set."""
+    if config["backend"]["kind"] == "graph":
+        from .graphs import PLAN_T_MIN
+    else:
+        from .lattice import PLAN_T_MIN
+    lambda_min = op.spectral_gap()
     s = config["scales"]
     try:
-        plan = default_scale_plan(family, lambda_min, t_min, L_ratio=s["L_ratio"],
+        plan = default_scale_plan(family, lambda_min, PLAN_T_MIN, L_ratio=s["L_ratio"],
                                   nodes_per_block=s["nodes_per_block"],
                                   target_tail_rel=s["target_tail_rel"])
         return dataclasses.replace(
@@ -418,11 +420,11 @@ def decompose(ctx):
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
     kind = config["backend"]["kind"]
-    op, family, plan = _backend(config, with_plan=kind == "graph")
+    op, family = _backend(config)
     rows = []
     if kind == "graph":
         from .graphs import scale_blocks
-        for blk in scale_blocks(op, family, plan)[1]:
+        for blk in scale_blocks(op, family, _scale_plan(config, op, family))[1]:
             j, c = blk.j, blk.certificates
             sup = float(np.max(np.abs(blk.matrix)))
             rows.append((j, c.range_bound, c.min_eig, sup))
@@ -474,7 +476,8 @@ def reconstruct(ctx):
     """Reconstruct the Green's function from scale blocks vs its oracle."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
-    op, family, plan = _backend(config)
+    op, family = _backend(config)
+    plan = _scale_plan(config, op, family)
     if config["backend"]["kind"] == "graph":
         from .graphs import reconstruct_green
         rec = reconstruct_green(op, family, plan)
@@ -502,32 +505,36 @@ def sample(ctx):
     """Draw multiscale field replicates and verify covariance statistically."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     seed, sample_count, keep, z_bound = _sampler_settings(config)
-    op, family, plan = _backend(config)
+    op, family = _backend(config)
     kind = config["backend"]["kind"]
-    from .sampler import covariance_report, sample_graph, sample_torus
+    from . import sampler
     if kind == "graph":
-        totals, kept = sample_graph(op, family, plan, seed, sample_count, keep)
-        oracle = op.field_oracle()
+        sampler.check_graph_size(op)    # before the plan's O(n^3) eigensolve
+    plan = _scale_plan(config, op, family)
+    min_samples = min(1000, sample_count)
+    if kind == "graph":
+        totals, kept = sampler.sample_graph(op, family, plan, seed, sample_count, keep)
+        rep = sampler.covariance_report(totals, op.field_oracle(), min_samples)
+        x, y = np.triu_indices(op.n)
+        header = ["x", "y", "empirical", "oracle", "z"]
+        columns = [x, y] + [a[x, y] for a in (rep.empirical, rep.oracle, rep.z_scores)]
     else:
-        from .lattice import circulant_matrix, green_column
-        totals, kept = sample_torus(op, family, plan, seed, sample_count, keep)
-        oracle = circulant_matrix(green_column(op.spec))
-    rep = covariance_report(totals, oracle, min_samples=min(1000, sample_count))
-    del totals  # the report is all that is left of it; the CSV below is the peak
+        from .lattice import green_column
+        totals, kept = sampler.sample_torus(op, family, plan, seed, sample_count, keep)
+        rep = sampler.lag_covariance_report(totals, green_column(op.spec), min_samples)
+        header = ["lag", "empirical", "oracle", "z"]
+        columns = [np.arange(op.spec.size)] + [
+            a.ravel() for a in (rep.empirical, rep.oracle, rep.z_scores)]
+    del totals  # the report is all that is left of it
     if z_bound is None:
-        # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m); a
-        # fixed threshold would false-alarm on large covariance matrices
-        entries = rep.oracle.shape[0] * (rep.oracle.shape[0] + 1) / 2
-        z_bound = float(np.sqrt(2.0 * np.log(2.0 * entries)) + 1.0)
+        # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m), with m
+        # the report's rows; a fixed threshold would false-alarm on large reports
+        z_bound = float(np.sqrt(2.0 * np.log(2.0 * len(columns[0]))) + 1.0)
     checks.bound("gff_sampler.covariance_report.max_abs_z", rep.max_abs_z,
                  float(z_bound))
     fileio.write_samples(_artifact(ctx, "samples.bin"), kept, kind,
                          plan.j_min, plan.j_max, seed)
-    x, y = np.triu_indices(rep.oracle.shape[0])
-    fileio.write_columns_csv(_artifact(ctx, "covariance_report.csv"),
-                             ["x", "y", "empirical", "oracle", "z"],
-                             [x, y, rep.empirical[x, y], rep.oracle[x, y],
-                              rep.z_scores[x, y]])
+    fileio.write_columns_csv(_artifact(ctx, "covariance_report.csv"), header, columns)
     _finish(ctx, "sample")
 
 

@@ -245,14 +245,6 @@ def green_column(spec):
     return g.reshape(spec.shape)
 
 
-def circulant_matrix(column):
-    """Unfold a torus column into the n x n matrix M[x, y] = column[x - y]."""
-    shape = column.shape
-    coords = np.unravel_index(np.arange(column.size), shape)
-    return column[tuple((c[:, None] - c[None, :]) % size
-                        for c, size in zip(coords, shape))]
-
-
 @dataclass
 class TorusReconstruction:
     kernel: np.ndarray          # reconstructed Green kernel column (torus array)

@@ -29,6 +29,17 @@ and GEMMs, which never leave the calling thread.
 Both samplers return (totals, kept): the field summed over scales, added
 scale by scale as the slices are drawn, and the per-scale components of the
 first keep replicates.  Memory is O(sample_count x sites) for any plan.
+
+Two statistical checks compare totals with the exact covariance C:
+
+* covariance_report: every entry of the n x n empirical covariance X^T X / R
+  against a dense oracle (graphs, which are not translation invariant).
+
+* lag_covariance_report: on a torus C is circulant, C(x, y) = C(x - y), so
+  one lag h per row settles the check.  The estimator averages over sites as
+  well as replicates, c(h) = irfftn(sum_r |rfftn(X_r)|^2) / (R n), and is
+  checked against the Green column with its exact Gaussian variance
+  (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -167,9 +178,20 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
 # ---------------------------------------------------------------------------
 # graph backend
 
+# The graph sampler holds the dense n x n eigensystem, an O(n^3) factorization.
+MAX_GRAPH_SITES = 4096
+
+
+def check_graph_size(op):
+    """Refuse a graph of more than MAX_GRAPH_SITES vertices with a GraphError."""
+    if op.n > MAX_GRAPH_SITES:
+        raise graphs.GraphError(f"graph sampler limited to n <= {MAX_GRAPH_SITES}")
+
+
 def sample_graph(op, family, plan, seed, sample_count, keep=0):
-    """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n <= 4096),
-    y = sum_j sqrt(f_j) eta_j; returns (totals, kept) as in _running_totals.
+    """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n at most
+    MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (totals, kept) as in
+    _running_totals.
 
     (lambda, U) is op.eigensystem(), already computed for the plan's spectral
     gap, so the sample path builds no block and applies no operator.  totals
@@ -177,8 +199,7 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     mapped per scale.  The covariance is op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
-    if op.n > 4096:
-        raise graphs.GraphError("graph sampler limited to n <= 4096")
+    check_graph_size(op)
     graphs.check_family(op, family)
     lam, vecs = op.eigensystem()
     amps = [np.sqrt(v) for v in mode_variances(lam, family, plan.series(family),
@@ -214,6 +235,13 @@ class CovarianceReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
+def _replicates(totals, min_samples):
+    R = totals.shape[0]
+    if R < min_samples:
+        raise ValueError(f"need at least {min_samples} samples, got {R}")
+    return R
+
+
 def covariance_report(totals, oracle_green, min_samples=1000):
     """Standardized deviation of the empirical covariance of the replicates
     totals (replicates, sites) from the oracle.
@@ -222,9 +250,7 @@ def covariance_report(totals, oracle_green, min_samples=1000):
     exact Gaussian sampling variance of each entry is
     (C_xx C_yy + C_xy^2) / R, evaluated with the oracle covariance.
     """
-    R = totals.shape[0]
-    if R < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {R}")
+    R = _replicates(totals, min_samples)
     oracle = np.asarray(oracle_green, dtype=float)
     emp = totals.T @ totals / R
     diag = np.diag(oracle)
@@ -233,3 +259,34 @@ def covariance_report(totals, oracle_green, min_samples=1000):
     z = (emp - oracle) / se
     return CovarianceReport(empirical=emp, oracle=oracle, standard_errors=se,
                             z_scores=z, sample_count=R)
+
+
+def lag_covariance_report(totals, column, min_samples=1000):
+    """Standardized deviation, per lag, of the empirical covariance of
+    replicates totals (replicates, sites) of a stationary torus field from
+    its covariance column (a torus array, column[h] = C(h, 0)); every array
+    of the report has the torus shape of column.
+
+    The estimator c(h) = (R n)^{-1} sum_r sum_x X_r(x + h) X_r(x) is
+    irfftn of the replicates' summed power spectrum, accumulated over row
+    chunks of totals.  For Gaussian fields its exact variance is
+    (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n); with
+    A = irfftn(|rfftn(C)|^2), the autocorrelation of C, the two sums are
+    A(0) and A(2h), since C is even.
+    """
+    R = _replicates(totals, min_samples)
+    column = np.asarray(column, dtype=float)
+    shape, n = column.shape, column.size
+    axes = tuple(range(-len(shape), 0))
+    power = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
+    chunk = _slice_reps(shape)
+    for lo in range(0, R, chunk):
+        spectra = np.fft.rfftn(totals[lo:lo + chunk].reshape((-1,) + shape), axes=axes)
+        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+    emp = np.fft.irfftn(power, s=shape, axes=axes) / (R * n)
+    spectrum = np.fft.rfftn(column, axes=axes)
+    auto = np.fft.irfftn(spectrum.real**2 + spectrum.imag**2, s=shape, axes=axes)
+    doubled = auto[np.ix_(*[2 * np.arange(size) % size for size in shape])]
+    se = np.sqrt((auto.flat[0] + doubled) / (R * n))
+    return CovarianceReport(empirical=emp, oracle=column, standard_errors=se,
+                            z_scores=(emp - column) / se, sample_count=R)

@@ -21,6 +21,14 @@ def exp_bump(beta=1.0, half_width=0.5):
     return BumpProfile(half_width=half_width, eval=eval_bump)
 
 
+def circulant_matrix(column):
+    """Unfold a torus column into the n x n matrix M[x, y] = column[x - y]."""
+    shape = column.shape
+    coords = np.unravel_index(np.arange(column.size), shape)
+    return column[tuple((c[:, None] - c[None, :]) % size
+                        for c, size in zip(coords, shape))]
+
+
 @pytest.fixture(scope="session")
 def mollifier():
     return default_mollifier()

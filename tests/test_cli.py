@@ -222,6 +222,10 @@ class TestSampleCommand:
         res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
         assert res.exit_code == 0, res.output
         assert (out / "samples.bin").exists()
+        # one row per lag, in the flat index order of the torus
+        lines = (out / "covariance_report.csv").read_text().splitlines()
+        assert lines[0] == "lag,empirical,oracle,z"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(64))
 
     def test_massless_cycle_sample_builds_no_block(self, tmp_path, monkeypatch):
         # the sampler draws in the operator's eigenbasis: no block, no recurrence
@@ -397,6 +401,22 @@ class TestRejectedInput:
         assert len(notes) == 2
         assert b.output.splitlines()[2:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+    def test_oversized_graph_sample_refused_before_eigensolve(self, tmp_path,
+                                                              monkeypatch):
+        from frdecomp.graphs import GraphOperator
+
+        def refuse(self):
+            raise AssertionError("eigensystem built for a graph the sampler refuses")
+
+        monkeypatch.setattr(GraphOperator, "eigensystem", refuse)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"backend": {"n": 5000}}))
+        out = tmp_path / "never"
+        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
+        self.assert_one_fail_line(res, "sample", "GraphError")
+        assert res.output == "FAIL sample GraphError: graph sampler limited to n <= 4096\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "reconstruct"])
     def test_torus_size_not_power_of_two(self, tmp_path, command):

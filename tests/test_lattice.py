@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import circulant_matrix
 from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
                               WrapAroundError, build_symbol_table,
-                              circulant_matrix, continuum_kernel,
-                              continuum_tail_bound, decay_fit,
+                              continuum_kernel, continuum_tail_bound, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,

@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import circulant_matrix
 from frdecomp import graphs, sampler
 from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph,
                              reconstruct_green, scale_blocks, two_vertex_graph)
-from frdecomp.lattice import (LatticeSpec, build_symbol_table, circulant_matrix,
-                              green_column)
+from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
-                              sample_graph, sample_torus, _batched_draws, _stream)
+                              lag_covariance_report, sample_graph, sample_torus,
+                              _batched_draws, _stream)
 from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
                               default_scale_plan, mode_variances)
 
@@ -257,24 +258,22 @@ class TestTorusSampler:
         assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
     def test_many_seeds_statistics(self, mollifier, norm1):
-        # 8 x 8 torus, R = 2000, seeds 0..19: max |z| under the command
-        # line's default bound, and mean z^2 within 3 standard errors of 1
-        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
-        table = build_symbol_table(spec)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
-        oracle = circulant_matrix(green_column(spec))
-        upper = np.triu_indices(spec.size)
-        bound = np.sqrt(2.0 * np.log(2.0 * len(upper[0]))) + 1.0
-        max_z, mean_z2 = [], []
-        for seed in range(20):
-            totals, _ = sample_torus(table, fam, plan, seed, 2000)
-            z = covariance_report(totals, oracle).z_scores[upper]
-            max_z.append(np.max(np.abs(z)))
-            mean_z2.append(np.mean(z**2))
-        assert max(max_z) <= bound, max_z
-        se = np.std(mean_z2, ddof=1) / np.sqrt(len(mean_z2))
-        assert abs(np.mean(mean_z2) - 1.0) <= 3.0 * se, mean_z2
+        # 8 x 8 torus, R = 2000, seeds 0..19: max |z| of the dense report's
+        # upper triangle and of the lag report under the command line's
+        # default bound for their row counts, and mean z^2 within 3 standard
+        # errors of 1
+        upper = np.triu_indices(64)
+        dense, lag = torus_seed_sweep(mollifier, norm1, 0.5, [
+            lambda totals, column: covariance_report(
+                totals, circulant_matrix(column)).z_scores[upper],
+            lambda totals, column: lag_covariance_report(totals, column).z_scores])
+        assert_z_statistics(dense, len(upper[0]))
+        assert_z_statistics(lag, 64)
+
+    def test_massless_many_seeds_lag_statistics(self, mollifier, norm1):
+        lag, = torus_seed_sweep(mollifier, norm1, 0.0, [
+            lambda totals, column: lag_covariance_report(totals, column).z_scores])
+        assert_z_statistics(lag, 64)
 
     def test_zero_mode_guard_and_deflation(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=16)
@@ -301,6 +300,34 @@ class TestTorusSampler:
         assert np.max(np.abs(emp[outside] / se[outside])) <= 4.5
 
 
+def torus_seed_sweep(mollifier, norm1, m2, reports):
+    """For each report(totals, column), its z scores on an 8 x 8 torus of mass
+    m2 with the default plan, R = 2000, one array per seed 0..19."""
+    spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8)
+    table = build_symbol_table(spec)
+    fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+    plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+    column = green_column(spec)
+    scores = [[] for _ in reports]
+    for seed in range(20):
+        totals, _ = sample_torus(table, fam, plan, seed, 2000)
+        for z, report in zip(scores, reports):
+            z.append(report(totals, column))
+    return scores
+
+
+def assert_z_statistics(scores, rows):
+    """max |z| of every seed under sqrt(2 ln 2 rows) + 1, and the seeds' mean
+    z^2 within 3 standard errors of 1."""
+    bound = np.sqrt(2.0 * np.log(2.0 * rows)) + 1.0
+    max_z = [np.max(np.abs(z)) for z in scores]
+    mean_z2 = [np.mean(z**2) for z in scores]
+    assert all(np.size(z) == rows for z in scores)
+    assert max(max_z) <= bound, max_z
+    se = np.std(mean_z2, ddof=1) / np.sqrt(len(mean_z2))
+    assert abs(np.mean(mean_z2) - 1.0) <= 3.0 * se, mean_z2
+
+
 class TestCovarianceReport:
     def test_sixteen_cycle_report(self, cycle_setup):
         op, fam, plan, _, oracle = cycle_setup
@@ -320,6 +347,55 @@ class TestCovarianceReport:
         _, _, _, _, oracle = cycle_setup
         with pytest.raises(ValueError):
             covariance_report(np.zeros((10, 16)), oracle)
+        with pytest.raises(ValueError):
+            lag_covariance_report(np.zeros((10, 16)), oracle[:, 0])
+
+
+class TestLagCovarianceReport:
+    @pytest.fixture(scope="class")
+    def torus_totals(self, mollifier, norm1):
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+        totals, _ = sample_torus(table, fam, plan, 3, 2000)
+        return spec, totals, green_column(spec)
+
+    @pytest.mark.parametrize("slice_values", [None, 1000])
+    def test_lag_means_of_dense_report(self, torus_totals, monkeypatch, slice_values):
+        # c(h) is the dense empirical covariance averaged over x - y = h, also
+        # when the power spectrum is summed over several row chunks
+        if slice_values is not None:
+            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+        spec, totals, column = torus_totals
+        rep = lag_covariance_report(totals, column)
+        dense = covariance_report(totals, circulant_matrix(column))
+        lag = circulant_matrix(np.arange(spec.size).reshape(spec.shape))   # x - y
+        mean = np.bincount(lag.ravel(), dense.empirical.ravel()) / spec.size
+        assert rep.empirical.shape == spec.shape and rep.sample_count == 2000
+        assert np.max(np.abs(rep.empirical.ravel() - mean)) <= 1e-14 * column.flat[0]
+        assert np.array_equal(rep.oracle, column)
+
+    def test_variance_by_loop(self, torus_totals):
+        # (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n), summed directly
+        spec, totals, column = torus_totals
+        rep = lag_covariance_report(totals, column)
+        R, n = totals.shape
+        for h in np.ndindex(spec.shape):
+            cross = sum(column[tuple((u[i] + h[i]) % spec.N for i in range(2))]
+                        * column[tuple((u[i] - h[i]) % spec.N for i in range(2))]
+                        for u in np.ndindex(spec.shape))
+            var = (np.sum(column**2) + cross) / (R * n)
+            assert abs(rep.standard_errors[h] ** 2 - var) <= 1e-14 * var
+
+    def test_catches_non_stationary_field(self, torus_totals):
+        # one site of doubled amplitude breaks translation invariance
+        spec, totals, column = torus_totals
+        bound = np.sqrt(2.0 * np.log(2.0 * spec.size)) + 1.0
+        assert lag_covariance_report(totals, column).max_abs_z <= bound
+        scaled = totals.copy()
+        scaled[:, 0] *= 2.0
+        assert lag_covariance_report(scaled, column).max_abs_z > bound
 
 
 def stream_normals(seed, scale, count, draw_shape):
