@@ -17,8 +17,7 @@ from .weights import (ContinuousWeightFamily, DiscreteWeightFamily, ScalePlan,
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
                       discrete_continuum_gap, lattice_kernel,
-                      mass_family_sweep, reconstruct_torus_green,
-                      stencil_operator)
+                      mass_family_sweep, reconstruct_torus_green)
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
                      cycle_graph, killed_green_consistency, reconstruct_green,
                      scale_blocks, two_vertex_graph)
@@ -36,7 +35,7 @@ __all__ = [
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
     "build_symbol_table", "continuum_kernel", "decay_fit",
     "discrete_continuum_gap", "lattice_kernel", "mass_family_sweep",
-    "reconstruct_torus_green", "stencil_operator",
+    "reconstruct_torus_green",
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
     "cycle_graph", "killed_green_consistency", "reconstruct_green",
     "scale_blocks", "two_vertex_graph",

@@ -21,7 +21,7 @@ from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
 from .sampler import check_settings
-from .weights import (BlockQualityError, ContinuousWeightFamily,
+from .weights import (MIN_PANEL_NODES, BlockQualityError, ContinuousWeightFamily,
                       DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
@@ -298,6 +298,23 @@ def _sampler_settings(config):
     return settings + (sc["z_bound"],)
 
 
+def _weight_settings(config):
+    """config["weights"], refused unless nodes_per_octave >= MIN_PANEL_NODES
+    (the rule of scales.nodes_per_block), 0 < t_min < t_max < inf and
+    coefficient_dump_t > 0."""
+    wc = config["weights"]
+    if wc["nodes_per_octave"] < MIN_PANEL_NODES:
+        raise ConfigError(f"weights.nodes_per_octave={wc['nodes_per_octave']} "
+                          f"must be at least {MIN_PANEL_NODES}")
+    if not 0.0 < wc["t_min"] < wc["t_max"] < np.inf:
+        raise ConfigError(f"weights.t_min={wc['t_min']} and weights.t_max={wc['t_max']} "
+                          "must satisfy 0 < t_min < t_max < inf")
+    if not wc["coefficient_dump_t"] > 0.0:
+        raise ConfigError(f"weights.coefficient_dump_t={wc['coefficient_dump_t']} "
+                          "must be positive")
+    return wc
+
+
 class VerdictGroup(click.Group):
     """Command group that reports a rejected input as one FAIL verdict line.
 
@@ -369,7 +386,7 @@ def _finish(ctx, command=None):
 def weights(ctx, lambda_grid):
     """Run the weight-family identity/decay/approximation checks."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
-    wc = config["weights"]
+    wc = _weight_settings(config)
     tol = config["tolerances"]
     m, norm = _components(config)
     if lambda_grid is not None:

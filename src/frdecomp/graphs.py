@@ -22,10 +22,9 @@ graphs with constant vertex measure this is plain matrix symmetry).
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import shortest_path
 
 from .weights import ScalePlan, default_scale_plan
 
@@ -45,10 +44,17 @@ class SingularOperatorError(GraphError):
 
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected graph with positive edge weights mu_xy and measure mu_x."""
+    """Undirected graph with positive edge weights mu_xy and measure mu_x.
+
+    The edges are kept as arrays rows, cols, weights with both directions of
+    every edge (repeated edges add up); adjacency, the scipy CSR matrix that
+    the Chebyshev recurrence and the BFS distances use, is built on first use.
+    """
 
     n: int
-    adjacency: sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
     mu: np.ndarray
 
     @classmethod
@@ -65,11 +71,12 @@ class WeightedGraph:
             rows += [x, y]
             cols += [y, x]
             vals += [w, w]
-        adj = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        mu = np.asarray(adj.sum(axis=1)).ravel()
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        vals = np.array(vals, dtype=float)
+        mu = np.bincount(rows, weights=vals, minlength=n)
         if np.any(mu <= 0):
             raise GraphError("graph has isolated vertices")
-        return cls(n=n, adjacency=adj, mu=mu)
+        return cls(n=n, rows=rows, cols=cols, weights=vals, mu=mu)
 
     @classmethod
     def from_edgelist_file(cls, path):
@@ -86,9 +93,17 @@ class WeightedGraph:
                 n = max(n, int(x) + 1, int(y) + 1)
         return cls.from_edges(n, edges)
 
+    @cached_property
+    def adjacency(self):
+        """The weights mu_xy as a scipy CSR matrix."""
+        import scipy.sparse as sp
+        return sp.coo_matrix((self.weights, (self.rows, self.cols)),
+                             shape=(self.n, self.n)).tocsr()
+
     def distances(self):
         """Unweighted BFS distance matrix (inf on disconnected pairs)."""
         if not hasattr(self, "_dist"):
+            from scipy.sparse.csgraph import shortest_path
             d = shortest_path(self.adjacency, method="D", unweighted=True)
             object.__setattr__(self, "_dist", d)
         return self._dist
@@ -142,20 +157,29 @@ class GraphOperator:
             return u - wu / self.graph.mu
         return u - wu / self.graph.mu[:, None]
 
-    def apply(self, u):
-        """The full operator: L, kappa L + (1 - kappa), or L + m2."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != self.n:
-            raise GraphError(f"vector length {u.shape[0]} != {self.n}")
-        lu = self.apply_laplacian(u)
+    def _from_laplacian(self, lu, u):
+        """The operator applied to u, given lu = L u: lu, kappa lu + (1 - kappa) u
+        or lu + m2 u."""
         if self.kind == "laplacian":
             return lu
         if self.kind == "killed":
             return self.kappa * lu + (1.0 - self.kappa) * u
         return lu + self.m2 * u
 
+    def apply(self, u):
+        """The full operator: L, kappa L + (1 - kappa), or L + m2."""
+        u = np.asarray(u, dtype=float)
+        if u.shape[0] != self.n:
+            raise GraphError(f"vector length {u.shape[0]} != {self.n}")
+        return self._from_laplacian(self.apply_laplacian(u), u)
+
     def dense(self):
-        return self.apply(np.eye(self.n))
+        """The operator as a dense matrix, from the edge list: I - W / mu for L."""
+        g = self.graph
+        w = np.zeros((self.n, self.n))
+        np.add.at(w, (g.rows, g.cols), g.weights)
+        eye = np.eye(self.n)
+        return self._from_laplacian(eye - w / g.mu[:, None], eye)
 
     def sym_dense(self):
         """D^{1/2} Lambda D^{-1/2}: the symmetric conjugate of the operator."""

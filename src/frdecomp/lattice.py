@@ -18,9 +18,6 @@ match the lattice convention N^{-d} sum_xi.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
-from scipy.special import j0, j1
 
 from .quadrature import gauss_legendre
 from .weights import default_scale_plan, mode_variances
@@ -189,15 +186,14 @@ def lattice_kernel(table, family, t, allow_wraparound=False):
 # ---------------------------------------------------------------------------
 # real-space oracle and reconstruction
 
-def stencil_operator(spec):
-    """The operator as a sparse matrix assembled from its real-space stencil.
+def stencil_coefficients(spec):
+    """The operator's real-space stencil: {offset: c} with (L u)(x) = sum c u(x + offset).
 
     Independent of the Fourier route: L = sum_ij a_ij grad_i^T grad_j + m^2
     with forward differences and periodic wrap, so
     (L u)(x) = sum_ij a_ij [u(x) - u(x - e_i) - u(x + e_j) + u(x - e_i + e_j)].
-    The legs are summed into one coefficient per offset before assembly, so
-    every row holds bit-identical values and L commutes exactly with lattice
-    shifts.
+    The legs are summed into one coefficient per offset, so L commutes
+    exactly with lattice shifts.
     """
     unit = np.eye(spec.d, dtype=int)
     stencil = {(0,) * spec.d: float(spec.m2)}
@@ -210,39 +206,27 @@ def stencil_operator(spec):
                               (unit[j], -aij), (unit[j] - unit[i], aij)):
                 key = tuple(offset)
                 stencil[key] = stencil.get(key, 0.0) + v
-    n = spec.size
-    idx = np.arange(n).reshape(spec.shape)
-    axes = tuple(range(spec.d))
-    # row x couples to column x + offset
-    cols = [np.roll(idx, tuple(-o for o in offset), axis=axes).ravel()
-            for offset in stencil]
-    vals = [np.full(n, v) for v in stencil.values()]
-    return sp.csc_matrix((np.concatenate(vals),
-                          (np.tile(idx.ravel(), len(stencil)), np.concatenate(cols))),
-                         shape=(n, n))
+    return stencil
 
 
 def green_column(spec):
     """Column x -> G(x, 0) of the torus Green function, as a torus array.
 
     L commutes with lattice shifts, so G(x, y) = column[x - y mod N] and this
-    one column settles every entry.  It comes from one sparse direct solve
-    of L g = e_0 with the real-space stencil.  At m^2 = 0 the constants span
-    the kernel of L and the column of the pseudo-inverse is returned: pin
-    site 0, solve the grounded system against the mean-zero part of e_0,
-    then subtract the mean.
+    one column settles every entry.  L is the convolution with its stencil
+    reflected onto the torus, c at -offset, so the fftn of that array is L's
+    spectrum and the inverse fftn of its reciprocal is the column of L^{-1}:
+    the real-space stencil diagonalized, never the closed-form symbol it
+    checks.  At m^2 = 0 the constants span the kernel of L; dropping the zero
+    mode gives the column of the pseudo-inverse, which has mean zero.
     """
-    n = spec.size
-    L = stencil_operator(spec)
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    if spec.m2 > 0.0:
-        g = spsolve(L, rhs)
-    else:
-        g = np.zeros(n)
-        g[1:] = spsolve(L[1:, 1:], rhs[1:] - 1.0 / n)
-        g -= g.mean()
-    return g.reshape(spec.shape)
+    reflected = np.zeros(spec.shape)
+    for offset, c in stencil_coefficients(spec).items():
+        reflected[tuple(-o % spec.N for o in offset)] += c
+    spectrum = np.fft.fftn(reflected).real   # L is symmetric
+    if spec.m2 <= 0.0:
+        spectrum.flat[0] = np.inf            # the zero mode: 1 / inf = 0
+    return np.fft.ifftn(1.0 / spectrum).real
 
 
 @dataclass
@@ -294,6 +278,8 @@ def _continuum_radial(d, r, weight_vals, rho, w, order=0):
     radial derivative.  Conventions match (2 pi)^{-d} int W(a(xi) + m^2)
     e^{i x.xi} dxi for isotropic arguments.
     """
+    from scipy.special import j0, j1
+
     r = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r)
     chunk = max(1, int(2**22 / max(len(rho), 1)))

@@ -40,6 +40,8 @@ from .fileio import write_columns_csv
 from .quadrature import log_gauss_legendre
 
 DEFAULT_NODES_PER_OCTAVE = 16
+# Fewest Gauss-Legendre nodes a scale panel (octave or block) may have.
+MIN_PANEL_NODES = 4
 DEFAULT_EPS = 1.0
 ZERO_FLOOR = 1e-12
 # Largest upper scale a default plan may reach; a tail target not met there
@@ -309,8 +311,9 @@ class ScalePlan:
         if self.t_low > 1.0:
             raise ValueError(f"plan must start at t <= 1 (exact white piece), "
                              f"got L_ratio^(j_min - 1) = {self.t_low}")
-        if self.nodes_per_block < 4:
-            raise ValueError(f"nodes_per_block={self.nodes_per_block} must be at least 4")
+        if self.nodes_per_block < MIN_PANEL_NODES:
+            raise ValueError(f"nodes_per_block={self.nodes_per_block} must be at least "
+                             f"{MIN_PANEL_NODES}")
 
     @property
     def t_low(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frdecomp.lattice import stencil_coefficients
 from frdecomp.mollifier import (BumpProfile, build_mollifier, default_mollifier,
                                 normalization_constant)
 from frdecomp.weights import ContinuousWeightFamily, DiscreteWeightFamily
@@ -27,6 +28,24 @@ def circulant_matrix(column):
     coords = np.unravel_index(np.arange(column.size), shape)
     return column[tuple((c[:, None] - c[None, :]) % size
                         for c, size in zip(coords, shape))]
+
+
+def stencil_operator(spec):
+    """The torus operator as a sparse matrix assembled from its real-space
+    stencil, the sparse-LU reference for green_column.  Every row holds the
+    same stencil_coefficients, so L commutes exactly with lattice shifts."""
+    import scipy.sparse as sp
+    stencil = stencil_coefficients(spec)
+    n = spec.size
+    idx = np.arange(n).reshape(spec.shape)
+    axes = tuple(range(spec.d))
+    # row x couples to column x + offset
+    cols = [np.roll(idx, tuple(-o for o in offset), axis=axes).ravel()
+            for offset in stencil]
+    vals = [np.full(n, v) for v in stencil.values()]
+    return sp.csc_matrix((np.concatenate(vals),
+                          (np.tile(idx.ravel(), len(stencil)), np.concatenate(cols))),
+                         shape=(n, n))
 
 
 @pytest.fixture(scope="session")

@@ -365,7 +365,11 @@ class TestRejectedInput:
             ({"backend": {"kind": "torus", "N": 8.5}}, "sample"),
             ({"backend": {"m2": "x"}}, "reconstruct"),
             ({"backend": {"kind": "torus", "lattice_m2": "x"}}, "reconstruct"),
-            ({"tolerances": {"reconstruction_rel": "x"}}, "reconstruct"))
+            ({"tolerances": {"reconstruction_rel": "x"}}, "reconstruct"),
+            ({"weights": {"nodes_per_octave": 0}}, "weights"),
+            ({"weights": {"t_min": 5.0, "t_max": 1.0}}, "weights"),
+            ({"weights": {"t_min": 0.0}}, "weights"),
+            ({"weights": {"coefficient_dump_t": -1.0}}, "weights"))
     ])
     def test_bad_config_fails_before_work(self, tmp_path, text, command):
         cfgfile = tmp_path / "cfg.json"

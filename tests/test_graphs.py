@@ -95,6 +95,19 @@ class TestGraphOperator:
         with pytest.raises(GraphError):
             GraphOperator(g, "unknown")
 
+    @pytest.mark.parametrize("kind, params", [("laplacian", {}),
+                                              ("killed", {"kappa": 0.6}),
+                                              ("resolvent", {"m2": 0.3})])
+    def test_dense_from_edges_equals_apply(self, kind, params):
+        # dense() reads the edge list, apply() the CSR matrix; one edge
+        # appears twice, and the vertex measure is not constant
+        rng = np.random.default_rng(4)
+        edges = [(i, (i + 1) % 10, float(rng.uniform(0.5, 2.0))) for i in range(10)]
+        g = WeightedGraph.from_edges(10, edges + [(0, 5, 0.7), (5, 0, 0.4), (2, 7, 1.3)])
+        assert np.ptp(g.mu) > 0.5
+        op = GraphOperator(g, kind, **params)
+        assert np.array_equal(op.dense(), op.apply(np.eye(10)))
+
     def test_norm_bounds(self):
         g = cycle_graph(6)
         assert GraphOperator(g).B == 2.0

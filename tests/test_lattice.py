@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import circulant_matrix
+from conftest import circulant_matrix, stencil_operator
 from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
                               WrapAroundError, build_symbol_table,
                               continuum_kernel, continuum_tail_bound, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
-                              reconstruct_torus_green, stencil_operator,
-                              torus_linf_distance)
+                              reconstruct_torus_green, torus_linf_distance)
 from frdecomp.quadrature import log_gauss_legendre
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, default_scale_plan,
                               mode_variances)
+
+
+ANISOTROPIC_2D = [[1.0, 0.3], [0.3, 1.5]]
+ANISOTROPIC_3D = [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 1.0]]
 
 
 def make_family(m, norm, B):
@@ -244,9 +247,16 @@ class TestTorusReconstruction:
         # roundoff (~1e-15 of max |G|), far below the ~1e-10 error itself
         assert abs(rec.max_rel_error - full_rel) <= 1e-12
 
-    @pytest.mark.parametrize("d,N,m2", [(1, 16, 0.0), (2, 8, 0.25), (3, 8, 0.0)])
-    def test_green_column_is_inverse_column(self, d, N, m2):
-        spec = LatticeSpec(d=d, a=np.eye(d), m2=m2, N=N)
+    @pytest.mark.parametrize("d,N,m2,a", [
+        pytest.param(1, 16, 0.0, None, id="1-16-0.0"),
+        pytest.param(2, 8, 0.25, None, id="2-8-0.25"),
+        pytest.param(3, 8, 0.0, None, id="3-8-0.0"),
+        pytest.param(2, 8, 0.25, ANISOTROPIC_2D, id="2-8-0.25-anisotropic"),
+        pytest.param(2, 8, 0.0, ANISOTROPIC_2D, id="2-8-0.0-anisotropic"),
+        pytest.param(3, 8, 0.5, ANISOTROPIC_3D, id="3-8-0.5-anisotropic"),
+        pytest.param(3, 8, 0.0, ANISOTROPIC_3D, id="3-8-0.0-anisotropic")])
+    def test_green_column_is_inverse_column(self, d, N, m2, a):
+        spec = LatticeSpec(d=d, a=np.eye(d) if a is None else np.array(a), m2=m2, N=N)
         column = green_column(spec)
         L = stencil_operator(spec).toarray()
         full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
@@ -254,6 +264,29 @@ class TestTorusReconstruction:
                                    atol=1e-12 * np.max(np.abs(full)))
         if m2 == 0.0:
             assert abs(column.sum()) <= 1e-12 * np.max(np.abs(column))
+
+    @pytest.mark.parametrize("m2, tol", [(0.25, 1e-12), (0.0, 1e-11)])
+    def test_green_column_matches_sparse_lu_at_64(self, m2, tol):
+        # the sparse LU the oracle was before its FFT diagonalization; at
+        # m^2 = 0 it grounds site 0, solves against the mean-zero part of e_0
+        # and subtracts the mean, which leaves a residual of about 1.3e-12
+        from scipy.sparse.linalg import spsolve
+        spec = LatticeSpec(d=2, a=np.array(ANISOTROPIC_2D), m2=m2, N=64)
+        L = stencil_operator(spec)
+        rhs = np.zeros(spec.size)
+        rhs[0] = 1.0
+        if m2 > 0.0:
+            reference = spsolve(L, rhs)
+        else:
+            reference = np.zeros(spec.size)
+            reference[1:] = spsolve(L[1:, 1:], rhs[1:] - 1.0 / spec.size)
+            reference -= reference.mean()
+        column = green_column(spec).ravel()
+        np.testing.assert_allclose(column, reference, rtol=0,
+                                   atol=tol * np.max(np.abs(reference)))
+        # the residual of L g = e_0 (minus its mean when massless) is roundoff
+        residual = L @ column - (rhs - 1.0 / spec.size if m2 == 0.0 else rhs)
+        assert np.max(np.abs(residual)) <= 1e-14
 
     def test_circulant_matrix_matches_loop(self):
         rng = np.random.default_rng(3)

@@ -49,6 +49,9 @@ CONFIGS = [
      {"backend": {"kind": "torus", "d": 3, "N": 8},
       "sampler": {"sample_count": 5000, "dump_replicates": 0}}),
     ("default torus", "decompose", {"backend": {"kind": "torus"}}),
+    ("massless anisotropic torus d=2 N=16", "reconstruct",
+     {"backend": {"kind": "torus", "d": 2, "N": 16, "a": [[1.0, 0.3], [0.3, 1.5]],
+                  "lattice_m2": 0.0}}),
     ("default graph j=0..4", "decompose", {"scales": {"j_min": 0, "j_max": 4}}),
     ("defaults", "weights", {}),
     ("300-cycle", "reconstruct", {"backend": {"n": 300}}),
