@@ -58,7 +58,6 @@ DEFAULT_CONFIG = {
         "j_min": None,                # null -> automatic plan
         "j_max": None,
         "L_ratio": 2.0,
-        "nodes_per_block": 16,
         "target_tail_rel": 1e-7,
     },
     "sampler": {
@@ -86,6 +85,7 @@ RETIRED_KEYS = {
     ("weights", "gamma"): "the weight families are built with gamma = 1",
     ("sampler", "deflate_zero_mode"):
         "the zero mode is deflated iff the operator is singular",
+    ("scales", "nodes_per_block"): "scale blocks are integrated in closed form",
 }
 
 
@@ -278,7 +278,6 @@ def _scale_plan(config, op, family):
     s = config["scales"]
     try:
         plan = default_scale_plan(family, lambda_min, PLAN_T_MIN, L_ratio=s["L_ratio"],
-                                  nodes_per_block=s["nodes_per_block"],
                                   target_tail_rel=s["target_tail_rel"])
         return dataclasses.replace(
             plan, **{k: s[k] for k in ("j_min", "j_max") if s[k] is not None})
@@ -298,10 +297,14 @@ def _sampler_settings(config):
     return settings + (sc["z_bound"],)
 
 
-def _weight_settings(config):
-    """config["weights"], refused unless nodes_per_octave >= MIN_PANEL_NODES
-    (the rule of scales.nodes_per_block), 0 < t_min < t_max < inf and
-    coefficient_dump_t > 0."""
+def _weight_settings(config, lambda_flag):
+    """(config["weights"], lambda grid), refused unless nodes_per_octave >=
+    MIN_PANEL_NODES, 0 < t_min < t_max < inf, coefficient_dump_t > 0 and the
+    grid is non-empty, numeric and inside 0 < lambda <= 4.
+
+    The grid is the comma-separated lambda_flag if given, else
+    weights.lambda_grid, else default_lambda_grid(weights.eps).
+    """
     wc = config["weights"]
     if wc["nodes_per_octave"] < MIN_PANEL_NODES:
         raise ConfigError(f"weights.nodes_per_octave={wc['nodes_per_octave']} "
@@ -312,7 +315,23 @@ def _weight_settings(config):
     if not wc["coefficient_dump_t"] > 0.0:
         raise ConfigError(f"weights.coefficient_dump_t={wc['coefficient_dump_t']} "
                           "must be positive")
-    return wc
+    listed = wc["lambda_grid"]
+    if lambda_flag is not None:
+        source = f"--lambda-grid {lambda_flag!r}"
+        try:
+            lam = np.array([float(v) for v in lambda_flag.split(",")])
+        except ValueError:
+            lam = None
+    elif listed is not None:
+        source = f"weights.lambda_grid={listed!r}"
+        numeric = isinstance(listed, list) and all(ACCEPTS["a number"](v) for v in listed)
+        lam = np.array(listed, dtype=float) if numeric else None
+    else:
+        source, lam = f"weights.eps={wc['eps']!r}", default_lambda_grid(wc["eps"])
+    if lam is None or lam.size == 0 or not np.all((lam > 0.0) & (lam <= 4.0)):
+        raise ConfigError(f"{source} must give a non-empty list of numbers "
+                          "with 0 < lambda <= 4")
+    return wc, lam
 
 
 class VerdictGroup(click.Group):
@@ -386,24 +405,16 @@ def _finish(ctx, command=None):
 def weights(ctx, lambda_grid):
     """Run the weight-family identity/decay/approximation checks."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
-    wc = _weight_settings(config)
+    wc, lam = _weight_settings(config, lambda_grid)
     tol = config["tolerances"]
     m, norm = _components(config)
-    if lambda_grid is not None:
-        lam = np.array([float(v) for v in lambda_grid.split(",")])
-    elif wc["lambda_grid"] is not None:
-        lam = np.array(wc["lambda_grid"], dtype=float)
-    else:
-        lam = default_lambda_grid(wc["eps"])
 
     disc = DiscreteWeightFamily(m, norm)
-    rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"],
-                                       wc["nodes_per_octave"])
+    rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"])
     checks.bound("spectral_weights.check_decomposition_identity[discrete]",
                  rep.max_certified_residual(), tol["identity_discrete"])
-    cont = ContinuousWeightFamily(m, norm)
-    rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"],
-                                         wc["nodes_per_octave"])
+    cont = ContinuousWeightFamily(m, norm, wc["nodes_per_octave"])
+    rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"])
     rep.w_cont = rep_c.w_cont
     checks.bound("spectral_weights.check_decomposition_identity[continuous]",
                  rep_c.max_certified_residual(), tol["identity_continuous"])

@@ -17,10 +17,19 @@ inside periodized sums); phi_hat on a finer uniform grid by the local quintic
 through the six nearest nodes (its values become Chebyshev filter
 coefficients and enter oracle comparisons at the 1e-9 level).
 
+The remainder R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du, 0 <= v <= 1,
+is tabulated on the phi_hat grid (_remainder_cells); it turns every scale
+integral of the discrete weights into a closed form
+(weights.DiscreteWeightFamily.interval_coefficients).
+
 The normalization constant C makes the scale integral reproduce 1/lambda:
 
     1/lambda = C int_0^inf t^{2/gamma} phi(lambda^{gamma/2} t) dt/t,
     1/C      = int_0^inf t^{2/gamma - 1} phi(t) dt.
+
+At gamma = 1 this is the finite part of the Fourier pairing of |t|/2 with
+phi_hat, 1/C = 2 phi_hat(0) - 2 R(0), which truncates nothing since phi_hat
+has compact support; other gamma integrate the phi table by Simpson's rule.
 """
 
 import math
@@ -38,6 +47,7 @@ PHI_HAT_GRID_STEP = 1e-4
 
 _KAPPA_QUAD_NODES = 256
 _CONV_QUAD_NODES = 96
+_REMAINDER_CELL_NODES = 8
 _DECAY_ORDERS = (1, 2, 3, 4)
 
 # Row j holds the coefficients of u^0..u^5 in the Lagrange basis polynomial of
@@ -106,7 +116,8 @@ def build_default_profile():
 
 @dataclass(frozen=True, eq=False)
 class Mollifier:
-    """Tabulated phi / phi_hat pair with interpolation and tail certificates."""
+    """Tabulated phi / phi_hat pair, the remainder table R of phi_hat, with
+    interpolation and tail certificates."""
 
     profile: BumpProfile
     grid_step: float
@@ -118,6 +129,7 @@ class Mollifier:
     decay_sups: dict = field(repr=False)
     _phi_cells: np.ndarray = field(repr=False)
     _phi_hat_cells: np.ndarray = field(repr=False)
+    _remainder_cells: np.ndarray = field(repr=False)
 
     @property
     def phi_max(self):
@@ -148,6 +160,11 @@ class Mollifier:
             out[inside] = np.clip(
                 _eval_cells(self._phi_hat_cells, PHI_HAT_GRID_STEP, k[inside]), 0.0, None)
         return out if out.ndim else float(out)
+
+    def phi_hat_remainder(self, v):
+        """R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du for v in [0, 1]."""
+        out = _eval_cells(self._remainder_cells, PHI_HAT_GRID_STEP, np.asarray(v, dtype=float))
+        return out if np.ndim(out) else float(out)
 
     def weight_tail_integral(self, x_lo, power=1.0):
         """Upper estimate of int_{x_lo}^inf u^power phi(u) du.
@@ -228,6 +245,32 @@ def _quintic_cells(values):
     return _QUINTIC_BASIS.T @ stencils.T
 
 
+def _remainder_cells(k_grid, phi_hat, phi_hat_cells):
+    """Cells of R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du on the
+    phi_hat grid k_grid (layout of _eval_cells).
+
+    Each cell's integral is one Gauss-Legendre rule applied to its quintic
+    with phi_hat(0) taken off the constant term, so near 0 the difference
+    comes from the quintic's own coefficients and nothing cancels.  The
+    cells are cumulated from 1 down and joined by the cubic Hermite through
+    R and R'.  phi_hat is even, so the linear coefficient of cell 0 is
+    roundoff: it is dropped (it would add a log singularity at 0), and
+    R'(0) is that cell's u^2 coefficient.
+    """
+    step = PHI_HAT_GRID_STEP
+    diff = phi_hat_cells.copy()
+    diff[0] -= phi_hat[0]
+    diff[1, 0] = 0.0
+    s, w = gauss_legendre(0.0, 1.0, _REMAINDER_CELL_NODES)
+    u = (np.arange(diff.shape[1]) + s[:, None]) * step
+    per_cell = step * (w @ ((np.vander(s, len(diff), increasing=True) @ diff) / u**2))
+    remainder = np.append(np.cumsum(per_cell[::-1])[::-1], 0.0)
+    integrand = np.empty_like(phi_hat)
+    integrand[0] = diff[2, 0] / step**2
+    integrand[1:] = (phi_hat[1:] - phi_hat[0]) / k_grid[1:] ** 2
+    return _hermite_cells(remainder, -integrand, step)
+
+
 def _eval_cells(cells, step, x):
     """Piecewise polynomial at x >= 0: cell i covers [i step, (i+1) step] and
     holds sum_j cells[j, i] u^j in u = x/step - i (Horner's rule)."""
@@ -275,6 +318,7 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
     phi_hat = _tabulate_autoconvolution(profile, k_grid)
     phi_hat[-1] = 0.0  # support edge, exact
 
+    phi_hat_cells = _quintic_cells(phi_hat)
     decay = {p: float(np.max((1.0 + x_grid**2) ** p * phi)) for p in _DECAY_ORDERS}
 
     return Mollifier(
@@ -287,7 +331,8 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
         phi_hat_values=phi_hat,
         decay_sups=decay,
         _phi_cells=_hermite_cells(phi, 2.0 * kappa * dkappa, grid_step),
-        _phi_hat_cells=_quintic_cells(phi_hat),
+        _phi_hat_cells=phi_hat_cells,
+        _remainder_cells=_remainder_cells(k_grid, phi_hat, phi_hat_cells),
     )
 
 
@@ -302,17 +347,25 @@ class Normalization:
 
 
 def normalization_constant(m, gamma=1.0, positivity_floor=1e-300):
-    """Compute the normalization for a given propagation exponent gamma."""
+    """The normalization for the propagation exponent gamma.
+
+    gamma = 1 takes 1/C = 2 phi_hat(0) - 2 R(0) from the phi_hat tables,
+    which truncates nothing (tail_bound_rel = 0); other gamma integrate
+    t^a phi(t) by Simpson's rule on the phi table, with the tail beyond
+    x_max bounded.
+    """
     if gamma <= 0.25:
         raise ValueError("gamma must exceed 1/4 (tail certificate order)")
-    a = 2.0 / gamma - 1.0  # integrand is t^a phi(t)
-    x = m.x_grid
-    h = m.grid_step
-    # [0, h]: phi is even and smooth, phi(t) = phi(0) + O(t^2).
-    head = m.phi_max * h ** (a + 1.0) / (a + 1.0)
-    body = _simpson(x[1:] ** a * m.phi_values[1:], h)
-    tail = m.weight_tail_integral(m.x_max, power=a)
-    integral = head + body
+    if gamma == 1.0:
+        integral = 2.0 * m.phi_hat0 - 2.0 * m.phi_hat_remainder(0.0)
+        tail = 0.0
+    else:
+        a = 2.0 / gamma - 1.0  # integrand is t^a phi(t)
+        h = m.grid_step
+        # [0, h]: phi is even and smooth, phi(t) = phi(0) + O(t^2).
+        head = m.phi_max * h ** (a + 1.0) / (a + 1.0)
+        integral = head + _simpson(m.x_grid[1:] ** a * m.phi_values[1:], h)
+        tail = m.weight_tail_integral(m.x_max, power=a)
     if not np.isfinite(integral) or integral <= positivity_floor:
         raise DegenerateMollifierError(
             f"normalization integral {integral!r} below positivity floor")

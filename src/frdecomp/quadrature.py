@@ -50,19 +50,21 @@ def gauss_legendre(a, b, n):
     return 0.5 * (a + b) + half * g, half * w
 
 
-def log_gauss_legendre(t_lo, t_hi, nodes_per_octave=16, min_panels=1):
+def log_gauss_legendre(t_lo, t_hi, nodes_per_octave=16):
     """Panel rule in u = log t for integrals of the form int f(t) dt/t.
 
     Returns nodes t_q and weights w_q with int_{t_lo}^{t_hi} f(t) dt/t
-    ~= sum_q w_q f(t_q).  One Gauss-Legendre panel per octave, its
-    nodes_per_octave nodes consecutive in the result; the scale
-    integrands oscillate in log t, so the per-octave node count controls
-    the accuracy of every scale integral in the package.
+    ~= sum_q w_q f(t_q).  One Gauss-Legendre panel of nodes_per_octave
+    nodes per started octave, its nodes consecutive in the result; the
+    panel count tolerates roundoff in log(t_hi / t_lo), so an exact octave
+    is one panel.  The scale integrands oscillate in log t, so the
+    per-octave node count controls the accuracy of the continuous family's
+    scale integrals.
     """
     if not (t_lo > 0 and t_hi > t_lo):
         raise ValueError(f"invalid scale interval [{t_lo}, {t_hi}]")
     u_lo, u_hi = np.log(t_lo), np.log(t_hi)
-    n_panels = max(int(min_panels), int(np.ceil((u_hi - u_lo) / np.log(2.0))))
+    n_panels = max(1, int(np.ceil((u_hi - u_lo) / np.log(2.0) - 1e-9)))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
     ts, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):

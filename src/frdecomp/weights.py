@@ -16,19 +16,18 @@ For an operator with spectrum in [0, B] the discrete family is used through
 the argument rescaling lambda -> (3/B) lambda with compensation factor 3/B,
 so that int t^2 * (3/B) C W*_t((3/B) lambda) dt/t = 1/lambda exactly.
 
-For t < 1 only the k = 0 coefficient survives, so W*_t is the constant
-phi_hat(0)/t and the scale integral over [0, 1] equals C phi_hat(0) exactly;
-every truncated integral in the package uses that closed form for its low
-end and tabulated tail integrals of phi for the high end.
-
 The integrand t^2 C (3/B) W*_t is linear in the coefficients phi_hat(k/t)/t,
 so a scale integral over [t_lo, t_hi] is itself one Chebyshev series of
-degree floor(t_hi) whose coefficients are the quadrature sum of the per-scale
-ones (DiscreteWeightFamily.interval_coefficients).  A plan is the list of
-those series, white piece first (ScalePlan.series), and every mode variance
-(mode_variances) and graph block in the package evaluates that list; both
-reconstructs sum the list into one series (ScalePlan.total_series) and
-evaluate it once.
+degree below t_hi.  With u = k/t its coefficients have a closed form in the
+mollifier's remainder table R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du
+(DiscreteWeightFamily.interval_coefficients), which holds for t_lo = 0 as
+well: for t < 1 only the k = 0 coefficient survives, and the white piece
+[0, t_low] is the degree-0 series [C (3/B) phi_hat(0) t_low].  A plan is the
+list of those series, white piece first (ScalePlan.series), and every mode
+variance (mode_variances) and graph block in the package evaluates that
+list; both reconstructs sum the list into one series (ScalePlan.total_series)
+and evaluate it once.  No discrete scale integral has a quadrature node; the
+continuous family integrates by Gauss-Legendre in log t.
 """
 
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .fileio import write_columns_csv
 from .quadrature import log_gauss_legendre
 
 DEFAULT_NODES_PER_OCTAVE = 16
-# Fewest Gauss-Legendre nodes a scale panel (octave or block) may have.
+# Fewest Gauss-Legendre nodes an octave of the continuous family may have.
 MIN_PANEL_NODES = 4
 DEFAULT_EPS = 1.0
 ZERO_FLOOR = 1e-12
@@ -118,13 +117,15 @@ def eval_discrete_weight_direct(m, lam, t):
 # weight families
 
 class ContinuousWeightFamily:
-    """W_t(lambda) = C phi(lambda^{gamma/2} t)."""
+    """W_t(lambda) = C phi(lambda^{gamma/2} t); its scale integrals take
+    nodes_per_octave Gauss-Legendre nodes per octave of log t."""
 
     kind = "continuous"
 
-    def __init__(self, mollifier, normalization):
+    def __init__(self, mollifier, normalization, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
         self.mollifier = mollifier
         self.normalization = normalization
+        self.nodes_per_octave = nodes_per_octave
         self.gamma = normalization.gamma
         self.lambda_max = np.inf
 
@@ -133,7 +134,7 @@ class ContinuousWeightFamily:
         arg = lam ** (0.5 * self.gamma) * t
         return self.normalization.constant * self.mollifier.phi(arg)
 
-    def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
+    def scale_integral(self, lam, t_min, t_max):
         """int_{t_min}^{t_max} t^{2/gamma} W_t(lambda) dt/t plus tail residual bounds.
 
         Returned tails are in identity units, i.e. bounds on the missing
@@ -142,7 +143,7 @@ class ContinuousWeightFamily:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         g = self.gamma
         C = self.normalization.constant
-        tq, wq = log_gauss_legendre(t_min, t_max, nodes_per_octave)
+        tq, wq = log_gauss_legendre(t_min, t_max, self.nodes_per_octave)
         args = np.outer(lam ** (0.5 * g), tq)
         vals = C * self.mollifier.phi(args)
         integral = vals @ (wq * tq ** (2.0 / g))
@@ -190,63 +191,51 @@ class DiscreteWeightFamily:
         return out if np.ndim(lam) else float(out[0])
 
     # -- scale integrals ----------------------------------------------------
-    def low_scale_integral(self, t_lo, t_hi):
-        """Exact int over [t_lo, t_hi] of t^2 value dt/t for t_hi <= 1.
+    def interval_coefficients(self, t_lo, t_hi):
+        """Folded coefficients of int_{t_lo}^{t_hi} t^2 value(., t) dt/t, for
+        0 <= t_lo <= t_hi.
 
-        W*_t is the constant phi_hat(0)/t there (degree-0 polynomial), so
-        the integrand is the constant C (3/B) phi_hat(0).
+        a_k = C (3/B) int phi_hat(k/t) dt for k < t_hi (phi_hat(k/t) = 0 for
+        t <= k): the whole scale integral is one Chebyshev series in
+        1 - (3/(2B)) lambda.  With u = k/t and w = min(k/t_lo, 1), so that
+        k/w = max(t_lo, k),
+
+            int phi_hat(k/t) dt = phi_hat(0) (t_hi - max(t_lo, k))
+                                  + k [R(k/t_hi) - R(w)],
+
+        where R is the mollifier's remainder table and R(1) = 0; the
+        phi_hat(0)/u^2 part is integrated analytically, so nothing cancels
+        at large t.  For k = 0 it is phi_hat(0) (t_hi - t_lo).
         """
-        if not 0.0 <= t_lo <= t_hi <= 1.0 + 1e-15:
-            raise ValueError("exact low piece requires 0 <= t_lo <= t_hi <= 1")
-        return (self.normalization.constant * self.arg_scale
-                * self.mollifier.phi_hat0 * (t_hi - t_lo))
+        if not 0.0 <= t_lo <= t_hi < np.inf:
+            raise ValueError(f"invalid scale interval [{t_lo}, {t_hi}]")
+        m = self.mollifier
+        k = np.arange(max(int(np.ceil(t_hi)), 1), dtype=float)
+        lo = np.maximum(t_lo, k)
+        a = m.phi_hat0 * (t_hi - lo)
+        a[1:] += k[1:] * (m.phi_hat_remainder(k[1:] / t_hi)
+                          - m.phi_hat_remainder(k[1:] / lo[1:]))
+        return self.normalization.constant * self.arg_scale * a
 
-    def interval_coefficients(self, t_lo, t_hi,
-                              nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
-        """Folded coefficients of int_{t_lo}^{t_hi} t^2 value(., t) dt/t.
-
-        On the log-Gauss-Legendre nodes t_q with weights w_q,
-        a_k = sum_q w_q C (3/B) t_q^2 phi_hat(k/t_q)/t_q for k <= floor(t_hi):
-        the whole scale integral is one Chebyshev series in
-        1 - (3/(2B)) lambda.  Each quadrature panel is folded with one
-        phi_hat call on its (nodes x degree) grid, where phi_hat(k/t_q) is 0
-        for k > floor(t_q), and one product with the panel's factors.
-        """
-        tq, wq = log_gauss_legendre(t_lo, t_hi, nodes_per_octave)
-        factors = self.normalization.constant * self.arg_scale * wq * tq
-        a = np.zeros(int(np.floor(tq.max())) + 1)
-        for t, f in zip(tq.reshape(-1, nodes_per_octave),
-                        factors.reshape(-1, nodes_per_octave)):
-            k = np.arange(int(np.floor(t.max())) + 1, dtype=float)
-            a[:len(k)] += f @ self.mollifier.phi_hat(k / t[:, None])
-        return a
-
-    def scale_integral(self, lam, t_min, t_max, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
-        """Scale integral with the degree-0 region handled in closed form.
+    def scale_integral(self, lam, t_min, t_max):
+        """Scale integral over [t_min, t_max], from 0 when t_min <= 1.
 
         For t <= 1 the weight is the constant phi_hat(0)/t, so whenever
-        t_min <= 1 the whole piece [0, min(1, t_max)] is included exactly
-        (tail_low = 0); quadrature covers the rest.
+        t_min <= 1 the integral is taken over [0, t_max] (tail_low = 0);
+        otherwise tail_low bounds what [0, t_min] would add.
         """
         lam = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * lam
-        integral = np.zeros_like(lam)
         scale = self.normalization.constant * self.arg_scale
-        split = min(1.0, t_max)
         if t_min <= 1.0:
-            integral += self.low_scale_integral(0.0, split)
             tail_low = np.zeros_like(lam)
-            q_lo = split
+            t_min = 0.0
         else:
-            # Window excludes the exactly-known region; bound what is missed.
             tail_low = lam * scale * (
                 self.mollifier.phi_hat0
                 + self.mollifier.phi_max * (0.5 * t_min**2
                                             + self.mollifier.x_max * t_min / np.pi))
-            q_lo = t_min
-        if t_max > q_lo * (1.0 + 1e-12):
-            integral += clenshaw_folded(
-                self.interval_coefficients(q_lo, t_max, nodes_per_octave), theta)
+        integral = clenshaw_folded(self.interval_coefficients(t_min, t_max), theta)
         return integral, tail_low, self.tail_high(lam, t_max)
 
     def tail_high(self, lam, t_max):
@@ -296,12 +285,11 @@ def mode_variances(spectrum, family, series, singular):
 @dataclass(frozen=True)
 class ScalePlan:
     """The exact white piece [0, L^{j_min - 1}] plus blocks C_j over
-    [L^{j-1}, L^j] for j_min <= j <= j_max, nodes_per_block nodes each."""
+    [L^{j-1}, L^j] for j_min <= j <= j_max."""
 
     j_min: int
     j_max: int
     L_ratio: float = 2.0
-    nodes_per_block: int = DEFAULT_NODES_PER_OCTAVE
 
     def __post_init__(self):
         if self.j_max < self.j_min:
@@ -311,9 +299,6 @@ class ScalePlan:
         if self.t_low > 1.0:
             raise ValueError(f"plan must start at t <= 1 (exact white piece), "
                              f"got L_ratio^(j_min - 1) = {self.t_low}")
-        if self.nodes_per_block < MIN_PANEL_NODES:
-            raise ValueError(f"nodes_per_block={self.nodes_per_block} must be at least "
-                             f"{MIN_PANEL_NODES}")
 
     @property
     def t_low(self):
@@ -328,12 +313,11 @@ class ScalePlan:
         return list(range(self.j_min - 1, self.j_max + 1))
 
     def series(self, family):
-        """One folded Chebyshev series per entry of scale_labels(): the white
-        piece [0, t_low] as a degree-0 array, then each block's interval_coefficients."""
+        """One folded Chebyshev series per entry of scale_labels(): the
+        interval_coefficients of the white piece [0, t_low] (a degree-0
+        array), then of each block."""
         t = [self.L_ratio**j for j in self.scale_labels()]
-        return [np.array([family.low_scale_integral(0.0, t[0])])] + [
-            family.interval_coefficients(lo, hi, self.nodes_per_block)
-            for lo, hi in zip(t, t[1:])]
+        return [family.interval_coefficients(lo, hi) for lo, hi in zip([0.0] + t, t)]
 
     def total_series(self, family):
         """The sum of series(family): the whole plan as one folded series."""
@@ -344,9 +328,7 @@ class ScalePlan:
         return total
 
 
-def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0,
-                       nodes_per_block=DEFAULT_NODES_PER_OCTAVE,
-                       target_tail_rel=1e-7):
+def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0, target_tail_rel=1e-7):
     """The plan whose blocks cover [t_min, t_max] with the tail below target.
 
     Everything below t_min is the exactly-known degree-0 region.  t_max is
@@ -368,7 +350,7 @@ def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0,
     log_l = np.log(L_ratio)
     return ScalePlan(j_min=int(np.ceil(np.log(t_min) / log_l)),
                      j_max=int(np.ceil(np.log(t_max) / log_l)),
-                     L_ratio=L_ratio, nodes_per_block=nodes_per_block)
+                     L_ratio=L_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +395,12 @@ def default_lambda_grid(eps=DEFAULT_EPS):
 
 
 def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3,
-                                 nodes_per_octave=DEFAULT_NODES_PER_OCTAVE,
                                  report_t_grid=None):
     """Residuals |lambda * int t^{2/gamma} W_t(lambda) dt/t - 1| per lambda."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
-    integral, tail_low, tail_high = family.scale_integral(
-        lambda_grid, t_min, t_max, nodes_per_octave)
+    integral, tail_low, tail_high = family.scale_integral(lambda_grid, t_min, t_max)
     residuals = np.abs(lambda_grid * integral - 1.0)
     if report_t_grid is None:
         report_t_grid = np.geomspace(0.5, 64.0, 8)

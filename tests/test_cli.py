@@ -70,10 +70,11 @@ class TestConfig:
 
     def test_retired_keys_dropped_with_notes(self):
         cfg = RunConfig({"weights": {"gamma": 1.0},
-                         "sampler": {"deflate_zero_mode": True, "sample_count": 5}})
+                         "sampler": {"deflate_zero_mode": True, "sample_count": 5},
+                         "scales": {"nodes_per_block": 2}})
         assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
         assert [note.split()[3] for note in cfg.notes] == [
-            "weights.gamma", "sampler.deflate_zero_mode"]
+            "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block"]
         with pytest.raises(ConfigError, match="weights.gamma must be 1"):
             RunConfig({"weights": {"gamma": 2.0}})
 
@@ -355,8 +356,6 @@ class TestRejectedInput:
             ({"scales": {"target_tail_rel": 1e-40}}, "reconstruct"),
             ({"backend": {"kind": "torus"}, "scales": {"target_tail_rel": 1e-40}},
              "reconstruct"),
-            ({"backend": {"kind": "torus"}, "scales": {"nodes_per_block": 2}},
-             "reconstruct"),
             ({"backend": {"n": 16.9}}, "reconstruct"),
             ({"backend": {"n": "16"}}, "sample"),
             ({"scales": {"j_max": 6.7}}, "reconstruct"),
@@ -397,14 +396,44 @@ class TestRejectedInput:
         plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
         plain.write_text(json.dumps({"backend": {"n": 8}}))
         retired.write_text(json.dumps({"backend": {"n": 8}, "weights": {"gamma": 1},
-                                       "sampler": {"deflate_zero_mode": True}}))
+                                       "sampler": {"deflate_zero_mode": True},
+                                       "scales": {"nodes_per_block": 2}}))
         a = run(["--config", str(plain), "--out", str(tmp_path / "a"), "reconstruct"])
         b = run(["--config", str(retired), "--out", str(tmp_path / "b"), "reconstruct"])
         assert a.exit_code == 0 and b.exit_code == 0, b.output
         notes = [line for line in b.output.splitlines() if line.startswith("NOTE ")]
-        assert len(notes) == 2
-        assert b.output.splitlines()[2:] == a.output.splitlines()
+        assert len(notes) == 3
+        assert b.output.splitlines()[3:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+    @pytest.mark.parametrize("flag, weights", [
+        pytest.param(flag, None, id=f"--lambda-grid {flag!r}")
+        for flag in ("5", "-1", "abc", "", "0,1")
+    ] + [
+        pytest.param(None, weights, id=json.dumps({"weights": weights}))
+        for weights in ({"lambda_grid": [0.5, 7]}, {"lambda_grid": []},
+                        {"lambda_grid": ["0.5"]}, {"eps": 4.0}, {"eps": -0.5})
+    ])
+    def test_bad_lambda_grid_fails_before_mollifier(self, tmp_path, monkeypatch,
+                                                    flag, weights):
+        from frdecomp import cli
+
+        def refuse(**kwargs):
+            raise AssertionError("mollifier built for a refused lambda grid")
+
+        monkeypatch.setattr(cli, "build_mollifier", refuse)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({} if weights is None else {"weights": weights}))
+        out = tmp_path / "never"
+        args = ["--config", str(cfgfile), "--out", str(out), "weights"]
+        res = run(args if flag is None else args + ["--lambda-grid", flag])
+        self.assert_one_fail_line(res, "weights", "ConfigError")
+        assert "0 < lambda <= 4" in res.output
+        assert not out.exists()
+
+    def test_lambda_four_accepted(self, tmp_path):
+        res = run(["--out", str(tmp_path / "w"), "weights", "--lambda-grid", "4"])
+        assert res.exit_code == 0, res.output
 
     def test_oversized_graph_sample_refused_before_eigensolve(self, tmp_path,
                                                               monkeypatch):

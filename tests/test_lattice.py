@@ -9,7 +9,7 @@ from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
                               reconstruct_torus_green, torus_linf_distance)
-from frdecomp.quadrature import log_gauss_legendre
+from frdecomp.quadrature import gauss_legendre
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, default_scale_plan,
                               mode_variances)
 
@@ -191,24 +191,32 @@ class TestTorusReconstruction:
         assert rec.tail_bound <= 1e-6
 
     def test_scale_sum_matches_kernel_route(self, mollifier, norm1):
-        # summing quadrature-weighted scale kernels on the plan's own nodes
-        # must equal the summed-series route (same math, different assembly
-        # order)
+        # the plan's closed-form series against scale kernels summed over a
+        # 128-node Gauss-Legendre rule in t on each block, plus the white
+        # piece C (3/B) phi_hat(0) t_low on the diagonal
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         plan = ScalePlan(j_min=0, j_max=6)
         rec = reconstruct_torus_green(table, fam, plan)
         kernel_sum = np.zeros(16)
-        kernel_sum[0] = fam.low_scale_integral(0.0, plan.t_low)  # exact delta piece
+        kernel_sum[0] = norm1.constant * fam.arg_scale * mollifier.phi_hat0 * plan.t_low
         for j in range(plan.j_min, plan.j_max + 1):
-            tq, wq = log_gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j,
-                                        plan.nodes_per_block)
+            tq, wq = gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j, 128)
             for t, w in zip(tq, wq):
                 ker = lattice_kernel(table, fam, t, allow_wraparound=True)
-                kernel_sum += w * ker.values
+                kernel_sum += w / t * ker.values
         np.testing.assert_allclose(kernel_sum, rec.kernel.ravel(),
-                                   rtol=0, atol=1e-12 * np.abs(rec.kernel).max())
+                                   rtol=0, atol=2e-14 * np.abs(rec.kernel).max())
+
+    @pytest.mark.parametrize("N", [32, 64])
+    def test_benchmark_configs_below_5e_11(self, mollifier, norm1, N):
+        # the torus-sample (32 x 32) and torus-reconstruct (64 x 64) configs;
+        # C from the phi_hat table agrees with the blocks, so no 2.3e-10 floor
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=N)
+        table = build_symbol_table(spec)
+        rec = reconstruct_torus_green(table, make_family(mollifier, norm1, table.B))
+        assert rec.max_rel_error <= 5e-11
 
     @pytest.mark.parametrize("m2", [0.5, 0.0])
     def test_kernel_is_sum_of_mode_variances(self, mollifier, norm1, m2):

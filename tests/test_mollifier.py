@@ -11,6 +11,18 @@ from frdecomp.mollifier import (BumpProfile, DegenerateMollifierError,
 from frdecomp.quadrature import gauss_legendre
 
 
+def direct_t_kappa_squared(profile, x_hi=400.0):
+    """int_0^x_hi t kappa(t)^2 dt with kappa recomputed from the bump by a
+    300-node rule in s and 200-node panels of width 10 in t (no tables)."""
+    s, ws = gauss_legendre(0.0, profile.half_width, 300)
+    wk = 2.0 * ws * profile.eval(s)
+    total = 0.0
+    for a in np.arange(0.0, x_hi, 10.0):
+        t, wt = gauss_legendre(a, a + 10.0, 200)
+        total += float(np.sum(wt * t * (np.cos(np.outer(t, s)) @ wk) ** 2))
+    return total
+
+
 def direct_kappa(profile, x):
     """kappa(x) = 2 int_0^hw khat(s) cos(sx) ds by the table's 256-node rule,
     one cosine per (x, node)."""
@@ -132,7 +144,7 @@ class TestTableAccuracy:
         exact = _tabulate_autoconvolution(m.profile, k)
         assert np.max(np.abs(m.phi_hat(k) - exact)) <= 1e-14 * m.phi_hat0
 
-    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_normalization_against_scipy_simpson(self, any_mollifier, gamma):
         from scipy.integrate import simpson
         m = any_mollifier
@@ -143,6 +155,35 @@ class TestTableAccuracy:
         body = simpson(x**a * m.phi_values[1:], x=x)
         assert norm.integral == pytest.approx(head + body, rel=1e-15, abs=0.0)
         assert all(type(v) is float for v in dataclasses.astuple(norm))
+
+    def test_gamma_one_normalization_against_direct_integral(self, any_mollifier):
+        # 1/C = 2 phi_hat(0) - 2 R(0) truncates nothing; Simpson on the phi
+        # table drops int_{x_max}^inf t phi (2.3e-10 of 1/C for the default
+        # bump, 5.4e-7 for the narrow one)
+        m = any_mollifier
+        norm = normalization_constant(m, gamma=1.0)
+        assert norm.integral == pytest.approx(direct_t_kappa_squared(m.profile),
+                                              rel=1e-10, abs=0.0)
+        assert norm.tail_bound_rel == 0.0
+        assert all(type(v) is float for v in dataclasses.astuple(norm))
+
+    def test_remainder_against_direct_quadrature(self, any_mollifier):
+        # R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^-2 du by a 400-node rule
+        # on phi_hat per call, against the Hermite table; near v = 0 the
+        # per-call route itself cancels in phi_hat(u) - phi_hat(0)
+        m = any_mollifier
+        near_zero = np.array([0.0, 1e-6, 1e-4])
+        v = np.concatenate([near_zero, [0.999],
+                            np.random.default_rng(6).uniform(1e-3, 1.0, 40)])
+        direct = np.empty_like(v)
+        for i, lo in enumerate(v):
+            u, w = gauss_legendre(lo, 1.0, 400)
+            direct[i] = np.sum(w * (m.phi_hat(u) - m.phi_hat0) / u**2)
+        got = m.phi_hat_remainder(v)
+        assert got.shape == v.shape
+        err = np.abs(got - direct) / abs(direct[0])
+        assert np.max(err[:3]) <= 1e-11 and np.max(err[3:]) <= 1e-14
+        assert abs(m.phi_hat_remainder(1.0)) <= 1e-20
 
 
 class TestNormalization:
@@ -190,8 +231,11 @@ class TestNormalization:
             m = build_mollifier(flat)
             normalization_constant(m, gamma=1.0)
 
-    def test_tail_certificate_small(self, norm1):
-        assert 0.0 < norm1.tail_bound_rel < 1e-6
+    def test_tail_certificate_small(self, mollifier):
+        # the Simpson route of gamma != 1 bounds the phi table's tail; gamma = 1
+        # has none (test_gamma_one_normalization_against_direct_integral)
+        for gamma in (1.5, 2.0):
+            assert 0.0 < normalization_constant(mollifier, gamma).tail_bound_rel < 1e-6
 
     def test_narrow_profile_also_valid(self, narrow_mollifier, narrow_norm):
         assert narrow_norm.constant > 0

@@ -43,7 +43,8 @@ class TestScalePlan:
         plan = ScalePlan(j_min=-1, j_max=3, L_ratio=3.0)
         series = plan.series(fam)
         assert len(series) == len(plan.scale_labels())
-        assert series[0].tolist() == [fam.low_scale_integral(0.0, plan.t_low)]
+        assert series[0].tolist() == [
+            norm1.constant * fam.arg_scale * (mollifier.phi_hat0 * plan.t_low)]
         assert [len(a) - 1 for a in series[1:]] == [0, 0, 2, 8, 26]
 
 

@@ -1,8 +1,11 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from frdecomp.quadrature import log_gauss_legendre
-from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily,
+from frdecomp.mollifier import default_mollifier
+from frdecomp.quadrature import gauss_legendre
+from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
@@ -23,37 +26,92 @@ def test_clenshaw_against_cosine_form():
     np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-14)
 
 
+@lru_cache(maxsize=None)
+def reference_integrals(t_lo, t_hi, nodes=4096):
+    """int_{t_lo}^{t_hi} phi_hat(k/t) dt for k < t_hi by one many-node
+    Gauss-Legendre rule in t (the default mollifier's phi_hat table)."""
+    m = default_mollifier()
+    t, w = gauss_legendre(t_lo, t_hi, nodes)
+    k = np.arange(int(np.ceil(t_hi)), dtype=float)
+    return sum(w[i:i + 256] @ m.phi_hat(k / t[i:i + 256, None])
+               for i in range(0, nodes, 256))
+
+
 class TestIntervalCoefficients:
     @pytest.mark.parametrize("t_lo, t_hi", [(0.5, 2.0), (1.0, 16.0), (8.0, 64.0)])
     def test_matches_periodization_quadrature(self, mollifier, norm1, t_lo, t_hi):
         fam = DiscreteWeightFamily(mollifier, norm1, B=2.1)
-        coeffs = fam.interval_coefficients(t_lo, t_hi, 16)
-        assert len(coeffs) <= int(np.floor(t_hi)) + 1
+        coeffs = fam.interval_coefficients(t_lo, t_hi)
+        assert len(coeffs) == int(np.ceil(t_hi))
         lam = np.linspace(0.01, fam.lambda_max, 101)
         got = clenshaw_folded(coeffs, 1.0 - 0.5 * fam.arg_scale * lam)
-        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
+        tq, wq = gauss_legendre(t_lo, t_hi, 400)
         scale = norm1.constant * fam.arg_scale
-        # independent route: the periodized sum, quadrature over the same nodes
-        oracle = sum(w * scale * t**2
+        # independent route: the periodized sum, by a 400-node rule in t
+        oracle = sum(w * scale * t
                      * eval_discrete_weight_direct(mollifier, fam.arg_scale * lam, t)
                      for t, w in zip(tq, wq))
         # floor: the phi and phi_hat tables agree to ~1e-11 (see
-        # TestPeriodizationOracle); folding itself is exact to roundoff
+        # TestPeriodizationOracle)
         assert np.max(np.abs(got - oracle)) <= 2e-11 * np.max(np.abs(oracle))
-        per_node = sum(w * t**2 * fam.value(lam, t) for t, w in zip(tq, wq))
-        assert np.max(np.abs(got - per_node)) <= 1e-13 * np.max(np.abs(per_node))
+        per_node = sum(w * t * fam.value(lam, t) for t, w in zip(tq, wq))
+        assert np.max(np.abs(got - per_node)) <= 2e-14 * np.max(np.abs(per_node))
 
     @pytest.mark.parametrize("t_lo, t_hi", [(0.5, 1.0), (1.0, 64.0), (1.0, 1000.0),
                                             (1024.0, 2048.0)])
     def test_panel_fold_matches_per_node_sum(self, mollifier, norm1, t_lo, t_hi):
+        # the closed form against the per-node sum of the filters' coefficients
+        # over a 4096-node rule in t
         fam = DiscreteWeightFamily(mollifier, norm1, B=7.9)
-        got = fam.interval_coefficients(t_lo, t_hi, 16)
-        tq, wq = log_gauss_legendre(t_lo, t_hi, 16)
-        expect = np.zeros_like(got)
-        for t, w in zip(tq, wq):
-            c = chebyshev_coefficients(mollifier, t)
-            expect[:len(c)] += norm1.constant * fam.arg_scale * w * t**2 * c
-        assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+        got = fam.interval_coefficients(t_lo, t_hi)
+        expect = norm1.constant * fam.arg_scale * reference_integrals(t_lo, t_hi)
+        assert np.max(np.abs(got - expect)) <= 2e-14 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("B", [2.1, 7.9])
+    @pytest.mark.parametrize("L_ratio, j_max", [(2.0, 11), (3.0, 7)])
+    def test_blocks_match_many_node_reference(self, mollifier, norm1, B, L_ratio, j_max):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=B)
+        plan = ScalePlan(j_min=1, j_max=j_max, L_ratio=L_ratio)
+        for j, got in zip(range(1, j_max + 1), plan.series(fam)[1:]):
+            expect = norm1.constant * fam.arg_scale * reference_integrals(
+                L_ratio ** (j - 1), L_ratio**j)
+            assert len(got) == len(expect) == int(np.ceil(L_ratio**j))
+            assert np.max(np.abs(got - expect)) <= 2e-14 * np.max(np.abs(expect)), j
+
+    def test_from_zero_is_the_white_piece(self, mollifier, norm1):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=2.5)
+        for t_low in (0.125, 0.25, 1.0 / 3.0, 1.0):
+            white = norm1.constant * fam.arg_scale * (mollifier.phi_hat0 * t_low)
+            assert fam.interval_coefficients(0.0, t_low).tolist() == [white]
+
+    @pytest.mark.parametrize("L_ratio, j_min, j_max", [(2.0, -2, 11), (3.0, -1, 7)])
+    def test_blocks_telescope_to_one_interval(self, mollifier, norm1, L_ratio, j_min,
+                                              j_max):
+        fam = DiscreteWeightFamily(mollifier, norm1, B=7.9)
+        plan = ScalePlan(j_min=j_min, j_max=j_max, L_ratio=L_ratio)
+        one = fam.interval_coefficients(0.0, plan.t_high)
+        total = plan.total_series(fam)
+        assert len(total) == len(one)
+        assert np.max(np.abs(total - one)) <= 1e-15 * np.max(np.abs(one))
+
+    def test_plan_path_has_no_quadrature_node(self, mollifier, norm1, monkeypatch):
+        from frdecomp import quadrature, weights
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("log_gauss_legendre reached on the plan path")
+
+        monkeypatch.setattr(quadrature, "log_gauss_legendre", refuse)
+        monkeypatch.setattr(weights, "log_gauss_legendre", refuse)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=2.1)
+        plan = default_scale_plan(fam, 1e-3, 0.25)
+        plan.series(fam)
+        plan.total_series(fam)
+        fam.scale_integral(np.array([0.5, 2.0]), 1e-3, 1e3)
+
+    def test_refuses_bad_interval(self, disc_family):
+        for t_lo, t_hi in ((-1.0, 2.0), (3.0, 2.0), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="invalid scale interval"):
+                disc_family.interval_coefficients(t_lo, t_hi)
 
 
 class TestChebyshevCoefficients:
@@ -196,7 +254,7 @@ class TestDecompositionIdentity:
     def test_tail_high_is_scale_integral_tail(self, mollifier, norm1, B, t_min, t_max):
         fam = DiscreteWeightFamily(mollifier, norm1, B=B)
         lam = np.array([1e-12, 1e-3, 0.4, 1.7, fam.lambda_max])
-        _, _, tail = fam.scale_integral(lam, t_min, t_max, nodes_per_octave=4)
+        _, _, tail = fam.scale_integral(lam, t_min, t_max)
         assert np.array_equal(fam.tail_high(lam, t_max), tail)
 
     def test_report_csv_columns(self, disc_family, tmp_path):
