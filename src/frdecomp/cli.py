@@ -541,19 +541,20 @@ def sample(ctx):
     plan = _scale_plan(config, op, family)
     min_samples = min(1000, sample_count)
     if kind == "graph":
-        totals, kept = sampler.sample_graph(op, family, plan, seed, sample_count, keep)
-        rep = sampler.covariance_report(totals, op.field_oracle(), min_samples)
+        gram, kept = sampler.sample_graph(op, family, plan, seed, sample_count, keep)
+        rep = sampler.covariance_report(gram, sample_count, op.field_oracle(),
+                                        min_samples)
         x, y = np.triu_indices(op.n)
         header = ["x", "y", "empirical", "oracle", "z"]
         columns = [x, y] + [a[x, y] for a in (rep.empirical, rep.oracle, rep.z_scores)]
     else:
         from .lattice import green_column
-        totals, kept = sampler.sample_torus(op, family, plan, seed, sample_count, keep)
-        rep = sampler.lag_covariance_report(totals, green_column(op.spec), min_samples)
+        power, kept = sampler.sample_torus(op, family, plan, seed, sample_count, keep)
+        rep = sampler.lag_covariance_report(power, sample_count, green_column(op.spec),
+                                            min_samples)
         header = ["lag", "empirical", "oracle", "z"]
         columns = [np.arange(op.spec.size)] + [
             a.ravel() for a in (rep.empirical, rep.oracle, rep.z_scores)]
-    del totals  # the report is all that is left of it
     if z_bound is None:
         # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m), with m
         # the report's rows; a fixed threshold would false-alarm on large reports

@@ -9,7 +9,7 @@ float64 payload:
 Sample dumps hold one record per row of the samplers' kept array: the header
 (backend_id, size, j_min, j_max, seed) with backend_id 1 = torus, 2 = graph,
 then the (scales + 1, size) components of that replicate (white piece first,
-totals not stored).
+their sum over scales is not stored).
 CSV tables are written column-wise by write_columns_csv: floats as their
 shortest round-trip decimal (repr), integers in full.  All writers are
 deterministic: identical inputs produce identical bytes.

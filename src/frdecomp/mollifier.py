@@ -47,6 +47,7 @@ PHI_HAT_GRID_STEP = 1e-4
 
 _KAPPA_QUAD_NODES = 256
 _CONV_QUAD_NODES = 96
+_CONV_CHUNK_ROWS = 512
 _REMAINDER_CELL_NODES = 8
 _DECAY_ORDERS = (1, 2, 3, 4)
 
@@ -215,16 +216,20 @@ def _tabulate_kappa(profile, x_grid):
 
 
 def _tabulate_autoconvolution(profile, k_grid):
+    """(khat * khat)(k) on k_grid, one Gauss-Legendre rule over the overlap
+    [k - hw, hw] of the two supports, _CONV_CHUNK_ROWS grid points at a time
+    (bounds the (points, nodes) transient)."""
     hw = profile.half_width
     g, w = gauss_legendre(-1.0, 1.0, _CONV_QUAD_NODES)
-    lo = k_grid - hw
-    hi = np.full_like(k_grid, hw)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    ym = mid[:, None] + half[:, None] * g[None, :]
-    vals = np.asarray(profile.eval(ym), dtype=float) \
-        * np.asarray(profile.eval(k_grid[:, None] - ym), dtype=float)
-    return half * (vals @ w)
+    out = np.empty_like(k_grid)
+    for lo in range(0, len(k_grid), _CONV_CHUNK_ROWS):
+        k = k_grid[lo:lo + _CONV_CHUNK_ROWS]
+        half = 0.5 * (hw - (k - hw))
+        ym = (0.5 * (hw + (k - hw)))[:, None] + half[:, None] * g[None, :]
+        vals = np.asarray(profile.eval(ym), dtype=float) \
+            * np.asarray(profile.eval(k[:, None] - ym), dtype=float)
+        out[lo:lo + _CONV_CHUNK_ROWS] = half * (vals @ w)
+    return out
 
 
 def _hermite_cells(values, slopes, step):

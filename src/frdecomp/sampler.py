@@ -7,13 +7,14 @@ every scale in the operator's eigenbasis, weighted by the square roots of
 the mode variances f_j(lambda) (weights.mode_variances; zero on the zero
 modes of a singular operator):
 
-* torus: the Fourier basis.  n real normals per scale and replicate are
-  filtered as irfftn(sqrt(f_j) rfftn(xi)), which has exactly the block
-  covariance because f_j is even in the frequency.
+* torus: the Fourier basis.  n real normals xi per scale and replicate
+  give the component irfftn(sqrt(f_j) rfftn(xi)), which has exactly the
+  block covariance because f_j is even in the frequency; the field is
+  irfftn(y) with y = sum_j sqrt(f_j) rfftn(xi_j).
 
 * graph: the eigenvectors U of D^{1/2} Lambda D^{-1/2}.  The weighted
-  normals of every scale are summed in eigen-coordinates and mapped to the
-  vertices once, X = sqrt(mean mu) D^{-1/2} U y, with covariance
+  normals of every scale are summed in eigen-coordinates, y, and map to
+  the vertices as X = sqrt(mean mu) D^{-1/2} U y, with covariance
   mean(mu) Lambda^{-1} D^{-1}: the Green's function when the vertex measure
   mu is constant, the symmetric Dirichlet-form field otherwise.
 
@@ -21,27 +22,39 @@ Randomness is counter-based: each (scale, replicate batch) pair owns a
 Philox stream keyed by (seed, scale index, batch), with replicates laid out
 in fixed order inside a batch.  Per-scale independence is structural, and
 output is byte-identical for a given (config, seed) no matter how the draws
-are sliced.  The normals are drawn ahead: one helper thread fills the next
-slice into one of two preallocated buffers while the calling thread turns
-the current slice into field components, so the RNG runs alongside the FFTs
-and GEMMs, which never leave the calling thread.
+are sliced or how many threads draw them.  The draws are slice-major: for
+each slice of replicates every scale is drawn in turn, so consecutive draws
+come from different streams and a pool of DRAW_WORKERS threads fills
+preallocated buffers ahead of the calling thread, while each stream still
+draws its own slices in order.  Only the RNG runs on the workers; every FFT
+and GEMM stays on the calling thread.
 
-Both samplers return (totals, kept): the field summed over scales, added
-scale by scale as the slices are drawn, and the per-scale components of the
-first keep replicates.  Memory is O(sample_count x sites) for any plan.
+Per slice, each scale is weighted in eigen-coordinates and added into one
+spectral sum y, and the per-scale components of the first keep replicates
+are mapped to the sites.  After the last scale the slice is folded into the
+covariance report's sufficient statistic, FOLD_ROWS replicates at a time (so
+its roundoff does not depend on the slice size either), and dropped.  Both
+samplers return (statistic, kept): the statistic of the field summed over
+scales, and the per-scale components (keep, scales, sites).  Memory is
+O((DRAW_WORKERS + 2) x slice + sites^2) for any sample_count; no array grows
+with it except kept.
 
-Two statistical checks compare totals with the exact covariance C:
+Two statistical checks compare the statistic with the exact covariance C:
 
 * covariance_report: every entry of the n x n empirical covariance X^T X / R
   against a dense oracle (graphs, which are not translation invariant).
+  The graph sampler sums y^T y and maps it to the vertices once.
 
 * lag_covariance_report: on a torus C is circulant, C(x, y) = C(x - y), so
   one lag h per row settles the check.  The estimator averages over sites as
   well as replicates, c(h) = irfftn(sum_r |rfftn(X_r)|^2) / (R n), and is
   checked against the Green column with its exact Gaussian variance
-  (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n).
+  (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n).  The torus sampler sums
+  |rfftn(X_r)|^2 from y: rfftn(X_r) is y, except on the planes
+  k_last in {0, N/2}, where it is the Hermitian part of y.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,8 +77,14 @@ def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "kee
 
 
 REPLICATE_BATCH = 4096
-# Normals per drawn slice; the two draw-ahead buffers hold twice this.
-SLICE_VALUES = 2**21
+# Replicates per term of the streamed statistics; a slice holds whole terms,
+# so the statistics are summed in one order for any slice size.  It divides
+# REPLICATE_BATCH.
+FOLD_ROWS = 64
+# Normals per drawn slice (but at least FOLD_ROWS replicates).
+SLICE_VALUES = 2**20
+# Threads drawing slices ahead of the calling thread, at most one per scale.
+DRAW_WORKERS = 2
 
 
 def _stream(seed, scale_index, batch):
@@ -75,9 +94,11 @@ def _stream(seed, scale_index, batch):
 
 
 def _slice_reps(draw_shape):
-    """Replicates per drawn slice for draws of shape draw_shape each."""
+    """Replicates per drawn slice for draws of shape draw_shape each: a
+    multiple of FOLD_ROWS."""
     per_rep = max(int(np.prod(draw_shape)), 1)
-    return max(1, min(REPLICATE_BATCH, SLICE_VALUES // per_rep))
+    reps = min(REPLICATE_BATCH, SLICE_VALUES // per_rep)
+    return max(FOLD_ROWS, reps - reps % FOLD_ROWS)
 
 
 def _batched_draws(seed, scales, count, draw_shape, consume):
@@ -87,56 +108,76 @@ def _batched_draws(seed, scales, count, draw_shape, consume):
     (seed, s, batch) at a fixed offset, so its values never depend on the
     total count; within a batch the draws are sliced to bound memory (numpy
     Generator streams are draw-size agnostic).  Slices are consumed in
-    (scale, batch, slice) order; consume(s, lo, values) receives replicates
-    [lo, lo + len(values)) of scale s and must be done with values when it
-    returns.  A helper thread draws the next slice into the other of two
-    buffers meanwhile; it touches only the generators.
+    (batch, slice, scale) order on the calling thread; consume(s, lo, values)
+    receives replicates [lo, lo + len(values)) of scale s and must be done
+    with values when it returns.  Meanwhile up to min(DRAW_WORKERS, scales)
+    workers draw the next slices into the other buffers; they touch only the
+    generators, and with at most one worker per scale a stream never has two
+    slices in flight.
     """
     draw_shape = tuple(draw_shape)
     slice_reps = _slice_reps(draw_shape)
-    n_batches = (count + REPLICATE_BATCH - 1) // REPLICATE_BATCH
     jobs = []
-    for s in range(scales):
-        for batch in range(n_batches):
-            lo = batch * REPLICATE_BATCH
-            hi = min(lo + REPLICATE_BATCH, count)
-            rng = _stream(seed, s, batch)
-            jobs += [(s, pos, min(slice_reps, hi - pos), rng)
-                     for pos in range(lo, hi, slice_reps)]
-    buffers = [np.empty((min(slice_reps, count),) + draw_shape) for _ in range(2)]
+    for lo in range(0, count, REPLICATE_BATCH):
+        hi = min(lo + REPLICATE_BATCH, count)
+        rngs = [_stream(seed, s, lo // REPLICATE_BATCH) for s in range(scales)]
+        jobs += [(s, pos, min(slice_reps, hi - pos), rngs[s])
+                 for pos in range(lo, hi, slice_reps) for s in range(scales)]
+    workers = max(1, min(DRAW_WORKERS, scales))
+    buffers = [np.empty((min(slice_reps, count),) + draw_shape)
+               for _ in range(workers + 1)]
 
     def draw(i):
         _, _, k, rng = jobs[i]
-        return rng.standard_normal(out=buffers[i % 2][:k])
+        return rng.standard_normal(out=buffers[i % len(buffers)][:k])
 
-    with ThreadPoolExecutor(1) as helper:
-        pending = helper.submit(draw, 0)
+    # job i + workers reuses the buffer of job i - 1, consumed by then, and
+    # its stream's previous slice, job i + workers - scales <= i, is drawn
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(draw, i) for i in range(min(workers, len(jobs))))
         for i, (s, lo, _, _) in enumerate(jobs):
-            values = pending.result()
-            if i + 1 < len(jobs):
-                pending = helper.submit(draw, i + 1)
+            values = pending.popleft().result()
+            if i + workers < len(jobs):
+                pending.append(pool.submit(draw, i + workers))
             consume(s, lo, values)
 
 
-def _running_totals(count, scales, sites, keep, to_sites=np.asarray):
-    """totals (count, sites), kept (min(keep, count), scales, sites) and
-    add(s, lo, x), which puts scale s of replicates [lo, lo + len(x)) into
-    both; fed in _batched_draws order, it sums each replicate in scale order
-    (white piece first).  kept gets to_sites of the rows it keeps, totals
-    the sum of x as given (for the caller to map, if to_sites is not the
-    identity)."""
-    totals = np.empty((count, sites))
-    kept = np.empty((min(keep, count), scales, sites))
+def _spectral_sample(seed, count, keep, draw_shape, scales, weigh, to_sites, fold):
+    """(statistic, kept) of a field drawn scale by scale in eigen-coordinates.
 
-    def add(s, lo, x):
-        rows = slice(lo, lo + len(x))
+    weigh(s, values) turns a slice of normals into scale s in
+    eigen-coordinates (it may overwrite values); the slice's sum over scales
+    is kept in one buffer y.  to_sites maps rows of eigen-coordinates to the
+    sites; kept (min(keep, count), scales, sites) gets the map of each scale
+    of its rows.  After the last scale, fold(rows of y) is summed over
+    FOLD_ROWS replicates at a time into the statistic.
+    """
+    kept = np.empty((min(keep, count), scales, int(np.prod(draw_shape))))
+    y = statistic = None
+
+    def consume(s, lo, values):
+        nonlocal y, statistic
+        w = weigh(s, values)
+        if y is None:
+            y = np.empty_like(w)    # the first slice is the largest
+        yk = y[:len(w)]
         if s == 0:
-            totals[rows] = x
+            yk[...] = w
         else:
-            totals[rows] += x
-        kept[rows, s] = to_sites(x[:len(kept[rows])])
+            yk += w
+        if lo < len(kept):
+            kk = min(len(w), len(kept) - lo)
+            kept[lo:lo + kk, s] = to_sites(w[:kk])
+        if s == scales - 1:
+            for b in range(0, len(yk), FOLD_ROWS):
+                term = fold(yk[b:b + FOLD_ROWS])
+                if statistic is None:
+                    statistic = term
+                else:
+                    statistic += term
 
-    return totals, kept, add
+    _batched_draws(seed, scales, count, draw_shape, consume)
+    return statistic, kept
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +185,52 @@ def _running_totals(count, scales, sites, keep, to_sites=np.asarray):
 
 def sample_torus(table, family, plan, seed, sample_count, keep=0):
     """Draw replicates of the multiscale field on the torus of the symbol
-    table; returns (totals, kept) as described in _running_totals.
+    table; returns (power, kept), power = sum_r |rfftn(X_r)|^2 in the rfftn
+    layout (the statistic of lag_covariance_report) and kept as in
+    _spectral_sample.
 
     Per scale and replicate, X = irfftn(sqrt(v) rfftn(xi)) with xi of n i.i.d.
     standard normals and v the scale's entry of mode_variances on the
     symbol; because v is real and even in the frequency this has covariance
-    exactly N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.
+    exactly N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.  The field's
+    spectrum y = sum_s sqrt(v_s) rfftn(xi_s) is summed without a transform
+    back; only kept rows are.
     """
     check_settings(seed, sample_count, keep)
     lattice.check_family(table, family)
     spec = table.spec
     variances = mode_variances(table.values, family, plan.series(family),
                                spec.m2 <= 0.0)
-    n = spec.size
-    totals, kept, add = _running_totals(sample_count, len(variances), n, keep)
     fft_axes = tuple(range(-spec.d, 0))
     half = spec.N // 2 + 1
     amps = [np.sqrt(v[..., :half]) for v in variances]
+    edges = [0, half - 1]
     z = np.empty((min(_slice_reps(spec.shape), sample_count),)
                  + spec.shape[:-1] + (half,), dtype=complex)
 
-    def consume(s, lo, vals):
-        k = len(vals)
-        zk = np.fft.rfftn(vals, axes=fft_axes, out=z[:k])
+    def weigh(s, values):
+        zk = np.fft.rfftn(values, axes=fft_axes, out=z[:len(values)])
         zk *= amps[s]
-        np.fft.irfftn(zk, s=spec.shape, axes=fft_axes, out=vals)
-        add(s, lo, vals.reshape(k, n))
+        return zk
 
-    _batched_draws(seed, len(variances), sample_count, spec.shape, consume)
-    return totals, kept
+    def to_sites(w):
+        return np.fft.irfftn(w, s=spec.shape, axes=fft_axes).reshape(len(w), -1)
+
+    def fold(y):
+        # irfftn transforms the Hermitian part (y(k) + conj y(-k)) / 2 of the
+        # planes k_last in {0, N/2}; there the sqrt(v_s) are even in k only
+        # to roundoff, which the square root magnifies where v_s is tiny
+        term = np.sum(y.real**2 + y.imag**2, axis=0)
+        planes = y[..., edges]
+        mirror = planes
+        for axis in range(1, spec.d):
+            mirror = np.roll(np.flip(mirror, axis), 1, axis)
+        field = (planes + mirror.conj()) / 2
+        term[..., edges] = np.sum(field.real**2 + field.imag**2, axis=0)
+        return term
+
+    return _spectral_sample(seed, sample_count, keep, spec.shape, len(amps),
+                            weigh, to_sites, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +248,14 @@ def check_graph_size(op):
 
 def sample_graph(op, family, plan, seed, sample_count, keep=0):
     """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n at most
-    MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (totals, kept) as in
-    _running_totals.
+    MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (gram, kept), gram
+    = sum_r X_r X_r^T (the statistic of covariance_report) and kept as in
+    _spectral_sample.
 
     (lambda, U) is op.eigensystem(), already computed for the plan's spectral
-    gap, so the sample path builds no block and applies no operator.  totals
-    hold y until one final map to the vertices, in row chunks; kept rows are
-    mapped per scale.  The covariance is op.field_oracle().
+    gap, so the sample path builds no block and applies no operator.  The
+    sum of y y^T is mapped to the vertices once; kept rows are mapped per
+    scale.  The covariance is op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
     check_graph_size(op)
@@ -209,14 +268,11 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     def to_sites(y):
         return (y @ vecs.T) * back
 
-    totals, kept, add = _running_totals(sample_count, len(amps), op.n, keep,
-                                        to_sites)
-    _batched_draws(seed, len(amps), sample_count, (op.n,),
-                   lambda s, lo, vals: add(s, lo, np.multiply(vals, amps[s], out=vals)))
-    chunk = _slice_reps((op.n,))
-    for lo in range(0, sample_count, chunk):
-        totals[lo:lo + chunk] = to_sites(totals[lo:lo + chunk])
-    return totals, kept
+    gram, kept = _spectral_sample(
+        seed, sample_count, keep, (op.n,), len(amps),
+        lambda s, values: np.multiply(values, amps[s], out=values), to_sites,
+        lambda y: y.T @ y)
+    return back[:, None] * (vecs @ gram @ vecs.T) * back, kept
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +291,27 @@ class CovarianceReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
-def _replicates(totals, min_samples):
-    R = totals.shape[0]
+def _replicates(sample_count, min_samples):
+    R = int(sample_count)
     if R < min_samples:
         raise ValueError(f"need at least {min_samples} samples, got {R}")
     return R
 
 
-def covariance_report(totals, oracle_green, min_samples=1000):
-    """Standardized deviation of the empirical covariance of the replicates
-    totals (replicates, sites) from the oracle.
+def covariance_report(gram, sample_count, oracle_green, min_samples=1000):
+    """Standardized deviation of the empirical covariance of sample_count
+    replicates X_r, given gram = sum_r X_r X_r^T (sites x sites), from the
+    oracle.
 
-    The fields have known mean zero, so the estimator is X^T X / R and the
+    The fields have known mean zero, so the estimator is gram / R and the
     exact Gaussian sampling variance of each entry is
     (C_xx C_yy + C_xy^2) / R, evaluated with the oracle covariance.
     """
-    R = _replicates(totals, min_samples)
+    R = _replicates(sample_count, min_samples)
     oracle = np.asarray(oracle_green, dtype=float)
-    emp = totals.T @ totals / R
+    emp = np.asarray(gram, dtype=float) / R
+    if emp.shape != oracle.shape:
+        raise ValueError(f"gram shape {emp.shape} != oracle shape {oracle.shape}")
     diag = np.diag(oracle)
     var = (np.outer(diag, diag) + oracle**2) / R
     se = np.sqrt(var)
@@ -261,28 +320,27 @@ def covariance_report(totals, oracle_green, min_samples=1000):
                             z_scores=z, sample_count=R)
 
 
-def lag_covariance_report(totals, column, min_samples=1000):
+def lag_covariance_report(power, sample_count, column, min_samples=1000):
     """Standardized deviation, per lag, of the empirical covariance of
-    replicates totals (replicates, sites) of a stationary torus field from
-    its covariance column (a torus array, column[h] = C(h, 0)); every array
-    of the report has the torus shape of column.
+    sample_count replicates X_r of a stationary torus field from its
+    covariance column (a torus array, column[h] = C(h, 0)), given the
+    replicates' summed power spectrum power = sum_r |rfftn(X_r)|^2 (the rfftn
+    layout of column's shape); every array of the report has the torus shape
+    of column.
 
     The estimator c(h) = (R n)^{-1} sum_r sum_x X_r(x + h) X_r(x) is
-    irfftn of the replicates' summed power spectrum, accumulated over row
-    chunks of totals.  For Gaussian fields its exact variance is
+    irfftn(power) / (R n).  For Gaussian fields its exact variance is
     (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n); with
     A = irfftn(|rfftn(C)|^2), the autocorrelation of C, the two sums are
     A(0) and A(2h), since C is even.
     """
-    R = _replicates(totals, min_samples)
+    R = _replicates(sample_count, min_samples)
     column = np.asarray(column, dtype=float)
     shape, n = column.shape, column.size
     axes = tuple(range(-len(shape), 0))
-    power = np.zeros(shape[:-1] + (shape[-1] // 2 + 1,))
-    chunk = _slice_reps(shape)
-    for lo in range(0, R, chunk):
-        spectra = np.fft.rfftn(totals[lo:lo + chunk].reshape((-1,) + shape), axes=axes)
-        power += np.sum(spectra.real**2 + spectra.imag**2, axis=0)
+    power = np.asarray(power, dtype=float)
+    if power.shape != shape[:-1] + (shape[-1] // 2 + 1,):
+        raise ValueError(f"power shape {power.shape} does not fit column shape {shape}")
     emp = np.fft.irfftn(power, s=shape, axes=axes) / (R * n)
     spectrum = np.fft.rfftn(column, axes=axes)
     auto = np.fft.irfftn(spectrum.real**2 + spectrum.imag**2, s=shape, axes=axes)

@@ -202,13 +202,13 @@ def test_criterion_08_scale_invariance(mollifier, norm1):
 def test_criterion_09_sampler_covariance(graph_suite):
     c = Criterion(9, "sampler-covariance", 120.0)
     op, fam, rec, _ = graph_suite["cycle16"]
-    totals, _ = sample_graph(op, fam, rec.plan, 20240801, 10_000)
+    gram, _ = sample_graph(op, fam, rec.plan, 20240801, 10_000)
     oracle = np.linalg.solve(op.dense(), np.eye(op.n))
-    rep = covariance_report(totals, oracle)
+    rep = covariance_report(gram, 10_000, oracle)
     c.check("max standardized covariance deviation at 1e4 replicates",
             rep.max_abs_z, 4.0)
     again, _ = sample_graph(op, fam, rec.plan, 20240801, 10_000)
-    identical = totals.tobytes() == again.tobytes()
+    identical = gram.tobytes() == again.tobytes()
     c.check("byte-identical rerun with fixed seed", float(identical), 1.0,
             larger_ok=True)
     c.finish()

@@ -98,19 +98,19 @@ class TestGraphSampler:
     def test_prefix_stability(self, cycle_setup):
         # replicate r does not depend on the total sample count
         op, fam, plan, _, _ = cycle_setup
-        a_totals, a = sample_graph(op, fam, plan, 5, 50, keep=50)
-        b_totals, b = sample_graph(op, fam, plan, 5, 120, keep=120)
+        _, a = sample_graph(op, fam, plan, 5, 50, keep=50)
+        _, b = sample_graph(op, fam, plan, 5, 120, keep=120)
         assert np.array_equal(a, b[:50])
-        assert np.array_equal(a_totals, b_totals[:50])
+        assert np.array_equal(a.sum(axis=1), b.sum(axis=1)[:50])
 
     def test_two_vertex_statistics(self, mollifier, norm1):
         op = GraphOperator(two_vertex_graph(), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam)
-        tot, _ = sample_graph(op, fam, rec.plan, 2024, 100_000)
-        R = tot.shape[0]
-        var_x = float(np.mean(tot[:, 0] ** 2))
-        cov_xy = float(np.mean(tot[:, 0] * tot[:, 1]))
+        R = 100_000
+        gram, _ = sample_graph(op, fam, rec.plan, 2024, R)
+        var_x = float(gram[0, 0] / R)
+        cov_xy = float(gram[0, 1] / R)
         # 3 sigma bands from the Gaussian fourth-moment formulae
         se_var = np.sqrt(2.0 * (2 / 3) ** 2 / R)
         se_cov = np.sqrt(((2 / 3) ** 2 + (1 / 3) ** 2) / R)
@@ -180,8 +180,8 @@ class TestGraphSampler:
         monkeypatch.setattr(GraphOperator, "apply", counting("apply", GraphOperator.apply))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(graphs, "scale_blocks", counting("blocks", scale_blocks))
-        totals, _ = sample_graph(op, fam, plan, 3, 100)
-        assert calls == [] and totals.shape == (100, op.n)
+        gram, _ = sample_graph(op, fam, plan, 3, 100)
+        assert calls == [] and gram.shape == (op.n, op.n)
 
     @pytest.mark.parametrize("kind, kw", [
         pytest.param("resolvent", {"m2": 1.0}, id="resolvent"),
@@ -244,7 +244,8 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=8)
-        totals, _ = sample_torus(table, fam, plan, 31, 10_000)
+        _, kept = sample_torus(table, fam, plan, 31, 10_000, keep=10_000)
+        totals = kept.sum(axis=1)
         green0 = green_column(spec).flat[0]     # every site has variance G(0, 0)
         var = np.mean(totals**2, axis=0)
         z = (var - green0) / (np.sqrt(2.0 / 10_000) * green0)
@@ -265,15 +266,17 @@ class TestTorusSampler:
         # errors of 1
         upper = np.triu_indices(64)
         dense, lag = torus_seed_sweep(mollifier, norm1, 0.5, [
-            lambda totals, column: covariance_report(
-                totals, circulant_matrix(column)).z_scores[upper],
-            lambda totals, column: lag_covariance_report(totals, column).z_scores])
+            lambda power, totals, column: covariance_report(
+                totals.T @ totals, len(totals), circulant_matrix(column)).z_scores[upper],
+            lambda power, totals, column: lag_covariance_report(
+                power, len(totals), column).z_scores])
         assert_z_statistics(dense, len(upper[0]))
         assert_z_statistics(lag, 64)
 
     def test_massless_many_seeds_lag_statistics(self, mollifier, norm1):
         lag, = torus_seed_sweep(mollifier, norm1, 0.0, [
-            lambda totals, column: lag_covariance_report(totals, column).z_scores])
+            lambda power, totals, column: lag_covariance_report(
+                power, len(totals), column).z_scores])
         assert_z_statistics(lag, 64)
 
     def test_zero_mode_guard_and_deflation(self, mollifier, norm1):
@@ -281,8 +284,9 @@ class TestTorusSampler:
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        totals, _ = sample_torus(table, fam, plan, 1, 8)
-        assert np.max(np.abs(totals.sum(axis=1))) <= 1e-10
+        power, kept = sample_torus(table, fam, plan, 1, 8, keep=8)
+        assert np.max(np.abs(kept.sum(axis=1).sum(axis=1))) <= 1e-10
+        assert power.flat[0] == 0.0     # the zero mode of every replicate
 
     def test_per_scale_locality(self, mollifier, norm1, cycle_setup):
         # oracle covariance of a block component vanishes beyond L^j; the
@@ -302,8 +306,10 @@ class TestTorusSampler:
 
 
 def torus_seed_sweep(mollifier, norm1, m2, reports):
-    """For each report(totals, column), its z scores on an 8 x 8 torus of mass
-    m2 with the default plan, R = 2000, one array per seed 0..19."""
+    """For each report(power, totals, column), its z scores on an 8 x 8 torus
+    of mass m2 with the default plan, R = 2000, one array per seed 0..19;
+    power is the sampler's statistic, totals the replicates, summed from the
+    components kept at keep = R."""
     spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
@@ -311,9 +317,10 @@ def torus_seed_sweep(mollifier, norm1, m2, reports):
     column = green_column(spec)
     scores = [[] for _ in reports]
     for seed in range(20):
-        totals, _ = sample_torus(table, fam, plan, seed, 2000)
+        power, kept = sample_torus(table, fam, plan, seed, 2000, keep=2000)
+        totals = kept.sum(axis=1)
         for z, report in zip(scores, reports):
-            z.append(report(totals, column))
+            z.append(report(power, totals, column))
     return scores
 
 
@@ -332,45 +339,67 @@ def assert_z_statistics(scores, rows):
 class TestCovarianceReport:
     def test_sixteen_cycle_report(self, cycle_setup):
         op, fam, plan, _, oracle = cycle_setup
-        totals, _ = sample_graph(op, fam, plan, 20240801, 10_000)
-        rep = covariance_report(totals, oracle)
+        gram, _ = sample_graph(op, fam, plan, 20240801, 10_000)
+        rep = covariance_report(gram, 10_000, oracle)
         assert rep.max_abs_z <= 4.0
         assert rep.sample_count == 10_000
 
     def test_standard_errors_shrink_root_two(self, cycle_setup):
         op, fam, plan, _, oracle = cycle_setup
-        r1 = covariance_report(np.ones((2000, 16)), oracle)
-        r2 = covariance_report(np.ones((4000, 16)), oracle)
+        r1 = covariance_report(np.full((16, 16), 2000.0), 2000, oracle)
+        r2 = covariance_report(np.full((16, 16), 4000.0), 4000, oracle)
         ratio = r1.standard_errors / r2.standard_errors
         assert np.all(np.abs(ratio - np.sqrt(2.0)) <= 0.1 * np.sqrt(2.0))
 
     def test_minimum_samples_enforced(self, cycle_setup):
         _, _, _, _, oracle = cycle_setup
-        with pytest.raises(ValueError):
-            covariance_report(np.zeros((10, 16)), oracle)
-        with pytest.raises(ValueError):
-            lag_covariance_report(np.zeros((10, 16)), oracle[:, 0])
+        with pytest.raises(ValueError, match="at least 1000"):
+            covariance_report(np.zeros((16, 16)), 10, oracle)
+        with pytest.raises(ValueError, match="at least 1000"):
+            lag_covariance_report(np.zeros(9), 10, oracle[:, 0])
+
+    def test_statistic_shape_checked(self, cycle_setup):
+        _, _, _, _, oracle = cycle_setup
+        with pytest.raises(ValueError, match="gram shape"):
+            covariance_report(np.zeros((8, 8)), 2000, oracle)
+        with pytest.raises(ValueError, match="power shape"):
+            lag_covariance_report(np.zeros(16), 2000, oracle[:, 0])
+
+
+def power_spectrum(totals, shape):
+    """sum_r |rfftn(X_r)|^2 of site fields totals (replicates, sites)."""
+    axes = tuple(range(-len(shape), 0))
+    spectra = np.fft.rfftn(totals.reshape((-1,) + shape), axes=axes)
+    return np.sum(spectra.real**2 + spectra.imag**2, axis=0)
 
 
 class TestLagCovarianceReport:
     @pytest.fixture(scope="class")
-    def torus_totals(self, mollifier, norm1):
+    def torus_setup(self, mollifier, norm1):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
-        totals, _ = sample_torus(table, fam, plan, 3, 2000)
-        return spec, totals, green_column(spec)
+        return spec, (lambda: sample_torus(table, fam, plan, 3, 2000, keep=2000)), \
+            green_column(spec)
+
+    @pytest.fixture(scope="class")
+    def torus_totals(self, torus_setup):
+        spec, sample, column = torus_setup
+        power, kept = sample()
+        return spec, power, kept.sum(axis=1), column
 
     @pytest.mark.parametrize("slice_values", [None, 1000])
-    def test_lag_means_of_dense_report(self, torus_totals, monkeypatch, slice_values):
+    def test_lag_means_of_dense_report(self, torus_setup, monkeypatch, slice_values):
         # c(h) is the dense empirical covariance averaged over x - y = h, also
-        # when the power spectrum is summed over several row chunks
+        # when the power spectrum is summed over several slices
         if slice_values is not None:
             monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-        spec, totals, column = torus_totals
-        rep = lag_covariance_report(totals, column)
-        dense = covariance_report(totals, circulant_matrix(column))
+        spec, sample, column = torus_setup
+        power, kept = sample()
+        totals = kept.sum(axis=1)
+        rep = lag_covariance_report(power, 2000, column)
+        dense = covariance_report(totals.T @ totals, 2000, circulant_matrix(column))
         lag = circulant_matrix(np.arange(spec.size).reshape(spec.shape))   # x - y
         mean = np.bincount(lag.ravel(), dense.empirical.ravel()) / spec.size
         assert rep.empirical.shape == spec.shape and rep.sample_count == 2000
@@ -379,8 +408,8 @@ class TestLagCovarianceReport:
 
     def test_variance_by_loop(self, torus_totals):
         # (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n), summed directly
-        spec, totals, column = torus_totals
-        rep = lag_covariance_report(totals, column)
+        spec, power, totals, column = torus_totals
+        rep = lag_covariance_report(power, len(totals), column)
         R, n = totals.shape
         for h in np.ndindex(spec.shape):
             cross = sum(column[tuple((u[i] + h[i]) % spec.N for i in range(2))]
@@ -391,12 +420,13 @@ class TestLagCovarianceReport:
 
     def test_catches_non_stationary_field(self, torus_totals):
         # one site of doubled amplitude breaks translation invariance
-        spec, totals, column = torus_totals
+        spec, power, totals, column = torus_totals
         bound = np.sqrt(2.0 * np.log(2.0 * spec.size)) + 1.0
-        assert lag_covariance_report(totals, column).max_abs_z <= bound
+        assert lag_covariance_report(power, len(totals), column).max_abs_z <= bound
         scaled = totals.copy()
         scaled[:, 0] *= 2.0
-        assert lag_covariance_report(scaled, column).max_abs_z > bound
+        assert lag_covariance_report(power_spectrum(scaled, spec.shape), len(totals),
+                                     column).max_abs_z > bound
 
 
 def stream_normals(seed, scale, count, draw_shape):
@@ -413,34 +443,68 @@ class TestDrawLayout:
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
     def test_draw_ahead_order_and_thread(self, monkeypatch):
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 3000)    # 1000 replicates
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 3 * 1024)    # 1024 replicates
         calls, intact = [], []
 
         def consume(s, lo, values):
             calls.append((s, lo, values.copy(), threading.get_ident()))
-            time.sleep(0.005)       # the helper draws the next slice meanwhile
+            time.sleep(0.005)       # the workers draw the next slices meanwhile
             intact.append(np.array_equal(values, calls[-1][2]))
 
         _batched_draws(7, 2, self.R, (3,), consume)
-        starts = [0, 1000, 2000, 3000, 4000, 4096]
-        assert [(s, lo) for s, lo, _, _ in calls] == [(s, lo) for s in range(2)
-                                                      for lo in starts]
+        starts = [0, 1024, 2048, 3072, 4096]
+        assert [(s, lo) for s, lo, _, _ in calls] == [(s, lo) for lo in starts
+                                                      for s in range(2)]
         assert {ident for *_, ident in calls} == {threading.get_ident()}
         assert all(intact)
         for s in range(2):
             drawn = np.concatenate([v for t, _, v, _ in calls if t == s])
             assert np.array_equal(drawn, stream_normals(7, s, self.R, (3,)))
 
+    def test_one_slice_in_flight_per_stream(self, monkeypatch):
+        # more workers than scales: the pool is capped at one per scale, so
+        # no generator is ever asked for two slices at once
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 3 * 256)     # 256 replicates
+        monkeypatch.setattr(sampler, "DRAW_WORKERS", 5)
+        lock, busy, clashes, workers = threading.Lock(), set(), [], set()
+        stream = sampler._stream
+
+        class Tracked:
+            def __init__(self, *key):
+                self.rng = stream(*key)
+
+            def standard_normal(self, out):
+                with lock:
+                    clashes.append(self in busy)
+                    busy.add(self)
+                    workers.add(threading.get_ident())
+                time.sleep(0.002)
+                try:
+                    return self.rng.standard_normal(out=out)
+                finally:
+                    with lock:
+                        busy.discard(self)
+
+        monkeypatch.setattr(sampler, "_stream", Tracked)
+        drawn = {s: [] for s in range(3)}
+        _batched_draws(11, 3, self.R, (3,),
+                       lambda s, lo, values: drawn[s].append(values.copy()))
+        assert len(clashes) == 3 * 17 and not any(clashes)
+        assert 1 <= len(workers) <= 3 and threading.get_ident() not in workers
+        for s in range(3):
+            assert np.array_equal(np.concatenate(drawn[s]),
+                                  stream_normals(11, s, self.R, (3,)))
+
     def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        # four callers, each with its own helper thread, on two cores
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 300)     # 100 replicates
+        # four callers, each with its own draw workers, on two cores
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 300)     # 64 replicates
         results, old = {}, sys.getswitchinterval()
 
         def caller(seed):
-            drawn = []
+            drawn = ([], [])
             _batched_draws(seed, 2, self.R, (3,),
-                           lambda s, lo, values: drawn.append(values.copy()))
-            results[seed] = np.concatenate(drawn)
+                           lambda s, lo, values: drawn[s].append(values.copy()))
+            results[seed] = np.concatenate(drawn[0] + drawn[1])
 
         sys.setswitchinterval(1e-6)
         try:
@@ -508,31 +572,39 @@ class TestDrawLayout:
 
 def small_sampler(backend, mollifier, norm1):
     """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus,
-    and expect(plan, seed, count, kept), the totals rebuilt from the streams:
-    on the graph the scale sum in eigen-coordinates mapped once to the
-    vertices, on the torus the sum of the kept components in scale order."""
+    expect(plan, seed, count), the replicates rebuilt from the streams (the
+    scale sum in eigen-coordinates mapped once to the sites), and
+    statistic(totals), the sampler's statistic of site fields."""
     if backend == "torus":
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+
+        def expect(plan, seed, count):
+            variances = mode_variances(table.values, fam, plan.series(fam), False)
+            y = sum(np.sqrt(v[:9]) * np.fft.rfft(stream_normals(seed, s, count, (16,)))
+                    for s, v in enumerate(variances))
+            return np.fft.irfft(y, 16)
+
         return (lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw),
-                lambda plan, seed, count, kept: kept.sum(axis=1))
+                expect, lambda totals: power_spectrum(totals, spec.shape))
     op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
     lam, vecs = op.eigensystem()
 
-    def expect(plan, seed, count, kept):
+    def expect(plan, seed, count):
         variances = mode_variances(lam, fam, plan.series(fam), False)
         y = sum(stream_normals(seed, s, count, (op.n,)) * np.sqrt(v)
                 for s, v in enumerate(variances))
         return (y @ vecs.T) * np.sqrt(op.graph.mu.mean() / op.graph.mu)
 
-    return lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw), expect
+    return (lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw),
+            expect, lambda totals: totals.T @ totals)
 
 
 class TestRunningTotals:
-    """Totals are summed scale by scale as the slices are drawn (on graphs in
-    eigen-coordinates, mapped to the vertices once)."""
+    """The field summed over scales reaches the caller only as the streamed
+    statistic; kept components sum to the same field."""
 
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
@@ -542,16 +614,34 @@ class TestRunningTotals:
                                        backend, slice_values):
         if slice_values is not None:
             monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-        sample, expect = small_sampler(backend, mollifier, norm1)
+        sample, expect, statistic = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
-        totals, kept = sample(plan, 3, self.R, keep=self.R)
+        stat, kept = sample(plan, 3, self.R, keep=self.R)
         assert kept.shape == (self.R, len(plan.scale_labels()), 16)
-        assert np.array_equal(totals, expect(plan, 3, self.R, kept))
+        totals = expect(plan, 3, self.R)
         scale = np.max(np.abs(totals))
         assert np.max(np.abs(totals - kept.sum(axis=1))) <= 1e-14 * scale
-        totals4, kept4 = sample(plan, 3, self.R, keep=4)
+        reference = statistic(totals)
+        assert np.max(np.abs(stat - reference)) <= 1e-12 * np.max(np.abs(reference))
+        stat4, kept4 = sample(plan, 3, self.R, keep=4)
         assert np.array_equal(kept4, kept[:4])
-        assert totals4.tobytes() == totals.tobytes()
+        assert stat4.tobytes() == stat.tobytes()
+
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_independent_of_workers_and_slices(self, mollifier, norm1, monkeypatch,
+                                               backend):
+        # slices of 4096, 64 and 1216 replicates (the last does not divide a
+        # batch), each drawn by one worker or two
+        sample, _, _ = small_sampler(backend, mollifier, norm1)
+        plan = ScalePlan(j_min=0, j_max=4)
+        runs = []
+        for slice_values in (sampler.SLICE_VALUES, 1000, 20_000):
+            for workers in (1, 2):
+                monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+                monkeypatch.setattr(sampler, "DRAW_WORKERS", workers)
+                stat, kept = sample(plan, 3, self.R, keep=self.R)
+                runs.append((stat.tobytes(), kept.tobytes()))
+        assert all(run == runs[0] for run in runs[1:])
 
     @pytest.mark.parametrize("backend", ["graph", "torus"])
     def test_memory_does_not_grow_with_scales(self, mollifier, norm1, backend):
@@ -574,3 +664,50 @@ class TestRunningTotals:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_memory_does_not_grow_with_sample_count(self, mollifier, norm1, cycle_setup,
+                                                    backend):
+        # 10^5 replicates of the default plan on a 16-cycle and an 8 x 8
+        # torus: the peak stays under a quarter of one replicates x sites
+        # array, so no array of that size is ever held
+        R = 100_000
+        if backend == "graph":
+            op, fam, plan, _, _ = cycle_setup
+            op.eigensystem()
+            run, sites = lambda: sample_graph(op, fam, plan, 1, R), op.n   # noqa: E731
+        else:
+            spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
+            table = build_symbol_table(spec)
+            fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+            plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+            run, sites = lambda: sample_torus(table, fam, plan, 1, R), spec.size  # noqa: E731
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R * sites * 8 / 4, peak
+
+    def test_statistic_maps_to_sites(self, mollifier, norm1):
+        # the report reads only the streamed statistic: the graph's Gram, summed
+        # in eigen-coordinates and mapped once, on a graph whose vertex measure
+        # is not constant, and the massless torus power spectrum, summed from
+        # the weighted spectra, match the kept components' site fields
+        edges = [(i, (i + 1) % 6, 1.0) for i in range(6)] + [(0, 3, 1.0)]
+        op = GraphOperator(WeightedGraph.from_edges(6, edges), "resolvent", m2=1.0)
+        assert np.ptp(op.graph.mu) > 0
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = default_scale_plan(fam, op.spectral_gap(), graphs.PLAN_T_MIN)
+        gram, kept = sample_graph(op, fam, plan, 4, 5000, keep=5000)
+        totals = kept.sum(axis=1)
+        reference = totals.T @ totals
+        assert np.max(np.abs(gram - reference)) <= 1e-12 * np.max(np.abs(reference))
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+        power, kept = sample_torus(table, fam, plan, 4, 5000, keep=5000)
+        reference = power_spectrum(kept.sum(axis=1), spec.shape)
+        assert np.max(np.abs(power - reference)) <= 1e-12 * np.max(np.abs(reference))

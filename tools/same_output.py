@@ -48,6 +48,12 @@ CONFIGS = [
     ("torus d=3 N=8 R=5000", "sample",
      {"backend": {"kind": "torus", "d": 3, "N": 8},
       "sampler": {"sample_count": 5000, "dump_replicates": 0}}),
+    # counts across a replicate batch, dumps across two drawn slices
+    ("default graph R=6000 dump 4200", "sample",
+     {"sampler": {"sample_count": 6000, "dump_replicates": 4200}}),
+    ("torus d=1 N=32 R=6000 dump 4200", "sample",
+     {"backend": {"kind": "torus", "d": 1, "N": 32},
+      "sampler": {"sample_count": 6000, "dump_replicates": 4200}}),
     ("default torus", "decompose", {"backend": {"kind": "torus"}}),
     ("massless anisotropic torus d=2 N=16", "reconstruct",
      {"backend": {"kind": "torus", "d": 2, "N": 16, "a": [[1.0, 0.3], [0.3, 1.5]],
