@@ -21,8 +21,8 @@ from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
 from .sampler import check_settings
-from .weights import (MIN_PANEL_NODES, BlockQualityError, ContinuousWeightFamily,
-                      DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
+from .weights import (BlockQualityError, ContinuousWeightFamily, DiscreteWeightFamily,
+                      approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
                       default_scale_plan, eval_discrete_weight,
@@ -36,7 +36,6 @@ DEFAULT_CONFIG = {
         "eps": 1.0,
         "t_min": 1e-3,
         "t_max": 1e3,
-        "nodes_per_octave": 16,
         "coefficient_dump_t": 8.0,
     },
     "backend": {
@@ -86,6 +85,8 @@ RETIRED_KEYS = {
     ("sampler", "deflate_zero_mode"):
         "the zero mode is deflated iff the operator is singular",
     ("scales", "nodes_per_block"): "scale blocks are integrated in closed form",
+    ("weights", "nodes_per_octave"):
+        "the continuous weights are integrated in closed form",
 }
 
 
@@ -97,15 +98,29 @@ CHOICES = {
 
 
 # A scalar key takes the JSON type of its default, where true and false are
-# not numbers; a key whose default is null takes null or the type named here.
-# List-valued keys are unchecked.
-NULLABLE = {"scales.j_min": "an integer", "scales.j_max": "an integer",
-            "backend.edges_file": "a string", "sampler.z_bound": "a finite number"}
+# not numbers; a key named here takes the type named, or null if its default
+# is null.  weights.lambda_grid is checked with the --lambda-grid flag.
+NAMED_TYPES = {"scales.j_min": "an integer", "scales.j_max": "an integer",
+               "backend.edges_file": "a string", "sampler.z_bound": "a finite number",
+               "backend.a": "a list of equal-length lists of numbers",
+               "backend.t_list": "a non-empty list of positive numbers",
+               "backend.decay_orders": "a list of pairs of non-negative integers"}
 TYPE_OF_DEFAULT = {int: "an integer", float: "a number", str: "a string"}
 ACCEPTS = {"an integer": lambda v: type(v) is int,
            "a number": lambda v: type(v) in (int, float),
            "a finite number": lambda v: type(v) in (int, float) and np.isfinite(v),
-           "a string": lambda v: type(v) is str}
+           "a string": lambda v: type(v) is str,
+           "a list of equal-length lists of numbers":
+               lambda v: type(v) is list and all(
+                   type(row) is list and len(row) == len(v[0])
+                   and all(map(ACCEPTS["a number"], row)) for row in v),
+           "a non-empty list of positive numbers":
+               lambda v: type(v) is list and v != [] and all(
+                   ACCEPTS["a finite number"](x) and x > 0 for x in v),
+           "a list of pairs of non-negative integers":
+               lambda v: type(v) is list and all(
+                   type(pair) is list and len(pair) == 2
+                   and all(type(x) is int and x >= 0 for x in pair) for pair in v)}
 
 
 class ConfigError(ValueError):
@@ -142,7 +157,7 @@ def _check_known(defaults, data, prefix=""):
             _check_known(default, value, name + ".")
             continue
         null = " or null" if default is None else ""
-        expected = NULLABLE.get(name) if null else TYPE_OF_DEFAULT.get(type(default))
+        expected = NAMED_TYPES.get(name, TYPE_OF_DEFAULT.get(type(default)))
         if expected and not (null and value is None or ACCEPTS[expected](value)):
             raise ConfigError(f"config key {name} must be {expected}{null}, got {value!r}")
 
@@ -298,17 +313,14 @@ def _sampler_settings(config):
 
 
 def _weight_settings(config, lambda_flag):
-    """(config["weights"], lambda grid), refused unless nodes_per_octave >=
-    MIN_PANEL_NODES, 0 < t_min < t_max < inf, coefficient_dump_t > 0 and the
-    grid is non-empty, numeric and inside 0 < lambda <= 4.
+    """(config["weights"], lambda grid), refused unless 0 < t_min < t_max < inf,
+    coefficient_dump_t > 0 and the grid is non-empty, numeric and inside
+    0 < lambda <= 4.
 
     The grid is the comma-separated lambda_flag if given, else
     weights.lambda_grid, else default_lambda_grid(weights.eps).
     """
     wc = config["weights"]
-    if wc["nodes_per_octave"] < MIN_PANEL_NODES:
-        raise ConfigError(f"weights.nodes_per_octave={wc['nodes_per_octave']} "
-                          f"must be at least {MIN_PANEL_NODES}")
     if not 0.0 < wc["t_min"] < wc["t_max"] < np.inf:
         raise ConfigError(f"weights.t_min={wc['t_min']} and weights.t_max={wc['t_max']} "
                           "must satisfy 0 < t_min < t_max < inf")
@@ -413,7 +425,7 @@ def weights(ctx, lambda_grid):
     rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"])
     checks.bound("spectral_weights.check_decomposition_identity[discrete]",
                  rep.max_certified_residual(), tol["identity_discrete"])
-    cont = ContinuousWeightFamily(m, norm, wc["nodes_per_octave"])
+    cont = ContinuousWeightFamily(m, norm)
     rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"])
     rep.w_cont = rep_c.w_cont
     checks.bound("spectral_weights.check_decomposition_identity[continuous]",

@@ -96,10 +96,16 @@ class SymbolTable:
 
 
 def build_symbol_table(spec):
-    """Tabulate the symbol on the dual grid xi_k = 2 pi k / N."""
-    xi = 2.0 * np.pi * np.arange(spec.N) / spec.N
+    """Tabulate the symbol on the dual grid xi_k = 2 pi k / N, k in FFT order.
+
+    k is taken signed (np.fft.fftfreq), so xi(-k) = -xi(k) exactly and the
+    table is even in k bit for bit: cos is even and sin is odd.  k = N/2 is
+    its own negative, so its sine is set to the exact sin(pi) = 0.
+    """
+    xi = 2.0 * np.pi * np.fft.fftfreq(spec.N)
     p = 1.0 - np.cos(xi)     # Re(1 - e^{i xi})
     q = -np.sin(xi)          # Im(1 - e^{i xi})
+    q[spec.N // 2] = 0.0
     vals = np.zeros(spec.shape)
     for i in range(spec.d):
         for j in range(spec.d):

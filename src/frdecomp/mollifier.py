@@ -20,7 +20,9 @@ coefficients and enter oracle comparisons at the 1e-9 level).
 The remainder R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du, 0 <= v <= 1,
 is tabulated on the phi_hat grid (_remainder_cells); it turns every scale
 integral of the discrete weights into a closed form
-(weights.DiscreteWeightFamily.interval_coefficients).
+(weights.DiscreteWeightFamily.interval_coefficients); the first moment
+F(x) = int_0^x u phi(u) du, exact on the phi cells, does so for the
+continuous weights.
 
 The normalization constant C makes the scale integral reproduce 1/lambda:
 
@@ -34,7 +36,7 @@ has compact support; other gamma integrate the phi table by Simpson's rule.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -117,8 +119,8 @@ def build_default_profile():
 
 @dataclass(frozen=True, eq=False)
 class Mollifier:
-    """Tabulated phi / phi_hat pair, the remainder table R of phi_hat, with
-    interpolation and tail certificates."""
+    """Tabulated phi / phi_hat pair, the remainder table R of phi_hat and the
+    first moment F of phi, with interpolation and tail certificates."""
 
     profile: BumpProfile
     grid_step: float
@@ -165,6 +167,28 @@ class Mollifier:
     def phi_hat_remainder(self, v):
         """R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du for v in [0, 1]."""
         out = _eval_cells(self._remainder_cells, PHI_HAT_GRID_STEP, np.asarray(v, dtype=float))
+        return out if np.ndim(out) else float(out)
+
+    @cached_property
+    def _moment_cells(self):
+        """Cells of F(x) = int_0^x u phi(u) du (layout of _eval_cells), exact
+        on the phi cells c: u phi(u) du = step^2 (i + s) sum_j c_j s^j ds on
+        cell i, so F is a quintic in s whose constant term is F(i step), the
+        cell integrals cumulated from 0.  Built on first use, since only the
+        continuous weights need it."""
+        c = self._phi_cells
+        j = np.arange(1.0, len(c) + 1.0)[:, None]
+        cells = np.zeros((len(c) + 2, c.shape[1]))
+        cells[1:-1] = np.arange(c.shape[1]) * c / j
+        cells[2:] += c / (j + 1.0)
+        cells *= self.grid_step**2
+        cells[0, 1:] = np.cumsum(cells.sum(axis=0)[:-1])
+        return cells
+
+    def phi_first_moment(self, x):
+        """F(x) = int_0^|x| u phi(u) du; F(x_max) beyond x_max, where phi is 0."""
+        x = np.minimum(np.abs(np.asarray(x, dtype=float)), self.x_max)
+        out = _eval_cells(self._moment_cells, self.grid_step, x)
         return out if np.ndim(out) else float(out)
 
     def weight_tail_integral(self, x_lo, power=1.0):

@@ -1,4 +1,4 @@
-"""Gauss-Legendre rules, including the log-scale rules for integrals dt/t."""
+"""Gauss-Legendre rules for the mollifier's tables and the continuum kernels."""
 
 from functools import lru_cache
 
@@ -48,27 +48,3 @@ def gauss_legendre(a, b, n):
     g, w = _leggauss(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * g, half * w
-
-
-def log_gauss_legendre(t_lo, t_hi, nodes_per_octave=16):
-    """Panel rule in u = log t for integrals of the form int f(t) dt/t.
-
-    Returns nodes t_q and weights w_q with int_{t_lo}^{t_hi} f(t) dt/t
-    ~= sum_q w_q f(t_q).  One Gauss-Legendre panel of nodes_per_octave
-    nodes per started octave, its nodes consecutive in the result; the
-    panel count tolerates roundoff in log(t_hi / t_lo), so an exact octave
-    is one panel.  The scale integrands oscillate in log t, so the
-    per-octave node count controls the accuracy of the continuous family's
-    scale integrals.
-    """
-    if not (t_lo > 0 and t_hi > t_lo):
-        raise ValueError(f"invalid scale interval [{t_lo}, {t_hi}]")
-    u_lo, u_hi = np.log(t_lo), np.log(t_hi)
-    n_panels = max(1, int(np.ceil((u_hi - u_lo) / np.log(2.0) - 1e-9)))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    ts, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        u, w = gauss_legendre(a, b, nodes_per_octave)
-        ts.append(np.exp(u))
-        ws.append(w)
-    return np.concatenate(ts), np.concatenate(ws)

@@ -1,12 +1,13 @@
 """Scalar weight families for the scale decomposition of 1/lambda.
 
-Two families share one mollifier and one normalization constant C:
+Two families share one mollifier and one normalization constant C (both at
+propagation exponent gamma = 1):
 
-* continuous:  W_t(lambda) = C phi(lambda^{gamma/2} t), defined for all
+* continuous:  W_t(lambda) = C phi(sqrt(lambda) t), defined for all
   lambda >= 0, with the exact homogeneity identity
-  1/lambda = int_0^inf t^{2/gamma} W_t(lambda) dt/t.
+  1/lambda = int_0^inf t^2 W_t(lambda) dt/t.
 
-* discrete (gamma = 1):  W*_t(lambda) = sum_n phi((x - 2 pi n) t) at
+* discrete:  W*_t(lambda) = sum_n phi((x - 2 pi n) t) at
   x = arccos(1 - lambda/2), lambda in [0, 4].  By Poisson summation this is
   the Chebyshev polynomial sum_{|k| <= t} t^{-1} phi_hat(k/t) T_k(1 - lambda/2),
   i.e. a polynomial in lambda of degree at most t -- the property that turns
@@ -26,8 +27,9 @@ well: for t < 1 only the k = 0 coefficient survives, and the white piece
 list of those series, white piece first (ScalePlan.series), and every mode
 variance (mode_variances) and graph block in the package evaluates that
 list; both reconstructs sum the list into one series (ScalePlan.total_series)
-and evaluate it once.  No discrete scale integral has a quadrature node; the
-continuous family integrates by Gauss-Legendre in log t.
+and evaluate it once.  A continuous scale integral is the closed form
+(C/lambda) [F(sqrt(lambda) t_hi) - F(sqrt(lambda) t_lo)] in the mollifier's
+first moment F of phi, so no scale integral has a quadrature node.
 """
 
 from dataclasses import dataclass
@@ -36,11 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .fileio import write_columns_csv
-from .quadrature import log_gauss_legendre
 
-DEFAULT_NODES_PER_OCTAVE = 16
-# Fewest Gauss-Legendre nodes an octave of the continuous family may have.
-MIN_PANEL_NODES = 4
 DEFAULT_EPS = 1.0
 ZERO_FLOOR = 1e-12
 # Largest upper scale a default plan may reach; a tail target not met there
@@ -117,40 +115,39 @@ def eval_discrete_weight_direct(m, lam, t):
 # weight families
 
 class ContinuousWeightFamily:
-    """W_t(lambda) = C phi(lambda^{gamma/2} t); its scale integrals take
-    nodes_per_octave Gauss-Legendre nodes per octave of log t."""
+    """W_t(lambda) = C phi(sqrt(lambda) t), at gamma = 1."""
 
     kind = "continuous"
 
-    def __init__(self, mollifier, normalization, nodes_per_octave=DEFAULT_NODES_PER_OCTAVE):
+    def __init__(self, mollifier, normalization):
+        if abs(normalization.gamma - 1.0) > 1e-14:
+            raise ValueError("continuous weights require gamma = 1")
         self.mollifier = mollifier
         self.normalization = normalization
-        self.nodes_per_octave = nodes_per_octave
-        self.gamma = normalization.gamma
         self.lambda_max = np.inf
 
     def value(self, lam, t):
-        lam = np.asarray(lam, dtype=float)
-        arg = lam ** (0.5 * self.gamma) * t
+        arg = np.sqrt(np.asarray(lam, dtype=float)) * t
         return self.normalization.constant * self.mollifier.phi(arg)
 
     def scale_integral(self, lam, t_min, t_max):
-        """int_{t_min}^{t_max} t^{2/gamma} W_t(lambda) dt/t plus tail residual bounds.
+        """int_{t_min}^{t_max} t^2 W_t(lambda) dt/t plus tail residual bounds.
 
-        Returned tails are in identity units, i.e. bounds on the missing
-        contribution to lambda * integral.
+        With u = sqrt(lambda) t the integral is
+        (C/lambda) [F(sqrt(lambda) t_max) - F(sqrt(lambda) t_min)].  Returned
+        tails are in identity units, i.e. bounds on the missing contribution
+        to lambda * integral.
         """
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        g = self.gamma
+        if not np.all(lam > 0.0):
+            raise ValueError("lambda must be positive")
         C = self.normalization.constant
-        tq, wq = log_gauss_legendre(t_min, t_max, self.nodes_per_octave)
-        args = np.outer(lam ** (0.5 * g), tq)
-        vals = C * self.mollifier.phi(args)
-        integral = vals @ (wq * tq ** (2.0 / g))
-        tail_low = lam * C * self.mollifier.phi_max * (0.5 * g) * t_min ** (2.0 / g)
-        tail_high = np.array([
-            C * self.mollifier.weight_tail_integral(l ** (0.5 * g) * t_max, 2.0 / g - 1.0)
-            for l in lam])
+        m = self.mollifier
+        root = np.sqrt(lam)
+        integral = C * (m.phi_first_moment(root * t_max)
+                        - m.phi_first_moment(root * t_min)) / lam
+        tail_low = lam * C * m.phi_max * 0.5 * t_min**2
+        tail_high = np.array([C * m.weight_tail_integral(r * t_max, 1.0) for r in root])
         return integral, tail_low, tail_high
 
 
@@ -170,7 +167,6 @@ class DiscreteWeightFamily:
             raise ValueError("operator norm bound B must be positive")
         self.mollifier = mollifier
         self.normalization = normalization
-        self.gamma = 1.0
         self.B = float(B)
         self.arg_scale = 3.0 / self.B
         self.lambda_max = 4.0 / self.arg_scale
@@ -396,7 +392,7 @@ def default_lambda_grid(eps=DEFAULT_EPS):
 
 def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3,
                                  report_t_grid=None):
-    """Residuals |lambda * int t^{2/gamma} W_t(lambda) dt/t - 1| per lambda."""
+    """Residuals |lambda * int t^2 W_t(lambda) dt/t - 1| per lambda."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
@@ -421,7 +417,7 @@ def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3
 
 def decay_constants(family, orders=(0, 1, 2, 3), eps=DEFAULT_EPS,
                     t_lo=0.1, t_hi=1e3, n_lambda=160, n_t=120):
-    """Measured suprema C_l = sup (1 + t^{2/gamma} lambda)^l W_t(lambda).
+    """Measured suprema C_l = sup (1 + t^2 lambda)^l W_t(lambda).
 
     The theory guarantees the suprema are finite for every order; their
     values are empirical properties of the chosen mollifier, so they are
@@ -431,10 +427,9 @@ def decay_constants(family, orders=(0, 1, 2, 3), eps=DEFAULT_EPS,
     lam = np.geomspace(1e-3, lam_hi, n_lambda)
     ts = np.geomspace(t_lo, t_hi, n_t)
     sups = {l: 0.0 for l in orders}
-    g = family.gamma
     for t in ts:
         vals = family.value(lam, t)
-        base = 1.0 + t ** (2.0 / g) * lam
+        base = 1.0 + t**2 * lam
         for l in orders:
             sups[l] = max(sups[l], float(np.max(base**l * vals)))
     return sups

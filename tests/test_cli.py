@@ -69,12 +69,13 @@ class TestConfig:
             RunConfig({"sampler": 5})
 
     def test_retired_keys_dropped_with_notes(self):
-        cfg = RunConfig({"weights": {"gamma": 1.0},
+        cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0},
                          "sampler": {"deflate_zero_mode": True, "sample_count": 5},
                          "scales": {"nodes_per_block": 2}})
         assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
         assert [note.split()[3] for note in cfg.notes] == [
-            "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block"]
+            "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block",
+            "weights.nodes_per_octave"]
         with pytest.raises(ConfigError, match="weights.gamma must be 1"):
             RunConfig({"weights": {"gamma": 2.0}})
 
@@ -365,10 +366,14 @@ class TestRejectedInput:
             ({"backend": {"m2": "x"}}, "reconstruct"),
             ({"backend": {"kind": "torus", "lattice_m2": "x"}}, "reconstruct"),
             ({"tolerances": {"reconstruction_rel": "x"}}, "reconstruct"),
-            ({"weights": {"nodes_per_octave": 0}}, "weights"),
             ({"weights": {"t_min": 5.0, "t_max": 1.0}}, "weights"),
             ({"weights": {"t_min": 0.0}}, "weights"),
-            ({"weights": {"coefficient_dump_t": -1.0}}, "weights"))
+            ({"weights": {"coefficient_dump_t": -1.0}}, "weights"),
+            ({"backend": {"kind": "torus", "t_list": ["a", 2]}}, "decompose"),
+            ({"backend": {"kind": "torus", "t_list": [0.0, 2.0]}}, "decompose"),
+            ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),
+            ({"backend": {"kind": "torus", "a": [[1, 0], [0]]}}, "decompose"),
+            ({"backend": {"kind": "torus", "decay_orders": [[0]]}}, "decompose"))
     ])
     def test_bad_config_fails_before_work(self, tmp_path, text, command):
         cfgfile = tmp_path / "cfg.json"
@@ -395,15 +400,16 @@ class TestRejectedInput:
     def test_retired_keys_run_with_notes(self, tmp_path):
         plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
         plain.write_text(json.dumps({"backend": {"n": 8}}))
-        retired.write_text(json.dumps({"backend": {"n": 8}, "weights": {"gamma": 1},
+        retired.write_text(json.dumps({"backend": {"n": 8},
+                                       "weights": {"gamma": 1, "nodes_per_octave": 0},
                                        "sampler": {"deflate_zero_mode": True},
                                        "scales": {"nodes_per_block": 2}}))
         a = run(["--config", str(plain), "--out", str(tmp_path / "a"), "reconstruct"])
         b = run(["--config", str(retired), "--out", str(tmp_path / "b"), "reconstruct"])
         assert a.exit_code == 0 and b.exit_code == 0, b.output
         notes = [line for line in b.output.splitlines() if line.startswith("NOTE ")]
-        assert len(notes) == 3
-        assert b.output.splitlines()[3:] == a.output.splitlines()
+        assert len(notes) == 4
+        assert b.output.splitlines()[4:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
     @pytest.mark.parametrize("flag, weights", [

@@ -80,6 +80,19 @@ class TestSymbolTable:
         assert table.values.min() >= -1e-13
         assert table.B == table.values.max()
 
+    @pytest.mark.parametrize("d, a, m2, N", [
+        (1, [[1.0]], 0.5, 64),
+        (2, np.eye(2), 0.5, 8),
+        (2, ANISOTROPIC_2D, 0.0, 16),
+        (2, np.eye(2), 0.5, 32),
+        (3, ANISOTROPIC_3D, 0.5, 8)])
+    def test_even_in_frequency_bit_for_bit(self, d, a, m2, N):
+        # v(-k) = v(k) exactly, so every mode variance is even and the
+        # sampled planes k_last in {0, N/2} need no projection
+        values = build_symbol_table(LatticeSpec(d=d, a=np.array(a), m2=m2, N=N)).values
+        negated = values[np.ix_(*[-np.arange(N) % N] * d)]
+        assert np.array_equal(values, negated)
+
     def test_matches_dense_operator_on_plane_waves(self):
         # independent route: the stencil matrix must reproduce the symbol
         spec = LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.0]]), m2=0.25, N=8)

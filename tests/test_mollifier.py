@@ -185,6 +185,20 @@ class TestTableAccuracy:
         assert np.max(err[:3]) <= 1e-11 and np.max(err[3:]) <= 1e-14
         assert abs(m.phi_hat_remainder(1.0)) <= 1e-20
 
+    def test_first_moment_against_many_node_rule(self, mollifier, norm1):
+        # F(x) = int_0^x u phi(u) du from the Hermite cells against a
+        # 20,000-node rule on the phi table; C F(x_max) misses 1 by the
+        # phi tail beyond x_max, which C is blind to (it comes from phi_hat)
+        m = mollifier
+        f_max = m.phi_first_moment(m.x_max)
+        for x in (0.5, 3.0, 17.25, 60.0, m.x_max):
+            u, w = gauss_legendre(0.0, x, 20_000)
+            assert abs(m.phi_first_moment(x) - np.sum(w * u * m.phi(u))) <= 1e-14 * f_max
+        beyond = m.phi_first_moment(np.array([np.nextafter(m.x_max, np.inf), 150.0, 1e9]))
+        assert np.all(beyond == f_max)
+        assert abs(norm1.constant * f_max - 1.0) <= (
+            norm1.constant * m.weight_tail_integral(m.x_max, 1.0))
+
 
 class TestNormalization:
     def test_gamma_one_against_independent_quadrature(self, mollifier, norm1):

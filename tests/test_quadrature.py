@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frdecomp.quadrature import _leggauss, log_gauss_legendre
+from frdecomp.quadrature import _leggauss
 
 
 @pytest.mark.parametrize("n, tol", [(4, 1e-14), (16, 1e-14), (24, 1e-14),
@@ -33,16 +33,3 @@ def test_rule_matches_scipy_roots_legendre(n):
 def test_rule_refuses_no_nodes(n):
     with pytest.raises(ValueError, match="n >= 1"):
         _leggauss(n)
-
-
-@pytest.mark.parametrize("j", range(-2, 12))
-def test_exact_octave_is_one_panel(j):
-    nodes, weights = log_gauss_legendre(2.0 ** (j - 1), 2.0**j, 16)
-    assert len(nodes) == 16
-    assert np.sum(weights) == pytest.approx(np.log(2.0), rel=1e-14)
-
-
-def test_panels_per_started_octave():
-    # the default weights window [1e-3, 1e3] spans 19.93 octaves: 20 panels
-    assert len(log_gauss_legendre(1e-3, 1e3, 16)[0]) == 20 * 16
-    assert len(log_gauss_legendre(1.0, 2.0 * (1.0 + 1e-6), 8)[0]) == 16

@@ -3,9 +3,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from frdecomp.mollifier import default_mollifier
+from frdecomp.mollifier import default_mollifier, normalization_constant
 from frdecomp.quadrature import gauss_legendre
-from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
+from frdecomp.weights import (PLAN_T_CAP, ContinuousWeightFamily,
+                              DiscreteWeightFamily, ScalePlan,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
@@ -93,20 +94,6 @@ class TestIntervalCoefficients:
         total = plan.total_series(fam)
         assert len(total) == len(one)
         assert np.max(np.abs(total - one)) <= 1e-15 * np.max(np.abs(one))
-
-    def test_plan_path_has_no_quadrature_node(self, mollifier, norm1, monkeypatch):
-        from frdecomp import quadrature, weights
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("log_gauss_legendre reached on the plan path")
-
-        monkeypatch.setattr(quadrature, "log_gauss_legendre", refuse)
-        monkeypatch.setattr(weights, "log_gauss_legendre", refuse)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=2.1)
-        plan = default_scale_plan(fam, 1e-3, 0.25)
-        plan.series(fam)
-        plan.total_series(fam)
-        fam.scale_integral(np.array([0.5, 2.0]), 1e-3, 1e3)
 
     def test_refuses_bad_interval(self, disc_family):
         for t_lo, t_hi in ((-1.0, 2.0), (3.0, 2.0), (0.0, np.inf)):
@@ -226,6 +213,25 @@ class TestContinuousFamily:
     def test_tail_vanishes(self, cont_family, mollifier):
         lam = (1.5 * mollifier.x_max) ** 2  # sqrt(lam) * 1 beyond the table
         assert cont_family.value(lam, 1.0) == 0.0
+
+    @pytest.mark.parametrize("t_min, t_max", [(0.3, 50.0), (2.0, 2.5)])
+    def test_scale_integral_against_many_node_rule(self, cont_family, t_min, t_max):
+        # the closed form in F against a 20,000-node rule in log t on the phi table
+        lam = np.array([0.05, 1.0, 3.9])
+        got, _, _ = cont_family.scale_integral(lam, t_min, t_max)
+        v, w = gauss_legendre(np.log(t_min), np.log(t_max), 20_000)
+        t = np.exp(v)
+        expect = np.array([np.sum(w * t**2 * cont_family.value(l, t)) for l in lam])
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+    def test_refuses_gamma_other_than_one(self, mollifier):
+        with pytest.raises(ValueError, match="continuous weights require gamma = 1"):
+            ContinuousWeightFamily(mollifier, normalization_constant(mollifier, 2.0))
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+    def test_scale_integral_refuses_nonpositive_lambda(self, cont_family, lam):
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            cont_family.scale_integral(np.array([1.0, lam]), 0.3, 50.0)
 
 
 class TestDecompositionIdentity:

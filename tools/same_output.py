@@ -60,6 +60,9 @@ CONFIGS = [
                   "lattice_m2": 0.0}}),
     ("default graph j=0..4", "decompose", {"scales": {"j_min": 0, "j_max": 4}}),
     ("defaults", "weights", {}),
+    # the continuous closed form and tail_low off whole octaves
+    ("weights window [0.3, 50]", "weights",
+     {"weights": {"t_min": 0.3, "t_max": 50.0, "lambda_grid": [0.05, 1.0, 3.9]}}),
     ("300-cycle", "reconstruct", {"backend": {"n": 300}}),
     ("1024-cycle", "reconstruct", {"backend": {"n": 1024}}),
 ]
