@@ -6,13 +6,12 @@ variants) into integrals of positive semi-definite kernels with exact finite
 range, and samples the associated Gaussian free fields scale by scale.
 """
 
-from .mollifier import (BumpProfile, Mollifier, Normalization,
-                        build_default_profile, build_mollifier,
-                        default_mollifier, normalization_constant)
+from .mollifier import (BumpProfile, Mollifier, build_default_profile,
+                        build_mollifier, default_mollifier, normalization_constant)
 from .weights import (ContinuousWeightFamily, DiscreteWeightFamily, ScalePlan,
                       WeightCheckReport, approximation_rate,
                       chebyshev_coefficients, check_decomposition_identity,
-                      decay_constants, default_scale_plan, eval_discrete_weight,
+                      decay_constants, default_scale_plan,
                       eval_discrete_weight_direct, wave_identity_max_residual)
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
@@ -25,13 +24,12 @@ from .sampler import (covariance_report, lag_covariance_report, sample_graph,
                       sample_torus)
 
 __all__ = [
-    "BumpProfile", "Mollifier", "Normalization", "build_default_profile",
-    "build_mollifier", "default_mollifier", "normalization_constant",
+    "BumpProfile", "Mollifier", "build_default_profile", "build_mollifier",
+    "default_mollifier", "normalization_constant",
     "ContinuousWeightFamily", "DiscreteWeightFamily", "ScalePlan",
     "WeightCheckReport", "approximation_rate", "chebyshev_coefficients",
     "check_decomposition_identity", "decay_constants", "default_scale_plan",
-    "eval_discrete_weight", "eval_discrete_weight_direct",
-    "wave_identity_max_residual",
+    "eval_discrete_weight_direct", "wave_identity_max_residual",
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
     "build_symbol_table", "continuum_kernel", "decay_fit",
     "discrete_continuum_gap", "lattice_kernel", "mass_family_sweep",

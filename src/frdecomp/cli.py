@@ -25,8 +25,8 @@ from .weights import (BlockQualityError, ContinuousWeightFamily, DiscreteWeightF
                       approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
-                      default_scale_plan, eval_discrete_weight,
-                      eval_discrete_weight_direct, wave_identity_max_residual)
+                      default_scale_plan, eval_discrete_weight_direct,
+                      wave_identity_max_residual)
 
 DEFAULT_CONFIG = {
     "seed": 20240801,
@@ -126,8 +126,9 @@ ACCEPTS = {"an integer": lambda v: type(v) is int,
 class ConfigError(ValueError):
     """A config the program cannot honour: an unknown key, a section that is
     not an object, a value of the wrong JSON type, a value outside CHOICES, a
-    scale plan or sampler setting the library refuses, or a retired key set
-    to a value other than the one used."""
+    scale plan or sampler setting the library refuses, a graph edge-list file
+    that is unset or missing, or a retired key set to a value other than the
+    one used."""
 
 
 def _drop_retired(data):
@@ -239,8 +240,7 @@ def _components(config):
         m = build_mollifier(grid_step=mc["grid_step"], x_max=mc["x_max"])
     except ValueError as exc:
         raise ConfigError(f"mollifier: {exc}") from None
-    norm = normalization_constant(m, gamma=1.0)
-    return m, norm
+    return m, normalization_constant(m)
 
 
 def _graph_operator(config):
@@ -270,15 +270,20 @@ def _backend(config):
 
     op is the GraphOperator or, on a torus, the SymbolTable; family is the
     discrete weight family for op.B.  The mollifier (_components) is built
-    before op.
+    before op, once a graph's edge-list file is known to exist.
     """
-    m, norm = _components(config)
-    if config["backend"]["kind"] == "graph":
+    b = config["backend"]
+    if (b["kind"] == "graph" and b["graph"] == "file"
+            and not os.path.isfile(b["edges_file"] or "")):
+        raise ConfigError(f"backend.edges_file={b['edges_file']!r} must name an "
+                          "existing file when backend.graph is file")
+    m, C = _components(config)
+    if b["kind"] == "graph":
         op = _graph_operator(config)
     else:
         from .lattice import build_symbol_table
         op = build_symbol_table(_lattice_spec(config))
-    return op, DiscreteWeightFamily(m, norm, B=op.B)
+    return op, DiscreteWeightFamily(m, C, B=op.B)
 
 
 def _scale_plan(config, op, family):
@@ -419,24 +424,23 @@ def weights(ctx, lambda_grid):
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     wc, lam = _weight_settings(config, lambda_grid)
     tol = config["tolerances"]
-    m, norm = _components(config)
+    m, C = _components(config)
 
-    disc = DiscreteWeightFamily(m, norm)
+    disc = DiscreteWeightFamily(m, C)
     rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"])
     checks.bound("spectral_weights.check_decomposition_identity[discrete]",
                  rep.max_certified_residual(), tol["identity_discrete"])
-    cont = ContinuousWeightFamily(m, norm)
+    cont = ContinuousWeightFamily(m, C)
     rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"])
     rep.w_cont = rep_c.w_cont
     checks.bound("spectral_weights.check_decomposition_identity[continuous]",
                  rep_c.max_certified_residual(), tol["identity_continuous"])
     rep.decay_constants = decay_constants(disc)
-    rep.approx_rate_fit = approximation_rate(m, 1.0, normalization=norm)
+    rep.approx_rate_fit = approximation_rate(m, C, 1.0)
     checks.at_most("spectral_weights.approximation_rate.slope",
                    rep.approx_rate_fit.slope, tol["approx_slope"])
-    w = chebyshev_coefficients(m, 7.0)
-    clen = eval_discrete_weight(w, 1.3)
-    direct = eval_discrete_weight_direct(m, 1.3, 7.0)
+    clen = disc.value(1.3, 7.0)
+    direct = C * eval_discrete_weight_direct(m, 1.3, 7.0)
     checks.bound("spectral_weights.eval_discrete_weight[oracle@(1.3,7)]",
                  abs(clen - direct) / abs(direct), tol["oracle_equivalence"] * 10)
     checks.bound("spectral_weights.wave_identity",
@@ -474,7 +478,7 @@ def decompose(ctx):
                          max(0.0, -c.min_eig) / max(c.max_eig, 1e-300),
                          tol["psd_rel"])
             fileio.write_block(_artifact(ctx, f"block_j{j:+03d}", ".bin", ".json"), blk,
-                               extra={"B": op.B, "kind": op.kind})
+                               op.m2, op.B, extra={"kind": op.kind})
         _write_table(ctx, "decompose_summary.csv",
                      ["j", "range_bound", "min_eig", "sup_norm"],
                      [(j, r, float(e), float(s)) for j, r, e, s in rows])

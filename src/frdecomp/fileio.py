@@ -4,7 +4,8 @@ Kernel/block dumps are a 5-field float64 header followed by the row-major
 float64 payload:
 
     (d, N, t, m2, B)   torus kernels: d >= 1, N the side length
-    (0, n, t, m2, B)   graph blocks: payload is the n x n matrix, t = L^j
+    (0, n, t, m2, B)   graph blocks: payload is the n x n matrix, t = L^j,
+                       m2 = NaN for the laplacian and killed operators
 
 Sample dumps hold one record per row of the samplers' kept array: the header
 (backend_id, size, j_min, j_max, seed) with backend_id 1 = torus, 2 = graph,
@@ -47,19 +48,20 @@ def write_kernel_csv(path, array):
     write_columns_csv(path, ["index", "value"], [np.arange(flat.size), flat])
 
 
-def write_block(path_base, block, extra=None):
-    """Binary matrix + JSON certificate sidecar for a graph scale block."""
+def write_block(path_base, block, m2, B, extra=None):
+    """Binary matrix + JSON certificate sidecar for a graph scale block.
+
+    The header is (0, n, L^j, m2, B), with m2 = NaN when m2 is None (the
+    laplacian and killed operators); extra goes into the sidecar.
+    """
     n = block.matrix.shape[0]
-    header = [0.0, float(n), block.L_ratio**block.j, np.nan, np.nan]
-    if extra and "m2" in extra:
-        header[3] = float(extra["m2"])
-    if extra and "B" in extra:
-        header[4] = float(extra["B"])
+    header = [0.0, float(n), block.L_ratio**block.j,
+              np.nan if m2 is None else float(m2), float(B)]
     write_kernel_binary(f"{path_base}.bin", header, block.matrix)
     sidecar = {"j": block.j, "L_ratio": block.L_ratio,
                "format_version": FORMAT_VERSION}
     if extra:
-        sidecar.update({k: v for k, v in extra.items() if k not in ("m2", "B")})
+        sidecar.update(extra)
     with open(f"{path_base}.json", "w") as fh:
         fh.write(block.certificates.to_json(extra=sidecar))
         fh.write("\n")

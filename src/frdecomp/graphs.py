@@ -80,17 +80,26 @@ class WeightedGraph:
 
     @classmethod
     def from_edgelist_file(cls, path):
-        """Parse lines "x y mu_xy" with 0-based vertex ids; '#' comments."""
+        """Parse lines "x y mu_xy" with 0-based vertex ids; '#' comments.
+
+        A line that is not two integers and a number is a GraphError naming
+        the file and the line.
+        """
         edges = []
         n = 0
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                x, y, w = line.split()
-                edges.append((int(x), int(y), float(w)))
-                n = max(n, int(x) + 1, int(y) + 1)
+                try:
+                    x, y, w = line.split()
+                    x, y, w = int(x), int(y), float(w)
+                except ValueError:
+                    raise GraphError(f"{path}:{lineno}: expected 'x y mu_xy' with "
+                                     f"integer vertex ids, got {line!r}") from None
+                edges.append((x, y, w))
+                n = max(n, x + 1, y + 1)
         return cls.from_edges(n, edges)
 
     @cached_property

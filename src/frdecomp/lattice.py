@@ -11,8 +11,9 @@ infinity-distance-1 neighbours, the kernel vanishes exactly beyond
 infinity-distance floor(t) whenever N > 2t (no wrap-around).
 
 The continuum comparison kernel is the same construction with the continuous
-weight and symbol a(xi) = sum a_ij xi_i xi_j, normalized with (2 pi)^{-d} to
-match the lattice convention N^{-d} sum_xi.
+weight family (weights.ContinuousWeightFamily) and symbol
+a(xi) = sum a_ij xi_i xi_j, normalized with (2 pi)^{-d} to match the lattice
+convention N^{-d} sum_xi.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .weights import default_scale_plan, mode_variances
+from .weights import ContinuousWeightFamily, default_scale_plan, mode_variances
 
 DEFAULT_XI_CUTOFF = 40.0
 # Lower end of the default torus plan: the exact white piece covers t < 1.
@@ -315,13 +316,14 @@ def _continuum_radial(d, r, weight_vals, rho, w, order=0):
     return out
 
 
-def continuum_kernel_at_points(d, a, m2, t, coords, mollifier, normalization,
+def continuum_kernel_at_points(d, a, m2, t, coords, family,
                                xi_cutoff=DEFAULT_XI_CUTOFF, n_nodes=400, order=0):
     """Continuum kernel (order 0) or its x_1-partial (order 1) at points.
 
-    coords has shape (npoints, d).  General SPD a is reduced to the isotropic
-    case by xi -> a^{-1/2} xi, which maps the points to y = a^{-1/2} x; for
-    order 1 the radial derivative is chained back to d/dx_1.
+    family is a ContinuousWeightFamily; coords has shape (npoints, d).
+    General SPD a is reduced to the isotropic case by xi -> a^{-1/2} xi,
+    which maps the points to y = a^{-1/2} x; for order 1 the radial
+    derivative is chained back to d/dx_1.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -330,7 +332,7 @@ def continuum_kernel_at_points(d, a, m2, t, coords, mollifier, normalization,
     r = np.linalg.norm(y, axis=1)
     det_factor = 1.0 / np.sqrt(np.prod(evals))
     rho, w = gauss_legendre(0.0, xi_cutoff / t, n_nodes)
-    weight_vals = normalization.constant * mollifier.phi(np.sqrt(rho**2 + m2) * t)
+    weight_vals = family.value(rho**2 + m2, t)
     vals = _continuum_radial(d, r, weight_vals, rho, w, order=order)
     if order == 1:
         # d|y|/dx_1 = (a^{-1/2} y/|y|)_1 in the eigenbasis representation
@@ -340,13 +342,14 @@ def continuum_kernel_at_points(d, a, m2, t, coords, mollifier, normalization,
     return t**2 * det_factor * vals
 
 
-def continuum_kernel(d, a, m2, t, x, mollifier, normalization,
+def continuum_kernel(d, a, m2, t, x, family,
                      xi_cutoff=DEFAULT_XI_CUTOFF, n_nodes=400, order=0):
-    """phi_t(x) = t^2 (2 pi)^{-d} int W_t(a(xi) + m^2) e^{i x.xi} dxi."""
+    """phi_t(x) = t^2 (2 pi)^{-d} int W_t(a(xi) + m^2) e^{i x.xi} dxi, with
+    W_t = family.value, a ContinuousWeightFamily."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = continuum_kernel_at_points(d, a, m2, t, x[None, :], mollifier,
-                                      normalization, xi_cutoff=xi_cutoff,
-                                      n_nodes=n_nodes, order=order)
+    vals = continuum_kernel_at_points(d, a, m2, t, x[None, :], family,
+                                      xi_cutoff=xi_cutoff, n_nodes=n_nodes,
+                                      order=order)
     return float(vals[0])
 
 
@@ -362,18 +365,19 @@ def matched_continuum_kernel_at_points(spec, family, t, coords, order=0,
     s = family.arg_scale
     vals = continuum_kernel_at_points(
         spec.d, s * spec.a, s * spec.m2, t, coords,
-        family.mollifier, family.normalization,
+        ContinuousWeightFamily(family.mollifier, family.C),
         xi_cutoff=xi_cutoff, n_nodes=n_nodes, order=order)
     return s * vals
 
 
-def continuum_tail_bound(d, t, mollifier, normalization, xi_cutoff=DEFAULT_XI_CUTOFF):
-    """Bound on the omitted |xi| > cutoff mass of the continuum integral."""
+def continuum_tail_bound(d, t, family, xi_cutoff=DEFAULT_XI_CUTOFF):
+    """Bound on the omitted |xi| > cutoff mass of the continuum integral, for
+    the ContinuousWeightFamily family."""
     angular = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
     pref = angular / (2.0 * np.pi) ** d
     # int_{cutoff}^inf rho^{d-1} C phi(rho t) drho = t^{-d} C int_{ct}^inf u^{d-1} phi
-    tail = mollifier.weight_tail_integral(xi_cutoff, power=float(d - 1))
-    return float(t**2 * pref * normalization.constant * tail / t**d)
+    tail = family.mollifier.weight_tail_integral(xi_cutoff, power=float(d - 1))
+    return float(t**2 * pref * family.C * tail / t**d)
 
 
 # ---------------------------------------------------------------------------

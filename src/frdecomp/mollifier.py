@@ -26,12 +26,12 @@ continuous weights.
 
 The normalization constant C makes the scale integral reproduce 1/lambda:
 
-    1/lambda = C int_0^inf t^{2/gamma} phi(lambda^{gamma/2} t) dt/t,
-    1/C      = int_0^inf t^{2/gamma - 1} phi(t) dt.
+    1/lambda = C int_0^inf t^2 phi(sqrt(lambda) t) dt/t,
+    1/C      = int_0^inf t phi(t) dt.
 
-At gamma = 1 this is the finite part of the Fourier pairing of |t|/2 with
-phi_hat, 1/C = 2 phi_hat(0) - 2 R(0), which truncates nothing since phi_hat
-has compact support; other gamma integrate the phi table by Simpson's rule.
+1/C is the finite part of the Fourier pairing of |t|/2 with phi_hat,
+1/C = 2 phi_hat(0) - 2 R(0), which truncates nothing since phi_hat has
+compact support.
 """
 
 import math
@@ -196,7 +196,7 @@ class Mollifier:
 
         Table part by trapezoid on [x_lo, x_max]; beyond x_max the analytic
         remainder from (1+u^2)^4 phi(u) <= K_4.  Drives every truncation
-        certificate (normalization tail, identity tails, scale planning).
+        certificate (identity tails, scale planning, continuum cut-off).
         """
         p = float(power)
         if p >= 7.0:
@@ -312,17 +312,6 @@ def _eval_cells(cells, step, x):
     return out
 
 
-def _simpson(y, h):
-    """Composite Simpson of samples y on a uniform grid of step h, as scipy's
-    simpson does it: an even number of samples integrates the last interval
-    with Cartwright's correction."""
-    m = len(y) - 1 + len(y) % 2  # odd length covered by whole Simpson panels
-    total = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2])
-    if m < len(y):
-        total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
-    return float(total)
-
-
 def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_MAX):
     """Tabulate phi = kappa^2 and phi_hat = khat * khat from a bump profile."""
     if profile is None:
@@ -365,45 +354,18 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
     )
 
 
-@dataclass(frozen=True)
-class Normalization:
-    """The constant C with 1/C = int_0^inf t^{2/gamma} phi(t) dt/t."""
+def normalization_constant(m):
+    """C = 1/(2 phi_hat(0) - 2 R(0)) from the phi_hat tables, a float.
 
-    gamma: float
-    constant: float
-    integral: float
-    tail_bound_rel: float
-
-
-def normalization_constant(m, gamma=1.0, positivity_floor=1e-300):
-    """The normalization for the propagation exponent gamma.
-
-    gamma = 1 takes 1/C = 2 phi_hat(0) - 2 R(0) from the phi_hat tables,
-    which truncates nothing (tail_bound_rel = 0); other gamma integrate
-    t^a phi(t) by Simpson's rule on the phi table, with the tail beyond
-    x_max bounded.
+    Raises DegenerateMollifierError unless 1/C is finite and positive and C
+    is finite.
     """
-    if gamma <= 0.25:
-        raise ValueError("gamma must exceed 1/4 (tail certificate order)")
-    if gamma == 1.0:
-        integral = 2.0 * m.phi_hat0 - 2.0 * m.phi_hat_remainder(0.0)
-        tail = 0.0
-    else:
-        a = 2.0 / gamma - 1.0  # integrand is t^a phi(t)
-        h = m.grid_step
-        # [0, h]: phi is even and smooth, phi(t) = phi(0) + O(t^2).
-        head = m.phi_max * h ** (a + 1.0) / (a + 1.0)
-        integral = head + _simpson(m.x_grid[1:] ** a * m.phi_values[1:], h)
-        tail = m.weight_tail_integral(m.x_max, power=a)
-    if not np.isfinite(integral) or integral <= positivity_floor:
+    integral = 2.0 * m.phi_hat0 - 2.0 * m.phi_hat_remainder(0.0)
+    if not 0.0 < integral < np.inf or 1.0 / integral == np.inf:
         raise DegenerateMollifierError(
-            f"normalization integral {integral!r} below positivity floor")
-    return Normalization(
-        gamma=float(gamma),
-        constant=1.0 / integral,
-        integral=integral,
-        tail_bound_rel=tail / integral,
-    )
+            f"normalization integral {integral!r} is not finite and positive, "
+            "or too small to invert")
+    return 1.0 / integral
 
 
 @lru_cache(maxsize=4)

@@ -1,7 +1,7 @@
 """Scalar weight families for the scale decomposition of 1/lambda.
 
-Two families share one mollifier and one normalization constant C (both at
-propagation exponent gamma = 1):
+Two families share one mollifier and its normalization constant C
+(mollifier.normalization_constant):
 
 * continuous:  W_t(lambda) = C phi(sqrt(lambda) t), defined for all
   lambda >= 0, with the exact homogeneity identity
@@ -82,15 +82,6 @@ def chebyshev_coefficients(m, t):
     return np.asarray(m.phi_hat(k / t)) / t
 
 
-def eval_discrete_weight(coeffs, lam):
-    """Clenshaw evaluation of W*_t(lambda) = c_0 + 2 sum_k c_k T_k(1 - lambda/2)."""
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr < 0.0) or np.any(lam_arr > 4.0):
-        raise ValueError("lambda outside [0, 4]")
-    out = clenshaw_folded(coeffs, 1.0 - 0.5 * lam_arr)
-    return out if np.ndim(lam) else float(out[0])
-
-
 def eval_discrete_weight_direct(m, lam, t):
     """Periodized-sum oracle W*_t(lambda) = sum_n phi((x - 2 pi n) t).
 
@@ -115,20 +106,18 @@ def eval_discrete_weight_direct(m, lam, t):
 # weight families
 
 class ContinuousWeightFamily:
-    """W_t(lambda) = C phi(sqrt(lambda) t), at gamma = 1."""
+    """W_t(lambda) = C phi(sqrt(lambda) t), C = normalization_constant(mollifier)."""
 
     kind = "continuous"
 
-    def __init__(self, mollifier, normalization):
-        if abs(normalization.gamma - 1.0) > 1e-14:
-            raise ValueError("continuous weights require gamma = 1")
+    def __init__(self, mollifier, C):
         self.mollifier = mollifier
-        self.normalization = normalization
+        self.C = C
         self.lambda_max = np.inf
 
     def value(self, lam, t):
         arg = np.sqrt(np.asarray(lam, dtype=float)) * t
-        return self.normalization.constant * self.mollifier.phi(arg)
+        return self.C * self.mollifier.phi(arg)
 
     def scale_integral(self, lam, t_min, t_max):
         """int_{t_min}^{t_max} t^2 W_t(lambda) dt/t plus tail residual bounds.
@@ -141,7 +130,7 @@ class ContinuousWeightFamily:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if not np.all(lam > 0.0):
             raise ValueError("lambda must be positive")
-        C = self.normalization.constant
+        C = self.C
         m = self.mollifier
         root = np.sqrt(lam)
         integral = C * (m.phi_first_moment(root * t_max)
@@ -152,7 +141,8 @@ class ContinuousWeightFamily:
 
 
 class DiscreteWeightFamily:
-    """Normalized Chebyshev family C * (3/B) * W*_t((3/B) lambda).
+    """Normalized Chebyshev family C * (3/B) * W*_t((3/B) lambda), with
+    C = normalization_constant(mollifier).
 
     B = 3 gives the bare family on [0, 4].  The family fulfils
     int_0^inf t^2 value(lambda, t) dt/t = 1/lambda for lambda in (0, 4B/3).
@@ -160,13 +150,11 @@ class DiscreteWeightFamily:
 
     kind = "discrete"
 
-    def __init__(self, mollifier, normalization, B=3.0):
-        if abs(normalization.gamma - 1.0) > 1e-14:
-            raise ValueError("discrete weights require gamma = 1")
+    def __init__(self, mollifier, C, B=3.0):
         if B <= 0:
             raise ValueError("operator norm bound B must be positive")
         self.mollifier = mollifier
-        self.normalization = normalization
+        self.C = C
         self.B = float(B)
         self.arg_scale = 3.0 / self.B
         self.lambda_max = 4.0 / self.arg_scale
@@ -183,7 +171,7 @@ class DiscreteWeightFamily:
         arr = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * arr
         out = clenshaw_folded(chebyshev_coefficients(self.mollifier, t), theta)
-        out = self.normalization.constant * self.arg_scale * out
+        out = self.C * self.arg_scale * out
         return out if np.ndim(lam) else float(out[0])
 
     # -- scale integrals ----------------------------------------------------
@@ -211,7 +199,7 @@ class DiscreteWeightFamily:
         a = m.phi_hat0 * (t_hi - lo)
         a[1:] += k[1:] * (m.phi_hat_remainder(k[1:] / t_hi)
                           - m.phi_hat_remainder(k[1:] / lo[1:]))
-        return self.normalization.constant * self.arg_scale * a
+        return self.C * self.arg_scale * a
 
     def scale_integral(self, lam, t_min, t_max):
         """Scale integral over [t_min, t_max], from 0 when t_min <= 1.
@@ -222,7 +210,7 @@ class DiscreteWeightFamily:
         """
         lam = self._check_lambda(lam)
         theta = 1.0 - 0.5 * self.arg_scale * lam
-        scale = self.normalization.constant * self.arg_scale
+        scale = self.C * self.arg_scale
         if t_min <= 1.0:
             tail_low = np.zeros_like(lam)
             t_min = 0.0
@@ -241,7 +229,7 @@ class DiscreteWeightFamily:
         scale_integral returns the same bound as its third value.
         """
         lam = self._check_lambda(lam)
-        scale = self.normalization.constant * self.arg_scale
+        scale = self.C * self.arg_scale
         x = np.arccos(1.0 - 0.5 * (self.arg_scale * lam))
         wrap = self.mollifier.weight_tail_integral(np.pi * t_max, 1.0)
         return np.array([
@@ -447,18 +435,15 @@ class ApproxRateFit:
     scaled: bool
 
 
-def approximation_rate(m, lam, t_list=(4, 8, 16, 32, 64), normalization=None,
-                       scaled=False):
+def approximation_rate(m, C, lam, t_list=(4, 8, 16, 32, 64), scaled=False):
     """Measure |W*_t(lam) - W_t(lam)| across scales and fit the decay rate.
 
-    With scaled=True the evaluation argument is lam/t^2 (the scaling regime
-    in which W*_t(lam/t^2) -> C phi(sqrt(lam))).
+    C is normalization_constant(m).  With scaled=True the evaluation
+    argument is lam/t^2 (the scaling regime in which
+    W*_t(lam/t^2) -> C phi(sqrt(lam))).
     """
-    from .mollifier import normalization_constant
-    if normalization is None:
-        normalization = normalization_constant(m, gamma=1.0)
-    cont = ContinuousWeightFamily(m, normalization)
-    disc = DiscreteWeightFamily(m, normalization)
+    cont = ContinuousWeightFamily(m, C)
+    disc = DiscreteWeightFamily(m, C)
     t_arr = np.asarray(t_list, dtype=float)
     diffs = np.empty_like(t_arr)
     ref = np.empty_like(t_arr)

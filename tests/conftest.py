@@ -55,7 +55,7 @@ def mollifier():
 
 @pytest.fixture(scope="session")
 def norm1(mollifier):
-    return normalization_constant(mollifier, gamma=1.0)
+    return normalization_constant(mollifier)
 
 
 @pytest.fixture(scope="session")
@@ -77,4 +77,4 @@ def narrow_mollifier():
 
 @pytest.fixture(scope="session")
 def narrow_norm(narrow_mollifier):
-    return normalization_constant(narrow_mollifier, gamma=1.0)
+    return normalization_constant(narrow_mollifier)

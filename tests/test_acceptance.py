@@ -19,8 +19,7 @@ from frdecomp.lattice import (LatticeSpec, build_symbol_table, continuum_kernel,
                               decay_fit, lattice_kernel, reconstruct_torus_green)
 from frdecomp.sampler import covariance_report, sample_graph
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, approximation_rate,
-                              chebyshev_coefficients, check_decomposition_identity,
-                              eval_discrete_weight, eval_discrete_weight_direct,
+                              check_decomposition_identity, eval_discrete_weight_direct,
                               wave_identity_max_residual)
 
 
@@ -77,14 +76,13 @@ def test_criterion_01_decomposition_identity(disc_family):
     c.finish()
 
 
-def test_criterion_02_oracle_equivalence(mollifier):
+def test_criterion_02_oracle_equivalence(mollifier, norm1, disc_family):
     c = Criterion(2, "chebyshev-periodization-equivalence", 5.0)
     lam = np.linspace(0.05, 3.2, 20)
     worst = 0.0
     for t in np.geomspace(0.5, 6.0, 20):
-        w = chebyshev_coefficients(mollifier, t)
-        clen = eval_discrete_weight(w, lam)
-        direct = eval_discrete_weight_direct(mollifier, lam, t)
+        clen = disc_family.value(lam, t)
+        direct = norm1 * eval_discrete_weight_direct(mollifier, lam, t)
         worst = max(worst, float(np.max(np.abs(clen - direct) / np.abs(direct))))
     c.check("max relative difference on 20x20 grid", worst, 1e-9)
     c.finish()
@@ -177,23 +175,22 @@ def test_criterion_06_decay_exponents(narrow_mollifier, narrow_norm):
 
 def test_criterion_07_approximation_rate(mollifier, norm1):
     c = Criterion(7, "discrete-approximation-rate", 5.0)
-    fit = approximation_rate(mollifier, 1.0, t_list=(4, 8, 16, 32, 64),
-                             normalization=norm1)
+    fit = approximation_rate(mollifier, norm1, 1.0, t_list=(4, 8, 16, 32, 64))
     c.check("log-log slope of |W* - W| at lambda=1", fit.slope, -0.9)
     assert not fit.degenerate
     c.finish()
 
 
-def test_criterion_08_scale_invariance(mollifier, norm1):
+def test_criterion_08_scale_invariance(cont_family):
     c = Criterion(8, "continuum-scale-invariance", 60.0)
     worst = 0.0
     for t in (2.0, 4.0):
         for r in (0.0, 0.1, 0.25, 0.4, 0.5):
             x = np.array([r * t, 0.3 * r * t, 0.1 * r * t])
-            v_t = continuum_kernel(3, np.eye(3), 0.0, t, x, mollifier, norm1,
+            v_t = continuum_kernel(3, np.eye(3), 0.0, t, x, cont_family,
                                    xi_cutoff=40.0, n_nodes=400)
-            ref = continuum_kernel(3, np.eye(3), 0.0, 1.0, x / t, mollifier,
-                                   norm1, xi_cutoff=60.0, n_nodes=640) / t
+            ref = continuum_kernel(3, np.eye(3), 0.0, 1.0, x / t, cont_family,
+                                   xi_cutoff=60.0, n_nodes=640) / t
             worst = max(worst, abs(v_t - ref) / abs(ref))
     c.check("max rel deviation from t^{-(d-2)} phibar(x/t)", worst, 1e-4)
     c.finish()

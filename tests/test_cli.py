@@ -143,6 +143,20 @@ class TestDecomposeCommand:
         assert decay[0] == "t,l_x,l_y,max_abs,fitted_exponent"
         assert len(decay) == 3
 
+    @pytest.mark.parametrize("backend, header", [
+        ({}, [0.0, 16.0, 2.0, 1.0, 3.0]),
+        ({"n": 8, "operator": "laplacian"}, [0.0, 8.0, 2.0, np.nan, 2.0])])
+    def test_block_header_carries_m2_and_B(self, tmp_path, backend, header):
+        # header (0, n, L^j, m2, B); m2 is NaN for a laplacian
+        from frdecomp.fileio import read_kernel_binary
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": backend,
+                   "scales": {"j_min": 1, "j_max": 1}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "h"), "decompose"])
+        assert res.exit_code == 0, res.output
+        got, _ = read_kernel_binary(tmp_path / "h" / "block_j+01.bin")
+        np.testing.assert_array_equal(got, header)
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -328,6 +342,11 @@ class TestSampleCommand:
         assert verdicts and all(line.startswith("PASS") for line in verdicts)
 
 
+# Malformed edge-list files; a config's "TMP" is the directory they are in.
+BAD_EDGE_FILES = {"two_fields.txt": "0 1 1.0\n1 2\n",
+                  "vertex_not_int.txt": "0 1 1.0\n1 x 1.0\n"}
+
+
 class TestRejectedInput:
     def assert_one_fail_line(self, res, command, error):
         assert res.exit_code == 1
@@ -335,14 +354,15 @@ class TestRejectedInput:
         assert len(lines) == 1 and lines[0].startswith(f"FAIL {command} {error}: ")
         assert "Traceback" not in res.output
 
-    @pytest.mark.parametrize("text, command", [
-        pytest.param(text, "sample", id=text) for text in (
+    @pytest.mark.parametrize("text, command, error", [
+        pytest.param(text, "sample", "ConfigError", id=text) for text in (
             json.dumps({"sampler": {"sample_cout": 5}}),
             json.dumps({"weights": {"gamma": 2.0}}),
             json.dumps([]),
             '{"seed": 7,')
     ] + [
-        pytest.param(json.dumps(data), command, id=f"{json.dumps(data)} {command}")
+        pytest.param(json.dumps(data), command, "ConfigError",
+                     id=f"{json.dumps(data)} {command}")
         for data, command in (
             ({"backend": {"kind": "Graph"}}, "reconstruct"),
             ({"backend": {"kind": "tours"}}, "sample"),
@@ -374,13 +394,23 @@ class TestRejectedInput:
             ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),
             ({"backend": {"kind": "torus", "a": [[1, 0], [0]]}}, "decompose"),
             ({"backend": {"kind": "torus", "decay_orders": [[0]]}}, "decompose"))
+    ] + [
+        pytest.param(json.dumps({"backend": {"graph": "file", "edges_file": edges}}),
+                     command, error, id=f"edges_file={edges} {command}")
+        for edges, command, error in (
+            (None, "reconstruct", "ConfigError"),
+            ("TMP/missing.txt", "sample", "ConfigError"),
+            ("TMP/two_fields.txt", "decompose", "GraphError"),
+            ("TMP/vertex_not_int.txt", "sample", "GraphError"))
     ])
-    def test_bad_config_fails_before_work(self, tmp_path, text, command):
+    def test_bad_config_fails_before_work(self, tmp_path, text, command, error):
+        for name, body in BAD_EDGE_FILES.items():
+            (tmp_path / name).write_text(body)
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(text)
+        cfgfile.write_text(text.replace("TMP", str(tmp_path)))
         out = tmp_path / "never"
         res = run(["--config", str(cfgfile), "--out", str(out), command])
-        self.assert_one_fail_line(res, command, "ConfigError")
+        self.assert_one_fail_line(res, command, error)
         assert not out.exists()
 
     @pytest.mark.parametrize("mollifier, command", [

@@ -36,10 +36,9 @@ def test_block_dump_with_sidecar(tmp_path, mollifier, norm1):
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
     blk = scale_blocks(op, fam, ScalePlan(j_min=1, j_max=2))[1][-1]
     base = tmp_path / "block"
-    fileio.write_block(str(base), blk, extra={"B": op.B, "kind": "resolvent",
-                                              "m2": 1.0})
+    fileio.write_block(str(base), blk, op.m2, op.B, extra={"kind": "resolvent"})
     header, payload = fileio.read_kernel_binary(f"{base}.bin", shape=(8, 8))
-    assert header[0] == 0.0 and header[1] == 8.0
+    np.testing.assert_array_equal(header, [0.0, 8.0, 4.0, 1.0, 3.0])
     np.testing.assert_array_equal(payload, blk.matrix)
     with open(f"{base}.json") as fh:
         sidecar = json.load(fh)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -62,6 +64,14 @@ class TestWeightedGraph:
         g = WeightedGraph.from_edgelist_file(path)
         assert g.n == 3
         assert g.adjacency[0, 1] == 1.5
+
+    @pytest.mark.parametrize("line", ["1 2", "1 x 1.0", "1 2 heavy", "1 2 1.0 7"])
+    def test_edgelist_malformed_line_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# header\n0 1 1.5\n{line}\n")
+        where = re.escape(f"{path}:3: ")
+        with pytest.raises(GraphError, match=f"^{where}.*{re.escape(repr(line))}"):
+            WeightedGraph.from_edgelist_file(path)
 
 
 class TestGraphOperator:
@@ -223,7 +233,7 @@ class TestScaleBlock:
         eye = np.eye(op.n)
         got, = chebyshev_apply(op, [fam.interval_coefficients(t_lo, t_hi)], eye)
         tq, wq = gauss_legendre(t_lo, t_hi, 400)
-        scale = norm1.constant * fam.arg_scale
+        scale = norm1 * fam.arg_scale
         per_node = chebyshev_apply(op, [chebyshev_coefficients(mollifier, t) for t in tq], eye)
         expect = sum(w * scale * t * m for t, w, m in zip(tq, wq, per_node))
         assert np.max(np.abs(got - expect)) <= 2e-14 * np.max(np.abs(expect))

@@ -213,7 +213,7 @@ class TestTorusReconstruction:
         plan = ScalePlan(j_min=0, j_max=6)
         rec = reconstruct_torus_green(table, fam, plan)
         kernel_sum = np.zeros(16)
-        kernel_sum[0] = norm1.constant * fam.arg_scale * mollifier.phi_hat0 * plan.t_low
+        kernel_sum[0] = norm1 * fam.arg_scale * mollifier.phi_hat0 * plan.t_low
         for j in range(plan.j_min, plan.j_max + 1):
             tq, wq = gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j, 128)
             for t, w in zip(tq, wq):
@@ -325,75 +325,71 @@ class TestTorusReconstruction:
 
 
 class TestContinuumKernel:
-    def test_scale_invariance_independent_quadratures(self, mollifier, norm1):
+    def test_scale_invariance_independent_quadratures(self, cont_family):
         worst = 0.0
         for t in (2.0, 4.0):
             for r in (0.0, 0.1, 0.25, 0.4, 0.5):
                 x = np.array([r * t, 0.3 * r * t, 0.0])
-                v_t = continuum_kernel(3, np.eye(3), 0.0, t, x, mollifier, norm1,
+                v_t = continuum_kernel(3, np.eye(3), 0.0, t, x, cont_family,
                                        xi_cutoff=40.0, n_nodes=400)
-                v_1 = continuum_kernel(3, np.eye(3), 0.0, 1.0, x / t, mollifier,
-                                       norm1, xi_cutoff=60.0, n_nodes=640)
+                v_1 = continuum_kernel(3, np.eye(3), 0.0, 1.0, x / t, cont_family,
+                                       xi_cutoff=60.0, n_nodes=640)
                 worst = max(worst, abs(v_t - v_1 / t) / abs(v_1 / t))
         assert worst <= 1e-4
 
-    def test_support(self, mollifier, norm1):
+    def test_support(self, cont_family):
         t = 2.0
-        inside = continuum_kernel(3, np.eye(3), 0.0, t, np.zeros(3),
-                                  mollifier, norm1)
+        inside = continuum_kernel(3, np.eye(3), 0.0, t, np.zeros(3), cont_family)
         outside = continuum_kernel(3, np.eye(3), 0.0, t,
-                                   np.array([1.25 * t, 0, 0]), mollifier, norm1)
+                                   np.array([1.25 * t, 0, 0]), cont_family)
         assert abs(outside) <= 1e-6 * abs(inside)
 
-    def test_point_value_scales_inverse_t(self, mollifier, norm1):
-        v2 = continuum_kernel(3, np.eye(3), 0.0, 2.0, np.zeros(3), mollifier,
-                              norm1, n_nodes=400)
-        v4 = continuum_kernel(3, np.eye(3), 0.0, 4.0, np.zeros(3), mollifier,
-                              norm1, n_nodes=512, xi_cutoff=50.0)
+    def test_point_value_scales_inverse_t(self, cont_family):
+        v2 = continuum_kernel(3, np.eye(3), 0.0, 2.0, np.zeros(3), cont_family,
+                              n_nodes=400)
+        v4 = continuum_kernel(3, np.eye(3), 0.0, 4.0, np.zeros(3), cont_family,
+                              n_nodes=512, xi_cutoff=50.0)
         assert v2 / v4 == pytest.approx(2.0, rel=1e-4)
 
-    def test_tail_bound_below_comparison_tolerance(self, mollifier, norm1):
+    def test_tail_bound_below_comparison_tolerance(self, cont_family):
         # the omitted cutoff mass must sit below the 1e-4 scale-invariance
         # tolerance the kernel comparisons run at
-        peak = continuum_kernel(3, np.eye(3), 0.0, 2.0, np.zeros(3),
-                                mollifier, norm1)
-        assert continuum_tail_bound(3, 2.0, mollifier, norm1) <= 1e-4 * peak
+        peak = continuum_kernel(3, np.eye(3), 0.0, 2.0, np.zeros(3), cont_family)
+        assert continuum_tail_bound(3, 2.0, cont_family) <= 1e-4 * peak
 
-    def test_anisotropic_reduction(self, mollifier, norm1):
+    def test_anisotropic_reduction(self, cont_family):
         # a = c I reduces to the isotropic kernel with rescaled argument
         c = 0.25
         x = np.array([1.0, 0.5, 0.0])
-        va = continuum_kernel(3, c * np.eye(3), 0.0, 2.0, x, mollifier, norm1)
-        vi = continuum_kernel(3, np.eye(3), 0.0, 2.0, x / np.sqrt(c),
-                              mollifier, norm1)
+        va = continuum_kernel(3, c * np.eye(3), 0.0, 2.0, x, cont_family)
+        vi = continuum_kernel(3, np.eye(3), 0.0, 2.0, x / np.sqrt(c), cont_family)
         assert va == pytest.approx(vi / c ** 1.5, rel=1e-12)
 
-    def test_one_dimensional_against_brute_force(self, mollifier, norm1):
+    def test_one_dimensional_against_brute_force(self, mollifier, norm1, cont_family):
         t, m2 = 3.0, 0.2
         xi = np.linspace(-60 / t, 60 / t, 200001)
-        W = norm1.constant * mollifier.phi(np.sqrt(xi**2 + m2) * t)
+        W = norm1 * mollifier.phi(np.sqrt(xi**2 + m2) * t)
         for x in (0.0, 0.7, 1.9):
             brute = t**2 / (2 * np.pi) * np.trapezoid(W * np.cos(xi * x), xi)
             got = continuum_kernel(1, np.array([[1.0]]), m2, t,
-                                   np.array([x]), mollifier, norm1)
+                                   np.array([x]), cont_family)
             assert got == pytest.approx(brute, rel=1e-5)
 
-    def test_two_dimensional_against_brute_force(self, mollifier, norm1):
+    def test_two_dimensional_against_brute_force(self, mollifier, norm1, cont_family):
         t = 2.0
         g = np.linspace(-25 / t, 25 / t, 1201)
         X, Y = np.meshgrid(g, g, indexing="ij")
-        W = norm1.constant * mollifier.phi(np.sqrt(X**2 + Y**2) * t)
+        W = norm1 * mollifier.phi(np.sqrt(X**2 + Y**2) * t)
         for x in ((0.0, 0.0), (0.8, 0.3)):
             integrand = W * np.cos(X * x[0] + Y * x[1])
             brute = t**2 / (2 * np.pi) ** 2 * np.trapezoid(
                 np.trapezoid(integrand, g, axis=1), g)
-            got = continuum_kernel(2, np.eye(2), 0.0, t, np.array(x),
-                                   mollifier, norm1)
+            got = continuum_kernel(2, np.eye(2), 0.0, t, np.array(x), cont_family)
             # tolerance set by the brute-force trapezoid resolution
             assert got == pytest.approx(brute, rel=5e-4)
 
     @pytest.mark.parametrize("d,m2", [(1, 0.2), (2, 0.0), (3, 0.1)])
-    def test_derivative_against_finite_difference(self, mollifier, norm1, d, m2):
+    def test_derivative_against_finite_difference(self, cont_family, d, m2):
         a = np.eye(d) if d > 1 else np.array([[1.0]])
         t, h = 3.0, 1e-5
         x = np.zeros(d)
@@ -401,9 +397,9 @@ class TestContinuumKernel:
         xp, xm = x.copy(), x.copy()
         xp[0] += h
         xm[0] -= h
-        num = (continuum_kernel(d, a, m2, t, xp, mollifier, norm1)
-               - continuum_kernel(d, a, m2, t, xm, mollifier, norm1)) / (2 * h)
-        got = continuum_kernel(d, a, m2, t, x, mollifier, norm1, order=1)
+        num = (continuum_kernel(d, a, m2, t, xp, cont_family)
+               - continuum_kernel(d, a, m2, t, xm, cont_family)) / (2 * h)
+        got = continuum_kernel(d, a, m2, t, x, cont_family, order=1)
         assert got == pytest.approx(num, rel=1e-7)
 
 

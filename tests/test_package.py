@@ -1,6 +1,9 @@
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import frdecomp
 
@@ -41,3 +44,35 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command, config", [
+    ("reconstruct", {"backend": {"kind": "torus", "N": 8}}),
+    ("sample", {"sampler": {"sample_count": 1000}})])
+def test_setup_ends_at_one_normalization_after_the_mollifier(tmp_path, monkeypatch,
+                                                             command, config):
+    # perfbench/child.py ends a command's set-up when the normalization_constant
+    # it finds on frdecomp.cli returns: each command must call it once, right
+    # after build_mollifier.
+    import frdecomp.cli as cli
+    calls = []
+    build, normalize = cli.build_mollifier, cli.normalization_constant
+
+    def recording_build(*args, **kwargs):
+        calls.append("build_mollifier")
+        return build(*args, **kwargs)
+
+    def recording_normalize(*args, **kwargs):
+        calls.append("normalization_constant")
+        C = normalize(*args, **kwargs)
+        assert type(C) is float
+        return C
+
+    monkeypatch.setattr(cli, "build_mollifier", recording_build)
+    monkeypatch.setattr(cli, "normalization_constant", recording_normalize)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    cli.main.main(args=["--config", str(tmp_path / "cfg.json"), "--out",
+                        str(tmp_path / "out"), command],
+                  prog_name="frdecomp", standalone_mode=False)
+    assert calls == ["build_mollifier", "normalization_constant"]
+    assert os.path.exists(tmp_path / "out" / "report_manifest.json")

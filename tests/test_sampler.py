@@ -44,7 +44,7 @@ class TestScalePlan:
         series = plan.series(fam)
         assert len(series) == len(plan.scale_labels())
         assert series[0].tolist() == [
-            norm1.constant * fam.arg_scale * (mollifier.phi_hat0 * plan.t_low)]
+            norm1 * fam.arg_scale * (mollifier.phi_hat0 * plan.t_low)]
         assert [len(a) - 1 for a in series[1:]] == [0, 0, 2, 8, 26]
 
 

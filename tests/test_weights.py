@@ -3,16 +3,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from frdecomp.mollifier import default_mollifier, normalization_constant
+from frdecomp.mollifier import default_mollifier
 from frdecomp.quadrature import gauss_legendre
-from frdecomp.weights import (PLAN_T_CAP, ContinuousWeightFamily,
-                              DiscreteWeightFamily, ScalePlan,
+from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants, default_lambda_grid,
-                              default_scale_plan, eval_discrete_weight,
-                              eval_discrete_weight_direct,
+                              default_scale_plan, eval_discrete_weight_direct,
                               wave_identity_max_residual)
 
 
@@ -47,7 +45,7 @@ class TestIntervalCoefficients:
         lam = np.linspace(0.01, fam.lambda_max, 101)
         got = clenshaw_folded(coeffs, 1.0 - 0.5 * fam.arg_scale * lam)
         tq, wq = gauss_legendre(t_lo, t_hi, 400)
-        scale = norm1.constant * fam.arg_scale
+        scale = norm1 * fam.arg_scale
         # independent route: the periodized sum, by a 400-node rule in t
         oracle = sum(w * scale * t
                      * eval_discrete_weight_direct(mollifier, fam.arg_scale * lam, t)
@@ -65,7 +63,7 @@ class TestIntervalCoefficients:
         # over a 4096-node rule in t
         fam = DiscreteWeightFamily(mollifier, norm1, B=7.9)
         got = fam.interval_coefficients(t_lo, t_hi)
-        expect = norm1.constant * fam.arg_scale * reference_integrals(t_lo, t_hi)
+        expect = norm1 * fam.arg_scale * reference_integrals(t_lo, t_hi)
         assert np.max(np.abs(got - expect)) <= 2e-14 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("B", [2.1, 7.9])
@@ -74,7 +72,7 @@ class TestIntervalCoefficients:
         fam = DiscreteWeightFamily(mollifier, norm1, B=B)
         plan = ScalePlan(j_min=1, j_max=j_max, L_ratio=L_ratio)
         for j, got in zip(range(1, j_max + 1), plan.series(fam)[1:]):
-            expect = norm1.constant * fam.arg_scale * reference_integrals(
+            expect = norm1 * fam.arg_scale * reference_integrals(
                 L_ratio ** (j - 1), L_ratio**j)
             assert len(got) == len(expect) == int(np.ceil(L_ratio**j))
             assert np.max(np.abs(got - expect)) <= 2e-14 * np.max(np.abs(expect)), j
@@ -82,7 +80,7 @@ class TestIntervalCoefficients:
     def test_from_zero_is_the_white_piece(self, mollifier, norm1):
         fam = DiscreteWeightFamily(mollifier, norm1, B=2.5)
         for t_low in (0.125, 0.25, 1.0 / 3.0, 1.0):
-            white = norm1.constant * fam.arg_scale * (mollifier.phi_hat0 * t_low)
+            white = norm1 * fam.arg_scale * (mollifier.phi_hat0 * t_low)
             assert fam.interval_coefficients(0.0, t_low).tolist() == [white]
 
     @pytest.mark.parametrize("L_ratio, j_min, j_max", [(2.0, -2, 11), (3.0, -1, 7)])
@@ -107,11 +105,11 @@ class TestChebyshevCoefficients:
         w = chebyshev_coefficients(mollifier, t)
         assert len(w) == int(np.floor(t)) + 1
 
-    def test_half_scale_single_constant(self, mollifier):
+    def test_half_scale_single_constant(self, mollifier, disc_family):
         w = chebyshev_coefficients(mollifier, 0.5)
         assert len(w) == 1
         assert w[0] == pytest.approx(2.0 * mollifier.phi_hat0, rel=1e-14)
-        vals = eval_discrete_weight(w, np.linspace(0, 4, 17))
+        vals = disc_family.value(np.linspace(0, 4, 17), 0.5)
         assert np.all(vals == vals[0])
 
     def test_integer_scale_boundary_coefficient_vanishes(self, mollifier):
@@ -125,53 +123,51 @@ class TestChebyshevCoefficients:
 
 
 class TestEvalDiscreteWeight:
-    def test_lambda_zero_sums_coefficients(self, mollifier):
+    """W*_t through the bare family (B = 3): C W*_t(lambda), the Clenshaw sum
+    of the coefficients at theta = 1 - lambda/2."""
+
+    def test_lambda_zero_sums_coefficients(self, mollifier, norm1, disc_family):
         w = chebyshev_coefficients(mollifier, 6.3)
         expect = w[0] + 2.0 * np.sum(w[1:])
-        assert eval_discrete_weight(w, 0.0) == pytest.approx(expect, rel=1e-13)
+        assert disc_family.value(0.0, 6.3) == pytest.approx(norm1 * expect, rel=1e-13)
 
-    def test_lambda_four_alternating_sum(self, mollifier):
+    def test_lambda_four_alternating_sum(self, mollifier, norm1, disc_family):
         w = chebyshev_coefficients(mollifier, 6.3)
         signs = (-1.0) ** np.arange(len(w))
         expect = w[0] + 2.0 * np.sum(signs[1:] * w[1:])
-        assert eval_discrete_weight(w, 4.0) == pytest.approx(expect, rel=1e-12)
+        assert disc_family.value(4.0, 6.3) == pytest.approx(norm1 * expect, rel=1e-12)
 
-    def test_out_of_range_rejected(self, mollifier):
-        w = chebyshev_coefficients(mollifier, 3.0)
-        with pytest.raises(ValueError):
-            eval_discrete_weight(w, 4.5)
-        with pytest.raises(ValueError):
-            eval_discrete_weight(w, -0.1)
+    def test_out_of_range_rejected(self, disc_family):
+        with pytest.raises(ValueError, match="lambda outside"):
+            disc_family.value(4.5, 3.0)
+        with pytest.raises(ValueError, match="lambda outside"):
+            disc_family.value(-0.1, 3.0)
 
     def test_trailing_zeros_bit_idempotent(self, mollifier):
         w = chebyshev_coefficients(mollifier, 9.4)
         padded = np.concatenate([w, np.zeros(5)])
-        lam = np.linspace(0.0, 4.0, 101)
-        assert np.array_equal(eval_discrete_weight(w, lam),
-                              eval_discrete_weight(padded, lam))
+        theta = 1.0 - 0.5 * np.linspace(0.0, 4.0, 101)
+        assert np.array_equal(clenshaw_folded(w, theta), clenshaw_folded(padded, theta))
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.7, 10.0, 100.0])
-    def test_nonnegativity_floor(self, mollifier, t):
+    def test_nonnegativity_floor(self, mollifier, norm1, disc_family, t):
         w = chebyshev_coefficients(mollifier, t)
-        lam = np.linspace(0.0, 4.0, 1000)
-        vals = eval_discrete_weight(w, lam)
-        assert vals.min() >= -1e-12 * np.sum(np.abs(w))
+        vals = disc_family.value(np.linspace(0.0, 4.0, 1000), t)
+        assert vals.min() >= -1e-12 * norm1 * np.sum(np.abs(w))
 
 
 class TestPeriodizationOracle:
-    def test_single_point_agreement(self, mollifier):
-        w = chebyshev_coefficients(mollifier, 7.0)
-        clen = eval_discrete_weight(w, 1.3)
-        direct = eval_discrete_weight_direct(mollifier, 1.3, 7.0)
+    def test_single_point_agreement(self, mollifier, norm1, disc_family):
+        clen = disc_family.value(1.3, 7.0)
+        direct = norm1 * eval_discrete_weight_direct(mollifier, 1.3, 7.0)
         assert clen == pytest.approx(direct, rel=1e-10)
 
-    def test_grid_agreement(self, mollifier):
+    def test_grid_agreement(self, mollifier, norm1, disc_family):
         lam = np.linspace(0.05, 3.2, 20)
         worst = 0.0
         for t in np.geomspace(0.5, 6.0, 20):
-            w = chebyshev_coefficients(mollifier, t)
-            a = eval_discrete_weight(w, lam)
-            b = eval_discrete_weight_direct(mollifier, lam, t)
+            a = disc_family.value(lam, t)
+            b = norm1 * eval_discrete_weight_direct(mollifier, lam, t)
             worst = max(worst, float(np.max(np.abs(a - b) / np.abs(b))))
         assert worst <= 1e-9
 
@@ -202,10 +198,10 @@ class TestPeriodizationOracle:
 class TestContinuousFamily:
     def test_lambda_zero_collapses(self, cont_family, mollifier, norm1):
         assert cont_family.value(0.0, 3.7) == pytest.approx(
-            norm1.constant * mollifier.phi_max, rel=1e-14)
+            norm1 * mollifier.phi_max, rel=1e-14)
 
     def test_ballistic_scaling_exact(self, cont_family):
-        # gamma=1: W_t(lam) = W_1(lam t^2), identical arguments bit for bit
+        # W_t(lam) = W_1(lam t^2), identical arguments bit for bit
         a = cont_family.value(0.7, 3.0)
         b = cont_family.value(0.7 * 9.0, 1.0)
         assert float(a) == float(b)
@@ -223,10 +219,6 @@ class TestContinuousFamily:
         t = np.exp(v)
         expect = np.array([np.sum(w * t**2 * cont_family.value(l, t)) for l in lam])
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
-
-    def test_refuses_gamma_other_than_one(self, mollifier):
-        with pytest.raises(ValueError, match="continuous weights require gamma = 1"):
-            ContinuousWeightFamily(mollifier, normalization_constant(mollifier, 2.0))
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
     def test_scale_integral_refuses_nonpositive_lambda(self, cont_family, lam):
@@ -285,9 +277,9 @@ class TestDecayConstants:
         # C phi_max bounds W_t; C phi_hat(0)/t at the grid's lowest t = 0.1
         # bounds W*_t (its t < 1 value dominates)
         sups_c = decay_constants(cont_family, orders=(0,))
-        assert sups_c[0] <= norm1.constant * mollifier.phi_max * (1 + 1e-12)
+        assert sups_c[0] <= norm1 * mollifier.phi_max * (1 + 1e-12)
         sups_d = decay_constants(disc_family, orders=(0,), t_lo=0.1)
-        assert sups_d[0] <= (norm1.constant * disc_family.arg_scale * mollifier.phi_hat0
+        assert sups_d[0] <= (norm1 * disc_family.arg_scale * mollifier.phi_hat0
                             / 0.1 * (1 + 1e-12))
 
     def test_stable_under_t_extension(self, disc_family):
@@ -320,7 +312,7 @@ class TestDefaultScalePlan:
 
 class TestApproximationRate:
     def test_slope_contract(self, mollifier, norm1):
-        fit = approximation_rate(mollifier, 1.0, normalization=norm1)
+        fit = approximation_rate(mollifier, norm1, 1.0)
         assert fit.slope <= -0.9
         assert not fit.degenerate
 
@@ -333,7 +325,7 @@ class TestApproximationRate:
             assert abs(float(disc_family.value(1.0, t))) <= c0 * (1 + 1e-12)
 
     def test_scaled_limit(self, mollifier, norm1, disc_family):
-        target = norm1.constant * mollifier.phi(1.0)
+        target = norm1 * mollifier.phi(1.0)
         rels = []
         for t in (8.0, 16.0, 32.0, 64.0):
             got = float(disc_family.value(1.0 / t**2, t))
@@ -343,7 +335,7 @@ class TestApproximationRate:
 
     def test_first_order_bound_scaled(self, mollifier, norm1):
         # the upper bound |W* - W| = O(1/t): t * err is bounded and shrinking
-        fit = approximation_rate(mollifier, 1.0, normalization=norm1, scaled=True)
+        fit = approximation_rate(mollifier, norm1, 1.0, scaled=True)
         terr = fit.t_list * fit.diffs
         assert terr[-1] <= terr[0]
         assert np.all(terr <= 1.5 * terr.max())
