@@ -209,11 +209,23 @@ class TestNormalization:
         m2 = build_mollifier(scaled)
         assert normalization_constant(m2) == pytest.approx(norm1 / 2.0, rel=1e-9)
 
-    @pytest.mark.parametrize("lam", [0.2, 0.5, 1.0, 2.0, 3.7])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_identity_gamma_one(self, mollifier, norm1, lam):
         # C * int t^2 phi(sqrt(lam) t) dt/t * lam = 1 by direct quadrature.
         t, wt = gauss_legendre(1e-9, mollifier.x_max / np.sqrt(lam), 4000)
         integral = float(np.sum(wt * t * mollifier.phi(np.sqrt(lam) * t)))
+        assert lam * norm1 * integral == pytest.approx(1.0, abs=1e-6)
+
+    # The homogeneity identity lam * C * int u^{2/gamma-1} phi(lam^{gamma/2} u) du = 1
+    # in the substituted variable, at the one exponent the constant is built for.
+    @pytest.mark.parametrize("gamma", [1.0])
+    @pytest.mark.parametrize("lam", [0.2, 1.0, 3.7])
+    def test_homogeneity_general_gamma(self, mollifier, norm1, gamma, lam):
+        # cover the full phi table after the substitution v = lam^{gamma/2} u
+        u_hi = mollifier.x_max / lam ** (gamma / 2.0)
+        u, wu = gauss_legendre(1e-9, u_hi, 6000)
+        integral = float(np.sum(wu * u ** (2.0 / gamma - 1.0)
+                                * mollifier.phi(lam ** (gamma / 2.0) * u)))
         assert lam * norm1 * integral == pytest.approx(1.0, abs=1e-6)
 
     def test_degenerate_profile_rejected(self):
