@@ -290,14 +290,10 @@ def _scale_plan(config, op, family):
     """default_scale_plan for op (from its spectral gap, which is an O(n^3)
     eigensolve on a graph) with the config's scales, then the config's
     j_min / j_max where they are set."""
-    if config["backend"]["kind"] == "graph":
-        from .graphs import PLAN_T_MIN
-    else:
-        from .lattice import PLAN_T_MIN
     lambda_min = op.spectral_gap()
     s = config["scales"]
     try:
-        plan = default_scale_plan(family, lambda_min, PLAN_T_MIN, L_ratio=s["L_ratio"],
+        plan = default_scale_plan(family, lambda_min, L_ratio=s["L_ratio"],
                                   target_tail_rel=s["target_tail_rel"])
         return dataclasses.replace(
             plan, **{k: s[k] for k in ("j_min", "j_max") if s[k] is not None})

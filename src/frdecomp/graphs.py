@@ -28,11 +28,6 @@ import numpy as np
 
 from .weights import ScalePlan, default_scale_plan
 
-# Lower end of the default graph plan.  Blocks below t = 1 have degree 0,
-# but each owns a sampler stream keyed by its scale index, so moving this
-# end would renumber every later scale and change every graph sample.
-PLAN_T_MIN = 0.25
-
 
 class GraphError(ValueError):
     pass
@@ -71,6 +66,8 @@ class WeightedGraph:
             rows += [x, y]
             cols += [y, x]
             vals += [w, w]
+        if not rows:
+            raise GraphError(f"graph on n={n} vertices has no edges")
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
         vals = np.array(vals, dtype=float)
         mu = np.bincount(rows, weights=vals, minlength=n)
@@ -370,8 +367,7 @@ class ReconstructionReport:
 
 def reconstruct_green(op, family, plan=None):
     """Evaluate the plan's summed series on the operator and compare to its
-    Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap(),
-    PLAN_T_MIN).
+    Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap()).
 
     plan.total_series(family) runs through one chebyshev_apply on the identity
     and is mu-symmetrized once: one n x n accumulator for any number of
@@ -380,7 +376,7 @@ def reconstruct_green(op, family, plan=None):
     """
     gap = op.spectral_gap()
     if plan is None:
-        plan = default_scale_plan(family, gap, PLAN_T_MIN)
+        plan = default_scale_plan(family, gap)
     check_family(op, family)
     total, = chebyshev_apply(op, [plan.total_series(family)], np.eye(op.n))
     total = _mu_symmetrize(total, op.graph.mu)[0]

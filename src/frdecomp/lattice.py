@@ -24,8 +24,6 @@ from .quadrature import gauss_legendre
 from .weights import ContinuousWeightFamily, default_scale_plan, mode_variances
 
 DEFAULT_XI_CUTOFF = 40.0
-# Lower end of the default torus plan: the exact white piece covers t < 1.
-PLAN_T_MIN = 1.0
 
 
 class LatticeError(ValueError):
@@ -248,8 +246,7 @@ class TorusReconstruction:
 
 def reconstruct_torus_green(table, family, plan=None):
     """Sum the plan's scale series and compare to the real-space oracle;
-    plan defaults to default_scale_plan(family, table.spectral_gap(),
-    PLAN_T_MIN).
+    plan defaults to default_scale_plan(family, table.spectral_gap()).
 
     The plan's total_series is evaluated on the symbol by mode_variances
     (with its zero-mode deflation at m^2 = 0) and transformed back.  The
@@ -259,7 +256,7 @@ def reconstruct_torus_green(table, family, plan=None):
     """
     spec = table.spec
     if plan is None:
-        plan = default_scale_plan(family, table.spectral_gap(), PLAN_T_MIN)
+        plan = default_scale_plan(family, table.spectral_gap())
     check_family(table, family)
     v, = mode_variances(table.values, family, [plan.total_series(family)],
                         spec.m2 <= 0.0)

@@ -11,11 +11,14 @@ with the Fourier convention phi_hat(k) = (2 pi)^{-1} int phi(x) e^{-ikx} dx.
 kappa and kappa' are tabulated on a uniform grid x = X + y, split into a
 coarse grid X and a fine offset y, by one Gauss-Legendre rule in s; with
 cos s(X+y) = cos sX cos sy - sin sX sin sy each table is two matrix
-products.  phi is interpolated between the grid nodes by the cubic Hermite
-through phi and phi' = 2 kappa kappa' (it is needed at arbitrary arguments
-inside periodized sums); phi_hat on a finer uniform grid by the local quintic
-through the six nearest nodes (its values become Chebyshev filter
-coefficients and enter oracle comparisons at the 1e-9 level).
+products.  phi_hat is tabulated on a finer uniform grid in k by the
+trapezoid rule on that same grid, one discrete convolution of the sampled
+khat (spectrally accurate for the smooth compactly supported bump).  phi is
+interpolated between the grid nodes by the cubic Hermite through phi and
+phi' = 2 kappa kappa' (it is needed at arbitrary arguments inside
+periodized sums); phi_hat by the local quintic through the six nearest
+nodes (its values become Chebyshev filter coefficients and enter oracle
+comparisons at the 1e-9 level).
 
 The remainder R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^{-2} du, 0 <= v <= 1,
 is tabulated on the phi_hat grid (_remainder_cells); it turns every scale
@@ -48,8 +51,6 @@ DEFAULT_X_MAX = 100.0
 PHI_HAT_GRID_STEP = 1e-4
 
 _KAPPA_QUAD_NODES = 256
-_CONV_QUAD_NODES = 96
-_CONV_CHUNK_ROWS = 512
 _REMAINDER_CELL_NODES = 8
 _DECAY_ORDERS = (1, 2, 3, 4)
 
@@ -82,6 +83,9 @@ class BumpProfile:
     eval: Callable[[np.ndarray], np.ndarray]
 
     def validate(self, probe_points=4001, smoothness_bound=1e12):
+        if not 0.0 < self.half_width <= 0.5:
+            raise ProfileError(f"half_width={self.half_width} must lie in (0, 1/2]: "
+                               "phi_hat = khat * khat is tabulated on [-1, 1]")
         s = np.linspace(-self.half_width, self.half_width, probe_points)
         v = np.asarray(self.eval(s), dtype=float)
         if not np.all(np.isfinite(v)):
@@ -239,21 +243,19 @@ def _tabulate_kappa(profile, x_grid):
     return kappa.ravel()[:n], dkappa.ravel()[:n]
 
 
-def _tabulate_autoconvolution(profile, k_grid):
-    """(khat * khat)(k) on k_grid, one Gauss-Legendre rule over the overlap
-    [k - hw, hw] of the two supports, _CONV_CHUNK_ROWS grid points at a time
-    (bounds the (points, nodes) transient)."""
-    hw = profile.half_width
-    g, w = gauss_legendre(-1.0, 1.0, _CONV_QUAD_NODES)
-    out = np.empty_like(k_grid)
-    for lo in range(0, len(k_grid), _CONV_CHUNK_ROWS):
-        k = k_grid[lo:lo + _CONV_CHUNK_ROWS]
-        half = 0.5 * (hw - (k - hw))
-        ym = (0.5 * (hw + (k - hw)))[:, None] + half[:, None] * g[None, :]
-        vals = np.asarray(profile.eval(ym), dtype=float) \
-            * np.asarray(profile.eval(k[:, None] - ym), dtype=float)
-        out[lo:lo + _CONV_CHUNK_ROWS] = half * (vals @ w)
-    return out
+def _tabulate_autoconvolution(profile):
+    """(khat * khat)(k) at k = i PHI_HAT_GRID_STEP, 0 <= i <= 1/PHI_HAT_GRID_STEP.
+
+    The trapezoid rule on the phi_hat grid itself: khat sampled at
+    s = j PHI_HAT_GRID_STEP over [-1/2, 1/2], its support, and one discrete
+    convolution.  The integrand khat(s) khat(k - s) is smooth and vanishes
+    with all derivatives at the ends, so the rule is spectrally accurate,
+    and its error is a smooth function of k.
+    """
+    half = round(0.5 / PHI_HAT_GRID_STEP)
+    n = 2 * half + 1
+    kh = np.asarray(profile.eval((np.arange(n) - half) * PHI_HAT_GRID_STEP), dtype=float)
+    return PHI_HAT_GRID_STEP * np.convolve(kh, kh)[n - 1:2 * n - 1]
 
 
 def _hermite_cells(values, slopes, step):
@@ -333,7 +335,7 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
 
     k_grid = np.arange(0.0, 1.0 + 0.5 * PHI_HAT_GRID_STEP, PHI_HAT_GRID_STEP)
     k_grid[-1] = 1.0
-    phi_hat = _tabulate_autoconvolution(profile, k_grid)
+    phi_hat = _tabulate_autoconvolution(profile)
     phi_hat[-1] = 0.0  # support edge, exact
 
     phi_hat_cells = _quintic_cells(phi_hat)

@@ -50,8 +50,8 @@ Two statistical checks compare the statistic with the exact covariance C:
   well as replicates, c(h) = irfftn(sum_r |rfftn(X_r)|^2) / (R n), and is
   checked against the Green column with its exact Gaussian variance
   (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n).  The torus sampler sums
-  |rfftn(X_r)|^2 from y: rfftn(X_r) is y, except on the planes
-  k_last in {0, N/2}, where it is the Hermitian part of y.
+  |rfftn(X_r)|^2 as |y|^2: the mode variances are even in k bit for bit, so
+  y is rfftn(X_r) up to the roundoff of the transforms.
 """
 
 from collections import deque
@@ -204,7 +204,6 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     fft_axes = tuple(range(-spec.d, 0))
     half = spec.N // 2 + 1
     amps = [np.sqrt(v[..., :half]) for v in variances]
-    edges = [0, half - 1]
     z = np.empty((min(_slice_reps(spec.shape), sample_count),)
                  + spec.shape[:-1] + (half,), dtype=complex)
 
@@ -217,17 +216,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
         return np.fft.irfftn(w, s=spec.shape, axes=fft_axes).reshape(len(w), -1)
 
     def fold(y):
-        # irfftn transforms the Hermitian part (y(k) + conj y(-k)) / 2 of the
-        # planes k_last in {0, N/2}; there the sqrt(v_s) are even in k only
-        # to roundoff, which the square root magnifies where v_s is tiny
-        term = np.sum(y.real**2 + y.imag**2, axis=0)
-        planes = y[..., edges]
-        mirror = planes
-        for axis in range(1, spec.d):
-            mirror = np.roll(np.flip(mirror, axis), 1, axis)
-        field = (planes + mirror.conj()) / 2
-        term[..., edges] = np.sum(field.real**2 + field.imag**2, axis=0)
-        return term
+        return np.sum(y.real**2 + y.imag**2, axis=0)
 
     return _spectral_sample(seed, sample_count, keep, spec.shape, len(amps),
                             weigh, to_sites, fold)

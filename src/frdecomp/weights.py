@@ -269,7 +269,13 @@ def mode_variances(spectrum, family, series, singular):
 @dataclass(frozen=True)
 class ScalePlan:
     """The exact white piece [0, L^{j_min - 1}] plus blocks C_j over
-    [L^{j-1}, L^j] for j_min <= j <= j_max."""
+    [L^{j-1}, L^j] for j_min <= j <= j_max.
+
+    default_scale_plan starts at j_min = 1, so the white piece is [0, 1] and
+    every block has degree >= 1; a lower j_min splits off degree-0 blocks
+    (multiples of the identity) of their own, and t_low = L^{j_min - 1} must
+    not exceed 1.
+    """
 
     j_min: int
     j_max: int
@@ -312,14 +318,15 @@ class ScalePlan:
         return total
 
 
-def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0, target_tail_rel=1e-7):
-    """The plan whose blocks cover [t_min, t_max] with the tail below target.
+def default_scale_plan(family, lambda_min, *, L_ratio=2.0, target_tail_rel=1e-7):
+    """The plan with white piece [0, 1] and blocks up to t_max, j_min = 1.
 
-    Everything below t_min is the exactly-known degree-0 region.  t_max is
-    the first of 4, 8, 16, ... (capped at PLAN_T_CAP) at which the
-    periodization tail of phi (family.tail_high) at lambda_min, the smallest
-    eigenvalue of the operator on its working subspace, is at or below
-    target_tail_rel; a target the cap does not meet raises ValueError.
+    Below t = 1 every weight has degree 0, so all of [0, 1] is the one
+    exactly known white piece and every block has degree >= 1.  t_max is the
+    first of 4, 8, 16, ... (capped at PLAN_T_CAP) at which the periodization
+    tail of phi (family.tail_high) at lambda_min, the smallest eigenvalue of
+    the operator on its working subspace, is at or below target_tail_rel; a
+    target the cap does not meet raises ValueError.
     """
     if not L_ratio > 1.0:
         raise ValueError(f"L_ratio={L_ratio} must exceed 1")
@@ -331,9 +338,7 @@ def default_scale_plan(family, lambda_min, t_min, L_ratio=2.0, target_tail_rel=1
                 f"target_tail_rel={target_tail_rel} is not reached by t = {PLAN_T_CAP:g} "
                 f"(tail {tail:.3g} at the smallest eigenvalue {lambda_min:.6g})")
         t_max = min(2.0 * t_max, PLAN_T_CAP)
-    log_l = np.log(L_ratio)
-    return ScalePlan(j_min=int(np.ceil(np.log(t_min) / log_l)),
-                     j_max=int(np.ceil(np.log(t_max) / log_l)),
+    return ScalePlan(j_min=1, j_max=int(np.ceil(np.log(t_max) / np.log(L_ratio))),
                      L_ratio=L_ratio)
 
 

@@ -305,7 +305,7 @@ class TestSampleCommand:
         assert (out / "weights_identity.csv").exists()
 
     def test_torus_plan_from_library(self, tmp_path, mollifier, norm1):
-        from frdecomp.lattice import PLAN_T_MIN, LatticeSpec, build_symbol_table
+        from frdecomp.lattice import LatticeSpec, build_symbol_table
         from frdecomp.weights import DiscreteWeightFamily, default_scale_plan
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
@@ -316,8 +316,32 @@ class TestSampleCommand:
         header = np.fromfile(out / "samples.bin", dtype=np.float64)[:5]
         table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap(), PLAN_T_MIN)
+        plan = default_scale_plan(fam, table.spectral_gap())
         assert tuple(header[2:4]) == (plan.j_min, plan.j_max)
+
+    @pytest.mark.parametrize("backend", [{}, {"kind": "torus", "N": 8}])
+    def test_default_plan_starts_at_one(self, tmp_path, backend):
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": backend,
+                   "sampler": {"sample_count": 1000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "s"), "sample"])
+        assert res.exit_code == 0, res.output
+        header = np.fromfile(tmp_path / "s" / "samples.bin", dtype=np.float64)[:5]
+        assert header[2] == 1.0
+
+    def test_j_min_override_keeps_identity_blocks(self, tmp_path):
+        # scales.j_min = -2 plans the degree-0 blocks j = -2, -1, 0 of their own
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"scales": {"j_min": -2},
+                   "sampler": {"sample_count": 1000}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "s"), "sample"])
+        assert res.exit_code == 0, res.output
+        header = np.fromfile(tmp_path / "s" / "samples.bin", dtype=np.float64)[:5]
+        assert header[2] == -2.0
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "d"), "decompose"])
+        assert res.exit_code == 0, res.output
+        assert {f"block_j{j:+03d}.bin" for j in (-2, -1, 0, 1)} <= set(
+            os.listdir(tmp_path / "d"))
 
     def test_sample_and_reconstruct_share_plan(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -344,7 +368,8 @@ class TestSampleCommand:
 
 # Malformed edge-list files; a config's "TMP" is the directory they are in.
 BAD_EDGE_FILES = {"two_fields.txt": "0 1 1.0\n1 2\n",
-                  "vertex_not_int.txt": "0 1 1.0\n1 x 1.0\n"}
+                  "vertex_not_int.txt": "0 1 1.0\n1 x 1.0\n",
+                  "comments_only.txt": "# x y mu_xy\n\n# no edge yet\n"}
 
 
 class TestRejectedInput:
@@ -401,7 +426,13 @@ class TestRejectedInput:
             (None, "reconstruct", "ConfigError"),
             ("TMP/missing.txt", "sample", "ConfigError"),
             ("TMP/two_fields.txt", "decompose", "GraphError"),
-            ("TMP/vertex_not_int.txt", "sample", "GraphError"))
+            ("TMP/vertex_not_int.txt", "sample", "GraphError"),
+            ("TMP/comments_only.txt", "reconstruct", "GraphError"))
+    ] + [
+        # graphs with no edges
+        pytest.param(json.dumps({"backend": {"n": n}}), command, "GraphError",
+                     id=f"n={n} {command}")
+        for n, command in ((0, "reconstruct"), (0, "decompose"), (-3, "sample"))
     ])
     def test_bad_config_fails_before_work(self, tmp_path, text, command, error):
         for name, body in BAD_EDGE_FILES.items():

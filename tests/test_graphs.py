@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from frdecomp.graphs import (PLAN_T_MIN, GraphError, GraphOperator,
-                             WeightedGraph, chebyshev_apply, cycle_graph,
+from frdecomp.graphs import (GraphError, GraphOperator, WeightedGraph,
+                             chebyshev_apply, cycle_graph,
                              killed_green_consistency, reconstruct_green,
                              scale_blocks, two_vertex_graph)
 from frdecomp.quadrature import gauss_legendre
@@ -188,8 +188,7 @@ class TestChebyshevApply:
                            "killed", kappa=0.8)
         assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        series = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN,
-                                    L_ratio=L_ratio).series(fam)
+        series = default_scale_plan(fam, op.spectral_gap(), L_ratio=L_ratio).series(fam)
         eye = np.eye(op.n)
         shared = chebyshev_apply(op, series, eye)
         assert len(shared) == len(series)
@@ -267,12 +266,12 @@ class TestReconstruction:
         assert rec.max_rel_error <= 1e-5
 
     def test_one_recurrence_per_plan(self, mollifier, norm1, monkeypatch):
-        # 64-cycle Laplacian, plan j = -2..11: every block comes from one
+        # 64-cycle Laplacian, plan j = 1..11: every block comes from one
         # recurrence up to the top block's degree (2^11 - 1), one apply a step
         op = GraphOperator(cycle_graph(64))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN)
-        assert (plan.j_min, plan.j_max) == (-2, 11)
+        plan = default_scale_plan(fam, op.spectral_gap())
+        assert (plan.j_min, plan.j_max) == (1, 11)
         assert max(len(c) for c in plan.series(fam)) - 1 == 2047
         calls = []
         apply = GraphOperator.apply
@@ -342,6 +341,13 @@ class TestReconstruction:
         rec = reconstruct_green(op, DiscreteWeightFamily(mollifier, norm1, B=op.B))
         assert rec.max_rel_error <= 5e-11
 
+    def test_300_cycle_below_1e_12(self, mollifier, norm1):
+        # the default resolvent on a 300-cycle; phi_hat tabulated by the
+        # trapezoid rule on its own grid makes C and the blocks agree
+        op = GraphOperator(cycle_graph(300), "resolvent", m2=1.0)
+        rec = reconstruct_green(op, DiscreteWeightFamily(mollifier, norm1, B=op.B))
+        assert rec.max_rel_error <= 1e-12
+
     def test_singular_green_oracle_beyond_dense_limit(self):
         op = GraphOperator(cycle_graph(300))
         green = op.green_oracle()
@@ -353,8 +359,8 @@ class TestReconstruction:
     def test_default_plan_tail(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap(), PLAN_T_MIN)
-        assert plan.t_low <= 0.25 + 1e-12
+        plan = default_scale_plan(fam, op.spectral_gap())
+        assert plan.t_low == 1.0
         rec = reconstruct_green(op, fam, plan)
         assert rec.tail_high_bound <= 1e-6
 

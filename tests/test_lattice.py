@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import circulant_matrix, stencil_operator
-from frdecomp.lattice import (PLAN_T_MIN, LatticeError, LatticeSpec,
-                              WrapAroundError, build_symbol_table,
+from frdecomp.lattice import (LatticeError, LatticeSpec, WrapAroundError,
+                              build_symbol_table,
                               continuum_kernel, continuum_tail_bound, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
@@ -185,8 +185,8 @@ class TestDefaultScalePlan:
         fam = make_family(mollifier, norm1, table.B)
         lam_min = table.spectral_gap()
         assert lam_min == table.values[table.values > 1e-12].min()
-        plan = default_scale_plan(fam, lam_min, PLAN_T_MIN)
-        assert plan.j_min == 0
+        plan = default_scale_plan(fam, lam_min)
+        assert plan.j_min == 1
         def tail(t):
             return fam.tail_high(np.array([lam_min]), t)[0]
 
@@ -231,6 +231,14 @@ class TestTorusReconstruction:
         rec = reconstruct_torus_green(table, make_family(mollifier, norm1, table.B))
         assert rec.max_rel_error <= 5e-11
 
+    def test_torus_reconstruct_config_below_3e_13(self, mollifier, norm1):
+        # the 64 x 64 torus-reconstruct config; phi_hat tabulated by the
+        # trapezoid rule on its own grid makes C and the blocks agree
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=64)
+        table = build_symbol_table(spec)
+        rec = reconstruct_torus_green(table, make_family(mollifier, norm1, table.B))
+        assert rec.max_rel_error <= 3e-13
+
     @pytest.mark.parametrize("m2", [0.5, 0.0])
     def test_kernel_is_sum_of_mode_variances(self, mollifier, norm1, m2):
         # the kernel evaluates the plan the sampler draws: its transform is
@@ -238,7 +246,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        plan = default_scale_plan(fam, table.spectral_gap(), PLAN_T_MIN)
+        plan = default_scale_plan(fam, table.spectral_gap())
         rec = reconstruct_torus_green(table, fam, plan)
         per_scale = mode_variances(table.values, fam, plan.series(fam), m2 == 0.0)
         expect = np.fft.ifftn(sum(per_scale)).real

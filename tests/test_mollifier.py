@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import exp_bump
 from frdecomp.mollifier import (BumpProfile, DegenerateMollifierError,
-                                ProfileError, _tabulate_autoconvolution,
-                                _tabulate_kappa, build_default_profile,
+                                ProfileError, _tabulate_kappa, build_default_profile,
                                 build_mollifier, normalization_constant)
 from frdecomp.quadrature import gauss_legendre
 
@@ -21,6 +21,21 @@ def direct_t_kappa_squared(profile, x_hi=400.0):
         t, wt = gauss_legendre(a, a + 10.0, 200)
         total += float(np.sum(wt * t * (np.cos(np.outer(t, s)) @ wk) ** 2))
     return total
+
+
+def direct_autoconvolution(profile, k, nodes=96, chunk=512):
+    """(khat * khat)(k) by a Gauss-Legendre rule per point over the overlap
+    [k - hw, hw] of the two supports, chunk points at a time."""
+    hw = profile.half_width
+    g, w = gauss_legendre(-1.0, 1.0, nodes)
+    out = np.empty_like(k)
+    for lo in range(0, len(k), chunk):
+        kc = k[lo:lo + chunk]
+        half = 0.5 * (2.0 * hw - kc)
+        s = (0.5 * kc)[:, None] + half[:, None] * g[None, :]
+        vals = profile.eval(s) * profile.eval(kc[:, None] - s)
+        out[lo:lo + chunk] = half * (vals @ w)
+    return out
 
 
 def direct_kappa(profile, x):
@@ -70,6 +85,16 @@ class TestProfileValidation:
                           eval=lambda s: np.exp(-np.asarray(s, dtype=float)**2))
         with pytest.raises(ProfileError):
             bad.validate()
+
+    @pytest.mark.parametrize("half_width", [0.6, 0.0, -0.5])
+    def test_rejects_half_width_outside_half(self, half_width):
+        # phi_hat = khat * khat reaches |k| = 2 half_width, and its table ends
+        # at k = 1
+        wide = exp_bump(half_width=half_width)
+        with pytest.raises(ProfileError, match="half_width"):
+            wide.validate()
+        with pytest.raises(ProfileError, match="half_width"):
+            build_mollifier(wide)
 
     def test_build_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -141,7 +166,7 @@ class TestTableAccuracy:
     def test_phi_hat_off_grid(self, any_mollifier):
         m = any_mollifier
         k = np.random.default_rng(4).uniform(0.0, 1.0, 40_000)
-        exact = _tabulate_autoconvolution(m.profile, k)
+        exact = direct_autoconvolution(m.profile, k)
         assert np.max(np.abs(m.phi_hat(k) - exact)) <= 1e-14 * m.phi_hat0
 
     def test_normalization_is_the_phi_hat_float(self, any_mollifier):

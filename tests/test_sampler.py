@@ -194,7 +194,7 @@ class TestGraphSampler:
         op = GraphOperator(WeightedGraph.from_edges(6, edges), kind, **kw)
         assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap(), graphs.PLAN_T_MIN)
+        plan = default_scale_plan(fam, op.spectral_gap())
         lam, vecs = op.eigensystem()
         back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
         variances = mode_variances(lam, fam, plan.series(fam), op.is_singular)
@@ -313,7 +313,7 @@ def torus_seed_sweep(mollifier, norm1, m2, reports):
     spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+    plan = default_scale_plan(fam, table.spectral_gap())
     column = green_column(spec)
     scores = [[] for _ in reports]
     for seed in range(20):
@@ -379,7 +379,7 @@ class TestLagCovarianceReport:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+        plan = default_scale_plan(fam, table.spectral_gap())
         return spec, (lambda: sample_torus(table, fam, plan, 3, 2000, keep=2000)), \
             green_column(spec)
 
@@ -680,7 +680,7 @@ class TestRunningTotals:
             spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
             table = build_symbol_table(spec)
             fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-            plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+            plan = default_scale_plan(fam, table.spectral_gap())
             run, sites = lambda: sample_torus(table, fam, plan, 1, R), spec.size  # noqa: E731
         tracemalloc.start()
         try:
@@ -699,7 +699,7 @@ class TestRunningTotals:
         op = GraphOperator(WeightedGraph.from_edges(6, edges), "resolvent", m2=1.0)
         assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap(), graphs.PLAN_T_MIN)
+        plan = default_scale_plan(fam, op.spectral_gap())
         gram, kept = sample_graph(op, fam, plan, 4, 5000, keep=5000)
         totals = kept.sum(axis=1)
         reference = totals.T @ totals
@@ -707,7 +707,7 @@ class TestRunningTotals:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap(), 1.0)
+        plan = default_scale_plan(fam, table.spectral_gap())
         power, kept = sample_torus(table, fam, plan, 4, 5000, keep=5000)
         reference = power_spectrum(kept.sum(axis=1), spec.shape)
         assert np.max(np.abs(power - reference)) <= 1e-12 * np.max(np.abs(reference))

@@ -300,14 +300,37 @@ class TestDefaultScalePlan:
         target = 1e-40
         assert tail(PLAN_T_CAP) > target
         with pytest.raises(ValueError, match="target_tail_rel=1e-40 is not reached"):
-            default_scale_plan(disc_family, 0.2, 0.25, target_tail_rel=target)
+            default_scale_plan(disc_family, 0.2, target_tail_rel=target)
         # the cap itself is planned when it meets the target
-        plan = default_scale_plan(disc_family, 0.2, 0.25, target_tail_rel=tail(PLAN_T_CAP))
+        plan = default_scale_plan(disc_family, 0.2, target_tail_rel=tail(PLAN_T_CAP))
         assert plan.j_max == 20
 
     def test_rejects_ratio_at_most_one(self, disc_family):
         with pytest.raises(ValueError, match="L_ratio=1.0 must exceed 1"):
-            default_scale_plan(disc_family, 0.2, 0.25, L_ratio=1.0)
+            default_scale_plan(disc_family, 0.2, L_ratio=1.0)
+
+    def test_ratio_and_target_are_keyword_only(self, disc_family):
+        # a third positional argument (the retired lower end) must not bind
+        # to L_ratio
+        with pytest.raises(TypeError):
+            default_scale_plan(disc_family, 0.2, 0.25)
+
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    @pytest.mark.parametrize("L_ratio", [2.0, 3.0])
+    def test_white_piece_is_all_of_t_below_one(self, mollifier, norm1, backend,
+                                               L_ratio):
+        # every weight below t = 1 has degree 0: the white piece [0, 1] is one
+        # coefficient and every block has degree >= 1
+        from frdecomp.graphs import GraphOperator, cycle_graph
+        from frdecomp.lattice import LatticeSpec, build_symbol_table
+        op = (GraphOperator(cycle_graph(16), "resolvent", m2=1.0) if backend == "graph"
+              else build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)))
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = default_scale_plan(fam, op.spectral_gap(), L_ratio=L_ratio)
+        assert plan.j_min == 1 and plan.t_low == 1.0
+        white, *blocks = plan.series(fam)
+        assert len(white) == 1
+        assert blocks and all(len(a) >= 2 for a in blocks)
 
 
 class TestApproximationRate:

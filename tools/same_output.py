@@ -59,6 +59,8 @@ CONFIGS = [
      {"backend": {"kind": "torus", "d": 2, "N": 16, "a": [[1.0, 0.3], [0.3, 1.5]],
                   "lattice_m2": 0.0}}),
     ("default graph j=0..4", "decompose", {"scales": {"j_min": 0, "j_max": 4}}),
+    # a plan whose degree-0 blocks j = -2, -1, 0 are scales of their own
+    ("default graph j_min=-2", "sample", {"scales": {"j_min": -2}}),
     ("defaults", "weights", {}),
     # the continuous closed form and tail_low off whole octaves
     ("weights window [0.3, 50]", "weights",
