@@ -7,10 +7,13 @@ every scale in the operator's eigenbasis, weighted by the square roots of
 the mode variances f_j(lambda) (weights.mode_variances; zero on the zero
 modes of a singular operator):
 
-* torus: the Fourier basis.  n real normals xi per scale and replicate
-  give the component irfftn(sqrt(f_j) rfftn(xi)), which has exactly the
-  block covariance because f_j is even in the frequency; the field is
-  irfftn(y) with y = sum_j sqrt(f_j) rfftn(xi_j).
+* torus: the real orthonormal Fourier basis, one cosine or sine coordinate
+  per site.  n real normals c per scale and replicate give the component
+  with coordinates sqrt(f_j) c, which has exactly the block covariance
+  because f_j is even in the frequency, so a cosine and its sine share one
+  variance; the field has coordinates y = sum_j sqrt(f_j) c_j.  No transform
+  runs per scale and replicate; kept rows reach the sites by one irfftn
+  per scale.
 
 * graph: the eigenvectors U of D^{1/2} Lambda D^{-1/2}.  The weighted
   normals of every scale are summed in eigen-coordinates, y, and map to
@@ -26,8 +29,8 @@ are sliced or how many threads draw them.  The draws are slice-major: for
 each slice of replicates every scale is drawn in turn, so consecutive draws
 come from different streams and a pool of DRAW_WORKERS threads fills
 preallocated buffers ahead of the calling thread, while each stream still
-draws its own slices in order.  Only the RNG runs on the workers; every FFT
-and GEMM stays on the calling thread.
+draws its own slices in order.  Only the RNG runs on the workers; every
+transform and GEMM stays on the calling thread.
 
 Per slice, each scale is weighted in eigen-coordinates and added into one
 spectral sum y, and the per-scale components of the first keep replicates
@@ -50,8 +53,8 @@ Two statistical checks compare the statistic with the exact covariance C:
   well as replicates, c(h) = irfftn(sum_r |rfftn(X_r)|^2) / (R n), and is
   checked against the Green column with its exact Gaussian variance
   (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n).  The torus sampler sums
-  |rfftn(X_r)|^2 as |y|^2: the mode variances are even in k bit for bit, so
-  y is rfftn(X_r) up to the roundoff of the transforms.
+  the squares of the coordinates y_r and maps them to |rfftn(X_r)|^2 once:
+  n y^2 on a self-conjugate frequency, (n/2)(y_cos^2 + y_sin^2) on a pair.
 """
 
 from collections import deque
@@ -142,33 +145,33 @@ def _batched_draws(seed, scales, count, draw_shape, consume):
             consume(s, lo, values)
 
 
-def _spectral_sample(seed, count, keep, draw_shape, scales, weigh, to_sites, fold):
+def _spectral_sample(seed, count, keep, amps, to_sites, fold):
     """(statistic, kept) of a field drawn scale by scale in eigen-coordinates.
 
-    weigh(s, values) turns a slice of normals into scale s in
-    eigen-coordinates (it may overwrite values); the slice's sum over scales
-    is kept in one buffer y.  to_sites maps rows of eigen-coordinates to the
-    sites; kept (min(keep, count), scales, sites) gets the map of each scale
-    of its rows.  After the last scale, fold(rows of y) is summed over
-    FOLD_ROWS replicates at a time into the statistic.
+    Scale s is a slice of standard normals of amps[s]'s shape times amps[s];
+    the slice's sum over scales is kept in one buffer y.  to_sites maps rows
+    of eigen-coordinates to the sites; kept (min(keep, count), scales, sites)
+    gets the map of each scale of its rows.  After the last scale, fold(rows
+    of y) is summed over FOLD_ROWS replicates at a time into the statistic.
     """
-    kept = np.empty((min(keep, count), scales, int(np.prod(draw_shape))))
+    draw_shape = amps[0].shape
+    kept = np.empty((min(keep, count), len(amps), amps[0].size))
     y = statistic = None
 
     def consume(s, lo, values):
         nonlocal y, statistic
-        w = weigh(s, values)
+        values *= amps[s]
         if y is None:
-            y = np.empty_like(w)    # the first slice is the largest
-        yk = y[:len(w)]
+            y = np.empty_like(values)    # the first slice is the largest
+        yk = y[:len(values)]
         if s == 0:
-            yk[...] = w
+            yk[...] = values
         else:
-            yk += w
+            yk += values
         if lo < len(kept):
-            kk = min(len(w), len(kept) - lo)
-            kept[lo:lo + kk, s] = to_sites(w[:kk])
-        if s == scales - 1:
+            kk = min(len(values), len(kept) - lo)
+            kept[lo:lo + kk, s] = to_sites(values[:kk])
+        if s == len(amps) - 1:
             for b in range(0, len(yk), FOLD_ROWS):
                 term = fold(yk[b:b + FOLD_ROWS])
                 if statistic is None:
@@ -176,12 +179,32 @@ def _spectral_sample(seed, count, keep, draw_shape, scales, weigh, to_sites, fol
                 else:
                     statistic += term
 
-    _batched_draws(seed, scales, count, draw_shape, consume)
+    _batched_draws(seed, len(amps), count, draw_shape, consume)
     return statistic, kept
 
 
 # ---------------------------------------------------------------------------
 # torus backend
+
+def _fourier_map(shape):
+    """(lo, hi, re, im) on the rfftn layout of shape: a field with coordinates
+    c (flat, one per site) in the real orthonormal Fourier basis has
+    rfftn = re c[lo] + 1j im c[hi].
+
+    Frequency k pairs with -k; lo and hi are their flat indices on the full
+    grid.  A self-conjugate k (lo = hi) carries the real mode n^{-1/2}
+    cos(k x), so rfftn there is sqrt(n) c[k]; a pair carries sqrt(2/n) cos(k x)
+    on c[lo] and sqrt(2/n) sin(k x) on c[hi], for the k of the lower flat
+    index, so rfftn is sqrt(n/2) (c[lo] -+ 1j c[hi]) at k and at -k.
+    """
+    n = int(np.prod(shape))
+    freq = np.indices(shape[:-1] + (shape[-1] // 2 + 1,))
+    here = np.ravel_multi_index(tuple(freq), shape)
+    there = np.ravel_multi_index(tuple(-f % size for f, size in zip(freq, shape)), shape)
+    re = np.where(here == there, np.sqrt(n), np.sqrt(n / 2))
+    return (np.minimum(here, there), np.maximum(here, there), re,
+            np.sqrt(n / 2) * np.sign(here - there))
+
 
 def sample_torus(table, family, plan, seed, sample_count, keep=0):
     """Draw replicates of the multiscale field on the torus of the symbol
@@ -189,37 +212,33 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     layout (the statistic of lag_covariance_report) and kept as in
     _spectral_sample.
 
-    Per scale and replicate, X = irfftn(sqrt(v) rfftn(xi)) with xi of n i.i.d.
-    standard normals and v the scale's entry of mode_variances on the
-    symbol; because v is real and even in the frequency this has covariance
-    exactly N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.  The field's
-    spectrum y = sum_s sqrt(v_s) rfftn(xi_s) is summed without a transform
-    back; only kept rows are.
+    Each scale is drawn in the real orthonormal Fourier basis: n i.i.d.
+    standard normals c per scale and replicate, one coordinate per site
+    (_fourier_map), times sqrt(v) with v the scale's entry of mode_variances
+    on the full grid.  Because v is even in the frequency, a pair's cosine
+    and sine share one variance, and the component has covariance exactly
+    N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.  The scales are
+    summed in these coordinates, and only kept rows reach the sites, by one
+    irfftn of the map per scale; no other transform runs.  The power is
+    summed as sum_r c_r^2 per coordinate and mapped to |rfftn|^2 once.
     """
     check_settings(seed, sample_count, keep)
     lattice.check_family(table, family)
     spec = table.spec
-    variances = mode_variances(table.values, family, plan.series(family),
-                               spec.m2 <= 0.0)
-    fft_axes = tuple(range(-spec.d, 0))
-    half = spec.N // 2 + 1
-    amps = [np.sqrt(v[..., :half]) for v in variances]
-    z = np.empty((min(_slice_reps(spec.shape), sample_count),)
-                 + spec.shape[:-1] + (half,), dtype=complex)
+    amps = [np.sqrt(v) for v in mode_variances(table.values, family,
+                                               plan.series(family), spec.m2 <= 0.0)]
+    lo, hi, re, im = _fourier_map(spec.shape)
 
-    def weigh(s, values):
-        zk = np.fft.rfftn(values, axes=fft_axes, out=z[:len(values)])
-        zk *= amps[s]
-        return zk
+    def to_sites(c):
+        flat = c.reshape(len(c), -1)
+        spectrum = re * flat[:, lo] + 1j * im * flat[:, hi]
+        return np.fft.irfftn(spectrum, s=spec.shape,
+                             axes=tuple(range(-spec.d, 0))).reshape(len(c), -1)
 
-    def to_sites(w):
-        return np.fft.irfftn(w, s=spec.shape, axes=fft_axes).reshape(len(w), -1)
-
-    def fold(y):
-        return np.sum(y.real**2 + y.imag**2, axis=0)
-
-    return _spectral_sample(seed, sample_count, keep, spec.shape, len(amps),
-                            weigh, to_sites, fold)
+    squares, kept = _spectral_sample(seed, sample_count, keep, amps, to_sites,
+                                     lambda c: np.sum(c * c, axis=0))
+    squares = squares.ravel()
+    return 0.5 * spec.size * (squares[lo] + squares[hi]), kept
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +276,8 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     def to_sites(y):
         return (y @ vecs.T) * back
 
-    gram, kept = _spectral_sample(
-        seed, sample_count, keep, (op.n,), len(amps),
-        lambda s, values: np.multiply(values, amps[s], out=values), to_sites,
-        lambda y: y.T @ y)
+    gram, kept = _spectral_sample(seed, sample_count, keep, amps, to_sites,
+                                  lambda y: y.T @ y)
     return back[:, None] * (vecs @ gram @ vecs.T) * back, kept
 
 

@@ -246,6 +246,15 @@ def mode_variances(spectrum, family, series, singular):
     variance of any series, since high-j blocks are uniformly tiny and carry
     1e-15-level Clenshaw noise; more negative mass is a BlockQualityError.
     For a singular operator the zero modes (lambda <= 1e-12) get variance 0.
+
+    Small positive variances are kept as evaluated, though they may be pure
+    roundoff, of order 2 deg eps sum|a| for a series a: on the default plan
+    of the 32 x 32 torus (m^2 = 0.5) the whole top scale, at most 1.6e-10 of
+    the field scale, lies under that bound, and the samplers draw sqrt(v) of
+    it.  Near v = 0 the square root magnifies a roundoff move of the
+    spectrum: one ulp of the symbol moves sqrt(v) by 4e-8 of the square root
+    of the field scale on the scale below the top one.  A threshold would
+    move where this happens, not remove it, so there is none.
     """
     lam = np.asarray(spectrum, dtype=float)
     theta = 1.0 - 0.5 * family.arg_scale * lam

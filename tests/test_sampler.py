@@ -221,23 +221,60 @@ class TestGraphSampler:
 
 
 class TestTorusSampler:
-    def test_exact_covariance_map(self, mollifier, norm1):
-        # the linear map xi -> irfft(sqrt(v) rfft(xi)) has covariance exactly
-        # the circulant built from the per-scale mode variances
-        spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8)
-        table = build_symbol_table(spec)
+    def test_exact_covariance_map(self, mollifier, norm1, monkeypatch):
+        # every unit Fourier coordinate is fed through the sampler's own
+        # weighting and map to the sites; the images of scale s have
+        # covariance exactly the circulant block kernel N^{-d} sum_k v_s(k)
+        # e^{i k (x - y)}
+        def unit_draws(seed, scales, count, draw_shape, consume):
+            for s in range(scales):
+                consume(s, 0, np.eye(count).reshape((count,) + draw_shape))
+
+        monkeypatch.setattr(sampler, "_batched_draws", unit_draws)
+        for spec in (LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8),
+                     LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8),
+                     LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8),
+                     LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.5]]), m2=0.5,
+                                 N=16),
+                     LatticeSpec(d=3, a=np.eye(3), m2=0.5, N=8)):
+            table = build_symbol_table(spec)
+            fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+            plan = default_scale_plan(fam, table.spectral_gap())
+            variances = mode_variances(table.values, fam, plan.series(fam),
+                                       spec.m2 <= 0.0)
+            n = spec.size
+            _, kept = sample_torus(table, fam, plan, 1, n, keep=n)
+            assert kept.shape == (n, len(variances), n)
+            for s, v in enumerate(variances):
+                target = circulant_matrix(np.fft.ifftn(v).real)
+                images = kept[:, s]
+                assert (np.max(np.abs(images.T @ images - target))
+                        <= 1e-14 * np.max(np.abs(target)))
+
+    @pytest.mark.parametrize("keep", [0, 100])
+    def test_only_kept_rows_are_transformed(self, mollifier, norm1, monkeypatch, keep):
+        # the scales are drawn in Fourier coordinates: no transform runs per
+        # scale and replicate, and kept rows (across two slices of 64
+        # replicates) reach the sites by irfftn alone
+        monkeypatch.setattr(sampler, "SLICE_VALUES", 64 * 64)
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(a, *args, **kw):
+                calls.append((name, np.shape(a)[0]))
+                return fn(a, *args, **kw)
+            return wrapped
+
+        table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        variances = mode_variances(table.values, fam, plan.series(fam), False)
-        n = spec.size
-        xi = 2.0 * np.pi * np.arange(n) / n
-        for v in variances:
-            vr = v.ravel()
-            # column k is the image of the k-th unit vector
-            A = np.fft.irfft(np.sqrt(vr[:n // 2 + 1]) * np.fft.rfft(np.eye(n)), n).T
-            target = np.array([[np.sum(vr * np.cos(xi * (x - y))) / n
-                                for y in range(n)] for x in range(n)])
-            assert np.max(np.abs(A @ A.T - target)) <= 1e-14 * max(vr.max(), 1e-30)
+        for name in dir(np.fft):
+            if not name.startswith("_") and callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+        sample_torus(table, fam, plan, 1, 4100, keep=keep)
+        assert {name for name, _ in calls} <= {"irfftn"}
+        assert sorted(rows for _, rows in calls) == sorted(
+            [64, 36] * len(plan.scale_labels()) if keep else [])
 
     def test_variance_matches_green_diagonal(self, mollifier, norm1):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
@@ -429,6 +466,29 @@ class TestLagCovarianceReport:
                                      column).max_abs_z > bound
 
 
+def real_fourier_basis(shape):
+    """(n, n): row j is the site field of Fourier coordinate j, built mode by
+    mode.  Coordinate j is frequency k (flat index j); with -k at flat index
+    m, a self-conjugate k (m = j) carries n^{-1/2} cos(k x), and a pair
+    carries sqrt(2/n) cos(k x) on the lower of j, m and sqrt(2/n) sin(k x),
+    k the lower one's frequency, on the higher."""
+    n = int(np.prod(shape))
+    sites = np.array(list(np.ndindex(shape)))
+    basis = np.empty((n, n))
+    for j, k in enumerate(np.ndindex(shape)):
+        minus = tuple(-ki % size for ki, size in zip(k, shape))
+        m = np.ravel_multi_index(minus, shape)
+        low = k if j <= m else minus
+        phase = 2.0 * np.pi * sites @ (np.array(low) / np.array(shape))
+        if j == m:
+            basis[j] = np.cos(phase) / np.sqrt(n)
+        elif j < m:
+            basis[j] = np.sqrt(2.0 / n) * np.cos(phase)
+        else:
+            basis[j] = np.sqrt(2.0 / n) * np.sin(phase)
+    return basis
+
+
 def stream_normals(seed, scale, count, draw_shape):
     """Replicates [0, count) of one scale, one whole draw per replicate batch."""
     return np.concatenate([
@@ -531,12 +591,11 @@ class TestDrawLayout:
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
         _, comps = sample_torus(table, fam, plan, 13, self.R, keep=self.R)
-        n, half = spec.size, spec.N // 2 + 1
+        basis = real_fourier_basis(spec.shape)
         for s, v in enumerate(mode_variances(table.values, fam, plan.series(fam), True)):
-            vals = stream_normals(13, s, self.R, spec.shape)
-            x = np.fft.irfftn(np.sqrt(v[:half]) * np.fft.rfftn(vals, axes=(-1,)),
-                              s=spec.shape, axes=(-1,))
-            assert np.array_equal(comps[:, s], x.reshape(self.R, n))
+            c = stream_normals(13, s, self.R, spec.shape) * np.sqrt(v)
+            x = c.reshape(self.R, spec.size) @ basis
+            assert np.max(np.abs(comps[:, s] - x)) <= 1e-14 * np.max(np.abs(x))
 
     def test_singular_graph(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(8))
@@ -573,7 +632,8 @@ class TestDrawLayout:
 def small_sampler(backend, mollifier, norm1):
     """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus,
     expect(plan, seed, count), the replicates rebuilt from the streams (the
-    scale sum in eigen-coordinates mapped once to the sites), and
+    scale sum in eigen-coordinates mapped once to the sites; on the torus by
+    real_fourier_basis), and
     statistic(totals), the sampler's statistic of site fields."""
     if backend == "torus":
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=16)
@@ -582,9 +642,9 @@ def small_sampler(backend, mollifier, norm1):
 
         def expect(plan, seed, count):
             variances = mode_variances(table.values, fam, plan.series(fam), False)
-            y = sum(np.sqrt(v[:9]) * np.fft.rfft(stream_normals(seed, s, count, (16,)))
+            y = sum(np.sqrt(v) * stream_normals(seed, s, count, (16,))
                     for s, v in enumerate(variances))
-            return np.fft.irfft(y, 16)
+            return y @ real_fourier_basis(spec.shape)
 
         return (lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw),
                 expect, lambda totals: power_spectrum(totals, spec.shape))

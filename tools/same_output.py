@@ -45,6 +45,9 @@ CONFIGS = [
     ("massless torus d=2 N=8 R=4000", "sample",
      {"backend": {"kind": "torus", "d": 2, "N": 8, "lattice_m2": 0.0},
       "sampler": {"sample_count": 4000}}),
+    # perfbench's torus-sample, pinned here should the benchmark's workloads change
+    ("torus d=2 N=32 R=4000", "sample",
+     {"backend": {"kind": "torus", "d": 2, "N": 32}, "sampler": {"sample_count": 4000}}),
     ("torus d=3 N=8 R=5000", "sample",
      {"backend": {"kind": "torus", "d": 3, "N": 8},
       "sampler": {"sample_count": 5000, "dump_replicates": 0}}),
