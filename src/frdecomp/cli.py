@@ -21,8 +21,8 @@ from .graphs import GraphError
 from .lattice import LatticeError
 from .mollifier import build_mollifier, normalization_constant
 from .sampler import check_settings
-from .weights import (BlockQualityError, ContinuousWeightFamily, DiscreteWeightFamily,
-                      approximation_rate, chebyshev_coefficients,
+from .weights import (PLAN_T_CAP, BlockQualityError, ContinuousWeightFamily,
+                      DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, coefficient_csv,
                       decay_constants, default_lambda_grid,
                       default_scale_plan, eval_discrete_weight_direct,
@@ -314,20 +314,20 @@ def _sampler_settings(config):
 
 
 def _weight_settings(config, lambda_flag):
-    """(config["weights"], lambda grid), refused unless 0 < t_min < t_max < inf,
-    coefficient_dump_t > 0 and the grid is non-empty, numeric and inside
-    0 < lambda <= 4.
+    """(config["weights"], lambda grid), refused unless
+    0 < t_min < t_max <= PLAN_T_CAP, 0 < coefficient_dump_t <= PLAN_T_CAP
+    and the grid is non-empty, numeric and inside 0 < lambda <= 4.
 
     The grid is the comma-separated lambda_flag if given, else
     weights.lambda_grid, else default_lambda_grid(weights.eps).
     """
     wc = config["weights"]
-    if not 0.0 < wc["t_min"] < wc["t_max"] < np.inf:
+    if not 0.0 < wc["t_min"] < wc["t_max"] <= PLAN_T_CAP:
         raise ConfigError(f"weights.t_min={wc['t_min']} and weights.t_max={wc['t_max']} "
-                          "must satisfy 0 < t_min < t_max < inf")
-    if not wc["coefficient_dump_t"] > 0.0:
+                          f"must satisfy 0 < t_min < t_max <= {PLAN_T_CAP:g}")
+    if not 0.0 < wc["coefficient_dump_t"] <= PLAN_T_CAP:
         raise ConfigError(f"weights.coefficient_dump_t={wc['coefficient_dump_t']} "
-                          "must be positive")
+                          f"must lie in (0, {PLAN_T_CAP:g}]")
     listed = wc["lambda_grid"]
     if lambda_flag is not None:
         source = f"--lambda-grid {lambda_flag!r}"

@@ -367,16 +367,6 @@ def matched_continuum_kernel_at_points(spec, family, t, coords, order=0,
     return s * vals
 
 
-def continuum_tail_bound(d, t, family, xi_cutoff=DEFAULT_XI_CUTOFF):
-    """Bound on the omitted |xi| > cutoff mass of the continuum integral, for
-    the ContinuousWeightFamily family."""
-    angular = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
-    pref = angular / (2.0 * np.pi) ** d
-    # int_{cutoff}^inf rho^{d-1} C phi(rho t) drho = t^{-d} C int_{ct}^inf u^{d-1} phi
-    tail = family.mollifier.weight_tail_integral(xi_cutoff, power=float(d - 1))
-    return float(t**2 * pref * family.C * tail / t**d)
-
-
 # ---------------------------------------------------------------------------
 # estimate checks
 

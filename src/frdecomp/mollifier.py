@@ -25,7 +25,10 @@ is tabulated on the phi_hat grid (_remainder_cells); it turns every scale
 integral of the discrete weights into a closed form
 (weights.DiscreteWeightFamily.interval_coefficients); the first moment
 F(x) = int_0^x u phi(u) du, exact on the phi cells, does so for the
-continuous weights.
+continuous weights.  F also gives the one phi tail that every truncation
+certificate uses (phi_tail_moment): int_x^inf u phi(u) du is at most
+F(x_max) - F(x) plus the analytic remainder beyond x_max from
+(1 + u^2)^4 phi(u) <= K_4.
 
 The normalization constant C makes the scale integral reproduce 1/lambda:
 
@@ -124,12 +127,11 @@ def build_default_profile():
 @dataclass(frozen=True, eq=False)
 class Mollifier:
     """Tabulated phi / phi_hat pair, the remainder table R of phi_hat and the
-    first moment F of phi, with interpolation and tail certificates."""
+    first moment F of phi, with interpolation and the one tail bound of phi."""
 
     profile: BumpProfile
     grid_step: float
     x_max: float
-    x_grid: np.ndarray
     phi_values: np.ndarray
     k_grid: np.ndarray
     phi_hat_values: np.ndarray
@@ -137,6 +139,11 @@ class Mollifier:
     _phi_cells: np.ndarray = field(repr=False)
     _phi_hat_cells: np.ndarray = field(repr=False)
     _remainder_cells: np.ndarray = field(repr=False)
+
+    @property
+    def x_grid(self):
+        """The phi nodes, the last one x_max; computed, as no evaluation needs it."""
+        return np.append(np.arange(len(self.phi_values) - 1) * self.grid_step, self.x_max)
 
     @property
     def phi_max(self):
@@ -174,53 +181,35 @@ class Mollifier:
         return out if np.ndim(out) else float(out)
 
     @cached_property
-    def _moment_cells(self):
-        """Cells of F(x) = int_0^x u phi(u) du (layout of _eval_cells), exact
-        on the phi cells c: u phi(u) du = step^2 (i + s) sum_j c_j s^j ds on
-        cell i, so F is a quintic in s whose constant term is F(i step), the
-        cell integrals cumulated from 0.  Built on first use, since only the
-        continuous weights need it."""
+    def _moment_nodes(self):
+        """F(i step) = int_0^{i step} u phi(u) du at the phi nodes: the whole
+        cells' _cell_moment cumulated from 0.  Built on first use."""
         c = self._phi_cells
-        j = np.arange(1.0, len(c) + 1.0)[:, None]
-        cells = np.zeros((len(c) + 2, c.shape[1]))
-        cells[1:-1] = np.arange(c.shape[1]) * c / j
-        cells[2:] += c / (j + 1.0)
-        cells *= self.grid_step**2
-        cells[0, 1:] = np.cumsum(cells.sum(axis=0)[:-1])
-        return cells
+        whole = _cell_moment(c, np.arange(c.shape[1]), 1.0)
+        return np.append(0.0, np.cumsum(self.grid_step**2 * whole))
 
     def phi_first_moment(self, x):
-        """F(x) = int_0^|x| u phi(u) du; F(x_max) beyond x_max, where phi is 0."""
+        """F(x) = int_0^|x| u phi(u) du, exact on the phi cells: the node table
+        plus the partial cell; F(x_max) beyond x_max, where phi is 0."""
         x = np.minimum(np.abs(np.asarray(x, dtype=float)), self.x_max)
-        out = _eval_cells(self._moment_cells, self.grid_step, x)
+        u = x / self.grid_step
+        i = np.minimum(u.astype(np.intp), self._phi_cells.shape[1] - 1)
+        s = u - i
+        partial = _cell_moment(self._phi_cells[:, i], i, s)
+        out = self._moment_nodes[i] + self.grid_step**2 * partial
         return out if np.ndim(out) else float(out)
 
-    def weight_tail_integral(self, x_lo, power=1.0):
-        """Upper estimate of int_{x_lo}^inf u^power phi(u) du.
-
-        Table part by trapezoid on [x_lo, x_max]; beyond x_max the analytic
-        remainder from (1+u^2)^4 phi(u) <= K_4.  Drives every truncation
-        certificate (identity tails, scale planning, continuum cut-off).
+    def phi_tail_moment(self, x):
+        """Upper bound on int_|x|^inf u phi(u) du, vectorized over x: every
+        truncation certificate (identity tails, scale planning) is built from
+        it.  max(F(x_max) - F(x), 0), exact on the phi cells, plus the
+        remainder K_4 max(|x|, x_max)^-6 / 6 from (1 + u^2)^4 phi(u) <= K_4.
         """
-        p = float(power)
-        if p >= 7.0:
-            raise ValueError("tail bound requires power < 7")
-        k4 = self.decay_sups[4]
-        analytic = k4 * self.x_max ** (p - 7.0) / (7.0 - p)
-        if x_lo >= self.x_max:
-            # Crude but safe: decrease is monotone in x_lo for the bound used.
-            return k4 * x_lo ** (p - 7.0) / (7.0 - p)
-        i0 = int(np.searchsorted(self.x_grid, x_lo))
-        xs = self.x_grid[i0:]
-        ys = xs**p * self.phi_values[i0:]
-        table = float(np.trapezoid(ys, xs))
-        if i0 > 0:
-            # Partial cell between x_lo and the first grid node (the grid ends
-            # at x_max > x_lo, so there is one).
-            xa, xb = x_lo, self.x_grid[i0]
-            ya = xa**p * self.phi(xa)
-            table += 0.5 * (ya + ys[0]) * (xb - xa)
-        return table + analytic
+        x = np.abs(np.asarray(x, dtype=float))
+        F = self.phi_first_moment
+        out = (np.maximum(F(self.x_max) - F(x), 0.0)
+               + self.decay_sups[4] * np.maximum(x, self.x_max) ** -6.0 / 6.0)
+        return out if np.ndim(out) else float(out)
 
 
 def _tabulate_kappa(profile, x_grid):
@@ -302,6 +291,16 @@ def _remainder_cells(k_grid, phi_hat, phi_hat_cells):
     return _hermite_cells(remainder, -integrand, step)
 
 
+def _cell_moment(c, i, s):
+    """step^-2 int_{i step}^{(i + s) step} u phi(u) du, where c holds the phi
+    cells i (layout of _eval_cells): there u phi(u) du = step^2 (i + r)
+    sum_j c_j r^j dr, so the integral is sum_j c_j s^{j+1} (i/(j+1) + s/(j+2))."""
+    out = 0.0
+    for j in range(len(c) - 1, -1, -1):
+        out = out * s + c[j] * (i / (j + 1) + s / (j + 2))
+    return out * s
+
+
 def _eval_cells(cells, step, x):
     """Piecewise polynomial at x >= 0: cell i covers [i step, (i+1) step] and
     holds sum_j cells[j, i] u^j in u = x/step - i (Horner's rule)."""
@@ -345,7 +344,6 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
         profile=profile,
         grid_step=grid_step,
         x_max=float(x_max),
-        x_grid=x_grid,
         phi_values=phi,
         k_grid=k_grid,
         phi_hat_values=phi_hat,

@@ -136,8 +136,7 @@ class ContinuousWeightFamily:
         integral = C * (m.phi_first_moment(root * t_max)
                         - m.phi_first_moment(root * t_min)) / lam
         tail_low = lam * C * m.phi_max * 0.5 * t_min**2
-        tail_high = np.array([C * m.weight_tail_integral(r * t_max, 1.0) for r in root])
-        return integral, tail_low, tail_high
+        return integral, tail_low, C * m.phi_tail_moment(root * t_max)
 
 
 class DiscreteWeightFamily:
@@ -160,8 +159,10 @@ class DiscreteWeightFamily:
         self.lambda_max = 4.0 / self.arg_scale
 
     # -- evaluation --------------------------------------------------------
-    def _check_lambda(self, lam):
+    def _check_lambda(self, lam, positive=False):
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        if positive and not np.all(lam > 0.0):
+            raise ValueError("lambda must be positive")
         if np.any(lam < 0.0) or np.any(lam > self.lambda_max + 1e-12):
             raise ValueError(f"lambda outside [0, {self.lambda_max}]")
         return lam
@@ -208,7 +209,7 @@ class DiscreteWeightFamily:
         t_min <= 1 the integral is taken over [0, t_max] (tail_low = 0);
         otherwise tail_low bounds what [0, t_min] would add.
         """
-        lam = self._check_lambda(lam)
+        lam = self._check_lambda(lam, positive=True)
         theta = 1.0 - 0.5 * self.arg_scale * lam
         scale = self.C * self.arg_scale
         if t_min <= 1.0:
@@ -228,14 +229,11 @@ class DiscreteWeightFamily:
         The n = 0 term of the periodization tail of phi plus the wrap terms;
         scale_integral returns the same bound as its third value.
         """
-        lam = self._check_lambda(lam)
-        scale = self.C * self.arg_scale
+        lam = self._check_lambda(lam, positive=True)
+        tail = self.mollifier.phi_tail_moment
         x = np.arccos(1.0 - 0.5 * (self.arg_scale * lam))
-        wrap = self.mollifier.weight_tail_integral(np.pi * t_max, 1.0)
-        return np.array([
-            scale * (self.mollifier.weight_tail_integral(xi * t_max, 1.0) / xi**2
-                     + 0.25 * wrap)
-            for xi in x]) * lam
+        return self.C * self.arg_scale * (
+            tail(x * t_max) / x**2 + 0.25 * tail(np.pi * t_max)) * lam
 
 
 def mode_variances(spectrum, family, series, singular):
@@ -283,7 +281,8 @@ class ScalePlan:
     default_scale_plan starts at j_min = 1, so the white piece is [0, 1] and
     every block has degree >= 1; a lower j_min splits off degree-0 blocks
     (multiples of the identity) of their own, and t_low = L^{j_min - 1} must
-    not exceed 1.
+    not exceed 1.  The top block may start at most at PLAN_T_CAP, as every
+    default plan's does, so no plan asks for a series of unbounded degree.
     """
 
     j_min: int
@@ -295,6 +294,13 @@ class ScalePlan:
             raise ValueError(f"j_max={self.j_max} must be >= j_min={self.j_min}")
         if not self.L_ratio > 1.0:
             raise ValueError(f"L_ratio={self.L_ratio} must exceed 1")
+        try:
+            top = float(self.L_ratio) ** (self.j_max - 1)
+        except OverflowError:
+            top = np.inf
+        if top > PLAN_T_CAP:
+            raise ValueError(f"top block starts at L_ratio^(j_max - 1) = {top:g}, "
+                             f"beyond PLAN_T_CAP = {PLAN_T_CAP:g}")
         if self.t_low > 1.0:
             raise ValueError(f"plan must start at t <= 1 (exact white piece), "
                              f"got L_ratio^(j_min - 1) = {self.t_low}")

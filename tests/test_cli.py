@@ -414,6 +414,12 @@ class TestRejectedInput:
             ({"weights": {"t_min": 5.0, "t_max": 1.0}}, "weights"),
             ({"weights": {"t_min": 0.0}}, "weights"),
             ({"weights": {"coefficient_dump_t": -1.0}}, "weights"),
+            # series of 1e12 or more coefficients
+            ({"weights": {"t_max": 1e15}}, "weights"),
+            ({"weights": {"coefficient_dump_t": 1e15}}, "weights"),
+            ({"scales": {"L_ratio": 1e6, "j_max": 3}}, "reconstruct"),
+            ({"backend": {"kind": "torus"}, "scales": {"L_ratio": 1e7, "j_max": 2}},
+             "sample"),
             ({"backend": {"kind": "torus", "t_list": ["a", 2]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": [0.0, 2.0]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import circulant_matrix, stencil_operator
-from frdecomp.lattice import (LatticeError, LatticeSpec, WrapAroundError,
-                              build_symbol_table,
-                              continuum_kernel, continuum_tail_bound, decay_fit,
+from frdecomp.lattice import (DEFAULT_XI_CUTOFF, LatticeError, LatticeSpec,
+                              WrapAroundError, build_symbol_table,
+                              continuum_kernel, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
@@ -20,6 +20,23 @@ ANISOTROPIC_3D = [[1.0, 0.2, 0.0], [0.2, 1.5, -0.1], [0.0, -0.1, 1.0]]
 
 def make_family(m, norm, B):
     return DiscreteWeightFamily(m, norm, B=B)
+
+
+def continuum_tail_bound(d, t, family, xi_cutoff=DEFAULT_XI_CUTOFF):
+    """Bound on the omitted |xi| > cutoff mass of the continuum integral, for
+    the ContinuousWeightFamily family.
+
+    int_{cutoff/t}^inf rho^{d-1} C phi(rho t) drho = t^{-d} C
+    int_cutoff^inf u^{d-1} phi(u) du: a 4000-node rule on the phi table up to
+    x_max, and beyond it the remainder from (1 + u^2)^4 phi(u) <= K_4.
+    """
+    m = family.mollifier
+    angular = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[d]
+    pref = angular / (2.0 * np.pi) ** d
+    u, w = gauss_legendre(xi_cutoff, m.x_max, 4000)
+    tail = (np.sum(w * u ** (d - 1) * m.phi(u))
+            + m.decay_sups[4] * m.x_max ** (d - 8.0) / (8.0 - d))
+    return float(t**2 * pref * family.C * tail / t**d)
 
 
 class TestLatticeSpec:

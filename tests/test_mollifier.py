@@ -11,14 +11,16 @@ from frdecomp.mollifier import (BumpProfile, DegenerateMollifierError,
 from frdecomp.quadrature import gauss_legendre
 
 
-def direct_t_kappa_squared(profile, x_hi=400.0):
-    """int_0^x_hi t kappa(t)^2 dt with kappa recomputed from the bump by a
-    300-node rule in s and 200-node panels of width 10 in t (no tables)."""
+def direct_t_kappa_squared(profile, x_lo=0.0, x_hi=400.0):
+    """int_x_lo^x_hi t kappa(t)^2 dt with kappa recomputed from the bump by a
+    300-node rule in s and 200-node panels of width at most 10 in t (no
+    tables)."""
     s, ws = gauss_legendre(0.0, profile.half_width, 300)
     wk = 2.0 * ws * profile.eval(s)
+    edges = np.linspace(x_lo, x_hi, int(np.ceil((x_hi - x_lo) / 10.0)) + 1)
     total = 0.0
-    for a in np.arange(0.0, x_hi, 10.0):
-        t, wt = gauss_legendre(a, a + 10.0, 200)
+    for a, b in zip(edges[:-1], edges[1:]):
+        t, wt = gauss_legendre(a, b, 200)
         total += float(np.sum(wt * t * (np.cos(np.outer(t, s)) @ wk) ** 2))
     return total
 
@@ -107,9 +109,12 @@ class TestProfileValidation:
     def test_tail_integral_between_last_nodes(self):
         m = build_mollifier(grid_step=0.003, x_max=99.999)
         assert m.x_grid[-1] == m.x_max
-        beyond = m.weight_tail_integral(m.x_max)
+        beyond = m.phi_tail_moment(m.x_max)
         for x_lo in (99.997, 99.9985, np.nextafter(m.x_max, 0.0)):
-            assert beyond <= m.weight_tail_integral(x_lo) < beyond + 1e-12
+            assert beyond <= m.phi_tail_moment(x_lo) < beyond + 1e-12
+        # from x_max on, only the analytic remainder K_4 x^-6 / 6 is left
+        x = np.array([m.x_max, np.nextafter(m.x_max, np.inf), 150.0, 1e9])
+        assert np.array_equal(m.phi_tail_moment(x), m.decay_sups[4] * x**-6.0 / 6.0)
 
 
 class TestMollifierTables:
@@ -183,6 +188,18 @@ class TestTableAccuracy:
         assert 1.0 / normalization_constant(m) == pytest.approx(
             direct_t_kappa_squared(m.profile), rel=1e-10, abs=0.0)
 
+    def test_tail_moment_bounds_direct_integral(self, any_mollifier):
+        # phi_tail_moment(x) = F(x_max) - F(x) plus the analytic remainder
+        # beyond x_max is at least int_x^x_max u kappa(u)^2 du with kappa
+        # recomputed from the bump, and exceeds it by at most that remainder
+        # and roundoff
+        m = any_mollifier
+        slack = (m.decay_sups[4] * m.x_max**-6.0 / 6.0
+                 + 1e-13 * m.phi_first_moment(m.x_max))
+        for x in (0.0, 0.5, 3.0, 17.25, 60.0, 99.99, m.x_max):
+            excess = m.phi_tail_moment(x) - direct_t_kappa_squared(m.profile, x, m.x_max)
+            assert 0.0 <= excess <= slack, x
+
     def test_remainder_against_direct_quadrature(self, any_mollifier):
         # R(v) = int_v^1 (phi_hat(u) - phi_hat(0)) u^-2 du by a 400-node rule
         # on phi_hat per call, against the Hermite table; near v = 0 the
@@ -212,7 +229,7 @@ class TestTableAccuracy:
             assert abs(m.phi_first_moment(x) - np.sum(w * u * m.phi(u))) <= 1e-14 * f_max
         beyond = m.phi_first_moment(np.array([np.nextafter(m.x_max, np.inf), 150.0, 1e9]))
         assert np.all(beyond == f_max)
-        assert abs(norm1 * f_max - 1.0) <= norm1 * m.weight_tail_integral(m.x_max, 1.0)
+        assert abs(norm1 * f_max - 1.0) <= norm1 * m.phi_tail_moment(m.x_max)
 
 
 class TestNormalization:

@@ -34,6 +34,11 @@ class TestScalePlan:
             ScalePlan(j_min=3, j_max=2)
         with pytest.raises(ValueError):
             ScalePlan(j_min=2, j_max=4)   # t_low = L > 1
+        # the top block may start at PLAN_T_CAP = 1e6 but not beyond
+        assert ScalePlan(j_min=1, j_max=7, L_ratio=10.0).t_high == 1e7
+        for L_ratio, j_max in ((2.0, 21), (1e6, 3), (1e300, 5)):
+            with pytest.raises(ValueError, match="beyond PLAN_T_CAP"):
+                ScalePlan(j_min=1, j_max=j_max, L_ratio=L_ratio)
         plan = ScalePlan(j_min=-1, j_max=3)
         assert plan.scale_labels() == [-2, -1, 0, 1, 2, 3]
         assert plan.t_low == 0.25

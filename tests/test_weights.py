@@ -183,8 +183,10 @@ class TestPeriodizationOracle:
         x = np.arccos(1.0 - lam / 2.0)
         central = mollifier.phi(x * t)
         total = eval_discrete_weight_direct(mollifier, lam, t)
-        # wrap terms live at arguments >= (2 pi - x) t, deep in the phi tail
-        tail = mollifier.weight_tail_integral((2 * np.pi - x) * t - 1.0, 0.0)
+        # wrap terms live at arguments >= (2 pi - x) t, deep in the phi tail,
+        # where int_u^inf phi <= u^-1 int_u^inf v phi(v) dv
+        u = (2 * np.pi - x) * t - 1.0
+        tail = mollifier.phi_tail_moment(u) / u
         assert abs(total - central) <= 2.0 * tail + 1e-300
         assert total == pytest.approx(central, rel=1e-4)
 
@@ -221,9 +223,15 @@ class TestContinuousFamily:
         np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
-    def test_scale_integral_refuses_nonpositive_lambda(self, cont_family, lam):
-        with pytest.raises(ValueError, match="lambda must be positive"):
-            cont_family.scale_integral(np.array([1.0, lam]), 0.3, 50.0)
+    def test_scale_integral_refuses_nonpositive_lambda(self, cont_family, disc_family,
+                                                       lam):
+        refused = [lambda: cont_family.scale_integral(np.array([1.0, lam]), 0.3, 50.0),
+                   lambda: disc_family.scale_integral(np.array([1.0, lam]), 0.3, 50.0),
+                   lambda: disc_family.tail_high(np.array([1.0, lam]), 64.0),
+                   lambda: check_decomposition_identity(disc_family, [lam, 1.0])]
+        for call in refused:
+            with pytest.raises(ValueError, match="lambda must be positive"):
+                call()
 
 
 class TestDecompositionIdentity:
@@ -254,6 +262,9 @@ class TestDecompositionIdentity:
         lam = np.array([1e-12, 1e-3, 0.4, 1.7, fam.lambda_max])
         _, _, tail = fam.scale_integral(lam, t_min, t_max)
         assert np.array_equal(fam.tail_high(lam, t_max), tail)
+        # one array expression: each eigenvalue's tail as if alone
+        alone = [fam.tail_high(np.array([x]), t_max)[0] for x in lam]
+        assert np.array_equal(tail, alone)
 
     def test_report_csv_columns(self, disc_family, tmp_path):
         rep = check_decomposition_identity(disc_family, np.array([0.5, 1.0]))

@@ -70,6 +70,8 @@ CONFIGS = [
      {"weights": {"t_min": 0.3, "t_max": 50.0, "lambda_grid": [0.05, 1.0, 3.9]}}),
     ("300-cycle", "reconstruct", {"backend": {"n": 300}}),
     ("1024-cycle", "reconstruct", {"backend": {"n": 1024}}),
+    # 65,536 eigenvalues through DiscreteWeightFamily.tail_high
+    ("torus d=2 N=256", "reconstruct", {"backend": {"kind": "torus", "d": 2, "N": 256}}),
 ]
 
 
