@@ -191,13 +191,24 @@ class Mollifier:
     def phi_first_moment(self, x):
         """F(x) = int_0^|x| u phi(u) du, exact on the phi cells: the node table
         plus the partial cell; F(x_max) beyond x_max, where phi is 0."""
-        x = np.minimum(np.abs(np.asarray(x, dtype=float)), self.x_max)
+        x = np.abs(np.asarray(x, dtype=float))
+        out = np.full(x.shape, self._moment_top)
+        inside = x < self.x_max
+        out[inside] = self._moment_inside(x[inside])
+        return out if out.ndim else float(out)
+
+    @cached_property
+    def _moment_top(self):
+        """F(x_max), by the same arithmetic as F inside the table."""
+        return float(self._moment_inside(np.array([self.x_max]))[0])
+
+    def _moment_inside(self, x):
+        """F at 0 <= x <= x_max: the node table plus the partial cell."""
         u = x / self.grid_step
         i = np.minimum(u.astype(np.intp), self._phi_cells.shape[1] - 1)
         s = u - i
         partial = _cell_moment(self._phi_cells[:, i], i, s)
-        out = self._moment_nodes[i] + self.grid_step**2 * partial
-        return out if np.ndim(out) else float(out)
+        return self._moment_nodes[i] + self.grid_step**2 * partial
 
     def phi_tail_moment(self, x):
         """Upper bound on int_|x|^inf u phi(u) du, vectorized over x: every
@@ -206,8 +217,7 @@ class Mollifier:
         remainder K_4 max(|x|, x_max)^-6 / 6 from (1 + u^2)^4 phi(u) <= K_4.
         """
         x = np.abs(np.asarray(x, dtype=float))
-        F = self.phi_first_moment
-        out = (np.maximum(F(self.x_max) - F(x), 0.0)
+        out = (np.maximum(self._moment_top - self.phi_first_moment(x), 0.0)
                + self.decay_sups[4] * np.maximum(x, self.x_max) ** -6.0 / 6.0)
         return out if np.ndim(out) else float(out)
 

@@ -21,16 +21,21 @@ modes of a singular operator):
   mean(mu) Lambda^{-1} D^{-1}: the Green's function when the vertex measure
   mu is constant, the symmetric Dirichlet-form field otherwise.
 
-Randomness is counter-based: each (scale, replicate batch) pair owns a
-Philox stream keyed by (seed, scale index, batch), with replicates laid out
-in fixed order inside a batch.  Per-scale independence is structural, and
-output is byte-identical for a given (config, seed) no matter how the draws
-are sliced or how many threads draw them.  The draws are slice-major: for
-each slice of replicates every scale is drawn in turn, so consecutive draws
-come from different streams and a pool of DRAW_WORKERS threads fills
-preallocated buffers ahead of the calling thread, while each stream still
-draws its own slices in order.  Only the RNG runs on the workers; every
-transform and GEMM stays on the calling thread.
+Randomness comes from one SFC64 stream per (seed, scale index, replicate
+batch), seeded by SeedSequence(seed, spawn_key=(scale index, batch)), with
+replicates laid out in fixed order inside a batch.  The streams are
+independent because SeedSequence hashes the seed and the spawn key into
+each stream's 192 state bits, not because they are distinct counters: two
+streams overlap only with negligible probability, as SFC64's built-in
+counter puts every state on a cycle of at least 2^64 draws.  Output is
+byte-identical for a given (config, seed) no matter how the draws are
+sliced or how many threads draw them (numpy Generator streams are
+draw-size agnostic).  The draws are slice-major: for each slice of
+replicates every scale is drawn in turn, so consecutive draws come from
+different streams and a pool of DRAW_WORKERS threads fills preallocated
+buffers ahead of the calling thread, while each stream still draws its own
+slices in order.  Only the RNG runs on the workers; every transform and
+GEMM stays on the calling thread.
 
 Per slice, each scale is weighted in eigen-coordinates and added into one
 spectral sum y, and the per-scale components of the first keep replicates
@@ -91,9 +96,12 @@ DRAW_WORKERS = 2
 
 
 def _stream(seed, scale_index, batch):
-    tag = (np.uint64(scale_index) << np.uint64(40)) | np.uint64(batch)
-    key = np.array([np.uint64(seed), tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of replicate batch `batch` of scale `scale_index`: SFC64
+    seeded by SeedSequence(seed, spawn_key=(scale_index, batch)).  The hash
+    takes the whole triple, so distinct triples give distinct streams for any
+    64-bit seed and any scale and batch indices."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(scale_index, batch))
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def _slice_reps(draw_shape):

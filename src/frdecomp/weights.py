@@ -273,6 +273,14 @@ def mode_variances(spectrum, family, series, singular):
 # ---------------------------------------------------------------------------
 # scale plans
 
+def _power(base, exponent):
+    """float(base) ** exponent, inf where that overflows."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return np.inf
+
+
 @dataclass(frozen=True)
 class ScalePlan:
     """The exact white piece [0, L^{j_min - 1}] plus blocks C_j over
@@ -281,8 +289,12 @@ class ScalePlan:
     default_scale_plan starts at j_min = 1, so the white piece is [0, 1] and
     every block has degree >= 1; a lower j_min splits off degree-0 blocks
     (multiples of the identity) of their own, and t_low = L^{j_min - 1} must
-    not exceed 1.  The top block may start at most at PLAN_T_CAP, as every
-    default plan's does, so no plan asks for a series of unbounded degree.
+    not exceed 1.  The top block may start at most at PLAN_T_CAP and end, at
+    t_high = L^j_max, at most at 2 PLAN_T_CAP, so no plan asks for a series
+    of unbounded degree; every default plan with L <= 2 meets both bounds,
+    as t_high < L t_max <= 2 PLAN_T_CAP.  The white piece must reach
+    t_low >= 1 / PLAN_T_CAP, which mirrors the top cap and bounds the count
+    of scales for a given L.
     """
 
     j_min: int
@@ -294,16 +306,19 @@ class ScalePlan:
             raise ValueError(f"j_max={self.j_max} must be >= j_min={self.j_min}")
         if not self.L_ratio > 1.0:
             raise ValueError(f"L_ratio={self.L_ratio} must exceed 1")
-        try:
-            top = float(self.L_ratio) ** (self.j_max - 1)
-        except OverflowError:
-            top = np.inf
+        top, t_high = (_power(self.L_ratio, j) for j in (self.j_max - 1, self.j_max))
         if top > PLAN_T_CAP:
             raise ValueError(f"top block starts at L_ratio^(j_max - 1) = {top:g}, "
                              f"beyond PLAN_T_CAP = {PLAN_T_CAP:g}")
+        if t_high > 2.0 * PLAN_T_CAP:
+            raise ValueError(f"top block ends at L_ratio^j_max = {t_high:g}, "
+                             f"beyond 2 PLAN_T_CAP = {2.0 * PLAN_T_CAP:g}")
         if self.t_low > 1.0:
             raise ValueError(f"plan must start at t <= 1 (exact white piece), "
                              f"got L_ratio^(j_min - 1) = {self.t_low}")
+        if self.t_low < 1.0 / PLAN_T_CAP:
+            raise ValueError(f"white piece ends at L_ratio^(j_min - 1) = {self.t_low:g}, "
+                             f"below 1 / PLAN_T_CAP = {1.0 / PLAN_T_CAP:g}")
 
     @property
     def t_low(self):

@@ -420,6 +420,9 @@ class TestRejectedInput:
             ({"scales": {"L_ratio": 1e6, "j_max": 3}}, "reconstruct"),
             ({"backend": {"kind": "torus"}, "scales": {"L_ratio": 1e7, "j_max": 2}},
              "sample"),
+            # a default plan's one block [1, 1e12], and 10^8 degree-0 scales
+            ({"scales": {"L_ratio": 1e12}}, "reconstruct"),
+            ({"scales": {"j_min": -100000000}}, "reconstruct"),
             ({"backend": {"kind": "torus", "t_list": ["a", 2]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": [0.0, 2.0]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),

@@ -231,6 +231,16 @@ class TestTableAccuracy:
         assert np.all(beyond == f_max)
         assert abs(norm1 * f_max - 1.0) <= norm1 * m.phi_tail_moment(m.x_max)
 
+    def test_first_moment_keeps_shape_and_is_elementwise(self, mollifier):
+        # arguments on both sides of x_max, of either sign, in a 2-D array
+        m = mollifier
+        x = np.array([[0.0, -3.0, np.nextafter(m.x_max, 0.0)],
+                      [m.x_max, -150.0, np.inf]])
+        got = m.phi_first_moment(x)
+        assert got.shape == x.shape
+        assert got.tolist() == [[m.phi_first_moment(v) for v in row] for row in x]
+        assert got[1].tolist() == [m.phi_first_moment(m.x_max)] * 3
+
 
 class TestNormalization:
     def test_gamma_one_against_independent_quadrature(self, mollifier, norm1):

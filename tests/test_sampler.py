@@ -34,11 +34,21 @@ class TestScalePlan:
             ScalePlan(j_min=3, j_max=2)
         with pytest.raises(ValueError):
             ScalePlan(j_min=2, j_max=4)   # t_low = L > 1
-        # the top block may start at PLAN_T_CAP = 1e6 but not beyond
-        assert ScalePlan(j_min=1, j_max=7, L_ratio=10.0).t_high == 1e7
+        # the top block may start at PLAN_T_CAP = 1e6 and end at 2 PLAN_T_CAP,
+        # but not beyond
+        assert ScalePlan(j_min=1, j_max=20, L_ratio=2.0).t_high == 2.0**20
+        assert ScalePlan(j_min=1, j_max=6, L_ratio=10.0).t_high == 1e6
         for L_ratio, j_max in ((2.0, 21), (1e6, 3), (1e300, 5)):
             with pytest.raises(ValueError, match="beyond PLAN_T_CAP"):
                 ScalePlan(j_min=1, j_max=j_max, L_ratio=L_ratio)
+        for L_ratio, j_max in ((10.0, 7), (1e12, 1), (7.0, 8)):
+            with pytest.raises(ValueError, match="beyond 2 PLAN_T_CAP"):
+                ScalePlan(j_min=1, j_max=j_max, L_ratio=L_ratio)
+        # the white piece may end at 1 / PLAN_T_CAP but not below
+        assert ScalePlan(j_min=-5, j_max=1, L_ratio=10.0).t_low == 1e-6
+        for L_ratio, j_min in ((10.0, -6), (2.0, -100_000_000), (1e300, 0)):
+            with pytest.raises(ValueError, match="below 1 / PLAN_T_CAP"):
+                ScalePlan(j_min=j_min, j_max=0, L_ratio=L_ratio)
         plan = ScalePlan(j_min=-1, j_max=3)
         assert plan.scale_labels() == [-2, -1, 0, 1, 2, 3]
         assert plan.t_low == 0.25
@@ -506,6 +516,24 @@ class TestDrawLayout:
     """Sampled components equal a scale-by-scale rebuild from the streams."""
 
     R = 4100    # crosses a REPLICATE_BATCH boundary
+
+    def test_streams_differ_across_seed_scale_and_batch(self):
+        # (0, 0, 2**40) against (0, 1, 0): a key packing scale << 40 | batch
+        # into one word would give these two one stream
+        pairs = [((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1)),
+                 ((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1)),
+                 ((0, 1, 0), (1, 0, 0)), ((0, 0, 1), (1, 0, 0)),
+                 ((0, 0, 2**40), (0, 1, 0))]
+        for a, b in pairs:
+            first = _stream(*a).standard_normal(8)
+            assert not np.any(first == _stream(*b).standard_normal(8)), (a, b)
+            assert np.array_equal(first, _stream(*a).standard_normal(8))
+
+    def test_largest_seed_builds_a_stream(self):
+        check_settings(2**64 - 1, 1, 0)
+        values = _stream(2**64 - 1, 3, 5).standard_normal(8)
+        assert np.all(np.isfinite(values))
+        assert not np.array_equal(values, _stream(2**64 - 2, 3, 5).standard_normal(8))
 
     def test_draw_ahead_order_and_thread(self, monkeypatch):
         monkeypatch.setattr(sampler, "SLICE_VALUES", 3 * 1024)    # 1024 replicates
