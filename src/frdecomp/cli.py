@@ -252,9 +252,7 @@ def _graph_operator(config):
         graph = two_vertex_graph()
     else:
         graph = WeightedGraph.from_edgelist_file(b["edges_file"])
-    kind = b["operator"]
-    return GraphOperator(graph, kind=kind, kappa=b.get("kappa"),
-                         m2=b.get("m2") if kind == "resolvent" else None)
+    return GraphOperator(graph, kind=b["operator"], kappa=b["kappa"], m2=b["m2"])
 
 
 def _lattice_spec(config):

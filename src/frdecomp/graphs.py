@@ -1,10 +1,11 @@
 """Scale blocks for weighted-graph Laplacians via Chebyshev operator filters.
 
-The probabilistic Laplacian L u(x) = mu_x^{-1} sum_y mu_xy (u(x) - u(y)) has
-spectrum in [0, 2]; the killed walk kappa L + (1 - kappa) stays in [0, 2] and
-the resolvent L + m^2 in [0, 2 + m^2].  Applying the degree-floor(t)
-polynomial W*_t((3/B) Lambda) moves supports by at most floor(t) steps of
-graph distance, so the scale blocks
+The probabilistic Laplacian L u(x) = mu_x^{-1} sum_y mu_xy (u(x) - u(y)) is
+I - P, with P = D^{-1} W the walk's transition matrix, and has spectrum in
+[0, 2]; the killed walk kappa L + (1 - kappa) stays in [0, 2] and the
+resolvent L + m^2 in [0, 2 + m^2].  Each is a I - b P (GraphOperator).
+Applying the degree-floor(t) polynomial W*_t((3/B) Lambda) moves supports by
+at most floor(t) steps of graph distance, so the scale blocks
 
     C_j = int_{L^{j-1}}^{L^j} t^2 (3/B) C W*_t((3/B) Lambda) dt/t
 
@@ -13,7 +14,8 @@ scales reproduces the inverse of Lambda.
 
 All blocks of a plan are series in one Chebyshev basis T_k(I - (3/(2B)) Lambda),
 so scale_blocks builds them from one recurrence on the identity: each T_k is
-formed once and added into every block whose degree reaches k.
+formed once and added into every block whose degree reaches k.  Its argument
+X is one sparse matrix with the graph's pattern plus the diagonal.
 
 L is self-adjoint on l^2(mu), not as a plain matrix; all symmetrizations and
 eigenvalue certificates therefore happen in the mu-weighted geometry (for
@@ -124,21 +126,32 @@ def two_vertex_graph(weight=1.0):
 
 
 class GraphOperator:
-    """laplacian, killed(kappa) or resolvent(m2) operator on a weighted graph."""
+    """a I - b P on a weighted graph, P = D^{-1} W, and B bounding its spectrum:
+
+        kind        a         b       B
+        laplacian   1         1       2
+        killed      1         kappa   2
+        resolvent   1 + m2    1       2 + m2
+
+    Only __init__ reads kind (kept for the block sidecar); kappa and m2 are
+    kept only for the kind that takes them, else None.  dense() reads the edge
+    list, with numpy only; chebyshev_apply reads graph.adjacency.
+    """
 
     def __init__(self, graph, kind="laplacian", kappa=None, m2=None, m_plus2=64.0):
         if kind not in ("laplacian", "killed", "resolvent"):
             raise GraphError(f"unknown operator kind {kind!r}")
+        self.graph, self.kind, self.kappa, self.m2 = graph, kind, None, None
+        self.a, self.b, self.B = 1.0, 1.0, 2.0
         if kind == "killed":
             if kappa is None or not 0.0 < kappa < 1.0:
                 raise GraphError("killed operator requires kappa in (0, 1)")
+            self.kappa = self.b = kappa
         if kind == "resolvent":
             if m2 is None or not 0.0 <= m2 <= m_plus2:
                 raise GraphError(f"resolvent requires m2 in [0, {m_plus2}]")
-        self.graph = graph
-        self.kind = kind
-        self.kappa = kappa
-        self.m2 = m2
+            # B = 2 + m2, not a + 1, which rounds differently for some m2
+            self.m2, self.a, self.B = m2, 1.0 + m2, 2.0 + m2
         self._eig = None
 
     @property
@@ -146,46 +159,16 @@ class GraphOperator:
         return self.graph.n
 
     @property
-    def B(self):
-        if self.kind == "resolvent":
-            return 2.0 + self.m2
-        return 2.0
-
-    @property
     def is_singular(self):
-        return self.kind == "laplacian" or (self.kind == "resolvent" and self.m2 == 0.0)
-
-    def apply_laplacian(self, u):
-        """L u with L u(x) = mu_x^{-1} sum_y mu_xy (u(x) - u(y))."""
-        u = np.asarray(u, dtype=float)
-        wu = self.graph.adjacency @ u
-        if u.ndim == 1:
-            return u - wu / self.graph.mu
-        return u - wu / self.graph.mu[:, None]
-
-    def _from_laplacian(self, lu, u):
-        """The operator applied to u, given lu = L u: lu, kappa lu + (1 - kappa) u
-        or lu + m2 u."""
-        if self.kind == "laplacian":
-            return lu
-        if self.kind == "killed":
-            return self.kappa * lu + (1.0 - self.kappa) * u
-        return lu + self.m2 * u
-
-    def apply(self, u):
-        """The full operator: L, kappa L + (1 - kappa), or L + m2."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != self.n:
-            raise GraphError(f"vector length {u.shape[0]} != {self.n}")
-        return self._from_laplacian(self.apply_laplacian(u), u)
+        """a == b: a Laplacian, or a resolvent whose 1 + m2 rounds to 1."""
+        return bool(self.a == self.b)
 
     def dense(self):
-        """The operator as a dense matrix, from the edge list: I - W / mu for L."""
+        """The operator as a dense matrix from the edge list: a I - b W / mu."""
         g = self.graph
         w = np.zeros((self.n, self.n))
         np.add.at(w, (g.rows, g.cols), g.weights)
-        eye = np.eye(self.n)
-        return self._from_laplacian(eye - w / g.mu[:, None], eye)
+        return self.a * np.eye(self.n) - self.b * (w / g.mu[:, None])
 
     def sym_dense(self):
         """D^{1/2} Lambda D^{-1/2}: the symmetric conjugate of the operator."""
@@ -257,27 +240,39 @@ def check_family(op, family):
         raise GraphError(f"family B={family.B} does not match operator B={op.B}")
 
 
+def _recurrence_matrix(op):
+    """X = I - h Lambda = (1 - h a) I + h b P, h = 3/(2B), as a CSR matrix: W
+    (graph.adjacency, repeated edges summed) with each row divided by mu_x."""
+    import scipy.sparse as sp
+    p = op.graph.adjacency.copy()
+    p.data /= np.repeat(op.graph.mu, np.diff(p.indptr))
+    h = 1.5 / op.B
+    return h * op.b * p + (1.0 - h * op.a) * sp.identity(op.n, format="csr")
+
+
 def chebyshev_apply(op, series, u):
     """[c_0 u + 2 sum_k c_k T_k(X) u for each c in series], X = I - (3/(2B)) Lambda.
 
     One recurrence T_{k+1} = 2 X T_k - T_{k-1} up to the largest degree feeds
     every result; with the coefficients of W*_t a result is W*_t((3/B) Lambda) u.
-    Result i has degree len(series[i]) - 1 in Lambda, so its support lies
-    within that graph distance of supp(u).
+    X is built once per call, so each step is one sparse product.  Result i
+    has degree len(series[i]) - 1 in Lambda, so its support lies within that
+    graph distance of supp(u).  A u without op.n rows is a GraphError.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim == 0 or u.shape[0] != op.n:
+        raise GraphError(f"u has shape {u.shape}, expected {op.n} rows")
     series = [np.asarray(c, dtype=float) for c in series]
-    half = 0.5 * (3.0 / op.B)
-
-    def apply_x(v):
-        return v - half * op.apply(v)
-
+    x = _recurrence_matrix(op)
     accs = [c[0] * u for c in series]
     degree = max(len(c) for c in series) - 1
     v_prev, v_cur = u, u
     for k in range(1, degree + 1):
-        x_cur = apply_x(v_cur)
-        v_prev, v_cur = v_cur, (x_cur if k == 1 else 2.0 * x_cur - v_prev)
+        v_next = x @ v_cur
+        if k > 1:
+            v_next *= 2.0
+            v_next -= v_prev
+        v_prev, v_cur = v_cur, v_next
         for acc, c in zip(accs, series):
             if k < len(c):
                 acc += 2.0 * c[k] * v_cur

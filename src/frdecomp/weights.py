@@ -44,6 +44,8 @@ ZERO_FLOOR = 1e-12
 # Largest upper scale a default plan may reach; a tail target not met there
 # is refused rather than planned (blocks up to degree 2^20 at L = 2).
 PLAN_T_CAP = 1e6
+# Most scales (white piece and blocks) a plan may have; see ScalePlan.
+PLAN_MAX_SCALES = 256
 # Negative roundoff in an evaluated scale series is clipped up to this share
 # of the field scale; more is a BlockQualityError.
 WHITE_CLIP_TOL = 1e-8
@@ -293,8 +295,9 @@ class ScalePlan:
     t_high = L^j_max, at most at 2 PLAN_T_CAP, so no plan asks for a series
     of unbounded degree; every default plan with L <= 2 meets both bounds,
     as t_high < L t_max <= 2 PLAN_T_CAP.  The white piece must reach
-    t_low >= 1 / PLAN_T_CAP, which mirrors the top cap and bounds the count
-    of scales for a given L.
+    t_low >= 1 / PLAN_T_CAP.  A plan has at most PLAN_MAX_SCALES = 256 scales
+    (j_max - j_min + 2); every plan with L >= 1.12, and every default plan
+    with L >= 1.06, meets that.
     """
 
     j_min: int
@@ -319,6 +322,9 @@ class ScalePlan:
         if self.t_low < 1.0 / PLAN_T_CAP:
             raise ValueError(f"white piece ends at L_ratio^(j_min - 1) = {self.t_low:g}, "
                              f"below 1 / PLAN_T_CAP = {1.0 / PLAN_T_CAP:g}")
+        if self.j_max - self.j_min + 2 > PLAN_MAX_SCALES:
+            raise ValueError(f"{self.j_max - self.j_min + 2} scales at L_ratio="
+                             f"{self.L_ratio} exceed PLAN_MAX_SCALES = {PLAN_MAX_SCALES}")
 
     @property
     def t_low(self):

@@ -423,6 +423,9 @@ class TestRejectedInput:
             # a default plan's one block [1, 1e12], and 10^8 degree-0 scales
             ({"scales": {"L_ratio": 1e12}}, "reconstruct"),
             ({"scales": {"j_min": -100000000}}, "reconstruct"),
+            # default plans of about 2e6 and 2.5e15 scales
+            ({"scales": {"L_ratio": 1.000001}}, "reconstruct"),
+            ({"scales": {"L_ratio": 1.000000000000001}}, "reconstruct"),
             ({"backend": {"kind": "torus", "t_list": ["a", 2]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": [0.0, 2.0]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),

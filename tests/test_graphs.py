@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from frdecomp import graphs
 from frdecomp.graphs import (GraphError, GraphOperator, WeightedGraph,
                              chebyshev_apply, cycle_graph,
                              killed_green_consistency, reconstruct_green,
@@ -22,6 +23,31 @@ def random_graph(n, p, rng, wmin=0.5, wmax=2.0, ring=True):
             if rng.random() < p and j != (i + 1) % n:
                 edges.append((i, j, float(rng.uniform(wmin, wmax))))
     return WeightedGraph.from_edges(n, edges)
+
+
+def reference_apply(op, u):
+    """The operator on u from its definition, edge by edge:
+    L u(x) = mu_x^{-1} sum_y mu_xy (u(x) - u(y)), then kappa L + (1 - kappa)
+    or L + m2."""
+    g = op.graph
+    u = np.asarray(u, dtype=float)
+    lu = np.zeros_like(u)
+    for x, y, w in zip(g.rows, g.cols, g.weights):
+        lu[x] += w * (u[x] - u[y])
+    lu = (lu.T / g.mu).T
+    if op.kind == "killed":
+        return op.kappa * lu + (1.0 - op.kappa) * u
+    if op.kind == "resolvent":
+        return lu + op.m2 * u
+    return lu
+
+
+def chord_graph():
+    """A 10-cycle with random weights, one edge given twice (0-5 and 5-0) and
+    one chord: the vertex measure is not constant."""
+    rng = np.random.default_rng(4)
+    edges = [(i, (i + 1) % 10, float(rng.uniform(0.5, 2.0))) for i in range(10)]
+    return WeightedGraph.from_edges(10, edges + [(0, 5, 0.7), (5, 0, 0.4), (2, 7, 1.3)])
 
 
 class TestWeightedGraph:
@@ -78,11 +104,11 @@ class TestGraphOperator:
     def test_constant_in_kernel(self):
         op = GraphOperator(cycle_graph(8))
         u = np.ones(8)
-        assert np.max(np.abs(op.apply(u))) == 0.0
+        assert np.max(np.abs(reference_apply(op, u))) == 0.0
 
     def test_two_vertex_formula(self):
         op = GraphOperator(two_vertex_graph())
-        out = op.apply(np.array([1.0, 0.0]))
+        out = reference_apply(op, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, [1.0, -1.0])
 
     def test_dirichlet_form_identity(self):
@@ -90,7 +116,7 @@ class TestGraphOperator:
         g = random_graph(10, 0.4, rng)
         op = GraphOperator(g)
         u = rng.standard_normal(10)
-        lhs = float(np.sum(u * op.apply(u) * g.mu))
+        lhs = float(np.sum(u * reference_apply(op, u) * g.mu))
         coo = sp.triu(g.adjacency, k=1).tocoo()
         rhs = sum(w * (u[i] - u[j]) ** 2
                   for i, j, w in zip(coo.row, coo.col, coo.data))
@@ -109,20 +135,33 @@ class TestGraphOperator:
                                               ("killed", {"kappa": 0.6}),
                                               ("resolvent", {"m2": 0.3})])
     def test_dense_from_edges_equals_apply(self, kind, params):
-        # dense() reads the edge list, apply() the CSR matrix; one edge
-        # appears twice, and the vertex measure is not constant
-        rng = np.random.default_rng(4)
-        edges = [(i, (i + 1) % 10, float(rng.uniform(0.5, 2.0))) for i in range(10)]
-        g = WeightedGraph.from_edges(10, edges + [(0, 5, 0.7), (5, 0, 0.4), (2, 7, 1.3)])
+        # dense() reads the edge list, the recurrence matrix the CSR matrix;
+        # one edge appears twice, and the vertex measure is not constant
+        g = chord_graph()
         assert np.ptp(g.mu) > 0.5
         op = GraphOperator(g, kind, **params)
-        assert np.array_equal(op.dense(), op.apply(np.eye(10)))
+        want = reference_apply(op, np.eye(10))
+        np.testing.assert_allclose(op.dense(), want, rtol=0, atol=1e-15)
+        h = 1.5 / op.B
+        x = graphs._recurrence_matrix(op).toarray()
+        np.testing.assert_allclose(x, np.eye(10) - h * want, rtol=0, atol=1e-15)
+        assert np.array_equal(x != 0, (op.dense() != 0) | np.eye(10, dtype=bool))
 
     def test_norm_bounds(self):
         g = cycle_graph(6)
         assert GraphOperator(g).B == 2.0
         assert GraphOperator(g, "killed", kappa=0.3).B == 2.0
         assert GraphOperator(g, "resolvent", m2=1.5).B == 3.5
+
+    def test_singular_iff_a_equals_b(self):
+        g = cycle_graph(6)
+        assert GraphOperator(g).is_singular
+        assert GraphOperator(g, "resolvent", m2=0.0).is_singular
+        # 1 + 1e-17 rounds to 1, so dense() is the Laplacian's bit for bit
+        tiny = GraphOperator(g, "resolvent", m2=1e-17)
+        assert tiny.is_singular and np.array_equal(tiny.dense(), GraphOperator(g).dense())
+        assert not GraphOperator(g, "resolvent", m2=1e-15).is_singular
+        assert not GraphOperator(g, "killed", kappa=0.9).is_singular
 
     def test_spectrum_within_bound(self):
         rng = np.random.default_rng(2)
@@ -133,23 +172,38 @@ class TestGraphOperator:
             assert vals.min() >= -1e-12
             assert vals.max() <= op.B + 1e-12
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, monkeypatch):
         op = GraphOperator(cycle_graph(4))
-        with pytest.raises(GraphError):
-            op.apply(np.ones(5))
+
+        def refuse(op):
+            raise AssertionError("recurrence matrix built before the length check")
+
+        monkeypatch.setattr(graphs, "_recurrence_matrix", refuse)
+        for u in (np.ones(5), np.eye(3), 1.0):
+            with pytest.raises(GraphError, match="expected 4 rows"):
+                chebyshev_apply(op, [np.array([1.0, 0.5])], u)
 
 
 class TestChebyshevApply:
-    def test_support_propagation(self, mollifier, norm1):
-        g = cycle_graph(16)
-        op = GraphOperator(g, "resolvent", m2=1.0)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        delta = np.zeros(16)
+    @pytest.mark.parametrize("kind, params", [
+        pytest.param("laplacian", {}, id="laplacian"),
+        pytest.param("killed", {"kappa": 0.6}, id="killed"),
+        pytest.param("resolvent", {"m2": 0.3}, id="resolvent")])
+    def test_support_propagation(self, mollifier, kind, params):
+        # exactly zero beyond the degree: a recurrence matrix with entries off
+        # the graph's pattern would leave roundoff there.  At t = 2.5 the top
+        # coefficient is not zero (at an integer t it is)
+        g = chord_graph()
+        op = GraphOperator(g, kind, **params)
+        delta = np.zeros(10)
         delta[3] = 1.0
-        out, = chebyshev_apply(op, [chebyshev_coefficients(mollifier, 3.0)], delta)
+        c = chebyshev_coefficients(mollifier, 2.5)
+        deg = len(c) - 1
+        out, = chebyshev_apply(op, [c], delta)
         dist = g.distances()[3]
-        assert np.max(np.abs(out[dist > 3])) <= 1e-12 * np.max(np.abs(out))
-        assert np.max(np.abs(out[dist <= 3])) > 0
+        assert deg == 2 and (dist > deg).any()
+        assert np.all(out[dist > deg] == 0.0)
+        assert np.all(out[dist <= deg] != 0.0)
 
     def test_degree_zero_scales_input(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(8), "resolvent", m2=0.5)
@@ -267,22 +321,27 @@ class TestReconstruction:
 
     def test_one_recurrence_per_plan(self, mollifier, norm1, monkeypatch):
         # 64-cycle Laplacian, plan j = 1..11: every block comes from one
-        # recurrence up to the top block's degree (2^11 - 1), one apply a step
+        # recurrence up to the top block's degree (2^11 - 1), one product
+        # with X a step
         op = GraphOperator(cycle_graph(64))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         plan = default_scale_plan(fam, op.spectral_gap())
         assert (plan.j_min, plan.j_max) == (1, 11)
         assert max(len(c) for c in plan.series(fam)) - 1 == 2047
         calls = []
-        apply = GraphOperator.apply
+        build = graphs._recurrence_matrix
 
-        def counting_apply(self, u):
-            calls.append(np.shape(u))
-            return apply(self, u)
+        class Counting:
+            def __init__(self, x):
+                self.x = x
 
-        monkeypatch.setattr(GraphOperator, "apply", counting_apply)
+            def __matmul__(self, v):
+                calls.append(np.shape(v))
+                return self.x @ v
+
+        monkeypatch.setattr(graphs, "_recurrence_matrix", lambda op: Counting(build(op)))
         reconstruct_green(op, fam, plan)
-        assert len(calls) == 2047
+        assert calls == [(64, 64)] * 2047
 
     def test_massless_cycle_pseudo_inverse(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16))

@@ -49,6 +49,12 @@ class TestScalePlan:
         for L_ratio, j_min in ((10.0, -6), (2.0, -100_000_000), (1e300, 0)):
             with pytest.raises(ValueError, match="below 1 / PLAN_T_CAP"):
                 ScalePlan(j_min=j_min, j_max=0, L_ratio=L_ratio)
+        # at most PLAN_MAX_SCALES = 256 scales, white piece included
+        assert len(ScalePlan(j_min=1, j_max=255, L_ratio=1.05).scale_labels()) == 256
+        for L_ratio, j_min, j_max in ((1.05, 1, 256), (1.05, -10, 245),
+                                      (1.0 + 1e-15, 1, 2_500_000_000_000_000)):
+            with pytest.raises(ValueError, match="exceed PLAN_MAX_SCALES = 256"):
+                ScalePlan(j_min=j_min, j_max=j_max, L_ratio=L_ratio)
         plan = ScalePlan(j_min=-1, j_max=3)
         assert plan.scale_labels() == [-2, -1, 0, 1, 2, 3]
         assert plan.t_low == 0.25
@@ -192,7 +198,8 @@ class TestGraphSampler:
                 return fn(*args, **kw)
             return wrapped
 
-        monkeypatch.setattr(GraphOperator, "apply", counting("apply", GraphOperator.apply))
+        monkeypatch.setattr(graphs, "chebyshev_apply",
+                            counting("recurrence", graphs.chebyshev_apply))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(graphs, "scale_blocks", counting("blocks", scale_blocks))
         gram, _ = sample_graph(op, fam, plan, 3, 100)

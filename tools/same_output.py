@@ -6,7 +6,8 @@ Usage:
 OTHER_SRC is the ``src`` directory of another checkout, for example one at
 the parent commit.  Each config below runs once with the package from this
 checkout's ``src`` and once with the package from OTHER_SRC, at --seed 12345,
-each in a fresh directory.  The script compares the exit code, standard
+each in a fresh directory that also holds the edge list the config names
+from EDGE_LISTS, if any.  The script compares the exit code, standard
 output and the bytes of every file written to --out, prints one line per
 config and exits 1 if any config differs.  For each file that differs it
 also prints the largest difference of its numbers: the float64 values of a
@@ -29,8 +30,17 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 12345
 
+# Edge lists a config may name as backend.edges_file; run() writes the one a
+# config names into that config's work directory.
+EDGE_LISTS = {
+    # a 6-cycle plus the chord 0-3: the vertex measure is not constant
+    "chord6.txt": "".join(f"{i} {(i + 1) % 6} 1.0\n" for i in range(6)) + "0 3 1.0\n",
+}
+
 CYCLE64_LAPLACIAN = {"backend": {"n": 64, "operator": "laplacian"}}
 CYCLE32_KILLED = {"backend": {"n": 32, "operator": "killed"}, "scales": {"L_ratio": 3}}
+CHORD6_KILLED = {"backend": {"graph": "file", "edges_file": "chord6.txt",
+                             "operator": "killed"}}
 CONFIGS = [
     ("default graph", "decompose", {}),
     ("default graph", "reconstruct", {}),
@@ -39,7 +49,10 @@ CONFIGS = [
     ("64-cycle laplacian", "reconstruct", CYCLE64_LAPLACIAN),
     ("64-cycle laplacian R=4000", "sample",
      dict(CYCLE64_LAPLACIAN, sampler={"sample_count": 4000})),
+    ("32-cycle killed L=3", "decompose", CYCLE32_KILLED),
     ("32-cycle killed L=3", "reconstruct", CYCLE32_KILLED),
+    ("6-cycle plus chord, killed", "decompose", CHORD6_KILLED),
+    ("6-cycle plus chord, killed", "reconstruct", CHORD6_KILLED),
     ("32-cycle killed L=3 R=2000", "sample",
      dict(CYCLE32_KILLED, sampler={"sample_count": 2000})),
     ("massless torus d=2 N=8 R=4000", "sample",
@@ -88,6 +101,10 @@ def run(src, workdir, command, config):
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(config, fh)
+    edges = config.get("backend", {}).get("edges_file")
+    if edges in EDGE_LISTS:
+        with open(os.path.join(workdir, edges), "w") as fh:
+            fh.write(EDGE_LISTS[edges])
     proc = subprocess.run(
         [sys.executable, "-m", "frdecomp.cli", "--config", "config.json",
          "--seed", str(SEED), "--out", "out", command],
