@@ -32,8 +32,7 @@ DEFAULT_CONFIG = {
     "seed": 20240801,
     "mollifier": {"grid_step": 1e-3, "x_max": 100.0},
     "weights": {
-        "lambda_grid": None,          # null -> 0.05 .. 4 - eps step 0.05
-        "eps": 1.0,
+        "lambda_grid": None,          # null -> 0.05 .. 3 step 0.05
         "t_min": 1e-3,
         "t_max": 1e3,
         "coefficient_dump_t": 8.0,
@@ -87,7 +86,11 @@ RETIRED_KEYS = {
     ("scales", "nodes_per_block"): "scale blocks are integrated in closed form",
     ("weights", "nodes_per_octave"):
         "the continuous weights are integrated in closed form",
+    ("weights", "eps"): "the default lambda grid is 0.05 .. 3; weights.lambda_grid "
+                        "sets any grid with 0 < lambda <= 4",
 }
+# Retired keys accepted only at the one value they were used with.
+RETIRED_VALUES = {("weights", "gamma"): 1, ("weights", "eps"): 1}
 
 
 # Config values that select a code path, with the values each accepts.
@@ -99,7 +102,7 @@ CHOICES = {
 
 # A scalar key takes the JSON type of its default, where true and false are
 # not numbers; a key named here takes the type named, or null if its default
-# is null.  weights.lambda_grid is checked with the --lambda-grid flag.
+# is null.  weights.lambda_grid is checked by _weight_settings.
 NAMED_TYPES = {"scales.j_min": "an integer", "scales.j_max": "an integer",
                "backend.edges_file": "a string", "sampler.z_bound": "a finite number",
                "backend.a": "a list of equal-length lists of numbers",
@@ -140,8 +143,9 @@ def _drop_retired(data):
             continue
         value = values.pop(key)
         name = f"{section}.{key}"
-        if name == "weights.gamma" and value != 1:
-            raise ConfigError(f"retired key {name} must be 1, got {value!r}")
+        used = RETIRED_VALUES.get((section, key))
+        if used is not None and value != used:
+            raise ConfigError(f"retired key {name} must be {used}, got {value!r}: {reason}")
         notes.append(f"NOTE config key {name} is retired and ignored: {reason}")
     return notes
 
@@ -211,20 +215,13 @@ class RunConfig:
 class CheckList:
     """Collect contract results; render PASS/FAIL lines and the exit code."""
 
-    def __init__(self, tolerance_scale=1.0):
-        self.scale = tolerance_scale
+    def __init__(self):
         self.rows = []
 
     def bound(self, name, measured, tolerance):
-        tol = tolerance * self.scale
-        ok = bool(measured <= tol)
-        self.rows.append((name, measured, tol, ok))
-        return ok
-
-    def at_most(self, name, measured, threshold):
-        """Unscaled one-sided contract (e.g. fitted slopes)."""
-        ok = bool(measured <= threshold) and self.scale > 0.0
-        self.rows.append((name, measured, threshold, ok))
+        """The contract measured <= tolerance."""
+        ok = bool(measured <= tolerance)
+        self.rows.append((name, measured, tolerance, ok))
         return ok
 
     def render(self):
@@ -311,13 +308,12 @@ def _sampler_settings(config):
     return settings + (sc["z_bound"],)
 
 
-def _weight_settings(config, lambda_flag):
+def _weight_settings(config):
     """(config["weights"], lambda grid), refused unless
     0 < t_min < t_max <= PLAN_T_CAP, 0 < coefficient_dump_t <= PLAN_T_CAP
     and the grid is non-empty, numeric and inside 0 < lambda <= 4.
 
-    The grid is the comma-separated lambda_flag if given, else
-    weights.lambda_grid, else default_lambda_grid(weights.eps).
+    The grid is weights.lambda_grid, or default_lambda_grid() if that is null.
     """
     wc = config["weights"]
     if not 0.0 < wc["t_min"] < wc["t_max"] <= PLAN_T_CAP:
@@ -327,21 +323,13 @@ def _weight_settings(config, lambda_flag):
         raise ConfigError(f"weights.coefficient_dump_t={wc['coefficient_dump_t']} "
                           f"must lie in (0, {PLAN_T_CAP:g}]")
     listed = wc["lambda_grid"]
-    if lambda_flag is not None:
-        source = f"--lambda-grid {lambda_flag!r}"
-        try:
-            lam = np.array([float(v) for v in lambda_flag.split(",")])
-        except ValueError:
-            lam = None
-    elif listed is not None:
-        source = f"weights.lambda_grid={listed!r}"
-        numeric = isinstance(listed, list) and all(ACCEPTS["a number"](v) for v in listed)
-        lam = np.array(listed, dtype=float) if numeric else None
-    else:
-        source, lam = f"weights.eps={wc['eps']!r}", default_lambda_grid(wc["eps"])
+    if listed is None:
+        return wc, default_lambda_grid()
+    numeric = isinstance(listed, list) and all(ACCEPTS["a number"](v) for v in listed)
+    lam = np.array(listed, dtype=float) if numeric else None
     if lam is None or lam.size == 0 or not np.all((lam > 0.0) & (lam <= 4.0)):
-        raise ConfigError(f"{source} must give a non-empty list of numbers "
-                          "with 0 < lambda <= 4")
+        raise ConfigError(f"weights.lambda_grid={listed!r} must give a non-empty list "
+                          "of numbers with 0 < lambda <= 4")
     return wc, lam
 
 
@@ -367,10 +355,8 @@ class VerdictGroup(click.Group):
 @click.option("--out", "out_dir", type=click.Path(), default="frdecomp-out",
               help="Output directory for reports and artifacts.")
 @click.option("--seed", type=int, default=None, help="64-bit RNG seed override.")
-@click.option("--tolerance-scale", type=float, default=1.0,
-              help="Multiply every bound-type tolerance (0 forces failure).")
 @click.pass_context
-def main(ctx, config_path, out_dir, seed, tolerance_scale):
+def main(ctx, config_path, out_dir, seed):
     """Finite-range decomposition toolkit: weights, kernels, blocks, fields."""
     config = RunConfig.from_file(config_path) if config_path else RunConfig()
     for note in config.notes:
@@ -378,7 +364,7 @@ def main(ctx, config_path, out_dir, seed, tolerance_scale):
     if seed is not None:
         config.data["seed"] = seed
     ctx.obj = {"config": config, "out": out_dir,
-               "checks": CheckList(tolerance_scale), "artifacts": []}
+               "checks": CheckList(), "artifacts": []}
 
 
 def _artifact(ctx, name, *suffixes):
@@ -410,13 +396,11 @@ def _finish(ctx, command=None):
 
 
 @main.command()
-@click.option("--lambda-grid", default=None,
-              help="Comma-separated lambda values for the identity check.")
 @click.pass_context
-def weights(ctx, lambda_grid):
+def weights(ctx):
     """Run the weight-family identity/decay/approximation checks."""
     config, checks = ctx.obj["config"], ctx.obj["checks"]
-    wc, lam = _weight_settings(config, lambda_grid)
+    wc, lam = _weight_settings(config)
     tol = config["tolerances"]
     m, C = _components(config)
 
@@ -429,21 +413,20 @@ def weights(ctx, lambda_grid):
     rep.w_cont = rep_c.w_cont
     checks.bound("spectral_weights.check_decomposition_identity[continuous]",
                  rep_c.max_certified_residual(), tol["identity_continuous"])
-    rep.decay_constants = decay_constants(disc)
-    rep.approx_rate_fit = approximation_rate(m, C, 1.0)
-    checks.at_most("spectral_weights.approximation_rate.slope",
-                   rep.approx_rate_fit.slope, tol["approx_slope"])
+    sups = decay_constants(disc)
+    fit = approximation_rate(m, C, 1.0)
+    checks.bound("spectral_weights.approximation_rate.slope", fit.slope,
+                 tol["approx_slope"])
     clen = disc.value(1.3, 7.0)
     direct = C * eval_discrete_weight_direct(m, 1.3, 7.0)
     checks.bound("spectral_weights.eval_discrete_weight[oracle@(1.3,7)]",
                  abs(clen - direct) / abs(direct), tol["oracle_equivalence"] * 10)
     checks.bound("spectral_weights.wave_identity",
-                 wave_identity_max_residual(32), tol["wave_identity"])
+                 wave_identity_max_residual(), tol["wave_identity"])
 
     rep.to_csv(_artifact(ctx, "weights_identity.csv"))
     _write_table(ctx, "decay_constants.csv", ["order_l", "sup"],
-                 [(l, float(v)) for l, v in sorted(rep.decay_constants.items())])
-    fit = rep.approx_rate_fit
+                 [(l, float(v)) for l, v in sorted(sups.items())])
     _write_table(ctx, "approximation.csv", ["t", "abs_diff", "slope"],
                  [(float(t), float(d), fit.slope) for t, d in zip(fit.t_list, fit.diffs)])
     coefficient_csv(chebyshev_coefficients(m, wc["coefficient_dump_t"]),

@@ -28,15 +28,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import ScalePlan, default_scale_plan
+from .weights import ScalePlan, default_scale_plan, zero_modes
 
 
 class GraphError(ValueError):
     pass
-
-
-class SingularOperatorError(GraphError):
-    """An operator with no positive spectrum: no Green's function, deflated or not."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +113,12 @@ class WeightedGraph:
         return self._dist
 
 
-def cycle_graph(n, weight=1.0):
-    return WeightedGraph.from_edges(n, [(i, (i + 1) % n, weight) for i in range(n)])
+def cycle_graph(n):
+    return WeightedGraph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
 
-def two_vertex_graph(weight=1.0):
-    return WeightedGraph.from_edges(2, [(0, 1, weight)])
+def two_vertex_graph():
+    return WeightedGraph.from_edges(2, [(0, 1, 1.0)])
 
 
 class GraphOperator:
@@ -138,7 +134,7 @@ class GraphOperator:
     list, with numpy only; chebyshev_apply reads graph.adjacency.
     """
 
-    def __init__(self, graph, kind="laplacian", kappa=None, m2=None, m_plus2=64.0):
+    def __init__(self, graph, kind="laplacian", kappa=None, m2=None):
         if kind not in ("laplacian", "killed", "resolvent"):
             raise GraphError(f"unknown operator kind {kind!r}")
         self.graph, self.kind, self.kappa, self.m2 = graph, kind, None, None
@@ -148,8 +144,8 @@ class GraphOperator:
                 raise GraphError("killed operator requires kappa in (0, 1)")
             self.kappa = self.b = kappa
         if kind == "resolvent":
-            if m2 is None or not 0.0 <= m2 <= m_plus2:
-                raise GraphError(f"resolvent requires m2 in [0, {m_plus2}]")
+            if m2 is None or not 0.0 <= m2 <= 64.0:
+                raise GraphError("resolvent requires m2 in [0, 64.0]")
             # B = 2 + m2, not a + 1, which rounds differently for some m2
             self.m2, self.a, self.B = m2, 1.0 + m2, 2.0 + m2
         self._eig = None
@@ -183,13 +179,10 @@ class GraphOperator:
         return self._eig
 
     def spectral_gap(self):
-        """Smallest eigenvalue on the working subspace (drops exact kernel)."""
+        """Smallest eigenvalue off the zero modes (weights.zero_modes); the
+        trace n a > 0 leaves at least one."""
         vals, _ = self.eigensystem()
-        vmax = max(float(vals.max()), 1e-30)
-        pos = vals[vals > 1e-12 * vmax]
-        if len(pos) == 0:
-            raise SingularOperatorError("operator has no positive spectrum")
-        return float(pos.min())
+        return float(vals[~zero_modes(vals, self.is_singular)].min())
 
     def apply_weight_dense(self, weight_fn):
         """Oracle: weight_fn of the operator via dense eigendecomposition.

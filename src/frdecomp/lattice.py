@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .weights import ContinuousWeightFamily, default_scale_plan, mode_variances
+from .weights import (ContinuousWeightFamily, default_scale_plan, mode_variances,
+                      zero_modes)
 
 DEFAULT_XI_CUTOFF = 40.0
 
@@ -88,10 +89,15 @@ class SymbolTable:
     values: np.ndarray
     B: float
 
+    @property
+    def is_singular(self):
+        """m^2 == 0: the constants are the operator's zero mode."""
+        return self.spec.m2 == 0.0
+
     def spectral_gap(self):
-        """Smallest symbol value above 1e-12: the zero mode of a massless
-        torus is deflated, so it sets no scale."""
-        return float(np.min(self.values[self.values > 1e-12]))
+        """Smallest symbol value off the zero modes (weights.zero_modes): the
+        zero mode of a massless torus is deflated, so it sets no scale."""
+        return float(np.min(self.values[~zero_modes(self.values, self.is_singular)]))
 
 
 def build_symbol_table(spec):
@@ -259,17 +265,17 @@ def reconstruct_torus_green(table, family, plan=None):
         plan = default_scale_plan(family, table.spectral_gap())
     check_family(table, family)
     v, = mode_variances(table.values, family, [plan.total_series(family)],
-                        spec.m2 <= 0.0)
+                        table.is_singular)
     kernel = np.fft.ifftn(v).real
     oracle = green_column(spec)
     max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))
-    # modes the spectral gap ignores (the deflated zero mode) carry no tail
+    # the deflated zero mode carries no tail
     lam = table.values.ravel()
-    tail = family.tail_high(lam[lam > 1e-12], plan.t_high)
+    tail = family.tail_high(lam[~zero_modes(lam, table.is_singular)], plan.t_high)
     return TorusReconstruction(kernel=kernel, oracle_column=oracle,
                                max_rel_error=max_rel, t_max=float(plan.t_high),
                                tail_bound=float(np.max(tail)),
-                               deflated=spec.m2 <= 0.0)
+                               deflated=table.is_singular)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +477,9 @@ class MassSweepReport:
     l: int
 
 
-def mass_family_sweep(spec, family_builder, m2_list, t, probe=None, l=2):
-    """Kernels for a family of masses sharing one symbol table and one B.
+def mass_family_sweep(spec, family_builder, m2_list, t, l=2):
+    """Kernels for a family of masses sharing one symbol table and one B,
+    probed at the origin.
 
     family_builder(B) must return a discrete family rescaled by that B.  The
     shared bound is B = max a* + max m^2 (uniformity over the mass family).
@@ -484,8 +491,7 @@ def mass_family_sweep(spec, family_builder, m2_list, t, probe=None, l=2):
     table0 = build_symbol_table(base)
     B = table0.B + float(m2_list.max())
     family = family_builder(B)
-    if probe is None:
-        probe = (0,) * spec.d
+    probe = (0,) * spec.d
     kernels, sups, probes = [], [], []
     for m2 in m2_list:
         spec_m = LatticeSpec(d=spec.d, a=spec.a, m2=float(m2), N=spec.N,

@@ -85,11 +85,13 @@ class BumpProfile:
     half_width: float
     eval: Callable[[np.ndarray], np.ndarray]
 
-    def validate(self, probe_points=4001, smoothness_bound=1e12):
+    def validate(self):
+        """Raise ProfileError unless the profile, probed at 4001 points, is a
+        smooth, symmetric, nonnegative bump on [-half_width, half_width]."""
         if not 0.0 < self.half_width <= 0.5:
             raise ProfileError(f"half_width={self.half_width} must lie in (0, 1/2]: "
                                "phi_hat = khat * khat is tabulated on [-1, 1]")
-        s = np.linspace(-self.half_width, self.half_width, probe_points)
+        s = np.linspace(-self.half_width, self.half_width, 4001)
         v = np.asarray(self.eval(s), dtype=float)
         if not np.all(np.isfinite(v)):
             raise ProfileError("profile evaluates to non-finite values")
@@ -106,7 +108,7 @@ class BumpProfile:
         # Interior smoothness: 4th-order differences stay bounded.
         h = s[1] - s[0]
         d4 = np.diff(v, n=4) / h**4
-        if not np.all(np.isfinite(d4)) or np.max(np.abs(d4)) > smoothness_bound * vmax:
+        if not np.all(np.isfinite(d4)) or np.max(np.abs(d4)) > 1e12 * vmax:
             raise ProfileError("profile fails the finite-difference smoothness check")
 
 

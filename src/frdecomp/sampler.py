@@ -234,7 +234,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     lattice.check_family(table, family)
     spec = table.spec
     amps = [np.sqrt(v) for v in mode_variances(table.values, family,
-                                               plan.series(family), spec.m2 <= 0.0)]
+                                               plan.series(family), table.is_singular)]
     lo, hi, re, im = _fourier_map(spec.shape)
 
     def to_sites(c):

@@ -39,7 +39,6 @@ import numpy as np
 
 from .fileio import write_columns_csv
 
-DEFAULT_EPS = 1.0
 ZERO_FLOOR = 1e-12
 # Largest upper scale a default plan may reach; a tail target not met there
 # is refused rather than planned (blocks up to degree 2^20 at L = 2).
@@ -238,6 +237,12 @@ class DiscreteWeightFamily:
             tail(x * t_max) / x**2 + 0.25 * tail(np.pi * t_max)) * lam
 
 
+def zero_modes(spectrum, singular):
+    """Mask of the zero modes: the eigenvalues at or below 1e-12 of a singular
+    operator.  A non-singular one has none, however small its spectrum."""
+    return (np.asarray(spectrum, dtype=float) <= 1e-12) & bool(singular)
+
+
 def mode_variances(spectrum, family, series, singular):
     """Each folded series evaluated at theta = 1 - (3/(2B)) lambda for every
     eigenvalue in the array spectrum (family built with the operator's B).
@@ -245,7 +250,7 @@ def mode_variances(spectrum, family, series, singular):
     Roundoff negatives are clipped against the field scale, the largest
     variance of any series, since high-j blocks are uniformly tiny and carry
     1e-15-level Clenshaw noise; more negative mass is a BlockQualityError.
-    For a singular operator the zero modes (lambda <= 1e-12) get variance 0.
+    The zero modes (zero_modes(spectrum, singular)) get variance 0.
 
     Small positive variances are kept as evaluated, though they may be pure
     roundoff, of order 2 deg eps sum|a| for a series a: on the default plan
@@ -259,6 +264,7 @@ def mode_variances(spectrum, family, series, singular):
     lam = np.asarray(spectrum, dtype=float)
     theta = 1.0 - 0.5 * family.arg_scale * lam
     variances = [clenshaw_folded(a, theta) for a in series]
+    zero = zero_modes(lam, singular)
     field_scale = max(float(np.max(v)) for v in variances)
     for v in variances:
         neg = v < 0
@@ -267,8 +273,7 @@ def mode_variances(spectrum, family, series, singular):
             if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
                 raise BlockQualityError(f"negative mode variance {worst}")
             v[neg] = 0.0
-        if singular:
-            v[lam <= 1e-12] = 0.0
+        v[zero] = 0.0
     return variances
 
 
@@ -366,7 +371,7 @@ def default_scale_plan(family, lambda_min, *, L_ratio=2.0, target_tail_rel=1e-7)
     """
     if not L_ratio > 1.0:
         raise ValueError(f"L_ratio={L_ratio} must exceed 1")
-    lam = np.array([max(lambda_min, 1e-12)])
+    lam = np.array([lambda_min])
     t_max = 4.0
     while (tail := float(family.tail_high(lam, t_max)[0])) > target_tail_rel:
         if t_max >= PLAN_T_CAP:
@@ -392,8 +397,6 @@ class WeightCheckReport:
     tail_high: np.ndarray
     w_cont: Optional[np.ndarray] = None        # shape (lambda, t)
     w_disc: Optional[np.ndarray] = None        # shape (lambda, t)
-    decay_constants: Optional[dict] = None     # order l -> sup
-    approx_rate_fit: Optional["ApproxRateFit"] = None
 
     def max_certified_residual(self):
         return float(np.max(self.identity_residuals + self.tail_low + self.tail_high))
@@ -414,25 +417,24 @@ class WeightCheckReport:
              np.repeat(np.asarray(self.identity_residuals, dtype=float), t.size)])
 
 
-def default_lambda_grid(eps=DEFAULT_EPS):
-    """lambda in {0.05, 0.10, ..., 4 - eps}."""
-    return np.arange(0.05, 4.0 - eps + 1e-12, 0.05)
+def default_lambda_grid():
+    """lambda in {0.05, 0.10, ..., 3}."""
+    return np.arange(0.05, 3.0 + 1e-12, 0.05)
 
 
-def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3,
-                                 report_t_grid=None):
-    """Residuals |lambda * int t^2 W_t(lambda) dt/t - 1| per lambda."""
+def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3):
+    """Residuals |lambda * int t^2 W_t(lambda) dt/t - 1| per lambda, with the
+    family's values at t in geomspace(0.5, 64, 8) for the report."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     integral, tail_low, tail_high = family.scale_integral(lambda_grid, t_min, t_max)
     residuals = np.abs(lambda_grid * integral - 1.0)
-    if report_t_grid is None:
-        report_t_grid = np.geomspace(0.5, 64.0, 8)
+    report_t_grid = np.geomspace(0.5, 64.0, 8)
     values = np.column_stack([family.value(lambda_grid, t) for t in report_t_grid])
     report = WeightCheckReport(
         lambda_grid=lambda_grid,
-        t_grid=np.asarray(report_t_grid, dtype=float),
+        t_grid=report_t_grid,
         identity_residuals=residuals,
         tail_low=np.broadcast_to(np.asarray(tail_low, dtype=float), lambda_grid.shape).copy(),
         tail_high=np.asarray(tail_high, dtype=float),
@@ -444,16 +446,15 @@ def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3
     return report
 
 
-def decay_constants(family, orders=(0, 1, 2, 3), eps=DEFAULT_EPS,
-                    t_lo=0.1, t_hi=1e3, n_lambda=160, n_t=120):
-    """Measured suprema C_l = sup (1 + t^2 lambda)^l W_t(lambda).
+def decay_constants(family, orders=(0, 1, 2, 3), t_lo=0.1, t_hi=1e3, n_t=120):
+    """Measured suprema C_l = sup (1 + t^2 lambda)^l W_t(lambda), over 160
+    lambda in geomspace(1e-3, 3 / arg_scale) and n_t t in [t_lo, t_hi].
 
     The theory guarantees the suprema are finite for every order; their
     values are empirical properties of the chosen mollifier, so they are
     measured on a (lambda, t) grid rather than asserted.
     """
-    lam_hi = (4.0 - eps) / getattr(family, "arg_scale", 1.0)
-    lam = np.geomspace(1e-3, lam_hi, n_lambda)
+    lam = np.geomspace(1e-3, 3.0 / getattr(family, "arg_scale", 1.0), 160)
     ts = np.geomspace(t_lo, t_hi, n_t)
     sups = {l: 0.0 for l in orders}
     for t in ts:
@@ -518,15 +519,15 @@ def chebyshev_polynomial_coeffs(n_max):
     return polys[: n_max + 1]
 
 
-def wave_identity_max_residual(n_max=32):
-    """Coefficient-level residual of the discrete wave identity.
+def wave_identity_max_residual():
+    """Coefficient-level residual of the discrete wave identity, n <= 32.
 
     For every n the second central difference in the index satisfies
     T_{n+1} + T_{n-1} - 2 T_n = 2 (X - 1) T_n as polynomials in X.
     """
-    polys = chebyshev_polynomial_coeffs(n_max + 1)
+    polys = chebyshev_polynomial_coeffs(33)
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, 33):
         lhs = polys[n + 1].copy()
         lhs[: n] += polys[n - 1]
         lhs[: n + 1] -= 2.0 * polys[n]

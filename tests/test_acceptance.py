@@ -214,5 +214,5 @@ def test_criterion_09_sampler_covariance(graph_suite):
 def test_criterion_10_wave_identity():
     c = Criterion(10, "chebyshev-wave-identity", 1.0)
     c.check("max coefficient residual for n <= 32",
-            wave_identity_max_residual(32), 1e-12)
+            wave_identity_max_residual(), 1e-12)
     c.finish()

@@ -69,15 +69,18 @@ class TestConfig:
             RunConfig({"sampler": 5})
 
     def test_retired_keys_dropped_with_notes(self):
-        cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0},
+        cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0, "eps": 1.0},
                          "sampler": {"deflate_zero_mode": True, "sample_count": 5},
                          "scales": {"nodes_per_block": 2}})
         assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
         assert [note.split()[3] for note in cfg.notes] == [
             "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block",
-            "weights.nodes_per_octave"]
+            "weights.nodes_per_octave", "weights.eps"]
         with pytest.raises(ConfigError, match="weights.gamma must be 1"):
             RunConfig({"weights": {"gamma": 2.0}})
+        with pytest.raises(ConfigError, match="weights.eps must be 1, got 0.5: .*"
+                                              "weights.lambda_grid"):
+            RunConfig({"weights": {"eps": 0.5}})
 
 
 class TestWeightsCommand:
@@ -91,14 +94,18 @@ class TestWeightsCommand:
             assert (out / name).exists()
 
     def test_zero_tolerance_fails(self, tmp_path):
-        res = run(["--out", str(tmp_path / "f"), "--tolerance-scale", "0",
-                   "weights"])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"tolerances": {"wave_identity": -1}}))
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "f"), "weights"])
         assert res.exit_code == 1
-        assert "FAILED contracts" in res.output
+        assert "FAIL spectral_weights.wave_identity " in res.output
+        assert res.output.endswith("FAILED contracts: spectral_weights.wave_identity\n")
 
     def test_lambda_grid_override(self, tmp_path):
         out = tmp_path / "w"
-        res = run(["--out", str(out), "weights", "--lambda-grid", "0.3,0.9"])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"weights": {"lambda_grid": [0.3, 0.9]}}))
+        res = run(["--config", str(cfgfile), "--out", str(out), "weights"])
         assert res.exit_code == 0
         body = (out / "weights_identity.csv").read_text().splitlines()
         lams = {line.split(",")[0] for line in body[1:]}
@@ -445,6 +452,13 @@ class TestRejectedInput:
         pytest.param(json.dumps({"backend": {"n": n}}), command, "GraphError",
                      id=f"n={n} {command}")
         for n, command in ((0, "reconstruct"), (0, "decompose"), (-3, "sample"))
+    ] + [
+        # a mass so small that no plan up to PLAN_T_CAP covers its smallest mode
+        pytest.param(json.dumps({"backend": backend}), command, "ConfigError",
+                     id=f"{json.dumps({'backend': backend})} {command}")
+        for backend in ({"n": 16, "m2": 1e-13},
+                        {"kind": "torus", "d": 2, "N": 8, "lattice_m2": 1e-13})
+        for command in ("reconstruct", "sample")
     ])
     def test_bad_config_fails_before_work(self, tmp_path, text, command, error):
         for name, body in BAD_EDGE_FILES.items():
@@ -485,16 +499,15 @@ class TestRejectedInput:
         assert b.output.splitlines()[4:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
-    @pytest.mark.parametrize("flag, weights", [
-        pytest.param(flag, None, id=f"--lambda-grid {flag!r}")
-        for flag in ("5", "-1", "abc", "", "0,1")
-    ] + [
-        pytest.param(None, weights, id=json.dumps({"weights": weights}))
-        for weights in ({"lambda_grid": [0.5, 7]}, {"lambda_grid": []},
-                        {"lambda_grid": ["0.5"]}, {"eps": 4.0}, {"eps": -0.5})
+    @pytest.mark.parametrize("weights", [
+        pytest.param(weights, id=json.dumps({"weights": weights}))
+        for weights in ({"lambda_grid": [5]}, {"lambda_grid": [-1]},
+                        {"lambda_grid": [0, 1]}, {"lambda_grid": [0.5, 7]},
+                        {"lambda_grid": []}, {"lambda_grid": ["0.5"]},
+                        {"eps": 4.0}, {"eps": -0.5})
     ])
     def test_bad_lambda_grid_fails_before_mollifier(self, tmp_path, monkeypatch,
-                                                    flag, weights):
+                                                    weights):
         from frdecomp import cli
 
         def refuse(**kwargs):
@@ -502,16 +515,17 @@ class TestRejectedInput:
 
         monkeypatch.setattr(cli, "build_mollifier", refuse)
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({} if weights is None else {"weights": weights}))
+        cfgfile.write_text(json.dumps({"weights": weights}))
         out = tmp_path / "never"
-        args = ["--config", str(cfgfile), "--out", str(out), "weights"]
-        res = run(args if flag is None else args + ["--lambda-grid", flag])
+        res = run(["--config", str(cfgfile), "--out", str(out), "weights"])
         self.assert_one_fail_line(res, "weights", "ConfigError")
         assert "0 < lambda <= 4" in res.output
         assert not out.exists()
 
     def test_lambda_four_accepted(self, tmp_path):
-        res = run(["--out", str(tmp_path / "w"), "weights", "--lambda-grid", "4"])
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"weights": {"lambda_grid": [4]}}))
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "w"), "weights"])
         assert res.exit_code == 0, res.output
 
     def test_oversized_graph_sample_refused_before_eigensolve(self, tmp_path,

@@ -163,6 +163,16 @@ class TestGraphOperator:
         assert not GraphOperator(g, "resolvent", m2=1e-15).is_singular
         assert not GraphOperator(g, "killed", kappa=0.9).is_singular
 
+    def test_spectral_gap_of_non_singular_is_smallest_mode(self):
+        # a non-singular operator has no zero mode, however small its mass
+        g = cycle_graph(16)
+        for m2 in (1e-13, 0.5):
+            op = GraphOperator(g, "resolvent", m2=m2)
+            assert op.spectral_gap() == op.eigensystem()[0].min() < 1.01 * m2
+        laplacian = GraphOperator(g)
+        vals = laplacian.eigensystem()[0]
+        assert laplacian.spectral_gap() == vals[vals > 1e-12].min() > 0.07
+
     def test_spectrum_within_bound(self):
         rng = np.random.default_rng(2)
         g = random_graph(12, 0.3, rng)

@@ -81,6 +81,16 @@ class TestSymbolTable:
         assert table.values[0, 0] == pytest.approx(0.7, abs=1e-14)
         assert table.values.min() >= 0.7 - 1e-13
 
+    def test_spectral_gap_of_non_singular_is_smallest_mode(self):
+        # a non-singular torus has no zero mode, however small its mass
+        for m2 in (1e-13, 0.5):
+            table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8))
+            assert not table.is_singular
+            assert table.spectral_gap() == table.values.min() == m2
+        massless = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8))
+        assert massless.is_singular
+        assert massless.spectral_gap() == massless.values.ravel()[1:].min() > 0.5
+
     def test_two_dimensional_closed_form(self):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)

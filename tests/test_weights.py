@@ -9,7 +9,7 @@ from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
                               approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
-                              decay_constants, default_lambda_grid,
+                              decay_constants,
                               default_scale_plan, eval_discrete_weight_direct,
                               wave_identity_max_residual)
 
@@ -244,8 +244,8 @@ class TestDecompositionIdentity:
         assert rep.max_certified_residual() <= 1e-5
 
     def test_endpoint_stress(self, disc_family):
-        # configurable eps: approach the arccos singularity at lambda = 4
-        lam = default_lambda_grid(eps=0.5)
+        # approach the arccos singularity at lambda = 4
+        lam = np.arange(0.05, 3.5 + 1e-12, 0.05)
         rep = check_decomposition_identity(disc_family, lam)
         assert rep.max_certified_residual() <= 1e-4
 
@@ -377,7 +377,7 @@ class TestApproximationRate:
 
 class TestWaveIdentity:
     def test_exact_to_tolerance(self):
-        assert wave_identity_max_residual(32) <= 1e-12
+        assert wave_identity_max_residual() <= 1e-12
 
     def test_polynomial_recurrence_values(self):
         polys = chebyshev_polynomial_coeffs(8)

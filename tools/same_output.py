@@ -41,6 +41,10 @@ CYCLE64_LAPLACIAN = {"backend": {"n": 64, "operator": "laplacian"}}
 CYCLE32_KILLED = {"backend": {"n": 32, "operator": "killed"}, "scales": {"L_ratio": 3}}
 CHORD6_KILLED = {"backend": {"graph": "file", "edges_file": "chord6.txt",
                              "operator": "killed"}}
+CHORD6_LAPLACIAN = {"backend": {"graph": "file", "edges_file": "chord6.txt",
+                                "operator": "laplacian"}}
+# a resolvent that is singular because a == b
+GRAPH_M2_ZERO = {"backend": {"m2": 0.0}}
 CONFIGS = [
     ("default graph", "decompose", {}),
     ("default graph", "reconstruct", {}),
@@ -53,6 +57,11 @@ CONFIGS = [
     ("32-cycle killed L=3", "reconstruct", CYCLE32_KILLED),
     ("6-cycle plus chord, killed", "decompose", CHORD6_KILLED),
     ("6-cycle plus chord, killed", "reconstruct", CHORD6_KILLED),
+    # singular, with a vertex measure that is not constant
+    ("6-cycle plus chord, laplacian", "reconstruct", CHORD6_LAPLACIAN),
+    ("6-cycle plus chord, laplacian", "sample", CHORD6_LAPLACIAN),
+    ("default graph m2=0", "reconstruct", GRAPH_M2_ZERO),
+    ("default graph m2=0", "sample", GRAPH_M2_ZERO),
     ("32-cycle killed L=3 R=2000", "sample",
      dict(CYCLE32_KILLED, sampler={"sample_count": 2000})),
     ("massless torus d=2 N=8 R=4000", "sample",
