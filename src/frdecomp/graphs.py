@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import ScalePlan, default_scale_plan, zero_modes
+from .weights import ScalePlan, default_scale_plan, mode_variances, zero_modes
 
 
 class GraphError(ValueError):
@@ -357,17 +357,20 @@ def reconstruct_green(op, family, plan=None):
     """Evaluate the plan's summed series on the operator and compare to its
     Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap()).
 
-    plan.total_series(family) runs through one chebyshev_apply on the identity
-    and is mu-symmetrized once: one n x n accumulator for any number of
-    scales.  Singular operators (a Laplacian, or a resolvent with m2 = 0) are
-    compared on the mean-zero subspace against the pseudo-inverse.
+    plan.total_series(family) is evaluated on op.eigensystem(), already
+    computed for the spectral gap, by mode_variances (which sets every zero
+    mode, one per component of a singular operator, to 0) and mapped back by
+    apply_weight_dense, as the samplers and the torus reconstruct do.
+    Singular operators (a Laplacian, or a resolvent with m2 = 0) are compared
+    on the mean-zero subspace against the pseudo-inverse.
     """
     gap = op.spectral_gap()
     if plan is None:
         plan = default_scale_plan(family, gap)
     check_family(op, family)
-    total, = chebyshev_apply(op, [plan.total_series(family)], np.eye(op.n))
-    total = _mu_symmetrize(total, op.graph.mu)[0]
+    series = [plan.total_series(family)]
+    total = op.apply_weight_dense(
+        lambda lam: mode_variances(lam, family, series, op.is_singular)[0])
     tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()

@@ -25,6 +25,9 @@ from .weights import (ContinuousWeightFamily, default_scale_plan, mode_variances
                       zero_modes)
 
 DEFAULT_XI_CUTOFF = 40.0
+# The window every LatticeSpec lies in: the eigenvalues of a in
+# [B_MINUS2, B_PLUS2] and m^2 in [0, M_PLUS2].
+B_MINUS2, B_PLUS2, M_PLUS2 = 1e-6, 1e6, 64.0
 
 
 class LatticeError(ValueError):
@@ -47,9 +50,6 @@ class LatticeSpec:
     a: np.ndarray
     m2: float
     N: int
-    b_minus2: float = 1e-6
-    b_plus2: float = 1e6
-    m_plus2: float = 64.0
 
     def __post_init__(self):
         if self.d not in (1, 2, 3):
@@ -62,11 +62,10 @@ class LatticeSpec:
         eigs = np.linalg.eigvalsh(a)
         if eigs.min() <= 0:
             raise LatticeError("coefficient matrix must be positive definite")
-        if eigs.min() < self.b_minus2 or eigs.max() > self.b_plus2:
-            raise LatticeError(
-                f"eigenvalues {eigs} outside configured [{self.b_minus2}, {self.b_plus2}]")
-        if not 0.0 <= self.m2 <= self.m_plus2:
-            raise LatticeError(f"m2={self.m2} outside [0, {self.m_plus2}]")
+        if eigs.min() < B_MINUS2 or eigs.max() > B_PLUS2:
+            raise LatticeError(f"eigenvalues {eigs} outside [{B_MINUS2}, {B_PLUS2}]")
+        if not 0.0 <= self.m2 <= M_PLUS2:
+            raise LatticeError(f"m2={self.m2} outside [0, {M_PLUS2}]")
         if not (_is_power_of_two(self.N) and self.N >= 8):
             raise LatticeError("N must be a power of two >= 8")
         object.__setattr__(self, "a", a)
@@ -485,18 +484,14 @@ def mass_family_sweep(spec, family_builder, m2_list, t, l=2):
     shared bound is B = max a* + max m^2 (uniformity over the mass family).
     """
     m2_list = np.asarray(sorted(m2_list), dtype=float)
-    base = LatticeSpec(d=spec.d, a=spec.a, m2=0.0, N=spec.N,
-                       b_minus2=spec.b_minus2, b_plus2=spec.b_plus2,
-                       m_plus2=spec.m_plus2)
+    base = LatticeSpec(d=spec.d, a=spec.a, m2=0.0, N=spec.N)
     table0 = build_symbol_table(base)
     B = table0.B + float(m2_list.max())
     family = family_builder(B)
     probe = (0,) * spec.d
     kernels, sups, probes = [], [], []
     for m2 in m2_list:
-        spec_m = LatticeSpec(d=spec.d, a=spec.a, m2=float(m2), N=spec.N,
-                             b_minus2=spec.b_minus2, b_plus2=spec.b_plus2,
-                             m_plus2=spec.m_plus2)
+        spec_m = LatticeSpec(d=spec.d, a=spec.a, m2=float(m2), N=spec.N)
         table = SymbolTable(spec=spec_m, values=table0.values + m2, B=B)
         ker = lattice_kernel(table, family, t)
         kernels.append(ker)

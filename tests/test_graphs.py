@@ -50,6 +50,16 @@ def chord_graph():
     return WeightedGraph.from_edges(10, edges + [(0, 5, 0.7), (5, 0, 0.4), (2, 7, 1.3)])
 
 
+def _cycle_edges(n, start=0):
+    return [(start + i, start + (i + 1) % n, 1.0) for i in range(n)]
+
+
+# two components, so a singular operator has two zero modes; the second list
+# has a vertex measure that is not constant (a 6-cycle plus the chord 0-3)
+TWO_8_CYCLES = _cycle_edges(8) + _cycle_edges(8, start=8)
+CHORD6_AND_8_CYCLE = _cycle_edges(6) + [(0, 3, 1.0)] + _cycle_edges(8, start=6)
+
+
 class TestWeightedGraph:
     def test_measure(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0)])
@@ -330,9 +340,9 @@ class TestReconstruction:
         assert rec.max_rel_error <= 1e-5
 
     def test_one_recurrence_per_plan(self, mollifier, norm1, monkeypatch):
-        # 64-cycle Laplacian, plan j = 1..11: every block comes from one
-        # recurrence up to the top block's degree (2^11 - 1), one product
-        # with X a step
+        # 64-cycle Laplacian, plan j = 1..11: scale_blocks builds every block
+        # from one recurrence up to the top block's degree (2^11 - 1), one
+        # product with X a step
         op = GraphOperator(cycle_graph(64))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         plan = default_scale_plan(fam, op.spectral_gap())
@@ -350,8 +360,28 @@ class TestReconstruction:
                 return self.x @ v
 
         monkeypatch.setattr(graphs, "_recurrence_matrix", lambda op: Counting(build(op)))
-        reconstruct_green(op, fam, plan)
+        scale_blocks(op, fam, plan)
         assert calls == [(64, 64)] * 2047
+
+    @pytest.mark.parametrize("graph, kind, kw", [
+        pytest.param(cycle_graph(16), "resolvent", {"m2": 1.0}, id="16-cycle-resolvent"),
+        pytest.param(chord_graph(), "killed", {"kappa": 0.9}, id="chord-killed"),
+        pytest.param(cycle_graph(64), "laplacian", {}, id="64-cycle-laplacian")])
+    def test_recurrence_blocks_sum_to_reconstruction(self, mollifier, norm1, graph,
+                                                     kind, kw):
+        # the recurrence's blocks (decompose) and the summed series on the
+        # eigensystem (reconstruct) are one Green function; singular
+        # operators agree on the mean-zero subspace
+        op = GraphOperator(graph, kind, **kw)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = default_scale_plan(fam, op.spectral_gap())
+        white, blocks = scale_blocks(op, fam, plan)
+        summed = white * np.eye(op.n) + sum(b.matrix for b in blocks)
+        rec = reconstruct_green(op, fam, plan).matrix
+        if op.is_singular:
+            proj = op.mean_zero_projection()
+            summed, rec = proj @ summed @ proj.T, proj @ rec @ proj.T
+        assert np.max(np.abs(summed - rec)) <= 1e-11 * np.max(np.abs(rec))
 
     def test_massless_cycle_pseudo_inverse(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16))
@@ -392,6 +422,18 @@ class TestReconstruction:
         assert np.max(np.abs(resolvent.matrix - laplacian.matrix)) <= 1e-12 * scale
         assert abs(resolvent.max_rel_error - laplacian.max_rel_error) <= 1e-12
         assert resolvent.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("n, edges, kind, kw", [
+        pytest.param(16, TWO_8_CYCLES, "laplacian", {}, id="two-8-cycles-laplacian"),
+        pytest.param(16, TWO_8_CYCLES, "resolvent", {"m2": 0.0}, id="two-8-cycles-m2-0"),
+        pytest.param(14, CHORD6_AND_8_CYCLE, "laplacian", {}, id="chord6-and-8-cycle")])
+    def test_disconnected_singular_graph(self, mollifier, norm1, n, edges, kind, kw):
+        # one zero mode per component; mode_variances drops each of them, as
+        # the pseudo-inverse oracle does
+        op = GraphOperator(WeightedGraph.from_edges(n, edges), kind, **kw)
+        rec = reconstruct_green(op, DiscreteWeightFamily(mollifier, norm1, B=op.B))
+        assert rec.deflated
+        assert rec.max_rel_error <= 1e-12
 
     def test_large_graph_against_oracle(self, mollifier, norm1):
         # above 256 vertices, where the comparison used to be skipped

@@ -64,9 +64,10 @@ class TestLatticeSpec:
             LatticeSpec(d=1, a=np.array([[1.0]]), m2=1000.0, N=8)
 
     def test_rejects_eigenvalues_outside_window(self):
-        with pytest.raises(LatticeError):
-            LatticeSpec(d=1, a=np.array([[2.0]]), m2=0.0, N=8,
-                        b_minus2=0.5, b_plus2=1.5)
+        # the fixed window [B_MINUS2, B_PLUS2] = [1e-6, 1e6]
+        for a in ([[2e6]], [[1e-7]]):
+            with pytest.raises(LatticeError, match="outside"):
+                LatticeSpec(d=1, a=np.array(a), m2=0.0, N=8)
 
 
 class TestSymbolTable:

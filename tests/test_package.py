@@ -15,14 +15,16 @@ def test_public_names_resolve():
 
 
 # Graph sample on a 16-cycle, torus sample and torus reconstruct on an 8 x 8
-# torus: the benchmarked command paths, at small sizes.
+# torus: the benchmarked command paths, at small sizes; and graph reconstruct
+# on the 16-cycle, which evaluates its series on the dense eigensystem.
 SCIPY_FREE_RUNS = r"""
 import json, os, sys
 import frdecomp.cli as cli
 runs = [("sample", {"sampler": {"sample_count": 1000}}),
         ("sample", {"backend": {"kind": "torus", "N": 8},
                     "sampler": {"sample_count": 1000}}),
-        ("reconstruct", {"backend": {"kind": "torus", "N": 8}})]
+        ("reconstruct", {"backend": {"kind": "torus", "N": 8}}),
+        ("reconstruct", {})]
 for i, (command, config) in enumerate(runs):
     with open(f"config{i}.json", "w") as fh:
         json.dump(config, fh)

@@ -185,9 +185,15 @@ class TestGraphSampler:
                 mode_variances(spectrum, fam, [np.array([1.0]), np.array([-1e-3])],
                                False)
 
-    def test_sample_path_applies_no_operator(self, cycle_setup, monkeypatch):
-        # the eigensystem comes from the plan's spectral gap; sampling then
-        # builds no block, runs no recurrence and factors nothing
+    @pytest.mark.parametrize("run", [
+        pytest.param(lambda op, fam, plan: sample_graph(op, fam, plan, 3, 100)[0],
+                     id="sample_graph"),
+        pytest.param(lambda op, fam, plan: reconstruct_green(op, fam, plan).matrix,
+                     id="reconstruct_green")])
+    def test_sample_path_applies_no_operator(self, cycle_setup, monkeypatch, run):
+        # the eigensystem comes from the plan's spectral gap; sampling and
+        # reconstruction then build no block, run no recurrence and factor
+        # nothing
         op, fam, plan, _, _ = cycle_setup
         op.spectral_gap()
         calls = []
@@ -202,8 +208,8 @@ class TestGraphSampler:
                             counting("recurrence", graphs.chebyshev_apply))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(graphs, "scale_blocks", counting("blocks", scale_blocks))
-        gram, _ = sample_graph(op, fam, plan, 3, 100)
-        assert calls == [] and gram.shape == (op.n, op.n)
+        result = run(op, fam, plan)
+        assert calls == [] and result.shape == (op.n, op.n)
 
     @pytest.mark.parametrize("kind, kw", [
         pytest.param("resolvent", {"m2": 1.0}, id="resolvent"),

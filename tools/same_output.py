@@ -35,6 +35,9 @@ SEED = 12345
 EDGE_LISTS = {
     # a 6-cycle plus the chord 0-3: the vertex measure is not constant
     "chord6.txt": "".join(f"{i} {(i + 1) % 6} 1.0\n" for i in range(6)) + "0 3 1.0\n",
+    # two disjoint 8-cycles: a singular operator has one zero mode per component
+    "two_cycles8.txt": "".join(f"{s + i} {s + (i + 1) % 8} 1.0\n"
+                               for s in (0, 8) for i in range(8)),
 }
 
 CYCLE64_LAPLACIAN = {"backend": {"n": 64, "operator": "laplacian"}}
@@ -43,6 +46,8 @@ CHORD6_KILLED = {"backend": {"graph": "file", "edges_file": "chord6.txt",
                              "operator": "killed"}}
 CHORD6_LAPLACIAN = {"backend": {"graph": "file", "edges_file": "chord6.txt",
                                 "operator": "laplacian"}}
+TWO_CYCLES8 = {"backend": {"graph": "file", "edges_file": "two_cycles8.txt",
+                           "operator": "laplacian"}}
 # a resolvent that is singular because a == b
 GRAPH_M2_ZERO = {"backend": {"m2": 0.0}}
 CONFIGS = [
@@ -60,6 +65,8 @@ CONFIGS = [
     # singular, with a vertex measure that is not constant
     ("6-cycle plus chord, laplacian", "reconstruct", CHORD6_LAPLACIAN),
     ("6-cycle plus chord, laplacian", "sample", CHORD6_LAPLACIAN),
+    ("two 8-cycles, laplacian", "reconstruct", TWO_CYCLES8),
+    ("two 8-cycles, laplacian", "sample", TWO_CYCLES8),
     ("default graph m2=0", "reconstruct", GRAPH_M2_ZERO),
     ("default graph m2=0", "sample", GRAPH_M2_ZERO),
     ("32-cycle killed L=3 R=2000", "sample",
