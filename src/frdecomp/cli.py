@@ -70,7 +70,6 @@ DEFAULT_CONFIG = {
         "wave_identity": 1e-12,
         "approx_slope": -0.9,
         "range_rel": 1e-12,
-        "psd_rel": 1e-10,
         "reconstruction_rel": 1e-5,
         "reconstruction_rel_massless": 1e-4,
     },
@@ -78,19 +77,20 @@ DEFAULT_CONFIG = {
 
 
 # Keys earlier versions read and this one no longer does: accepted with a
-# note, so that saved configs keep working.
+# note, so that saved configs keep working.  Each maps to (reason, the one
+# value it was used with, or None if any value is accepted).
 RETIRED_KEYS = {
-    ("weights", "gamma"): "the weight families are built with gamma = 1",
+    ("weights", "gamma"): ("the weight families are built with gamma = 1", 1),
     ("sampler", "deflate_zero_mode"):
-        "the zero mode is deflated iff the operator is singular",
-    ("scales", "nodes_per_block"): "scale blocks are integrated in closed form",
+        ("the zero mode is deflated iff the operator is singular", None),
+    ("scales", "nodes_per_block"): ("scale blocks are integrated in closed form", None),
     ("weights", "nodes_per_octave"):
-        "the continuous weights are integrated in closed form",
-    ("weights", "eps"): "the default lambda grid is 0.05 .. 3; weights.lambda_grid "
-                        "sets any grid with 0 < lambda <= 4",
+        ("the continuous weights are integrated in closed form", None),
+    ("weights", "eps"): ("the default lambda grid is 0.05 .. 3; weights.lambda_grid "
+                         "sets any grid with 0 < lambda <= 4", 1),
+    ("tolerances", "psd_rel"): ("every PSD check is bounded by the roundoff of its "
+                                "own series (weights.series_roundoff)", 1e-10),
 }
-# Retired keys accepted only at the one value they were used with.
-RETIRED_VALUES = {("weights", "gamma"): 1, ("weights", "eps"): 1}
 
 
 # Config values that select a code path, with the values each accepts.
@@ -137,13 +137,12 @@ class ConfigError(ValueError):
 def _drop_retired(data):
     """Remove retired keys from data (in place) and return one note for each."""
     notes = []
-    for (section, key), reason in RETIRED_KEYS.items():
+    for (section, key), (reason, used) in RETIRED_KEYS.items():
         values = data.get(section)
         if not isinstance(values, dict) or key not in values:
             continue
         value = values.pop(key)
         name = f"{section}.{key}"
-        used = RETIRED_VALUES.get((section, key))
         if used is not None and value != used:
             raise ConfigError(f"retired key {name} must be {used}, got {value!r}: {reason}")
         notes.append(f"NOTE config key {name} is retired and ignored: {reason}")
@@ -452,8 +451,7 @@ def decompose(ctx):
             checks.bound(f"graph_decomposition.scale_block[j={j}].range",
                          c.max_out_of_range / max(sup, 1e-300), tol["range_rel"])
             checks.bound(f"graph_decomposition.scale_block[j={j}].psd",
-                         max(0.0, -c.min_eig) / max(c.max_eig, 1e-300),
-                         tol["psd_rel"])
+                         max(0.0, -c.min_eig), c.roundoff_bound)
             fileio.write_block(_artifact(ctx, f"block_j{j:+03d}", ".bin", ".json"), blk,
                                op.m2, op.B, extra={"kind": op.kind})
         _write_table(ctx, "decompose_summary.csv",
@@ -469,8 +467,7 @@ def decompose(ctx):
                          ker.max_out_of_range / max(ker.sup, 1e-300),
                          tol["range_rel"])
             checks.bound(f"lattice_kernels.lattice_kernel[t={t}].psd_multiplier",
-                         max(0.0, -ker.multiplier_min) / max(ker.multiplier_max, 1e-300),
-                         tol["range_rel"])
+                         max(0.0, -ker.multiplier_min), ker.roundoff_bound)
             base = _artifact(ctx, f"kernel_t{t}", ".bin", ".csv")
             fileio.write_kernel_binary(f"{base}.bin",
                                        [spec.d, spec.N, t, spec.m2, op.B],
@@ -529,8 +526,6 @@ def sample(ctx):
     op, family = _backend(config)
     kind = config["backend"]["kind"]
     from . import sampler
-    if kind == "graph":
-        sampler.check_graph_size(op)    # before the plan's O(n^3) eigensolve
     plan = _scale_plan(config, op, family)
     min_samples = min(1000, sample_count)
     if kind == "graph":

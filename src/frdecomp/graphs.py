@@ -28,7 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import ScalePlan, default_scale_plan, mode_variances, zero_modes
+from .weights import (ScalePlan, default_scale_plan, mode_variances, series_roundoff,
+                      zero_modes)
+
+# Every dense graph path holds n x n arrays, and the eigensystem is an O(n^3)
+# factorization; GraphOperator.check_dense refuses larger graphs.
+MAX_GRAPH_SITES = 4096
 
 
 class GraphError(ValueError):
@@ -131,7 +136,9 @@ class GraphOperator:
 
     Only __init__ reads kind (kept for the block sidecar); kappa and m2 are
     kept only for the kind that takes them, else None.  dense() reads the edge
-    list, with numpy only; chebyshev_apply reads graph.adjacency.
+    list, with numpy only; chebyshev_apply reads graph.adjacency.  Every
+    method that builds an n x n array reaches check_dense before it, so a
+    graph of more than MAX_GRAPH_SITES vertices is refused before any.
     """
 
     def __init__(self, graph, kind="laplacian", kappa=None, m2=None):
@@ -159,8 +166,15 @@ class GraphOperator:
         """a == b: a Laplacian, or a resolvent whose 1 + m2 rounds to 1."""
         return bool(self.a == self.b)
 
+    def check_dense(self):
+        """Refuse n > MAX_GRAPH_SITES with a GraphError that names the limit."""
+        if self.n > MAX_GRAPH_SITES:
+            raise GraphError(f"dense graph paths are limited to n <= {MAX_GRAPH_SITES}, "
+                             f"got n = {self.n}")
+
     def dense(self):
         """The operator as a dense matrix from the edge list: a I - b W / mu."""
+        self.check_dense()
         g = self.graph
         w = np.zeros((self.n, self.n))
         np.add.at(w, (g.rows, g.cols), g.weights)
@@ -198,6 +212,7 @@ class GraphOperator:
 
     def mean_zero_projection(self):
         """I - 1 p^T with p = mu / sum(mu): projects onto mu-mean-zero functions."""
+        self.check_dense()
         p = self.graph.mu / self.graph.mu.sum()
         return np.eye(self.n) - np.outer(np.ones(self.n), p)
 
@@ -277,16 +292,21 @@ def chebyshev_apply(op, series, u):
 
 @dataclass
 class BlockCertificates:
+    """A block's eigenvalue extremes, range and symmetry measures, and
+    roundoff_bound = series_roundoff of its series, which bounds -min_eig."""
+
     min_eig: float
     max_eig: float
     max_out_of_range: float
     range_bound: int
     asymmetry: float
+    roundoff_bound: float
 
     def to_json(self, extra=None):
         d = {"min_eig": self.min_eig, "max_eig": self.max_eig,
              "max_out_of_range": self.max_out_of_range,
-             "range_bound": self.range_bound, "asymmetry": self.asymmetry}
+             "range_bound": self.range_bound, "asymmetry": self.asymmetry,
+             "roundoff_bound": self.roundoff_bound}
         if extra:
             d.update(extra)
         return json.dumps(d, sort_keys=True)
@@ -317,8 +337,11 @@ def _mu_symmetrize(matrix, mu):
 def scale_blocks(op, family, plan):
     """(white, blocks): the white piece's multiple of the identity and the
     blocks C_j of plan.series(family), each from one shared chebyshev_apply on
-    the basis, mu-symmetrized and with its range / PSD certificates."""
+    the basis, mu-symmetrized and with its range / PSD certificates; the
+    eigenvalues certify the matrix as written, against its series'
+    series_roundoff."""
     check_family(op, family)
+    op.check_dense()
     series = plan.series(family)
     raws = chebyshev_apply(op, series[1:], np.eye(op.n))
     dist = op.graph.distances()
@@ -334,7 +357,8 @@ def scale_blocks(op, family, plan):
         eigs = np.linalg.eigvalsh(0.5 * (sym + sym.T))
         certs = BlockCertificates(
             min_eig=float(eigs.min()), max_eig=float(eigs.max()),
-            max_out_of_range=oor, range_bound=range_bound, asymmetry=asym)
+            max_out_of_range=oor, range_bound=range_bound, asymmetry=asym,
+            roundoff_bound=series_roundoff(series[i + 1]))
         blocks.append(ScaleBlock(j=j, L_ratio=float(plan.L_ratio), matrix=matrix,
                                  certificates=certs))
     return float(series[0][0]), blocks

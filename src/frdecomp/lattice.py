@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .weights import (ContinuousWeightFamily, default_scale_plan, mode_variances,
-                      zero_modes)
+from .weights import (ContinuousWeightFamily, chebyshev_coefficients, default_scale_plan,
+                      mode_variances, series_roundoff, zero_modes)
 
 DEFAULT_XI_CUTOFF = 40.0
 # The window every LatticeSpec lies in: the eigenvalues of a in
@@ -141,7 +141,9 @@ def torus_linf_distance(N, d):
 
 @dataclass
 class LatticeKernel:
-    """One scale kernel phi*_t on the torus (translation invariant)."""
+    """One scale kernel phi*_t on the torus (translation invariant), with the
+    extremes of its multiplier and roundoff_bound, the series_roundoff of the
+    multiplier's series, which bounds -multiplier_min."""
 
     t: float
     values: np.ndarray
@@ -153,6 +155,7 @@ class LatticeKernel:
     imag_residue: float
     multiplier_min: float
     multiplier_max: float
+    roundoff_bound: float
 
     @property
     def sup(self):
@@ -179,6 +182,8 @@ def lattice_kernel(table, family, t, allow_wraparound=False):
         raise WrapAroundError(
             f"t={t} needs N > {2 * t} for an uncontaminated range check (N={spec.N})")
     mult = t**2 * family.value(table.values.ravel(), t).reshape(spec.shape)
+    series = t**2 * family.C * family.arg_scale * chebyshev_coefficients(
+        family.mollifier, t)
     kernel_c = np.fft.ifftn(mult)
     kernel = kernel_c.real
     sup = float(np.max(np.abs(kernel)))
@@ -190,7 +195,8 @@ def lattice_kernel(table, family, t, allow_wraparound=False):
     return LatticeKernel(
         t=float(t), values=kernel, m2=spec.m2, spec=spec, B=table.B,
         range_bound=rng, max_out_of_range=oor, imag_residue=imag,
-        multiplier_min=float(mult.min()), multiplier_max=float(mult.max()))
+        multiplier_min=float(mult.min()), multiplier_max=float(mult.max()),
+        roundoff_bound=series_roundoff(series))
 
 
 # ---------------------------------------------------------------------------

@@ -252,19 +252,9 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
 # ---------------------------------------------------------------------------
 # graph backend
 
-# The graph sampler holds the dense n x n eigensystem, an O(n^3) factorization.
-MAX_GRAPH_SITES = 4096
-
-
-def check_graph_size(op):
-    """Refuse a graph of more than MAX_GRAPH_SITES vertices with a GraphError."""
-    if op.n > MAX_GRAPH_SITES:
-        raise graphs.GraphError(f"graph sampler limited to n <= {MAX_GRAPH_SITES}")
-
-
 def sample_graph(op, family, plan, seed, sample_count, keep=0):
     """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n at most
-    MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (gram, kept), gram
+    graphs.MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (gram, kept), gram
     = sum_r X_r X_r^T (the statistic of covariance_report) and kept as in
     _spectral_sample.
 
@@ -274,7 +264,6 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     scale.  The covariance is op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
-    check_graph_size(op)
     graphs.check_family(op, family)
     lam, vecs = op.eigensystem()
     amps = [np.sqrt(v) for v in mode_variances(lam, family, plan.series(family),

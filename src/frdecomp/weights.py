@@ -30,6 +30,18 @@ list; both reconstructs sum the list into one series (ScalePlan.total_series)
 and evaluate it once.  A continuous scale integral is the closed form
 (C/lambda) [F(sqrt(lambda) t_hi) - F(sqrt(lambda) t_lo)] in the mollifier's
 first moment F of phi, so no scale integral has a quadrature node.
+
+One positivity rule.  phi = kappa^2 >= 0, so every W*_t, and with it every
+block, kernel and mode variance, is positive semi-definite by construction;
+the only negative mass a computed value can carry is the roundoff of
+evaluating its Chebyshev series.  For a folded series a of degree
+len(a) - 1, Clenshaw's recurrence on [-1, 1] is backward stable with an
+error of order deg eps sum|a_k| (A. Smoktunowicz, "Backward stability of
+Clenshaw's algorithm", BIT 42 (2002)), so series_roundoff(a) =
+(len(a) - 1) eps sum|a_k| is the one tolerance every positivity decision
+uses: mode_variances clips negatives within it and refuses larger ones, and
+the graph blocks' and torus kernels' PSD certificates are measured against
+it.  A degree-0 series is evaluated exactly and may not be negative at all.
 """
 
 from dataclasses import dataclass
@@ -45,14 +57,11 @@ ZERO_FLOOR = 1e-12
 PLAN_T_CAP = 1e6
 # Most scales (white piece and blocks) a plan may have; see ScalePlan.
 PLAN_MAX_SCALES = 256
-# Negative roundoff in an evaluated scale series is clipped up to this share
-# of the field scale; more is a BlockQualityError.
-WHITE_CLIP_TOL = 1e-8
 
 
 class BlockQualityError(RuntimeError):
-    """A scale block or evaluated series is more negative than the PSD
-    clipping tolerance allows."""
+    """An evaluated series is more negative than its roundoff bound
+    (series_roundoff) allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +71,8 @@ def clenshaw_folded(coeffs, theta):
     """Evaluate c[0] + 2 sum_{k>=1} c[k] T_k(theta) for an array of theta.
 
     Backward (Clenshaw) recurrence on the folded series, i.e. sum' a_k T_k
-    with a_0 = c_0 and a_k = 2 c_k; stable for |theta| <= 1 at the degrees
-    used here (up to a few thousand).
+    with a_0 = c_0 and a_k = 2 c_k; backward stable for |theta| <= 1, with
+    an error within series_roundoff(coeffs) up to a modest constant.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -73,6 +82,14 @@ def clenshaw_folded(coeffs, theta):
     for k in range(coeffs.shape[0] - 1, 0, -1):
         b1, b2 = 2.0 * coeffs[k] + two_theta * b1 - b2, b1
     return theta * b1 - b2 + coeffs[0]
+
+
+def series_roundoff(a):
+    """(len(a) - 1) eps sum|a_k|: the roundoff bound of evaluating the folded
+    series a_0 + 2 sum a_k T_k on [-1, 1], and the one positivity tolerance
+    (module docstring).  0 for a degree-0 series, which is evaluated exactly."""
+    a = np.asarray(a, dtype=float)
+    return (a.size - 1) * np.finfo(float).eps * float(np.sum(np.abs(a)))
 
 
 def chebyshev_coefficients(m, t):
@@ -247,33 +264,36 @@ def mode_variances(spectrum, family, series, singular):
     """Each folded series evaluated at theta = 1 - (3/(2B)) lambda for every
     eigenvalue in the array spectrum (family built with the operator's B).
 
-    Roundoff negatives are clipped against the field scale, the largest
-    variance of any series, since high-j blocks are uniformly tiny and carry
-    1e-15-level Clenshaw noise; more negative mass is a BlockQualityError.
-    The zero modes (zero_modes(spectrum, singular)) get variance 0.
+    By the package's one positivity rule (module docstring), a series'
+    negative values at or above -series_roundoff(a) are roundoff and clipped
+    to 0; a more negative one is a BlockQualityError.  The zero modes
+    (zero_modes(spectrum, singular)) get variance 0.
 
     Small positive variances are kept as evaluated, though they may be pure
-    roundoff, of order 2 deg eps sum|a| for a series a: on the default plan
-    of the 32 x 32 torus (m^2 = 0.5) the whole top scale, at most 1.6e-10 of
-    the field scale, lies under that bound, and the samplers draw sqrt(v) of
-    it.  Near v = 0 the square root magnifies a roundoff move of the
-    spectrum: one ulp of the symbol moves sqrt(v) by 4e-8 of the square root
-    of the field scale on the scale below the top one.  A threshold would
-    move where this happens, not remove it, so there is none.
+    roundoff of the same order: on the default plan of the 32 x 32 torus
+    (m^2 = 0.5) the whole top scale, at most 1.6e-10 of the largest
+    variance, lies under twice its series_roundoff, and the samplers draw
+    sqrt(v) of it.  Near
+    v = 0 the square root magnifies a roundoff move of the spectrum: one ulp
+    of the symbol moves sqrt(v) by 4e-8 of the square root of the largest
+    variance on the scale below the top one.  A threshold would move where
+    this happens, not remove it, so there is none.
     """
     lam = np.asarray(spectrum, dtype=float)
     theta = 1.0 - 0.5 * family.arg_scale * lam
-    variances = [clenshaw_folded(a, theta) for a in series]
     zero = zero_modes(lam, singular)
-    field_scale = max(float(np.max(v)) for v in variances)
-    for v in variances:
+    variances = []
+    for a in series:
+        v = clenshaw_folded(a, theta)
         neg = v < 0
         if np.any(neg):
-            worst = float(-v[neg].min())
-            if worst > WHITE_CLIP_TOL * max(field_scale, 1e-300):
-                raise BlockQualityError(f"negative mode variance {worst}")
+            worst, bound = float(-v[neg].min()), series_roundoff(a)
+            if worst > bound:
+                raise BlockQualityError(f"negative mode variance {worst:.6g} beyond "
+                                        f"its series' roundoff bound {bound:.6g}")
             v[neg] = 0.0
         v[zero] = 0.0
+        variances.append(v)
     return variances
 
 

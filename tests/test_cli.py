@@ -35,7 +35,8 @@ class TestConfig:
     def test_deep_merge_preserves_defaults(self):
         cfg = RunConfig({"tolerances": {"range_rel": 1e-10}})
         assert cfg["tolerances"]["range_rel"] == 1e-10
-        assert cfg["tolerances"]["psd_rel"] == DEFAULT_CONFIG["tolerances"]["psd_rel"]
+        assert (cfg["tolerances"]["reconstruction_rel"]
+                == DEFAULT_CONFIG["tolerances"]["reconstruction_rel"])
 
     @pytest.mark.parametrize("data, key", [
         ({"sampler": {"sample_cout": 5}}, "sampler.sample_cout"),
@@ -71,16 +72,20 @@ class TestConfig:
     def test_retired_keys_dropped_with_notes(self):
         cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0, "eps": 1.0},
                          "sampler": {"deflate_zero_mode": True, "sample_count": 5},
-                         "scales": {"nodes_per_block": 2}})
+                         "scales": {"nodes_per_block": 2},
+                         "tolerances": {"psd_rel": 1e-10}})
         assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
         assert [note.split()[3] for note in cfg.notes] == [
             "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block",
-            "weights.nodes_per_octave", "weights.eps"]
+            "weights.nodes_per_octave", "weights.eps", "tolerances.psd_rel"]
         with pytest.raises(ConfigError, match="weights.gamma must be 1"):
             RunConfig({"weights": {"gamma": 2.0}})
         with pytest.raises(ConfigError, match="weights.eps must be 1, got 0.5: .*"
                                               "weights.lambda_grid"):
             RunConfig({"weights": {"eps": 0.5}})
+        with pytest.raises(ConfigError, match="tolerances.psd_rel must be 1e-10, got "
+                                              "1e-08: .*weights.series_roundoff"):
+            RunConfig({"tolerances": {"psd_rel": 1e-8}})
 
 
 class TestWeightsCommand:
@@ -126,6 +131,16 @@ class TestDecomposeCommand:
         summary = (out / "decompose_summary.csv").read_text().splitlines()
         assert summary[0] == "j,range_bound,min_eig,sup_norm"
         assert len(summary) == 8
+
+    def test_default_killed_graph_passes_psd(self, tmp_path):
+        # the top blocks j = 8, 9 carry roundoff negatives, held to their
+        # series' own roundoff bound
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"backend": {"operator": "killed"}}))
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "k"), "decompose"])
+        assert res.exit_code == 0, res.output
+        for j in (8, 9):
+            assert f"PASS graph_decomposition.scale_block[j={j}].psd " in res.output
 
     def test_torus_kernels(self, tmp_path):
         out = tmp_path / "t"
@@ -490,13 +505,14 @@ class TestRejectedInput:
         retired.write_text(json.dumps({"backend": {"n": 8},
                                        "weights": {"gamma": 1, "nodes_per_octave": 0},
                                        "sampler": {"deflate_zero_mode": True},
-                                       "scales": {"nodes_per_block": 2}}))
+                                       "scales": {"nodes_per_block": 2},
+                                       "tolerances": {"psd_rel": 1e-10}}))
         a = run(["--config", str(plain), "--out", str(tmp_path / "a"), "reconstruct"])
         b = run(["--config", str(retired), "--out", str(tmp_path / "b"), "reconstruct"])
         assert a.exit_code == 0 and b.exit_code == 0, b.output
         notes = [line for line in b.output.splitlines() if line.startswith("NOTE ")]
-        assert len(notes) == 4
-        assert b.output.splitlines()[4:] == a.output.splitlines()
+        assert len(notes) == 5
+        assert b.output.splitlines()[5:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
     @pytest.mark.parametrize("weights", [
@@ -528,20 +544,20 @@ class TestRejectedInput:
         res = run(["--config", str(cfgfile), "--out", str(tmp_path / "w"), "weights"])
         assert res.exit_code == 0, res.output
 
-    def test_oversized_graph_sample_refused_before_eigensolve(self, tmp_path,
-                                                              monkeypatch):
-        from frdecomp.graphs import GraphOperator
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct", "sample"])
+    def test_oversized_graph_refused_before_eigensolve(self, tmp_path, monkeypatch,
+                                                       command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh run on a graph above the dense limit")
 
-        def refuse(self):
-            raise AssertionError("eigensystem built for a graph the sampler refuses")
-
-        monkeypatch.setattr(GraphOperator, "eigensystem", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"backend": {"n": 5000}}))
+        cfgfile.write_text(json.dumps({"backend": {"n": 4097}}))
         out = tmp_path / "never"
-        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
-        self.assert_one_fail_line(res, "sample", "GraphError")
-        assert res.output == "FAIL sample GraphError: graph sampler limited to n <= 4096\n"
+        res = run(["--config", str(cfgfile), "--out", str(out), command])
+        self.assert_one_fail_line(res, command, "GraphError")
+        assert res.output == (f"FAIL {command} GraphError: dense graph paths are "
+                              "limited to n <= 4096, got n = 4097\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "reconstruct"])

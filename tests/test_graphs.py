@@ -11,7 +11,8 @@ from frdecomp.graphs import (GraphError, GraphOperator, WeightedGraph,
                              scale_blocks, two_vertex_graph)
 from frdecomp.quadrature import gauss_legendre
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, chebyshev_coefficients,
-                              default_scale_plan, eval_discrete_weight_direct)
+                              default_scale_plan, eval_discrete_weight_direct,
+                              series_roundoff)
 
 
 def random_graph(n, p, rng, wmin=0.5, wmax=2.0, ring=True):
@@ -274,13 +275,15 @@ class TestScaleBlock:
     def test_certificates(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "resolvent", m2=1.0)
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        blk = scale_blocks(op, fam, ScalePlan(j_min=1, j_max=3))[1][-1]
+        plan = ScalePlan(j_min=1, j_max=3)
+        blk = scale_blocks(op, fam, plan)[1][-1]
         c = blk.certificates
         assert blk.j == 3
         assert c.range_bound == 8
         sup = float(np.max(np.abs(blk.matrix)))
         assert c.max_out_of_range <= 1e-12 * sup
-        assert c.min_eig >= -1e-10 * c.max_eig
+        assert c.roundoff_bound == series_roundoff(plan.series(fam)[-1]) > 0
+        assert -c.min_eig <= c.roundoff_bound
         assert c.asymmetry <= 1e-11 * sup
 
     def test_parameter_validation(self):

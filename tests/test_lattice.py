@@ -175,7 +175,8 @@ class TestLatticeKernel:
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         ker = lattice_kernel(table, fam, 9.5)
-        assert ker.multiplier_min >= -1e-12 * ker.multiplier_max
+        assert 0 < ker.roundoff_bound <= 1e-12 * ker.multiplier_max
+        assert -ker.multiplier_min <= ker.roundoff_bound
 
     def test_wraparound_guard(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.5, N=8)

@@ -15,7 +15,8 @@ from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report
                               lag_covariance_report, sample_graph, sample_torus,
                               _batched_draws, _stream)
 from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
-                              default_scale_plan, mode_variances)
+                              clenshaw_folded, default_scale_plan, mode_variances,
+                              series_roundoff)
 
 
 @pytest.fixture(scope="module")
@@ -170,20 +171,30 @@ class TestGraphSampler:
         assert worst <= 4.5
 
     def test_block_quality_error(self, mollifier, norm1):
-        # a series negative everywhere, on a graph and a torus spectrum: 1e-10
-        # of the field scale is roundoff and clipped to 0, 1e-3 is a
-        # block-quality failure
+        # a degree-7 block series shifted so that its smallest value on a
+        # graph and a torus spectrum is -w: w = series_roundoff / 2 is
+        # roundoff and clipped to 0, ten times the bound is a block-quality
+        # failure; a degree-0 series is evaluated exactly, so -1e-10 fails
         op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
         table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=1.0, N=8))
+        white = np.array([1.0])
         for B, spectrum in ((op.B, op.eigensystem()[0]), (table.B, table.values)):
             fam = DiscreteWeightFamily(mollifier, norm1, B=B)
-            white, clipped = mode_variances(spectrum, fam, [np.array([1.0]),
-                                                            np.array([-1e-10])], False)
-            assert np.all(white == 1.0) and np.all(clipped == 0.0)
-            assert white.shape == spectrum.shape
-            with pytest.raises(BlockQualityError, match="negative mode variance"):
-                mode_variances(spectrum, fam, [np.array([1.0]), np.array([-1e-3])],
-                               False)
+            theta = 1.0 - 0.5 * fam.arg_scale * spectrum
+            block = fam.interval_coefficients(2.0, 8.0)
+            block[0] -= clenshaw_folded(block, theta).min()
+            bound = series_roundoff(block)
+            assert bound > 0
+            within, beyond = block.copy(), block.copy()
+            within[0] -= 0.5 * bound
+            beyond[0] -= 10.0 * bound
+            assert clenshaw_folded(within, theta).min() < 0
+            ones, clipped = mode_variances(spectrum, fam, [white, within], False)
+            assert np.all(ones == 1.0) and ones.shape == spectrum.shape
+            assert clipped.min() == 0.0
+            for series in (beyond, np.array([-1e-10])):
+                with pytest.raises(BlockQualityError, match="negative mode variance"):
+                    mode_variances(spectrum, fam, [white, series], False)
 
     @pytest.mark.parametrize("run", [
         pytest.param(lambda op, fam, plan: sample_graph(op, fam, plan, 3, 100)[0],

@@ -11,7 +11,7 @@ from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants,
                               default_scale_plan, eval_discrete_weight_direct,
-                              wave_identity_max_residual)
+                              series_roundoff, wave_identity_max_residual)
 
 
 def test_clenshaw_against_cosine_form():
@@ -23,6 +23,22 @@ def test_clenshaw_against_cosine_form():
         c * np.cos(k * x) for k, c in enumerate(coeffs) if k >= 1)
     got = clenshaw_folded(coeffs, np.cos(x))
     np.testing.assert_allclose(got, direct, rtol=1e-12, atol=1e-14)
+
+
+def test_series_roundoff_bounds_clenshaw():
+    # (len(a) - 1) eps sum|a|: 0 for a degree-0 series, which is exact
+    eps = np.finfo(float).eps
+    assert series_roundoff([-3.0]) == 0.0
+    assert series_roundoff([1.0, -2.0, 3.0]) == 2 * eps * 6.0
+    # a degree-300 series against its cosine form in long double
+    rng = np.random.default_rng(11)
+    coeffs = rng.standard_normal(301) / np.arange(1, 302)
+    theta = np.cos(np.linspace(0.0, np.pi, 97))
+    x = np.arccos(theta.astype(np.longdouble))
+    k = np.arange(1, coeffs.size, dtype=np.longdouble)
+    exact = coeffs[0] + 2 * (np.cos(np.outer(x, k)) @ coeffs[1:].astype(np.longdouble))
+    got = clenshaw_folded(coeffs, theta)
+    assert np.max(np.abs(got - exact)) <= series_roundoff(coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -52,6 +52,9 @@ TWO_CYCLES8 = {"backend": {"graph": "file", "edges_file": "two_cycles8.txt",
 GRAPH_M2_ZERO = {"backend": {"m2": 0.0}}
 CONFIGS = [
     ("default graph", "decompose", {}),
+    ("default graph killed", "decompose", {"backend": {"operator": "killed"}}),
+    # perfbench's graph-sample operator
+    ("256-cycle m2=0.1", "decompose", {"backend": {"n": 256, "m2": 0.1}}),
     ("default graph", "reconstruct", {}),
     ("default graph", "sample", {}),
     ("64-cycle laplacian", "decompose", CYCLE64_LAPLACIAN),
