@@ -458,30 +458,33 @@ def decompose(ctx):
                      ["j", "range_bound", "min_eig", "sup_norm"],
                      [(j, r, float(e), float(s)) for j, r, e, s in rows])
     else:
-        from .lattice import lattice_kernel
+        from .lattice import check_wraparound, decay_fit, lattice_kernel
         spec = op.spec
-        for t in config["backend"]["t_list"]:
+        t_list = config["backend"]["t_list"]
+        for t in t_list:
+            check_wraparound(spec, float(t))
+        if len(set(map(float, t_list))) < len(t_list):
+            raise ConfigError(f"backend.t_list={t_list!r} repeats a value")
+        kernels = []
+        for t in t_list:
             ker = lattice_kernel(op, family, float(t))
+            kernels.append(ker)
             rows.append((float(t), ker.range_bound, ker.multiplier_min, ker.sup))
             checks.bound(f"lattice_kernels.lattice_kernel[t={t}].range",
                          ker.max_out_of_range / max(ker.sup, 1e-300),
                          tol["range_rel"])
             checks.bound(f"lattice_kernels.lattice_kernel[t={t}].psd_multiplier",
                          max(0.0, -ker.multiplier_min), ker.roundoff_bound)
-            base = _artifact(ctx, f"kernel_t{t}", ".bin", ".csv")
-            fileio.write_kernel_binary(f"{base}.bin",
+            fileio.write_kernel_binary(_artifact(ctx, f"kernel_t{t}.bin"),
                                        [spec.d, spec.N, t, spec.m2, op.B],
                                        ker.values)
-            fileio.write_kernel_csv(f"{base}.csv", ker.values)
         _write_table(ctx, "decompose_summary.csv",
                      ["t", "range_bound", "multiplier_min", "sup_norm"], rows)
-        t_list = [float(t) for t in config["backend"]["t_list"]]
-        if len(t_list) >= 2 and config["backend"]["decay_orders"]:
-            from .lattice import decay_fit
+        if len(kernels) >= 2 and config["backend"]["decay_orders"]:
             decay_rows = []
             for l_x, l_y in config["backend"]["decay_orders"]:
-                fit = decay_fit(op, family, t_list, l_x=int(l_x), l_y=int(l_y))
-                decay_rows += [(float(t), int(l_x), int(l_y), float(v), fit.slope)
+                fit = decay_fit(kernels, l_x, l_y)
+                decay_rows += [(float(t), l_x, l_y, float(v), fit.slope)
                                for t, v in zip(fit.t_list, fit.max_abs)]
             _write_table(ctx, "decay_fit.csv",
                          ["t", "l_x", "l_y", "max_abs", "fitted_exponent"], decay_rows)
@@ -500,20 +503,16 @@ def reconstruct(ctx):
         from .graphs import reconstruct_green
         rec = reconstruct_green(op, family, plan)
         name = "graph_decomposition.reconstruct_green.max_rel_error"
-        report = {"j_min": rec.plan.j_min, "j_max": rec.plan.j_max,
-                  "max_rel_error": rec.max_rel_error,
-                  "tail_high_bound": rec.tail_high_bound,
-                  "deflated": rec.deflated}
     else:
         from .lattice import reconstruct_torus_green
         rec = reconstruct_torus_green(op, family, plan)
         name = "lattice_kernels.reconstruct_torus_green.max_rel_error"
-        report = {"t_max": rec.t_max, "max_rel_error": rec.max_rel_error,
-                  "tail_bound": rec.tail_bound, "deflated": rec.deflated}
     checks.bound(name, rec.max_rel_error, tol["reconstruction_rel_massless"]
                  if rec.deflated else tol["reconstruction_rel"])
-    report["format_version"] = fileio.FORMAT_VERSION
-    fileio.write_json(_artifact(ctx, "reconstruction.json"), report)
+    fileio.write_json(_artifact(ctx, "reconstruction.json"),
+                      {"j_min": rec.plan.j_min, "j_max": rec.plan.j_max,
+                       "max_rel_error": rec.max_rel_error, "tail_bound": rec.tail_bound,
+                       "deflated": rec.deflated, "format_version": fileio.FORMAT_VERSION})
     _finish(ctx, "reconstruct")
 
 

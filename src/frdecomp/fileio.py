@@ -42,12 +42,6 @@ def read_kernel_binary(path, shape=None):
     return header, payload
 
 
-def write_kernel_csv(path, array):
-    """Flat CSV alternative: rows (flat_index, value)."""
-    flat = np.asarray(array, dtype=np.float64).ravel()
-    write_columns_csv(path, ["index", "value"], [np.arange(flat.size), flat])
-
-
 def write_block(path_base, block, m2, B, extra=None):
     """Binary matrix + JSON certificate sidecar for a graph scale block.
 

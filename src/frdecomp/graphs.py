@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import (ScalePlan, default_scale_plan, mode_variances, series_roundoff,
-                      zero_modes)
+from .weights import (Reconstruction, default_scale_plan, mode_variances,
+                      plan_tail_bound, series_roundoff, zero_modes)
 
 # Every dense graph path holds n x n arrays, and the eigensystem is an O(n^3)
 # factorization; GraphOperator.check_dense refuses larger graphs.
@@ -367,16 +367,6 @@ def scale_blocks(op, family, plan):
 # ---------------------------------------------------------------------------
 # reconstruction
 
-@dataclass
-class ReconstructionReport:
-    matrix: np.ndarray
-    oracle: np.ndarray
-    max_rel_error: float
-    plan: ScalePlan
-    tail_high_bound: float
-    deflated: bool
-
-
 def reconstruct_green(op, family, plan=None):
     """Evaluate the plan's summed series on the operator and compare to its
     Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap()).
@@ -386,16 +376,15 @@ def reconstruct_green(op, family, plan=None):
     mode, one per component of a singular operator, to 0) and mapped back by
     apply_weight_dense, as the samplers and the torus reconstruct do.
     Singular operators (a Laplacian, or a resolvent with m2 = 0) are compared
-    on the mean-zero subspace against the pseudo-inverse.
+    on the mean-zero subspace against the pseudo-inverse.  tail_bound is
+    plan_tail_bound over the eigenvalues, as on a torus.
     """
-    gap = op.spectral_gap()
     if plan is None:
-        plan = default_scale_plan(family, gap)
+        plan = default_scale_plan(family, op.spectral_gap())
     check_family(op, family)
     series = [plan.total_series(family)]
     total = op.apply_weight_dense(
         lambda lam: mode_variances(lam, family, series, op.is_singular)[0])
-    tail_high = family.tail_high(np.array([gap]), plan.t_high)
     deflated = bool(op.is_singular)
     oracle = op.green_oracle()
     compare = total
@@ -403,9 +392,10 @@ def reconstruct_green(op, family, plan=None):
         proj = op.mean_zero_projection()
         compare = proj @ total @ proj.T
     max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
-    return ReconstructionReport(
-        matrix=total, oracle=oracle, max_rel_error=max_rel, plan=plan,
-        tail_high_bound=float(tail_high[0]) / gap, deflated=deflated)
+    return Reconstruction(
+        values=total, oracle=oracle, max_rel_error=max_rel, plan=plan,
+        tail_bound=plan_tail_bound(family, plan, op.eigensystem()[0], deflated),
+        deflated=deflated)
 
 
 def killed_green_consistency(graph, kappa):

@@ -10,6 +10,12 @@ polynomial of degree floor(t) in the operator and the operator couples only
 infinity-distance-1 neighbours, the kernel vanishes exactly beyond
 infinity-distance floor(t) whenever N > 2t (no wrap-around).
 
+lattice_kernel is the one place a kernel is built: one folded Chebyshev
+series, evaluated once on the symbol, whose roundoff bound certifies it,
+and one inverse transform.  The estimate checks (decay_fit,
+discrete_continuum_gap) take differences of those kernels in real space
+(axis_differences) and transform nothing again.
+
 The continuum comparison kernel is the same construction with the continuous
 weight family (weights.ContinuousWeightFamily) and symbol
 a(xi) = sum a_ij xi_i xi_j, normalized with (2 pi)^{-d} to match the lattice
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .weights import (ContinuousWeightFamily, chebyshev_coefficients, default_scale_plan,
-                      mode_variances, series_roundoff, zero_modes)
+from .weights import (ContinuousWeightFamily, Reconstruction, chebyshev_coefficients,
+                      clenshaw_folded, default_scale_plan, mode_variances,
+                      plan_tail_bound, series_roundoff, zero_modes)
 
 DEFAULT_XI_CUTOFF = 40.0
 # The window every LatticeSpec lies in: the eigenvalues of a in
@@ -147,9 +154,6 @@ class LatticeKernel:
 
     t: float
     values: np.ndarray
-    m2: float
-    spec: LatticeSpec
-    B: float
     range_bound: int
     max_out_of_range: float
     imag_residue: float
@@ -168,35 +172,39 @@ def check_family(table, family):
         raise LatticeError(f"family B={family.B} does not match table B={table.B}")
 
 
-def lattice_kernel(table, family, t, allow_wraparound=False):
+def check_wraparound(spec, t):
+    """Refuse a t whose range floor(t) reaches the far side of the torus:
+    the exact finite range needs N > 2t."""
+    if 2.0 * t >= spec.N:
+        raise WrapAroundError(
+            f"t={t} needs N > {2 * t} for an uncontaminated range check (N={spec.N})")
+
+
+def lattice_kernel(table, family, t):
     """Inverse-transform the multiplier C (3/B) t^2 W*_t((3/B) symbol).
 
-    family must be a DiscreteWeightFamily built with B = table.B.  The exact
-    finite range floor(t) requires N > 2t; violations raise WrapAroundError
-    unless allow_wraparound is set (scale integrals targeting the torus
-    inverse are exact with wrap-around and may set it).
+    The multiplier is one folded series, t^2 C (3/B) chebyshev_coefficients,
+    evaluated by clenshaw_folded at theta = 1 - (3/(2B)) symbol;
+    roundoff_bound is series_roundoff of that same series.  family must be a
+    DiscreteWeightFamily built with B = table.B, and t must pass
+    check_wraparound.
     """
     check_family(table, family)
     spec = table.spec
-    if not allow_wraparound and 2.0 * t >= spec.N:
-        raise WrapAroundError(
-            f"t={t} needs N > {2 * t} for an uncontaminated range check (N={spec.N})")
-    mult = t**2 * family.value(table.values.ravel(), t).reshape(spec.shape)
+    check_wraparound(spec, t)
     series = t**2 * family.C * family.arg_scale * chebyshev_coefficients(
         family.mollifier, t)
+    mult = clenshaw_folded(series, 1.0 - 0.5 * family.arg_scale * table.values)
     kernel_c = np.fft.ifftn(mult)
     kernel = kernel_c.real
-    sup = float(np.max(np.abs(kernel)))
     imag = float(np.max(np.abs(kernel_c.imag)))
     rng = int(np.floor(t))
-    dist = torus_linf_distance(spec.N, spec.d)
-    outside = dist > rng
+    outside = torus_linf_distance(spec.N, spec.d) > rng
     oor = float(np.max(np.abs(kernel[outside]))) if outside.any() else 0.0
     return LatticeKernel(
-        t=float(t), values=kernel, m2=spec.m2, spec=spec, B=table.B,
-        range_bound=rng, max_out_of_range=oor, imag_residue=imag,
-        multiplier_min=float(mult.min()), multiplier_max=float(mult.max()),
-        roundoff_bound=series_roundoff(series))
+        t=float(t), values=kernel, range_bound=rng, max_out_of_range=oor,
+        imag_residue=imag, multiplier_min=float(mult.min()),
+        multiplier_max=float(mult.max()), roundoff_bound=series_roundoff(series))
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +253,6 @@ def green_column(spec):
     return np.fft.ifftn(1.0 / spectrum).real
 
 
-@dataclass
-class TorusReconstruction:
-    kernel: np.ndarray          # reconstructed Green kernel column (torus array)
-    oracle_column: np.ndarray   # green_column(spec), the real-space oracle
-    max_rel_error: float
-    t_max: float
-    tail_bound: float
-    deflated: bool
-
-
 def reconstruct_torus_green(table, family, plan=None):
     """Sum the plan's scale series and compare to the real-space oracle;
     plan defaults to default_scale_plan(family, table.spectral_gap()).
@@ -263,7 +261,8 @@ def reconstruct_torus_green(table, family, plan=None):
     (with its zero-mode deflation at m^2 = 0) and transformed back.  The
     reconstructed Green matrix is circulant by construction and the oracle
     commutes with shifts, so the largest entrywise error is the largest
-    error over the one column green_column(table.spec).
+    error over the one column green_column(table.spec).  tail_bound is
+    plan_tail_bound over the symbol, as on a graph.
     """
     spec = table.spec
     if plan is None:
@@ -274,13 +273,10 @@ def reconstruct_torus_green(table, family, plan=None):
     kernel = np.fft.ifftn(v).real
     oracle = green_column(spec)
     max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))
-    # the deflated zero mode carries no tail
-    lam = table.values.ravel()
-    tail = family.tail_high(lam[~zero_modes(lam, table.is_singular)], plan.t_high)
-    return TorusReconstruction(kernel=kernel, oracle_column=oracle,
-                               max_rel_error=max_rel, t_max=float(plan.t_high),
-                               tail_bound=float(np.max(tail)),
-                               deflated=table.is_singular)
+    return Reconstruction(
+        values=kernel, oracle=oracle, max_rel_error=max_rel, plan=plan,
+        tail_bound=plan_tail_bound(family, plan, table.values, table.is_singular),
+        deflated=table.is_singular)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +377,16 @@ def matched_continuum_kernel_at_points(spec, family, t, coords, order=0,
 # ---------------------------------------------------------------------------
 # estimate checks
 
+def axis_differences(values, l_x=0, l_y=0):
+    """l_x forward differences u(x + e_1) - u(x) and l_y backward ones
+    u(x - e_1) - u(x) along the first axis of a torus array: the Fourier
+    multiplier (e^{i xi_1} - 1)^{l_x} (e^{-i xi_1} - 1)^{l_y}."""
+    for shift, order in ((-1, l_x), (1, l_y)):
+        for _ in range(order):
+            values = np.roll(values, shift, axis=0) - values
+    return values
+
+
 @dataclass
 class DecayFit:
     t_list: np.ndarray
@@ -389,54 +395,35 @@ class DecayFit:
     constant: float
     l_x: int
     l_y: int
-    compensated: bool
 
 
-def decay_fit(table, family, t_list, l_x=0, l_y=0, mass_power=0):
-    """Fit log max_x |grad^{l_x} grad^{l_y} phi*_t| against log t.
-
-    Forward differences act along the first coordinate axis (multiplier
-    (e^{i xi_1} - 1) per x-order and its conjugate per y-order).  With
-    mass_power = k the values are compensated by (1 + m^2 t^2)^k before the
-    fit.
-    """
-    spec = table.spec
-    xi1 = 2.0 * np.pi * np.arange(spec.N) / spec.N
-    shape1 = [1] * spec.d
-    shape1[0] = spec.N
-    fwd = (np.exp(1j * xi1) - 1.0).reshape(shape1)
-    diff_mult = fwd**l_x * np.conj(fwd) ** l_y
-    sup = []
-    for t in t_list:
-        mult = t**2 * family.value(table.values.ravel(), t).reshape(spec.shape)
-        arr = np.fft.ifftn(mult * diff_mult)
-        m = float(np.max(np.abs(arr.real)))
-        if mass_power:
-            m *= (1.0 + spec.m2 * t**2) ** mass_power
-        sup.append(m)
-    t_arr = np.asarray(t_list, dtype=float)
-    sup = np.asarray(sup)
+def decay_fit(kernels, l_x=0, l_y=0):
+    """Fit log max_x |axis_differences(phi*_t, l_x, l_y)| against log t over
+    kernels built by lattice_kernel, one per t."""
+    t_arr = np.array([ker.t for ker in kernels])
+    sup = np.array([float(np.max(np.abs(axis_differences(ker.values, l_x, l_y))))
+                    for ker in kernels])
     slope, intercept = np.polyfit(np.log(t_arr), np.log(sup), 1)
     return DecayFit(t_list=t_arr, max_abs=sup, slope=float(slope),
-                    constant=float(np.exp(intercept)), l_x=l_x, l_y=l_y,
-                    compensated=bool(mass_power))
+                    constant=float(np.exp(intercept)), l_x=l_x, l_y=l_y)
 
 
 @dataclass
 class GapReport:
     t_list: np.ndarray
     gaps: np.ndarray              # max over axis points of |discrete - continuum|
-    compensated: np.ndarray       # gaps * t^{(d-2)+l+1}, optionally mass-compensated
+    compensated: np.ndarray       # gaps * t^{(d-2)+l+1}
     l: int
 
 
-def discrete_continuum_gap(table, family, t_list, l=0, mass_power=0):
+def discrete_continuum_gap(table, family, t_list, l=0):
     """Compare lattice kernels to continuum kernels at lattice points (c = 1).
 
     l = 0 compares values on all sites within the kernel range; l = 1
-    compares the forward difference along axis 1 with the continuum
-    derivative on axis points.  Values are multiplied by t^{(d-2)+l+1}; the
-    contract is that they remain bounded as t grows.
+    compares the forward difference along axis 1 (axis_differences) with
+    the continuum derivative on axis points.  The gaps are multiplied by
+    t^{(d-2)+l+1} into compensated; the contract is that it remains bounded
+    as t grows.
     """
     if l not in (0, 1):
         raise LatticeError("gap check supports l in {0, 1}")
@@ -454,7 +441,7 @@ def discrete_continuum_gap(table, family, t_list, l=0, mass_power=0):
             cont_vals = matched_continuum_kernel_at_points(spec, family, t, coords)
             gaps.append(float(np.max(np.abs(disc_vals - cont_vals))))
         else:
-            grad = np.roll(arr, -1, axis=0) - arr
+            grad = axis_differences(arr, l_x=1)
             reach = min(int(np.floor(t)) + 2, spec.N // 2 - 1)
             ks = np.arange(reach + 1)
             coords = np.zeros((len(ks), spec.d))
@@ -466,8 +453,6 @@ def discrete_continuum_gap(table, family, t_list, l=0, mass_power=0):
     t_arr = np.asarray(t_list, dtype=float)
     gaps = np.asarray(gaps)
     comp = gaps * t_arr ** (spec.d - 2 + l + 1)
-    if mass_power:
-        comp = comp * (1.0 + spec.m2 * t_arr**2) ** mass_power
     return GapReport(t_list=t_arr, gaps=gaps, compensated=comp, l=l)
 
 

@@ -403,6 +403,32 @@ def default_scale_plan(family, lambda_min, *, L_ratio=2.0, target_tail_rel=1e-7)
                      L_ratio=L_ratio)
 
 
+@dataclass
+class Reconstruction:
+    """A Green function summed from a plan's series, beside its oracle: the
+    matrix of a graph operator, or the column x -> G(x, 0) of a torus.
+
+    max_rel_error is the largest entrywise error over max |oracle|;
+    tail_bound (plan_tail_bound) bounds, in identity units, what the scales
+    above plan.t_high would add on any mode; deflated says that the zero
+    modes were set to 0 and the oracle is the pseudo-inverse.
+    """
+
+    values: np.ndarray
+    oracle: np.ndarray
+    max_rel_error: float
+    plan: ScalePlan
+    tail_bound: float
+    deflated: bool
+
+
+def plan_tail_bound(family, plan, spectrum, singular):
+    """The largest family.tail_high(lambda, plan.t_high) over the spectrum
+    off its zero modes (zero_modes), which no plan sums."""
+    lam = np.asarray(spectrum, dtype=float).ravel()
+    return float(np.max(family.tail_high(lam[~zero_modes(lam, singular)], plan.t_high)))
+
+
 # ---------------------------------------------------------------------------
 # formula-level checks
 

@@ -160,10 +160,30 @@ class TestDecomposeCommand:
         assert header[:3].tolist() == [2.0, 64.0, 8.0]
         dist = torus_linf_distance(64, 2)
         assert np.max(np.abs(kernel[dist > 8])) <= 1e-12 * np.max(np.abs(kernel))
-        assert (out / "kernel_t8.0.csv").exists()
+        # each kernel is written once, as .bin
+        assert not any(name.startswith("kernel_t") and name.endswith(".csv")
+                       for name in os.listdir(out))
         decay = (out / "decay_fit.csv").read_text().splitlines()
         assert decay[0] == "t,l_x,l_y,max_abs,fitted_exponent"
         assert len(decay) == 3
+
+    def test_torus_transforms_each_kernel_once(self, tmp_path, monkeypatch):
+        # the decay fit differences the kernels already built: one inverse
+        # transform per t_list entry, whatever the decay orders
+        calls = []
+        ifftn = np.fft.ifftn
+
+        def counted_ifftn(*args, **kwargs):
+            calls.append(args[0].shape)
+            return ifftn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counted_ifftn)
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"kind": "torus", "N": 16, "t_list": [2.0, 3.5],
+                               "decay_orders": [[0, 0], [1, 0]]}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(tmp_path / "t"), "decompose"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("backend, header", [
         ({}, [0.0, 16.0, 2.0, 1.0, 3.0]),
@@ -214,18 +234,30 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruction.json").read_text())
         assert report["max_rel_error"] <= 1e-5
 
-    @pytest.mark.parametrize("scales, t_max, exit_code", [
-        ({}, 512.0, 0),
-        ({"j_max": 6}, 64.0, 1),     # the tail above t = 64 exceeds the tolerance
+    @pytest.mark.parametrize("scales, j_max, exit_code", [
+        ({}, 9, 0),
+        ({"j_max": 6}, 6, 1),     # the tail above t = 64 exceeds the tolerance
     ])
-    def test_torus_plan_from_config(self, tmp_path, scales, t_max, exit_code):
+    def test_torus_plan_from_config(self, tmp_path, scales, j_max, exit_code):
         out = tmp_path / "r"
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
                    "scales": scales}).to_file(cfgfile)
         res = run(["--config", str(cfgfile), "--out", str(out), "reconstruct"])
         assert res.exit_code == exit_code, res.output
-        assert json.loads((out / "reconstruction.json").read_text())["t_max"] == t_max
+        assert json.loads((out / "reconstruction.json").read_text())["j_max"] == j_max
+
+    @pytest.mark.parametrize("backend", [{}, {"kind": "torus", "N": 8}])
+    def test_one_report_on_both_backends(self, tmp_path, backend):
+        out = tmp_path / "r"
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": backend}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(out), "reconstruct"])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "reconstruction.json").read_text())
+        assert sorted(report) == ["deflated", "format_version", "j_max", "j_min",
+                                  "max_rel_error", "tail_bound"]
+        assert 0.0 < report["tail_bound"] <= 1e-7
 
 
 class TestSampleCommand:
@@ -452,7 +484,17 @@ class TestRejectedInput:
             ({"backend": {"kind": "torus", "t_list": [0.0, 2.0]}}, "decompose"),
             ({"backend": {"kind": "torus", "t_list": 2.0}}, "decompose"),
             ({"backend": {"kind": "torus", "a": [[1, 0], [0]]}}, "decompose"),
-            ({"backend": {"kind": "torus", "decay_orders": [[0]]}}, "decompose"))
+            ({"backend": {"kind": "torus", "decay_orders": [[0]]}}, "decompose"),
+            # one value twice, 2 and 2.0 alike
+            ({"backend": {"kind": "torus", "N": 8, "t_list": [2.0, 2.0]}}, "decompose"),
+            ({"backend": {"kind": "torus", "N": 8, "t_list": [2, 3.5, 2.0]}},
+             "decompose"))
+    ] + [
+        # a range floor(t) that reaches the far side of the torus, refused
+        # before the first kernel is written
+        pytest.param(json.dumps({"backend": {"kind": "torus", "N": 8,
+                                             "t_list": [2.0, 5.0]}}),
+                     "decompose", "WrapAroundError", id="t_list=[2.0, 5.0]")
     ] + [
         pytest.param(json.dumps({"backend": {"graph": "file", "edges_file": edges}}),
                      command, error, id=f"edges_file={edges} {command}")

@@ -23,14 +23,6 @@ def test_kernel_binary_header_length(tmp_path):
         fileio.write_kernel_binary(tmp_path / "bad.bin", [1, 2, 3], np.ones(2))
 
 
-def test_kernel_csv(tmp_path):
-    path = tmp_path / "k.csv"
-    fileio.write_kernel_csv(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,value"
-    assert len(lines) == 5
-
-
 def test_block_dump_with_sidecar(tmp_path, mollifier, norm1):
     op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)

@@ -334,7 +334,7 @@ class TestReconstruction:
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
         rec = reconstruct_green(op, fam)
         expect = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-        assert np.max(np.abs(rec.matrix - expect)) <= 1e-6
+        assert np.max(np.abs(rec.values - expect)) <= 1e-6
 
     def test_sixteen_cycle_killed(self, mollifier, norm1):
         op = GraphOperator(cycle_graph(16), "killed", kappa=0.9)
@@ -380,7 +380,7 @@ class TestReconstruction:
         plan = default_scale_plan(fam, op.spectral_gap())
         white, blocks = scale_blocks(op, fam, plan)
         summed = white * np.eye(op.n) + sum(b.matrix for b in blocks)
-        rec = reconstruct_green(op, fam, plan).matrix
+        rec = reconstruct_green(op, fam, plan).values
         if op.is_singular:
             proj = op.mean_zero_projection()
             summed, rec = proj @ summed @ proj.T, proj @ rec @ proj.T
@@ -421,8 +421,8 @@ class TestReconstruction:
         resolvent, laplacian = recs
         assert resolvent.deflated and laplacian.deflated
         assert resolvent.plan == laplacian.plan
-        scale = np.max(np.abs(laplacian.matrix))
-        assert np.max(np.abs(resolvent.matrix - laplacian.matrix)) <= 1e-12 * scale
+        scale = np.max(np.abs(laplacian.values))
+        assert np.max(np.abs(resolvent.values - laplacian.values)) <= 1e-12 * scale
         assert abs(resolvent.max_rel_error - laplacian.max_rel_error) <= 1e-12
         assert resolvent.max_rel_error <= 1e-4
 
@@ -476,7 +476,7 @@ class TestReconstruction:
         plan = default_scale_plan(fam, op.spectral_gap())
         assert plan.t_low == 1.0
         rec = reconstruct_green(op, fam, plan)
-        assert rec.tail_high_bound <= 1e-6
+        assert rec.tail_bound <= 1e-6
 
 
 class TestKilledGreen:

@@ -3,15 +3,16 @@ import pytest
 
 from conftest import circulant_matrix, stencil_operator
 from frdecomp.lattice import (DEFAULT_XI_CUTOFF, LatticeError, LatticeSpec,
-                              WrapAroundError, build_symbol_table,
+                              WrapAroundError, axis_differences, build_symbol_table,
                               continuum_kernel, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
                               matched_continuum_kernel_at_points,
                               reconstruct_torus_green, torus_linf_distance)
 from frdecomp.quadrature import gauss_legendre
-from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, default_scale_plan,
-                              mode_variances)
+from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, chebyshev_coefficients,
+                              clenshaw_folded, default_scale_plan, mode_variances,
+                              series_roundoff)
 
 
 ANISOTROPIC_2D = [[1.0, 0.3], [0.3, 1.5]]
@@ -178,13 +179,27 @@ class TestLatticeKernel:
         assert 0 < ker.roundoff_bound <= 1e-12 * ker.multiplier_max
         assert -ker.multiplier_min <= ker.roundoff_bound
 
+    def test_multiplier_is_the_certified_series(self, mollifier, norm1):
+        # the multiplier is the very series whose roundoff bound the kernel
+        # reports, evaluated on the symbol: recomputed, it matches bit for bit
+        spec = LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.5]]), m2=0.25, N=32)
+        table = build_symbol_table(spec)
+        fam = make_family(mollifier, norm1, table.B)
+        t = 7.5
+        ker = lattice_kernel(table, fam, t)
+        series = t**2 * fam.C * fam.arg_scale * chebyshev_coefficients(mollifier, t)
+        assert series_roundoff(series) == ker.roundoff_bound
+        mult = clenshaw_folded(series, 1.0 - 0.5 * fam.arg_scale * table.values)
+        assert (float(mult.min()), float(mult.max())) == (ker.multiplier_min,
+                                                           ker.multiplier_max)
+        assert np.array_equal(np.fft.ifftn(mult).real, ker.values)
+
     def test_wraparound_guard(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         with pytest.raises(WrapAroundError):
             lattice_kernel(table, fam, 4.0)
-        lattice_kernel(table, fam, 4.0, allow_wraparound=True)
 
     def test_family_bound_mismatch_rejected(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.5, N=16)
@@ -246,10 +261,11 @@ class TestTorusReconstruction:
         for j in range(plan.j_min, plan.j_max + 1):
             tq, wq = gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j, 128)
             for t, w in zip(tq, wq):
-                ker = lattice_kernel(table, fam, t, allow_wraparound=True)
-                kernel_sum += w / t * ker.values
-        np.testing.assert_allclose(kernel_sum, rec.kernel.ravel(),
-                                   rtol=0, atol=2e-14 * np.abs(rec.kernel).max())
+                # wrapped kernels: the scale sum targets the torus inverse
+                kernel = np.fft.ifftn(t**2 * fam.value(table.values, t)).real
+                kernel_sum += w / t * kernel
+        np.testing.assert_allclose(kernel_sum, rec.values.ravel(),
+                                   rtol=0, atol=2e-14 * np.abs(rec.values).max())
 
     @pytest.mark.parametrize("N", [32, 64])
     def test_benchmark_configs_below_5e_11(self, mollifier, norm1, N):
@@ -279,9 +295,9 @@ class TestTorusReconstruction:
         rec = reconstruct_torus_green(table, fam, plan)
         per_scale = mode_variances(table.values, fam, plan.series(fam), m2 == 0.0)
         expect = np.fft.ifftn(sum(per_scale)).real
-        assert np.max(np.abs(rec.kernel - expect)) <= 1e-12 * np.max(np.abs(rec.kernel))
+        assert np.max(np.abs(rec.values - expect)) <= 1e-12 * np.max(np.abs(rec.values))
         if m2 == 0.0:   # deflated: the zero mode carries no variance
-            assert abs(rec.kernel.sum()) <= 1e-12 * np.max(np.abs(rec.kernel))
+            assert abs(rec.values.sum()) <= 1e-12 * np.max(np.abs(rec.values))
 
     def test_massless_deflated(self, mollifier, norm1):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
@@ -299,7 +315,7 @@ class TestTorusReconstruction:
         rec = reconstruct_torus_green(table, fam)
         L = stencil_operator(spec).toarray()
         full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
-        green = _circulant_loop(rec.kernel)
+        green = _circulant_loop(rec.values)
         full_rel = np.max(np.abs(green - full)) / np.max(np.abs(full))
         # both errors are relative to max |G|; the two oracles differ by
         # roundoff (~1e-15 of max |G|), far below the ~1e-10 error itself
@@ -357,7 +373,7 @@ class TestTorusReconstruction:
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         rec = reconstruct_torus_green(table, fam)
-        assert rec.oracle_column.shape == spec.shape
+        assert rec.oracle.shape == spec.shape
         assert rec.max_rel_error <= 1e-5
 
 
@@ -445,9 +461,10 @@ class TestDecayFit:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=128)
         table = build_symbol_table(spec)
         fam = make_family(narrow_mollifier, narrow_norm, table.B)
-        fit0 = decay_fit(table, fam, [4, 8, 16, 32])
+        kernels = [lattice_kernel(table, fam, t) for t in (4, 8, 16, 32)]
+        fit0 = decay_fit(kernels)
         assert fit0.slope == pytest.approx(-1.0, abs=0.1)
-        fit1 = decay_fit(table, fam, [4, 8, 16, 32], l_x=1)
+        fit1 = decay_fit(kernels, l_x=1)
         assert fit1.slope == pytest.approx(-2.0, abs=0.15)
 
     def test_default_profile_upper_bound(self, mollifier, norm1):
@@ -456,17 +473,29 @@ class TestDecayFit:
         spec = LatticeSpec(d=3, a=np.eye(3), m2=0.0, N=64)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        fit = decay_fit(table, fam, [4, 8, 16])
+        fit = decay_fit([lattice_kernel(table, fam, t) for t in (4, 8, 16)])
         comp = fit.max_abs * fit.t_list
         assert comp.max() <= 2.5 * comp.min()
 
-    def test_mass_compensation_flattens(self, mollifier, norm1):
-        spec = LatticeSpec(d=3, a=np.eye(3), m2=0.5, N=64)
-        table = build_symbol_table(spec)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("l_x, l_y", [(1, 0), (0, 1), (1, 1), (2, 0)])
+    def test_differences_match_fourier_route(self, mollifier, norm1, d, l_x, l_y):
+        # the reference: the differences as Fourier multipliers,
+        # (e^{i xi_1} - 1) per forward and (e^{-i xi_1} - 1) per backward one
+        N = 16
+        a = np.array(ANISOTROPIC_2D) if d == 2 else np.eye(d)
+        table = build_symbol_table(LatticeSpec(d=d, a=a, m2=0.5, N=N))
         fam = make_family(mollifier, norm1, table.B)
-        raw = decay_fit(table, fam, [4, 8, 16])
-        comp = decay_fit(table, fam, [4, 8, 16], mass_power=2)
-        assert comp.slope > raw.slope + 0.5
+        t = 5.5
+        ker = lattice_kernel(table, fam, t)
+        xi1 = (2.0 * np.pi * np.arange(N) / N).reshape((N,) + (1,) * (d - 1))
+        mult = (t**2 * fam.value(table.values, t) * (np.exp(1j * xi1) - 1.0) ** l_x
+                * (np.exp(-1j * xi1) - 1.0) ** l_y)
+        expect = np.fft.ifftn(mult).real
+        got = axis_differences(ker.values, l_x, l_y)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * ker.sup
+        fit = decay_fit([ker, lattice_kernel(table, fam, 2.5)], l_x, l_y)
+        assert fit.max_abs[0] == np.max(np.abs(got))
 
 
 class TestDiscreteContinuumGap:

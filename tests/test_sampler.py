@@ -106,7 +106,7 @@ class TestGraphSampler:
         lam, vecs = op.eigensystem()
         total = sum((vecs * v) @ vecs.T
                     for v in mode_variances(lam, fam, plan.series(fam), False))
-        assert np.max(np.abs(total - rec.matrix)) <= 1e-10 * np.max(np.abs(rec.matrix))
+        assert np.max(np.abs(total - rec.values)) <= 1e-10 * np.max(np.abs(rec.values))
         assert np.max(np.abs(total - op.green_oracle())) <= 1e-5 * np.max(np.abs(oracle))
 
     def test_determinism_and_seed_sensitivity(self, cycle_setup):
@@ -199,7 +199,7 @@ class TestGraphSampler:
     @pytest.mark.parametrize("run", [
         pytest.param(lambda op, fam, plan: sample_graph(op, fam, plan, 3, 100)[0],
                      id="sample_graph"),
-        pytest.param(lambda op, fam, plan: reconstruct_green(op, fam, plan).matrix,
+        pytest.param(lambda op, fam, plan: reconstruct_green(op, fam, plan).values,
                      id="reconstruct_green")])
     def test_sample_path_applies_no_operator(self, cycle_setup, monkeypatch, run):
         # the eigensystem comes from the plan's spectral gap; sampling and

@@ -90,6 +90,10 @@ CONFIGS = [
      {"backend": {"kind": "torus", "d": 1, "N": 32},
       "sampler": {"sample_count": 6000, "dump_replicates": 4200}}),
     ("default torus", "decompose", {"backend": {"kind": "torus"}}),
+    # every difference order the decay fit takes, up to the largest t N = 64 allows
+    ("torus d=2 N=64 decay orders", "decompose",
+     {"backend": {"kind": "torus", "d": 2, "N": 64, "t_list": [8, 16, 31],
+                  "decay_orders": [[0, 0], [1, 0], [0, 1], [1, 1]]}}),
     ("massless anisotropic torus d=2 N=16", "reconstruct",
      {"backend": {"kind": "torus", "d": 2, "N": 16, "a": [[1.0, 0.3], [0.3, 1.5]],
                   "lattice_m2": 0.0}}),
