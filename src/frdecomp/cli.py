@@ -19,23 +19,21 @@ import numpy as np
 from . import fileio
 from .graphs import GraphError
 from .lattice import LatticeError
-from .mollifier import build_mollifier, normalization_constant
+from .mollifier import GRID_STEP, X_MAX, build_mollifier, normalization_constant
 from .sampler import check_settings
 from .weights import (PLAN_T_CAP, BlockQualityError, ContinuousWeightFamily,
                       DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
-                      check_decomposition_identity, coefficient_csv,
-                      decay_constants, default_lambda_grid,
-                      default_scale_plan, eval_discrete_weight_direct,
-                      wave_identity_max_residual)
+                      check_decomposition_identity, decay_constants,
+                      default_lambda_grid, default_scale_plan,
+                      eval_discrete_weight_direct, wave_identity_max_residual,
+                      write_identity_csv)
 
 DEFAULT_CONFIG = {
     "seed": 20240801,
-    "mollifier": {"grid_step": 1e-3, "x_max": 100.0},
     "weights": {
         "lambda_grid": None,          # null -> 0.05 .. 3 step 0.05
         "t_min": 1e-3,
         "t_max": 1e3,
-        "coefficient_dump_t": 8.0,
     },
     "backend": {
         "kind": "graph",              # graph | torus
@@ -78,7 +76,9 @@ DEFAULT_CONFIG = {
 
 # Keys earlier versions read and this one no longer does: accepted with a
 # note, so that saved configs keep working.  Each maps to (reason, the one
-# value it was used with, or None if any value is accepted).
+# value it was used with, or None if any value is accepted).  A section left
+# empty by them, and not in DEFAULT_CONFIG, is dropped with them.
+_PHI_GRID = f"phi is tabulated on one grid, step {GRID_STEP:g} up to x_max = {X_MAX:g}"
 RETIRED_KEYS = {
     ("weights", "gamma"): ("the weight families are built with gamma = 1", 1),
     ("sampler", "deflate_zero_mode"):
@@ -90,6 +90,9 @@ RETIRED_KEYS = {
                          "sets any grid with 0 < lambda <= 4", 1),
     ("tolerances", "psd_rel"): ("every PSD check is bounded by the roundoff of its "
                                 "own series (weights.series_roundoff)", 1e-10),
+    ("mollifier", "grid_step"): (_PHI_GRID, GRID_STEP),
+    ("mollifier", "x_max"): (_PHI_GRID, X_MAX),
+    ("weights", "coefficient_dump_t"): ("coefficients.csv is the series of t = 8", 8),
 }
 
 
@@ -146,6 +149,9 @@ def _drop_retired(data):
         if used is not None and value != used:
             raise ConfigError(f"retired key {name} must be {used}, got {value!r}: {reason}")
         notes.append(f"NOTE config key {name} is retired and ignored: {reason}")
+    for section in {section for section, _ in RETIRED_KEYS} - DEFAULT_CONFIG.keys():
+        if data.get(section) == {}:
+            del data[section]
     return notes
 
 
@@ -231,11 +237,7 @@ class CheckList:
 
 
 def _components(config):
-    mc = config["mollifier"]
-    try:
-        m = build_mollifier(grid_step=mc["grid_step"], x_max=mc["x_max"])
-    except ValueError as exc:
-        raise ConfigError(f"mollifier: {exc}") from None
+    m = build_mollifier()
     return m, normalization_constant(m)
 
 
@@ -309,8 +311,8 @@ def _sampler_settings(config):
 
 def _weight_settings(config):
     """(config["weights"], lambda grid), refused unless
-    0 < t_min < t_max <= PLAN_T_CAP, 0 < coefficient_dump_t <= PLAN_T_CAP
-    and the grid is non-empty, numeric and inside 0 < lambda <= 4.
+    0 < t_min < t_max <= PLAN_T_CAP and the grid is non-empty, numeric and
+    inside 0 < lambda <= 4.
 
     The grid is weights.lambda_grid, or default_lambda_grid() if that is null.
     """
@@ -318,9 +320,6 @@ def _weight_settings(config):
     if not 0.0 < wc["t_min"] < wc["t_max"] <= PLAN_T_CAP:
         raise ConfigError(f"weights.t_min={wc['t_min']} and weights.t_max={wc['t_max']} "
                           f"must satisfy 0 < t_min < t_max <= {PLAN_T_CAP:g}")
-    if not 0.0 < wc["coefficient_dump_t"] <= PLAN_T_CAP:
-        raise ConfigError(f"weights.coefficient_dump_t={wc['coefficient_dump_t']} "
-                          f"must lie in (0, {PLAN_T_CAP:g}]")
     listed = wc["lambda_grid"]
     if listed is None:
         return wc, default_lambda_grid()
@@ -384,9 +383,8 @@ def _write_table(ctx, name, header, rows):
     fileio.write_columns_csv(_artifact(ctx, name), header, columns)
 
 
-def _finish(ctx, command=None):
-    if command is not None:
-        fileio.write_manifest(ctx.obj["out"], command, ctx.obj["artifacts"])
+def _finish(ctx, command):
+    fileio.write_manifest(ctx.obj["out"], command, ctx.obj["artifacts"])
     ok = ctx.obj["checks"].render()
     if not ok:
         failed = [name for name, _, _, okk in ctx.obj["checks"].rows if not okk]
@@ -407,9 +405,8 @@ def weights(ctx):
     rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"])
     checks.bound("spectral_weights.check_decomposition_identity[discrete]",
                  rep.max_certified_residual(), tol["identity_discrete"])
-    cont = ContinuousWeightFamily(m, C)
-    rep_c = check_decomposition_identity(cont, lam, wc["t_min"], wc["t_max"])
-    rep.w_cont = rep_c.w_cont
+    rep_c = check_decomposition_identity(ContinuousWeightFamily(m, C), lam,
+                                         wc["t_min"], wc["t_max"])
     checks.bound("spectral_weights.check_decomposition_identity[continuous]",
                  rep_c.max_certified_residual(), tol["identity_continuous"])
     sups = decay_constants(disc)
@@ -423,13 +420,13 @@ def weights(ctx):
     checks.bound("spectral_weights.wave_identity",
                  wave_identity_max_residual(), tol["wave_identity"])
 
-    rep.to_csv(_artifact(ctx, "weights_identity.csv"))
+    write_identity_csv(_artifact(ctx, "weights_identity.csv"), rep, rep_c)
     _write_table(ctx, "decay_constants.csv", ["order_l", "sup"],
                  [(l, float(v)) for l, v in sorted(sups.items())])
     _write_table(ctx, "approximation.csv", ["t", "abs_diff", "slope"],
                  [(float(t), float(d), fit.slope) for t, d in zip(fit.t_list, fit.diffs)])
-    coefficient_csv(chebyshev_coefficients(m, wc["coefficient_dump_t"]),
-                    _artifact(ctx, "coefficients.csv"))
+    _write_table(ctx, "coefficients.csv", ["k", "c_k"],
+                 enumerate(chebyshev_coefficients(m, 8.0)))
     _finish(ctx, "weights")
 
 
@@ -526,19 +523,16 @@ def sample(ctx):
     kind = config["backend"]["kind"]
     from . import sampler
     plan = _scale_plan(config, op, family)
-    min_samples = min(1000, sample_count)
     if kind == "graph":
         gram, kept = sampler.sample_graph(op, family, plan, seed, sample_count, keep)
-        rep = sampler.covariance_report(gram, sample_count, op.field_oracle(),
-                                        min_samples)
+        rep = sampler.covariance_report(gram, sample_count, op.field_oracle())
         x, y = np.triu_indices(op.n)
         header = ["x", "y", "empirical", "oracle", "z"]
         columns = [x, y] + [a[x, y] for a in (rep.empirical, rep.oracle, rep.z_scores)]
     else:
         from .lattice import green_column
         power, kept = sampler.sample_torus(op, family, plan, seed, sample_count, keep)
-        rep = sampler.lag_covariance_report(power, sample_count, green_column(op.spec),
-                                            min_samples)
+        rep = sampler.lag_covariance_report(power, sample_count, green_column(op.spec))
         header = ["lag", "empirical", "oracle", "z"]
         columns = [np.arange(op.spec.size)] + [
             a.ravel() for a in (rep.empirical, rep.oracle, rep.z_scores)]

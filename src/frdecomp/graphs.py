@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import (Reconstruction, default_scale_plan, mode_variances,
-                      plan_tail_bound, series_roundoff, zero_modes)
+from .weights import (Reconstruction, check_family, default_scale_plan,
+                      mode_variances, plan_tail_bound, series_roundoff, zero_modes)
 
 # Every dense graph path holds n x n arrays, and the eigensystem is an O(n^3)
 # factorization; GraphOperator.check_dense refuses larger graphs.
@@ -240,12 +240,6 @@ class GraphOperator:
         green_oracle() when mu is constant, the symmetric Dirichlet-form field
         (mean-zero projected when singular) otherwise."""
         return self.green_oracle(column_scale=self.graph.mu.mean() / self.graph.mu)
-
-
-def check_family(op, family):
-    """Refuse a weight family built for another norm bound than the operator's."""
-    if abs(family.B - op.B) > 1e-12 * op.B:
-        raise GraphError(f"family B={family.B} does not match operator B={op.B}")
 
 
 def _recurrence_matrix(op):

@@ -28,8 +28,8 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 from .weights import (ContinuousWeightFamily, Reconstruction, chebyshev_coefficients,
-                      clenshaw_folded, default_scale_plan, mode_variances,
-                      plan_tail_bound, series_roundoff, zero_modes)
+                      check_family, clenshaw_folded, default_scale_plan,
+                      mode_variances, plan_tail_bound, series_roundoff, zero_modes)
 
 DEFAULT_XI_CUTOFF = 40.0
 # The window every LatticeSpec lies in: the eigenvalues of a in
@@ -164,12 +164,6 @@ class LatticeKernel:
     @property
     def sup(self):
         return float(np.max(np.abs(self.values)))
-
-
-def check_family(table, family):
-    """Refuse a weight family built for another norm bound than the table's."""
-    if abs(family.B - table.B) > 1e-9 * table.B:
-        raise LatticeError(f"family B={family.B} does not match table B={table.B}")
 
 
 def check_wraparound(spec, t):

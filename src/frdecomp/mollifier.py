@@ -8,9 +8,11 @@ is built from a bump profile khat supported in [-1/2, 1/2]:
     phi_hat  = khat * khat  (autoconvolution, supported in [-1, 1]),
 
 with the Fourier convention phi_hat(k) = (2 pi)^{-1} int phi(x) e^{-ikx} dx.
-kappa and kappa' are tabulated on a uniform grid x = X + y, split into a
-coarse grid X and a fine offset y, by one Gauss-Legendre rule in s; with
-cos s(X+y) = cos sX cos sy - sin sX sin sy each table is two matrix
+kappa and kappa' are tabulated by one Gauss-Legendre rule in s on one
+fixed uniform grid, step GRID_STEP = 1e-3 up to X_MAX = 100: every
+certificate built on the tables is checked on that grid.  With x = X + y
+split into a coarse grid X and a fine offset y, and
+cos s(X+y) = cos sX cos sy - sin sX sin sy, each table is two matrix
 products.  phi_hat is tabulated on a finer uniform grid in k by the
 trapezoid rule on that same grid, one discrete convolution of the sampled
 khat (spectrally accurate for the smooth compactly supported bump).  phi is
@@ -49,8 +51,10 @@ import numpy as np
 
 from .quadrature import gauss_legendre
 
-DEFAULT_GRID_STEP = 1e-3
-DEFAULT_X_MAX = 100.0
+# The one phi grid (module docstring), on which the K_4 tail remainder, the
+# phi_hat oracle and the identity residuals are checked.
+GRID_STEP = 1e-3
+X_MAX = 100.0
 PHI_HAT_GRID_STEP = 1e-4
 
 _KAPPA_QUAD_NODES = 256
@@ -129,11 +133,13 @@ def build_default_profile():
 @dataclass(frozen=True, eq=False)
 class Mollifier:
     """Tabulated phi / phi_hat pair, the remainder table R of phi_hat and the
-    first moment F of phi, with interpolation and the one tail bound of phi."""
+    first moment F of phi, with interpolation and the one tail bound of phi.
+    Every table is on the module's one grid: grid_step and x_max are
+    GRID_STEP and X_MAX."""
 
+    grid_step = GRID_STEP
+    x_max = X_MAX
     profile: BumpProfile
-    grid_step: float
-    x_max: float
     phi_values: np.ndarray
     k_grid: np.ndarray
     phi_hat_values: np.ndarray
@@ -325,22 +331,14 @@ def _eval_cells(cells, step, x):
     return out
 
 
-def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_MAX):
+def build_mollifier(profile=None):
     """Tabulate phi = kappa^2 and phi_hat = khat * khat from a bump profile."""
     if profile is None:
         profile = build_default_profile()
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    if x_max < 50.0:
-        raise ValueError("x_max must be at least 50 (tail certificates)")
-    n_steps = round(x_max / grid_step)
-    if abs(n_steps * grid_step - x_max) > 1e-9 * x_max:
-        raise ValueError(f"x_max {x_max!r} is not a whole number of grid steps "
-                         f"{grid_step!r}")
     profile.validate()
 
-    x_grid = np.arange(n_steps + 1) * grid_step
-    x_grid[-1] = x_max  # the last cell ends at x_max
+    x_grid = np.arange(round(X_MAX / GRID_STEP) + 1) * GRID_STEP
+    x_grid[-1] = X_MAX  # the last cell ends at X_MAX
     kappa, dkappa = _tabulate_kappa(profile, x_grid)
     phi = kappa * kappa
 
@@ -354,13 +352,11 @@ def build_mollifier(profile=None, grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_M
 
     return Mollifier(
         profile=profile,
-        grid_step=grid_step,
-        x_max=float(x_max),
         phi_values=phi,
         k_grid=k_grid,
         phi_hat_values=phi_hat,
         decay_sups=decay,
-        _phi_cells=_hermite_cells(phi, 2.0 * kappa * dkappa, grid_step),
+        _phi_cells=_hermite_cells(phi, 2.0 * kappa * dkappa, GRID_STEP),
         _phi_hat_cells=phi_hat_cells,
         _remainder_cells=_remainder_cells(k_grid, phi_hat, phi_hat_cells),
     )
@@ -380,7 +376,7 @@ def normalization_constant(m):
     return 1.0 / integral
 
 
-@lru_cache(maxsize=4)
-def default_mollifier(grid_step=DEFAULT_GRID_STEP, x_max=DEFAULT_X_MAX):
+@lru_cache(maxsize=1)
+def default_mollifier():
     """Shared default-profile mollifier (construction is quadrature-heavy)."""
-    return build_mollifier(build_default_profile(), grid_step, x_max)
+    return build_mollifier()

@@ -68,8 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import graphs, lattice
-from .weights import mode_variances
+from .weights import check_family, mode_variances
 
 
 def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "keep")):
@@ -231,7 +230,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     summed as sum_r c_r^2 per coordinate and mapped to |rfftn|^2 once.
     """
     check_settings(seed, sample_count, keep)
-    lattice.check_family(table, family)
+    check_family(table, family)
     spec = table.spec
     amps = [np.sqrt(v) for v in mode_variances(table.values, family,
                                                plan.series(family), table.is_singular)]
@@ -264,7 +263,7 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     scale.  The covariance is op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
-    graphs.check_family(op, family)
+    check_family(op, family)
     lam, vecs = op.eigensystem()
     amps = [np.sqrt(v) for v in mode_variances(lam, family, plan.series(family),
                                                op.is_singular)]
@@ -294,23 +293,25 @@ class CovarianceReport:
         return float(np.max(np.abs(self.z_scores)))
 
 
-def _replicates(sample_count, min_samples):
+def _replicates(sample_count):
+    """int(sample_count), refused below 1 as by check_settings."""
     R = int(sample_count)
-    if R < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {R}")
+    if R < 1:
+        raise ValueError(f"sample_count must be positive, got {R}")
     return R
 
 
-def covariance_report(gram, sample_count, oracle_green, min_samples=1000):
+def covariance_report(gram, sample_count, oracle_green):
     """Standardized deviation of the empirical covariance of sample_count
     replicates X_r, given gram = sum_r X_r X_r^T (sites x sites), from the
     oracle.
 
     The fields have known mean zero, so the estimator is gram / R and the
     exact Gaussian sampling variance of each entry is
-    (C_xx C_yy + C_xy^2) / R, evaluated with the oracle covariance.
+    (C_xx C_yy + C_xy^2) / R, evaluated with the oracle covariance.  A
+    sample_count below 1 is a ValueError, as in check_settings.
     """
-    R = _replicates(sample_count, min_samples)
+    R = _replicates(sample_count)
     oracle = np.asarray(oracle_green, dtype=float)
     emp = np.asarray(gram, dtype=float) / R
     if emp.shape != oracle.shape:
@@ -323,7 +324,7 @@ def covariance_report(gram, sample_count, oracle_green, min_samples=1000):
                             z_scores=z, sample_count=R)
 
 
-def lag_covariance_report(power, sample_count, column, min_samples=1000):
+def lag_covariance_report(power, sample_count, column):
     """Standardized deviation, per lag, of the empirical covariance of
     sample_count replicates X_r of a stationary torus field from its
     covariance column (a torus array, column[h] = C(h, 0)), given the
@@ -335,9 +336,10 @@ def lag_covariance_report(power, sample_count, column, min_samples=1000):
     irfftn(power) / (R n).  For Gaussian fields its exact variance is
     (sum_u C(u)^2 + sum_u C(u + h) C(u - h)) / (R n); with
     A = irfftn(|rfftn(C)|^2), the autocorrelation of C, the two sums are
-    A(0) and A(2h), since C is even.
+    A(0) and A(2h), since C is even.  A sample_count below 1 is a
+    ValueError, as in check_settings.
     """
-    R = _replicates(sample_count, min_samples)
+    R = _replicates(sample_count)
     column = np.asarray(column, dtype=float)
     shape, n = column.shape, column.size
     axes = tuple(range(-len(shape), 0))

@@ -45,7 +45,6 @@ it.  A degree-0 series is evaluated exactly and may not be negative at all.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,6 +56,11 @@ ZERO_FLOOR = 1e-12
 PLAN_T_CAP = 1e6
 # Most scales (white piece and blocks) a plan may have; see ScalePlan.
 PLAN_MAX_SCALES = 256
+# The scales at which check_decomposition_identity reports a family's values:
+# np.geomspace(0.5, 64, 8), written out, as that first call at import would
+# add about 0.07 MiB to the peak RSS of every command.
+REPORT_T_GRID = np.array([0.5, 1.0, 2.0, 3.999999999999999, 7.999999999999999, 16.0,
+                          31.99999999999999, 64.0])
 
 
 class BlockQualityError(RuntimeError):
@@ -126,12 +130,9 @@ def eval_discrete_weight_direct(m, lam, t):
 class ContinuousWeightFamily:
     """W_t(lambda) = C phi(sqrt(lambda) t), C = normalization_constant(mollifier)."""
 
-    kind = "continuous"
-
     def __init__(self, mollifier, C):
         self.mollifier = mollifier
         self.C = C
-        self.lambda_max = np.inf
 
     def value(self, lam, t):
         arg = np.sqrt(np.asarray(lam, dtype=float)) * t
@@ -164,8 +165,6 @@ class DiscreteWeightFamily:
     B = 3 gives the bare family on [0, 4].  The family fulfils
     int_0^inf t^2 value(lambda, t) dt/t = 1/lambda for lambda in (0, 4B/3).
     """
-
-    kind = "discrete"
 
     def __init__(self, mollifier, C, B=3.0):
         if B <= 0:
@@ -252,6 +251,13 @@ class DiscreteWeightFamily:
         x = np.arccos(1.0 - 0.5 * (self.arg_scale * lam))
         return self.C * self.arg_scale * (
             tail(x * t_max) / x**2 + 0.25 * tail(np.pi * t_max)) * lam
+
+
+def check_family(op, family):
+    """Refuse, with a ValueError, a weight family built for another norm
+    bound than the operator's (a GraphOperator or a SymbolTable)."""
+    if abs(family.B - op.B) > 1e-12 * op.B:
+        raise ValueError(f"family B={family.B} does not match operator B={op.B}")
 
 
 def zero_modes(spectrum, singular):
@@ -434,33 +440,29 @@ def plan_tail_bound(family, plan, spectrum, singular):
 
 @dataclass
 class WeightCheckReport:
-    """Empirical constants and residuals of the weight-family contracts."""
+    """Identity residuals of a weight family on lambda_grid with their
+    certified tails, and its values at (lambda_grid, REPORT_T_GRID)."""
 
     lambda_grid: np.ndarray
-    t_grid: np.ndarray
     identity_residuals: np.ndarray
     tail_low: np.ndarray
     tail_high: np.ndarray
-    w_cont: Optional[np.ndarray] = None        # shape (lambda, t)
-    w_disc: Optional[np.ndarray] = None        # shape (lambda, t)
+    values: np.ndarray        # shape (lambda, t)
 
     def max_certified_residual(self):
         return float(np.max(self.identity_residuals + self.tail_low + self.tail_high))
 
-    def to_csv(self, path):
-        """Rows (lambda, t, W_cont, W_disc, identity_residual)."""
-        lam = np.asarray(self.lambda_grid, dtype=float)
-        t = np.asarray(self.t_grid, dtype=float)
 
-        def table(w):
-            return (np.full(lam.size * t.size, np.nan) if w is None
-                    else np.asarray(w, dtype=float).ravel())
-
-        write_columns_csv(
-            path, ["lambda", "t", "W_cont", "W_disc", "identity_residual"],
-            [np.repeat(lam, t.size), np.tile(t, lam.size), table(self.w_cont),
-             table(self.w_disc),
-             np.repeat(np.asarray(self.identity_residuals, dtype=float), t.size)])
+def write_identity_csv(path, discrete, continuous):
+    """Rows (lambda, t, W_cont, W_disc, identity_residual) of the reports of
+    the discrete and the continuous family on one lambda grid, over
+    REPORT_T_GRID; the residual is the discrete family's."""
+    lam, n_t = discrete.lambda_grid, REPORT_T_GRID.size
+    write_columns_csv(
+        path, ["lambda", "t", "W_cont", "W_disc", "identity_residual"],
+        [np.repeat(lam, n_t), np.tile(REPORT_T_GRID, lam.size),
+         continuous.values.ravel(), discrete.values.ravel(),
+         np.repeat(discrete.identity_residuals, n_t)])
 
 
 def default_lambda_grid():
@@ -470,26 +472,18 @@ def default_lambda_grid():
 
 def check_decomposition_identity(family, lambda_grid=None, t_min=1e-3, t_max=1e3):
     """Residuals |lambda * int t^2 W_t(lambda) dt/t - 1| per lambda, with the
-    family's values at t in geomspace(0.5, 64, 8) for the report."""
+    family's values at REPORT_T_GRID for the report."""
     if lambda_grid is None:
         lambda_grid = default_lambda_grid()
     lambda_grid = np.asarray(lambda_grid, dtype=float)
     integral, tail_low, tail_high = family.scale_integral(lambda_grid, t_min, t_max)
-    residuals = np.abs(lambda_grid * integral - 1.0)
-    report_t_grid = np.geomspace(0.5, 64.0, 8)
-    values = np.column_stack([family.value(lambda_grid, t) for t in report_t_grid])
-    report = WeightCheckReport(
+    return WeightCheckReport(
         lambda_grid=lambda_grid,
-        t_grid=report_t_grid,
-        identity_residuals=residuals,
+        identity_residuals=np.abs(lambda_grid * integral - 1.0),
         tail_low=np.broadcast_to(np.asarray(tail_low, dtype=float), lambda_grid.shape).copy(),
         tail_high=np.asarray(tail_high, dtype=float),
+        values=np.column_stack([family.value(lambda_grid, t) for t in REPORT_T_GRID]),
     )
-    if family.kind == "continuous":
-        report.w_cont = values
-    else:
-        report.w_disc = values
-    return report
 
 
 def decay_constants(family, orders=(0, 1, 2, 3), t_lo=0.1, t_hi=1e3, n_t=120):
@@ -582,9 +576,3 @@ def wave_identity_max_residual():
         rhs[: n + 1] -= 2.0 * polys[n]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
-
-
-def coefficient_csv(coeffs, path):
-    """Dump Chebyshev coefficients as CSV rows (k, c_k)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    write_columns_csv(path, ["k", "c_k"], [np.arange(coeffs.size), coeffs])

@@ -70,14 +70,25 @@ class TestConfig:
             RunConfig({"sampler": 5})
 
     def test_retired_keys_dropped_with_notes(self):
-        cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0, "eps": 1.0},
+        cfg = RunConfig({"weights": {"gamma": 1.0, "nodes_per_octave": 0, "eps": 1.0,
+                                     "coefficient_dump_t": 8},
                          "sampler": {"deflate_zero_mode": True, "sample_count": 5},
                          "scales": {"nodes_per_block": 2},
-                         "tolerances": {"psd_rel": 1e-10}})
+                         "tolerances": {"psd_rel": 1e-10},
+                         "mollifier": {"grid_step": 1e-3, "x_max": 100}})
         assert cfg.data == RunConfig({"sampler": {"sample_count": 5}}).data
         assert [note.split()[3] for note in cfg.notes] == [
             "weights.gamma", "sampler.deflate_zero_mode", "scales.nodes_per_block",
-            "weights.nodes_per_octave", "weights.eps", "tolerances.psd_rel"]
+            "weights.nodes_per_octave", "weights.eps", "tolerances.psd_rel",
+            "mollifier.grid_step", "mollifier.x_max", "weights.coefficient_dump_t"]
+        # a section of retired keys only is dropped with them
+        assert RunConfig({"mollifier": {"x_max": 100.0}}).data == RunConfig().data
+        assert RunConfig({"mollifier": {}}).data == RunConfig().data
+        with pytest.raises(ConfigError, match="unknown config key mollifier$"):
+            RunConfig({"mollifier": {"x_max": 100.0, "order": 3}})
+        with pytest.raises(ConfigError, match="weights.coefficient_dump_t must be 8, "
+                                              "got 4.0: coefficients.csv"):
+            RunConfig({"weights": {"coefficient_dump_t": 4.0}})
         with pytest.raises(ConfigError, match="weights.gamma must be 1"):
             RunConfig({"weights": {"gamma": 2.0}})
         with pytest.raises(ConfigError, match="weights.eps must be 1, got 0.5: .*"
@@ -531,6 +542,8 @@ class TestRejectedInput:
         ({"grid_step": -1}, "reconstruct"),
         ({"x_max": 10}, "sample"),
         ({"grid_step": 0.003}, "decompose"),
+        # json reads Infinity, which is a number
+        ({"x_max": float("inf")}, "reconstruct"),
     ])
     def test_bad_mollifier_fails_before_work(self, tmp_path, mollifier, command):
         cfgfile = tmp_path / "cfg.json"
@@ -538,23 +551,28 @@ class TestRejectedInput:
         out = tmp_path / "never"
         res = run(["--config", str(cfgfile), "--out", str(out), command])
         self.assert_one_fail_line(res, command, "ConfigError")
-        assert res.output.startswith(f"FAIL {command} ConfigError: mollifier: ")
+        (key, value), = mollifier.items()
+        used = {"grid_step": 0.001, "x_max": 100.0}[key]
+        assert res.output.startswith(f"FAIL {command} ConfigError: retired key "
+                                     f"mollifier.{key} must be {used}, got {value!r}: ")
         assert not out.exists()
 
     def test_retired_keys_run_with_notes(self, tmp_path):
         plain, retired = tmp_path / "plain.json", tmp_path / "retired.json"
         plain.write_text(json.dumps({"backend": {"n": 8}}))
         retired.write_text(json.dumps({"backend": {"n": 8},
-                                       "weights": {"gamma": 1, "nodes_per_octave": 0},
+                                       "weights": {"gamma": 1, "nodes_per_octave": 0,
+                                                   "coefficient_dump_t": 8},
                                        "sampler": {"deflate_zero_mode": True},
                                        "scales": {"nodes_per_block": 2},
-                                       "tolerances": {"psd_rel": 1e-10}}))
+                                       "tolerances": {"psd_rel": 1e-10},
+                                       "mollifier": {"grid_step": 1e-3, "x_max": 100}}))
         a = run(["--config", str(plain), "--out", str(tmp_path / "a"), "reconstruct"])
         b = run(["--config", str(retired), "--out", str(tmp_path / "b"), "reconstruct"])
         assert a.exit_code == 0 and b.exit_code == 0, b.output
         notes = [line for line in b.output.splitlines() if line.startswith("NOTE ")]
-        assert len(notes) == 5
-        assert b.output.splitlines()[5:] == a.output.splitlines()
+        assert len(notes) == 8
+        assert b.output.splitlines()[8:] == a.output.splitlines()
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
     @pytest.mark.parametrize("weights", [

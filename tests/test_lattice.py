@@ -204,9 +204,11 @@ class TestLatticeKernel:
     def test_family_bound_mismatch_rejected(self, mollifier, norm1):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.5, N=16)
         table = build_symbol_table(spec)
-        fam = make_family(mollifier, norm1, table.B * 2.0)
-        with pytest.raises(LatticeError):
-            lattice_kernel(table, fam, 3.0)
+        # weights.check_family: off by more than 1e-12 B on either backend
+        for B in (table.B * 2.0, table.B * (1.0 + 1e-10)):
+            fam = make_family(mollifier, norm1, B)
+            with pytest.raises(ValueError, match="does not match operator B"):
+                lattice_kernel(table, fam, 3.0)
 
 
 def _circulant_loop(column):

@@ -98,19 +98,11 @@ class TestProfileValidation:
         with pytest.raises(ProfileError, match="half_width"):
             build_mollifier(wide)
 
-    def test_build_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            build_mollifier(grid_step=0.0)
-        with pytest.raises(ValueError):
-            build_mollifier(x_max=10.0)
-        with pytest.raises(ValueError, match="whole number of grid steps"):
-            build_mollifier(grid_step=0.003)
-
-    def test_tail_integral_between_last_nodes(self):
-        m = build_mollifier(grid_step=0.003, x_max=99.999)
-        assert m.x_grid[-1] == m.x_max
+    def test_tail_integral_between_last_nodes(self, mollifier):
+        m = mollifier
+        assert m.x_grid[-1] == m.x_max == 100.0
         beyond = m.phi_tail_moment(m.x_max)
-        for x_lo in (99.997, 99.9985, np.nextafter(m.x_max, 0.0)):
+        for x_lo in (99.998, 99.9995, np.nextafter(m.x_max, 0.0)):
             assert beyond <= m.phi_tail_moment(x_lo) < beyond + 1e-12
         # from x_max on, only the analytic remainder K_4 x^-6 / 6 is left
         x = np.array([m.x_max, np.nextafter(m.x_max, np.inf), 150.0, 1e9])

@@ -428,11 +428,14 @@ class TestCovarianceReport:
         assert np.all(np.abs(ratio - np.sqrt(2.0)) <= 0.1 * np.sqrt(2.0))
 
     def test_minimum_samples_enforced(self, cycle_setup):
+        # both reports refuse what check_settings refuses, and nothing more
         _, _, _, _, oracle = cycle_setup
-        with pytest.raises(ValueError, match="at least 1000"):
-            covariance_report(np.zeros((16, 16)), 10, oracle)
-        with pytest.raises(ValueError, match="at least 1000"):
-            lag_covariance_report(np.zeros(9), 10, oracle[:, 0])
+        with pytest.raises(ValueError, match="sample_count must be positive, got 0"):
+            covariance_report(np.zeros((16, 16)), 0, oracle)
+        with pytest.raises(ValueError, match="sample_count must be positive, got 0"):
+            lag_covariance_report(np.zeros(9), 0, oracle[:, 0])
+        assert covariance_report(np.full((16, 16), 10.0), 10, oracle).sample_count == 10
+        assert lag_covariance_report(np.zeros(9), 10, oracle[:, 0]).sample_count == 10
 
     def test_statistic_shape_checked(self, cycle_setup):
         _, _, _, _, oracle = cycle_setup

@@ -5,13 +5,14 @@ import pytest
 
 from frdecomp.mollifier import default_mollifier
 from frdecomp.quadrature import gauss_legendre
-from frdecomp.weights import (PLAN_T_CAP, DiscreteWeightFamily, ScalePlan,
-                              approximation_rate, chebyshev_coefficients,
+from frdecomp.weights import (PLAN_T_CAP, REPORT_T_GRID, DiscreteWeightFamily,
+                              ScalePlan, approximation_rate, chebyshev_coefficients,
                               chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants,
                               default_scale_plan, eval_discrete_weight_direct,
-                              series_roundoff, wave_identity_max_residual)
+                              series_roundoff, wave_identity_max_residual,
+                              write_identity_csv)
 
 
 def test_clenshaw_against_cosine_form():
@@ -282,13 +283,23 @@ class TestDecompositionIdentity:
         alone = [fam.tail_high(np.array([x]), t_max)[0] for x in lam]
         assert np.array_equal(tail, alone)
 
-    def test_report_csv_columns(self, disc_family, tmp_path):
-        rep = check_decomposition_identity(disc_family, np.array([0.5, 1.0]))
+    def test_report_csv_columns(self, disc_family, cont_family, tmp_path):
+        lam = np.array([0.5, 1.0])
+        rep = check_decomposition_identity(disc_family, lam)
+        rep_c = check_decomposition_identity(cont_family, lam)
         path = tmp_path / "report.csv"
-        rep.to_csv(path)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        assert header == ["lambda", "t", "W_cont", "W_disc", "identity_residual"]
+        write_identity_csv(path, rep, rep_c)
+        table = np.genfromtxt(path, delimiter=",", names=True)
+        assert table.dtype.names == ("lambda", "t", "W_cont", "W_disc",
+                                     "identity_residual")
+        # one row per (lambda, t), t running fastest, on the report's grid
+        assert np.array_equal(REPORT_T_GRID, np.geomspace(0.5, 64.0, 8))
+        assert np.array_equal(table["lambda"], np.repeat(lam, REPORT_T_GRID.size))
+        assert np.array_equal(table["t"], np.tile(REPORT_T_GRID, lam.size))
+        assert np.array_equal(table["W_cont"], rep_c.values.ravel())
+        assert np.array_equal(table["W_disc"], rep.values.ravel())
+        assert np.array_equal(table["identity_residual"],
+                              np.repeat(rep.identity_residuals, REPORT_T_GRID.size))
 
 
 class TestRescaling:

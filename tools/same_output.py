@@ -56,6 +56,10 @@ CONFIGS = [
     # perfbench's graph-sample operator
     ("256-cycle m2=0.1", "decompose", {"backend": {"n": 256, "m2": 0.1}}),
     ("default graph", "reconstruct", {}),
+    # against a tree that still reads these keys, only the NOTE lines differ
+    ("retired settings at their values", "reconstruct",
+     {"mollifier": {"grid_step": 1e-3, "x_max": 100},
+      "weights": {"coefficient_dump_t": 8}}),
     ("default graph", "sample", {}),
     ("64-cycle laplacian", "decompose", CYCLE64_LAPLACIAN),
     ("64-cycle laplacian", "reconstruct", CYCLE64_LAPLACIAN),

@@ -66,14 +66,12 @@ def sweep(seeds):
         for seed in seeds:
             if config["backend"]["kind"] == "graph":
                 gram, _ = sampler.sample_graph(op, family, plan, seed, count)
-                rep = sampler.covariance_report(gram, count, op.field_oracle(),
-                                                min(1000, count))
+                rep = sampler.covariance_report(gram, count, op.field_oracle())
                 upper = np.triu_indices(op.n)
                 emp, ora = rep.empirical[upper], rep.oracle[upper]
             else:
                 power, _ = sampler.sample_torus(op, family, plan, seed, count)
-                rep = sampler.lag_covariance_report(power, count, green_column(op.spec),
-                                                    min(1000, count))
+                rep = sampler.lag_covariance_report(power, count, green_column(op.spec))
                 emp, ora = rep.empirical, rep.oracle
             rel = float(np.sqrt(np.sum((emp - ora) ** 2) / np.sum(ora**2)))
             print(json.dumps({"workload": name, "seed": seed, "rel_error": rel,
