@@ -104,22 +104,23 @@ CHOICES = {
 
 
 # A scalar key takes the JSON type of its default, where true and false are
-# not numbers; a key named here takes the type named, or null if its default
+# not numbers and a float default takes a finite number (json reads NaN and
+# Infinity); a key named here takes the type named, or null if its default
 # is null.  weights.lambda_grid is checked by _weight_settings.
 NAMED_TYPES = {"scales.j_min": "an integer", "scales.j_max": "an integer",
                "backend.edges_file": "a string", "sampler.z_bound": "a finite number",
-               "backend.a": "a list of equal-length lists of numbers",
+               "backend.a": "a list of equal-length lists of finite numbers",
                "backend.t_list": "a non-empty list of positive numbers",
                "backend.decay_orders": "a list of pairs of non-negative integers"}
-TYPE_OF_DEFAULT = {int: "an integer", float: "a number", str: "a string"}
+TYPE_OF_DEFAULT = {int: "an integer", float: "a finite number", str: "a string"}
 ACCEPTS = {"an integer": lambda v: type(v) is int,
-           "a number": lambda v: type(v) in (int, float),
-           "a finite number": lambda v: type(v) in (int, float) and np.isfinite(v),
+           "a finite number":
+               lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
            "a string": lambda v: type(v) is str,
-           "a list of equal-length lists of numbers":
+           "a list of equal-length lists of finite numbers":
                lambda v: type(v) is list and all(
                    type(row) is list and len(row) == len(v[0])
-                   and all(map(ACCEPTS["a number"], row)) for row in v),
+                   and all(map(ACCEPTS["a finite number"], row)) for row in v),
            "a non-empty list of positive numbers":
                lambda v: type(v) is list and v != [] and all(
                    ACCEPTS["a finite number"](x) and x > 0 for x in v),
@@ -323,7 +324,7 @@ def _weight_settings(config):
     listed = wc["lambda_grid"]
     if listed is None:
         return wc, default_lambda_grid()
-    numeric = isinstance(listed, list) and all(ACCEPTS["a number"](v) for v in listed)
+    numeric = isinstance(listed, list) and all(map(ACCEPTS["a finite number"], listed))
     lam = np.array(listed, dtype=float) if numeric else None
     if lam is None or lam.size == 0 or not np.all((lam > 0.0) & (lam <= 4.0)):
         raise ConfigError(f"weights.lambda_grid={listed!r} must give a non-empty list "

@@ -22,7 +22,9 @@ import numpy as np
 
 BACKEND_IDS = {"torus": 1.0, "graph": 2.0}
 FORMAT_VERSION = 1
-CSV_CHUNK_ROWS = 65536
+# Rows formatted at a time: a chunk of covariance-report rows takes about
+# 1 MiB while it is formatted.
+CSV_CHUNK_ROWS = 4096
 
 
 def write_kernel_binary(path, header, array):

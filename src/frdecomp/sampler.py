@@ -44,8 +44,9 @@ covariance report's sufficient statistic, FOLD_ROWS replicates at a time (so
 its roundoff does not depend on the slice size either), and dropped.  Both
 samplers return (statistic, kept): the statistic of the field summed over
 scales, and the per-scale components (keep, scales, sites).  Memory is
-O((DRAW_WORKERS + 2) x slice + sites^2) for any sample_count; no array grows
-with it except kept.
+DRAW_WORKERS + 2 slices (the draw buffers and y) plus O(sites^2) for any
+sample_count; a slice holds SLICE_VALUES = 2^17 doubles, 1 MiB, or FOLD_ROWS
+replicates if that is more.  No array grows with sample_count except kept.
 
 Two statistical checks compare the statistic with the exact covariance C:
 
@@ -88,8 +89,9 @@ REPLICATE_BATCH = 4096
 # so the statistics are summed in one order for any slice size.  It divides
 # REPLICATE_BATCH.
 FOLD_ROWS = 64
-# Normals per drawn slice (but at least FOLD_ROWS replicates).
-SLICE_VALUES = 2**20
+# Normals per drawn slice (but at least FOLD_ROWS replicates): 1 MiB, so a
+# slice and the running sum y fit together in a 2 MiB L2 cache.
+SLICE_VALUES = 2**17
 # Threads drawing slices ahead of the calling thread, at most one per scale.
 DRAW_WORKERS = 2
 
@@ -316,10 +318,15 @@ def covariance_report(gram, sample_count, oracle_green):
     emp = np.asarray(gram, dtype=float) / R
     if emp.shape != oracle.shape:
         raise ValueError(f"gram shape {emp.shape} != oracle shape {oracle.shape}")
-    diag = np.diag(oracle)
-    var = (np.outer(diag, diag) + oracle**2) / R
-    se = np.sqrt(var)
-    z = (emp - oracle) / se
+    # se = sqrt((C_xx C_yy + C_xy^2) / R) and z = (emp - C) / se, built in
+    # place in the two arrays the report keeps: no other n x n temporary
+    z = np.outer(np.diag(oracle), np.diag(oracle))
+    se = np.square(oracle)
+    se += z
+    se /= R
+    np.sqrt(se, out=se)
+    np.subtract(emp, oracle, out=z)
+    z /= se
     return CovarianceReport(empirical=emp, oracle=oracle, standard_errors=se,
                             z_scores=z, sample_count=R)
 

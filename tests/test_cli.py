@@ -49,12 +49,23 @@ class TestConfig:
 
     @pytest.mark.parametrize("data, message", [
         ({"backend": {"n": True}}, "backend.n must be an integer, got True"),
-        ({"scales": {"L_ratio": False}}, "scales.L_ratio must be a number, got False"),
+        ({"scales": {"L_ratio": False}},
+         "scales.L_ratio must be a finite number, got False"),
         ({"backend": {"operator": 1}}, "backend.operator must be a string, got 1"),
         ({"scales": {"j_min": 0.5}}, "scales.j_min must be an integer or null"),
         ({"backend": {"edges_file": 3}}, "backend.edges_file must be a string or null"),
         ({"sampler": {"z_bound": float("nan")}},
          "sampler.z_bound must be a finite number or null"),
+        ({"scales": {"target_tail_rel": float("nan")}},
+         "scales.target_tail_rel must be a finite number, got nan"),
+        ({"scales": {"target_tail_rel": float("inf")}},
+         "scales.target_tail_rel must be a finite number, got inf"),
+        ({"tolerances": {"range_rel": -float("inf")}},
+         "tolerances.range_rel must be a finite number, got -inf"),
+        ({"backend": {"a": [[float("inf"), 0.0], [0.0, 1.0]]}},
+         "backend.a must be a list of equal-length lists of finite numbers or null"),
+        # ints beyond the float range are not finite numbers either
+        ({"scales": {"L_ratio": 10**400}}, "scales.L_ratio must be a finite number"),
     ])
     def test_value_of_wrong_json_type_rejected(self, data, message):
         with pytest.raises(ConfigError, match=f"config key {message}"):
@@ -468,6 +479,12 @@ class TestRejectedInput:
             ({"backend": {"kind": "torus"}, "scales": {"target_tail_rel": 1e-40}},
              "reconstruct"),
             ({"backend": {"n": 16.9}}, "reconstruct"),
+            # json reads NaN and Infinity; a NaN tail target would stop the
+            # plan at t = 4 and fail max_rel_error after all the work
+            ({"scales": {"target_tail_rel": float("nan")}}, "reconstruct"),
+            ({"scales": {"target_tail_rel": float("inf")}}, "sample"),
+            ({"tolerances": {"reconstruction_rel": float("nan")}}, "reconstruct"),
+            ({"tolerances": {"identity_discrete": float("inf")}}, "weights"),
             ({"backend": {"n": "16"}}, "sample"),
             ({"scales": {"j_max": 6.7}}, "reconstruct"),
             ({"sampler": {"sample_count": 1000.9}}, "sample"),
@@ -542,7 +559,7 @@ class TestRejectedInput:
         ({"grid_step": -1}, "reconstruct"),
         ({"x_max": 10}, "sample"),
         ({"grid_step": 0.003}, "decompose"),
-        # json reads Infinity, which is a number
+        # json reads Infinity
         ({"x_max": float("inf")}, "reconstruct"),
     ])
     def test_bad_mollifier_fails_before_work(self, tmp_path, mollifier, command):

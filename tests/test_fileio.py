@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ class TestColumnsCsv:
         assert path.read_text().splitlines()[1:4] == ["-0.0", "0.0", "1e+16"]
         fileio.write_columns_csv(path, ["a", "b"], [np.empty(0), np.empty(0)])
         assert path.read_bytes() == b"a,b\r\n"
+
+    def test_peak_memory_bounded_by_chunk(self, tmp_path):
+        # a graph covariance report's five columns: the formatting peak (input
+        # columns excluded) is one chunk's, about 1 MiB, for any row count
+        rng = np.random.default_rng(2)
+        header = ["x", "y", "empirical", "oracle", "z"]
+        peaks = []
+        for rows in (3 * fileio.CSV_CHUNK_ROWS, 30 * fileio.CSV_CHUNK_ROWS):
+            columns = [np.arange(rows), np.arange(rows)] + [
+                rng.standard_normal(rows) for _ in range(3)]
+            tracemalloc.start()
+            try:
+                fileio.write_columns_csv(tmp_path / "big.csv", header, columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+        assert peaks[1] < 2 * 2**20, peaks
 
     def test_rejects_bad_tables(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -810,6 +810,28 @@ class TestRunningTotals:
             tracemalloc.stop()
         assert peak < R * sites * 8 / 4, peak
 
+    def test_torus_peak_within_slice_buffers(self, mollifier, norm1):
+        # perfbench's torus-sample: 128-replicate slices of a 32 x 32 torus.
+        # The peak is the draw buffers and y, the statistic and the kept rows,
+        # plus one fold term (FOLD_ROWS x sites) and 512 KiB for the amplitudes
+        # and small arrays
+        spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=32)
+        table = build_symbol_table(spec)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap())
+        sample_torus(table, fam, plan, 1, 100, keep=4)     # numpy.random's first-use cost
+        tracemalloc.start()
+        try:
+            power, kept = sample_torus(table, fam, plan, 1, 4000, keep=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = (sampler.DRAW_WORKERS + 2) * sampler.SLICE_VALUES * 8
+        slack = sampler.FOLD_ROWS * spec.size * 8 + 2**19
+        assert peak < buffers + power.nbytes + kept.nbytes + slack, peak
+        # a slice and y fit together in the 2 MiB L2 the slice size is set for
+        assert 2 * sampler.SLICE_VALUES * 8 <= 2 * 2**20
+
     def test_statistic_maps_to_sites(self, mollifier, norm1):
         # the report reads only the streamed statistic: the graph's Gram, summed
         # in eigen-coordinates and mapped once, on a graph whose vertex measure

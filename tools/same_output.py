@@ -9,10 +9,12 @@ checkout's ``src`` and once with the package from OTHER_SRC, at --seed 12345,
 each in a fresh directory that also holds the edge list the config names
 from EDGE_LISTS, if any.  The script compares the exit code, standard
 output and the bytes of every file written to --out, prints one line per
-config and exits 1 if any config differs.  For each file that differs it
-also prints the largest difference of its numbers: the float64 values of a
-``.bin`` file, each CSV column and each JSON number, where an array or column
-differs by max |a - b| / max |b| (relative) and by max |a - b| (absolute).
+config, with the peak resident set of both runs (this checkout's / OTHER_SRC's,
+from wait4), and exits 1 if any config differs.  For each file that differs
+it also prints the largest difference of its numbers: the float64 values of
+a ``.bin`` file, each CSV column and each JSON number, where an array or
+column differs by max |a - b| / max |b| (relative) and by max |a - b|
+(absolute).
 The relative figure is taken against the array's own maximum, so an array of
 near-zero values can read large there while its absolute move is tiny.
 """
@@ -124,7 +126,8 @@ def perfbench_configs():
 
 
 def run(src, workdir, command, config):
-    """(exit code, stdout, {file: sha256}, out dir) of one command run on src."""
+    """(exit code, stdout, {file: sha256}, out dir, peak RSS in MiB) of one
+    command run on src."""
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(config, fh)
@@ -132,16 +135,21 @@ def run(src, workdir, command, config):
     if edges in EDGE_LISTS:
         with open(os.path.join(workdir, edges), "w") as fh:
             fh.write(EDGE_LISTS[edges])
-    proc = subprocess.run(
-        [sys.executable, "-m", "frdecomp.cli", "--config", "config.json",
-         "--seed", str(SEED), "--out", "out", command],
-        cwd=workdir, env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+    with subprocess.Popen(
+            [sys.executable, "-m", "frdecomp.cli", "--config", "config.json",
+             "--seed", str(SEED), "--out", "out", command],
+            cwd=workdir, env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
+        stdout = proc.stdout.read()
+        # reap the command here: wait4 gives its own peak RSS (KiB on Linux)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
     out = os.path.join(workdir, "out")
     files = {}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
         with open(os.path.join(out, name), "rb") as fh:
             files[name] = hashlib.sha256(fh.read()).hexdigest()
-    return proc.returncode, proc.stdout, files, out
+    return proc.returncode, stdout, files, out, usage.ru_maxrss / 1024
 
 
 def _diff(a, b):
@@ -222,7 +230,8 @@ def numeric_difference(path_a, path_b):
 
 
 def differences(ours, theirs):
-    (code_a, stdout_a, files_a, out_a), (code_b, stdout_b, files_b, out_b) = ours, theirs
+    code_a, stdout_a, files_a, out_a, _ = ours
+    code_b, stdout_b, files_b, out_b, _ = theirs
     found = []
     if code_a != code_b:
         found.append(f"exit code {code_a} != {code_b}")
@@ -258,8 +267,8 @@ def main(argv=None):
             found = differences(a, b)
             failed += bool(found)
             verdict = "DIFF " + ", ".join(found) if found else "same"
-            print(f"{verdict}  {label} {command} (exit {a[0]}, {len(a[2])} files)",
-                  flush=True)
+            print(f"{verdict}  {label} {command} (exit {a[0]}, {len(a[2])} files, "
+                  f"peak RSS {a[4]:.1f} / {b[4]:.1f} MiB)", flush=True)
     print(f"{failed} of {len(configs)} configs differ")
     return 1 if failed else 0
 
