@@ -58,7 +58,7 @@ DEFAULT_CONFIG = {
     },
     "sampler": {
         "sample_count": 10000,
-        "z_bound": None,              # null -> extreme-value-aware bound
+        "z_bound": None,              # null -> sampler.default_z_bound
         "dump_replicates": 4,
     },
     "tolerances": {
@@ -514,6 +514,21 @@ def reconstruct(ctx):
     _finish(ctx, "reconstruct")
 
 
+def _upper_triangle_chunks(arrays):
+    """Chunks [x, y] + [a[x, y] for a in arrays] of the upper triangle x <= y
+    of n x n arrays, in np.triu_indices order, a few rows x at a time: at most
+    max(CSV_CHUNK_ROWS, n) entries each, so no column of all n (n + 1) / 2
+    entries is built."""
+    n = len(arrays[0])
+    x0 = 0
+    while x0 < n:
+        x1 = min(n, x0 + max(1, fileio.CSV_CHUNK_ROWS // (n - x0)))
+        x, y = np.nonzero(np.arange(x0, x1)[:, None] <= np.arange(n))
+        x += x0
+        yield [x, y] + [a[x, y] for a in arrays]
+        x0 = x1
+
+
 @main.command()
 @click.pass_context
 def sample(ctx):
@@ -527,25 +542,24 @@ def sample(ctx):
     if kind == "graph":
         gram, kept = sampler.sample_graph(op, family, plan, seed, sample_count, keep)
         rep = sampler.covariance_report(gram, sample_count, op.field_oracle())
-        x, y = np.triu_indices(op.n)
         header = ["x", "y", "empirical", "oracle", "z"]
-        columns = [x, y] + [a[x, y] for a in (rep.empirical, rep.oracle, rep.z_scores)]
+        rows = op.n * (op.n + 1) // 2
+        chunks = _upper_triangle_chunks([rep.empirical, rep.oracle, rep.z_scores])
     else:
         from .lattice import green_column
         power, kept = sampler.sample_torus(op, family, plan, seed, sample_count, keep)
         rep = sampler.lag_covariance_report(power, sample_count, green_column(op.spec))
         header = ["lag", "empirical", "oracle", "z"]
-        columns = [np.arange(op.spec.size)] + [
-            a.ravel() for a in (rep.empirical, rep.oracle, rep.z_scores)]
+        rows = op.spec.size
+        chunks = fileio.chunk_columns([np.arange(rows)] + [
+            a.ravel() for a in (rep.empirical, rep.oracle, rep.z_scores)])
     if z_bound is None:
-        # expected maximum of m half-normal scores is ~ sqrt(2 ln 2m), with m
-        # the report's rows; a fixed threshold would false-alarm on large reports
-        z_bound = float(np.sqrt(2.0 * np.log(2.0 * len(columns[0]))) + 1.0)
+        z_bound = sampler.default_z_bound(rows)
     checks.bound("gff_sampler.covariance_report.max_abs_z", rep.max_abs_z,
                  float(z_bound))
     fileio.write_samples(_artifact(ctx, "samples.bin"), kept, kind,
                          plan.j_min, plan.j_max, seed)
-    fileio.write_columns_csv(_artifact(ctx, "covariance_report.csv"), header, columns)
+    fileio.write_chunked_csv(_artifact(ctx, "covariance_report.csv"), header, chunks)
     _finish(ctx, "sample")
 
 

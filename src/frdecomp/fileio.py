@@ -11,9 +11,10 @@ Sample dumps hold one record per row of the samplers' kept array: the header
 (backend_id, size, j_min, j_max, seed) with backend_id 1 = torus, 2 = graph,
 then the (scales + 1, size) components of that replicate (white piece first,
 their sum over scales is not stored).
-CSV tables are written column-wise by write_columns_csv: floats as their
-shortest round-trip decimal (repr), integers in full.  All writers are
-deterministic: identical inputs produce identical bytes.
+CSV tables are written column-wise by write_columns_csv, or chunk by chunk of
+rows by write_chunked_csv: floats as their shortest round-trip decimal
+(repr), integers in full.  All writers are deterministic: identical inputs
+produce identical bytes.
 """
 
 import json
@@ -92,16 +93,38 @@ def write_columns_csv(path, header, columns):
     columns = [np.asarray(c) for c in columns]
     if len(columns) != len(header):
         raise ValueError("one column per header field")
-    if any(not name or set(name) & set(',"\r\n') for name in header):
-        raise ValueError("header fields must not need CSV quoting")
     rows = len(columns[0]) if columns else 0
     if any(c.shape != (rows,) for c in columns):
         raise ValueError("columns must be 1-d arrays of one length")
+    write_chunked_csv(path, header, chunk_columns(columns))
+
+
+def chunk_columns(columns):
+    """The rows of equal-length 1-d columns, CSV_CHUNK_ROWS at a time, as the
+    chunks of write_chunked_csv."""
+    rows = len(columns[0]) if columns else 0
+    for lo in range(0, rows, CSV_CHUNK_ROWS):
+        yield [c[lo:lo + CSV_CHUNK_ROWS] for c in columns]
+
+
+def write_chunked_csv(path, header, chunks):
+    """The table of write_columns_csv, given as consecutive chunks of its
+    rows: each chunk is one 1-d array per header field, all of one length.
+    Only one chunk's columns and text are held at a time, so a caller can
+    build each chunk's columns as it is written."""
+    if any(not name or set(name) & set(',"\r\n') for name in header):
+        raise ValueError("header fields must not need CSV quoting")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, CSV_CHUNK_ROWS):
-            cells = [_csv_cells(c[lo:lo + CSV_CHUNK_ROWS]) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for chunk in chunks:
+            chunk = [np.asarray(c) for c in chunk]
+            rows = len(chunk[0]) if chunk else 0
+            if len(chunk) != len(header) or any(c.shape != (rows,) for c in chunk):
+                raise ValueError("a chunk needs one 1-d array per header field, "
+                                 "all of one length")
+            if rows:
+                cells = [_csv_cells(c) for c in chunk]
+                fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_json(path, obj):

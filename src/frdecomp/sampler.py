@@ -2,51 +2,49 @@
 
 The field is a sum of independent per-scale Gaussian components whose
 covariances are the scale blocks C_j = f_j(Lambda); summed over all scales
-they reproduce the Green's function of the operator.  Both backends draw
-every scale in the operator's eigenbasis, weighted by the square roots of
-the mode variances f_j(lambda) (weights.mode_variances; zero on the zero
-modes of a singular operator):
+they reproduce the Green's function of the operator.  Both backends draw in
+the operator's eigenbasis, where every block is diagonal with the mode
+variances f_j(lambda) (weights.mode_variances; zero on the zero modes of a
+singular operator).  So the summed field y = sum_j sqrt(f_j) eta_j has the
+law of sqrt(sum_j f_j) eta, one standard normal per mode: the covariance
+statistic checks the law of the summed field, drawn so, and the per-scale
+components are drawn only for the first keep replicates, which the caller
+keeps.
 
 * torus: the real orthonormal Fourier basis, one cosine or sine coordinate
-  per site.  n real normals c per scale and replicate give the component
-  with coordinates sqrt(f_j) c, which has exactly the block covariance
-  because f_j is even in the frequency, so a cosine and its sine share one
-  variance; the field has coordinates y = sum_j sqrt(f_j) c_j.  No transform
-  runs per scale and replicate; kept rows reach the sites by one irfftn
-  per scale.
+  per site.  n real normals c per replicate (and per scale, for a kept
+  one) give coordinates sqrt(f) c, which have exactly the block covariance
+  because f is even in the frequency, so a cosine and its sine share one
+  variance.  No transform runs per replicate; kept rows reach the sites by
+  one irfftn per scale.
 
-* graph: the eigenvectors U of D^{1/2} Lambda D^{-1/2}.  The weighted
-  normals of every scale are summed in eigen-coordinates, y, and map to
-  the vertices as X = sqrt(mean mu) D^{-1/2} U y, with covariance
-  mean(mu) Lambda^{-1} D^{-1}: the Green's function when the vertex measure
-  mu is constant, the symmetric Dirichlet-form field otherwise.
+* graph: the eigenvectors U of D^{1/2} Lambda D^{-1/2}.  The field's
+  eigen-coordinates y map to the vertices as X = sqrt(mean mu) D^{-1/2} U y,
+  with covariance mean(mu) Lambda^{-1} D^{-1}: the Green's function when the
+  vertex measure mu is constant, the symmetric Dirichlet-form field
+  otherwise.
 
-Randomness comes from one SFC64 stream per (seed, scale index, replicate
-batch), seeded by SeedSequence(seed, spawn_key=(scale index, batch)), with
-replicates laid out in fixed order inside a batch.  The streams are
-independent because SeedSequence hashes the seed and the spawn key into
-each stream's 192 state bits, not because they are distinct counters: two
-streams overlap only with negligible probability, as SFC64's built-in
-counter puts every state on a cycle of at least 2^64 draws.  Output is
-byte-identical for a given (config, seed) no matter how the draws are
-sliced or how many threads draw them (numpy Generator streams are
-draw-size agnostic).  The draws are slice-major: for each slice of
-replicates every scale is drawn in turn, so consecutive draws come from
-different streams and a pool of DRAW_WORKERS threads fills preallocated
-buffers ahead of the calling thread, while each stream still draws its own
-slices in order.  Only the RNG runs on the workers; every transform and
-GEMM stays on the calling thread.
+Randomness comes from SFC64 streams seeded by SeedSequence(seed, spawn_key):
+one per (scale index, replicate batch) for the kept components, and one per
+batch, spawn key (batch,), for the summed field, with replicates laid out in
+fixed order inside a batch.  The streams are independent because
+SeedSequence hashes the seed and the spawn key into each stream's 192 state
+bits, not because they are distinct counters: two streams overlap only with
+negligible probability, as SFC64's built-in counter puts every state on a
+cycle of at least 2^64 draws.  Output is byte-identical for a given (config,
+seed) no matter how the draws are sliced (numpy Generator streams are
+draw-size agnostic).
 
-Per slice, each scale is weighted in eigen-coordinates and added into one
-spectral sum y, and the per-scale components of the first keep replicates
-are mapped to the sites.  After the last scale the slice is folded into the
+The replicates are drawn slice by slice on the calling thread into one
+buffer y.  The kept rows of a slice are overwritten by the sums of their
+components, each mapped to the sites; then the slice is folded into the
 covariance report's sufficient statistic, FOLD_ROWS replicates at a time (so
 its roundoff does not depend on the slice size either), and dropped.  Both
-samplers return (statistic, kept): the statistic of the field summed over
-scales, and the per-scale components (keep, scales, sites).  Memory is
-DRAW_WORKERS + 2 slices (the draw buffers and y) plus O(sites^2) for any
-sample_count; a slice holds SLICE_VALUES = 2^17 doubles, 1 MiB, or FOLD_ROWS
-replicates if that is more.  No array grows with sample_count except kept.
+samplers return (statistic, kept): the statistic of the summed field, and the
+per-scale components (keep, scales, sites).  Memory is one slice (y) and one
+scale's kept rows of a slice plus O(sites^2) for any sample_count; a slice
+holds SLICE_VALUES = 2^17 doubles, 1 MiB, or FOLD_ROWS replicates if that is
+more.  No array grows with sample_count except kept.
 
 Two statistical checks compare the statistic with the exact covariance C:
 
@@ -63,8 +61,6 @@ Two statistical checks compare the statistic with the exact covariance C:
   n y^2 on a self-conjugate frequency, (n/2)(y_cos^2 + y_sin^2) on a pair.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +85,9 @@ REPLICATE_BATCH = 4096
 # so the statistics are summed in one order for any slice size.  It divides
 # REPLICATE_BATCH.
 FOLD_ROWS = 64
-# Normals per drawn slice (but at least FOLD_ROWS replicates): 1 MiB, so a
-# slice and the running sum y fit together in a 2 MiB L2 cache.
+# Normals per drawn slice (but at least FOLD_ROWS replicates): 1 MiB, so the
+# slice y and the draws of a kept component fit together in a 2 MiB L2 cache.
 SLICE_VALUES = 2**17
-# Threads drawing slices ahead of the calling thread, at most one per scale.
-DRAW_WORKERS = 2
 
 
 def _stream(seed, scale_index, batch):
@@ -105,6 +99,15 @@ def _stream(seed, scale_index, batch):
     return np.random.Generator(np.random.SFC64(sequence))
 
 
+def _field_stream(seed, batch):
+    """The generator of replicate batch `batch` of the field summed over
+    scales: SFC64 seeded by SeedSequence(seed, spawn_key=(batch,)).  The key
+    is one 32-bit word for batch < 2**32 (fewer than 2**44 replicates), and
+    every key of _stream has at least two, so no per-scale stream shares it."""
+    sequence = np.random.SeedSequence(seed, spawn_key=(batch,))
+    return np.random.Generator(np.random.SFC64(sequence))
+
+
 def _slice_reps(draw_shape):
     """Replicates per drawn slice for draws of shape draw_shape each: a
     multiple of FOLD_ROWS."""
@@ -113,82 +116,53 @@ def _slice_reps(draw_shape):
     return max(FOLD_ROWS, reps - reps % FOLD_ROWS)
 
 
-def _batched_draws(seed, scales, count, draw_shape, consume):
-    """Feed standard normals (replicates, *draw_shape) of every scale to consume.
+def _spectral_sample(seed, count, keep, variances, to_sites, fold):
+    """(statistic, kept) of a field whose scale s has the independent mode
+    variances variances[s] in eigen-coordinates.
 
-    Replicate r of scale s lives in batch r // REPLICATE_BATCH of the stream
-    (seed, s, batch) at a fixed offset, so its values never depend on the
-    total count; within a batch the draws are sliced to bound memory (numpy
-    Generator streams are draw-size agnostic).  Slices are consumed in
-    (batch, slice, scale) order on the calling thread; consume(s, lo, values)
-    receives replicates [lo, lo + len(values)) of scale s and must be done
-    with values when it returns.  Meanwhile up to min(DRAW_WORKERS, scales)
-    workers draw the next slices into the other buffers; they touch only the
-    generators, and with at most one worker per scale a stream never has two
-    slices in flight.
+    The field summed over scales has mode variances sum_s variances[s], so
+    replicate r of it, y_r, is sqrt(sum_s variances[s]) times one standard
+    normal per mode, row r % REPLICATE_BATCH of its batch's _field_stream.
+    Only the first keep replicates draw every scale, from the stream
+    (seed, s, batch) at the same offset, times sqrt(variances[s]); to_sites
+    maps each component to the sites into kept (min(keep, count), scales,
+    sites), and their sum replaces y_r.  The field stream's rows of kept
+    replicates are drawn all the same, so no offset depends on keep.  The
+    replicates are drawn slice by slice into one buffer on the calling
+    thread (numpy Generator streams are draw-size agnostic), and fold(rows of
+    y) is summed over FOLD_ROWS replicates at a time into the statistic.
     """
-    draw_shape = tuple(draw_shape)
+    draw_shape = variances[0].shape
+    amps = [np.sqrt(v) for v in variances]
+    total = np.sqrt(sum(variances))
     slice_reps = _slice_reps(draw_shape)
-    jobs = []
+    kept = np.empty((min(keep, count), len(amps), total.size))
+    y = np.empty((min(slice_reps, count),) + draw_shape)
+    component = np.empty((min(slice_reps, len(kept)),) + draw_shape)
+    statistic = None
     for lo in range(0, count, REPLICATE_BATCH):
         hi = min(lo + REPLICATE_BATCH, count)
-        rngs = [_stream(seed, s, lo // REPLICATE_BATCH) for s in range(scales)]
-        jobs += [(s, pos, min(slice_reps, hi - pos), rngs[s])
-                 for pos in range(lo, hi, slice_reps) for s in range(scales)]
-    workers = max(1, min(DRAW_WORKERS, scales))
-    buffers = [np.empty((min(slice_reps, count),) + draw_shape)
-               for _ in range(workers + 1)]
-
-    def draw(i):
-        _, _, k, rng = jobs[i]
-        return rng.standard_normal(out=buffers[i % len(buffers)][:k])
-
-    # job i + workers reuses the buffer of job i - 1, consumed by then, and
-    # its stream's previous slice, job i + workers - scales <= i, is drawn
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(draw, i) for i in range(min(workers, len(jobs))))
-        for i, (s, lo, _, _) in enumerate(jobs):
-            values = pending.popleft().result()
-            if i + workers < len(jobs):
-                pending.append(pool.submit(draw, i + workers))
-            consume(s, lo, values)
-
-
-def _spectral_sample(seed, count, keep, amps, to_sites, fold):
-    """(statistic, kept) of a field drawn scale by scale in eigen-coordinates.
-
-    Scale s is a slice of standard normals of amps[s]'s shape times amps[s];
-    the slice's sum over scales is kept in one buffer y.  to_sites maps rows
-    of eigen-coordinates to the sites; kept (min(keep, count), scales, sites)
-    gets the map of each scale of its rows.  After the last scale, fold(rows
-    of y) is summed over FOLD_ROWS replicates at a time into the statistic.
-    """
-    draw_shape = amps[0].shape
-    kept = np.empty((min(keep, count), len(amps), amps[0].size))
-    y = statistic = None
-
-    def consume(s, lo, values):
-        nonlocal y, statistic
-        values *= amps[s]
-        if y is None:
-            y = np.empty_like(values)    # the first slice is the largest
-        yk = y[:len(values)]
-        if s == 0:
-            yk[...] = values
-        else:
-            yk += values
-        if lo < len(kept):
-            kk = min(len(values), len(kept) - lo)
-            kept[lo:lo + kk, s] = to_sites(values[:kk])
-        if s == len(amps) - 1:
+        field = _field_stream(seed, lo // REPLICATE_BATCH)
+        scales = ([_stream(seed, s, lo // REPLICATE_BATCH) for s in range(len(amps))]
+                  if lo < len(kept) else [])
+        for pos in range(lo, hi, slice_reps):
+            yk = field.standard_normal(out=y[:min(slice_reps, hi - pos)])
+            kk = max(0, min(len(yk), len(kept) - pos))
+            yk[kk:] *= total
+            for s, rng in enumerate(scales if kk else ()):
+                values = rng.standard_normal(out=component[:kk])
+                values *= amps[s]
+                kept[pos:pos + kk, s] = to_sites(values)
+                if s == 0:
+                    yk[:kk] = values
+                else:
+                    yk[:kk] += values
             for b in range(0, len(yk), FOLD_ROWS):
                 term = fold(yk[b:b + FOLD_ROWS])
                 if statistic is None:
                     statistic = term
                 else:
                     statistic += term
-
-    _batched_draws(seed, len(amps), count, draw_shape, consume)
     return statistic, kept
 
 
@@ -221,21 +195,22 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     layout (the statistic of lag_covariance_report) and kept as in
     _spectral_sample.
 
-    Each scale is drawn in the real orthonormal Fourier basis: n i.i.d.
-    standard normals c per scale and replicate, one coordinate per site
-    (_fourier_map), times sqrt(v) with v the scale's entry of mode_variances
-    on the full grid.  Because v is even in the frequency, a pair's cosine
-    and sine share one variance, and the component has covariance exactly
-    N^{-d} sum_k v(k) e^{i k (x - y)}, the block kernel.  The scales are
-    summed in these coordinates, and only kept rows reach the sites, by one
+    The field is drawn in the real orthonormal Fourier basis: n i.i.d.
+    standard normals c per replicate, one coordinate per site
+    (_fourier_map), times sqrt(v) with v the sum over scales of
+    mode_variances on the full grid; a kept replicate draws each scale so,
+    with v that scale's entry.  Because v is even in the frequency, a pair's
+    cosine and sine share one variance, and the draw has covariance exactly
+    N^{-d} sum_k v(k) e^{i k (x - y)}: the Green kernel of the plan, or the
+    block kernel of one scale.  Only kept rows reach the sites, by one
     irfftn of the map per scale; no other transform runs.  The power is
     summed as sum_r c_r^2 per coordinate and mapped to |rfftn|^2 once.
     """
     check_settings(seed, sample_count, keep)
     check_family(table, family)
     spec = table.spec
-    amps = [np.sqrt(v) for v in mode_variances(table.values, family,
-                                               plan.series(family), table.is_singular)]
+    variances = mode_variances(table.values, family, plan.series(family),
+                               table.is_singular)
     lo, hi, re, im = _fourier_map(spec.shape)
 
     def to_sites(c):
@@ -244,7 +219,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
         return np.fft.irfftn(spectrum, s=spec.shape,
                              axes=tuple(range(-spec.d, 0))).reshape(len(c), -1)
 
-    squares, kept = _spectral_sample(seed, sample_count, keep, amps, to_sites,
+    squares, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
                                      lambda c: np.sum(c * c, axis=0))
     squares = squares.ravel()
     return 0.5 * spec.size * (squares[lo] + squares[hi]), kept
@@ -255,9 +230,10 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
 
 def sample_graph(op, family, plan, seed, sample_count, keep=0):
     """Draw replicates X = sqrt(mean mu) D^{-1/2} U y on a graph (n at most
-    graphs.MAX_GRAPH_SITES), y = sum_j sqrt(f_j) eta_j; returns (gram, kept), gram
-    = sum_r X_r X_r^T (the statistic of covariance_report) and kept as in
-    _spectral_sample.
+    graphs.MAX_GRAPH_SITES), y = sqrt(sum_j f_j) eta, which has the law of
+    sum_j sqrt(f_j) eta_j, the sum a kept replicate draws; returns (gram,
+    kept), gram = sum_r X_r X_r^T (the statistic of covariance_report) and
+    kept as in _spectral_sample.
 
     (lambda, U) is op.eigensystem(), already computed for the plan's spectral
     gap, so the sample path builds no block and applies no operator.  The
@@ -267,14 +243,13 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     check_settings(seed, sample_count, keep)
     check_family(op, family)
     lam, vecs = op.eigensystem()
-    amps = [np.sqrt(v) for v in mode_variances(lam, family, plan.series(family),
-                                               op.is_singular)]
+    variances = mode_variances(lam, family, plan.series(family), op.is_singular)
     back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
 
     def to_sites(y):
         return (y @ vecs.T) * back
 
-    gram, kept = _spectral_sample(seed, sample_count, keep, amps, to_sites,
+    gram, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
                                   lambda y: y.T @ y)
     return back[:, None] * (vecs @ gram @ vecs.T) * back, kept
 
@@ -293,6 +268,14 @@ class CovarianceReport:
     @property
     def max_abs_z(self):
         return float(np.max(np.abs(self.z_scores)))
+
+
+def default_z_bound(rows):
+    """The bound on a report's max |z| when none is set: sqrt(2 ln 2 rows) + 1
+    for a report of `rows` entries.  The expected maximum of `rows`
+    half-normal scores is about sqrt(2 ln 2 rows), so a fixed threshold would
+    false-alarm on large reports."""
+    return float(np.sqrt(2.0 * np.log(2.0 * rows)) + 1.0)
 
 
 def _replicates(sample_count):

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from frdecomp import cli, fileio, sampler
 from frdecomp.cli import DEFAULT_CONFIG, ConfigError, RunConfig, main
 
 
@@ -283,6 +285,53 @@ class TestReconstructCommand:
 
 
 class TestSampleCommand:
+    @pytest.mark.parametrize("chunk_rows", [None, 10])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_upper_triangle_chunks(self, monkeypatch, n, chunk_rows):
+        # the chunks concatenate to the np.triu_indices columns and gathers,
+        # each at most max(CSV_CHUNK_ROWS, n) rows long
+        if chunk_rows is not None:
+            monkeypatch.setattr(fileio, "CSV_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(n)
+        arrays = [rng.standard_normal((n, n)) for _ in range(3)]
+        chunks = list(cli._upper_triangle_chunks(arrays))
+        assert all(len(c[0]) <= max(fileio.CSV_CHUNK_ROWS, n) for c in chunks)
+        x, y = np.triu_indices(n)
+        expected = [x, y] + [a[x, y] for a in arrays]
+        for got, want in zip(zip(*chunks), expected):
+            joined = np.concatenate(got)
+            assert joined.dtype == want.dtype and np.array_equal(joined, want)
+
+    def test_graph_report_built_per_chunk(self, tmp_path):
+        # the report of a 1024-vertex graph: the writer's peak is about one
+        # chunk, not the 21 MB of five whole columns of the upper triangle
+        n = 1024
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal((n, n)) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            fileio.write_chunked_csv(tmp_path / "r.csv", ["x", "y", "empirical",
+                                                         "oracle", "z"],
+                                     cli._upper_triangle_chunks(arrays))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize("backend, rows", [({"n": 12}, 78),
+                                               ({"kind": "torus", "d": 2, "N": 8}, 64)])
+    def test_default_z_bound_of_report_rows(self, tmp_path, backend, rows):
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": backend,
+                   "sampler": {"sample_count": 1000}}).to_file(cfgfile)
+        out = tmp_path / "z"
+        res = run(["--config", str(cfgfile), "--out", str(out), "sample"])
+        assert res.exit_code == 0, res.output
+        assert len((out / "covariance_report.csv").read_text().splitlines()) == rows + 1
+        assert res.output.splitlines()[0].endswith(
+            f"tolerance={sampler.default_z_bound(rows):.6g}")
+        assert sampler.default_z_bound(rows) == np.sqrt(2.0 * np.log(2.0 * rows)) + 1.0
+
     def test_graph_sampling(self, tmp_path):
         out = tmp_path / "s"
         cfgfile = tmp_path / "cfg.json"

@@ -123,6 +123,34 @@ class TestColumnsCsv:
         assert peaks[1] < 1.1 * peaks[0], peaks
         assert peaks[1] < 2 * 2**20, peaks
 
+    def test_chunked_matches_columns(self, tmp_path):
+        # any split of the rows into chunks, empty chunks included, writes the
+        # bytes of the whole columns
+        rng = np.random.default_rng(9)
+        rows = 1000
+        columns = [np.arange(rows), rng.standard_normal(rows) * 1e3]
+        header = ["i", "v"]
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        fileio.write_columns_csv(whole, header, columns)
+        cuts = [0, 0, 1, 17, 17, 500, 999, rows]
+        fileio.write_chunked_csv(chunked, header, ([c[a:b] for c in columns]
+                                                   for a, b in zip(cuts, cuts[1:])))
+        assert chunked.read_bytes() == whole.read_bytes()
+        fileio.write_chunked_csv(chunked, header, fileio.chunk_columns(columns))
+        assert chunked.read_bytes() == whole.read_bytes()
+        fileio.write_chunked_csv(chunked, header, [])
+        assert chunked.read_bytes() == b"i,v\r\n"
+
+    def test_rejects_bad_chunks(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for chunk in ([np.ones(2), np.ones(3)], [np.ones(2)],
+                      [np.ones((2, 1)), np.ones((2, 1))]):
+            with pytest.raises(ValueError, match="a chunk needs"):
+                fileio.write_chunked_csv(path, ["a", "b"], [[np.ones(1), np.ones(1)],
+                                                            chunk])
+        with pytest.raises(ValueError, match="quoting"):
+            fileio.write_chunked_csv(path, ["a\n"], [])
+
     def test_rejects_bad_tables(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError):

@@ -1,6 +1,3 @@
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +10,7 @@ from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph,
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
                               lag_covariance_report, sample_graph, sample_torus,
-                              _batched_draws, _stream)
+                              _field_stream, _stream)
 from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
                               clenshaw_folded, default_scale_plan, mode_variances,
                               series_roundoff)
@@ -262,14 +259,22 @@ class TestGraphSampler:
 class TestTorusSampler:
     def test_exact_covariance_map(self, mollifier, norm1, monkeypatch):
         # every unit Fourier coordinate is fed through the sampler's own
-        # weighting and map to the sites; the images of scale s have
-        # covariance exactly the circulant block kernel N^{-d} sum_k v_s(k)
-        # e^{i k (x - y)}
-        def unit_draws(seed, scales, count, draw_shape, consume):
-            for s in range(scales):
-                consume(s, 0, np.eye(count).reshape((count,) + draw_shape))
+        # weighting and map to the sites, as the draw of kept replicate r of
+        # every scale; the images of scale s have covariance exactly the
+        # circulant block kernel N^{-d} sum_k v_s(k) e^{i k (x - y)}
+        class UnitDraws:
+            """Row r of every per-scale stream is the unit coordinate e_r."""
 
-        monkeypatch.setattr(sampler, "_batched_draws", unit_draws)
+            def __init__(self, *key):
+                self.row = 0
+
+            def standard_normal(self, out):
+                rows = out.reshape(len(out), -1)
+                rows[...] = np.eye(rows.shape[1])[self.row:self.row + len(out)]
+                self.row += len(out)
+                return out
+
+        monkeypatch.setattr(sampler, "_stream", UnitDraws)
         for spec in (LatticeSpec(d=1, a=np.array([[1.0]]), m2=1.0, N=8),
                      LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8),
                      LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8),
@@ -401,9 +406,10 @@ def torus_seed_sweep(mollifier, norm1, m2, reports):
 
 
 def assert_z_statistics(scores, rows):
-    """max |z| of every seed under sqrt(2 ln 2 rows) + 1, and the seeds' mean
-    z^2 within 3 standard errors of 1."""
-    bound = np.sqrt(2.0 * np.log(2.0 * rows)) + 1.0
+    """max |z| of every seed under the command line's default bound
+    sqrt(2 ln 2 rows) + 1, and the seeds' mean z^2 within 3 standard errors
+    of 1."""
+    bound = sampler.default_z_bound(rows)
     max_z = [np.max(np.abs(z)) for z in scores]
     mean_z2 = [np.mean(z**2) for z in scores]
     assert all(np.size(z) == rows for z in scores)
@@ -500,7 +506,7 @@ class TestLagCovarianceReport:
     def test_catches_non_stationary_field(self, torus_totals):
         # one site of doubled amplitude breaks translation invariance
         spec, power, totals, column = torus_totals
-        bound = np.sqrt(2.0 * np.log(2.0 * spec.size)) + 1.0
+        bound = sampler.default_z_bound(spec.size)
         assert lag_covariance_report(power, len(totals), column).max_abs_z <= bound
         scaled = totals.copy()
         scaled[:, 0] *= 2.0
@@ -532,11 +538,22 @@ def real_fourier_basis(shape):
 
 
 def stream_normals(seed, scale, count, draw_shape):
-    """Replicates [0, count) of one scale, one whole draw per replicate batch."""
+    """Replicates [0, count) of one scale, one whole draw per replicate batch;
+    scale None is the summed field's stream."""
     return np.concatenate([
-        _stream(seed, scale, batch).standard_normal(
-            (min(REPLICATE_BATCH, count - lo),) + tuple(draw_shape))
+        (_field_stream(seed, batch) if scale is None else _stream(seed, scale, batch))
+        .standard_normal((min(REPLICATE_BATCH, count - lo),) + tuple(draw_shape))
         for batch, lo in enumerate(range(0, count, REPLICATE_BATCH))])
+
+
+def field_coordinates(variances, seed, count, keep, draw_shape):
+    """The eigen-coordinates y of replicates [0, count), rebuilt from the
+    streams: replicate r < keep sums sqrt(v_s) times scale s's row r, every
+    other replicate is sqrt(sum_s v_s) times row r of the field stream."""
+    y = stream_normals(seed, None, count, draw_shape) * np.sqrt(np.sum(variances, axis=0))
+    y[:keep] = sum(np.sqrt(v) * stream_normals(seed, s, keep, draw_shape)
+                   for s, v in enumerate(variances)) if keep else 0.0
+    return y
 
 
 class TestDrawLayout:
@@ -545,102 +562,32 @@ class TestDrawLayout:
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
     def test_streams_differ_across_seed_scale_and_batch(self):
-        # (0, 0, 2**40) against (0, 1, 0): a key packing scale << 40 | batch
-        # into one word would give these two one stream
+        # keys (seed, scale, batch) are per-scale streams, keys (seed, batch)
+        # the summed field's.  (0, 0, 2**40) against (0, 1, 0): a key packing
+        # scale << 40 | batch into one word would give these two one stream;
+        # the field stream of batch b must differ from scale b's and from
+        # every scale's batch b
+        def draw(key):
+            stream = _stream(*key) if len(key) == 3 else _field_stream(*key)
+            return stream.standard_normal(8)
+
         pairs = [((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1)),
                  ((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1)),
                  ((0, 1, 0), (1, 0, 0)), ((0, 0, 1), (1, 0, 0)),
-                 ((0, 0, 2**40), (0, 1, 0))]
+                 ((0, 0, 2**40), (0, 1, 0)),
+                 ((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 0)),
+                 ((0, 0), (0, 0, 0)), ((0, 3), (0, 3, 0)), ((0, 3), (0, 0, 3)),
+                 ((0, 1), (0, 9, 1)), ((7, 2), (7, 2, 2))]
         for a, b in pairs:
-            first = _stream(*a).standard_normal(8)
-            assert not np.any(first == _stream(*b).standard_normal(8)), (a, b)
-            assert np.array_equal(first, _stream(*a).standard_normal(8))
+            first = draw(a)
+            assert not np.any(first == draw(b)), (a, b)
+            assert np.array_equal(first, draw(a))
 
     def test_largest_seed_builds_a_stream(self):
         check_settings(2**64 - 1, 1, 0)
         values = _stream(2**64 - 1, 3, 5).standard_normal(8)
         assert np.all(np.isfinite(values))
         assert not np.array_equal(values, _stream(2**64 - 2, 3, 5).standard_normal(8))
-
-    def test_draw_ahead_order_and_thread(self, monkeypatch):
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 3 * 1024)    # 1024 replicates
-        calls, intact = [], []
-
-        def consume(s, lo, values):
-            calls.append((s, lo, values.copy(), threading.get_ident()))
-            time.sleep(0.005)       # the workers draw the next slices meanwhile
-            intact.append(np.array_equal(values, calls[-1][2]))
-
-        _batched_draws(7, 2, self.R, (3,), consume)
-        starts = [0, 1024, 2048, 3072, 4096]
-        assert [(s, lo) for s, lo, _, _ in calls] == [(s, lo) for lo in starts
-                                                      for s in range(2)]
-        assert {ident for *_, ident in calls} == {threading.get_ident()}
-        assert all(intact)
-        for s in range(2):
-            drawn = np.concatenate([v for t, _, v, _ in calls if t == s])
-            assert np.array_equal(drawn, stream_normals(7, s, self.R, (3,)))
-
-    def test_one_slice_in_flight_per_stream(self, monkeypatch):
-        # more workers than scales: the pool is capped at one per scale, so
-        # no generator is ever asked for two slices at once
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 3 * 256)     # 256 replicates
-        monkeypatch.setattr(sampler, "DRAW_WORKERS", 5)
-        lock, busy, clashes, workers = threading.Lock(), set(), [], set()
-        stream = sampler._stream
-
-        class Tracked:
-            def __init__(self, *key):
-                self.rng = stream(*key)
-
-            def standard_normal(self, out):
-                with lock:
-                    clashes.append(self in busy)
-                    busy.add(self)
-                    workers.add(threading.get_ident())
-                time.sleep(0.002)
-                try:
-                    return self.rng.standard_normal(out=out)
-                finally:
-                    with lock:
-                        busy.discard(self)
-
-        monkeypatch.setattr(sampler, "_stream", Tracked)
-        drawn = {s: [] for s in range(3)}
-        _batched_draws(11, 3, self.R, (3,),
-                       lambda s, lo, values: drawn[s].append(values.copy()))
-        assert len(clashes) == 3 * 17 and not any(clashes)
-        assert 1 <= len(workers) <= 3 and threading.get_ident() not in workers
-        for s in range(3):
-            assert np.array_equal(np.concatenate(drawn[s]),
-                                  stream_normals(11, s, self.R, (3,)))
-
-    def test_concurrent_callers_under_fast_switching(self, monkeypatch):
-        # four callers, each with its own draw workers, on two cores
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 300)     # 64 replicates
-        results, old = {}, sys.getswitchinterval()
-
-        def caller(seed):
-            drawn = ([], [])
-            _batched_draws(seed, 2, self.R, (3,),
-                           lambda s, lo, values: drawn[s].append(values.copy()))
-            results[seed] = np.concatenate(drawn[0] + drawn[1])
-
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(seed,))
-                       for seed in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        for seed in range(4):
-            expected = np.concatenate([stream_normals(seed, s, self.R, (3,))
-                                       for s in range(2)])
-            assert np.array_equal(results[seed], expected)
 
     @pytest.mark.parametrize("slice_values", [None, 1000])
     def test_massless_torus(self, mollifier, norm1, monkeypatch, slice_values):
@@ -668,31 +615,38 @@ class TestDrawLayout:
             eta = stream_normals(17, s, self.R, (op.n,))
             assert np.array_equal(comps[:, s], ((eta * np.sqrt(v)) @ vecs.T) * back)
 
-    def test_torus_draws_one_real_normal_per_site(self, mollifier, norm1, monkeypatch):
-        # scales x R x n normals: one per site, half of a complex draw per mode
-        drawn, stream = [], sampler._stream
+    @pytest.mark.parametrize("keep", [0, 5, 4097])
+    def test_torus_draws_one_real_normal_per_site(self, mollifier, norm1, monkeypatch,
+                                                  keep):
+        # R x n normals of the summed field and keep x scales x n of the
+        # kept components: one per site, half of a complex draw per mode
+        drawn = {"field": 0, "scales": 0}
 
         class Counting:
-            def __init__(self, rng):
-                self.rng = rng
+            def __init__(self, kind, rng):
+                self.kind, self.rng = kind, rng
 
             def standard_normal(self, out):
-                drawn.append(out.size)
+                drawn[self.kind] += out.size
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(sampler, "_stream", lambda *key: Counting(stream(*key)))
+        monkeypatch.setattr(sampler, "_stream",
+                            lambda *key: Counting("scales", _stream(*key)))
+        monkeypatch.setattr(sampler, "_field_stream",
+                            lambda *key: Counting("field", _field_stream(*key)))
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
         plan = ScalePlan(j_min=0, j_max=3)
-        sample_torus(table, fam, plan, 1, self.R)
-        assert sum(drawn) == len(plan.scale_labels()) * self.R * spec.size
+        sample_torus(table, fam, plan, 1, self.R, keep=keep)
+        assert drawn == {"field": self.R * spec.size,
+                         "scales": keep * len(plan.scale_labels()) * spec.size}
 
 
 def small_sampler(backend, mollifier, norm1):
     """sample(plan, seed, count, keep) on a 16-cycle or a 16-site ring torus,
-    expect(plan, seed, count), the replicates rebuilt from the streams (the
-    scale sum in eigen-coordinates mapped once to the sites; on the torus by
+    expect(plan, seed, count, keep), the replicates rebuilt from the streams
+    (field_coordinates mapped once to the sites; on the torus by
     real_fourier_basis), and
     statistic(totals), the sampler's statistic of site fields."""
     if backend == "torus":
@@ -700,10 +654,9 @@ def small_sampler(backend, mollifier, norm1):
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
 
-        def expect(plan, seed, count):
+        def expect(plan, seed, count, keep):
             variances = mode_variances(table.values, fam, plan.series(fam), False)
-            y = sum(np.sqrt(v) * stream_normals(seed, s, count, (16,))
-                    for s, v in enumerate(variances))
+            y = field_coordinates(variances, seed, count, keep, (16,))
             return y @ real_fourier_basis(spec.shape)
 
         return (lambda plan, *args, **kw: sample_torus(table, fam, plan, *args, **kw),
@@ -712,10 +665,9 @@ def small_sampler(backend, mollifier, norm1):
     fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
     lam, vecs = op.eigensystem()
 
-    def expect(plan, seed, count):
+    def expect(plan, seed, count, keep):
         variances = mode_variances(lam, fam, plan.series(fam), False)
-        y = sum(stream_normals(seed, s, count, (op.n,)) * np.sqrt(v)
-                for s, v in enumerate(variances))
+        y = field_coordinates(variances, seed, count, keep, (op.n,))
         return (y @ vecs.T) * np.sqrt(op.graph.mu.mean() / op.graph.mu)
 
     return (lambda plan, *args, **kw: sample_graph(op, fam, plan, *args, **kw),
@@ -724,7 +676,7 @@ def small_sampler(backend, mollifier, norm1):
 
 class TestRunningTotals:
     """The field summed over scales reaches the caller only as the streamed
-    statistic; kept components sum to the same field."""
+    statistic; the kept components sum to its first replicates."""
 
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
@@ -732,36 +684,49 @@ class TestRunningTotals:
     @pytest.mark.parametrize("backend", ["graph", "torus"])
     def test_totals_are_component_sums(self, mollifier, norm1, monkeypatch,
                                        backend, slice_values):
+        # every replicate kept: the statistic is that of the summed components
         if slice_values is not None:
             monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
         sample, expect, statistic = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
         stat, kept = sample(plan, 3, self.R, keep=self.R)
         assert kept.shape == (self.R, len(plan.scale_labels()), 16)
-        totals = expect(plan, 3, self.R)
-        scale = np.max(np.abs(totals))
-        assert np.max(np.abs(totals - kept.sum(axis=1))) <= 1e-14 * scale
+        totals = kept.sum(axis=1)
         reference = statistic(totals)
         assert np.max(np.abs(stat - reference)) <= 1e-12 * np.max(np.abs(reference))
-        stat4, kept4 = sample(plan, 3, self.R, keep=4)
+        _, kept4 = sample(plan, 3, self.R, keep=4)
         assert np.array_equal(kept4, kept[:4])
-        assert stat4.tobytes() == stat.tobytes()
+
+    @pytest.mark.parametrize("keep", [0, 5, 4097])
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_statistic_rebuilt_from_streams(self, mollifier, norm1, backend, keep):
+        # replicates r < keep are the sums of their components, the others
+        # are drawn from the field streams at offset r % REPLICATE_BATCH, also
+        # past a batch boundary and whatever keep is
+        sample, expect, statistic = small_sampler(backend, mollifier, norm1)
+        plan = ScalePlan(j_min=0, j_max=4)
+        stat, kept = sample(plan, 3, self.R, keep=keep)
+        assert kept.shape == (keep, len(plan.scale_labels()), 16)
+        totals = expect(plan, 3, self.R, keep)
+        if keep:
+            scale = np.max(np.abs(totals[:keep]))
+            assert np.max(np.abs(totals[:keep] - kept.sum(axis=1))) <= 1e-14 * scale
+        reference = statistic(totals)
+        assert np.max(np.abs(stat - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("backend", ["graph", "torus"])
-    def test_independent_of_workers_and_slices(self, mollifier, norm1, monkeypatch,
-                                               backend):
+    def test_independent_of_slices(self, mollifier, norm1, monkeypatch, backend):
         # slices of 4096, 64 and 1216 replicates (the last does not divide a
-        # batch), each drawn by one worker or two
+        # batch), with the kept rows ending inside a slice or kept whole
         sample, _, _ = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
-        runs = []
-        for slice_values in (sampler.SLICE_VALUES, 1000, 20_000):
-            for workers in (1, 2):
+        for keep in (100, self.R):
+            runs = []
+            for slice_values in (sampler.SLICE_VALUES, 1000, 20_000):
                 monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-                monkeypatch.setattr(sampler, "DRAW_WORKERS", workers)
-                stat, kept = sample(plan, 3, self.R, keep=self.R)
+                stat, kept = sample(plan, 3, self.R, keep=keep)
                 runs.append((stat.tobytes(), kept.tobytes()))
-        assert all(run == runs[0] for run in runs[1:])
+            assert all(run == runs[0] for run in runs[1:])
 
     @pytest.mark.parametrize("backend", ["graph", "torus"])
     def test_memory_does_not_grow_with_scales(self, mollifier, norm1, backend):
@@ -812,9 +777,9 @@ class TestRunningTotals:
 
     def test_torus_peak_within_slice_buffers(self, mollifier, norm1):
         # perfbench's torus-sample: 128-replicate slices of a 32 x 32 torus.
-        # The peak is the draw buffers and y, the statistic and the kept rows,
-        # plus one fold term (FOLD_ROWS x sites) and 512 KiB for the amplitudes
-        # and small arrays
+        # The peak is y (one slice), the draw buffer of one scale's kept rows,
+        # the statistic and the kept rows, plus one fold term (FOLD_ROWS x
+        # sites) and 512 KiB for the amplitudes and small arrays
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=32)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
@@ -826,10 +791,11 @@ class TestRunningTotals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = (sampler.DRAW_WORKERS + 2) * sampler.SLICE_VALUES * 8
+        buffers = sampler.SLICE_VALUES * 8 + kept[:, 0].nbytes
         slack = sampler.FOLD_ROWS * spec.size * 8 + 2**19
         assert peak < buffers + power.nbytes + kept.nbytes + slack, peak
-        # a slice and y fit together in the 2 MiB L2 the slice size is set for
+        # the slice y and a kept component's draws fit together in the 2 MiB
+        # L2 the slice size is set for
         assert 2 * sampler.SLICE_VALUES * 8 <= 2 * 2**20
 
     def test_statistic_maps_to_sites(self, mollifier, norm1):

@@ -20,6 +20,12 @@ new values of both at every seed; this shows whether it also moves their
 distribution.  The script prints one line per seed and, per workload and
 tree, the mean, sd, min and max of each statistic, and the share of seeds at
 which this tree's rel_error exceeds OTHER_SRC's by more than 10% and 20%.
+
+max_abs_z is also held against the bound the ``sample`` command applies by
+default, this tree's ``sampler.default_z_bound`` of the report's entry count.
+Per workload and tree the script prints the share of seeds above it, and one
+``FAIL`` line per such seed: at that seed the command prints a FAIL line, and
+a benchmark run counts it as a failed command.
 """
 
 import argparse
@@ -53,8 +59,9 @@ def seed_range(text):
 
 
 def sweep(seeds):
-    """Print one JSON line {workload, seed, rel_error, max_abs_z} per workload
-    and seed, with the frdecomp package found on sys.path."""
+    """Print one JSON line {workload, seed, rel_error, max_abs_z, rows} per
+    workload and seed, rows the report's entry count, with the frdecomp
+    package found on sys.path."""
     from frdecomp import cli, sampler
     from frdecomp.lattice import green_column
 
@@ -75,7 +82,7 @@ def sweep(seeds):
                 emp, ora = rep.empirical, rep.oracle
             rel = float(np.sqrt(np.sum((emp - ora) ** 2) / np.sum(ora**2)))
             print(json.dumps({"workload": name, "seed": seed, "rel_error": rel,
-                              "max_abs_z": rep.max_abs_z}), flush=True)
+                              "max_abs_z": rep.max_abs_z, "rows": emp.size}), flush=True)
 
 
 def run_tree(src, seeds):
@@ -106,6 +113,9 @@ def main(argv=None):
     if args.child:
         sweep(args.seeds)
         return 0
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from frdecomp.sampler import default_z_bound
+
     other = os.path.abspath(args.other_src)
     if not os.path.isdir(os.path.join(other, "frdecomp")):
         ap.error(f"{other} holds no frdecomp package")
@@ -126,6 +136,14 @@ def main(argv=None):
         print(f"  rel_error this > other by more than 10%: {np.mean(ratio > 1.1):.1%}, "
               f"by more than 20%: {np.mean(ratio > 1.2):.1%} "
               f"of {len(ratio)} seeds")
+        for tree, records in (("this", this), ("other", that)):
+            bound = default_z_bound(records[0]["rows"])
+            above = [r for r in records if r["max_abs_z"] > bound]
+            print(f"  max_abs_z {tree:5s} above the default bound {bound:.3f}: "
+                  f"{len(above) / len(records):.1%} of {len(records)} seeds")
+            for r in above:
+                print(f"FAIL {name} seed {r['seed']} ({tree}): max_abs_z "
+                      f"{r['max_abs_z']:.3f} > {bound:.3f}")
     return 0
 
 
