@@ -237,7 +237,7 @@ class CheckList:
         return all(ok for _, _, _, ok in self.rows)
 
 
-def _components(config):
+def _components():
     m = build_mollifier()
     return m, normalization_constant(m)
 
@@ -274,7 +274,7 @@ def _backend(config):
             and not os.path.isfile(b["edges_file"] or "")):
         raise ConfigError(f"backend.edges_file={b['edges_file']!r} must name an "
                           "existing file when backend.graph is file")
-    m, C = _components(config)
+    m, C = _components()
     if b["kind"] == "graph":
         op = _graph_operator(config)
     else:
@@ -400,7 +400,7 @@ def weights(ctx):
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     wc, lam = _weight_settings(config)
     tol = config["tolerances"]
-    m, C = _components(config)
+    m, C = _components()
 
     disc = DiscreteWeightFamily(m, C)
     rep = check_decomposition_identity(disc, lam, wc["t_min"], wc["t_max"])

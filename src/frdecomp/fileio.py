@@ -18,6 +18,7 @@ produce identical bytes.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -135,7 +136,6 @@ def write_json(path, obj):
 
 def write_manifest(out_dir, command, artifacts):
     """Versioned index of the artifacts a CLI run produced."""
-    import os
     write_json(os.path.join(out_dir, "report_manifest.json"),
                {"format_version": FORMAT_VERSION, "command": command,
                 "artifacts": sorted(artifacts)})

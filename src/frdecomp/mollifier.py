@@ -18,7 +18,9 @@ trapezoid rule on that same grid, one discrete convolution of the sampled
 khat (spectrally accurate for the smooth compactly supported bump).  phi is
 interpolated between the grid nodes by the cubic Hermite through phi and
 phi' = 2 kappa kappa' (it is needed at arbitrary arguments inside
-periodized sums); phi_hat by the local quintic through the six nearest
+periodized sums): only phi and phi' are kept, and the cells of the
+interpolant are formed from them for the cells a query falls in
+(_hermite_cells); phi_hat by the local quintic through the six nearest
 nodes (its values become Chebyshev filter coefficients and enter oracle
 comparisons at the 1e-9 level).
 
@@ -60,6 +62,8 @@ PHI_HAT_GRID_STEP = 1e-4
 _KAPPA_QUAD_NODES = 256
 _REMAINDER_CELL_NODES = 8
 _DECAY_ORDERS = (1, 2, 3, 4)
+# Cells whose whole-cell moments are formed at a time (Mollifier._moment_nodes).
+_MOMENT_CHUNK = 4096
 
 # Row j holds the coefficients of u^0..u^5 in the Lagrange basis polynomial of
 # the node at offset j - 2 among the offsets -2..3 (the six nodes around the
@@ -134,8 +138,10 @@ def build_default_profile():
 class Mollifier:
     """Tabulated phi / phi_hat pair, the remainder table R of phi_hat and the
     first moment F of phi, with interpolation and the one tail bound of phi.
-    Every table is on the module's one grid: grid_step and x_max are
-    GRID_STEP and X_MAX."""
+    phi is held as its values and slopes phi' = 2 kappa kappa' at the nodes;
+    the cubic Hermite cells between them are formed from those for the cells
+    an evaluation needs (_phi_cells).  Every table is on the module's one
+    grid: grid_step and x_max are GRID_STEP and X_MAX."""
 
     grid_step = GRID_STEP
     x_max = X_MAX
@@ -144,14 +150,14 @@ class Mollifier:
     k_grid: np.ndarray
     phi_hat_values: np.ndarray
     decay_sups: dict = field(repr=False)
-    _phi_cells: np.ndarray = field(repr=False)
+    _phi_slopes: np.ndarray = field(repr=False)
     _phi_hat_cells: np.ndarray = field(repr=False)
     _remainder_cells: np.ndarray = field(repr=False)
 
     @property
     def x_grid(self):
         """The phi nodes, the last one x_max; computed, as no evaluation needs it."""
-        return np.append(np.arange(len(self.phi_values) - 1) * self.grid_step, self.x_max)
+        return _phi_grid()
 
     @property
     def phi_max(self):
@@ -169,9 +175,13 @@ class Mollifier:
         inside = x <= self.x_max
         if np.any(inside):
             # phi = kappa^2 >= 0; clip interpolant undershoot near the double zeros.
-            out[inside] = np.clip(
-                _eval_cells(self._phi_cells, self.grid_step, x[inside]), 0.0, None)
+            i, u = _cell_offsets(self.grid_step, len(self.phi_values) - 1, x[inside])
+            out[inside] = np.clip(_horner(self._phi_cells(i), u), 0.0, None)
         return out if out.ndim else float(out)
+
+    def _phi_cells(self, i):
+        """The phi cells i (layout of _eval_cells), from phi and phi' at their ends."""
+        return _hermite_cells(self.phi_values, self._phi_slopes, self.grid_step, i)
 
     def phi_hat(self, k):
         """phi_hat evaluated by mirroring |k|; literal 0 outside [-1, 1]."""
@@ -191,10 +201,17 @@ class Mollifier:
     @cached_property
     def _moment_nodes(self):
         """F(i step) = int_0^{i step} u phi(u) du at the phi nodes: the whole
-        cells' _cell_moment cumulated from 0.  Built on first use."""
-        c = self._phi_cells
-        whole = _cell_moment(c, np.arange(c.shape[1]), 1.0)
-        return np.append(0.0, np.cumsum(self.grid_step**2 * whole))
+        cells' _cell_moment, formed _MOMENT_CHUNK cells at a time into the
+        table and cumulated from 0 there.  Built on first use."""
+        cells = len(self.phi_values) - 1
+        nodes = np.empty(cells + 1)
+        nodes[0] = 0.0
+        for lo in range(0, cells, _MOMENT_CHUNK):
+            hi = min(lo + _MOMENT_CHUNK, cells)
+            i = np.arange(lo, hi)
+            nodes[lo + 1:hi + 1] = self.grid_step**2 * _cell_moment(self._phi_cells(i), i, 1.0)
+        np.cumsum(nodes[1:], out=nodes[1:])
+        return nodes
 
     def phi_first_moment(self, x):
         """F(x) = int_0^|x| u phi(u) du, exact on the phi cells: the node table
@@ -212,10 +229,8 @@ class Mollifier:
 
     def _moment_inside(self, x):
         """F at 0 <= x <= x_max: the node table plus the partial cell."""
-        u = x / self.grid_step
-        i = np.minimum(u.astype(np.intp), self._phi_cells.shape[1] - 1)
-        s = u - i
-        partial = _cell_moment(self._phi_cells[:, i], i, s)
+        i, s = _cell_offsets(self.grid_step, len(self.phi_values) - 1, x)
+        partial = _cell_moment(self._phi_cells(i), i, s)
         return self._moment_nodes[i] + self.grid_step**2 * partial
 
     def phi_tail_moment(self, x):
@@ -238,15 +253,27 @@ def _tabulate_kappa(profile, x_grid):
     X = x_grid[::f] and the fine offsets y = x_grid[:f], f ~ sqrt(len), and
     cos s(X+y) = cos sX cos sy - sin sX sin sy, sin s(X+y) = sin sX cos sy +
     cos sX sin sy turn both tables into two GEMMs each.
+    The four products are whole GEMMs (splitting one changes its bits), each
+    coarse factor scaled by its weights in one scratch array, and a factor is
+    dropped after its last product.
     """
     s, w = gauss_legendre(0.0, profile.half_width, _KAPPA_QUAD_NODES)
     wk = 2.0 * w * np.asarray(profile.eval(s), dtype=float)
+    wks = wk * s
     n = len(x_grid)
     f = math.isqrt(n - 1) + 1  # f * f >= n
-    sx, sy = np.outer(x_grid[::f], s), np.outer(s, x_grid[:f])
-    cos_x, sin_x, cos_y, sin_y = np.cos(sx), np.sin(sx), np.cos(sy), np.sin(sy)
-    kappa = (cos_x * wk) @ cos_y - (sin_x * wk) @ sin_y
-    dkappa = -((sin_x * (wk * s)) @ cos_y + (cos_x * (wk * s)) @ sin_y)
+    cos_x, cos_y = np.outer(x_grid[::f], s), np.outer(s, x_grid[:f])
+    sin_x, sin_y = np.sin(cos_x), np.sin(cos_y)
+    np.cos(cos_x, out=cos_x)
+    np.cos(cos_y, out=cos_y)
+    scaled = np.empty_like(cos_x)
+    kappa = np.multiply(cos_x, wk, out=scaled) @ cos_y
+    dkappa = np.multiply(cos_x, wks, out=scaled) @ sin_y
+    del cos_x
+    term = np.empty_like(kappa)
+    kappa -= np.matmul(np.multiply(sin_x, wk, out=scaled), sin_y, out=term)
+    dkappa += np.matmul(np.multiply(sin_x, wks, out=scaled), cos_y, out=term)
+    np.negative(dkappa, out=dkappa)
     return kappa.ravel()[:n], dkappa.ravel()[:n]
 
 
@@ -265,11 +292,12 @@ def _tabulate_autoconvolution(profile):
     return PHI_HAT_GRID_STEP * np.convolve(kh, kh)[n - 1:2 * n - 1]
 
 
-def _hermite_cells(values, slopes, step):
-    """Cells of the cubic Hermite through values with derivatives slopes on a
-    uniform grid of step step (layout of _eval_cells)."""
-    y0, dy = values[:-1], np.diff(values)
-    d0, d1 = step * slopes[:-1], step * slopes[1:]
+def _hermite_cells(values, slopes, step, i):
+    """Cells i of the cubic Hermite through values with derivatives slopes on
+    a uniform grid of step step (layout of _eval_cells, one column per index)."""
+    y0 = values[i]
+    dy = values[i + 1] - y0
+    d0, d1 = step * slopes[i], step * slopes[i + 1]
     return np.array([y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
 
 
@@ -306,7 +334,7 @@ def _remainder_cells(k_grid, phi_hat, phi_hat_cells):
     integrand = np.empty_like(phi_hat)
     integrand[0] = diff[2, 0] / step**2
     integrand[1:] = (phi_hat[1:] - phi_hat[0]) / k_grid[1:] ** 2
-    return _hermite_cells(remainder, -integrand, step)
+    return _hermite_cells(remainder, -integrand, step, np.arange(len(remainder) - 1))
 
 
 def _cell_moment(c, i, s):
@@ -319,16 +347,36 @@ def _cell_moment(c, i, s):
     return out * s
 
 
+def _cell_offsets(step, cells, x):
+    """(i, u) for x >= 0 on cells cells of width step: x lies in cell i, which
+    covers [i step, (i+1) step] (the last cell also what lies beyond), at
+    u = x/step - i."""
+    u = x / step
+    i = np.minimum(u.astype(np.intp), cells - 1)
+    u -= i
+    return i, u
+
+
+def _horner(c, u):
+    """sum_j c[j] u^j by Horner's rule."""
+    out = c[-1]
+    for cj in c[-2::-1]:
+        out = out * u + cj
+    return out
+
+
 def _eval_cells(cells, step, x):
     """Piecewise polynomial at x >= 0: cell i covers [i step, (i+1) step] and
-    holds sum_j cells[j, i] u^j in u = x/step - i (Horner's rule)."""
-    u = x / step
-    i = np.minimum(u.astype(np.intp), cells.shape[1] - 1)
-    u -= i
-    out = cells[-1, i]
-    for c in cells[-2::-1]:
-        out = out * u + c[i]
-    return out
+    holds sum_j cells[j, i] u^j in u = x/step - i."""
+    i, u = _cell_offsets(step, cells.shape[1], x)
+    return _horner(cells[:, i], u)
+
+
+def _phi_grid():
+    """The phi nodes i GRID_STEP, the last one X_MAX (the last cell ends there)."""
+    x = np.arange(round(X_MAX / GRID_STEP) + 1) * GRID_STEP
+    x[-1] = X_MAX
+    return x
 
 
 def build_mollifier(profile=None):
@@ -337,10 +385,20 @@ def build_mollifier(profile=None):
         profile = build_default_profile()
     profile.validate()
 
-    x_grid = np.arange(round(X_MAX / GRID_STEP) + 1) * GRID_STEP
-    x_grid[-1] = X_MAX  # the last cell ends at X_MAX
+    x_grid = _phi_grid()
     kappa, dkappa = _tabulate_kappa(profile, x_grid)
-    phi = kappa * kappa
+    slopes = 2.0 * kappa
+    slopes *= dkappa  # phi' = 2 kappa kappa'
+    phi = np.multiply(kappa, kappa, out=kappa)
+    # (1 + x^2)^p phi in the storage of kappa', over 1 + x^2 in that of the grid
+    scratch = dkappa
+    np.square(x_grid, out=x_grid)
+    x_grid += 1.0
+    decay = {}
+    for p in _DECAY_ORDERS:
+        np.power(x_grid, p, out=scratch)
+        decay[p] = float(np.max(np.multiply(scratch, phi, out=scratch)))
+    del x_grid, kappa, dkappa, scratch
 
     k_grid = np.arange(0.0, 1.0 + 0.5 * PHI_HAT_GRID_STEP, PHI_HAT_GRID_STEP)
     k_grid[-1] = 1.0
@@ -348,7 +406,6 @@ def build_mollifier(profile=None):
     phi_hat[-1] = 0.0  # support edge, exact
 
     phi_hat_cells = _quintic_cells(phi_hat)
-    decay = {p: float(np.max((1.0 + x_grid**2) ** p * phi)) for p in _DECAY_ORDERS}
 
     return Mollifier(
         profile=profile,
@@ -356,7 +413,7 @@ def build_mollifier(profile=None):
         k_grid=k_grid,
         phi_hat_values=phi_hat,
         decay_sups=decay,
-        _phi_cells=_hermite_cells(phi, 2.0 * kappa * dkappa, GRID_STEP),
+        _phi_slopes=slopes,
         _phi_hat_cells=phi_hat_cells,
         _remainder_cells=_remainder_cells(k_grid, phi_hat, phi_hat_cells),
     )

@@ -1,4 +1,5 @@
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import exp_bump
 from frdecomp.mollifier import (BumpProfile, DegenerateMollifierError,
-                                ProfileError, _tabulate_kappa, build_default_profile,
-                                build_mollifier, normalization_constant)
+                                ProfileError, _cell_moment, _eval_cells, _tabulate_kappa,
+                                build_default_profile, build_mollifier,
+                                normalization_constant)
 from frdecomp.quadrature import gauss_legendre
 
 
@@ -232,6 +234,95 @@ class TestTableAccuracy:
         assert got.shape == x.shape
         assert got.tolist() == [[m.phi_first_moment(v) for v in row] for row in x]
         assert got[1].tolist() == [m.phi_first_moment(m.x_max)] * 3
+
+
+class WholeTable:
+    """phi, F and the phi tail from every phi cell tabulated at once, as the
+    mollifier held them before it formed the cells of a query on demand."""
+
+    def __init__(self, m):
+        self.m = m
+        v, d, h = m.phi_values, m._phi_slopes, m.grid_step
+        y0, dy = v[:-1], np.diff(v)
+        d0, d1 = h * d[:-1], h * d[1:]
+        self.cells = np.array([y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy])
+        whole = _cell_moment(self.cells, np.arange(self.cells.shape[1]), 1.0)
+        self.moment_nodes = np.append(0.0, np.cumsum(h**2 * whole))
+        self.moment_top = self._moment_inside(np.array([m.x_max]))[0]
+
+    def phi(self, x):
+        x = np.abs(x)
+        out = np.zeros_like(x)
+        inside = x <= self.m.x_max
+        out[inside] = np.clip(_eval_cells(self.cells, self.m.grid_step, x[inside]), 0.0, None)
+        return out
+
+    def _moment_inside(self, x):
+        u = x / self.m.grid_step
+        i = np.minimum(u.astype(np.intp), self.cells.shape[1] - 1)
+        s = u - i
+        partial = _cell_moment(self.cells[:, i], i, s)
+        return self.moment_nodes[i] + self.m.grid_step**2 * partial
+
+    def first_moment(self, x):
+        x = np.abs(x)
+        out = np.full(x.shape, self.moment_top)
+        inside = x < self.m.x_max
+        out[inside] = self._moment_inside(x[inside])
+        return out
+
+    def tail_moment(self, x):
+        x = np.abs(x)
+        return (np.maximum(self.moment_top - self.first_moment(x), 0.0)
+                + self.m.decay_sups[4] * np.maximum(x, self.m.x_max) ** -6.0 / 6.0)
+
+
+class TestOnDemandCells:
+    """The phi cells formed per query give the bits of the whole table."""
+
+    def test_against_whole_table(self, any_mollifier):
+        m = any_mollifier
+        old = WholeTable(m)
+        nodes = m.x_grid
+        midpoints = (np.arange(len(nodes) - 1) + 0.5) * m.grid_step
+        edge = np.array([m.x_max, np.nextafter(m.x_max, 0.0), np.nextafter(m.x_max, np.inf),
+                         100.5, 150.0, 1e9, -m.x_max, -0.37, 0.0])
+        for x in (nodes, midpoints, edge):
+            assert np.array_equal(m.phi(x), old.phi(x))
+            assert np.array_equal(m.phi_first_moment(x), old.first_moment(x))
+            assert np.array_equal(m.phi_tail_moment(x), old.tail_moment(x))
+        assert np.array_equal(m._moment_nodes, old.moment_nodes)
+
+
+class TestMemory:
+    """tracemalloc bounds on the tables: what was measured plus less than one
+    grid array (100,001 float64, 0.76 MiB), so that one more grid array kept,
+    or live at the peak, fails them; a whole phi cell table is four."""
+
+    def test_build_peak_and_kept_bytes(self):
+        tracemalloc.start()
+        try:
+            m = build_mollifier()
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            m.phi_first_moment(3.0)
+            moment_kept, moment_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mib = 2.0**20
+        # measured: 5.61 MiB peak (11.3 MiB with the whole cell table), 2.45
+        # MiB kept (4.7 MiB with it)
+        assert peak <= 6.2 * mib
+        assert kept <= 2.9 * mib
+        # the node table of F, 0.76 MiB, is built chunk by chunk on first use:
+        # 0.35 MiB above the table measured (3.1 MiB from the whole table)
+        table = m._moment_nodes.nbytes
+        assert moment_kept - kept <= table + 0.01 * mib
+        assert moment_peak - kept <= table + 0.7 * mib
+        # no array the mollifier holds is larger than about one grid array
+        arrays = [a for a in vars(m).values() if isinstance(a, np.ndarray)]
+        largest = max(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
+        assert largest < 2 * m.phi_values.nbytes
 
 
 class TestNormalization:

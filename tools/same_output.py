@@ -10,11 +10,11 @@ each in a fresh directory that also holds the edge list the config names
 from EDGE_LISTS, if any.  The script compares the exit code, standard
 output and the bytes of every file written to --out, prints one line per
 config, with the peak resident set of both runs (this checkout's / OTHER_SRC's,
-from wait4), and exits 1 if any config differs.  For each file that differs
-it also prints the largest difference of its numbers: the float64 values of
-a ``.bin`` file, each CSV column and each JSON number, where an array or
-column differs by max |a - b| / max |b| (relative) and by max |a - b|
-(absolute).
+the VmHWM each command reads from /proc/self/status at exit), and exits 1 if
+any config differs.  For each file that differs it also prints the largest
+difference of its numbers: the float64 values of a ``.bin`` file, each CSV
+column and each JSON number, where an array or column differs by
+max |a - b| / max |b| (relative) and by max |a - b| (absolute).
 The relative figure is taken against the array's own maximum, so an array of
 near-zero values can read large there while its absolute move is tiny.
 """
@@ -31,6 +31,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 12345
+# Bytes of an artifact read at a time to hash it.
+HASH_BLOCK = 1 << 20
 
 # Edge lists a config may name as backend.edges_file; run() writes the one a
 # config names into that config's work directory.
@@ -125,9 +127,27 @@ def perfbench_configs():
             for name, w in sorted(WORKLOADS.items())]
 
 
+# Runs the command line as `python -m frdecomp.cli` does and, at exit, writes
+# the process's own peak resident set (VmHWM, KiB) to the file named by its
+# first argument.  ru_maxrss from wait4 would not do: after vfork and exec a
+# child's value starts at its parent's resident set.
+CHILD = """
+import atexit, runpy, sys
+
+def write_peak(path=sys.argv.pop(1)):
+    with open("/proc/self/status") as fh:
+        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    with open(path, "w") as fh:
+        fh.write(kib)
+
+atexit.register(write_peak)
+runpy.run_module("frdecomp.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def run(src, workdir, command, config):
-    """(exit code, stdout, {file: sha256}, out dir, peak RSS in MiB) of one
-    command run on src."""
+    """(exit code, stdout, {file: sha256}, out dir, peak RSS in MiB or NaN if
+    the command wrote none) of one command run on src."""
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(config, fh)
@@ -135,21 +155,25 @@ def run(src, workdir, command, config):
     if edges in EDGE_LISTS:
         with open(os.path.join(workdir, edges), "w") as fh:
             fh.write(EDGE_LISTS[edges])
-    with subprocess.Popen(
-            [sys.executable, "-m", "frdecomp.cli", "--config", "config.json",
-             "--seed", str(SEED), "--out", "out", command],
-            cwd=workdir, env=dict(os.environ, PYTHONPATH=src),
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as proc:
-        stdout = proc.stdout.read()
-        # reap the command here: wait4 gives its own peak RSS (KiB on Linux)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, "peak_kib", "--config", "config.json",
+         "--seed", str(SEED), "--out", "out", command],
+        cwd=workdir, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        with open(os.path.join(workdir, "peak_kib")) as fh:
+            peak = int(fh.read()) / 1024
+    except FileNotFoundError:
+        peak = float("nan")
     out = os.path.join(workdir, "out")
     files = {}
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        digest = hashlib.sha256()
         with open(os.path.join(out, name), "rb") as fh:
-            files[name] = hashlib.sha256(fh.read()).hexdigest()
-    return proc.returncode, stdout, files, out, usage.ru_maxrss / 1024
+            for block in iter(lambda: fh.read(HASH_BLOCK), b""):
+                digest.update(block)
+        files[name] = digest.hexdigest()
+    return proc.returncode, proc.stdout, files, out, peak
 
 
 def _diff(a, b):
