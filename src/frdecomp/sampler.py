@@ -38,13 +38,19 @@ draw-size agnostic).
 The replicates are drawn slice by slice on the calling thread into one
 buffer y.  The kept rows of a slice are overwritten by the sums of their
 components, each mapped to the sites; then the slice is folded into the
-covariance report's sufficient statistic, FOLD_ROWS replicates at a time (so
-its roundoff does not depend on the slice size either), and dropped.  Both
-samplers return (statistic, kept): the statistic of the summed field, and the
-per-scale components (keep, scales, sites).  Memory is one slice (y) and one
-scale's kept rows of a slice plus O(sites^2) for any sample_count; a slice
-holds SLICE_VALUES = 2^17 doubles, 1 MiB, or FOLD_ROWS replicates if that is
-more.  No array grows with sample_count except kept.
+covariance report's sufficient statistic one term of replicates at a time,
+and dropped.  A torus term is FOLD_ROWS = 64 replicates, as its fold is
+elementwise.  A graph term is one GEMM y^T y, so it is as large as a cache
+allows: the largest power of two of replicates with at most
+GRAM_TERM_VALUES = 2^16 values (512 KiB), at least FOLD_ROWS and at most
+REPLICATE_BATCH (_gram_rows; 256 replicates on a 256-cycle).  Every term
+divides REPLICATE_BATCH and a slice holds whole terms, so the statistic's
+roundoff does not depend on the slice size either.  Both samplers return
+(statistic, kept): the statistic of the summed field, and the per-scale
+components (keep, scales, sites).  Memory is one slice (y) and one scale's
+kept rows of a slice plus O(sites^2) for any sample_count; a slice holds
+SLICE_VALUES = 2^17 doubles, 1 MiB, or one term if that is more.  No array
+grows with sample_count except kept.
 
 Two statistical checks compare the statistic with the exact covariance C:
 
@@ -81,12 +87,15 @@ def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "kee
 
 
 REPLICATE_BATCH = 4096
-# Replicates per term of the streamed statistics; a slice holds whole terms,
-# so the statistics are summed in one order for any slice size.  It divides
-# REPLICATE_BATCH.
+# Replicates per term of the torus power spectrum, and the fewest per term of
+# the graph Gram; a slice holds whole terms, so the statistics are summed in
+# one order for any slice size.  It divides REPLICATE_BATCH.
 FOLD_ROWS = 64
-# Normals per drawn slice (but at least FOLD_ROWS replicates): 1 MiB, so the
-# slice y and the draws of a kept component fit together in a 2 MiB L2 cache.
+# Most values (replicates x sites) in a term of the graph Gram: 512 KiB, so
+# a term's y^T y is one GEMM of cache-sized operands.
+GRAM_TERM_VALUES = 2**16
+# Normals per drawn slice (but at least one term): 1 MiB, so the slice y and
+# the draws of a kept component fit together in a 2 MiB L2 cache.
 SLICE_VALUES = 2**17
 
 
@@ -108,15 +117,23 @@ def _field_stream(seed, batch):
     return np.random.Generator(np.random.SFC64(sequence))
 
 
-def _slice_reps(draw_shape):
+def _gram_rows(sites):
+    """Replicates per term of the graph Gram on `sites` vertices: the largest
+    power of two with at most GRAM_TERM_VALUES values, clamped to
+    [FOLD_ROWS, REPLICATE_BATCH], so it divides REPLICATE_BATCH."""
+    rows = 1 << max(0, (GRAM_TERM_VALUES // sites).bit_length() - 1)
+    return min(REPLICATE_BATCH, max(FOLD_ROWS, rows))
+
+
+def _slice_reps(draw_shape, term_rows):
     """Replicates per drawn slice for draws of shape draw_shape each: a
-    multiple of FOLD_ROWS."""
+    multiple of term_rows."""
     per_rep = max(int(np.prod(draw_shape)), 1)
     reps = min(REPLICATE_BATCH, SLICE_VALUES // per_rep)
-    return max(FOLD_ROWS, reps - reps % FOLD_ROWS)
+    return max(term_rows, reps - reps % term_rows)
 
 
-def _spectral_sample(seed, count, keep, variances, to_sites, fold):
+def _spectral_sample(seed, count, keep, variances, to_sites, fold, term_rows):
     """(statistic, kept) of a field whose scale s has the independent mode
     variances variances[s] in eigen-coordinates.
 
@@ -130,12 +147,14 @@ def _spectral_sample(seed, count, keep, variances, to_sites, fold):
     replicates are drawn all the same, so no offset depends on keep.  The
     replicates are drawn slice by slice into one buffer on the calling
     thread (numpy Generator streams are draw-size agnostic), and fold(rows of
-    y) is summed over FOLD_ROWS replicates at a time into the statistic.
+    y) is summed over term_rows replicates at a time into the statistic;
+    term_rows divides REPLICATE_BATCH, so the terms do not depend on the
+    slices.
     """
     draw_shape = variances[0].shape
     amps = [np.sqrt(v) for v in variances]
     total = np.sqrt(sum(variances))
-    slice_reps = _slice_reps(draw_shape)
+    slice_reps = _slice_reps(draw_shape, term_rows)
     kept = np.empty((min(keep, count), len(amps), total.size))
     y = np.empty((min(slice_reps, count),) + draw_shape)
     component = np.empty((min(slice_reps, len(kept)),) + draw_shape)
@@ -157,8 +176,8 @@ def _spectral_sample(seed, count, keep, variances, to_sites, fold):
                     yk[:kk] = values
                 else:
                     yk[:kk] += values
-            for b in range(0, len(yk), FOLD_ROWS):
-                term = fold(yk[b:b + FOLD_ROWS])
+            for b in range(0, len(yk), term_rows):
+                term = fold(yk[b:b + term_rows])
                 if statistic is None:
                     statistic = term
                 else:
@@ -220,7 +239,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
                              axes=tuple(range(-spec.d, 0))).reshape(len(c), -1)
 
     squares, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
-                                     lambda c: np.sum(c * c, axis=0))
+                                     lambda c: np.sum(c * c, axis=0), FOLD_ROWS)
     squares = squares.ravel()
     return 0.5 * spec.size * (squares[lo] + squares[hi]), kept
 
@@ -250,7 +269,7 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
         return (y @ vecs.T) * back
 
     gram, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
-                                  lambda y: y.T @ y)
+                                  lambda y: y.T @ y, _gram_rows(op.n))
     return back[:, None] * (vecs @ gram @ vecs.T) * back, kept
 
 

@@ -161,3 +161,38 @@ class TestColumnsCsv:
             fileio.write_columns_csv(path, ["a,b"], [np.ones(2)])
         with pytest.raises(TypeError):
             fileio.write_columns_csv(path, ["a"], [np.array(["x", "y"])])
+        if np.dtype(np.longdouble).itemsize > 8:
+            with pytest.raises(TypeError, match="at most 64 bits"):
+                fileio.write_columns_csv(path, ["a"], [np.ones(2, dtype=np.longdouble)])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 1024])
+    def test_distinct_cells_match_csv_writer(self, tmp_path, monkeypatch, chunk_rows):
+        # each distinct value of a chunk's column is formatted once and gathered
+        # to its rows: repeated values, 0.0 beside -0.0, nan (two payloads)
+        # and +-inf, float32, bool, int8, uint64 and a strided column keep
+        # csv.writer's bytes for any chunk size
+        monkeypatch.setattr(fileio, "CSV_CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(11)
+        rows = 2500
+        other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        float32 = rng.standard_normal(rows).astype(np.float32)
+        float32[::3] = float32[0]
+        strided = rng.standard_normal((rows, 3))[:, 1]
+        assert not strided.flags.contiguous
+        columns = [
+            rng.choice([0.1, 1.0 / 3.0, -2.5e-300, 7.0], rows),
+            rng.choice([0.0, -0.0], rows),
+            rng.choice([np.nan, other_nan, np.inf, -np.inf, 1.0], rows),
+            float32,
+            rng.integers(0, 2, rows).astype(bool),
+            rng.integers(-128, 128, rows, dtype=np.int8),
+            rng.choice(np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64), rows),
+            strided,
+        ]
+        header = ["repeated", "zeros", "specials", "f32", "b", "i8", "u64", "strided"]
+        path = tmp_path / "d.csv"
+        fileio.write_columns_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(tmp_path / "ref.csv", header,
+                                                     columns)
+        zeros = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        assert set(zeros) == {"0.0", "-0.0"}

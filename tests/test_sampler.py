@@ -674,6 +674,66 @@ def small_sampler(backend, mollifier, norm1):
             expect, lambda totals: totals.T @ totals)
 
 
+class TestFoldTerms:
+    def test_graph_term_rows(self):
+        # the largest power of two of replicates with at most 2^16 values,
+        # clamped to [FOLD_ROWS, REPLICATE_BATCH]: 256 on graph-sample's
+        # 256-cycle, 64 on a 1024-cycle, and always a divisor of REPLICATE_BATCH
+        for sites in range(8, 4097):
+            rows = sampler._gram_rows(sites)
+            assert REPLICATE_BATCH % rows == 0
+            assert sampler.FOLD_ROWS <= rows <= REPLICATE_BATCH
+            assert rows * sites <= sampler.GRAM_TERM_VALUES or rows == sampler.FOLD_ROWS
+            assert (2 * rows * sites > sampler.GRAM_TERM_VALUES
+                    or rows == REPLICATE_BATCH)
+        assert [sampler._gram_rows(n) for n in (8, 16, 256, 512, 1024, 4096)] == [
+            4096, 4096, 256, 128, 64, 64]
+
+    def test_graph_terms_independent_of_slices(self, mollifier, norm1, monkeypatch):
+        # a 128-cycle folds 512-replicate terms; slices of 781 and 2343
+        # replicates round down to whole terms, so the Gram is summed in one
+        # order for every slice size
+        op = GraphOperator(cycle_graph(128), "resolvent", m2=1.0)
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = ScalePlan(j_min=0, j_max=3)
+        assert sampler._gram_rows(op.n) == 512
+        runs = []
+        for slice_values, reps in ((sampler.SLICE_VALUES, 1024), (100_000, 512),
+                                   (300_000, 2048)):
+            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+            assert sampler._slice_reps((op.n,), 512) == reps
+            runs.append(sample_graph(op, fam, plan, 3, 5000, keep=3)[0].tobytes())
+        assert runs[1:] == runs[:1] * 2
+
+    @pytest.mark.parametrize("backend", ["graph", "torus"])
+    def test_fold_sizes(self, mollifier, norm1, monkeypatch, backend):
+        # the graph Gram is folded in _gram_rows terms, 256 replicates on a
+        # 256-cycle; the torus power spectrum keeps FOLD_ROWS; the last term of
+        # a batch holds what is left
+        spectral_sample, sizes = sampler._spectral_sample, []
+
+        def recording(seed, count, keep, variances, to_sites, fold, term_rows):
+            def counted(rows):
+                sizes.append(len(rows))
+                return fold(rows)
+            return spectral_sample(seed, count, keep, variances, to_sites, counted,
+                                   term_rows)
+
+        monkeypatch.setattr(sampler, "_spectral_sample", recording)
+        R = 1000
+        if backend == "graph":
+            op = GraphOperator(cycle_graph(256), "resolvent", m2=0.1)
+            fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+            sample_graph(op, fam, ScalePlan(j_min=0, j_max=3), 1, R)
+            rows = 256
+        else:
+            table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
+            fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+            sample_torus(table, fam, ScalePlan(j_min=0, j_max=3), 1, R)
+            rows = sampler.FOLD_ROWS
+        assert sizes == [rows] * (R // rows) + [R % rows]
+
+
 class TestRunningTotals:
     """The field summed over scales reaches the caller only as the streamed
     statistic; the kept components sum to its first replicates."""

@@ -3,16 +3,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from frdecomp import weights
+from frdecomp.graphs import GraphOperator, WeightedGraph
+from frdecomp.lattice import LatticeSpec, build_symbol_table
 from frdecomp.mollifier import default_mollifier
 from frdecomp.quadrature import gauss_legendre
-from frdecomp.weights import (PLAN_T_CAP, REPORT_T_GRID, DiscreteWeightFamily,
-                              ScalePlan, approximation_rate, chebyshev_coefficients,
-                              chebyshev_polynomial_coeffs,
+from frdecomp.weights import (PLAN_T_CAP, REPORT_T_GRID, BlockQualityError,
+                              DiscreteWeightFamily, ScalePlan, approximation_rate,
+                              chebyshev_coefficients, chebyshev_polynomial_coeffs,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants,
                               default_scale_plan, eval_discrete_weight_direct,
-                              series_roundoff, wave_identity_max_residual,
-                              write_identity_csv)
+                              mode_variances, series_roundoff,
+                              wave_identity_max_residual, write_identity_csv)
 
 
 def test_clenshaw_against_cosine_form():
@@ -412,3 +415,84 @@ class TestWaveIdentity:
         for n, p in enumerate(polys):
             assert np.polyval(p[::-1], theta) == pytest.approx(
                 np.cos(n * np.arccos(theta)), abs=1e-12)
+
+
+def per_mode_variances(spectrum, family, series, singular):
+    """Reference: mode_variances as one Clenshaw sweep over every mode, with
+    the recurrence written out as b_k = 2 c_k + 2 theta b_{k+1} - b_{k+2}."""
+    lam = np.asarray(spectrum, dtype=float)
+    theta = 1.0 - 0.5 * family.arg_scale * lam
+    variances = []
+    for a in series:
+        b1, b2 = np.zeros_like(theta), np.zeros_like(theta)
+        for k in range(len(a) - 1, 0, -1):
+            b1, b2 = 2.0 * a[k] + 2.0 * theta * b1 - b2, b1
+        v = theta * b1 - b2 + a[0]
+        v[v < 0] = 0.0
+        v[(lam <= 1e-12) & bool(singular)] = 0.0
+        variances.append(v)
+    return variances
+
+
+def mode_variance_operators():
+    """(id, operator) of four spectra: a symmetric torus, an off-diagonal a,
+    a massless torus (zero mode deflated) and a graph whose vertex measure is
+    not constant."""
+    rng = np.random.default_rng(4)
+    edges = [(i, (i + 1) % 12, w) for i, w in enumerate(rng.uniform(0.5, 2.0, 12))]
+    edges += [(0, 6, 1.0), (3, 8, 0.7)]
+    graph = GraphOperator(WeightedGraph.from_edges(12, edges), "laplacian")
+    assert np.ptp(graph.graph.mu) > 0
+    return [
+        ("torus", build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=64))),
+        ("off-diagonal", build_symbol_table(
+            LatticeSpec(d=2, a=np.array([[1.0, 0.3], [0.3, 1.0]]), m2=0.5, N=16))),
+        ("massless", build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=16))),
+        ("graph", graph),
+    ]
+
+
+class TestModeVariances:
+    @pytest.mark.parametrize("index", range(4), ids=["torus", "off-diagonal", "massless",
+                                                     "graph"])
+    def test_bit_identical_to_per_mode(self, mollifier, norm1, index):
+        name, op = mode_variance_operators()[index]
+        spectrum = op.values if name != "graph" else op.eigensystem()[0]
+        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
+        plan = default_scale_plan(fam, op.spectral_gap())
+        series = plan.series(fam) + [plan.total_series(fam)]
+        got = mode_variances(spectrum, fam, series, op.is_singular)
+        expect = per_mode_variances(spectrum, fam, series, op.is_singular)
+        assert len(got) == len(expect)
+        for g, e in zip(got, expect):
+            assert g.shape == spectrum.shape and np.array_equal(g, e)
+        if op.is_singular:
+            assert all(np.all(v[spectrum <= 1e-12] == 0.0) for v in got)
+
+    def test_one_sweep_per_distinct_eigenvalue(self, mollifier, norm1, monkeypatch):
+        # a 64 x 64 torus has 4,096 modes and 547 distinct symbol values
+        _, table = mode_variance_operators()[0]
+        fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
+        plan = default_scale_plan(fam, table.spectral_gap())
+        sizes, clenshaw = [], weights.clenshaw_folded
+
+        def recording(coeffs, theta):
+            sizes.append(np.size(theta))
+            return clenshaw(coeffs, theta)
+
+        monkeypatch.setattr(weights, "clenshaw_folded", recording)
+        weights.mode_variances(table.values, fam, plan.series(fam), False)
+        assert sizes == [547] * len(plan.series(fam))
+
+    def test_repeated_offending_eigenvalue(self, mollifier, norm1):
+        # the series 2 (theta - theta(2)) - w is negative only at lambda = 2,
+        # which the spectrum holds three times: w beyond the roundoff bound is
+        # refused, and the message names the worst value
+        fam = DiscreteWeightFamily(mollifier, norm1, B=4.0)
+        spectrum = np.array([[0.5, 2.0], [2.0, 1.0], [1.5, 2.0]])
+        at_two = 1.0 - 0.5 * fam.arg_scale * 2.0
+        series = np.array([-2.0 * at_two - 1e-3, 1.0])
+        assert series_roundoff(series) < 1e-3
+        assert np.sum(per_mode_variances(spectrum, fam, [series], False)[0] == 0) == 3
+        with pytest.raises(BlockQualityError, match="negative mode variance 0.001 "):
+            mode_variances(spectrum, fam, [series], False)

@@ -54,6 +54,8 @@ TWO_CYCLES8 = {"backend": {"graph": "file", "edges_file": "two_cycles8.txt",
                            "operator": "laplacian"}}
 # a resolvent that is singular because a == b
 GRAPH_M2_ZERO = {"backend": {"m2": 0.0}}
+OFF_DIAGONAL_TORUS = {"backend": {"kind": "torus", "d": 2, "N": 32,
+                                  "a": [[1.0, 0.3], [0.3, 1.0]]}}
 CONFIGS = [
     ("default graph", "decompose", {}),
     ("default graph killed", "decompose", {"backend": {"operator": "killed"}}),
@@ -116,6 +118,14 @@ CONFIGS = [
     ("1024-cycle", "reconstruct", {"backend": {"n": 1024}}),
     # 65,536 eigenvalues through DiscreteWeightFamily.tail_high
     ("torus d=2 N=256", "reconstruct", {"backend": {"kind": "torus", "d": 2, "N": 256}}),
+    # 32,768 modes with 1,019 distinct symbol values (weights.mode_variances)
+    ("torus d=3 N=32", "reconstruct", {"backend": {"kind": "torus", "d": 3, "N": 32}}),
+    # an off-diagonal a, whose symbol has fewer repeated values
+    ("off-diagonal torus d=2 N=32", "reconstruct", OFF_DIAGONAL_TORUS),
+    ("off-diagonal torus d=2 N=32 R=4000", "sample",
+     dict(OFF_DIAGONAL_TORUS, sampler={"sample_count": 4000})),
+    # 128-replicate terms of the graph Gram (sampler._gram_rows)
+    ("512-cycle", "sample", {"backend": {"n": 512}}),
 ]
 
 
