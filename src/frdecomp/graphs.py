@@ -64,8 +64,8 @@ class WeightedGraph:
                 raise GraphError(f"edge ({x},{y}) outside vertex range")
             if x == y:
                 raise GraphError("self-loops are not allowed")
-            if w <= 0:
-                raise GraphError("edge weights must be positive")
+            if not 0 < w < np.inf:
+                raise GraphError(f"edge ({x},{y}) weight {w} must be positive and finite")
             rows += [x, y]
             cols += [y, x]
             vals += [w, w]
@@ -76,6 +76,8 @@ class WeightedGraph:
         mu = np.bincount(rows, weights=vals, minlength=n)
         if np.any(mu <= 0):
             raise GraphError("graph has isolated vertices")
+        if not np.all(np.isfinite(mu)):
+            raise GraphError("vertex measure mu overflows to infinity")
         return cls(n=n, rows=rows, cols=cols, weights=vals, mu=mu)
 
     @classmethod

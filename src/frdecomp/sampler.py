@@ -26,31 +26,28 @@ keeps.
 
 Randomness comes from SFC64 streams seeded by SeedSequence(seed, spawn_key):
 one per (scale index, replicate batch) for the kept components, and one per
-batch, spawn key (batch,), for the summed field, with replicates laid out in
-fixed order inside a batch.  The streams are independent because
+batch, spawn key (batch,), for the summed field (_stream), with replicates
+laid out in fixed order inside a batch.  The streams are independent because
 SeedSequence hashes the seed and the spawn key into each stream's 192 state
 bits, not because they are distinct counters: two streams overlap only with
 negligible probability, as SFC64's built-in counter puts every state on a
-cycle of at least 2^64 draws.  Output is byte-identical for a given (config,
-seed) no matter how the draws are sliced (numpy Generator streams are
-draw-size agnostic).
+cycle of at least 2^64 draws.  The samples are byte-identical for a given
+(config, seed) no matter how the draws are sliced (numpy Generator streams
+are draw-size agnostic).
 
-The replicates are drawn slice by slice on the calling thread into one
-buffer y.  The kept rows of a slice are overwritten by the sums of their
-components, each mapped to the sites; then the slice is folded into the
-covariance report's sufficient statistic one term of replicates at a time,
-and dropped.  A torus term is FOLD_ROWS = 64 replicates, as its fold is
-elementwise.  A graph term is one GEMM y^T y, so it is as large as a cache
-allows: the largest power of two of replicates with at most
-GRAM_TERM_VALUES = 2^16 values (512 KiB), at least FOLD_ROWS and at most
-REPLICATE_BATCH (_gram_rows; 256 replicates on a 256-cycle).  Every term
-divides REPLICATE_BATCH and a slice holds whole terms, so the statistic's
-roundoff does not depend on the slice size either.  Both samplers return
+The replicates are drawn one term at a time on the calling thread into one
+buffer y.  The kept rows of a term are overwritten by the sums of their
+components, each mapped to the sites; then the term is folded into the
+covariance report's sufficient statistic and dropped.  A term is as large
+as a cache allows, on both backends: the largest power of two of replicates
+with at most TERM_VALUES = 2^16 values (512 KiB), at least FOLD_ROWS and at
+most REPLICATE_BATCH (_term_rows; 256 replicates on a 256-cycle, 64 on a
+32 x 32 torus).  So a graph term's y^T y is one GEMM of cache-sized
+operands, and every term divides REPLICATE_BATCH.  Both samplers return
 (statistic, kept): the statistic of the summed field, and the per-scale
-components (keep, scales, sites).  Memory is one slice (y) and one scale's
-kept rows of a slice plus O(sites^2) for any sample_count; a slice holds
-SLICE_VALUES = 2^17 doubles, 1 MiB, or one term if that is more.  No array
-grows with sample_count except kept.
+components (keep, scales, sites).  Memory is one term (y) and one scale's
+kept rows of a term plus O(sites^2) for any sample_count.  No array grows
+with sample_count except kept.
 
 Two statistical checks compare the statistic with the exact covariance C:
 
@@ -87,85 +84,66 @@ def check_settings(seed, sample_count, keep, names=("seed", "sample_count", "kee
 
 
 REPLICATE_BATCH = 4096
-# Replicates per term of the torus power spectrum, and the fewest per term of
-# the graph Gram; a slice holds whole terms, so the statistics are summed in
-# one order for any slice size.  It divides REPLICATE_BATCH.
+# The fewest replicates per term; it divides REPLICATE_BATCH.
 FOLD_ROWS = 64
-# Most values (replicates x sites) in a term of the graph Gram: 512 KiB, so
-# a term's y^T y is one GEMM of cache-sized operands.
-GRAM_TERM_VALUES = 2**16
-# Normals per drawn slice (but at least one term): 1 MiB, so the slice y and
-# the draws of a kept component fit together in a 2 MiB L2 cache.
-SLICE_VALUES = 2**17
+# Most values (replicates x sites) in a drawn term: 512 KiB, so a graph
+# term's y^T y is one GEMM of cache-sized operands.
+TERM_VALUES = 2**16
 
 
-def _stream(seed, scale_index, batch):
-    """The generator of replicate batch `batch` of scale `scale_index`: SFC64
-    seeded by SeedSequence(seed, spawn_key=(scale_index, batch)).  The hash
-    takes the whole triple, so distinct triples give distinct streams for any
-    64-bit seed and any scale and batch indices."""
-    sequence = np.random.SeedSequence(seed, spawn_key=(scale_index, batch))
+def _stream(seed, *key):
+    """The generator of stream `key`: SFC64 seeded by SeedSequence(seed,
+    spawn_key=key).  Key (batch,) is replicate batch `batch` of the field
+    summed over scales, key (scale_index, batch) that batch of one scale.
+    The hash takes the seed and the whole key, so distinct keys give
+    distinct streams for any 64-bit seed; a field key is one 32-bit word for
+    batch < 2**32 (fewer than 2**44 replicates), and a scale key at least
+    two, so no scale's stream shares a field key."""
+    sequence = np.random.SeedSequence(seed, spawn_key=key)
     return np.random.Generator(np.random.SFC64(sequence))
 
 
-def _field_stream(seed, batch):
-    """The generator of replicate batch `batch` of the field summed over
-    scales: SFC64 seeded by SeedSequence(seed, spawn_key=(batch,)).  The key
-    is one 32-bit word for batch < 2**32 (fewer than 2**44 replicates), and
-    every key of _stream has at least two, so no per-scale stream shares it."""
-    sequence = np.random.SeedSequence(seed, spawn_key=(batch,))
-    return np.random.Generator(np.random.SFC64(sequence))
-
-
-def _gram_rows(sites):
-    """Replicates per term of the graph Gram on `sites` vertices: the largest
-    power of two with at most GRAM_TERM_VALUES values, clamped to
-    [FOLD_ROWS, REPLICATE_BATCH], so it divides REPLICATE_BATCH."""
-    rows = 1 << max(0, (GRAM_TERM_VALUES // sites).bit_length() - 1)
+def _term_rows(sites):
+    """Replicates per term on `sites` sites: the largest power of two with at
+    most TERM_VALUES values, clamped to [FOLD_ROWS, REPLICATE_BATCH], so it
+    divides REPLICATE_BATCH."""
+    rows = 1 << max(0, (TERM_VALUES // sites).bit_length() - 1)
     return min(REPLICATE_BATCH, max(FOLD_ROWS, rows))
 
 
-def _slice_reps(draw_shape, term_rows):
-    """Replicates per drawn slice for draws of shape draw_shape each: a
-    multiple of term_rows."""
-    per_rep = max(int(np.prod(draw_shape)), 1)
-    reps = min(REPLICATE_BATCH, SLICE_VALUES // per_rep)
-    return max(term_rows, reps - reps % term_rows)
-
-
-def _spectral_sample(seed, count, keep, variances, to_sites, fold, term_rows):
+def _spectral_sample(seed, count, keep, variances, to_sites, fold):
     """(statistic, kept) of a field whose scale s has the independent mode
     variances variances[s] in eigen-coordinates.
 
     The field summed over scales has mode variances sum_s variances[s], so
     replicate r of it, y_r, is sqrt(sum_s variances[s]) times one standard
-    normal per mode, row r % REPLICATE_BATCH of its batch's _field_stream.
+    normal per mode, row r % REPLICATE_BATCH of its batch's stream (batch,).
     Only the first keep replicates draw every scale, from the stream
-    (seed, s, batch) at the same offset, times sqrt(variances[s]); to_sites
-    maps each component to the sites into kept (min(keep, count), scales,
-    sites), and their sum replaces y_r.  The field stream's rows of kept
-    replicates are drawn all the same, so no offset depends on keep.  The
-    replicates are drawn slice by slice into one buffer on the calling
-    thread (numpy Generator streams are draw-size agnostic), and fold(rows of
-    y) is summed over term_rows replicates at a time into the statistic;
-    term_rows divides REPLICATE_BATCH, so the terms do not depend on the
-    slices.
+    (s, batch) at the same offset, times sqrt(variances[s]); to_sites maps
+    each component to the sites into kept (min(keep, count), scales, sites),
+    and their sum replaces y_r.  The field stream's rows of kept replicates
+    are drawn all the same, so no offset depends on keep.  The replicates
+    are drawn one term of _term_rows(sites) at a time into one buffer on the
+    calling thread (numpy Generator streams are draw-size agnostic), and
+    fold(term) is summed into the statistic; the last term of a batch holds
+    what is left of it.
     """
     draw_shape = variances[0].shape
     amps = [np.sqrt(v) for v in variances]
     total = np.sqrt(sum(variances))
-    slice_reps = _slice_reps(draw_shape, term_rows)
+    term_rows = _term_rows(total.size)
     kept = np.empty((min(keep, count), len(amps), total.size))
-    y = np.empty((min(slice_reps, count),) + draw_shape)
-    component = np.empty((min(slice_reps, len(kept)),) + draw_shape)
+    y = np.empty((min(term_rows, count),) + draw_shape)
+    component = np.empty((min(term_rows, len(kept)),) + draw_shape)
     statistic = None
     for lo in range(0, count, REPLICATE_BATCH):
         hi = min(lo + REPLICATE_BATCH, count)
-        field = _field_stream(seed, lo // REPLICATE_BATCH)
-        scales = ([_stream(seed, s, lo // REPLICATE_BATCH) for s in range(len(amps))]
+        batch = lo // REPLICATE_BATCH
+        field = _stream(seed, batch)
+        scales = ([_stream(seed, s, batch) for s in range(len(amps))]
                   if lo < len(kept) else [])
-        for pos in range(lo, hi, slice_reps):
-            yk = field.standard_normal(out=y[:min(slice_reps, hi - pos)])
+        for pos in range(lo, hi, term_rows):
+            yk = field.standard_normal(out=y[:min(term_rows, hi - pos)])
             kk = max(0, min(len(yk), len(kept) - pos))
             yk[kk:] *= total
             for s, rng in enumerate(scales if kk else ()):
@@ -176,12 +154,11 @@ def _spectral_sample(seed, count, keep, variances, to_sites, fold, term_rows):
                     yk[:kk] = values
                 else:
                     yk[:kk] += values
-            for b in range(0, len(yk), term_rows):
-                term = fold(yk[b:b + term_rows])
-                if statistic is None:
-                    statistic = term
-                else:
-                    statistic += term
+            term = fold(yk)
+            if statistic is None:
+                statistic = term
+            else:
+                statistic += term
     return statistic, kept
 
 
@@ -239,7 +216,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
                              axes=tuple(range(-spec.d, 0))).reshape(len(c), -1)
 
     squares, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
-                                     lambda c: np.sum(c * c, axis=0), FOLD_ROWS)
+                                     lambda c: np.sum(c * c, axis=0))
     squares = squares.ravel()
     return 0.5 * spec.size * (squares[lo] + squares[hi]), kept
 
@@ -269,7 +246,7 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
         return (y @ vecs.T) * back
 
     gram, kept = _spectral_sample(seed, sample_count, keep, variances, to_sites,
-                                  lambda y: y.T @ y, _gram_rows(op.n))
+                                  lambda y: y.T @ y)
     return back[:, None] * (vecs @ gram @ vecs.T) * back, kept
 
 

@@ -173,8 +173,8 @@ class DiscreteWeightFamily:
     """
 
     def __init__(self, mollifier, C, B=3.0):
-        if B <= 0:
-            raise ValueError("operator norm bound B must be positive")
+        if not 0 < B < np.inf:
+            raise ValueError(f"operator norm bound B={B} must be positive and finite")
         self.mollifier = mollifier
         self.C = C
         self.B = float(B)
@@ -416,6 +416,8 @@ def default_scale_plan(family, lambda_min, *, L_ratio=2.0, target_tail_rel=1e-7)
     """
     if not L_ratio > 1.0:
         raise ValueError(f"L_ratio={L_ratio} must exceed 1")
+    if not target_tail_rel > 0:
+        raise ValueError(f"target_tail_rel={target_tail_rel} must be positive")
     lam = np.array([lambda_min])
     t_max = 4.0
     while (tail := float(family.tail_high(lam, t_max)[0])) > target_tail_rel:

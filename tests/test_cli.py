@@ -494,7 +494,11 @@ class TestSampleCommand:
 # Malformed edge-list files; a config's "TMP" is the directory they are in.
 BAD_EDGE_FILES = {"two_fields.txt": "0 1 1.0\n1 2\n",
                   "vertex_not_int.txt": "0 1 1.0\n1 x 1.0\n",
-                  "comments_only.txt": "# x y mu_xy\n\n# no edge yet\n"}
+                  "comments_only.txt": "# x y mu_xy\n\n# no edge yet\n",
+                  "nan_weight.txt": "0 1 1.0\n1 2 nan\n2 0 1.0\n",
+                  "inf_weight.txt": "0 1 1.0\n1 2 inf\n2 0 1.0\n",
+                  # finite weights whose vertex measure overflows
+                  "mu_overflow.txt": "0 1 1e308\n1 2 1e308\n2 0 1.0\n"}
 
 
 class TestRejectedInput:
@@ -580,7 +584,12 @@ class TestRejectedInput:
             ("TMP/missing.txt", "sample", "ConfigError"),
             ("TMP/two_fields.txt", "decompose", "GraphError"),
             ("TMP/vertex_not_int.txt", "sample", "GraphError"),
-            ("TMP/comments_only.txt", "reconstruct", "GraphError"))
+            ("TMP/comments_only.txt", "reconstruct", "GraphError"),
+            ("TMP/nan_weight.txt", "decompose", "GraphError"),
+            ("TMP/nan_weight.txt", "sample", "GraphError"),
+            ("TMP/inf_weight.txt", "reconstruct", "GraphError"),
+            ("TMP/inf_weight.txt", "sample", "GraphError"),
+            ("TMP/mu_overflow.txt", "reconstruct", "GraphError"))
     ] + [
         # graphs with no edges
         pytest.param(json.dumps({"backend": {"n": n}}), command, "GraphError",

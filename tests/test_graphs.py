@@ -78,6 +78,16 @@ class TestWeightedGraph:
         with pytest.raises(GraphError):
             WeightedGraph.from_edges(2, [(0, 3, 1.0)])
 
+    @pytest.mark.parametrize("weight", [0.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_weight_outside_positive_reals(self, weight):
+        with pytest.raises(GraphError, match="must be positive and finite"):
+            WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, weight), (2, 0, 1.0)])
+
+    def test_rejects_overflowing_measure(self):
+        # every weight is finite, but vertex 1's measure is 2e308 = inf
+        with pytest.raises(GraphError, match="overflows"):
+            WeightedGraph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (2, 0, 1.0)])
+
     def test_distances_bfs(self):
         g = cycle_graph(6)
         d = g.distances()

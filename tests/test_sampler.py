@@ -10,7 +10,7 @@ from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph,
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
                               lag_covariance_report, sample_graph, sample_torus,
-                              _field_stream, _stream)
+                              _stream)
 from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
                               clenshaw_folded, default_scale_plan, mode_variances,
                               series_roundoff)
@@ -298,9 +298,9 @@ class TestTorusSampler:
     @pytest.mark.parametrize("keep", [0, 100])
     def test_only_kept_rows_are_transformed(self, mollifier, norm1, monkeypatch, keep):
         # the scales are drawn in Fourier coordinates: no transform runs per
-        # scale and replicate, and kept rows (across two slices of 64
+        # scale and replicate, and kept rows (across two terms of 64
         # replicates) reach the sites by irfftn alone
-        monkeypatch.setattr(sampler, "SLICE_VALUES", 64 * 64)
+        monkeypatch.setattr(sampler, "TERM_VALUES", 64 * 64)
         calls = []
 
         def recording(name, fn):
@@ -474,12 +474,12 @@ class TestLagCovarianceReport:
         power, kept = sample()
         return spec, power, kept.sum(axis=1), column
 
-    @pytest.mark.parametrize("slice_values", [None, 1000])
-    def test_lag_means_of_dense_report(self, torus_setup, monkeypatch, slice_values):
-        # c(h) is the dense empirical covariance averaged over x - y = h, also
-        # when the power spectrum is summed over several slices
-        if slice_values is not None:
-            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+    @pytest.mark.parametrize("term_values", [None, 1000])
+    def test_lag_means_of_dense_report(self, torus_setup, monkeypatch, term_values):
+        # c(h) is the dense empirical covariance averaged over x - y = h, with
+        # the power spectrum summed in terms of 1,024 replicates or of 64
+        if term_values is not None:
+            monkeypatch.setattr(sampler, "TERM_VALUES", term_values)
         spec, sample, column = torus_setup
         power, kept = sample()
         totals = kept.sum(axis=1)
@@ -541,7 +541,7 @@ def stream_normals(seed, scale, count, draw_shape):
     """Replicates [0, count) of one scale, one whole draw per replicate batch;
     scale None is the summed field's stream."""
     return np.concatenate([
-        (_field_stream(seed, batch) if scale is None else _stream(seed, scale, batch))
+        _stream(seed, *((batch,) if scale is None else (scale, batch)))
         .standard_normal((min(REPLICATE_BATCH, count - lo),) + tuple(draw_shape))
         for batch, lo in enumerate(range(0, count, REPLICATE_BATCH))])
 
@@ -568,8 +568,7 @@ class TestDrawLayout:
         # the field stream of batch b must differ from scale b's and from
         # every scale's batch b
         def draw(key):
-            stream = _stream(*key) if len(key) == 3 else _field_stream(*key)
-            return stream.standard_normal(8)
+            return _stream(*key).standard_normal(8)
 
         pairs = [((0, 0, 0), (0, 1, 0)), ((0, 0, 0), (0, 0, 1)),
                  ((0, 0, 0), (1, 0, 0)), ((0, 1, 0), (0, 0, 1)),
@@ -589,10 +588,11 @@ class TestDrawLayout:
         assert np.all(np.isfinite(values))
         assert not np.array_equal(values, _stream(2**64 - 2, 3, 5).standard_normal(8))
 
-    @pytest.mark.parametrize("slice_values", [None, 1000])
-    def test_massless_torus(self, mollifier, norm1, monkeypatch, slice_values):
-        if slice_values is not None:
-            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+    @pytest.mark.parametrize("term_values", [None, 1000])
+    def test_massless_torus(self, mollifier, norm1, monkeypatch, term_values):
+        # terms of 4,096 replicates or of 64
+        if term_values is not None:
+            monkeypatch.setattr(sampler, "TERM_VALUES", term_values)
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=16)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
@@ -630,10 +630,8 @@ class TestDrawLayout:
                 drawn[self.kind] += out.size
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(sampler, "_stream",
-                            lambda *key: Counting("scales", _stream(*key)))
-        monkeypatch.setattr(sampler, "_field_stream",
-                            lambda *key: Counting("field", _field_stream(*key)))
+        monkeypatch.setattr(sampler, "_stream", lambda seed, *key: Counting(
+            "field" if len(key) == 1 else "scales", _stream(seed, *key)))
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
@@ -675,63 +673,53 @@ def small_sampler(backend, mollifier, norm1):
 
 
 class TestFoldTerms:
-    def test_graph_term_rows(self):
+    def test_term_rows(self):
         # the largest power of two of replicates with at most 2^16 values,
         # clamped to [FOLD_ROWS, REPLICATE_BATCH]: 256 on graph-sample's
-        # 256-cycle, 64 on a 1024-cycle, and always a divisor of REPLICATE_BATCH
+        # 256-cycle, 64 on its 32 x 32 torus, and always a divisor of
+        # REPLICATE_BATCH
         for sites in range(8, 4097):
-            rows = sampler._gram_rows(sites)
+            rows = sampler._term_rows(sites)
             assert REPLICATE_BATCH % rows == 0
             assert sampler.FOLD_ROWS <= rows <= REPLICATE_BATCH
-            assert rows * sites <= sampler.GRAM_TERM_VALUES or rows == sampler.FOLD_ROWS
-            assert (2 * rows * sites > sampler.GRAM_TERM_VALUES
-                    or rows == REPLICATE_BATCH)
-        assert [sampler._gram_rows(n) for n in (8, 16, 256, 512, 1024, 4096)] == [
-            4096, 4096, 256, 128, 64, 64]
+            assert rows * sites <= sampler.TERM_VALUES or rows == sampler.FOLD_ROWS
+            assert 2 * rows * sites > sampler.TERM_VALUES or rows == REPLICATE_BATCH
+        sites = (8, 64, 256, 512, 1024, 4096, 32768)
+        assert [sampler._term_rows(n) for n in sites] == [
+            4096, 1024, 256, 128, 64, 64, 64]
 
-    def test_graph_terms_independent_of_slices(self, mollifier, norm1, monkeypatch):
-        # a 128-cycle folds 512-replicate terms; slices of 781 and 2343
-        # replicates round down to whole terms, so the Gram is summed in one
-        # order for every slice size
-        op = GraphOperator(cycle_graph(128), "resolvent", m2=1.0)
-        fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = ScalePlan(j_min=0, j_max=3)
-        assert sampler._gram_rows(op.n) == 512
-        runs = []
-        for slice_values, reps in ((sampler.SLICE_VALUES, 1024), (100_000, 512),
-                                   (300_000, 2048)):
-            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-            assert sampler._slice_reps((op.n,), 512) == reps
-            runs.append(sample_graph(op, fam, plan, 3, 5000, keep=3)[0].tobytes())
-        assert runs[1:] == runs[:1] * 2
-
-    @pytest.mark.parametrize("backend", ["graph", "torus"])
-    def test_fold_sizes(self, mollifier, norm1, monkeypatch, backend):
-        # the graph Gram is folded in _gram_rows terms, 256 replicates on a
-        # 256-cycle; the torus power spectrum keeps FOLD_ROWS; the last term of
-        # a batch holds what is left
+    @pytest.mark.parametrize("backend, sites, rows", [
+        ("graph", 256, 256), ("torus", 64, 1024), ("torus", 1024, 64)])
+    def test_fold_sizes(self, mollifier, norm1, monkeypatch, backend, sites, rows):
+        # every fold is one term of _term_rows(sites) replicates, on a graph
+        # and on tori on either side of the FOLD_ROWS clamp; the last term of
+        # a batch holds what is left of it
         spectral_sample, sizes = sampler._spectral_sample, []
 
-        def recording(seed, count, keep, variances, to_sites, fold, term_rows):
+        def recording(seed, count, keep, variances, to_sites, fold):
             def counted(rows):
                 sizes.append(len(rows))
                 return fold(rows)
-            return spectral_sample(seed, count, keep, variances, to_sites, counted,
-                                   term_rows)
+            return spectral_sample(seed, count, keep, variances, to_sites, counted)
 
         monkeypatch.setattr(sampler, "_spectral_sample", recording)
-        R = 1000
+        R = 5000
+        plan = ScalePlan(j_min=0, j_max=3)
         if backend == "graph":
-            op = GraphOperator(cycle_graph(256), "resolvent", m2=0.1)
+            op = GraphOperator(cycle_graph(sites), "resolvent", m2=0.1)
             fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-            sample_graph(op, fam, ScalePlan(j_min=0, j_max=3), 1, R)
-            rows = 256
+            sample_graph(op, fam, plan, 1, R)
         else:
-            table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
+            spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=int(np.sqrt(sites)))
+            table = build_symbol_table(spec)
             fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-            sample_torus(table, fam, ScalePlan(j_min=0, j_max=3), 1, R)
-            rows = sampler.FOLD_ROWS
-        assert sizes == [rows] * (R // rows) + [R % rows]
+            sample_torus(table, fam, plan, 1, R)
+        assert sampler._term_rows(sites) == rows
+        expected = []
+        for lo in range(0, R, REPLICATE_BATCH):
+            size = min(REPLICATE_BATCH, R - lo)
+            expected += [rows] * (size // rows) + ([size % rows] if size % rows else [])
+        assert sizes == expected
 
 
 class TestRunningTotals:
@@ -740,13 +728,14 @@ class TestRunningTotals:
 
     R = 4100    # crosses a REPLICATE_BATCH boundary
 
-    @pytest.mark.parametrize("slice_values", [None, 1000])
+    @pytest.mark.parametrize("term_values", [None, 1000])
     @pytest.mark.parametrize("backend", ["graph", "torus"])
     def test_totals_are_component_sums(self, mollifier, norm1, monkeypatch,
-                                       backend, slice_values):
-        # every replicate kept: the statistic is that of the summed components
-        if slice_values is not None:
-            monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
+                                       backend, term_values):
+        # every replicate kept: the statistic is that of the summed components,
+        # folded in terms of 4,096 replicates or of 64
+        if term_values is not None:
+            monkeypatch.setattr(sampler, "TERM_VALUES", term_values)
         sample, expect, statistic = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
         stat, kept = sample(plan, 3, self.R, keep=self.R)
@@ -775,18 +764,24 @@ class TestRunningTotals:
         assert np.max(np.abs(stat - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("backend", ["graph", "torus"])
-    def test_independent_of_slices(self, mollifier, norm1, monkeypatch, backend):
-        # slices of 4096, 64 and 1216 replicates (the last does not divide a
-        # batch), with the kept rows ending inside a slice or kept whole
+    def test_kept_independent_of_terms(self, mollifier, norm1, monkeypatch, backend):
+        # terms of 4,096, 64, 1,024 and 512 replicates on 16 sites (TERM_VALUES
+        # 1000, 20,000 and 12,345 are not powers of two), with the kept rows
+        # ending inside a term or kept whole: the kept rows are byte-identical,
+        # and only the statistic's summation order moves
         sample, _, _ = small_sampler(backend, mollifier, norm1)
         plan = ScalePlan(j_min=0, j_max=4)
+        terms = ((sampler.TERM_VALUES, 4096), (1000, 64), (20_000, 1024), (12_345, 512))
         for keep in (100, self.R):
             runs = []
-            for slice_values in (sampler.SLICE_VALUES, 1000, 20_000):
-                monkeypatch.setattr(sampler, "SLICE_VALUES", slice_values)
-                stat, kept = sample(plan, 3, self.R, keep=keep)
-                runs.append((stat.tobytes(), kept.tobytes()))
-            assert all(run == runs[0] for run in runs[1:])
+            for term_values, rows in terms:
+                monkeypatch.setattr(sampler, "TERM_VALUES", term_values)
+                assert sampler._term_rows(16) == rows
+                runs.append(sample(plan, 3, self.R, keep=keep))
+            stat, kept = runs[0]
+            for other_stat, other_kept in runs[1:]:
+                assert other_kept.tobytes() == kept.tobytes()
+                assert np.max(np.abs(other_stat - stat)) <= 1e-13 * np.max(np.abs(stat))
 
     @pytest.mark.parametrize("backend", ["graph", "torus"])
     def test_memory_does_not_grow_with_scales(self, mollifier, norm1, backend):
@@ -835,11 +830,11 @@ class TestRunningTotals:
             tracemalloc.stop()
         assert peak < R * sites * 8 / 4, peak
 
-    def test_torus_peak_within_slice_buffers(self, mollifier, norm1):
-        # perfbench's torus-sample: 128-replicate slices of a 32 x 32 torus.
-        # The peak is y (one slice), the draw buffer of one scale's kept rows,
-        # the statistic and the kept rows, plus one fold term (FOLD_ROWS x
-        # sites) and 512 KiB for the amplitudes and small arrays
+    def test_torus_peak_within_term_buffers(self, mollifier, norm1):
+        # perfbench's torus-sample: 64-replicate terms of a 32 x 32 torus.
+        # The peak is y (one term), the draw buffer of one scale's kept rows,
+        # the statistic and the kept rows, plus the fold's square of one term
+        # and 512 KiB for the amplitudes and small arrays
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=32)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
@@ -851,12 +846,11 @@ class TestRunningTotals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffers = sampler.SLICE_VALUES * 8 + kept[:, 0].nbytes
-        slack = sampler.FOLD_ROWS * spec.size * 8 + 2**19
+        term = sampler._term_rows(spec.size) * spec.size * 8
+        assert term == sampler.TERM_VALUES * 8
+        buffers = term + kept[:, 0].nbytes
+        slack = term + 2**19
         assert peak < buffers + power.nbytes + kept.nbytes + slack, peak
-        # the slice y and a kept component's draws fit together in the 2 MiB
-        # L2 the slice size is set for
-        assert 2 * sampler.SLICE_VALUES * 8 <= 2 * 2**20
 
     def test_statistic_maps_to_sites(self, mollifier, norm1):
         # the report reads only the streamed statistic: the graph's Gram, summed

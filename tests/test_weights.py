@@ -311,6 +311,11 @@ class TestRescaling:
         rep = check_decomposition_identity(fam, np.array([0.8]))
         assert rep.max_certified_residual() <= 1e-5
 
+    @pytest.mark.parametrize("B", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bound_outside_positive_reals(self, mollifier, norm1, B):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            DiscreteWeightFamily(mollifier, norm1, B=B)
+
 
 class TestDecayConstants:
     def test_order_zero_bounded_by_max(self, mollifier, norm1, cont_family,
@@ -349,6 +354,12 @@ class TestDefaultScalePlan:
     def test_rejects_ratio_at_most_one(self, disc_family):
         with pytest.raises(ValueError, match="L_ratio=1.0 must exceed 1"):
             default_scale_plan(disc_family, 0.2, L_ratio=1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-7, float("nan")])
+    def test_rejects_target_not_positive(self, disc_family, target):
+        # a NaN target would end the doubling at t = 4 without meeting a tail
+        with pytest.raises(ValueError, match=f"target_tail_rel={target} must be positive"):
+            default_scale_plan(disc_family, 0.5, target_tail_rel=target)
 
     def test_ratio_and_target_are_keyword_only(self, disc_family):
         # a third positional argument (the retired lower end) must not bind

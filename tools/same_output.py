@@ -124,8 +124,11 @@ CONFIGS = [
     ("off-diagonal torus d=2 N=32", "reconstruct", OFF_DIAGONAL_TORUS),
     ("off-diagonal torus d=2 N=32 R=4000", "sample",
      dict(OFF_DIAGONAL_TORUS, sampler={"sample_count": 4000})),
-    # 128-replicate terms of the graph Gram (sampler._gram_rows)
+    # 128-replicate terms of the graph Gram (sampler._term_rows)
     ("512-cycle", "sample", {"backend": {"n": 512}}),
+    # 4,096 sites: the torus term is clamped to FOLD_ROWS (sampler._term_rows)
+    ("torus d=2 N=64 R=2000", "sample",
+     {"backend": {"kind": "torus", "d": 2, "N": 64}, "sampler": {"sample_count": 2000}}),
 ]
 
 
