@@ -12,14 +12,15 @@ from .weights import (ContinuousWeightFamily, DiscreteWeightFamily, ScalePlan,
                       WeightCheckReport, approximation_rate,
                       chebyshev_coefficients, check_decomposition_identity,
                       decay_constants, default_scale_plan,
-                      eval_discrete_weight_direct, wave_identity_max_residual)
+                      eval_discrete_weight_direct, reconstruct_green,
+                      wave_identity_max_residual)
 from .lattice import (LatticeKernel, LatticeSpec, SymbolTable, WrapAroundError,
                       build_symbol_table, continuum_kernel, decay_fit,
                       discrete_continuum_gap, lattice_kernel,
-                      mass_family_sweep, reconstruct_torus_green)
+                      mass_family_sweep)
 from .graphs import (GraphOperator, ScaleBlock, WeightedGraph, chebyshev_apply,
-                     cycle_graph, killed_green_consistency, reconstruct_green,
-                     scale_blocks, two_vertex_graph)
+                     cycle_graph, killed_green_consistency, scale_blocks,
+                     two_vertex_graph)
 from .sampler import (covariance_report, lag_covariance_report, sample_graph,
                       sample_torus)
 
@@ -29,14 +30,12 @@ __all__ = [
     "ContinuousWeightFamily", "DiscreteWeightFamily", "ScalePlan",
     "WeightCheckReport", "approximation_rate", "chebyshev_coefficients",
     "check_decomposition_identity", "decay_constants", "default_scale_plan",
-    "eval_discrete_weight_direct", "wave_identity_max_residual",
+    "eval_discrete_weight_direct", "reconstruct_green", "wave_identity_max_residual",
     "LatticeKernel", "LatticeSpec", "SymbolTable", "WrapAroundError",
     "build_symbol_table", "continuum_kernel", "decay_fit",
     "discrete_continuum_gap", "lattice_kernel", "mass_family_sweep",
-    "reconstruct_torus_green",
     "GraphOperator", "ScaleBlock", "WeightedGraph", "chebyshev_apply",
-    "cycle_graph", "killed_green_consistency", "reconstruct_green",
-    "scale_blocks", "two_vertex_graph",
+    "cycle_graph", "killed_green_consistency", "scale_blocks", "two_vertex_graph",
     "covariance_report", "lag_covariance_report", "sample_graph", "sample_torus",
 ]
 

@@ -25,8 +25,8 @@ from .weights import (PLAN_T_CAP, BlockQualityError, ContinuousWeightFamily,
                       DiscreteWeightFamily, approximation_rate, chebyshev_coefficients,
                       check_decomposition_identity, decay_constants,
                       default_lambda_grid, default_scale_plan,
-                      eval_discrete_weight_direct, wave_identity_max_residual,
-                      write_identity_csv)
+                      eval_discrete_weight_direct, reconstruct_green, spectral_gap,
+                      wave_identity_max_residual, write_identity_csv)
 
 DEFAULT_CONFIG = {
     "seed": 20240801,
@@ -243,9 +243,11 @@ def _components():
 
 
 def _graph_operator(config):
-    from .graphs import GraphOperator, WeightedGraph, cycle_graph, two_vertex_graph
+    from .graphs import (GraphOperator, WeightedGraph, check_dense, cycle_graph,
+                         two_vertex_graph)
     b = config["backend"]
     if b["graph"] == "cycle":
+        check_dense(b["n"])  # every graph command is dense: refuse before building
         graph = cycle_graph(b["n"])
     elif b["graph"] == "two_vertex":
         graph = two_vertex_graph()
@@ -287,7 +289,7 @@ def _scale_plan(config, op, family):
     """default_scale_plan for op (from its spectral gap, which is an O(n^3)
     eigensolve on a graph) with the config's scales, then the config's
     j_min / j_max where they are set."""
-    lambda_min = op.spectral_gap()
+    lambda_min = spectral_gap(op)
     s = config["scales"]
     try:
         plan = default_scale_plan(family, lambda_min, L_ratio=s["L_ratio"],
@@ -337,14 +339,18 @@ class VerdictGroup(click.Group):
 
     The library raises these errors for inputs it cannot handle (a non-power
     of two torus, an unknown config key, ...); the CLI turns them into a
-    FAIL line and exit code 1 instead of a traceback.
+    FAIL line and exit code 1 instead of a traceback.  An allocation that
+    fails (numpy's subclass of MemoryError included) is reported as
+    MemoryError.
     """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConfigError, GraphError, LatticeError, BlockQualityError) as exc:
-            click.echo(f"FAIL {ctx.invoked_subcommand} {type(exc).__name__}: {exc}")
+        except (ConfigError, GraphError, LatticeError, BlockQualityError,
+                MemoryError) as exc:
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            click.echo(f"FAIL {ctx.invoked_subcommand} {name}: {exc}")
             ctx.exit(1)
 
 
@@ -496,17 +502,11 @@ def reconstruct(ctx):
     config, checks = ctx.obj["config"], ctx.obj["checks"]
     tol = config["tolerances"]
     op, family = _backend(config)
-    plan = _scale_plan(config, op, family)
-    if config["backend"]["kind"] == "graph":
-        from .graphs import reconstruct_green
-        rec = reconstruct_green(op, family, plan)
-        name = "graph_decomposition.reconstruct_green.max_rel_error"
-    else:
-        from .lattice import reconstruct_torus_green
-        rec = reconstruct_torus_green(op, family, plan)
-        name = "lattice_kernels.reconstruct_torus_green.max_rel_error"
-    checks.bound(name, rec.max_rel_error, tol["reconstruction_rel_massless"]
-                 if rec.deflated else tol["reconstruction_rel"])
+    rec = reconstruct_green(op, family, _scale_plan(config, op, family))
+    name = ("graph_decomposition.reconstruct_green" if config["backend"]["kind"] == "graph"
+            else "lattice_kernels.reconstruct_torus_green")
+    checks.bound(f"{name}.max_rel_error", rec.max_rel_error, tol[
+        "reconstruction_rel_massless" if rec.deflated else "reconstruction_rel"])
     fileio.write_json(_artifact(ctx, "reconstruction.json"),
                       {"j_min": rec.plan.j_min, "j_max": rec.plan.j_max,
                        "max_rel_error": rec.max_rel_error, "tail_bound": rec.tail_bound,

@@ -28,16 +28,24 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import (Reconstruction, check_family, default_scale_plan,
-                      mode_variances, plan_tail_bound, series_roundoff, zero_modes)
+# No code here calls default_scale_plan: perfbench/spans.py times the plan
+# function under its name in this module.
+from .weights import check_family, default_scale_plan, series_roundoff  # noqa: F401
 
 # Every dense graph path holds n x n arrays, and the eigensystem is an O(n^3)
-# factorization; GraphOperator.check_dense refuses larger graphs.
+# factorization; check_dense refuses larger graphs.
 MAX_GRAPH_SITES = 4096
 
 
 class GraphError(ValueError):
     pass
+
+
+def check_dense(n):
+    """Refuse n > MAX_GRAPH_SITES with a GraphError that names the limit."""
+    if n > MAX_GRAPH_SITES:
+        raise GraphError(f"dense graph paths are limited to n <= {MAX_GRAPH_SITES}, "
+                         f"got n = {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +79,8 @@ class WeightedGraph:
             vals += [w, w]
         if not rows:
             raise GraphError(f"graph on n={n} vertices has no edges")
+        if n > len(rows):  # fewer edge ends than vertices: refused before bincount
+            raise GraphError("graph has isolated vertices")
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
         vals = np.array(vals, dtype=float)
         mu = np.bincount(rows, weights=vals, minlength=n)
@@ -168,15 +178,9 @@ class GraphOperator:
         """a == b: a Laplacian, or a resolvent whose 1 + m2 rounds to 1."""
         return bool(self.a == self.b)
 
-    def check_dense(self):
-        """Refuse n > MAX_GRAPH_SITES with a GraphError that names the limit."""
-        if self.n > MAX_GRAPH_SITES:
-            raise GraphError(f"dense graph paths are limited to n <= {MAX_GRAPH_SITES}, "
-                             f"got n = {self.n}")
-
     def dense(self):
         """The operator as a dense matrix from the edge list: a I - b W / mu."""
-        self.check_dense()
+        check_dense(self.n)
         g = self.graph
         w = np.zeros((self.n, self.n))
         np.add.at(w, (g.rows, g.cols), g.weights)
@@ -194,27 +198,22 @@ class GraphOperator:
             self._eig = (vals, vecs)
         return self._eig
 
-    def spectral_gap(self):
-        """Smallest eigenvalue off the zero modes (weights.zero_modes); the
-        trace n a > 0 leaves at least one."""
-        vals, _ = self.eigensystem()
-        return float(vals[~zero_modes(vals, self.is_singular)].min())
+    @property
+    def spectrum(self):
+        """The eigenvalues of eigensystem(), in ascending order."""
+        return self.eigensystem()[0]
 
-    def apply_weight_dense(self, weight_fn):
-        """Oracle: weight_fn of the operator via dense eigendecomposition.
-
-        weight_fn receives the eigenvalue array; the result is the plain
-        matrix of weight_fn(Lambda), mapped back from the symmetric conjugate.
-        """
-        vals, vecs = self.eigensystem()
-        w = np.asarray(weight_fn(vals), dtype=float)
+    def from_modes(self, values):
+        """The plain matrix of the function of the operator that takes
+        values[i] on eigenvalue i, mapped back from the symmetric conjugate."""
+        _, vecs = self.eigensystem()
         s = np.sqrt(self.graph.mu)
-        M = (vecs * w) @ vecs.T
+        M = (vecs * values) @ vecs.T
         return (M * s[None, :]) / s[:, None]
 
     def mean_zero_projection(self):
         """I - 1 p^T with p = mu / sum(mu): projects onto mu-mean-zero functions."""
-        self.check_dense()
+        check_dense(self.n)
         p = self.graph.mu / self.graph.mu.sum()
         return np.eye(self.n) - np.outer(np.ones(self.n), p)
 
@@ -227,15 +226,19 @@ class GraphOperator:
         """
         if not self.is_singular:
             return np.linalg.solve(self.dense(), np.eye(self.n)) * column_scale
+        vals = self.spectrum
+        pseudo_inverse = np.zeros_like(vals)
+        keep = vals > 1e-12 * vals.max()
+        pseudo_inverse[keep] = 1.0 / vals[keep]
+        return self.mean_zero(self.from_modes(pseudo_inverse) * column_scale)
 
-        def pseudo_inverse(vals):
-            out = np.zeros_like(vals)
-            keep = vals > 1e-12 * vals.max()
-            out[keep] = 1.0 / vals[keep]
-            return out
-
+    def mean_zero(self, M):
+        """P M P^T, P = mean_zero_projection(), if the operator is singular;
+        else M."""
+        if not self.is_singular:
+            return M
         proj = self.mean_zero_projection()
-        return proj @ (self.apply_weight_dense(pseudo_inverse) * column_scale) @ proj.T
+        return proj @ M @ proj.T
 
     def field_oracle(self):
         """Covariance of the field sample_graph draws, mean(mu) Lambda^{-1} D^{-1}:
@@ -337,7 +340,7 @@ def scale_blocks(op, family, plan):
     eigenvalues certify the matrix as written, against its series'
     series_roundoff."""
     check_family(op, family)
-    op.check_dense()
+    check_dense(op.n)
     series = plan.series(family)
     raws = chebyshev_apply(op, series[1:], np.eye(op.n))
     dist = op.graph.distances()
@@ -358,40 +361,6 @@ def scale_blocks(op, family, plan):
         blocks.append(ScaleBlock(j=j, L_ratio=float(plan.L_ratio), matrix=matrix,
                                  certificates=certs))
     return float(series[0][0]), blocks
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-
-def reconstruct_green(op, family, plan=None):
-    """Evaluate the plan's summed series on the operator and compare to its
-    Green oracle; plan defaults to default_scale_plan(family, op.spectral_gap()).
-
-    plan.total_series(family) is evaluated on op.eigensystem(), already
-    computed for the spectral gap, by mode_variances (which sets every zero
-    mode, one per component of a singular operator, to 0) and mapped back by
-    apply_weight_dense, as the samplers and the torus reconstruct do.
-    Singular operators (a Laplacian, or a resolvent with m2 = 0) are compared
-    on the mean-zero subspace against the pseudo-inverse.  tail_bound is
-    plan_tail_bound over the eigenvalues, as on a torus.
-    """
-    if plan is None:
-        plan = default_scale_plan(family, op.spectral_gap())
-    check_family(op, family)
-    series = [plan.total_series(family)]
-    total = op.apply_weight_dense(
-        lambda lam: mode_variances(lam, family, series, op.is_singular)[0])
-    deflated = bool(op.is_singular)
-    oracle = op.green_oracle()
-    compare = total
-    if deflated:
-        proj = op.mean_zero_projection()
-        compare = proj @ total @ proj.T
-    max_rel = float(np.max(np.abs(compare - oracle)) / np.max(np.abs(oracle)))
-    return Reconstruction(
-        values=total, oracle=oracle, max_rel_error=max_rel, plan=plan,
-        tail_bound=plan_tail_bound(family, plan, op.eigensystem()[0], deflated),
-        deflated=deflated)
 
 
 def killed_green_consistency(graph, kappa):

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import gauss_legendre
-from .weights import (ContinuousWeightFamily, Reconstruction, chebyshev_coefficients,
-                      check_family, clenshaw_folded, default_scale_plan,
-                      mode_variances, plan_tail_bound, series_roundoff, zero_modes)
+from .weights import (ContinuousWeightFamily, chebyshev_coefficients, check_family,
+                      clenshaw_folded, series_roundoff)
 
 DEFAULT_XI_CUTOFF = 40.0
 # The window every LatticeSpec lies in: the eigenvalues of a in
@@ -88,11 +87,11 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """a*(xi) + m^2 tabulated on the dual grid, with the norm bound B: the
-    torus operator that every kernel, variance and reconstruction takes."""
+    """a*(xi) + m^2 tabulated on the dual grid (spectrum), with the norm bound
+    B: the torus operator that every kernel, variance and reconstruction takes."""
 
     spec: LatticeSpec
-    values: np.ndarray
+    spectrum: np.ndarray
     B: float
 
     @property
@@ -100,10 +99,20 @@ class SymbolTable:
         """m^2 == 0: the constants are the operator's zero mode."""
         return self.spec.m2 == 0.0
 
-    def spectral_gap(self):
-        """Smallest symbol value off the zero modes (weights.zero_modes): the
-        zero mode of a massless torus is deflated, so it sets no scale."""
-        return float(np.min(self.values[~zero_modes(self.values, self.is_singular)]))
+    def from_modes(self, values):
+        """The column x -> F(x, 0) of the operator function F with values on
+        the modes: the inverse transform, circulant by construction."""
+        return np.fft.ifftn(values).real
+
+    def green_oracle(self):
+        """green_column(spec), from the real-space stencil; L commutes with
+        shifts, so this one column settles every entry of the comparison."""
+        return green_column(self.spec)
+
+    def mean_zero(self, column):
+        """column itself: on a massless torus the reconstructed and the
+        oracle column both have mean zero already."""
+        return column
 
 
 def build_symbol_table(spec):
@@ -132,7 +141,7 @@ def build_symbol_table(spec):
     vals += spec.m2
     if vals.flat[0] > spec.m2 + 1e-12 * (1.0 + abs(spec.m2)):
         raise LatticeError("zero mode of the symbol must equal m^2")
-    return SymbolTable(spec=spec, values=vals, B=float(vals.max()))
+    return SymbolTable(spec=spec, spectrum=vals, B=float(vals.max()))
 
 
 def torus_linf_distance(N, d):
@@ -188,7 +197,7 @@ def lattice_kernel(table, family, t):
     check_wraparound(spec, t)
     series = t**2 * family.C * family.arg_scale * chebyshev_coefficients(
         family.mollifier, t)
-    mult = clenshaw_folded(series, 1.0 - 0.5 * family.arg_scale * table.values)
+    mult = clenshaw_folded(series, 1.0 - 0.5 * family.arg_scale * table.spectrum)
     kernel_c = np.fft.ifftn(mult)
     kernel = kernel_c.real
     imag = float(np.max(np.abs(kernel_c.imag)))
@@ -202,7 +211,7 @@ def lattice_kernel(table, family, t):
 
 
 # ---------------------------------------------------------------------------
-# real-space oracle and reconstruction
+# real-space oracle
 
 def stencil_coefficients(spec):
     """The operator's real-space stencil: {offset: c} with (L u)(x) = sum c u(x + offset).
@@ -245,32 +254,6 @@ def green_column(spec):
     if spec.m2 <= 0.0:
         spectrum.flat[0] = np.inf            # the zero mode: 1 / inf = 0
     return np.fft.ifftn(1.0 / spectrum).real
-
-
-def reconstruct_torus_green(table, family, plan=None):
-    """Sum the plan's scale series and compare to the real-space oracle;
-    plan defaults to default_scale_plan(family, table.spectral_gap()).
-
-    The plan's total_series is evaluated on the symbol by mode_variances
-    (with its zero-mode deflation at m^2 = 0) and transformed back.  The
-    reconstructed Green matrix is circulant by construction and the oracle
-    commutes with shifts, so the largest entrywise error is the largest
-    error over the one column green_column(table.spec).  tail_bound is
-    plan_tail_bound over the symbol, as on a graph.
-    """
-    spec = table.spec
-    if plan is None:
-        plan = default_scale_plan(family, table.spectral_gap())
-    check_family(table, family)
-    v, = mode_variances(table.values, family, [plan.total_series(family)],
-                        table.is_singular)
-    kernel = np.fft.ifftn(v).real
-    oracle = green_column(spec)
-    max_rel = float(np.max(np.abs(kernel - oracle)) / np.max(np.abs(oracle)))
-    return Reconstruction(
-        values=kernel, oracle=oracle, max_rel_error=max_rel, plan=plan,
-        tail_bound=plan_tail_bound(family, plan, table.values, table.is_singular),
-        deflated=table.is_singular)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +460,7 @@ def mass_family_sweep(spec, family_builder, m2_list, t, l=2):
     kernels, sups, probes = [], [], []
     for m2 in m2_list:
         spec_m = LatticeSpec(d=spec.d, a=spec.a, m2=float(m2), N=spec.N)
-        table = SymbolTable(spec=spec_m, values=table0.values + m2, B=B)
+        table = SymbolTable(spec=spec_m, spectrum=table0.spectrum + m2, B=B)
         ker = lattice_kernel(table, family, t)
         kernels.append(ker)
         sups.append(ker.sup)

@@ -205,7 +205,7 @@ def sample_torus(table, family, plan, seed, sample_count, keep=0):
     check_settings(seed, sample_count, keep)
     check_family(table, family)
     spec = table.spec
-    variances = mode_variances(table.values, family, plan.series(family),
+    variances = mode_variances(table.spectrum, family, plan.series(family),
                                table.is_singular)
     lo, hi, re, im = _fourier_map(spec.shape)
 
@@ -231,15 +231,16 @@ def sample_graph(op, family, plan, seed, sample_count, keep=0):
     kept), gram = sum_r X_r X_r^T (the statistic of covariance_report) and
     kept as in _spectral_sample.
 
-    (lambda, U) is op.eigensystem(), already computed for the plan's spectral
-    gap, so the sample path builds no block and applies no operator.  The
-    sum of y y^T is mapped to the vertices once; kept rows are mapped per
-    scale.  The covariance is op.field_oracle().
+    The modes are op.spectrum and U the basis of op.eigensystem(), already
+    computed for the plan's spectral gap, so the sample path builds no block
+    and applies no operator.  The sum of y y^T is mapped to the vertices
+    once; kept rows are mapped per scale.  The covariance is
+    op.field_oracle().
     """
     check_settings(seed, sample_count, keep)
     check_family(op, family)
-    lam, vecs = op.eigensystem()
-    variances = mode_variances(lam, family, plan.series(family), op.is_singular)
+    _, vecs = op.eigensystem()
+    variances = mode_variances(op.spectrum, family, plan.series(family), op.is_singular)
     back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
 
     def to_sites(y):

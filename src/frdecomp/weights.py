@@ -26,8 +26,8 @@ well: for t < 1 only the k = 0 coefficient survives, and the white piece
 [0, t_low] is the degree-0 series [C (3/B) phi_hat(0) t_low].  A plan is the
 list of those series, white piece first (ScalePlan.series), and every mode
 variance (mode_variances) and graph block in the package evaluates that
-list; both reconstructs sum the list into one series (ScalePlan.total_series)
-and evaluate it once.  A continuous scale integral is the closed form
+list; reconstruct_green sums the list into one series (ScalePlan.total_series)
+and evaluates it once.  A continuous scale integral is the closed form
 (C/lambda) [F(sqrt(lambda) t_hi) - F(sqrt(lambda) t_lo)] in the mollifier's
 first moment F of phi, so no scale integral has a quadrature node.
 
@@ -42,6 +42,14 @@ Clenshaw's algorithm", BIT 42 (2002)), so series_roundoff(a) =
 uses: mode_variances clips negatives within it and refuses larger ones, and
 the graph blocks' and torus kernels' PSD certificates are measured against
 it.  A degree-0 series is evaluated exactly and may not be negative at all.
+
+One operator contract.  A graph operator (graphs.GraphOperator) and a torus
+symbol table (lattice.SymbolTable) both give spectrum, the eigenvalues as an
+array of modes; is_singular; the norm bound B; from_modes(values), the
+operator function with those values on the modes, mapped back through the
+eigenbasis; green_oracle(), the Green function it is checked against; and
+mean_zero(values), the subspace that check compares on.  spectral_gap,
+reconstruct_green and both samplers take either.
 """
 
 from dataclasses import dataclass
@@ -272,6 +280,14 @@ def zero_modes(spectrum, singular):
     return (np.asarray(spectrum, dtype=float) <= 1e-12) & bool(singular)
 
 
+def spectral_gap(op):
+    """Smallest eigenvalue of op.spectrum off its zero modes (zero_modes):
+    the zero modes of a singular operator set no scale, and the positive
+    trace of every operator leaves at least one other mode."""
+    lam = op.spectrum
+    return float(np.min(lam[~zero_modes(lam, op.is_singular)]))
+
+
 def mode_variances(spectrum, family, series, singular):
     """Each folded series evaluated at theta = 1 - (3/(2B)) lambda for every
     eigenvalue in the array spectrum (family built with the operator's B),
@@ -432,8 +448,9 @@ def default_scale_plan(family, lambda_min, *, L_ratio=2.0, target_tail_rel=1e-7)
 
 @dataclass
 class Reconstruction:
-    """A Green function summed from a plan's series, beside its oracle: the
-    matrix of a graph operator, or the column x -> G(x, 0) of a torus.
+    """A Green function summed from a plan's series, beside its oracle
+    (op.green_oracle()): the matrix of a graph operator, or the column
+    x -> G(x, 0) of a torus.
 
     max_rel_error is the largest entrywise error over max |oracle|;
     tail_bound (plan_tail_bound) bounds, in identity units, what the scales
@@ -454,6 +471,31 @@ def plan_tail_bound(family, plan, spectrum, singular):
     off its zero modes (zero_modes), which no plan sums."""
     lam = np.asarray(spectrum, dtype=float).ravel()
     return float(np.max(family.tail_high(lam[~zero_modes(lam, singular)], plan.t_high)))
+
+
+def reconstruct_green(op, family, plan=None):
+    """Evaluate the plan's summed series on the operator op (module
+    docstring) and compare it to op's Green oracle; plan defaults to
+    default_scale_plan(family, spectral_gap(op)).
+
+    plan.total_series(family) is evaluated on op.spectrum by mode_variances,
+    which sets every zero mode (one per component of a singular graph) to 0,
+    and mapped back by op.from_modes, as the samplers draw.  A singular
+    operator is compared on op.mean_zero's subspace against the
+    pseudo-inverse.  tail_bound is plan_tail_bound over op.spectrum.
+    """
+    if plan is None:
+        plan = default_scale_plan(family, spectral_gap(op))
+    check_family(op, family)
+    total, = mode_variances(op.spectrum, family, [plan.total_series(family)],
+                            op.is_singular)
+    values = op.from_modes(total)
+    oracle = op.green_oracle()
+    max_rel = float(np.max(np.abs(op.mean_zero(values) - oracle)) / np.max(np.abs(oracle)))
+    return Reconstruction(
+        values=values, oracle=oracle, max_rel_error=max_rel, plan=plan,
+        tail_bound=plan_tail_bound(family, plan, op.spectrum, op.is_singular),
+        deflated=bool(op.is_singular))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from frdecomp.graphs import (GraphOperator, cycle_graph, reconstruct_green, scale_blocks,
-                             two_vertex_graph)
+from frdecomp.graphs import GraphOperator, cycle_graph, scale_blocks, two_vertex_graph
 from frdecomp.lattice import (LatticeSpec, build_symbol_table, continuum_kernel,
-                              decay_fit, lattice_kernel, reconstruct_torus_green)
+                              decay_fit, lattice_kernel)
 from frdecomp.sampler import covariance_report, sample_graph
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, approximation_rate,
                               check_decomposition_identity, eval_discrete_weight_direct,
-                              wave_identity_max_residual)
+                              reconstruct_green, wave_identity_max_residual)
 
 
 class Criterion:
@@ -143,7 +142,7 @@ def test_criterion_05_reconstruction(mollifier, norm1, graph_suite):
     spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    rec8 = reconstruct_torus_green(table, fam)
+    rec8 = reconstruct_green(table, fam)
     c.check("8x8 torus m2=0.5 max rel error", rec8.max_rel_error, 1e-5)
     _, _, rec2, _ = graph_suite["two_vertex"]
     closed_form = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])

@@ -258,6 +258,18 @@ class TestReconstructCommand:
         report = json.loads((out / "reconstruction.json").read_text())
         assert report["max_rel_error"] <= 1e-5
 
+    def test_two_vertex_graph(self, tmp_path):
+        out = tmp_path / "r"
+        cfgfile = tmp_path / "cfg.json"
+        RunConfig({"backend": {"graph": "two_vertex"}}).to_file(cfgfile)
+        res = run(["--config", str(cfgfile), "--out", str(out), "reconstruct"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("PASS graph_decomposition.reconstruct_green."
+                                     "max_rel_error measured=")
+        # 2.16e-12 with the default plan (j = 1..7)
+        report = json.loads((out / "reconstruction.json").read_text())
+        assert 0.0 < report["max_rel_error"] <= 1e-11 and report["j_max"] == 7
+
     @pytest.mark.parametrize("scales, j_max, exit_code", [
         ({}, 9, 0),
         ({"j_max": 6}, 6, 1),     # the tail above t = 64 exceeds the tolerance
@@ -431,7 +443,7 @@ class TestSampleCommand:
 
     def test_torus_plan_from_library(self, tmp_path, mollifier, norm1):
         from frdecomp.lattice import LatticeSpec, build_symbol_table
-        from frdecomp.weights import DiscreteWeightFamily, default_scale_plan
+        from frdecomp.weights import DiscreteWeightFamily, default_scale_plan, spectral_gap
         cfgfile = tmp_path / "cfg.json"
         RunConfig({"backend": {"kind": "torus", "d": 2, "N": 8},
                    "sampler": {"sample_count": 1000}}).to_file(cfgfile)
@@ -441,7 +453,7 @@ class TestSampleCommand:
         header = np.fromfile(out / "samples.bin", dtype=np.float64)[:5]
         table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8))
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(table))
         assert tuple(header[2:4]) == (plan.j_min, plan.j_max)
 
     @pytest.mark.parametrize("backend", [{}, {"kind": "torus", "N": 8}])
@@ -693,6 +705,56 @@ class TestRejectedInput:
         self.assert_one_fail_line(res, command, "GraphError")
         assert res.output == (f"FAIL {command} GraphError: dense graph paths are "
                               "limited to n <= 4096, got n = 4097\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend, command, message", [
+        pytest.param({"n": 10**12}, "reconstruct", "dense graph paths are limited to "
+                     "n <= 4096, got n = 1000000000000", id="n=1e12 reconstruct"),
+        pytest.param({"n": 10**9}, "sample", "dense graph paths are limited to "
+                     "n <= 4096, got n = 1000000000", id="n=1e9 sample"),
+        # two edges whose largest vertex id asks for 10^12 vertices
+        pytest.param({"graph": "file", "edges_file": "far_vertex.txt"}, "reconstruct",
+                     "graph has isolated vertices", id="vertex id 1e12 reconstruct")])
+    def test_huge_graph_refused_before_building(self, tmp_path, monkeypatch, backend,
+                                                command, message):
+        from frdecomp import graphs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("arrays built for a graph that is refused")
+
+        monkeypatch.setattr(graphs, "cycle_graph", refuse)
+        monkeypatch.setattr(np, "bincount", refuse)
+        (tmp_path / "far_vertex.txt").write_text("0 1 1.0\n1 1000000000000 1.0\n")
+        if "edges_file" in backend:
+            backend = dict(backend, edges_file=str(tmp_path / backend["edges_file"]))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"backend": backend}))
+        out = tmp_path / "never"
+        res = run(["--config", str(cfgfile), "--out", str(out), command])
+        self.assert_one_fail_line(res, command, "GraphError")
+        assert res.output == f"FAIL {command} GraphError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "sample"])
+    def test_allocation_failure_is_one_fail_line(self, tmp_path, monkeypatch, command):
+        from frdecomp import lattice
+
+        class _ArrayMemoryError(MemoryError):
+            """Stands in for numpy's subclass, which a failed allocation raises."""
+
+        def exhausted(spec):
+            raise _ArrayMemoryError("Unable to allocate 32.0 GiB for an array with "
+                                    "shape (65536, 65536) and data type float64")
+
+        monkeypatch.setattr(lattice, "build_symbol_table", exhausted)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"backend": {"kind": "torus", "N": 65536}}))
+        out = tmp_path / "never"
+        res = run(["--config", str(cfgfile), "--out", str(out), command])
+        self.assert_one_fail_line(res, command, "MemoryError")
+        assert res.output == (f"FAIL {command} MemoryError: Unable to allocate 32.0 GiB "
+                              "for an array with shape (65536, 65536) and data type "
+                              "float64\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sample", "reconstruct"])

@@ -7,12 +7,11 @@ from frdecomp.lattice import (DEFAULT_XI_CUTOFF, LatticeError, LatticeSpec,
                               continuum_kernel, decay_fit,
                               discrete_continuum_gap, green_column,
                               lattice_kernel, mass_family_sweep,
-                              matched_continuum_kernel_at_points,
-                              reconstruct_torus_green, torus_linf_distance)
+                              matched_continuum_kernel_at_points, torus_linf_distance)
 from frdecomp.quadrature import gauss_legendre
 from frdecomp.weights import (DiscreteWeightFamily, ScalePlan, chebyshev_coefficients,
                               clenshaw_folded, default_scale_plan, mode_variances,
-                              series_roundoff)
+                              reconstruct_green, series_roundoff, spectral_gap)
 
 
 ANISOTROPIC_2D = [[1.0, 0.3], [0.3, 1.5]]
@@ -64,6 +63,16 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError):
             LatticeSpec(d=1, a=np.array([[1.0]]), m2=1000.0, N=8)
 
+    @pytest.mark.parametrize("d, a, message", [
+        (0, [[1.0]], "dimension must be 1, 2 or 3"),
+        (4, np.eye(4), "dimension must be 1, 2 or 3"),
+        (2, [[1.0]], "coefficient matrix must be 2x2"),
+        (2, np.eye(3), "coefficient matrix must be 2x2"),
+        (3, np.eye(2), "coefficient matrix must be 3x3")])
+    def test_rejects_dimension_and_shape(self, d, a, message):
+        with pytest.raises(LatticeError, match=message):
+            LatticeSpec(d=d, a=np.array(a), m2=0.5, N=8)
+
     def test_rejects_eigenvalues_outside_window(self):
         # the fixed window [B_MINUS2, B_PLUS2] = [1e-6, 1e6]
         for a in ([[2e6]], [[1e-7]]):
@@ -75,39 +84,39 @@ class TestSymbolTable:
     def test_one_dimensional_endpoint(self):
         spec = LatticeSpec(d=1, a=np.array([[1.0]]), m2=0.0, N=8)
         table = build_symbol_table(spec)
-        assert table.values[4] == pytest.approx(4.0, abs=1e-14)
+        assert table.spectrum[4] == pytest.approx(4.0, abs=1e-14)
 
     def test_zero_mode_is_mass(self):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.7, N=8)
         table = build_symbol_table(spec)
-        assert table.values[0, 0] == pytest.approx(0.7, abs=1e-14)
-        assert table.values.min() >= 0.7 - 1e-13
+        assert table.spectrum[0, 0] == pytest.approx(0.7, abs=1e-14)
+        assert table.spectrum.min() >= 0.7 - 1e-13
 
     def test_spectral_gap_of_non_singular_is_smallest_mode(self):
         # a non-singular torus has no zero mode, however small its mass
         for m2 in (1e-13, 0.5):
             table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8))
             assert not table.is_singular
-            assert table.spectral_gap() == table.values.min() == m2
+            assert spectral_gap(table) == table.spectrum.min() == m2
         massless = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8))
         assert massless.is_singular
-        assert massless.spectral_gap() == massless.values.ravel()[1:].min() > 0.5
+        assert spectral_gap(massless) == massless.spectrum.ravel()[1:].min() > 0.5
 
     def test_two_dimensional_closed_form(self):
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)
         # a*(xi) = 4 sin^2(xi1/2) + 4 sin^2(xi2/2) at xi = (pi/2, pi/2)
-        assert table.values[2, 2] == pytest.approx(4.0, rel=1e-13)
+        assert table.spectrum[2, 2] == pytest.approx(4.0, rel=1e-13)
         grid = 2.0 * np.pi * np.arange(8) / 8
         expect = (4 * np.sin(grid[:, None] / 2) ** 2
                   + 4 * np.sin(grid[None, :] / 2) ** 2)
-        np.testing.assert_allclose(table.values, expect, atol=1e-13)
+        np.testing.assert_allclose(table.spectrum, expect, atol=1e-13)
 
     def test_cross_terms_real_nonnegative(self):
         spec = LatticeSpec(d=2, a=np.array([[1.0, 0.4], [0.4, 2.0]]), m2=0.0, N=16)
         table = build_symbol_table(spec)
-        assert table.values.min() >= -1e-13
-        assert table.B == table.values.max()
+        assert table.spectrum.min() >= -1e-13
+        assert table.B == table.spectrum.max()
 
     @pytest.mark.parametrize("d, a, m2, N", [
         (1, [[1.0]], 0.5, 64),
@@ -118,7 +127,7 @@ class TestSymbolTable:
     def test_even_in_frequency_bit_for_bit(self, d, a, m2, N):
         # v(-k) = v(k) exactly, so every mode variance is even and the
         # sampled planes k_last in {0, N/2} need no projection
-        values = build_symbol_table(LatticeSpec(d=d, a=np.array(a), m2=m2, N=N)).values
+        values = build_symbol_table(LatticeSpec(d=d, a=np.array(a), m2=m2, N=N)).spectrum
         negated = values[np.ix_(*[-np.arange(N) % N] * d)]
         assert np.array_equal(values, negated)
 
@@ -133,7 +142,7 @@ class TestSymbolTable:
         wave = np.exp(1j * (xi[0] * grid[0] + xi[1] * grid[1]))
         applied = L @ wave
         ratio = applied / wave
-        assert np.allclose(ratio, table.values[k], atol=1e-10)
+        assert np.allclose(ratio, table.spectrum[k], atol=1e-10)
 
     @pytest.mark.parametrize("d,a", [
         (1, [[1.0]]),
@@ -189,7 +198,7 @@ class TestLatticeKernel:
         ker = lattice_kernel(table, fam, t)
         series = t**2 * fam.C * fam.arg_scale * chebyshev_coefficients(mollifier, t)
         assert series_roundoff(series) == ker.roundoff_bound
-        mult = clenshaw_folded(series, 1.0 - 0.5 * fam.arg_scale * table.values)
+        mult = clenshaw_folded(series, 1.0 - 0.5 * fam.arg_scale * table.spectrum)
         assert (float(mult.min()), float(mult.max())) == (ker.multiplier_min,
                                                            ker.multiplier_max)
         assert np.array_equal(np.fft.ifftn(mult).real, ker.values)
@@ -229,8 +238,8 @@ class TestDefaultScalePlan:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        lam_min = table.spectral_gap()
-        assert lam_min == table.values[table.values > 1e-12].min()
+        lam_min = spectral_gap(table)
+        assert lam_min == table.spectrum[table.spectrum > 1e-12].min()
         plan = default_scale_plan(fam, lam_min)
         assert plan.j_min == 1
         def tail(t):
@@ -245,7 +254,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(table, fam)
+        rec = reconstruct_green(table, fam)
         assert rec.max_rel_error <= 1e-5
         assert rec.tail_bound <= 1e-6
 
@@ -257,14 +266,14 @@ class TestTorusReconstruction:
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
         plan = ScalePlan(j_min=0, j_max=6)
-        rec = reconstruct_torus_green(table, fam, plan)
+        rec = reconstruct_green(table, fam, plan)
         kernel_sum = np.zeros(16)
         kernel_sum[0] = norm1 * fam.arg_scale * mollifier.phi_hat0 * plan.t_low
         for j in range(plan.j_min, plan.j_max + 1):
             tq, wq = gauss_legendre(plan.L_ratio ** (j - 1), plan.L_ratio**j, 128)
             for t, w in zip(tq, wq):
                 # wrapped kernels: the scale sum targets the torus inverse
-                kernel = np.fft.ifftn(t**2 * fam.value(table.values, t)).real
+                kernel = np.fft.ifftn(t**2 * fam.value(table.spectrum, t)).real
                 kernel_sum += w / t * kernel
         np.testing.assert_allclose(kernel_sum, rec.values.ravel(),
                                    rtol=0, atol=2e-14 * np.abs(rec.values).max())
@@ -275,7 +284,7 @@ class TestTorusReconstruction:
         # C from the phi_hat table agrees with the blocks, so no 2.3e-10 floor
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=N)
         table = build_symbol_table(spec)
-        rec = reconstruct_torus_green(table, make_family(mollifier, norm1, table.B))
+        rec = reconstruct_green(table, make_family(mollifier, norm1, table.B))
         assert rec.max_rel_error <= 5e-11
 
     def test_torus_reconstruct_config_below_3e_13(self, mollifier, norm1):
@@ -283,7 +292,7 @@ class TestTorusReconstruction:
         # trapezoid rule on its own grid makes C and the blocks agree
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=64)
         table = build_symbol_table(spec)
-        rec = reconstruct_torus_green(table, make_family(mollifier, norm1, table.B))
+        rec = reconstruct_green(table, make_family(mollifier, norm1, table.B))
         assert rec.max_rel_error <= 3e-13
 
     @pytest.mark.parametrize("m2", [0.5, 0.0])
@@ -293,9 +302,9 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=16)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
-        rec = reconstruct_torus_green(table, fam, plan)
-        per_scale = mode_variances(table.values, fam, plan.series(fam), m2 == 0.0)
+        plan = default_scale_plan(fam, spectral_gap(table))
+        rec = reconstruct_green(table, fam, plan)
+        per_scale = mode_variances(table.spectrum, fam, plan.series(fam), m2 == 0.0)
         expect = np.fft.ifftn(sum(per_scale)).real
         assert np.max(np.abs(rec.values - expect)) <= 1e-12 * np.max(np.abs(rec.values))
         if m2 == 0.0:   # deflated: the zero mode carries no variance
@@ -305,7 +314,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(table, fam)
+        rec = reconstruct_green(table, fam)
         assert rec.deflated
         assert rec.max_rel_error <= 1e-4
 
@@ -314,7 +323,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=d, a=np.eye(d), m2=m2, N=8)
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(table, fam)
+        rec = reconstruct_green(table, fam)
         L = stencil_operator(spec).toarray()
         full = np.linalg.pinv(L) if m2 == 0.0 else np.linalg.inv(L)
         green = _circulant_loop(rec.values)
@@ -374,7 +383,7 @@ class TestTorusReconstruction:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=128)   # 16,384 sites
         table = build_symbol_table(spec)
         fam = make_family(mollifier, norm1, table.B)
-        rec = reconstruct_torus_green(table, fam)
+        rec = reconstruct_green(table, fam)
         assert rec.oracle.shape == spec.shape
         assert rec.max_rel_error <= 1e-5
 
@@ -491,7 +500,7 @@ class TestDecayFit:
         t = 5.5
         ker = lattice_kernel(table, fam, t)
         xi1 = (2.0 * np.pi * np.arange(N) / N).reshape((N,) + (1,) * (d - 1))
-        mult = (t**2 * fam.value(table.values, t) * (np.exp(1j * xi1) - 1.0) ** l_x
+        mult = (t**2 * fam.value(table.spectrum, t) * (np.exp(1j * xi1) - 1.0) ** l_x
                 * (np.exp(-1j * xi1) - 1.0) ** l_y)
         expect = np.fft.ifftn(mult).real
         got = axis_differences(ker.values, l_x, l_y)
@@ -569,7 +578,7 @@ class TestMassFamilySweep:
         B = table0.B + max(m2_list)
         fam = DiscreteWeightFamily(mollifier, norm1, B=B)
         from frdecomp.lattice import SymbolTable
-        ker = lattice_kernel(SymbolTable(spec=spec, values=table0.values,
+        ker = lattice_kernel(SymbolTable(spec=spec, spectrum=table0.spectrum,
                                                B=B), fam, 4.0)
         np.testing.assert_array_equal(rep.kernels[0].values, ker.values)
 

@@ -90,6 +90,21 @@ class TestProfileValidation:
         with pytest.raises(ProfileError):
             bad.validate()
 
+    @pytest.mark.parametrize("profile, message", [
+        pytest.param(BumpProfile(half_width=0.5, eval=lambda s: np.where(
+            np.asarray(s) == 0.0, np.nan, build_default_profile().eval(s))),
+                     "non-finite values", id="nan-at-centre"),
+        pytest.param(BumpProfile(half_width=0.5, eval=lambda s: np.where(
+            np.asarray(s) == 0.0, np.inf, build_default_profile().eval(s))),
+                     "non-finite values", id="inf-at-centre"),
+        # the indicator of (-1/2, 1/2): a jump at each end
+        pytest.param(BumpProfile(half_width=0.5,
+                                 eval=lambda s: (np.abs(np.asarray(s)) < 0.5) * 1.0),
+                     "smoothness check", id="box")])
+    def test_rejects_non_finite_or_rough(self, profile, message):
+        with pytest.raises(ProfileError, match=message):
+            profile.validate()
+
     @pytest.mark.parametrize("half_width", [0.6, 0.0, -0.5])
     def test_rejects_half_width_outside_half(self, half_width):
         # phi_hat = khat * khat reaches |k| = 2 half_width, and its table ends

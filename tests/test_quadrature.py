@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frdecomp.quadrature import _leggauss
+from frdecomp.quadrature import _leggauss, gauss_legendre
 
 
 @pytest.mark.parametrize("n, tol", [(4, 1e-14), (16, 1e-14), (24, 1e-14),
@@ -27,6 +27,12 @@ def test_rule_matches_scipy_roots_legendre(n):
     assert np.array_equal(weights, weights[::-1])
     assert np.all(np.diff(nodes) > 0)
     assert abs(weights.sum() - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+def test_rule_refuses_empty_interval(a, b):
+    with pytest.raises(ValueError, match="empty interval"):
+        gauss_legendre(a, b, 4)
 
 
 @pytest.mark.parametrize("n", [0, -3])

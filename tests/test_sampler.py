@@ -5,15 +5,15 @@ import pytest
 
 from conftest import circulant_matrix
 from frdecomp import graphs, sampler
-from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph,
-                             reconstruct_green, scale_blocks, two_vertex_graph)
+from frdecomp.graphs import (GraphOperator, WeightedGraph, cycle_graph, scale_blocks,
+                             two_vertex_graph)
 from frdecomp.lattice import LatticeSpec, build_symbol_table, green_column
 from frdecomp.sampler import (REPLICATE_BATCH, check_settings, covariance_report,
                               lag_covariance_report, sample_graph, sample_torus,
                               _stream)
 from frdecomp.weights import (BlockQualityError, DiscreteWeightFamily, ScalePlan,
                               clenshaw_folded, default_scale_plan, mode_variances,
-                              series_roundoff)
+                              reconstruct_green, series_roundoff, spectral_gap)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ class TestGraphSampler:
         op = GraphOperator(cycle_graph(8), "resolvent", m2=1.0)
         table = build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=1.0, N=8))
         white = np.array([1.0])
-        for B, spectrum in ((op.B, op.eigensystem()[0]), (table.B, table.values)):
+        for B, spectrum in ((op.B, op.eigensystem()[0]), (table.B, table.spectrum)):
             fam = DiscreteWeightFamily(mollifier, norm1, B=B)
             theta = 1.0 - 0.5 * fam.arg_scale * spectrum
             block = fam.interval_coefficients(2.0, 8.0)
@@ -203,7 +203,7 @@ class TestGraphSampler:
         # reconstruction then build no block, run no recurrence and factor
         # nothing
         op, fam, plan, _, _ = cycle_setup
-        op.spectral_gap()
+        spectral_gap(op)
         calls = []
 
         def counting(name, fn):
@@ -230,7 +230,7 @@ class TestGraphSampler:
         op = GraphOperator(WeightedGraph.from_edges(6, edges), kind, **kw)
         assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(op))
         lam, vecs = op.eigensystem()
         back = np.sqrt(op.graph.mu.mean() / op.graph.mu)
         variances = mode_variances(lam, fam, plan.series(fam), op.is_singular)
@@ -283,8 +283,8 @@ class TestTorusSampler:
                      LatticeSpec(d=3, a=np.eye(3), m2=0.5, N=8)):
             table = build_symbol_table(spec)
             fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-            plan = default_scale_plan(fam, table.spectral_gap())
-            variances = mode_variances(table.values, fam, plan.series(fam),
+            plan = default_scale_plan(fam, spectral_gap(table))
+            variances = mode_variances(table.spectrum, fam, plan.series(fam),
                                        spec.m2 <= 0.0)
             n = spec.size
             _, kept = sample_torus(table, fam, plan, 1, n, keep=n)
@@ -394,7 +394,7 @@ def torus_seed_sweep(mollifier, norm1, m2, reports):
     spec = LatticeSpec(d=2, a=np.eye(2), m2=m2, N=8)
     table = build_symbol_table(spec)
     fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-    plan = default_scale_plan(fam, table.spectral_gap())
+    plan = default_scale_plan(fam, spectral_gap(table))
     column = green_column(spec)
     scores = [[] for _ in reports]
     for seed in range(20):
@@ -464,7 +464,7 @@ class TestLagCovarianceReport:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(table))
         return spec, (lambda: sample_torus(table, fam, plan, 3, 2000, keep=2000)), \
             green_column(spec)
 
@@ -599,7 +599,7 @@ class TestDrawLayout:
         plan = ScalePlan(j_min=0, j_max=3)
         _, comps = sample_torus(table, fam, plan, 13, self.R, keep=self.R)
         basis = real_fourier_basis(spec.shape)
-        for s, v in enumerate(mode_variances(table.values, fam, plan.series(fam), True)):
+        for s, v in enumerate(mode_variances(table.spectrum, fam, plan.series(fam), True)):
             c = stream_normals(13, s, self.R, spec.shape) * np.sqrt(v)
             x = c.reshape(self.R, spec.size) @ basis
             assert np.max(np.abs(comps[:, s] - x)) <= 1e-14 * np.max(np.abs(x))
@@ -653,7 +653,7 @@ def small_sampler(backend, mollifier, norm1):
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
 
         def expect(plan, seed, count, keep):
-            variances = mode_variances(table.values, fam, plan.series(fam), False)
+            variances = mode_variances(table.spectrum, fam, plan.series(fam), False)
             y = field_coordinates(variances, seed, count, keep, (16,))
             return y @ real_fourier_basis(spec.shape)
 
@@ -820,7 +820,7 @@ class TestRunningTotals:
             spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)
             table = build_symbol_table(spec)
             fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-            plan = default_scale_plan(fam, table.spectral_gap())
+            plan = default_scale_plan(fam, spectral_gap(table))
             run, sites = lambda: sample_torus(table, fam, plan, 1, R), spec.size  # noqa: E731
         tracemalloc.start()
         try:
@@ -838,7 +838,7 @@ class TestRunningTotals:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=32)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(table))
         sample_torus(table, fam, plan, 1, 100, keep=4)     # numpy.random's first-use cost
         tracemalloc.start()
         try:
@@ -861,7 +861,7 @@ class TestRunningTotals:
         op = GraphOperator(WeightedGraph.from_edges(6, edges), "resolvent", m2=1.0)
         assert np.ptp(op.graph.mu) > 0
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(op))
         gram, kept = sample_graph(op, fam, plan, 4, 5000, keep=5000)
         totals = kept.sum(axis=1)
         reference = totals.T @ totals
@@ -869,7 +869,7 @@ class TestRunningTotals:
         spec = LatticeSpec(d=2, a=np.eye(2), m2=0.0, N=8)
         table = build_symbol_table(spec)
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(table))
         power, kept = sample_torus(table, fam, plan, 4, 5000, keep=5000)
         reference = power_spectrum(kept.sum(axis=1), spec.shape)
         assert np.max(np.abs(power - reference)) <= 1e-12 * np.max(np.abs(reference))

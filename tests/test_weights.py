@@ -14,7 +14,7 @@ from frdecomp.weights import (PLAN_T_CAP, REPORT_T_GRID, BlockQualityError,
                               check_decomposition_identity, clenshaw_folded,
                               decay_constants,
                               default_scale_plan, eval_discrete_weight_direct,
-                              mode_variances, series_roundoff,
+                              mode_variances, series_roundoff, spectral_gap,
                               wave_identity_max_residual, write_identity_csv)
 
 
@@ -140,6 +140,11 @@ class TestChebyshevCoefficients:
     def test_rejects_nonpositive_scale(self, mollifier):
         with pytest.raises(ValueError):
             chebyshev_coefficients(mollifier, 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_direct_oracle_rejects_nonpositive_scale(self, mollifier, t):
+        with pytest.raises(ValueError, match="scale t must be positive"):
+            eval_discrete_weight_direct(mollifier, 1.3, t)
 
 
 class TestEvalDiscreteWeight:
@@ -378,7 +383,7 @@ class TestDefaultScalePlan:
         op = (GraphOperator(cycle_graph(16), "resolvent", m2=1.0) if backend == "graph"
               else build_symbol_table(LatticeSpec(d=2, a=np.eye(2), m2=0.5, N=8)))
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap(), L_ratio=L_ratio)
+        plan = default_scale_plan(fam, spectral_gap(op), L_ratio=L_ratio)
         assert plan.j_min == 1 and plan.t_low == 1.0
         white, *blocks = plan.series(fam)
         assert len(white) == 1
@@ -468,9 +473,9 @@ class TestModeVariances:
                                                      "graph"])
     def test_bit_identical_to_per_mode(self, mollifier, norm1, index):
         name, op = mode_variance_operators()[index]
-        spectrum = op.values if name != "graph" else op.eigensystem()[0]
+        spectrum = op.spectrum
         fam = DiscreteWeightFamily(mollifier, norm1, B=op.B)
-        plan = default_scale_plan(fam, op.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(op))
         series = plan.series(fam) + [plan.total_series(fam)]
         got = mode_variances(spectrum, fam, series, op.is_singular)
         expect = per_mode_variances(spectrum, fam, series, op.is_singular)
@@ -484,7 +489,7 @@ class TestModeVariances:
         # a 64 x 64 torus has 4,096 modes and 547 distinct symbol values
         _, table = mode_variance_operators()[0]
         fam = DiscreteWeightFamily(mollifier, norm1, B=table.B)
-        plan = default_scale_plan(fam, table.spectral_gap())
+        plan = default_scale_plan(fam, spectral_gap(table))
         sizes, clenshaw = [], weights.clenshaw_folded
 
         def recording(coeffs, theta):
@@ -492,7 +497,7 @@ class TestModeVariances:
             return clenshaw(coeffs, theta)
 
         monkeypatch.setattr(weights, "clenshaw_folded", recording)
-        weights.mode_variances(table.values, fam, plan.series(fam), False)
+        weights.mode_variances(table.spectrum, fam, plan.series(fam), False)
         assert sizes == [547] * len(plan.series(fam))
 
     def test_repeated_offending_eigenvalue(self, mollifier, norm1):

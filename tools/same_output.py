@@ -80,6 +80,9 @@ CONFIGS = [
     ("6-cycle plus chord, laplacian", "sample", CHORD6_LAPLACIAN),
     ("two 8-cycles, laplacian", "reconstruct", TWO_CYCLES8),
     ("two 8-cycles, laplacian", "sample", TWO_CYCLES8),
+    # the graph kind no other config builds
+    ("two-vertex graph", "reconstruct", {"backend": {"graph": "two_vertex"}}),
+    ("two-vertex graph", "sample", {"backend": {"graph": "two_vertex"}}),
     ("default graph m2=0", "reconstruct", GRAPH_M2_ZERO),
     ("default graph m2=0", "sample", GRAPH_M2_ZERO),
     ("32-cycle killed L=3 R=2000", "sample",
