@@ -95,11 +95,12 @@ class WeightedGraph:
         """Parse lines "x y mu_xy" with 0-based vertex ids; '#' comments.
 
         A line that is not two integers and a number is a GraphError naming
-        the file and the line.
+        the file and the line; a byte that is not UTF-8 reads as U+FFFD, so a
+        field holding one is not a number.
         """
         edges = []
         n = 0
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

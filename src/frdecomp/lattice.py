@@ -376,10 +376,18 @@ class DecayFit:
 
 def decay_fit(kernels, l_x=0, l_y=0):
     """Fit log max_x |axis_differences(phi*_t, l_x, l_y)| against log t over
-    kernels built by lattice_kernel, one per t."""
+    kernels built by lattice_kernel, one per t.
+
+    Raises LatticeError if a maximum is not finite: the differences of a high
+    order overflow float64.
+    """
     t_arr = np.array([ker.t for ker in kernels])
-    sup = np.array([float(np.max(np.abs(axis_differences(ker.values, l_x, l_y))))
-                    for ker in kernels])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup = np.array([float(np.max(np.abs(axis_differences(ker.values, l_x, l_y))))
+                        for ker in kernels])
+    if not np.all(np.isfinite(sup)):
+        raise LatticeError(f"decay order ({l_x}, {l_y}) overflows: max |differences| "
+                           f"is {sup.tolist()} over t = {t_arr.tolist()}")
     slope, intercept = np.polyfit(np.log(t_arr), np.log(sup), 1)
     return DecayFit(t_list=t_arr, max_abs=sup, slope=float(slope),
                     constant=float(np.exp(intercept)), l_x=l_x, l_y=l_y)

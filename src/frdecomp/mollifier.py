@@ -147,7 +147,6 @@ class Mollifier:
     x_max = X_MAX
     profile: BumpProfile
     phi_values: np.ndarray
-    k_grid: np.ndarray
     phi_hat_values: np.ndarray
     decay_sups: dict = field(repr=False)
     _phi_slopes: np.ndarray = field(repr=False)
@@ -410,7 +409,6 @@ def build_mollifier(profile=None):
     return Mollifier(
         profile=profile,
         phi_values=phi,
-        k_grid=k_grid,
         phi_hat_values=phi_hat,
         decay_sups=decay,
         _phi_slopes=slopes,

@@ -8,13 +8,16 @@ the parent commit.  Each config below runs once with the package from this
 checkout's ``src`` and once with the package from OTHER_SRC, at --seed 12345,
 each in a fresh directory that also holds the edge list the config names
 from EDGE_LISTS, if any.  The script compares the exit code, standard
-output and the bytes of every file written to --out, prints one line per
+output and the bytes of every file written to --out, flags a run that writes
+anything to standard error (a warning or a traceback; its text is not
+compared, as traceback paths differ between trees), prints one line per
 config, with the peak resident set of both runs (this checkout's / OTHER_SRC's,
 the VmHWM each command reads from /proc/self/status at exit), and exits 1 if
-any config differs.  For each file that differs it also prints the largest
-difference of its numbers: the float64 values of a ``.bin`` file, each CSV
-column and each JSON number, where an array or column differs by
-max |a - b| / max |b| (relative) and by max |a - b| (absolute).
+any config differs or writes to standard error.  For each file that differs
+it also prints the largest difference of its numbers: the float64 values of
+a ``.bin`` file, each CSV column and each JSON number, where an array or
+column differs by max |a - b| / max |b| (relative) and by max |a - b|
+(absolute).
 The relative figure is taken against the array's own maximum, so an array of
 near-zero values can read large there while its absolute move is tiny.
 """
@@ -62,10 +65,6 @@ CONFIGS = [
     # perfbench's graph-sample operator
     ("256-cycle m2=0.1", "decompose", {"backend": {"n": 256, "m2": 0.1}}),
     ("default graph", "reconstruct", {}),
-    # against a tree that still reads these keys, only the NOTE lines differ
-    ("retired settings at their values", "reconstruct",
-     {"mollifier": {"grid_step": 1e-3, "x_max": 100},
-      "weights": {"coefficient_dump_t": 8}}),
     ("default graph", "sample", {}),
     ("64-cycle laplacian", "decompose", CYCLE64_LAPLACIAN),
     ("64-cycle laplacian", "reconstruct", CYCLE64_LAPLACIAN),
@@ -163,7 +162,7 @@ runpy.run_module("frdecomp.cli", run_name="__main__", alter_sys=True)
 
 def run(src, workdir, command, config):
     """(exit code, stdout, {file: sha256}, out dir, peak RSS in MiB or NaN if
-    the command wrote none) of one command run on src."""
+    the command wrote none, stderr) of one command run on src."""
     os.makedirs(workdir)
     with open(os.path.join(workdir, "config.json"), "w") as fh:
         json.dump(config, fh)
@@ -175,7 +174,7 @@ def run(src, workdir, command, config):
         [sys.executable, "-c", CHILD, "peak_kib", "--config", "config.json",
          "--seed", str(SEED), "--out", "out", command],
         cwd=workdir, env=dict(os.environ, PYTHONPATH=src),
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         with open(os.path.join(workdir, "peak_kib")) as fh:
             peak = int(fh.read()) / 1024
@@ -189,7 +188,7 @@ def run(src, workdir, command, config):
             for block in iter(lambda: fh.read(HASH_BLOCK), b""):
                 digest.update(block)
         files[name] = digest.hexdigest()
-    return proc.returncode, proc.stdout, files, out, peak
+    return proc.returncode, proc.stdout, files, out, peak, proc.stderr
 
 
 def _diff(a, b):
@@ -270,9 +269,11 @@ def numeric_difference(path_a, path_b):
 
 
 def differences(ours, theirs):
-    code_a, stdout_a, files_a, out_a, _ = ours
-    code_b, stdout_b, files_b, out_b, _ = theirs
-    found = []
+    code_a, stdout_a, files_a, out_a, _, stderr_a = ours
+    code_b, stdout_b, files_b, out_b, _, stderr_b = theirs
+    found = [f"stderr written ({tree})"
+             for tree, stderr in (("this checkout", stderr_a), ("OTHER_SRC", stderr_b))
+             if stderr]
     if code_a != code_b:
         found.append(f"exit code {code_a} != {code_b}")
     if stdout_a != stdout_b:
